@@ -10,9 +10,13 @@
 # in smoke mode, asserting the event path serves a burst of concurrent
 # connections with zero errors (again without touching the
 # trajectory), then the tier lane: storage tiering + autoscaling
-# (residency crash sweep, flash-crowd absorption acceptance).  Each
-# faults-marked test runs under a hard per-test
-# timeout (pytest-timeout when installed; SIGALRM backstop otherwise).
+# (residency crash sweep, flash-crowd absorption acceptance), then the
+# benchmark-smoke lane: one traced bulk_get round of the appliance
+# benchmark at tiny sizes, so a src/ rename that breaks a name its
+# tracer patches (benchmarks/appliance/tracing.py) fails here and not
+# at benchmark time.  Each faults-marked test runs under a hard
+# per-test timeout (pytest-timeout when installed; SIGALRM backstop
+# otherwise).
 # Usage: scripts/verify.sh [extra pytest args]
 set -e
 cd "$(dirname "$0")/.."
@@ -26,3 +30,4 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/tier "$@"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro perf transfer --smoke
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro perf concurrency --smoke
 python scripts/check_fleet.py
+python3 benchmarks/appliance/run.py --workload bulk_get --smoke --seconds 3 --trace 1

@@ -58,7 +58,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         name=args.name,
         protocols=protocols,
         scheduling=args.scheduling,
-        concurrency=args.concurrency,
         concurrency_server=args.concurrency_server,
         require_lots=args.require_lots,
         state_dir=args.state_dir or None,
@@ -446,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="chirp,ftp,gridftp,http,nfs,ibp")
     serve.add_argument("--scheduling", default="fcfs",
                        choices=["fcfs", "stride", "cache-aware"])
-    serve.add_argument("--concurrency", default="adaptive",
-                       choices=["adaptive", "threads", "events"])
     serve.add_argument("--concurrency-server", default="threaded",
                        choices=["threaded", "events", "adaptive"],
                        help="how connections are served: a thread per "

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.nest.acl import Rights, default_acl
-from repro.nest.lots import LotState
+from repro.nest.lots import LotError, LotState
 from repro.nest.storage import DirNode, FileNode, StorageError, StorageManager
 
 __all__ = ["RecoveryReport", "StorageReplayer", "backend_size"]
@@ -296,6 +296,16 @@ class StorageReplayer:
                 storage.used_bytes += delta
                 if delta < 0:
                     storage.lots.release(path, -delta)
+                elif delta > 0 and storage.require_lots:
+                    # An overwrite with less that never landed: the
+                    # old, larger content survived, and its shrinkage
+                    # was released at approval.  Charge it back.
+                    try:
+                        storage.lots.charge(
+                            self.pending_puts[path].get("user", node.owner),
+                            path, delta)
+                    except LotError:
+                        pass  # no room any more: the bytes stay, uncharged
                 out.append({"path": path, "disposition": "settled",
                             "size": actual})
         self.pending_puts.clear()

@@ -12,8 +12,10 @@ visible *cost of adaptation* in Fig. 5.
 
 The policy here is pure (no threads, no simulated time): harnesses call
 :meth:`AdaptiveSelector.choose` per request and
-:meth:`AdaptiveSelector.report` per completion.  The identical object
-drives the live transfer manager and the simulated server.
+:meth:`AdaptiveSelector.report` per completion.  The simulated server
+deals each transfer this way (Fig. 5); the live server makes the
+choice once per accepted connection, through
+:class:`ServerModelSwitcher`, which embeds the same selector.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class ServerModelSwitcher:
     """Adaptive *server* architecture selection (Fig. 5, live).
 
     Where :class:`AdaptiveSelector` deals individual transfers across
-    executors by measured goodput, the server-architecture choice is
+    models by measured goodput, the server-architecture choice is
     regime-defining: thread-per-connection collapses at high
     connection counts no matter how good its per-request latency is.
     The switcher is therefore threshold-driven on the live load

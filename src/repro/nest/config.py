@@ -2,7 +2,10 @@
 
 One dataclass gathers every administrator-visible knob so the live
 server, the simulated server, and the benches construct servers the
-same way.  Defaults mirror the paper's release 0.9.
+same way.  Defaults mirror the paper's release 0.9.  Two knobs are
+read by the simulated substrate only (``concurrency``,
+``concurrency_models``); ``transfer_workers`` bounds concurrent
+scheduler grants, not threads -- the live transfer manager has none.
 """
 
 from __future__ import annotations
@@ -36,21 +39,24 @@ class NestConfig:
     #: or "user" (its stated per-user extension).
     share_by: str = "protocol"
 
-    #: Concurrency: "adaptive" (default) or a fixed model
-    #: ("threads", "processes", "events").
+    #: Per-transfer concurrency model, *simulated substrate only*
+    #: (Fig. 5 lives there): "adaptive" (default) or a fixed model
+    #: ("threads", "processes", "events", "seda").  The live server
+    #: does not read it -- see ``concurrency_server``.
     concurrency: str = "adaptive"
 
-    #: Concurrency models available to the adaptive selector.
+    #: Models the simulated substrate's adaptive selector deals among
+    #: (simulated substrate only, like ``concurrency``).
     concurrency_models: Sequence[str] = ("threads", "events")
 
-    #: *Server* concurrency architecture -- how accepted connections
-    #: are served (distinct from ``concurrency``, which picks the
-    #: executor for transfer quanta): "threaded" dedicates one handler
-    #: thread per connection (the original design), "events" parks
-    #: idle connections in a selector-driven event loop and serves
-    #: ready requests from a small bounded worker pool, and "adaptive"
-    #: flips between the two per-listener from live MetricsRegistry
-    #: signals (Fig. 5: no single architecture wins at all loads).
+    #: The live server's one concurrency decision -- how accepted
+    #: connections are served: "threaded" dedicates one handler thread
+    #: per connection (the original design), "events" parks idle
+    #: connections in a selector-driven event loop and serves ready
+    #: requests from a small bounded worker pool, and "adaptive" flips
+    #: between the two per accept from live MetricsRegistry signals
+    #: (Fig. 5: no single architecture wins at all loads).  Either
+    #: way the thread serving a request pumps its own transfer.
     concurrency_server: str = "threaded"
 
     #: Worker threads behind the event-driven path (the whole point:
@@ -80,22 +86,17 @@ class NestConfig:
     #: runs the classic single-process appliance.
     shards: int = 0
 
-    #: Worker slots for transfer pumping (threads in a pool / event
-    #: loop fan-out).
+    #: Scheduler grants out at once: how many transfers may be moving
+    #: a quantum at the same moment.  Not a thread count -- the
+    #: transfer manager has no threads; each connection's own thread
+    #: pumps under a grant.
     transfer_workers: int = 8
 
     #: Bytes moved per proportional-share scheduling quantum.  Small
     #: quanta give fine-grained control; each one costs an arbitration
-    #: pass (the Fig. 4 overhead).
+    #: pass (the Fig. 4 overhead).  A transfer that is alone is granted
+    #: ``repro.nest.transfer.BURST_BYTES`` at a time instead.
     quantum_bytes: int = 16 * 1024
-
-    #: Bytes granted per quantum when a transfer is *alone* -- no other
-    #: ready job and no other in-flight quantum.  Large solo grants
-    #: amortize the per-quantum scheduling pass; under contention the
-    #: manager always falls back to ``quantum_bytes`` so proportional
-    #: shares keep their granularity.  Set equal to ``quantum_bytes``
-    #: to disable bursting.
-    burst_bytes: int = 4 * 1024 * 1024
 
     #: Total storage capacity managed by this NeST.
     capacity_bytes: int = 10 * (1 << 30)
@@ -285,8 +286,6 @@ class NestConfig:
             raise ValueError("transfer_workers must be >= 1")
         if self.quantum_bytes < 1:
             raise ValueError("quantum_bytes must be >= 1")
-        if self.burst_bytes < self.quantum_bytes:
-            raise ValueError("burst_bytes must be >= quantum_bytes")
         if self.journal_batch_records < 1:
             raise ValueError("journal_batch_records must be >= 1")
         if self.journal_batch_delay < 0:

@@ -548,8 +548,7 @@ class StorageManager:
                 self._check(parent.acl, user, "w")
             declared = max(0, length)
             old_size = existing.size if existing else 0
-            growth = max(0, declared - old_size)
-            self._charge(user, path, growth)
+            self._charge(user, path, declared - old_size)
             if existing is None:
                 parent.children[name] = FileNode(name=name, owner=user, size=declared)
             else:
@@ -557,6 +556,14 @@ class StorageManager:
             self.used_bytes += declared - old_size
             self._emit("put_begin", user=user, path=path, size=declared,
                        old_size=old_size, existed=existing is not None)
+            if declared < old_size:
+                # Overwriting with less: the lot gets the shrinkage
+                # back now, so its charge tracks the node's size just
+                # as used_bytes does; _settle_put corrects from there.
+                # Journaled after put_begin: a crash in between leaves
+                # an open put for recovery to settle, never a release
+                # without its put.
+                self.lots.release(path, old_size - declared)
             manager = self
 
             class _PutTicket(TransferTicket):

@@ -1,21 +1,28 @@
-"""The live transfer manager: asynchronous data movement (paper, §4).
+"""The live transfer manager: scheduler-ordered data movement (paper, §4).
 
-The transfer manager owns every on-going transfer: protocol handlers
-``submit()`` storage-manager-approved tickets and block on
-:meth:`Transfer.wait`; a scheduler thread dequeues one *quantum* at a
-time in scheduler order (FCFS / stride / cache-aware -- the same pure
-policy objects the simulated substrate uses) and dispatches the chunk
-to the chosen concurrency executor:
+The transfer manager owns every on-going transfer, which is what lets
+one scheduler order every protocol's bytes (§4.2).  It is the live
+twin of the simulated substrate's :class:`repro.simnest.gate.PumpGate`
+and creates no thread of its own: a protocol handler ``submit()``s a
+storage-manager-approved ticket, which only registers the job with the
+scheduler (FCFS / stride / cache-aware -- the same pure policy objects
+the simulated substrate uses), and then calls :meth:`Transfer.wait` on
+the thread that owns the socket -- a handler thread or an ``EventLoop``
+worker.  That thread loops *acquire a grant, pump one quantum, release*:
 
-* ``threads`` -- a pool of worker threads (chunks of different
-  transfers proceed in parallel, overlapping disk and network);
-* ``events`` -- a single-threaded executor (one chunk at a time,
-  mirroring an event loop's serialization).
+* at most ``config.transfer_workers`` grants are out at once;
+* whichever thread asks for or returns a grant runs the arbitration
+  under the manager's lock and wakes exactly the owner it granted;
+* a transfer that is alone gets :data:`BURST_BYTES` per grant; any
+  contention at all keeps ``config.quantum_bytes``;
+* when non-work-conserving stride would rather wait for a job that is
+  not ready, waiters idle for :data:`IDLE_WAIT` and then the best ready
+  job is granted anyway (bounded anticipatory idling).
 
-The ``processes`` model is available only on the simulated substrate:
-live sockets cannot portably migrate into forked workers inside a test
-suite (see DESIGN.md).  The adaptive selector is fed each transfer's
-goodput, exactly as in :mod:`repro.simnest`.
+Which concurrency architecture serves a connection is decided once per
+accept, by ``ServerModelSwitcher``; the transfer manager has no say in
+it (the per-transfer selector of Fig. 5 lives on the simulated
+substrate only).
 """
 
 from __future__ import annotations
@@ -24,18 +31,12 @@ import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, BinaryIO, Callable, Optional
-
-from repro.obs import spans as _spans
-from repro.obs.log import get_logger
-
-logger = get_logger(__name__)
+from typing import Any, BinaryIO, Optional
 
 from repro.nest import io as fastio
-from repro.nest.concurrency import EVENTS, THREADS, Selector, make_selector
 from repro.nest.config import NestConfig
 from repro.nest.scheduling import Scheduler, TransferJob, make_job, make_scheduler
+from repro.obs import spans as _spans
 
 #: Per-transfer pumping strategies, chosen once at submission and
 #: never mixed mid-stream (mixing buffered reads with descriptor-level
@@ -44,44 +45,57 @@ SENDFILE = "sendfile"
 POOLED = "pooled"
 LEGACY = "legacy"
 
+#: Bytes granted per quantum when a transfer is *alone*: a big quantum
+#: then costs no fairness and saves hundreds of arbitration passes.
+BURST_BYTES = 4 * 1024 * 1024
+
+#: Seconds waiters idle when non-work-conserving stride holds a slot
+#: for a job that is not ready, before the best ready job is granted
+#: anyway (``PumpGate``'s ``idle_wait``).
+IDLE_WAIT = 0.002
+
 
 class TransferError(Exception):
     """A transfer failed mid-flight (stream error, short read...)."""
 
 
 class Transfer:
-    """One scheduled data movement between two byte streams."""
+    """One scheduled data movement between two byte streams.
+
+    A transfer has one owner: the thread that calls :meth:`wait` moves
+    every byte of it.
+    """
 
     def __init__(
         self,
+        manager: "TransferManager",
         job: TransferJob,
         source: BinaryIO,
         sink: BinaryIO,
         total: int,
-        model: str,
-        on_done: Optional[Callable[["Transfer"], None]] = None,
         span: Optional["_spans.Span"] = None,
     ):
+        self.manager = manager
         self.job = job
         self.source = source
         self.sink = sink
         self.total = total
-        self.model = model
-        self.on_done = on_done
         self.moved = 0
         self.error: Optional[BaseException] = None
-        #: error raised by the ``on_done`` callback itself, if any --
-        #: kept separate so it never masks the transfer's own outcome.
-        self.callback_error: Optional[BaseException] = None
         self.started_at = time.monotonic()
-        #: parent request span, when the submitter is being traced --
-        #: queue-wait and transfer children are attached retroactively
-        #: because pumping crosses worker threads.
+        #: when the scheduler first granted this transfer a quantum.
+        self.granted_at: Optional[float] = None
+        #: parent request span, when the submitter is being traced, and
+        #: the open child of it: "queue" until the first grant, then
+        #: "transfer".
         self.span = span
-        self.submitted_wall = time.time()
-        self.dispatched_at: Optional[float] = None
-        self.dispatched_wall: Optional[float] = None
-        self._finished = threading.Event()
+        self._stage = (span.child("queue", protocol=job.protocol)
+                       if span is not None else None)
+        #: bytes of the grant this transfer holds (0: none); written
+        #: under the manager's lock, which ``_granted`` shares.
+        self._grant = 0
+        self._granted = threading.Condition(manager._lock)
+        self._finished = False
         #: incremental CRC32 of the bytes moved, or None when the
         #: transfer went (even partly) through sendfile -- those bytes
         #: never surface into Python, so there is nothing to fold.
@@ -114,7 +128,7 @@ class Transfer:
             return POOLED
         return LEGACY
 
-    # -- worker side -------------------------------------------------------
+    # -- pumping (on the thread that called wait) ---------------------------
     def pump_chunk(self, nbytes: int) -> int:
         """Move up to ``nbytes``; returns bytes moved (0 at EOF)."""
         want = nbytes if self.total < 0 else min(nbytes, self.total - self.moved)
@@ -197,56 +211,24 @@ class Transfer:
             fastio.DEFAULT_POOL.release(self._buffer)
             self._buffer = None
 
-    @property
-    def done(self) -> bool:
-        if self.error is not None:
-            return True
-        if self.total >= 0:
-            return self.moved >= self.total
-        return self._finished.is_set()
-
-    # -- waiter side -------------------------------------------------------
+    # -- owner side --------------------------------------------------------
     def wait(self, timeout: float | None = 30.0) -> int:
-        """Block until the transfer completes; returns bytes moved.
+        """Move the transfer to completion on the calling thread, one
+        scheduler-granted quantum at a time; returns bytes moved.
 
-        Raises the transfer's error, or :exc:`TransferError` on timeout.
+        Raises the transfer's error.  ``timeout`` bounds the waits for
+        a grant and is checked between quanta: past it the transfer is
+        withdrawn and fails with ``TransferError("transfer timed out")``.
         """
-        if not self._finished.wait(timeout):
-            raise TransferError("transfer timed out")
+        if not self._finished:
+            self.manager._pump(self, timeout)
         if self.error is not None:
             raise self.error
         return self.moved
 
-    def _finish(self, error: BaseException | None = None) -> None:
-        if error is not None:
-            self.error = error
-        self._release_buffer()
-        # Run the completion callback before releasing waiters, so a
-        # waiter that returns from wait() observes its side effects
-        # (including callback_error).
-        if self.on_done:
-            try:
-                self.on_done(self)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                # A broken completion callback must not kill the
-                # scheduler worker, but it must not vanish either: the
-                # waiter can inspect it, and it goes to the log.
-                self.callback_error = exc
-                logger.warning(
-                    "transfer on_done callback failed for %s: %r",
-                    self.job.path or self.job.protocol, exc,
-                )
-        self._finished.set()
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started_at
-
 
 class TransferManager:
-    """Schedules and executes transfers under one NestConfig."""
+    """Orders every transfer's quanta under one NestConfig."""
 
     def __init__(self, config: NestConfig, residency=None, obs=None):
         config.validate()
@@ -272,7 +254,7 @@ class TransferManager:
                 "Transfer duration, submit to completion.", ("protocol",))
             self._m_queue_wait = reg.histogram(
                 "nest_queue_wait_seconds",
-                "Time from submit to first scheduler dispatch.",
+                "Time from submit to first scheduler grant.",
                 ("protocol",))
             reg.gauge_callback("nest_transfer_queue_depth", self.queue_depth,
                                "Transfers waiting for a scheduler grant.")
@@ -289,36 +271,21 @@ class TransferManager:
             work_conserving=config.work_conserving,
             share_by=config.share_by,
         )
-        models = [m for m in config.concurrency_models if m != "processes"]
-        if not models:
-            models = [THREADS]
-        self.selector: Selector = make_selector(
-            config.concurrency if config.concurrency != "processes" else THREADS,
-            models=models,
-        )
-        self._threads_pool = ThreadPoolExecutor(
-            max_workers=max(2, config.transfer_workers),
-            thread_name_prefix="nest-xfer",
-        )
-        #: single-threaded: the live analogue of an event loop.
-        self._events_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="nest-events"
-        )
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._pending: dict[int, Transfer] = {}
+        #: transfers whose owner is blocked awaiting a grant, by job id.
+        self._waiting: dict[int, Transfer] = {}
+        #: grants currently out (at most ``config.transfer_workers``).
+        self._active = 0
+        #: monotonic time at which idling waiters force a grant, while
+        #: non-work-conserving stride is holding a slot back.
+        self._idle_until: Optional[float] = None
         #: ring of recent per-transfer failure causes (newest last);
         #: each entry is timestamped ("at", epoch seconds) and the
         #: bound is the administrator's ``config.failure_history``.
         self._failures: deque[dict[str, Any]] = deque(
             maxlen=config.failure_history)
-        self._in_flight = 0
         self._enqueue_seq = 0
         self._running = True
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="nest-xfer-sched", daemon=True
-        )
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
     # submission
@@ -331,31 +298,25 @@ class TransferManager:
         protocol: str,
         user: str = "anonymous",
         path: str = "",
-        on_done: Optional[Callable[[Transfer], None]] = None,
         span: Optional["_spans.Span"] = None,
     ) -> Transfer:
-        """Queue a transfer; returns immediately (asynchronous).
+        """Register a transfer with the scheduler; no byte moves until
+        its owner calls :meth:`Transfer.wait`.
 
         ``span`` (or, failing that, the submitting thread's active
-        span) becomes the parent of the retroactive queue-wait and
-        transfer child spans.
+        span) becomes the parent of the queue-wait and transfer child
+        spans.
         """
-        model = self.selector.choose()
         job = make_job(protocol, user=user, path=path, total_bytes=total)
-        transfer = Transfer(job, source, sink, total, model, on_done=on_done,
+        job.ready = False  # ready only while its owner awaits a grant
+        transfer = Transfer(self, job, source, sink, total,
                             span=span or _spans.current_span())
         with self._lock:
             self.scheduler.add(job)
-            self._enqueue_seq += 1
-            job.enqueue_seq = self._enqueue_seq
-            job.ready = True
-            job.available = total if total >= 0 else 1 << 62
-            self._pending[job.job_id] = transfer
-            self._wakeup.notify()
         return transfer
 
     def transfer_sync(self, *args, timeout: float | None = 60.0, **kwargs) -> int:
-        """Submit and wait; returns bytes moved (handler convenience)."""
+        """Submit and pump; returns bytes moved (handler convenience)."""
         return self.submit(*args, **kwargs).wait(timeout)
 
     def failures(self) -> list[dict[str, Any]]:
@@ -373,189 +334,201 @@ class TransferManager:
             return list(self._failures)
 
     def queue_depth(self) -> int:
-        """Transfers enqueued and awaiting a scheduler grant."""
-        with self._lock:
-            return sum(1 for t in self._pending.values() if t.job.ready)
+        """Transfers whose owner is blocked awaiting a scheduler grant."""
+        return len(self._waiting)
 
     def in_flight(self) -> int:
-        """Transfer quanta currently executing on a worker."""
-        with self._lock:
-            return self._in_flight
+        """Granted quanta currently being pumped."""
+        return self._active
 
     def shutdown(self) -> None:
-        """Stop the scheduler thread and fail whatever it abandons.
+        """Refuse every further grant and fail whatever is unfinished.
 
-        Every pending transfer is finished with a typed
-        ``TransferError("manager shut down")`` so waiters unblock
-        immediately instead of sitting out their full ``wait()``
-        timeout, and pooled buffers go back to ``DEFAULT_POOL``.
-        Queued transfers (never dispatched) are failed here; quanta
-        already on a worker notice ``_running`` is down when they
-        return and fail their transfer the same way instead of
-        re-enqueueing it.
+        Owners blocked awaiting a grant wake at once and fail their
+        transfer with a typed ``TransferError("manager shut down")``
+        instead of sitting out their ``wait()`` timeout; an owner in
+        the middle of a quantum fails the same way when it asks for
+        the next one.  Either way pooled buffers go back to
+        ``DEFAULT_POOL``.  Calling it again changes nothing.
         """
         with self._lock:
             self._running = False
-            self._wakeup.notify_all()
-        self._dispatcher.join(timeout=5)
-        error = TransferError("manager shut down")
+            for transfer in self._waiting.values():
+                transfer._granted.notify()
+
+    # ------------------------------------------------------------------
+    # the data path: acquire grant -> pump_chunk -> charge/release
+    # ------------------------------------------------------------------
+    def _pump(self, transfer: Transfer, timeout: float | None) -> None:
+        """Move ``transfer`` to completion on the calling thread."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        obs = self.obs
+        moved = 0
+        error: BaseException | None = None
+        try:
+            more = transfer.total != 0
+            while more:
+                grant = self._acquire(transfer, deadline)
+                if transfer.granted_at is None:
+                    self._observe_first_grant(transfer)
+                moved = 0  # what _finish charges if pump_chunk raises
+                moved = transfer.pump_chunk(grant)
+                if obs is not None and moved:
+                    self._m_bytes.inc(moved, protocol=transfer.job.protocol)
+                    obs.health.record_bytes(moved)
+                # EOF (nothing moved) or the declared total ends it;
+                # the last grant goes back inside _finish.
+                more = moved > 0 and not 0 <= transfer.total <= transfer.moved
+                if more:
+                    self._release(transfer, moved)
+        except BaseException as exc:  # noqa: BLE001 - wait() re-raises it
+            error = exc
+        self._finish(transfer, moved, error)
+
+    def _acquire(self, transfer: Transfer, deadline: float | None) -> int:
+        """Block until the scheduler grants ``transfer`` a quantum;
+        returns its size in bytes."""
+        job = transfer.job
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TransferError("transfer timed out")
         with self._lock:
-            # ready=True means "awaiting a scheduler grant": with the
-            # dispatcher dead these would never run.  ready=False means
-            # a quantum is in flight; _run_quantum owns that finish.
-            doomed = [t for t in self._pending.values() if t.job.ready]
-            for transfer in doomed:
-                self.scheduler.remove(transfer.job)
-                self._pending.pop(transfer.job.job_id, None)
+            if not self._running:
+                raise TransferError("manager shut down")
+            self._enqueue_seq += 1
+            job.enqueue_seq = self._enqueue_seq
+            job.ready = True
+            self._waiting[job.job_id] = transfer
+            try:
+                self._arbitrate_locked()
+                while not transfer._grant:
+                    if not self._running:
+                        raise TransferError("manager shut down")
+                    now = time.monotonic()
+                    wake = deadline
+                    if self._idle_until is not None:
+                        if now >= self._idle_until:
+                            self._idle_until = None
+                            self._force_grant_locked()
+                            continue
+                        if wake is None or self._idle_until < wake:
+                            wake = self._idle_until
+                    if deadline is not None and now >= deadline:
+                        raise TransferError("transfer timed out")
+                    transfer._granted.wait(
+                        None if wake is None else wake - now)
+            finally:
+                if not transfer._grant:
+                    # Leaving empty-handed: withdraw the request.
+                    self._waiting.pop(job.job_id, None)
+                    job.ready = False
+            return transfer._grant
+
+    def _release(self, transfer: Transfer, moved: int) -> None:
+        """Return the grant after moving ``moved`` bytes."""
+        with self._lock:
+            self._release_locked(transfer, moved)
+            if self._waiting:
+                self._arbitrate_locked()
+
+    def _release_locked(self, transfer: Transfer, moved: int) -> None:
+        transfer._grant = 0
+        self._active -= 1
+        self.scheduler.charge(transfer.job, moved)
+
+    def _finish(self, transfer: Transfer, moved: int,
+                error: BaseException | None) -> None:
+        """Unregister ``transfer`` and publish its outcome."""
+        job = transfer.job
+        with self._lock:
+            if transfer._grant:
+                self._release_locked(transfer, moved)
+            self.scheduler.remove(job)
+            if error is not None:
                 self._failures.append({
-                    "protocol": transfer.job.protocol,
-                    "user": transfer.job.user,
-                    "path": transfer.job.path,
+                    "protocol": job.protocol,
+                    "user": job.user,
+                    "path": job.path,
                     "moved": transfer.moved,
                     "total": transfer.total,
                     "error": error,
                     "at": time.time(),
                 })
-        for transfer in doomed:
-            self._observe_finish(transfer, error)
-            transfer._finish(error)
-        self._threads_pool.shutdown(wait=False)
-        self._events_pool.shutdown(wait=False)
+            if self._waiting:
+                self._arbitrate_locked()
+        transfer.error = error
+        transfer._finished = True
+        transfer._release_buffer()
+        self._observe_finish(transfer, error)
 
-    # ------------------------------------------------------------------
-    # scheduling loop
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while self._running and not self._dispatchable_locked():
-                    self._wakeup.wait(timeout=0.2)
-                if not self._running:
-                    return
-                job = self.scheduler.select()
-                if job is None or job.job_id not in self._pending:
-                    # Non-work-conserving idling: wait briefly, then
-                    # grant the best ready job anyway.
-                    self._wakeup.wait(timeout=0.002)
-                    job = self._best_ready_locked()
-                    if job is None:
-                        continue
-                transfer = self._pending[job.job_id]
-                job.ready = False
-                self._in_flight += 1
-                # Solo transfers get burst-sized grants: nothing else
-                # is ready or in flight, so a big quantum costs no
-                # fairness and saves hundreds of arbitration passes.
-                # Any contention at all keeps the configured quantum.
-                if (self._in_flight == 1
-                        and not any(t.job.ready
-                                    for t in self._pending.values())):
-                    grant = self.config.burst_bytes
-                else:
-                    grant = self.config.quantum_bytes
-            if transfer.dispatched_at is None:
-                # First grant: the interval since submit is this
-                # transfer's queue-wait, recorded as a retroactive
-                # child span plus a histogram observation.
-                transfer.dispatched_at = time.perf_counter()
-                transfer.dispatched_wall = time.time()
-                waited = transfer.dispatched_wall - transfer.submitted_wall
-                if self.obs is not None:
-                    self._m_queue_wait.observe(max(waited, 0.0),
-                                               protocol=job.protocol)
-                if transfer.span is not None:
-                    transfer.span.child_at(
-                        "queue", transfer.submitted_wall, max(waited, 0.0),
-                        protocol=job.protocol)
-            executor = (
-                self._events_pool if transfer.model == EVENTS else self._threads_pool
-            )
-            executor.submit(self._run_quantum, transfer, grant)
+    # -- arbitration (PumpGate._try_grant / _force_grant, live) ------------
+    def _arbitrate_locked(self) -> None:
+        """Grant free slots in scheduler order."""
+        waiting = self._waiting
+        workers = self.config.transfer_workers
+        while waiting and self._active < workers:
+            job = self.scheduler.select()
+            transfer = waiting.get(job.job_id) if job is not None else None
+            if transfer is None:
+                # Non-work-conserving idling: the rightful job is not
+                # ready.  One waiter is woken to keep the time; whoever
+                # wakes first past ``_idle_until`` force-grants.
+                if self._idle_until is None:
+                    self._idle_until = time.monotonic() + IDLE_WAIT
+                next(iter(waiting.values()))._granted.notify()
+                return
+            self._grant_locked(transfer)
 
-    def _dispatchable_locked(self) -> bool:
-        return (
-            self._in_flight < self.config.transfer_workers
-            and any(t.job.ready for t in self._pending.values())
-        )
+    def _force_grant_locked(self) -> None:
+        """After idling, grant the best *ready* jobs even though the
+        scheduler would rather keep waiting (bounded idling)."""
+        waiting = self._waiting
+        workers = self.config.transfer_workers
+        while waiting and self._active < workers:
+            self._grant_locked(min(
+                waiting.values(),
+                key=lambda t: (t.job.pass_value, t.job.enqueue_seq)))
 
-    def _best_ready_locked(self) -> TransferJob | None:
-        ready = [t.job for t in self._pending.values() if t.job.ready]
-        if not ready:
-            return None
-        return min(ready, key=lambda j: (j.pass_value, j.enqueue_seq))
+    def _grant_locked(self, transfer: Transfer) -> None:
+        del self._waiting[transfer.job.job_id]
+        transfer.job.ready = False
+        self._active += 1
+        # Alone = the only transfer submitted and unfinished.
+        transfer._grant = (BURST_BYTES if self.scheduler.depth() == 1
+                           else self.config.quantum_bytes)
+        transfer._granted.notify()
 
-    def _run_quantum(self, transfer: Transfer,
-                     nbytes: int | None = None) -> None:
-        job = transfer.job
-        moved = 0
-        error: BaseException | None = None
-        try:
-            moved = transfer.pump_chunk(nbytes or self.config.quantum_bytes)
-        except BaseException as exc:  # noqa: BLE001 - reported to waiter
-            error = exc
-        finished = error is not None or (
-            transfer.done if moved else True  # EOF counts as done
-        )
-        obs = self.obs
-        if obs is not None and moved:
-            self._m_bytes.inc(moved, protocol=job.protocol)
-            obs.health.record_bytes(moved)
-        with self._lock:
-            self._in_flight -= 1
-            self.scheduler.charge(job, moved)
-            if not finished and not self._running:
-                # The manager shut down while this quantum was out:
-                # re-enqueueing would strand the transfer (no
-                # dispatcher will ever grant it again), so fail it
-                # typed -- same contract as shutdown()'s queued sweep.
-                error = TransferError("manager shut down")
-                finished = True
-            if finished:
-                self.scheduler.remove(job)
-                self._pending.pop(job.job_id, None)
-                if error is not None:
-                    self._failures.append({
-                        "protocol": job.protocol,
-                        "user": job.user,
-                        "path": job.path,
-                        "moved": transfer.moved,
-                        "total": transfer.total,
-                        "error": error,
-                        "at": time.time(),
-                    })
-            else:
-                self._enqueue_seq += 1
-                job.enqueue_seq = self._enqueue_seq
-                job.ready = True
-            self._wakeup.notify()
-        if finished:
-            self.selector.report(
-                transfer.model, max(transfer.moved, 1), max(transfer.elapsed, 1e-6)
-            )
-            self._observe_finish(transfer, error)
-            transfer._finish(error)
+    # -- telemetry ---------------------------------------------------------
+    def _observe_first_grant(self, transfer: Transfer) -> None:
+        """The queue-wait ends here: one histogram observation, and the
+        ``queue`` child span gives way to the ``transfer`` one."""
+        transfer.granted_at = time.monotonic()
+        protocol = transfer.job.protocol
+        if self.obs is not None:
+            self._m_queue_wait.observe(
+                transfer.granted_at - transfer.started_at, protocol=protocol)
+        if transfer._stage is not None:
+            transfer._stage.end()
+            transfer._stage = transfer.span.child("transfer",
+                                                  protocol=protocol)
 
     def _observe_finish(self, transfer: Transfer,
                         error: BaseException | None) -> None:
-        """Publish one completed transfer's telemetry."""
-        obs = self.obs
-        if obs is not None:
+        """Publish one finished transfer's telemetry."""
+        if transfer.granted_at is None:
+            # Empty, or failed before any grant: all of it was queue.
+            self._observe_first_grant(transfer)
+        if self.obs is not None:
             outcome = "error" if error is not None else "ok"
             protocol = transfer.job.protocol
             self._m_transfers.inc(1, protocol=protocol, outcome=outcome)
-            self._m_seconds.observe(transfer.elapsed, protocol=protocol)
+            self._m_seconds.observe(time.monotonic() - transfer.started_at,
+                                    protocol=protocol)
             if error is not None:
                 self._m_failures.inc(1, protocol=protocol,
                                      cause=type(error).__name__)
-        if transfer.span is not None:
-            start = transfer.dispatched_wall or transfer.submitted_wall
-            reference = transfer.dispatched_at
-            pumped = (time.perf_counter() - reference
-                      if reference is not None else 0.0)
-            child = transfer.span.child_at(
-                "transfer", start, max(pumped, 0.0),
-                protocol=transfer.job.protocol, bytes=transfer.moved,
-                model=transfer.model)
+        stage = transfer._stage
+        if stage is not None:
+            stage.set(bytes=transfer.moved)
             if error is not None:
-                child.status = "error"
-                child.set(error=type(error).__name__)
+                stage.set(error=type(error).__name__)
+            stage.end("error" if error is not None else None)

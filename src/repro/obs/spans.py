@@ -8,11 +8,10 @@ this request slow?" with the same vocabulary across all five wire
 protocols.
 
 Propagation is deliberately low-tech: the active span is kept on a
-thread-local stack (one handler thread owns one connection, so this is
-exact for the synchronous layers), and layers that hop threads -- the
-transfer manager's worker pool -- are handed the parent span
-explicitly and attach retroactive children with measured start and
-duration.  Code deep in the stack (storage, ACL, lots) does not need a
+thread-local stack (one thread serves a request end to end, so this
+is exact), and a layer that is handed work on one thread and may
+finish it on another -- the transfer manager -- takes the parent span
+explicitly.  Code deep in the stack (storage, ACL, lots) does not need a
 tracer reference at all: :func:`maybe_span` opens a child of whatever
 span is active, and is a no-op costing one thread-local read when
 nothing is being traced.
@@ -106,8 +105,7 @@ class Span:
     def child_at(self, name: str, start: float, duration: float,
                  **attrs: Any) -> "Span":
         """Record a retroactive child whose timing was measured
-        elsewhere (e.g. queue-wait measured by the transfer manager's
-        worker threads)."""
+        elsewhere."""
         span = Span(self.trace_id, _next_span_id(), name,
                     parent_id=self.span_id, recorder=self._recorder,
                     attributes=attrs)

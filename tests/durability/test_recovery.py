@@ -240,6 +240,57 @@ def test_corrupt_journal_tail_recovers_prefix(tmp_path):
     m3.close()
 
 
+def _shrinking_overwrite_stack(tmp_path, store):
+    """alice's 64 KiB /d/f, about to be overwritten with 1 KiB."""
+    s1, m1, _ = make_stack(tmp_path / "state", store)
+    s1.lots.create_lot("alice", 1 << 19, 3600.0)
+    s1.mkdir("alice", "/d")
+    put(s1, "alice", "/d/f", b"b" * 65536)
+    return s1, m1
+
+
+@pytest.mark.parametrize("landed", [1024, 300])
+def test_shrinking_overwrite_replays_to_the_live_charge(tmp_path, landed):
+    """Live and replayed lot accounting agree after a put replaced a
+    larger file (``landed`` < 1024: the overwrite itself fell short),
+    and recovery had nothing to trim -- the journal alone is right."""
+    store = MemoryStore()
+    s1, m1 = _shrinking_overwrite_stack(tmp_path, store)
+    ticket = s1.approve_put("alice", "/d/f", 1024)
+    ticket.stream.write(b"s" * landed)
+    ticket.settle(landed)
+    (live,) = s1.lots.lots.values()
+    assert live.used == s1.used_bytes == landed
+    m1.close(snapshot=False)
+
+    s2, m2, report = make_stack(tmp_path / "state", store)
+    (lot,) = s2.lots.lots.values()
+    assert lot.used == s2.used_bytes == landed
+    assert lot.charges == live.charges
+    assert report.reconciled_charges == 0
+    m2.close()
+
+
+def test_interrupted_shrinking_overwrite_charges_old_content_back(tmp_path):
+    """Crash after a shrinking overwrite was approved (shrinkage
+    released) but before it landed: the atomic backend still holds the
+    old 64 KiB, and recovery charges the lot for all of it again."""
+    store = LocalFSStore(str(tmp_path / "data"))
+    s1, m1 = _shrinking_overwrite_stack(tmp_path, store)
+    ticket = s1.approve_put("alice", "/d/f", 1024)
+    ticket.stream.write(b"s" * 100)  # never closed: no rename, no commit
+    assert next(iter(s1.lots.lots.values())).used == 1024
+    m1.close(snapshot=False)
+
+    s2, m2, report = make_stack(tmp_path / "state", store)
+    assert report.interrupted_puts == [
+        {"path": "/d/f", "disposition": "settled", "size": 65536}]
+    (lot,) = s2.lots.lots.values()
+    assert lot.used == s2.used_bytes == 65536
+    assert s2.stat("alice", "/d/f")["size"] == 65536
+    m2.close()
+
+
 def test_journal_enospc_degrades_to_typed_storage_error(tmp_path):
     from repro.faults.disk import DiskFaultPlan
 

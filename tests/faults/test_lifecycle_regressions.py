@@ -20,12 +20,10 @@ import socket
 import threading
 import time
 
-import pytest
-
 from repro.nest import io as fastio
 from repro.nest.config import NestConfig
 from repro.nest.handlers import ChirpHandler
-from repro.nest.transfer import TransferError, TransferManager
+from repro.nest.transfer import BURST_BYTES, TransferError, TransferManager
 
 
 def _thread_names(prefix: str) -> list[str]:
@@ -52,41 +50,63 @@ class TestShutdownFailsPending:
                             transfer_workers=1)
         manager = TransferManager(config)
         pool0 = fastio.DEFAULT_POOL.snapshot()["outstanding"]
+        outcomes: dict[int, BaseException | int] = {}
+
+        def own(transfer):
+            """One thread per transfer, as every handler does."""
+            try:
+                outcomes[id(transfer)] = transfer.wait(timeout=10.0)
+            except TransferError as exc:
+                outcomes[id(transfer)] = exc
+
+        def start_owner(transfer):
+            thread = threading.Thread(target=own, args=(transfer,),
+                                      daemon=True)
+            thread.start()
+            return thread
+
         blocker_src = GatedSource()
         # Total far beyond one burst grant, so the in-flight quantum
         # cannot complete the transfer before shutdown lands.
         blocker = manager.submit(blocker_src, io.BytesIO(),
-                                 total=config.burst_bytes * 16,
-                                 protocol="chirp")
+                                 total=BURST_BYTES * 16, protocol="chirp")
+        blocker_owner = start_owner(blocker)
         deadline = time.monotonic() + 5.0
         while manager.in_flight() == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         assert manager.in_flight() == 1
-        # With the single worker occupied, these stay queued forever.
+        # With the single grant out, these wait for one forever.
         queued = [manager.submit(io.BytesIO(b"d" * 1024), io.BytesIO(),
                                  total=1024, protocol="chirp")
                   for _ in range(4)]
+        owners = [start_owner(transfer) for transfer in queued]
+        deadline = time.monotonic() + 5.0
+        while manager.queue_depth() < 4 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert manager.queue_depth() == 4
         t0 = time.perf_counter()
         manager.shutdown()
-        for transfer in queued:
-            with pytest.raises(TransferError, match="manager shut down"):
-                transfer.wait(timeout=10.0)
+        for owner in owners:
+            owner.join(10.0)
+            assert not owner.is_alive()
         # The bug: these waits blocked their full timeout instead.
         assert time.perf_counter() - t0 < 1.0
+        for transfer in queued:
+            assert "manager shut down" in str(outcomes[id(transfer)])
+        assert manager.queue_depth() == 0
         # The in-flight quantum returns after the gate opens and must
-        # fail the same way rather than re-enqueue into a dead queue.
+        # fail the same way rather than ask a dead manager for more.
+        assert blocker_owner.is_alive()
         blocker_src.gate.set()
-        with pytest.raises(TransferError, match="manager shut down"):
-            blocker.wait(timeout=10.0)
-        deadline = time.monotonic() + 2.0
-        while (fastio.DEFAULT_POOL.snapshot()["outstanding"] != pool0
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
+        blocker_owner.join(10.0)
+        assert not blocker_owner.is_alive()
+        assert "manager shut down" in str(outcomes[id(blocker)])
+        assert manager.in_flight() == 0
         # The bug: the blocker's pooled buffer leaked (outstanding
         # never decremented).
         assert fastio.DEFAULT_POOL.snapshot()["outstanding"] == pool0
-        assert any("manager shut down" in repr(f["error"])
-                   for f in manager.failures())
+        assert sum("manager shut down" in repr(f["error"])
+                   for f in manager.failures()) == 5
 
     def test_shutdown_with_no_pending_is_quiet(self):
         config = NestConfig(name="shutdown-quiet", protocols=("chirp",))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import threading
-import time
 
 import pytest
 
@@ -210,27 +209,3 @@ class TestTransferFailureSurfacing:
                                   protocol="test")
         assert transfer.wait(5) == 3
         assert manager.failures() == []
-
-    def test_on_done_error_is_kept_not_swallowed(self, manager):
-        """The old code was ``except Exception: pass`` -- a broken
-        completion callback vanished without trace."""
-        def broken_callback(transfer):
-            raise RuntimeError("callback bug")
-
-        transfer = manager.submit(io.BytesIO(b"abc"), io.BytesIO(), 3,
-                                  protocol="test", on_done=broken_callback)
-        assert transfer.wait(5) == 3
-        assert isinstance(transfer.callback_error, RuntimeError)
-
-    def test_on_done_runs_before_waiters_release(self, manager):
-        order = []
-
-        def callback(transfer):
-            time.sleep(0.05)
-            order.append("callback")
-
-        transfer = manager.submit(io.BytesIO(b"abc"), io.BytesIO(), 3,
-                                  protocol="test", on_done=callback)
-        transfer.wait(5)
-        order.append("waiter")
-        assert order == ["callback", "waiter"]

@@ -214,6 +214,55 @@ class TestLotIntegration:
         assert not sm.exists("/d/victim")
 
 
+class TestOverwriteWithLess:
+    """``lot.used`` follows live bytes when a put replaces a larger
+    file (it used to keep the old, larger charge for ever)."""
+
+    BIG, SMALL = 64 * 1024, 1024
+
+    @pytest.fixture
+    def lotted(self, clock):
+        sm = StorageManager(clock=clock, require_lots=True)
+        sm.mkdir("alice", "/d")
+        sm.lots.create_lot("alice", 1 << 20, duration=60)
+        put(sm, "alice", "/d/f", b"b" * self.BIG)
+        assert sm.lots.total_used() == sm.used_bytes == self.BIG
+        return sm
+
+    def test_shrinking_overwrite_releases_the_difference(self, lotted):
+        put(lotted, "alice", "/d/f", b"s" * self.SMALL)
+        assert lotted.stat("alice", "/d/f")["size"] == self.SMALL
+        assert lotted.used_bytes == self.SMALL
+        assert lotted.lots.total_used() == self.SMALL
+
+    def test_shrinkage_is_released_at_approval(self, lotted):
+        ticket = lotted.approve_put("alice", "/d/f", self.SMALL)
+        assert lotted.lots.total_used() == lotted.used_bytes == self.SMALL
+        ticket.stream.write(b"s" * self.SMALL)
+        ticket.settle(self.SMALL)
+        assert lotted.lots.total_used() == self.SMALL
+
+    @pytest.mark.parametrize("landed", [0, 300])
+    def test_short_overwrite_settles_to_what_landed(self, lotted, landed):
+        ticket = lotted.approve_put("alice", "/d/f", self.SMALL)
+        ticket.stream.write(b"s" * landed)
+        ticket.settle(landed)  # the transfer failed after ``landed`` bytes
+        assert lotted.stat("alice", "/d/f")["size"] == landed
+        assert lotted.used_bytes == landed
+        assert lotted.lots.total_used() == landed
+
+    def test_under_declared_overwrite_charges_the_rest(self, lotted):
+        ticket = lotted.approve_put("alice", "/d/f", self.SMALL)
+        ticket.stream.write(b"s" * 2048)
+        ticket.settle(2048)
+        assert lotted.used_bytes == lotted.lots.total_used() == 2048
+
+    def test_growing_overwrite_still_charges_growth_only(self, lotted):
+        put(lotted, "alice", "/d/f", b"g" * (self.BIG + 500))
+        assert lotted.used_bytes == self.BIG + 500
+        assert lotted.lots.total_used() == self.BIG + 500
+
+
 class TestExecuteInterface:
     def test_execute_mkdir(self, sm):
         resp = sm.execute(Request(rtype=RequestType.MKDIR, path="/data/x",

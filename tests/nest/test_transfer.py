@@ -1,12 +1,22 @@
-"""Unit tests for the live transfer manager."""
+"""Unit tests for the live transfer manager.
+
+A transfer is pumped by the thread that calls ``wait()``, so every
+test that needs several transfers in progress gives each its own
+thread -- which is what every ``src/`` caller does.
+"""
 
 import io
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.client.chirp import ChirpClient
+from repro.client.http import HttpClient
+from repro.nest import transfer as transfer_module
 from repro.nest.config import NestConfig
+from repro.nest.server import NestServer
 from repro.nest.transfer import TransferError, TransferManager
 
 
@@ -15,6 +25,27 @@ def manager():
     tm = TransferManager(NestConfig(transfer_workers=4))
     yield tm
     tm.shutdown()
+
+
+def pump_each_on_its_own_thread(transfers, timeout=30):
+    """``wait()`` every transfer on a thread of its own; returns the
+    per-transfer outcomes (bytes moved, or the exception raised)."""
+    outcomes = [None] * len(transfers)
+
+    def own(i, transfer):
+        try:
+            outcomes[i] = transfer.wait(timeout)
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=own, args=(i, t), daemon=True)
+               for i, t in enumerate(transfers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout + 5)
+        assert not thread.is_alive()
+    return outcomes
 
 
 class TestBasicTransfers:
@@ -43,30 +74,94 @@ class TestBasicTransfers:
             transfer.wait(5)
 
     def test_concurrent_transfers_isolated(self, manager):
-        transfers = []
-        for i in range(16):
-            payload = bytes([i]) * 10_000
-            sink = io.BytesIO()
-            transfers.append(
-                (manager.submit(io.BytesIO(payload), sink, len(payload),
-                                "http"), sink, payload)
-            )
-        for transfer, sink, payload in transfers:
-            assert transfer.wait(10) == len(payload)
-            assert sink.getvalue() == payload
+        payloads = [bytes([i]) * 10_000 for i in range(16)]
+        sinks = [io.BytesIO() for _ in payloads]
+        transfers = [
+            manager.submit(io.BytesIO(payload), sink, len(payload), "http")
+            for payload, sink in zip(payloads, sinks)]
+        outcomes = pump_each_on_its_own_thread(transfers, timeout=10)
+        assert outcomes == [len(p) for p in payloads]
+        assert [s.getvalue() for s in sinks] == payloads
 
-    def test_on_done_callback(self, manager):
-        done = threading.Event()
-        seen = []
+    def test_wait_again_returns_the_same_outcome(self, manager):
+        done = manager.submit(io.BytesIO(b"abc"), io.BytesIO(), 3, "chirp")
+        assert done.wait(5) == 3
+        assert done.wait(5) == 3
+        short = manager.submit(io.BytesIO(b"ab"), io.BytesIO(), 3, "chirp")
+        for _ in range(2):
+            with pytest.raises(TransferError, match="ended 1 bytes early"):
+                short.wait(5)
+        assert len(manager.failures()) == 1
 
-        def callback(transfer):
-            seen.append(transfer.moved)
-            done.set()
 
-        manager.submit(io.BytesIO(b"abc"), io.BytesIO(), 3, "chirp",
-                       on_done=callback)
-        assert done.wait(5)
-        assert seen == [3]
+class TestOwnerPumps:
+    def test_every_quantum_runs_on_the_thread_that_called_wait(self):
+        """No relay: transfers submitted from one thread and waited on
+        from two; every ``pump_chunk`` (seen from the sink) runs on
+        the thread that called that transfer's ``wait()``."""
+        tm = TransferManager(NestConfig(quantum_bytes=1024))
+
+        class Sink(io.BytesIO):
+            def __init__(self):
+                super().__init__()
+                self.writers = []
+
+            def write(self, data):
+                self.writers.append(threading.get_ident())
+                return super().write(data)
+
+        try:
+            size = 64 * 1024
+            sinks = [Sink(), Sink()]
+            transfers = [tm.submit(io.BytesIO(b"d" * size), sink, size,
+                                   "chirp") for sink in sinks]
+            assert sinks[0].writers == sinks[1].writers == []
+            waiters = [None, None]
+
+            def own(i):
+                waiters[i] = threading.get_ident()
+                transfers[i].wait(30)
+
+            other = threading.Thread(target=own, args=(1,))
+            other.start()
+            own(0)
+            other.join(30)
+            assert not other.is_alive()
+            assert waiters[0] == threading.get_ident() != waiters[1]
+            for sink, waiter in zip(sinks, waiters):
+                assert sink.getvalue() == b"d" * size
+                assert set(sink.writers) == {waiter}
+        finally:
+            tm.shutdown()
+
+    def test_manager_creates_no_thread(self):
+        before = set(threading.enumerate())
+        tm = TransferManager(NestConfig())
+        tm.transfer_sync(io.BytesIO(b"z" * 100_000), io.BytesIO(),
+                         100_000, "chirp")
+        assert set(threading.enumerate()) == before
+        tm.shutdown()
+
+    def test_default_server_thread_census(self):
+        """A started default NestServer with one Chirp and one HTTP
+        connection open: accept threads + mgmt + one per connection,
+        and nothing named after a transfer pool."""
+        before = set(threading.enumerate())
+        config = NestConfig(name="census")
+        with NestServer(config) as server:
+            with ChirpClient(*server.endpoint("chirp")) as chirp, \
+                    HttpClient(*server.endpoint("http")) as http:
+                chirp.mkdir("/d")
+                chirp.put("/d/f", b"x" * 200_000)
+                assert chirp.get("/d/f") == b"x" * 200_000
+                assert http.get("/d/f") == b"x" * 200_000
+                names = sorted(t.name for t in
+                               set(threading.enumerate()) - before)
+        assert not [n for n in names
+                    if n.startswith(("nest-xfer", "nest-events"))]
+        accept = [f"nest-accept-{p}" for p in config.protocols]
+        assert names == sorted(
+            accept + ["obs-mgmt-accept", "nest-chirp-conn", "nest-http-conn"])
 
 
 class TestScheduling:
@@ -81,6 +176,7 @@ class TestScheduling:
         tm = TransferManager(config)
         try:
             moved = {"fast": 0, "slow": 0}
+            snapshot = {}
             size = 400_000
 
             class CountingSink(io.BytesIO):
@@ -90,34 +186,137 @@ class TestScheduling:
 
                 def write(self, data):
                     moved[self.key] += len(data)
+                    # One grant at a time: no other sink is writing.
+                    if not snapshot and sum(moved.values()) > 500_000:
+                        snapshot.update(moved)
                     return super().write(data)
 
-            transfers = []
-            for key in ("fast", "fast", "slow", "slow"):
-                transfers.append(tm.submit(
-                    io.BytesIO(b"d" * size), CountingSink(key), size, key))
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                total = moved["fast"] + moved["slow"]
-                if total > 500_000:
-                    break
-                time.sleep(0.01)
+            transfers = [
+                tm.submit(io.BytesIO(b"d" * size), CountingSink(key), size,
+                          key)
+                for key in ("fast", "fast", "slow", "slow")]
+            outcomes = pump_each_on_its_own_thread(transfers)
+            assert outcomes == [size] * 4
             # While both classes are backlogged, fast gets ~4x.
-            assert moved["fast"] > 2 * moved["slow"]
-            for t in transfers:
-                t.wait(30)
+            assert snapshot["fast"] > 2 * snapshot["slow"]
         finally:
             tm.shutdown()
 
-    def test_selector_reports_fed(self, manager):
-        for _ in range(6):
-            manager.transfer_sync(io.BytesIO(b"z" * 1000), io.BytesIO(),
-                                  1000, "chirp")
-        stats = manager.selector.stats
-        assert sum(s.completions for s in stats.values()) == 6
+    def test_non_work_conserving_idles_then_force_grants(self, monkeypatch):
+        """The rightful (minimum-pass) job holds a grant and is not
+        ready; with ``work_conserving=False`` the scheduler refuses the
+        free slot to the other job, which idles ``IDLE_WAIT`` and is
+        then granted anyway."""
+        monkeypatch.setattr(transfer_module, "IDLE_WAIT", 0.05)
+        tm = TransferManager(NestConfig(
+            scheduling="stride", work_conserving=False, transfer_workers=2))
+        gate = threading.Event()
+        entered = threading.Event()
+
+        class GatedSource(io.BytesIO):
+            def readinto(self, view):
+                entered.set()
+                gate.wait(30)
+                return super().readinto(view)
+
+        try:
+            holder = tm.submit(GatedSource(b"h" * 1000), io.BytesIO(), 1000,
+                               "chirp")
+            holding = threading.Thread(target=holder.wait, args=(30,))
+            holding.start()
+            assert entered.wait(10)
+            # holder: pass 0, in flight, not ready.  The newcomer joins
+            # at the same pass but a later arrival, so select() keeps
+            # returning None for as long as the holder is out.
+            newcomer = tm.submit(io.BytesIO(b"n" * 1000), io.BytesIO(), 1000,
+                                 "chirp")
+            t0 = time.monotonic()
+            assert newcomer.wait(10) == 1000
+            idled = time.monotonic() - t0
+            assert 0.05 <= idled < 5.0
+            assert not holder._finished  # the gate never opened
+            gate.set()
+            holding.join(30)
+            assert not holding.is_alive()
+            assert holder.moved == 1000
+            assert tm.queue_depth() == 0 and tm.in_flight() == 0
+        finally:
+            gate.set()
+            tm.shutdown()
+
+    def test_grants_never_exceed_transfer_workers(self):
+        """Stress: more owners than cores, a short switch interval; a
+        lost update on the grant count would break the cap or strand a
+        waiter."""
+        workers = 3
+        tm = TransferManager(NestConfig(transfer_workers=workers,
+                                        quantum_bytes=512))
+        peak = [0]
+
+        class Source(io.BytesIO):
+            def readinto(self, view):
+                peak[0] = max(peak[0], tm.in_flight())
+                return super().readinto(view)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            size = 40_000
+            sinks = [io.BytesIO() for _ in range(24)]
+            transfers = [tm.submit(Source(bytes([i]) * size), sink, size,
+                                   "chirp")
+                         for i, sink in enumerate(sinks)]
+            outcomes = pump_each_on_its_own_thread(transfers, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            tm.shutdown()
+        assert outcomes == [size] * len(sinks)
+        assert [s.getvalue() for s in sinks] == [
+            bytes([i]) * size for i in range(len(sinks))]
+        assert 1 <= peak[0] <= workers
+        assert tm.queue_depth() == 0 and tm.in_flight() == 0
+        assert tm.scheduler.depth() == 0
+
+    def test_timeout_withdraws_a_waiting_transfer(self):
+        tm = TransferManager(NestConfig(transfer_workers=1))
+        gate = threading.Event()
+
+        class GatedSource(io.BytesIO):
+            def readinto(self, view):
+                gate.wait(30)
+                return super().readinto(view)
+
+        try:
+            holder = tm.submit(GatedSource(b"h" * 10), io.BytesIO(), 10,
+                               "chirp")
+            holding = threading.Thread(target=holder.wait, args=(30,))
+            holding.start()
+            deadline = time.monotonic() + 10
+            while tm.in_flight() == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            starved = tm.submit(io.BytesIO(b"s" * 10), io.BytesIO(), 10,
+                                "chirp")
+            with pytest.raises(TransferError, match="transfer timed out"):
+                starved.wait(0.05)
+            assert tm.queue_depth() == 0
+            gate.set()
+            holding.join(30)
+            assert holder.moved == 10
+            assert tm.scheduler.depth() == 0
+        finally:
+            gate.set()
+            tm.shutdown()
 
     def test_shutdown_idempotent_enough(self):
         tm = TransferManager(NestConfig())
+        assert tm.transfer_sync(io.BytesIO(b"ok"), io.BytesIO(), 2,
+                                "chirp") == 2
         tm.shutdown()
-        # A second shutdown must not raise.
-        tm._running = False
+        state = (tm.queue_depth(), tm.in_flight(), tm.failures())
+        tm.shutdown()  # a second shutdown changes nothing
+        assert (tm.queue_depth(), tm.in_flight(), tm.failures()) == state
+        assert state == (0, 0, [])
+        # ...and the manager stays shut: no grant, typed failure.
+        late = tm.submit(io.BytesIO(b"late"), io.BytesIO(), 4, "chirp")
+        with pytest.raises(TransferError, match="manager shut down"):
+            late.wait(5)
