@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Data-path lint: no unbounded stream reads under ``src/repro``.
+"""Data-path lint for ``src/repro``.
 
-One rule, enforced by AST walk (so docstrings and comments that merely
-*mention* the call don't trip it):
+Two rules, enforced by AST walk (so docstrings and comments that merely
+*mention* a call don't trip them).
 
-No argless ``.read()`` calls.  ``stream.read()`` slurps the entire
+Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
 remaining stream into one bytes object, so a single large file (or a
 malicious length header) balloons resident memory -- exactly the bug
 class this repo's zero-copy work removed from the GET/PUT handlers.
@@ -14,6 +14,14 @@ the pooled helpers in :mod:`repro.nest.io`.
 The allowlist names the few files where a whole-file read is the
 correct tool because the file is *by construction* small appliance
 metadata (the journal, its snapshots), not client data.
+
+Rule 2: in ``nest/handlers.py`` a ticket is settled, a transfer is
+submitted and the gray-box model is fed in one place only -- the
+``ConnectionHandler`` door (``send``/``receive``/``_move``).  Any other
+mention of ``.settle``, ``transfers.submit``/``transfer_sync`` or
+``graybox.observe_*`` in that file is a protocol handler growing its
+own copy of the approve -> move -> settle -> observe sequence, which is
+how "approved but never settled" bugs got in.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -52,12 +60,52 @@ def _violations(path: Path, rel: str) -> list[str]:
     return out
 
 
+#: The one file rule 2 reads, and the only functions in it (methods of
+#: ``DOOR_CLASS``, with whatever they nest) that may touch the data path.
+HANDLERS = "nest/handlers.py"
+DOOR_CLASS = "ConnectionHandler"
+DOOR = {"send", "receive", "_move"}
+
+
+def _owner_name(node: ast.expr) -> str:
+    """``transfers`` for ``self.server.transfers`` or bare ``transfers``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _is_datapath(node: ast.Attribute) -> bool:
+    owner = _owner_name(node.value)
+    return (node.attr == "settle"
+            or (owner == "transfers"
+                and node.attr in ("submit", "transfer_sync"))
+            or (owner == "graybox" and node.attr.startswith("observe_")))
+
+
+def _door_violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed: set[int] = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == DOOR_CLASS:
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name in DOOR:
+                    allowed.update(id(n) for n in ast.walk(item))
+    return [
+        f"{path}:{node.lineno}: .{node.attr} outside the "
+        f"{DOOR_CLASS} door -- move bytes with self.send/self.receive"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and _is_datapath(node)
+        and id(node) not in allowed
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         problems.extend(_violations(path, rel))
+    problems.extend(_door_violations(root / HANDLERS))
     for line in problems:
         print(line, file=sys.stderr)
     if problems:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 
 def jains_fairness(delivered: Sequence[float], desired: Sequence[float]) -> float:
     """Jain's index of how well ``delivered`` matches ``desired``.
@@ -27,14 +25,20 @@ def jains_fairness(delivered: Sequence[float], desired: Sequence[float]) -> floa
         raise ValueError("delivered and desired must have equal length")
     if len(delivered) == 0:
         raise ValueError("need at least one component")
-    desired_arr = np.asarray(desired, dtype=float)
-    if np.any(desired_arr <= 0):
+    if any(w <= 0 for w in desired):
         raise ValueError("desired shares must be positive")
-    x = np.asarray(delivered, dtype=float) / desired_arr
-    denom = len(x) * float(np.sum(x * x))
+    # Plain left-to-right accumulation (not ``sum``, which compensates
+    # from Python 3.12 on): the figures' recorded numbers were produced
+    # by exactly this order of additions.
+    total = squares = 0.0
+    for got, want in zip(delivered, desired):
+        x = float(got) / float(want)
+        total += x
+        squares += x * x
+    denom = len(delivered) * squares
     if denom == 0:
         return 0.0
-    return float(np.sum(x)) ** 2 / denom
+    return total ** 2 / denom
 
 
 def proportional_shares(total: float, ratios: Sequence[float]) -> list[float]:

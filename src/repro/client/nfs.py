@@ -52,7 +52,8 @@ class NfsClient(SessionClient):
     def _call(self, prog: int, proc: int, args: bytes) -> Unpacker:
         xid = next(self._xids)
         nfs.write_record(self.wfile, nfs.pack_call(xid, prog, proc, args))
-        reply_xid, results = nfs.unpack_reply(nfs.read_record(self.rfile))
+        reply_xid, results = nfs.unpack_reply(
+            nfs.read_record(self.rfile, limit=nfs.MAX_REPLY_BYTES))
         if reply_xid != xid:
             raise ProtocolError(f"xid mismatch {reply_xid} != {xid}")
         return results

@@ -6,6 +6,14 @@ same way.  Defaults mirror the paper's release 0.9.  Two knobs are
 read by the simulated substrate only (``concurrency``,
 ``concurrency_models``); ``transfer_workers`` bounds concurrent
 scheduler grants, not threads -- the live transfer manager has none.
+
+A field lives here only while something sets it.  Sizes and thresholds
+nothing ever varied are the owning module's constructor default or a
+named constant there: ``transfer.BURST_BYTES`` / ``FAILURE_HISTORY``,
+``graybox.ASSUMED_CACHE_BYTES``, ``server.ADVERTISE_INTERVAL``, and the
+defaults of ``Observability``, ``SloEngine``, ``EventLoop``,
+``DurabilityManager``, ``TierPolicy`` / ``TierManager``,
+``RateLimitedStore``, ``HeatTracker`` and ``AutoScaler``.
 """
 
 from __future__ import annotations
@@ -58,10 +66,6 @@ class NestConfig:
     #: (Fig. 5: no single architecture wins at all loads).  Either
     #: way the thread serving a request pumps its own transfer.
     concurrency_server: str = "threaded"
-
-    #: Worker threads behind the event-driven path (the whole point:
-    #: this bound is independent of the connection count).
-    event_workers: int = 8
 
     #: Adaptive server switching: at/above this many live connections
     #: the per-connection cost of threads dominates -> events.
@@ -122,36 +126,14 @@ class NestConfig:
     #: simultaneously make a set of default lots for users").
     default_anonymous_lot_bytes: int = 0
 
-    #: Assumed kernel buffer-cache size for the gray-box model.
-    graybox_cache_bytes: int = 256 * (1 << 20)
-
-    #: Seconds between ClassAd advertisements to the collector.
-    advertise_interval: float = 30.0
-
     #: Serve the observability management endpoint (/metrics, /healthz,
     #: /trace, /ad) next to the protocol listeners.
     management: bool = True
-
-    #: How many recent per-transfer failure causes the transfer manager
-    #: retains (each is timestamped; see TransferManager.failures()).
-    failure_history: int = 64
-
-    #: Ring size for finished request spans kept for /trace export.
-    span_limit: int = 4096
-
-    #: Rolling window (seconds) for the measured-throughput estimate
-    #: advertised in the live-health ClassAd.
-    health_window: float = 30.0
 
     #: Evaluate service-level objectives (repro.obs.slo) against this
     #: server's metrics: publishes slo_* gauges, serves /slo on the
     #: management endpoint, and stamps SloDegraded into the ClassAd.
     slo: bool = True
-
-    #: Burn-rate windows (seconds), fast first.  The paper-era
-    #: equivalent of "is the appliance meeting its contract *now* and
-    #: over the last stretch".
-    slo_windows: Sequence[float] = (60.0, 600.0)
 
     #: Shard workers: seconds between telemetry snapshots shipped over
     #: the control pipe to the parent for fleet-wide aggregation.
@@ -168,11 +150,6 @@ class NestConfig:
 
     #: Fold the journal into a compacted snapshot every N records.
     snapshot_every: int = 512
-
-    #: Group commit: how many journal records one flusher may batch
-    #: into a single write+fsync.  1 disables batching (one fsync per
-    #: record, the pre-group-commit behaviour).
-    journal_batch_records: int = 64
 
     #: Group commit: how long (seconds) the flusher may dally waiting
     #: for co-batching appenders before flushing a non-full batch.
@@ -195,14 +172,8 @@ class NestConfig:
     #: standing in for tape/object storage; 0 disables throttling.
     tier_cold_bandwidth: float = 0.0
 
-    #: Cold-tier per-open mount latency (seconds).
-    tier_cold_latency: float = 0.0
-
     #: Migration policy: demote a file untouched for this many seconds.
     tier_demote_after: float = 300.0
-
-    #: Migration policy: never demote files smaller than this.
-    tier_min_size: int = 1
 
     #: Migration policy: never demote files hotter than this (decayed
     #: read rate from the heat tracker).
@@ -212,18 +183,9 @@ class NestConfig:
     #: (scan_once() can still be driven by hand or by tests).
     tier_scan_interval: float = 30.0
 
-    #: Files demoted at most per scan pass.
-    tier_max_per_scan: int = 8
-
     # -- per-file access heat (repro.tier.heat) ------------------------
     #: Half-life (seconds) of the per-file read-heat EWMA.
     heat_halflife: float = 30.0
-
-    #: Bound on tracked paths (coldest evicted beyond this).
-    heat_max_files: int = 1024
-
-    #: How many hottest paths get labeled metrics / ClassAd exposure.
-    heat_top_files: int = 4
 
     # -- decentralized autoscaler (repro.tier.autoscale) ---------------
     #: Seconds between autoscaler evaluations when the loop runs.
@@ -232,23 +194,11 @@ class NestConfig:
     #: Queue depth at/above which this appliance counts as overloaded.
     autoscale_queue_high: float = 4.0
 
-    #: Worst per-protocol error rate counting as overloaded.
-    autoscale_error_high: float = 0.05
-
     #: Request arrival rate (req/s between ticks) counting as overloaded.
     autoscale_rate_high: float = 50.0
 
-    #: Hottest files considered per scale-out action.
-    autoscale_files: int = 3
-
     #: Ceiling on valid replicas per logical file the scaler will build.
     autoscale_max_replicas: int = 3
-
-    #: Replication actions allowed per sliding budget window.
-    autoscale_budget: int = 6
-
-    #: Budget window (seconds).
-    autoscale_window: float = 60.0
 
     #: Grace period after acting before the scaler re-evaluates.
     autoscale_cooldown: float = 10.0
@@ -271,8 +221,6 @@ class NestConfig:
         if self.concurrency_server not in ("threaded", "events", "adaptive"):
             raise ValueError(
                 f"unknown server concurrency {self.concurrency_server!r}")
-        if self.event_workers < 1:
-            raise ValueError("event_workers must be >= 1")
         if self.server_switch_low < 0:
             raise ValueError("server_switch_low must be >= 0")
         if self.server_switch_high < self.server_switch_low:
@@ -286,58 +234,30 @@ class NestConfig:
             raise ValueError("transfer_workers must be >= 1")
         if self.quantum_bytes < 1:
             raise ValueError("quantum_bytes must be >= 1")
-        if self.journal_batch_records < 1:
-            raise ValueError("journal_batch_records must be >= 1")
         if self.journal_batch_delay < 0:
             raise ValueError("journal_batch_delay must be >= 0")
-        if self.failure_history < 1:
-            raise ValueError("failure_history must be >= 1")
-        if self.span_limit < 1:
-            raise ValueError("span_limit must be >= 1")
-        if self.health_window <= 0:
-            raise ValueError("health_window must be > 0")
-        if not self.slo_windows or any(w <= 0 for w in self.slo_windows):
-            raise ValueError("slo_windows must be positive and non-empty")
         if self.telemetry_interval <= 0:
             raise ValueError("telemetry_interval must be > 0")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
         if self.tier_cold_bandwidth < 0:
             raise ValueError("tier_cold_bandwidth must be >= 0")
-        if self.tier_cold_latency < 0:
-            raise ValueError("tier_cold_latency must be >= 0")
         if self.tier_demote_after < 0:
             raise ValueError("tier_demote_after must be >= 0")
-        if self.tier_min_size < 0:
-            raise ValueError("tier_min_size must be >= 0")
         if self.tier_heat_ceiling < 0:
             raise ValueError("tier_heat_ceiling must be >= 0")
         if self.tier_scan_interval < 0:
             raise ValueError("tier_scan_interval must be >= 0")
-        if self.tier_max_per_scan < 1:
-            raise ValueError("tier_max_per_scan must be >= 1")
         if self.heat_halflife <= 0:
             raise ValueError("heat_halflife must be > 0")
-        if self.heat_max_files < 1:
-            raise ValueError("heat_max_files must be >= 1")
-        if self.heat_top_files < 1:
-            raise ValueError("heat_top_files must be >= 1")
         if self.autoscale_interval <= 0:
             raise ValueError("autoscale_interval must be > 0")
         if self.autoscale_queue_high < 0:
             raise ValueError("autoscale_queue_high must be >= 0")
-        if self.autoscale_error_high < 0:
-            raise ValueError("autoscale_error_high must be >= 0")
         if self.autoscale_rate_high < 0:
             raise ValueError("autoscale_rate_high must be >= 0")
-        if self.autoscale_files < 1:
-            raise ValueError("autoscale_files must be >= 1")
         if self.autoscale_max_replicas < 1:
             raise ValueError("autoscale_max_replicas must be >= 1")
-        if self.autoscale_budget < 1:
-            raise ValueError("autoscale_budget must be >= 1")
-        if self.autoscale_window <= 0:
-            raise ValueError("autoscale_window must be > 0")
         if self.autoscale_cooldown < 0:
             raise ValueError("autoscale_cooldown must be >= 0")
         if self.autoscale_hysteresis < 1:

@@ -5,7 +5,7 @@ thread-per-connection, and this is it: one selector thread *parks*
 idle connections -- holding no thread, no stack, nothing but an epoll
 registration -- and a small bounded worker pool serves requests as
 they become readable.  The resource bound is therefore
-``event_workers`` threads regardless of how many thousands of
+``workers`` threads regardless of how many thousands of
 connections sit connected, which is exactly the regime (many mostly
 idle Grid clients) where threads collapse and events win.
 

@@ -19,10 +19,15 @@ from typing import Hashable
 from repro.models.cache import BufferCache
 
 
+#: Kernel buffer-cache size the shadow model assumes.
+ASSUMED_CACHE_BYTES = 256 * (1 << 20)
+
+
 class GrayBoxCacheModel:
     """NeST's shadow model of the kernel buffer cache."""
 
-    def __init__(self, assumed_capacity_bytes: int, block_size: int = 8192):
+    def __init__(self, assumed_capacity_bytes: int = ASSUMED_CACHE_BYTES,
+                 block_size: int = 8192):
         self._shadow = BufferCache(assumed_capacity_bytes, block_size)
 
     # -- observations (called on NeST's own I/O path) -----------------------

@@ -5,9 +5,11 @@ authentication (GSI for Chirp and GridFTP, anonymous for the rest --
 exactly the paper's policy), parses its wire format into the common
 request interface, and routes requests: metadata operations go
 synchronously to the storage manager, data movement goes through the
-transfer manager.  The handlers share *no* data-path code with each
-other -- everything common lives behind the common request interface,
-which is the point of the design.
+transfer manager.  A handler is a wire codec -- *parse, ask the storage
+manager, encode the reply* -- and owns no data-path code of its own:
+every byte moves through ``ConnectionHandler.send``/``receive``, the one
+place that holds a ticket's scope open, runs the transfer and feeds the
+gray-box model.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import json
 import socket
 import threading
 import time
-import zlib
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from typing import TYPE_CHECKING, BinaryIO
 
 from repro.nest import io as fastio
-from repro.nest.auth import AuthError, GSIContext
+from repro.nest.auth import AuthError
 from repro.nest.storage import StorageError
 from repro.nest.transfer import TransferError
 from repro.obs import spans as _spans
@@ -209,33 +210,50 @@ class ConnectionHandler:
     def serve(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # -- shared plumbing ---------------------------------------------------
-    def _send_ticket(self, ticket, path: str) -> int:
-        """Stream an approved GET ticket through the transfer manager."""
-        try:
-            moved = self.server.transfers.transfer_sync(
-                ticket.stream, self.wfile, ticket.size,
-                protocol=self.protocol, user=self.user, path=path,
-            )
-        finally:
-            ticket.settle(ticket.size)
-        self.wfile.flush()
-        self.server.graybox.observe_read(path, 0, ticket.size)
-        return moved
+    # -- the door to the data path -------------------------------------------
+    #
+    # Every byte a protocol moves goes through send/receive: they alone
+    # hold the ticket's scope open, run the transfer and feed the
+    # gray-box model (scripts/lint_datapath.py enforces it).  A handler
+    # only parses, asks the storage manager for a ticket, and encodes
+    # the reply.  ``mover(ticket) -> (moved, crc)`` replaces the
+    # transfer manager for data that does not flow stream-to-stream
+    # (GridFTP's framed lanes, a checksum pass, a third-party push).
+    def send(self, ticket, sink: BinaryIO | None = None,
+             mover=None) -> tuple[int, int | None]:
+        """Move an approved read ticket's bytes out -- to the control
+        stream unless ``sink`` names an FTP data connection or an NFS
+        reply buffer; returns ``(moved, crc)``."""
+        sink = self.wfile if sink is None else sink
+        result = self._move(ticket, ticket.stream, sink, ticket.size, mover)
+        if mover is None:
+            sink.flush()
+        return result
 
-    def _recv_file(self, path: str, length: int, source: BinaryIO | None = None) -> int:
-        """PUT data path; ``length`` may be -1 for read-to-EOF."""
-        ticket = self.server.storage.approve_put(self.user, path, max(length, 0))
-        moved = 0
-        try:
-            moved = self.server.transfers.transfer_sync(
-                source or self.rfile, ticket.stream, length,
-                protocol=self.protocol, user=self.user, path=path,
-            )
-        finally:
-            ticket.settle(moved)
-        self.server.graybox.observe_write(path, 0, moved)
-        return moved
+    def receive(self, ticket, source: BinaryIO | None = None,
+                length: int = -1, mover=None) -> tuple[int, int | None]:
+        """Move ``length`` bytes (-1: to EOF) into an approved write
+        ticket, from the control stream unless ``source`` is given;
+        returns ``(moved, crc)``."""
+        source = self.rfile if source is None else source
+        return self._move(ticket, source, ticket.stream, length, mover)
+
+    def _move(self, ticket, source, sink, length, mover):
+        crc = None
+        with ticket:
+            if mover is not None:
+                ticket.moved, crc = mover(ticket)
+            else:
+                transfer = self.server.transfers.submit(
+                    source, sink, length, protocol=self.protocol,
+                    user=self.user, path=ticket.path)
+                ticket.moved = transfer.wait(60)
+                crc = transfer.crc
+        graybox = self.server.graybox
+        observe = (graybox.observe_write if ticket.is_write
+                   else graybox.observe_read)
+        observe(ticket.path, ticket.offset, ticket.moved)
+        return ticket.moved, crc
 
 
 # ---------------------------------------------------------------------------
@@ -266,54 +284,42 @@ class ChirpHandler(ConnectionHandler):
             parse.end(status="error")
             self.server.observe_request(self.protocol, "parse",
                                         False, 0.0)
-            write_line(self.wfile, chirp.encode_response(
-                Response(Status.BAD_REQUEST, message=str(exc))))
+            self._respond(Response(Status.BAD_REQUEST, message=str(exc)))
             return True
         parse.end()
         request.user = self.user
         trace = _spans.parse_trace_context(request.params.get("trace"))
         with self.request_scope(request.rtype.value, request.path,
                                 trace=trace):
-            keep = self._handle(request)
-        return keep
+            return self._handle(request)
 
     def _handle(self, request: Request) -> bool:
         if request.rtype is RequestType.QUIT:
             write_line(self.wfile, "ok")
             return False
-        if request.rtype is RequestType.AUTH:
-            self._authenticate(request)
-            return True
-        if request.rtype is RequestType.GET:
-            return self._get(request)
-        if request.rtype is RequestType.PUT:
-            return self._put(request)
-        if request.rtype is RequestType.READ:
-            return self._block_read(request)
-        if request.rtype is RequestType.WRITE:
-            return self._block_write(request)
-        if request.rtype is RequestType.QUERY:
-            payload = self.server.advertisement().external_repr().encode()
-            write_line(self.wfile, chirp.encode_response(
-                Response(Status.OK), [str(len(payload))]))
-            self.wfile.write(payload)
-            self.wfile.flush()
-            return True
-        if request.rtype is RequestType.THIRDPUT:
-            self._thirdput(request)
-            return True
-        if request.rtype is RequestType.CHECKSUM:
-            self._checksum(request)
-            return True
-        response = self.server.storage.execute(request)
-        self._reply(request, response)
+        verb = self._VERBS.get(request.rtype)
+        try:
+            if verb is None:
+                self._reply(request, self.server.storage.execute(request))
+            else:
+                verb(self, request)
+        except StorageError as exc:
+            # The one StorageError -> reply mapping: a refused approval
+            # (nothing promised yet) or a settlement the journal could
+            # not record both answer in place of the success line.
+            self.mark_request_error()
+            self._respond(Response(exc.status, message=exc.message))
         return True
+
+    def _respond(self, response: Response,
+                 args: list[str] | None = None) -> None:
+        write_line(self.wfile, chirp.encode_response(response, args))
 
     def _authenticate(self, request: Request) -> None:
         mechanism = request.params.get("mechanism", "gsi")
         if mechanism != "gsi":
-            write_line(self.wfile, chirp.encode_response(
-                Response(Status.BAD_REQUEST, message="only gsi supported")))
+            self._respond(Response(Status.BAD_REQUEST,
+                                   message="only gsi supported"))
             return
         write_line(self.wfile, "ok")
         auth_span = _spans.maybe_span("auth", mechanism=mechanism)
@@ -326,104 +332,49 @@ class ChirpHandler(ConnectionHandler):
         except (AuthError, ProtocolError, ValueError) as exc:
             auth_span.end(status="error")
             self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(Status.NOT_AUTHENTICATED, message=str(exc))))
+            self._respond(Response(Status.NOT_AUTHENTICATED,
+                                   message=str(exc)))
             return
         self.user = self.server.map_subject(subject)
         auth_span.set(user=self.user).end()
-        write_line(self.wfile, chirp.encode_response(
-            Response(Status.OK), [self.user]))
+        self._respond(Response(Status.OK), [self.user])
 
-    def _get(self, request: Request) -> bool:
-        try:
-            # Approve (permissions + existence) before promising data.
-            ticket = self.server.storage.approve_get(self.user, request.path)
-        except StorageError as exc:
-            self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(exc.status, message=exc.message)))
-            return True
-        write_line(self.wfile, chirp.encode_response(
-            Response(Status.OK), [str(ticket.size)]))
-        self._send_ticket(ticket, request.path)
-        return True
+    def _get(self, request: Request) -> None:
+        # Approve (permissions + existence) before promising data.
+        ticket = self.server.storage.approve_get(self.user, request.path)
+        self._respond(Response(Status.OK), [str(ticket.size)])
+        self.send(ticket)
 
-    def _put(self, request: Request) -> bool:
-        try:
-            # Approve before telling the client to send.
-            ticket = self.server.storage.approve_put(
-                self.user, request.path, request.length
-            )
-        except StorageError as exc:
-            self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(exc.status, message=exc.message)))
-            return True
+    def _put(self, request: Request) -> None:
+        # Approve before telling the client to send.
+        ticket = self.server.storage.approve_put(
+            self.user, request.path, request.length)
         write_line(self.wfile, "ok")
-        moved = 0
-        try:
-            moved = self.server.transfers.transfer_sync(
-                self.rfile, ticket.stream, request.length,
-                protocol=self.protocol, user=self.user, path=request.path,
-            )
-        finally:
-            ticket.settle(moved)
-        self.server.graybox.observe_write(request.path, 0, moved)
+        self.receive(ticket, length=request.length)
         write_line(self.wfile, "ok")
-        return True
 
-    def _block_read(self, request: Request) -> bool:
+    def _block_read(self, request: Request) -> None:
         """Chirp ``read <path> <offset> <len>``: partial-file read."""
-        try:
-            ticket = self.server.storage.approve_read(
-                self.user, request.path, request.offset, request.length
-            )
-        except StorageError as exc:
-            self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(exc.status, message=exc.message)))
-            return True
-        write_line(self.wfile, chirp.encode_response(
-            Response(Status.OK), [str(ticket.size)]))
-        try:
-            self.server.transfers.transfer_sync(
-                ticket.stream, self.wfile, ticket.size,
-                protocol=self.protocol, user=self.user, path=request.path,
-            )
-        finally:
-            ticket.settle(ticket.size)
-        self.wfile.flush()
-        self.server.graybox.observe_read(request.path, request.offset,
-                                         ticket.size)
-        return True
+        ticket = self.server.storage.approve_read(
+            self.user, request.path, request.offset, request.length)
+        self._respond(Response(Status.OK), [str(ticket.size)])
+        self.send(ticket)
 
-    def _block_write(self, request: Request) -> bool:
+    def _block_write(self, request: Request) -> None:
         """Chirp ``write <path> <offset> <len>``: partial-file write."""
-        try:
-            ticket = self.server.storage.approve_write(
-                self.user, request.path, request.offset, request.length
-            )
-        except StorageError as exc:
-            self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(exc.status, message=exc.message)))
-            return True
+        ticket = self.server.storage.approve_write(
+            self.user, request.path, request.offset, request.length)
         write_line(self.wfile, "ok")
-        moved = 0
-        transfer = self.server.transfers.submit(
-            self.rfile, ticket.stream, request.length,
-            protocol=self.protocol, user=self.user, path=request.path,
-        )
-        try:
-            moved = transfer.wait(60)
-        finally:
-            ticket.settle(moved)
-        self.server.graybox.observe_write(request.path, request.offset, moved)
+        moved, crc = self.receive(ticket, length=request.length)
         # Ack with the CRC32 folded into the receive loop: the client
         # verifies its upload end to end with zero extra read passes.
-        crc = "-" if transfer.crc is None else str(transfer.crc)
-        write_line(self.wfile, f"ok {crc} {moved}")
-        return True
+        write_line(self.wfile, f"ok {'-' if crc is None else crc} {moved}")
+
+    def _query(self, request: Request) -> None:
+        payload = self.server.advertisement().external_repr().encode()
+        self._respond(Response(Status.OK), [str(len(payload))])
+        self.wfile.write(payload)
+        self.wfile.flush()
 
     def _checksum(self, request: Request) -> None:
         """Chirp ``checksum <path>``: CRC32 over the file's contents.
@@ -433,20 +384,14 @@ class ChirpHandler(ConnectionHandler):
         can verify a third-party copy end to end without pulling the
         bytes over the wide area.  Replies ``ok <crc32> <size>``.
         """
-        try:
-            ticket = self.server.storage.approve_get(self.user, request.path)
-        except StorageError as exc:
-            self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(exc.status, message=exc.message)))
-            return
-        try:
-            crc, _ = fastio.stream_crc32(ticket.stream, ticket.size)
-        finally:
-            ticket.settle(ticket.size)
-        self.server.graybox.observe_read(request.path, 0, ticket.size)
-        write_line(self.wfile, chirp.encode_response(
-            Response(Status.OK), [str(crc), str(ticket.size)]))
+        ticket = self.server.storage.approve_get(self.user, request.path)
+
+        def fold(ticket):
+            crc, nbytes = fastio.stream_crc32(ticket.stream, ticket.size)
+            return nbytes, crc
+
+        _, crc = self.send(ticket, mover=fold)
+        self._respond(Response(Status.OK), [str(crc), str(ticket.size)])
 
     def _thirdput(self, request: Request) -> None:
         """Three-party transfer: push one of our files to another
@@ -457,63 +402,63 @@ class ChirpHandler(ConnectionHandler):
         from repro.client.errors import ClientError
         from repro.client.retry import NO_RETRY
 
-        try:
-            ticket = self.server.storage.approve_get(self.user, request.path)
-        except StorageError as exc:
-            self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(
-                Response(exc.status, message=exc.message)))
-            return
-        moved = 0
-        try:
+        ticket = self.server.storage.approve_get(self.user, request.path)
+
+        def push(ticket):
+            # Fail fast: the requesting client owns the retry decision,
+            # not a handler thread holding the control connection.  The
+            # file streams straight from the storage ticket to the
+            # remote's data connection -- bounded memory no matter the
+            # file size.
+            remote = ChirpClient(request.params["host"],
+                                 int(request.params["port"]),
+                                 timeout=10.0, retry=NO_RETRY)
             try:
-                # Fail fast: the requesting client owns the retry
-                # decision, not a handler thread holding the control
-                # connection.  The file streams straight from the
-                # storage ticket to the remote's data connection --
-                # bounded memory no matter the file size.
-                remote = ChirpClient(request.params["host"],
-                                     int(request.params["port"]),
-                                     timeout=10.0, retry=NO_RETRY)
-                try:
-                    moved = remote.put_stream(request.params["remote_path"],
-                                              ticket.stream, ticket.size)
-                finally:
-                    remote.close()
-            except (ClientError, OSError, ProtocolError) as exc:
-                self.mark_request_error()
-                write_line(self.wfile, chirp.encode_response(
-                    Response(Status.SERVER_ERROR, message=str(exc))))
-                return
-        finally:
-            ticket.settle(moved)
-        self.server.graybox.observe_read(request.path, 0, ticket.size)
-        write_line(self.wfile, chirp.encode_response(
-            Response(Status.OK), [str(ticket.size)]))
+                return remote.put_stream(request.params["remote_path"],
+                                         ticket.stream, ticket.size), None
+            finally:
+                remote.close()
+
+        try:
+            self.send(ticket, mover=push)
+        except (ClientError, OSError, ProtocolError) as exc:
+            self.mark_request_error()
+            self._respond(Response(Status.SERVER_ERROR, message=str(exc)))
+            return
+        self._respond(Response(Status.OK), [str(ticket.size)])
 
     def _reply(self, request: Request, response: Response) -> None:
         if not response.ok:
             self.mark_request_error()
-            write_line(self.wfile, chirp.encode_response(response))
-            return
-        if request.rtype is RequestType.STAT:
-            write_line(self.wfile, chirp.encode_response(
-                response, chirp.encode_stat(response.data)))
+            self._respond(response)
+        elif request.rtype is RequestType.STAT:
+            self._respond(response, chirp.encode_stat(response.data))
         elif request.rtype in (RequestType.LIST, RequestType.ACL_GET,
                                RequestType.LOT_STAT, RequestType.LOT_LIST,
                                RequestType.LOT_DELETE):
             payload = json.dumps(response.data).encode()
-            write_line(self.wfile, chirp.encode_response(
-                response, [str(len(payload))]))
+            self._respond(response, [str(len(payload))])
             self.wfile.write(payload)
             self.wfile.flush()
         elif request.rtype in (RequestType.LOT_CREATE, RequestType.LOT_RENEW):
-            write_line(self.wfile, chirp.encode_response(
-                response, [str(response.data["lot_id"]),
-                           str(response.data["capacity"]),
-                           str(response.data["expires_at"])]))
+            self._respond(response, [str(response.data["lot_id"]),
+                                     str(response.data["capacity"]),
+                                     str(response.data["expires_at"])])
         else:
             write_line(self.wfile, "ok")
+
+    #: Verbs served here; every other request type is a metadata
+    #: operation the storage manager executes synchronously.
+    _VERBS = {
+        RequestType.AUTH: _authenticate,
+        RequestType.GET: _get,
+        RequestType.PUT: _put,
+        RequestType.READ: _block_read,
+        RequestType.WRITE: _block_write,
+        RequestType.QUERY: _query,
+        RequestType.THIRDPUT: _thirdput,
+        RequestType.CHECKSUM: _checksum,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +510,15 @@ class HttpHandler(ConnectionHandler):
             http.write_response_head(self.wfile, Response(Status.OK),
                                      content_length=ticket.size,
                                      keep_alive=keep_alive)
-            self._send_ticket(ticket, request.path)
+            self.send(ticket)
         elif request.rtype is RequestType.STAT:  # HEAD
             size = storage.stat(self.user, request.path)["size"]
             http.write_response_head(self.wfile, Response(Status.OK),
                                      content_length=size, keep_alive=keep_alive)
         elif request.rtype is RequestType.PUT:
-            self._recv_file(request.path, request.length)
+            ticket = storage.approve_put(self.user, request.path,
+                                         max(request.length, 0))
+            self.receive(ticket, length=request.length)
             http.write_response_head(self.wfile, Response(Status.OK),
                                      keep_alive=keep_alive)
         elif request.rtype is RequestType.DELETE:
@@ -593,6 +540,11 @@ class FtpHandler(ConnectionHandler):
 
     protocol = "ftp"
     greeting = "NeST FTP ready"
+    #: Verbs that move bytes over a data connection.
+    DATA_VERBS = frozenset({"RETR", "STOR", "LIST"})
+    #: Seconds a data connection may take to open (PASV accept, PORT
+    #: connect) before the transfer fails.
+    data_timeout = 10.0
 
     def __init__(self, server, sock, addr):
         super().__init__(server, sock, addr)
@@ -600,6 +552,10 @@ class FtpHandler(ConnectionHandler):
         self.logged_in = False
         self._pasv_listener: socket.socket | None = None
         self._port_target: tuple[str, int] | None = None
+
+    def finish(self) -> None:
+        self.close_data_state()
+        super().finish()
 
     def reply(self, code: int, text: str) -> None:
         write_line(self.wfile, ftp.format_reply(code, text))
@@ -630,6 +586,12 @@ class FtpHandler(ConnectionHandler):
         handler = getattr(self, f"cmd_{verb.lower()}", None)
         if handler is None:
             self.reply(ftp.NOT_IMPLEMENTED, f"{verb} not implemented")
+            return True
+        if verb in self.DATA_VERBS and not self.data_channel_configured():
+            # Refused before any approval: nothing charged, journaled
+            # or opened that a missing data channel could strand.
+            self.mark_request_error()
+            self.reply(ftp.BAD_SEQUENCE, "use PASV or PORT first")
             return True
         try:
             return handler(arg)
@@ -733,12 +695,17 @@ class FtpHandler(ConnectionHandler):
         self.reply(200, "PORT ok")
         return True
 
+    def data_channel_configured(self) -> bool:
+        return (self._pasv_listener is not None
+                or self._port_target is not None)
+
     def open_data_connection(self) -> socket.socket:
         if self._pasv_listener is not None:
-            self._pasv_listener.settimeout(10)
+            self._pasv_listener.settimeout(self.data_timeout)
             conn, _ = self._pasv_listener.accept()
         elif self._port_target is not None:
-            conn = socket.create_connection(self._port_target, timeout=10)
+            conn = socket.create_connection(self._port_target,
+                                            timeout=self.data_timeout)
         else:
             raise ProtocolError("no data connection configured")
         if self.server.faults is not None:
@@ -752,46 +719,34 @@ class FtpHandler(ConnectionHandler):
             self._pasv_listener = None
         self._port_target = None
 
+    @contextmanager
+    def data_channel(self, mode: str):
+        """The session's data connection as a ``mode`` file.  Opened on
+        entry -- callers enter it *inside* the ticket's scope, so a
+        channel that never opens is one more transfer failure the
+        ticket settles -- and torn down with the PASV/PORT state."""
+        try:
+            with closing(self.open_data_connection()) as conn, \
+                    conn.makefile(mode) as stream:
+                yield stream
+        finally:
+            self.close_data_state()
+
     # -- transfers ----------------------------------------------------------
     def cmd_retr(self, arg: str) -> bool:
-        path = self.resolve(arg)
-        ticket = self.server.storage.approve_get(self.user, path)
+        ticket = self.server.storage.approve_get(self.user, self.resolve(arg))
         self.reply(ftp.OPENING_DATA, "opening data connection")
-        conn = self.open_data_connection()
-        data_out = conn.makefile("wb")
-        try:
-            self.server.transfers.transfer_sync(
-                ticket.stream, data_out, ticket.size,
-                protocol=self.protocol, user=self.user, path=path,
-            )
-            data_out.flush()
-        finally:
-            ticket.settle(ticket.size)
-            data_out.close()
-            conn.close()
-            self.close_data_state()
-        self.server.graybox.observe_read(path, 0, ticket.size)
+        with ticket, self.data_channel("wb") as data_out:
+            self.send(ticket, data_out)
         self.reply(ftp.TRANSFER_OK, "transfer complete")
         return True
 
     def cmd_stor(self, arg: str) -> bool:
-        path = self.resolve(arg)
-        ticket = self.server.storage.approve_put(self.user, path, 0)
+        ticket = self.server.storage.approve_put(self.user,
+                                                 self.resolve(arg), 0)
         self.reply(ftp.OPENING_DATA, "opening data connection")
-        conn = self.open_data_connection()
-        data_in = conn.makefile("rb")
-        moved = 0
-        try:
-            moved = self.server.transfers.transfer_sync(
-                data_in, ticket.stream, -1,
-                protocol=self.protocol, user=self.user, path=path,
-            )
-        finally:
-            ticket.settle(moved)
-            data_in.close()
-            conn.close()
-            self.close_data_state()
-        self.server.graybox.observe_write(path, 0, moved)
+        with ticket, self.data_channel("rb") as data_in:
+            moved, _ = self.receive(ticket, data_in)
         self.reply(ftp.TRANSFER_OK, f"received {moved} bytes")
         return True
 
@@ -802,12 +757,8 @@ class FtpHandler(ConnectionHandler):
             f"{e['type']:<4} {e['size']:>12} {e['name']}\r\n" for e in entries
         ).encode()
         self.reply(ftp.OPENING_DATA, "here comes the listing")
-        conn = self.open_data_connection()
-        try:
-            conn.sendall(listing)
-        finally:
-            conn.close()
-            self.close_data_state()
+        with self.data_channel("wb") as data_out:
+            data_out.write(listing)
         self.reply(ftp.TRANSFER_OK, "listing sent")
         return True
 
@@ -886,9 +837,7 @@ class GridFtpHandler(FtpHandler):
 
     def cmd_spas(self, arg: str) -> bool:
         """Striped passive: one listener per parallel stream."""
-        for listener in self._spas_listeners:
-            listener.close()
-        self._spas_listeners = []
+        self.close_data_state()
         lines = []
         for _ in range(self.parallelism):
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -904,127 +853,135 @@ class GridFtpHandler(FtpHandler):
         write_line(self.wfile, "229 End")
         return True
 
+    def data_channel_configured(self) -> bool:
+        return bool(self._spas_listeners) or super().data_channel_configured()
+
+    def close_data_state(self) -> None:
+        for listener in self._spas_listeners:
+            listener.close()
+        self._spas_listeners = []
+        super().close_data_state()
+
     def _data_connections(self) -> list[socket.socket]:
-        if self._spas_listeners:
-            conns = []
+        if not self._spas_listeners:
+            return [self.open_data_connection()]
+        conns: list[socket.socket] = []
+        try:
             for listener in self._spas_listeners:
-                listener.settimeout(10)
+                listener.settimeout(self.data_timeout)
                 conn, _ = listener.accept()
                 if self.server.faults is not None:
                     conn = self.server.faults.wrap_socket(
                         conn, label="gridftp-stripe")
                 conns.append(conn)
-            return conns
-        return [self.open_data_connection()]
+        except OSError:
+            for conn in conns:
+                conn.close()
+            raise
+        return conns
 
-    def _close_spas(self) -> None:
-        for listener in self._spas_listeners:
-            listener.close()
-        self._spas_listeners = []
+    def _run_lanes(self, lane, what: str) -> list[BaseException]:
+        """Extended-block data movement: open the data channel(s) and
+        run ``lane(conn, index)`` on one thread per connection.  Called
+        from a mover, i.e. inside the ticket's scope: a stripe that
+        never connects raises out of here and the ticket settles like
+        any failed transfer.  Returns what the lanes themselves raised
+        -- those are reported in-band, the control connection lives."""
+        errors: list[BaseException] = []
+
+        def guarded(conn: socket.socket, index: int) -> None:
+            try:
+                lane(conn, index)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        try:
+            threads = [
+                threading.Thread(target=guarded, args=(conn, i), daemon=True)
+                for i, conn in enumerate(self._data_connections())
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            if any(t.is_alive() for t in threads):
+                errors.append(TimeoutError(f"parallel {what} lane hung"))
+        finally:
+            self.close_data_state()
+        return errors
+
+    def _lanes_reply(self, errors: list[BaseException], done: str) -> bool:
+        if errors:
+            self.reply(ftp.ACTION_FAILED, f"transfer failed: {errors[0]}")
+        else:
+            self.reply(ftp.TRANSFER_OK, done)
+        return True
 
     def cmd_retr(self, arg: str) -> bool:
         if self.mode != "E":
             return super().cmd_retr(arg)
-        path = self.resolve(arg)
-        ticket = self.server.storage.approve_get(self.user, path)
+        ticket = self.server.storage.approve_get(self.user, self.resolve(arg))
         self.reply(ftp.OPENING_DATA, "opening extended-block channels")
-        conns = self._data_connections()
-        size = ticket.size
-        lanes = gridftp.stripe_ranges(size, len(conns), 256 * 1024)
         errors: list[BaseException] = []
-        # Lanes share the storage ticket's stream: each extent is one
-        # bounded seek+read under this lock, so memory per lane is one
-        # stripe block -- never the whole file.
-        source_lock = threading.Lock()
 
-        def send_lane(conn: socket.socket, extents, last: bool) -> None:
-            out = conn.makefile("wb")
-            try:
-                for offset, length in extents:
-                    with source_lock:
-                        ticket.stream.seek(offset)
-                        payload = read_exact(ticket.stream, length)
-                    gridftp.write_block(out, offset, payload)
-                gridftp.write_eod(out, eof=last)
-                out.flush()
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-            finally:
-                out.close()
-                conn.close()
+        def send_lanes(ticket):
+            extents = gridftp.stripe_ranges(
+                ticket.size, max(1, len(self._spas_listeners)), 256 * 1024)
+            # Lanes share the storage ticket's stream: each extent is
+            # one bounded seek+read under this lock, so memory per lane
+            # is one stripe block -- never the whole file.
+            source_lock = threading.Lock()
 
-        threads = [
-            threading.Thread(target=send_lane,
-                             args=(conn, lanes[i], i == 0), daemon=True)
-            for i, conn in enumerate(conns)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        if any(t.is_alive() for t in threads):
-            errors.append(TimeoutError("parallel send lane hung"))
-        ticket.settle(size)
-        self._close_spas()
-        self.close_data_state()
-        self.server.graybox.observe_read(path, 0, size)
-        if errors:
-            self.reply(ftp.ACTION_FAILED, f"transfer failed: {errors[0]}")
-        else:
-            self.reply(ftp.TRANSFER_OK, "transfer complete")
-        return True
+            def lane(conn: socket.socket, index: int) -> None:
+                with conn.makefile("wb") as out:
+                    for offset, length in extents[index]:
+                        with source_lock:
+                            ticket.stream.seek(offset)
+                            payload = read_exact(ticket.stream, length)
+                        gridftp.write_block(out, offset, payload)
+                    gridftp.write_eod(out, eof=index == 0)
+
+            errors.extend(self._run_lanes(lane, "send"))
+            return ticket.size, None
+
+        self.send(ticket, mover=send_lanes)
+        return self._lanes_reply(errors, "transfer complete")
 
     def cmd_stor(self, arg: str) -> bool:
         if self.mode != "E":
             return super().cmd_stor(arg)
-        path = self.resolve(arg)
-        ticket = self.server.storage.approve_put(self.user, path, 0)
+        ticket = self.server.storage.approve_put(self.user,
+                                                 self.resolve(arg), 0)
         self.reply(ftp.OPENING_DATA, "opening extended-block channels")
-        conns = self._data_connections()
         errors: list[BaseException] = []
-        # Blocks land directly at their offsets in the storage
-        # ticket's stream (one seek+write per block under this lock):
-        # memory per lane is one wire block, never the whole file, and
-        # sparse regions zero-fill exactly as the old staging buffer
-        # did.
-        sink_lock = threading.Lock()
-        high_water = [0]
 
-        def recv_lane(conn: socket.socket) -> None:
-            stream = conn.makefile("rb")
-            try:
-                for offset, payload in gridftp.iter_blocks(stream):
-                    with sink_lock:
-                        ticket.stream.seek(offset)
-                        ticket.stream.write(payload)
-                        high_water[0] = max(high_water[0],
-                                            offset + len(payload))
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-            finally:
-                stream.close()
-                conn.close()
+        def receive_lanes(ticket):
+            # Blocks land directly at their offsets in the storage
+            # ticket's stream (one seek+write per block under this
+            # lock): memory per lane is one wire block, never the whole
+            # file, and sparse regions zero-fill.
+            sink_lock = threading.Lock()
+            high_water = 0
 
-        threads = [threading.Thread(target=recv_lane, args=(c,), daemon=True)
-                   for c in conns]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        if any(t.is_alive() for t in threads):
-            # A hung receive lane means missing stripes: fail the STOR
-            # rather than commit a silently truncated file.
-            errors.append(TimeoutError("parallel receive lane hung"))
-        self._close_spas()
-        self.close_data_state()
-        moved = high_water[0] if not errors else 0
-        ticket.settle(moved)
-        self.server.graybox.observe_write(path, 0, moved)
-        if errors:
-            self.reply(ftp.ACTION_FAILED, f"transfer failed: {errors[0]}")
-        else:
-            self.reply(ftp.TRANSFER_OK, f"received {moved} bytes")
-        return True
+            def lane(conn: socket.socket, index: int) -> None:
+                nonlocal high_water
+                with conn.makefile("rb") as stream:
+                    for offset, payload in gridftp.iter_blocks(stream):
+                        with sink_lock:
+                            ticket.stream.seek(offset)
+                            ticket.stream.write(payload)
+                            high_water = max(high_water,
+                                             offset + len(payload))
+
+            errors.extend(self._run_lanes(lane, "receive"))
+            # A failed or hung lane means missing stripes: settle the
+            # STOR as empty rather than commit a silently truncated file.
+            return (0 if errors else high_water), None
+
+        moved, _ = self.receive(ticket, mover=receive_lanes)
+        return self._lanes_reply(errors, f"received {moved} bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -1045,42 +1002,22 @@ class NfsHandler(ConnectionHandler):
         while True:
             try:
                 record = nfs.read_record(self.rfile)
-            except ProtocolError:
-                return
-            try:
                 xid, prog, proc, args = nfs.unpack_call(record)
             except ProtocolError:
                 return
-            op = ("mount" if prog == nfs.PROG_MOUNT
-                  else _NFS_OPS.get(proc, "other"))
+            if prog == nfs.PROG_MOUNT:
+                op, procedure = "mount", self._MOUNT_PROCEDURES.get(proc)
+            else:
+                op, procedure = self._PROCEDURES.get(proc, ("other", None))
             with self.request_scope(op):
-                results = self._dispatch(prog, proc, args)
+                results = self._dispatch(procedure, args)
                 nfs.write_record(self.wfile, nfs.pack_reply(xid, results))
 
-    def _dispatch(self, prog: int, proc: int, args: Unpacker) -> bytes:
+    def _dispatch(self, procedure, args: Unpacker) -> bytes:
+        if procedure is None:
+            return self._status_only(nfs.NFSERR_IO)
         try:
-            if prog == nfs.PROG_MOUNT:
-                if proc == nfs.MOUNTPROC_MNT:
-                    return self._mnt(args)
-                if proc == nfs.MOUNTPROC_UMNT:
-                    return b""
-                return self._status_only(nfs.NFSERR_IO)
-            handlers = {
-                nfs.PROC_NULL: lambda a: b"",
-                nfs.PROC_GETATTR: self._getattr,
-                nfs.PROC_LOOKUP: self._lookup,
-                nfs.PROC_READ: self._read,
-                nfs.PROC_WRITE: self._write,
-                nfs.PROC_CREATE: self._create,
-                nfs.PROC_REMOVE: self._remove,
-                nfs.PROC_MKDIR: self._mkdir,
-                nfs.PROC_RMDIR: self._rmdir,
-                nfs.PROC_READDIR: self._readdir,
-            }
-            handler = handlers.get(proc)
-            if handler is None:
-                return self._status_only(nfs.NFSERR_IO)
-            return handler(args)
+            return procedure(self, args)
         except StorageError as exc:
             self.mark_request_error()
             return self._status_only(_STATUS_TO_NFS.get(exc.status,
@@ -1095,7 +1032,9 @@ class NfsHandler(ConnectionHandler):
         p.pack_uint(status)
         return p.get_buffer()
 
-    def _path_of(self, handle: bytes) -> str:
+    def _path_of(self, args: Unpacker) -> str:
+        """The path behind the file-handle argument."""
+        handle = args.unpack_fixed(nfs.FHSIZE)
         path = self.server.fhandles.path_of(nfs.fhandle_token(handle))
         if path is None:
             # Unknown token, or one minted before a server restart (the
@@ -1104,133 +1043,120 @@ class NfsHandler(ConnectionHandler):
             raise StorageError(Status.STALE, "stale file handle")
         return path
 
+    def _child_of(self, args: Unpacker) -> str:
+        """The path a (directory handle, name) argument pair names."""
+        return self._path_of(args).rstrip("/") + "/" + args.unpack_string()
+
     def _fh_for(self, path: str) -> bytes:
         return nfs.make_fhandle(self.server.fhandles.token_for(path))
 
-    def _pack_attr_reply(self, path: str) -> bytes:
+    def _attr_reply(self, path: str) -> bytes:
+        """``NFS_OK fattr`` for ``path`` as it is now."""
         stat = self.server.storage.stat(self.user, path) if path != "/" else {
             "type": "dir", "size": 0,
         }
         p = Packer()
         p.pack_uint(nfs.NFS_OK)
-        ftype = nfs.NFDIR if stat["type"] == "dir" else nfs.NFREG
-        nfs.pack_fattr(p, ftype, stat["size"])
+        nfs.pack_fattr(p, _NFS_FTYPE[stat["type"]], stat["size"])
+        return p.get_buffer()
+
+    def _entry_reply(self, path: str, ftype: int, size: int) -> bytes:
+        """``NFS_OK fhandle fattr``: what LOOKUP, CREATE and MKDIR answer."""
+        p = Packer()
+        p.pack_uint(nfs.NFS_OK)
+        p.pack_fixed(self._fh_for(path))
+        nfs.pack_fattr(p, ftype, size)
         return p.get_buffer()
 
     # -- procedures ----------------------------------------------------------
+    def _null(self, args: Unpacker) -> bytes:
+        return b""
+
     def _mnt(self, args: Unpacker) -> bytes:
         dirpath = args.unpack_string()
-        p = Packer()
         if dirpath != "/" and not self.server.storage.exists(dirpath):
-            p.pack_uint(nfs.NFSERR_NOENT)
-            return p.get_buffer()
+            return self._status_only(nfs.NFSERR_NOENT)
+        p = Packer()
         p.pack_uint(nfs.NFS_OK)
         p.pack_fixed(self._fh_for(dirpath if dirpath else "/"))
         return p.get_buffer()
 
     def _getattr(self, args: Unpacker) -> bytes:
-        path = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        return self._pack_attr_reply(path)
+        return self._attr_reply(self._path_of(args))
 
     def _lookup(self, args: Unpacker) -> bytes:
-        dirpath = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        name = args.unpack_string()
-        path = (dirpath.rstrip("/") + "/" + name) if dirpath != "/" else "/" + name
+        path = self._child_of(args)
         stat = self.server.storage.stat(self.user, path)
-        p = Packer()
-        p.pack_uint(nfs.NFS_OK)
-        p.pack_fixed(self._fh_for(path))
-        ftype = nfs.NFDIR if stat["type"] == "dir" else nfs.NFREG
-        nfs.pack_fattr(p, ftype, stat["size"])
-        return p.get_buffer()
+        return self._entry_reply(path, _NFS_FTYPE[stat["type"]], stat["size"])
 
     def _read(self, args: Unpacker) -> bytes:
-        path = self._path_of(args.unpack_fixed(nfs.FHSIZE))
+        path = self._path_of(args)
         offset = args.unpack_hyper()
         count = args.unpack_uint()
         ticket = self.server.storage.approve_read(self.user, path, offset,
                                                   min(count, nfs.BLOCK_SIZE))
         sink = io.BytesIO()
-        try:
-            self.server.transfers.transfer_sync(
-                ticket.stream, sink, ticket.size,
-                protocol=self.protocol, user=self.user, path=path,
-            )
-        finally:
-            ticket.settle(ticket.size)
-        self.server.graybox.observe_read(path, offset, ticket.size)
-        data = sink.getvalue()
+        self.send(ticket, sink)
         p = Packer()
         p.pack_uint(nfs.NFS_OK)
         size = self.server.storage.stat(self.user, path)["size"]
         nfs.pack_fattr(p, nfs.NFREG, size)
-        p.pack_opaque(data)
+        p.pack_opaque(sink.getvalue())
         return p.get_buffer()
 
     def _write(self, args: Unpacker) -> bytes:
-        path = self._path_of(args.unpack_fixed(nfs.FHSIZE))
+        path = self._path_of(args)
         offset = args.unpack_hyper()
         data = args.unpack_opaque()
         ticket = self.server.storage.approve_write(self.user, path, offset,
                                                    len(data))
-        moved = 0
-        try:
-            moved = self.server.transfers.transfer_sync(
-                io.BytesIO(data), ticket.stream, len(data),
-                protocol=self.protocol, user=self.user, path=path,
-            )
-        finally:
-            ticket.settle(moved)
-        self.server.graybox.observe_write(path, offset, moved)
-        return self._pack_attr_reply(path)
+        self.receive(ticket, io.BytesIO(data), len(data))
+        return self._attr_reply(path)
 
     def _create(self, args: Unpacker) -> bytes:
-        dirpath = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        name = args.unpack_string()
-        path = (dirpath.rstrip("/") + "/" + name) if dirpath != "/" else "/" + name
-        ticket = self.server.storage.approve_put(self.user, path, 0)
-        ticket.settle(0)
-        p = Packer()
-        p.pack_uint(nfs.NFS_OK)
-        p.pack_fixed(self._fh_for(path))
-        nfs.pack_fattr(p, nfs.NFREG, 0)
-        return p.get_buffer()
+        path = self._child_of(args)
+        with self.server.storage.approve_put(self.user, path, 0):
+            pass  # an empty file: the ticket settles with nothing moved
+        return self._entry_reply(path, nfs.NFREG, 0)
 
     def _remove(self, args: Unpacker) -> bytes:
-        dirpath = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        name = args.unpack_string()
-        path = (dirpath.rstrip("/") + "/" + name) if dirpath != "/" else "/" + name
-        self.server.storage.delete(self.user, path)
+        self.server.storage.delete(self.user, self._child_of(args))
         return self._status_only(nfs.NFS_OK)
 
     def _mkdir(self, args: Unpacker) -> bytes:
-        dirpath = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        name = args.unpack_string()
-        path = (dirpath.rstrip("/") + "/" + name) if dirpath != "/" else "/" + name
+        path = self._child_of(args)
         self.server.storage.mkdir(self.user, path)
-        p = Packer()
-        p.pack_uint(nfs.NFS_OK)
-        p.pack_fixed(self._fh_for(path))
-        nfs.pack_fattr(p, nfs.NFDIR, 0)
-        return p.get_buffer()
+        return self._entry_reply(path, nfs.NFDIR, 0)
 
     def _rmdir(self, args: Unpacker) -> bytes:
-        dirpath = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        name = args.unpack_string()
-        path = (dirpath.rstrip("/") + "/" + name) if dirpath != "/" else "/" + name
-        self.server.storage.rmdir(self.user, path)
+        self.server.storage.rmdir(self.user, self._child_of(args))
         return self._status_only(nfs.NFS_OK)
 
     def _readdir(self, args: Unpacker) -> bytes:
-        dirpath = self._path_of(args.unpack_fixed(nfs.FHSIZE))
-        entries = self.server.storage.listdir(self.user, dirpath)
+        entries = self.server.storage.listdir(self.user, self._path_of(args))
         p = Packer()
         p.pack_uint(nfs.NFS_OK)
         p.pack_uint(len(entries))
         for entry in entries:
             p.pack_string(entry["name"])
-            p.pack_uint(nfs.NFDIR if entry["type"] == "dir" else nfs.NFREG)
+            p.pack_uint(_NFS_FTYPE[entry["type"]])
         return p.get_buffer()
+
+    #: NFS procedure number -> (request-op label, procedure); the label
+    #: set is bounded by construction.
+    _PROCEDURES = {
+        nfs.PROC_NULL: ("null", _null),
+        nfs.PROC_GETATTR: ("getattr", _getattr),
+        nfs.PROC_LOOKUP: ("lookup", _lookup),
+        nfs.PROC_READ: ("read", _read),
+        nfs.PROC_WRITE: ("write", _write),
+        nfs.PROC_CREATE: ("create", _create),
+        nfs.PROC_REMOVE: ("remove", _remove),
+        nfs.PROC_MKDIR: ("mkdir", _mkdir),
+        nfs.PROC_RMDIR: ("rmdir", _rmdir),
+        nfs.PROC_READDIR: ("readdir", _readdir),
+    }
+    _MOUNT_PROCEDURES = {nfs.MOUNTPROC_MNT: _mnt, nfs.MOUNTPROC_UMNT: _null}
 
 
 # ---------------------------------------------------------------------------
@@ -1292,8 +1218,20 @@ class IbpHandler(ConnectionHandler):
         elif verb == "store":
             cap = ibp.parse_capability(args[0])
             nbytes = int(args[1])
-            data = read_exact(self.rfile, nbytes)
-            used = depot.store(cap, data)
+            if nbytes < 0:
+                raise ValueError(f"negative length {nbytes}")
+            try:
+                depot.check_store(cap, nbytes)
+            except ibp.IbpError as exc:
+                # ``nbytes`` is the peer's word: refuse before buffering
+                # a body the allocation cannot hold, then skip whatever
+                # body does arrive through one pooled buffer so the
+                # next line read is a command again.
+                self.mark_request_error()
+                write_line(self.wfile, ibp.format_err(exc.code, str(exc)))
+                fastio.stream_crc32(self.rfile, nbytes)
+                return
+            used = depot.store(cap, read_exact(self.rfile, nbytes))
             write_line(self.wfile, ibp.format_ok(used))
         elif verb == "load":
             cap = ibp.parse_capability(args[0])
@@ -1326,14 +1264,8 @@ class IbpHandler(ConnectionHandler):
             write_line(self.wfile, ibp.format_err("bad-command", verb))
 
 
-#: NFS procedure number -> request-op label (bounded by construction).
-_NFS_OPS = {
-    nfs.PROC_NULL: "null", nfs.PROC_GETATTR: "getattr",
-    nfs.PROC_LOOKUP: "lookup", nfs.PROC_READ: "read",
-    nfs.PROC_WRITE: "write", nfs.PROC_CREATE: "create",
-    nfs.PROC_REMOVE: "remove", nfs.PROC_MKDIR: "mkdir",
-    nfs.PROC_RMDIR: "rmdir", nfs.PROC_READDIR: "readdir",
-}
+#: Namespace entry type -> NFS ftype.
+_NFS_FTYPE = {"dir": nfs.NFDIR, "file": nfs.NFREG}
 
 _STATUS_TO_NFS = {
     Status.NOT_FOUND: nfs.NFSERR_NOENT,

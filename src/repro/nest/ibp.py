@@ -133,8 +133,8 @@ class IbpDepot:
         except LotError as exc:
             raise IbpError("no-space", str(exc)) from exc
         path = f"{IBP_ROOT}/{alloc_id}"
-        ticket = self.storage.approve_put("admin", path, 0)
-        ticket.settle(0)
+        with self.storage.approve_put("admin", path, 0):
+            pass  # the empty backing file
         alloc = Allocation(
             alloc_id=alloc_id,
             size=size,
@@ -153,15 +153,23 @@ class IbpDepot:
         return Capability(self.host, alloc.alloc_id,
                           alloc.secrets[kind], kind).render()
 
+    @staticmethod
+    def _require_room(alloc: Allocation, nbytes: int) -> None:
+        if alloc.used + nbytes > alloc.size:
+            raise IbpError("over-allocation",
+                           f"{alloc.used}+{nbytes} > {alloc.size}")
+
+    def check_store(self, cap: Capability, nbytes: int) -> None:
+        """Raise the :exc:`IbpError` a store of ``nbytes`` would get
+        right now.  The handler asks before reading the body, so a
+        hostile length is refused without buffering anything."""
+        self._require_room(self._resolve(cap, WRITE), nbytes)
+
     def store(self, cap: Capability, data: bytes) -> int:
         """Append ``data`` (IBP stores are appends); returns new used."""
         alloc = self._resolve(cap, WRITE)
         with self._lock:
-            if alloc.used + len(data) > alloc.size:
-                raise IbpError(
-                    "over-allocation",
-                    f"{alloc.used}+{len(data)} > {alloc.size}",
-                )
+            self._require_room(alloc, len(data))
             offset = alloc.used
             alloc.used += len(data)
         try:
@@ -171,8 +179,9 @@ class IbpDepot:
             with self._lock:
                 alloc.used = offset
             raise IbpError("no-space", exc.message) from exc
-        ticket.stream.write(data)
-        ticket.settle(len(data))
+        with ticket:
+            ticket.stream.write(data)
+            ticket.moved = len(data)
         return alloc.used
 
     def load(self, cap: Capability, offset: int, nbytes: int) -> bytes:
@@ -183,12 +192,9 @@ class IbpDepot:
         nbytes = min(nbytes, alloc.used - offset)
         if nbytes <= 0:
             return b""
-        ticket = self.storage.approve_read(alloc.owner, alloc.path,
-                                           offset, nbytes)
-        try:
+        with self.storage.approve_read(alloc.owner, alloc.path,
+                                       offset, nbytes) as ticket:
             return ticket.stream.read(nbytes)
-        finally:
-            ticket.settle(nbytes)
 
     def probe(self, cap: Capability) -> dict:
         """Manage op: allocation status."""

@@ -41,6 +41,10 @@ from repro.tier.heat import HeatTracker
 
 logger = get_logger(__name__)
 
+#: Seconds between ClassAd re-advertisements when ``advertise_to`` is
+#: not given a heartbeat period of its own.
+ADVERTISE_INTERVAL = 30.0
+
 
 class FileHandleRegistry:
     """NFS file handles: stable token <-> path mapping, server-wide.
@@ -128,21 +132,13 @@ class NestServer:
         #: this appliance's telemetry: metrics registry, tracer, span
         #: recorder, and live-health consolidation, private per server
         #: so side-by-side instances stay isolated.
-        self.obs = Observability(
-            service=self.config.name,
-            span_limit=self.config.span_limit,
-            health_window=self.config.health_window,
-        )
+        self.obs = Observability(service=self.config.name)
         self.fhandles = FileHandleRegistry()
         #: per-file access heat: every approved read feeds it, the
         #: migration policy and the autoscaler read it, and its top-N
         #: surfaces as the ClassAd ``HotFiles`` block.
-        self.heat = HeatTracker(
-            halflife=self.config.heat_halflife,
-            max_files=self.config.heat_max_files,
-        )
-        self.heat.register_metrics(self.obs.registry,
-                                   top_n=self.config.heat_top_files)
+        self.heat = HeatTracker(halflife=self.config.heat_halflife,
+                                registry=self.obs.registry)
         #: hierarchical storage: when tiering is on, the storage
         #: manager's backend is a TieredStore fronting a slow cold
         #: store with the fast local one; residency journals through
@@ -178,7 +174,6 @@ class NestServer:
                 snapshot_every=self.config.snapshot_every,
                 faults=disk_faults,
                 registry=self.obs.registry,
-                batch_records=self.config.journal_batch_records,
                 batch_delay=self.config.journal_batch_delay,
             )
             self.recovery_report = self.durability.recover_into(
@@ -202,17 +197,15 @@ class NestServer:
                 self.storage, self.tiered, self.heat,
                 TierPolicy(
                     demote_after=self.config.tier_demote_after,
-                    min_size=self.config.tier_min_size,
                     heat_ceiling=self.config.tier_heat_ceiling,
                 ),
-                max_per_scan=self.config.tier_max_per_scan,
                 tracer=self.obs.tracer,
                 registry=self.obs.registry,
             )
         #: decentralized autoscaler; built by :meth:`attach_autoscaler`
         #: once a federation (catalog + replicator) exists.
         self.autoscaler = None
-        self.graybox = GrayBoxCacheModel(self.config.graybox_cache_bytes)
+        self.graybox = GrayBoxCacheModel()
         self.transfers = TransferManager(
             self.config, residency=self.graybox.predict_residency,
             obs=self.obs,
@@ -229,12 +222,9 @@ class NestServer:
         #: SloDegraded attribute, and the adaptive switcher.
         self.slo: SloEngine | None = None
         if self.config.slo:
-            self.slo = SloEngine(registry=reg,
-                                 windows=tuple(self.config.slo_windows))
+            self.slo = SloEngine(registry=reg)
         if self.config.concurrency_server in ("events", "adaptive"):
-            self._eventloop = EventLoop(
-                workers=self.config.event_workers,
-                name=self.config.name, registry=reg)
+            self._eventloop = EventLoop(name=self.config.name, registry=reg)
         if self.config.concurrency_server == "adaptive":
             self._switcher = ServerModelSwitcher(
                 connections=self.active_connections,
@@ -327,10 +317,9 @@ class NestServer:
             cold: DataStore = LocalFSStore(self.config.tier_cold_dir)
         else:
             cold = MemoryStore()
-        if self.config.tier_cold_bandwidth or self.config.tier_cold_latency:
+        if self.config.tier_cold_bandwidth:
             cold = RateLimitedStore(
-                cold, bandwidth_bps=self.config.tier_cold_bandwidth,
-                latency=self.config.tier_cold_latency)
+                cold, bandwidth_bps=self.config.tier_cold_bandwidth)
         self.tiered = TieredStore(fast, cold, registry=self.obs.registry)
         return self.tiered
 
@@ -548,12 +537,8 @@ class NestServer:
             cfg.name, self.obs.health, self.heat, replicator,
             slo=self.slo,
             queue_high=cfg.autoscale_queue_high,
-            error_high=cfg.autoscale_error_high,
             rate_high=cfg.autoscale_rate_high,
-            max_files=cfg.autoscale_files,
             max_replicas=cfg.autoscale_max_replicas,
-            budget=cfg.autoscale_budget,
-            window=cfg.autoscale_window,
             cooldown=cfg.autoscale_cooldown,
             hysteresis=cfg.autoscale_hysteresis,
             prefix=prefix if prefix is not None else replicator.prefix,
@@ -680,8 +665,8 @@ class NestServer:
 
         ``ttl`` is the ad's collector lifetime (None: the collector's
         default); ``readvertise_interval`` is the heartbeat period that
-        refreshes the ad *before* that TTL expires (None: the config's
-        ``advertise_interval``; 0 disables the heartbeat, leaving a
+        refreshes the ad *before* that TTL expires (None:
+        :data:`ADVERTISE_INTERVAL`; 0 disables the heartbeat, leaving a
         one-shot ad).  The registration also wires the other half of
         the lifecycle: :meth:`stop` withdraws the ad as the first step
         of the graceful drain, so a stopping appliance disappears from
@@ -696,7 +681,7 @@ class NestServer:
         """
         self._collector = collector
         self._advert_ttl = ttl
-        interval = (self.config.advertise_interval
+        interval = (ADVERTISE_INTERVAL
                     if readvertise_interval is None else readvertise_interval)
         interval = max(float(interval), 0.0)
         reconfigured = interval != self._advert_interval
@@ -790,8 +775,7 @@ class NestServer:
             health.update(self.slo.attributes())
         # What is hot *here*: peer autoscalers and future predictive
         # placement read this next to the load numbers.
-        health.update(self.heat.ad_attributes(
-            top_n=self.config.heat_top_files))
+        health.update(self.heat.ad_attributes())
         return build_advertisement(
             self.config.name, self.storage, list(self.config.protocols),
             host=self.host, ports=self.ports,

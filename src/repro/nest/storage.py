@@ -63,7 +63,17 @@ class FileNode:
 
 @dataclass
 class TransferTicket:
-    """A storage-manager-approved transfer, handed to the transfer manager."""
+    """A storage-manager-approved transfer, and the scope of its data
+    movement.
+
+    ``with ticket:`` brackets whatever moves the bytes.  The mover
+    records what actually moved in :attr:`moved` before the scope ends;
+    leaving it -- normally or by any exception, including one raised
+    before a single byte moved -- settles the ticket with that count
+    (0 if nothing did).  Settling happens once: the stream is closed
+    and, for a put, declared vs actual size is reconciled; later calls
+    are no-ops, so a ticket approved is a ticket settled.
+    """
 
     path: str
     user: str
@@ -71,10 +81,28 @@ class TransferTicket:
     stream: BinaryIO  #: backend source (get) or sink (put)
     is_write: bool
     offset: int = 0
+    #: bytes actually moved, as recorded by whoever moved them.
+    moved: int = 0
+    #: the storage manager's reconciliation at settlement (puts only),
+    #: called with the ticket and the actual byte count.
+    on_settle: Callable[["TransferTicket", int], None] | None = field(
+        default=None, repr=False)
+    settled: bool = field(default=False, init=False)
 
     def settle(self, actual_bytes: int) -> None:
-        """Called by the transfer manager when the data movement ends."""
+        """End the data movement: close the stream, reconcile."""
+        if self.settled:
+            return
+        self.settled = True
         self.stream.close()
+        if self.on_settle is not None:
+            self.on_settle(self, actual_bytes)
+
+    def __enter__(self) -> "TransferTicket":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.settle(self.moved)
 
 
 def _split(path: str) -> list[str]:
@@ -564,16 +592,11 @@ class StorageManager:
                 # an open put for recovery to settle, never a release
                 # without its put.
                 self.lots.release(path, old_size - declared)
-            manager = self
-
-            class _PutTicket(TransferTicket):
-                def settle(inner, actual_bytes: int) -> None:
-                    inner.stream.close()
-                    manager._settle_put(inner, declared, actual_bytes)
-
-            return _PutTicket(
+            return TransferTicket(
                 path=path, user=user, size=declared,
                 stream=self.store.open_write(path), is_write=True,
+                on_settle=lambda ticket, actual: self._settle_put(
+                    ticket, declared, actual),
             )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
@@ -662,34 +685,13 @@ class StorageManager:
     # ------------------------------------------------------------------
     def execute(self, request: Request) -> Response:
         """Execute one non-transfer request synchronously."""
-        handler = {
-            RequestType.MKDIR: lambda r: self.mkdir(r.user, r.path),
-            RequestType.RMDIR: lambda r: self.rmdir(r.user, r.path),
-            RequestType.LIST: lambda r: self.listdir(r.user, r.path),
-            RequestType.STAT: lambda r: self.stat(r.user, r.path),
-            RequestType.DELETE: lambda r: self.delete(r.user, r.path),
-            RequestType.RENAME: lambda r: self.rename(
-                r.user, r.path, r.params.get("new_path", "")
-            ),
-            RequestType.ACL_SET: lambda r: self.acl_set(
-                r.user, r.path, r.params.get("subject", ""), r.params.get("rights", "")
-            ),
-            RequestType.ACL_GET: lambda r: self.acl_get(r.user, r.path),
-            RequestType.LOT_CREATE: self._exec_lot_create,
-            RequestType.LOT_DELETE: self._exec_lot_delete,
-            RequestType.LOT_RENEW: self._exec_lot_renew,
-            RequestType.LOT_STAT: lambda r: self.lots.stat(r.params.get("lot_id", "")),
-            RequestType.LOT_ATTACH: lambda r: self.lots.attach(
-                r.params.get("lot_id", ""), r.path, owner=r.user
-            ),
-            RequestType.LOT_LIST: lambda r: self.lots.list_lots(owner=r.user),
-        }.get(request.rtype)
+        handler = self._EXECUTORS.get(request.rtype)
         if handler is None:
             return Response(Status.BAD_REQUEST,
                             message=f"storage manager cannot execute {request.rtype}")
         try:
             with self._op(request.rtype.value, request.path):
-                data = handler(request)
+                data = handler(self, request)
             return Response(Status.OK, data=data)
         except StorageError as exc:
             return Response(exc.status, message=exc.message)
@@ -737,3 +739,27 @@ class StorageManager:
             owner=request.user,
         )
         return lot.describe()
+
+    #: Request type -> executor for :meth:`execute`, built once.  The
+    #: lambdas look their method up on ``self`` at call time.
+    _EXECUTORS: dict[RequestType, Callable[["StorageManager", Request], Any]] = {
+        RequestType.MKDIR: lambda self, r: self.mkdir(r.user, r.path),
+        RequestType.RMDIR: lambda self, r: self.rmdir(r.user, r.path),
+        RequestType.LIST: lambda self, r: self.listdir(r.user, r.path),
+        RequestType.STAT: lambda self, r: self.stat(r.user, r.path),
+        RequestType.DELETE: lambda self, r: self.delete(r.user, r.path),
+        RequestType.RENAME: lambda self, r: self.rename(
+            r.user, r.path, r.params.get("new_path", "")),
+        RequestType.ACL_SET: lambda self, r: self.acl_set(
+            r.user, r.path, r.params.get("subject", ""),
+            r.params.get("rights", "")),
+        RequestType.ACL_GET: lambda self, r: self.acl_get(r.user, r.path),
+        RequestType.LOT_CREATE: _exec_lot_create,
+        RequestType.LOT_DELETE: _exec_lot_delete,
+        RequestType.LOT_RENEW: _exec_lot_renew,
+        RequestType.LOT_STAT: lambda self, r: self.lots.stat(
+            r.params.get("lot_id", "")),
+        RequestType.LOT_ATTACH: lambda self, r: self.lots.attach(
+            r.params.get("lot_id", ""), r.path, owner=r.user),
+        RequestType.LOT_LIST: lambda self, r: self.lots.list_lots(owner=r.user),
+    }

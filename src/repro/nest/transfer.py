@@ -49,6 +49,9 @@ LEGACY = "legacy"
 #: then costs no fairness and saves hundreds of arbitration passes.
 BURST_BYTES = 4 * 1024 * 1024
 
+#: Recent per-transfer failure causes kept for ``failures()``.
+FAILURE_HISTORY = 64
+
 #: Seconds waiters idle when non-work-conserving stride holds a slot
 #: for a job that is not ready, before the best ready job is granted
 #: anyway (``PumpGate``'s ``idle_wait``).
@@ -280,10 +283,9 @@ class TransferManager:
         #: non-work-conserving stride is holding a slot back.
         self._idle_until: Optional[float] = None
         #: ring of recent per-transfer failure causes (newest last);
-        #: each entry is timestamped ("at", epoch seconds) and the
-        #: bound is the administrator's ``config.failure_history``.
+        #: each entry is timestamped ("at", epoch seconds).
         self._failures: deque[dict[str, Any]] = deque(
-            maxlen=config.failure_history)
+            maxlen=FAILURE_HISTORY)
         self._enqueue_seq = 0
         self._running = True
 
@@ -327,7 +329,7 @@ class TransferManager:
         the manageability counterpart of the paper's "storage
         appliances must be observable": a failed transfer leaves a
         cause an operator can read, not just a closed socket.  The
-        ring keeps the most recent ``config.failure_history`` entries;
+        ring keeps the most recent :data:`FAILURE_HISTORY` entries;
         its live size and per-cause totals are also registry metrics.
         """
         with self._lock:

@@ -34,6 +34,14 @@ HEADER_SIZE = _HEADER.size
 FLAG_EOF = 0x40
 FLAG_EOD = 0x08
 
+#: Largest extended block a receiver will buffer.  The header's length
+#: is 64 bits of peer-supplied data; senders here stripe at 256 KiB.
+MAX_BLOCK_BYTES = 16 * 1024 * 1024
+
+#: Most parallel data streams ``OPTS RETR Parallelism=`` may ask for
+#: (``SPAS`` opens one listening socket per stream).
+MAX_PARALLELISM = 16
+
 
 def write_block(stream: BinaryIO, offset: int, payload: bytes, flags: int = 0) -> None:
     """Write one extended block."""
@@ -54,6 +62,9 @@ def read_block(stream: BinaryIO) -> tuple[int, int, bytes]:
     """Read one extended block; returns (flags, offset, payload)."""
     header = read_exact(stream, HEADER_SIZE)
     flags, length, offset = _HEADER.unpack(header)
+    if length > MAX_BLOCK_BYTES:
+        raise ProtocolError(
+            f"extended block of {length} bytes exceeds {MAX_BLOCK_BYTES}")
     payload = read_exact(stream, length) if length else b""
     return flags, offset, payload
 
@@ -103,6 +114,9 @@ def parse_opts_retr(arg: str) -> dict[str, int]:
             opts[key.strip().lower()] = int(value)
         except ValueError:
             raise ProtocolError(f"malformed OPTS value {piece!r}") from None
+    if opts.get("parallelism", 1) > MAX_PARALLELISM:
+        raise ProtocolError(
+            f"parallelism above {MAX_PARALLELISM} not supported")
     return opts
 
 

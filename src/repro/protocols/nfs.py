@@ -34,6 +34,14 @@ BLOCK_SIZE = 8192
 #: Opaque file-handle size (NFSv2 uses 32 bytes).
 FHSIZE = 32
 
+#: Largest call record a server buffers: one WRITE block plus the RPC
+#: envelope, a file handle and a maximal (1024-byte) path argument.
+MAX_CALL_BYTES = BLOCK_SIZE + 2048
+
+#: Largest reply record a client buffers (READDIR replies grow with
+#: the directory).
+MAX_REPLY_BYTES = 16 * 1024 * 1024
+
 # Program numbers.
 PROG_NFS = 100003
 PROG_MOUNT = 100005
@@ -87,14 +95,24 @@ def write_record(stream: BinaryIO, payload: bytes) -> None:
     stream.flush()
 
 
-def read_record(stream: BinaryIO) -> bytes:
-    """Read one RPC record (possibly multiple fragments)."""
+def read_record(stream: BinaryIO, limit: int = MAX_CALL_BYTES) -> bytes:
+    """Read one RPC record (possibly multiple fragments).
+
+    Fragment lengths are peer-supplied: a record whose fragments add up
+    to more than ``limit`` bytes raises :exc:`ProtocolError` before
+    anything is allocated for the offending fragment.
+    """
     fragments: list[bytes] = []
+    total = 0
     while True:
         header = read_exact(stream, 4)
         word = struct.unpack(">I", header)[0]
         length = word & 0x7FFFFFFF
-        fragments.append(read_exact(stream, length))
+        total += length
+        if total > limit:
+            raise ProtocolError(f"RPC record exceeds {limit} bytes")
+        if length:
+            fragments.append(read_exact(stream, length))
         if word & 0x80000000:
             return b"".join(fragments)
 

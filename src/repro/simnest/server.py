@@ -128,12 +128,7 @@ class SimNest:
             reclaim_policy=self.config.reclaim_policy,
             anonymous_rights=self.config.anonymous_rights,
         )
-        self.graybox = GrayBoxCacheModel(
-            self.config.graybox_cache_bytes
-            if self.config.graybox_cache_bytes
-            else platform.cache_bytes,
-            block_size=platform.block_size,
-        )
+        self.graybox = GrayBoxCacheModel(block_size=platform.block_size)
         self.scheduler = make_scheduler(
             self.config.scheduling,
             shares=self.config.shares,

@@ -1,5 +1,8 @@
 """Unit tests for Jain's fairness index."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.fairness import jains_fairness, proportional_shares
@@ -51,3 +54,35 @@ class TestShares:
     def test_zero_ratios_rejected(self):
         with pytest.raises(ValueError):
             proportional_shares(10, [0, 0])
+
+
+#: (delivered, desired, index) as the numpy implementation this helper
+#: replaced computed them for Fig. 4's four stride rows and the
+#: idleness ablation -- recorded as hex floats, compared bit for bit.
+RECORDED_FIG4 = [
+    ([7.282380799999999, 7.2741888, 7.2807424, 7.2725504],
+     [7.277465599999999] * 4, "0x1.fffff4f2065aap-1"),
+    ([6.0660224000000005, 12.1294336, 6.0676608, 6.0627455999999995],
+     [6.065172479999999, 12.130344959999999,
+      6.065172479999999, 6.065172479999999], "0x1.fffffd0b7be57p-1"),
+    ([13.643980800000001, 4.5439488, 9.1042816, 4.5439488],
+     [13.644068571428571, 4.548022857142857,
+      9.096045714285713, 4.548022857142857], "0x1.ffffed52886dep-1"),
+    ([5.490944, 4.36864, 5.4876672, 10.5205248],
+     [3.6953965714285713] * 3 + [14.781586285714285],
+     "0x1.df878f0b610fcp-1"),
+    ([3.5215872000000004, 3.3217024, 3.5265024, 13.005158400000001],
+     [3.3392786285714284] * 3 + [13.357114514285714],
+     "0x1.ff59b63003f33p-1"),
+]
+
+
+@pytest.mark.parametrize("delivered,desired,recorded", RECORDED_FIG4)
+def test_pure_python_matches_recorded_numpy_values(delivered, desired,
+                                                   recorded):
+    assert jains_fairness(delivered, desired) == float.fromhex(recorded)
+
+
+def test_importing_the_bench_package_does_not_import_numpy():
+    code = "import sys, repro.bench; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import signal
 import threading
+import time
 
 import pytest
 
@@ -60,6 +61,28 @@ def _hard_timeout(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def thread_tracebacks(monkeypatch):
+    """Uncaught exceptions of any thread; a test asserts it stays empty."""
+    seen: list[BaseException] = []
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda args: seen.append(args.exc_value))
+    return seen
+
+
+@pytest.fixture
+def wait_idle():
+    """Callable: wait for every handler of a server (but ``but_for``
+    connections the test still holds open) to finish; asserts it did."""
+    def wait(server, but_for: int = 0, timeout: float = 5.0) -> None:
+        deadline = time.monotonic() + timeout
+        while (server.active_connections() > but_for
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert server.active_connections() == but_for
+    return wait
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import time
 
 from repro.grid.discovery import Collector
 from repro.nest.config import NestConfig
-from repro.nest.server import NestServer
+from repro.nest.server import ADVERTISE_INTERVAL, NestServer
 
 
 def _config(name="ad-life"):
@@ -71,12 +71,12 @@ class TestAdvertiseTo:
             server.stop()
 
     def test_interval_defaults_to_config(self):
-        config = _config()
-        config.advertise_interval = 123.0
+        # The period was a NestConfig field until nothing set it; the
+        # default is the server module's ADVERTISE_INTERVAL now.
         collector = Collector()
-        with NestServer(config) as server:
+        with NestServer(_config()) as server:
             server.advertise_to(collector)
-            assert server._advert_interval == 123.0
+            assert server._advert_interval == ADVERTISE_INTERVAL
 
     def test_running_property(self):
         server = NestServer(_config())

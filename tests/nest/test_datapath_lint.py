@@ -1,0 +1,43 @@
+"""The door rule of ``scripts/lint_datapath.py``."""
+
+import importlib.util
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+
+spec = importlib.util.spec_from_file_location(
+    "lint_datapath", REPO / "scripts" / "lint_datapath.py")
+lint = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(lint)
+
+
+def test_handlers_touch_the_data_path_only_through_the_door():
+    handlers = REPO / "src" / "repro" / lint.HANDLERS
+    assert lint._door_violations(handlers) == []
+
+
+def test_a_handler_growing_its_own_copy_is_flagged(tmp_path):
+    source = tmp_path / "handlers.py"
+    source.write_text('''
+class ConnectionHandler:
+    def send(self, ticket):
+        with ticket:
+            self.server.transfers.submit(ticket.stream, self.wfile, 1, "x")
+        self.server.graybox.observe_read(ticket.path, 0, 1)
+
+    def finish(self):
+        self.ticket.settle(0)
+
+
+class FtpHandler(ConnectionHandler):
+    def cmd_retr(self, arg):
+        moved = self.server.transfers.transfer_sync(a, b, 1, protocol="ftp")
+        self.server.graybox.observe_read(arg, 0, moved)
+
+    def send(self, ticket):  # the door is the base class's, not any send()
+        ticket.settle(0)
+''')
+    flagged = [line.split(": ")[1].split(" ")[0]
+               for line in lint._door_violations(source)]
+    assert sorted(flagged) == [".observe_read", ".settle", ".settle",
+                               ".transfer_sync"]

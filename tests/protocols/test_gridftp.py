@@ -51,6 +51,12 @@ class TestBlockFraming:
         with pytest.raises(ProtocolError):
             gridftp.read_block(truncated)
 
+    def test_hostile_block_length_refused_before_allocating(self):
+        import struct
+        header = struct.pack(">BQQ", 0, 1 << 40, 0)  # a 1 TiB block
+        with pytest.raises(ProtocolError, match="exceeds"):
+            gridftp.read_block(io.BytesIO(header))
+
 
 class TestStriping:
     def test_round_robin_assignment(self):
@@ -105,3 +111,10 @@ class TestOpts:
             gridftp.parse_opts_retr("RETR Parallelism;")
         with pytest.raises(ProtocolError):
             gridftp.parse_opts_retr("RETR Parallelism=lots;")
+
+    def test_parallelism_is_capped(self):
+        top = gridftp.MAX_PARALLELISM
+        assert gridftp.parse_opts_retr(
+            f"RETR Parallelism={top};")["parallelism"] == top
+        with pytest.raises(ProtocolError, match="parallelism"):
+            gridftp.parse_opts_retr(f"RETR Parallelism={top + 1};")

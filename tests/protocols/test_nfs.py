@@ -104,6 +104,24 @@ class TestRecordMarking:
         with pytest.raises(ProtocolError):
             nfs.read_record(truncated)
 
+    def test_hostile_fragment_length_refused_before_allocating(self):
+        import struct
+        # Four bytes claiming a 2 GiB fragment, and nothing behind them.
+        with pytest.raises(ProtocolError, match="exceeds"):
+            nfs.read_record(io.BytesIO(struct.pack(">I", 0x7FFFFFFF)))
+
+    def test_fragments_are_bounded_in_total(self):
+        import struct
+        piece = struct.pack(">I", 4096) + b"x" * 4096  # never the last
+        with pytest.raises(ProtocolError, match="exceeds"):
+            nfs.read_record(io.BytesIO(piece * 8))
+
+    def test_largest_legitimate_call_fits(self):
+        import struct
+        body = b"w" * (nfs.BLOCK_SIZE + 1200)  # a WRITE block + envelope
+        buf = io.BytesIO(struct.pack(">I", 0x80000000 | len(body)) + body)
+        assert nfs.read_record(buf) == body
+
 
 class TestRpcEnvelope:
     def test_call_round_trip(self):
