@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Two rules, enforced by AST walk (so docstrings and comments that merely
+Three rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -22,6 +22,13 @@ mention of ``.settle``, ``transfers.submit``/``transfer_sync`` or
 ``graybox.observe_*`` in that file is a protocol handler growing its
 own copy of the approve -> move -> settle -> observe sequence, which is
 how "approved but never settled" bugs got in.
+
+Rule 3: every stream socket is tuned at birth by the one helper,
+``repro.protocols.common.tuned``.  A function under ``src/repro`` that
+calls ``.accept()`` or ``create_connection(`` must also call
+``tuned(``, and ``TCP_NODELAY`` is named nowhere but in that helper.
+A listener or dialler that skips it brings back the 44 ms
+Nagle/delayed-ACK stall on every reply it writes in two pieces.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -68,7 +75,8 @@ DOOR = {"send", "receive", "_move"}
 
 
 def _owner_name(node: ast.expr) -> str:
-    """``transfers`` for ``self.server.transfers`` or bare ``transfers``."""
+    """``transfers`` for ``self.server.transfers`` or bare ``transfers``
+    (of a call's ``func``: the name called)."""
     if isinstance(node, ast.Attribute):
         return node.attr
     return node.id if isinstance(node, ast.Name) else ""
@@ -99,12 +107,57 @@ def _door_violations(path: Path) -> list[str]:
     ]
 
 
+#: Where rule 3's helper lives (relative to ``src/repro``), and its name.
+TUNER_FILE = "protocols/common.py"
+TUNER = "tuned"
+
+
+def _births_socket(node: ast.Call) -> bool:
+    """``x.accept()`` (argless: ``gsi.accept(cert, ...)`` is not a
+    socket) or ``[socket.]create_connection(...)``."""
+    name = _owner_name(node.func)
+    return (name == "create_connection"
+            or (name == "accept" and isinstance(node.func, ast.Attribute)
+                and not node.args and not node.keywords))
+
+
+def _socket_violations(path: Path, rel: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    # Innermost enclosing def of every call: walk defs outermost first,
+    # so a nested def overwrites its parent's claim.
+    scope_of: dict[int, ast.AST] = {}
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.Module, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    scope_of[id(node)] = scope
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _births_socket(node):
+            scope = scope_of[id(node)]
+            if not any(isinstance(n, ast.Call)
+                       and _owner_name(n.func) == TUNER
+                       for n in ast.walk(scope)):
+                out.append(
+                    f"{path}:{node.lineno}: {_owner_name(node.func)}() without "
+                    f"{TUNER}() in the same function -- pass the new "
+                    "socket through repro.protocols.common.tuned")
+        if (rel != TUNER_FILE and isinstance(node, ast.Attribute)
+                and node.attr == "TCP_NODELAY"):
+            out.append(
+                f"{path}:{node.lineno}: TCP_NODELAY outside "
+                f"{TUNER_FILE} -- sockets are tuned by {TUNER}() only")
+    return out
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         problems.extend(_violations(path, rel))
+        problems.extend(_socket_violations(path, rel))
     problems.extend(_door_violations(root / HANDLERS))
     for line in problems:
         print(line, file=sys.stderr)

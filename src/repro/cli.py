@@ -321,13 +321,15 @@ def _fetch(target: str, path: str) -> bytes:
     """GET one management-endpoint document; raises OSError/ValueError."""
     import socket
 
+    from repro.protocols.common import tuned
+
     host, _, port = target.rpartition(":")
     try:
         portno = int(port)
     except ValueError:
         raise ValueError(f"target must be host:port, got {target!r}")
-    with socket.create_connection((host or "127.0.0.1", portno),
-                                  timeout=5.0) as conn:
+    with tuned(socket.create_connection((host or "127.0.0.1", portno),
+                                        timeout=5.0)) as conn:
         conn.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
         chunks = []
         while True:

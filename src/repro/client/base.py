@@ -26,6 +26,7 @@ from repro.client.errors import FatalError, TransientError, is_transient
 from repro.client.retry import RetryPolicy
 from repro.faults import FaultPlan
 from repro.obs.spans import current_trace_context
+from repro.protocols.common import tuned
 
 T = TypeVar("T")
 
@@ -64,12 +65,15 @@ class SessionClient:
     def _dial(self, host: str, port: int, timeout: float | None = None):
         """Open one (possibly fault-wrapped) TCP connection."""
         timeout = self.timeout if timeout is None else timeout
+
+        def dial():
+            return tuned(
+                socket.create_connection((host, port), timeout=timeout))
+
         if self.faults is not None:
             return self.faults.wrap_connect(
-                lambda: socket.create_connection((host, port), timeout=timeout),
-                label=f"{self.protocol}-client",
-            )
-        return socket.create_connection((host, port), timeout=timeout)
+                dial, label=f"{self.protocol}-client")
+        return dial()
 
     def _ensure_connected(self) -> None:
         if self.sock is not None:

@@ -37,10 +37,11 @@ class HttpClient(SessionClient):
         if not resp.ok:
             raise HttpError(resp.status, resp.message)
 
-    def _send(self, request: Request) -> None:
-        """Inject the trace context and write one request head."""
+    def _send(self, request: Request, flush: bool = True) -> None:
+        """Inject the trace context and write one request head
+        (``flush=False``: the body's flush carries it)."""
         self._inject_trace(request)
-        http.write_request(self.wfile, request)
+        http.write_request(self.wfile, request, flush=flush)
 
     def get(self, path: str) -> bytes:
         """GET a whole file."""
@@ -59,7 +60,7 @@ class HttpClient(SessionClient):
 
         def do() -> None:
             self._send(Request(rtype=RequestType.PUT, path=path,
-                               length=len(data)))
+                               length=len(data)), flush=False)
             self.wfile.write(data)
             self.wfile.flush()
             resp, headers = http.read_response_head(self.rfile)

@@ -52,7 +52,8 @@ class IbpClient(SessionClient):
         """
 
         def do() -> int:
-            write_line(self.wfile, f"store {write_cap} {len(data)}")
+            write_line(self.wfile, f"store {write_cap} {len(data)}",
+                       flush=False)
             self.wfile.write(data)
             self.wfile.flush()
             args = ibp.parse_reply(read_line(self.rfile))

@@ -18,7 +18,7 @@ from repro.faults import FaultPlan
 from repro.jbos.store import SimpleStore
 from repro.jbos.throttle import Throttle, Unthrottled
 from repro.obs.metrics import global_registry
-from repro.protocols.common import ProtocolError
+from repro.protocols.common import ProtocolError, tuned
 
 
 class NativeServer:
@@ -129,6 +129,7 @@ class NativeServer:
                 continue
             except OSError:
                 return
+            tuned(conn)
             if self.faults is not None:
                 wrapped = self.faults.wrap_accept(
                     conn, label=f"jbos-{self.protocol}")

@@ -60,7 +60,8 @@ class NativeChirpd(NativeServer):
         if request.rtype is RequestType.GET:
             data = store.read(request.path)
             write_line(wfile, chirp.encode_response(Response(Status.OK),
-                                                    [str(len(data))]))
+                                                    [str(len(data))]),
+                       flush=False)
             self.send_all(wfile, data)
         elif request.rtype is RequestType.PUT:
             write_line(wfile, "ok")
@@ -94,7 +95,8 @@ class NativeChirpd(NativeServer):
             ]
             payload = json.dumps(entries).encode()
             write_line(wfile, chirp.encode_response(Response(Status.OK),
-                                                    [str(len(payload))]))
+                                                    [str(len(payload))]),
+                       flush=False)
             wfile.write(payload)
             wfile.flush()
         else:

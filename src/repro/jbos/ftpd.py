@@ -7,7 +7,12 @@ import socket
 from repro.jbos.base import NativeServer
 from repro.jbos.store import SimpleStoreError
 from repro.protocols import ftp
-from repro.protocols.common import ProtocolError, read_line, write_line
+from repro.protocols.common import (
+    ProtocolError,
+    read_line,
+    tuned,
+    write_line,
+)
 
 
 class NativeFtpd(NativeServer):
@@ -132,10 +137,10 @@ class _FtpSession:
             conn, _ = self._pasv.accept()
             self._pasv.close()
             self._pasv = None
-            return conn
+            return tuned(conn)
         if self._port_target is not None:
             target, self._port_target = self._port_target, None
-            return socket.create_connection(target, timeout=10)
+            return tuned(socket.create_connection(target, timeout=10))
         raise SimpleStoreError("no data connection")
 
     def _retr(self, path: str) -> None:

@@ -46,7 +46,7 @@ class NativeHttpd(NativeServer):
             data = self.store.read(request.path)
             http.write_response_head(wfile, Response(Status.OK),
                                      content_length=len(data),
-                                     keep_alive=keep_alive)
+                                     keep_alive=keep_alive, flush=False)
             self.send_all(wfile, data)
         elif request.rtype is RequestType.STAT:
             size = self.store.size(request.path)

@@ -37,6 +37,7 @@ from repro.protocols.common import (
     Status,
     read_exact,
     read_line,
+    tuned,
     write_line,
 )
 from repro.protocols.xdr import Packer, Unpacker
@@ -219,6 +220,10 @@ class ConnectionHandler:
     # the reply.  ``mover(ticket) -> (moved, crc)`` replaces the
     # transfer manager for data that does not flow stream-to-stream
     # (GridFTP's framed lanes, a checksum pass, a third-party push).
+    #
+    # Wire discipline: one reply, one wire write.  A handler leaves the
+    # reply head in ``wfile``'s buffer (``flush=False``) and the flush
+    # that ends ``send`` carries head and body together.
     def send(self, ticket, sink: BinaryIO | None = None,
              mover=None) -> tuple[int, int | None]:
         """Move an approved read ticket's bytes out -- to the control
@@ -311,9 +316,19 @@ class ChirpHandler(ConnectionHandler):
             self._respond(Response(exc.status, message=exc.message))
         return True
 
-    def _respond(self, response: Response,
-                 args: list[str] | None = None) -> None:
-        write_line(self.wfile, chirp.encode_response(response, args))
+    def _respond(self, response: Response, args: list[str] | None = None,
+                 payload: bytes | None = None, flush: bool = True) -> None:
+        """One reply line -- followed, in the same wire write, by
+        ``payload`` (whose length is appended to ``args``).
+        ``flush=False`` when the body goes out through ``send``."""
+        if payload is not None:
+            args = [*(args or ()), str(len(payload))]
+        write_line(self.wfile, chirp.encode_response(response, args),
+                   flush=False)
+        if payload is not None:
+            self.wfile.write(payload)
+        if flush:
+            self.wfile.flush()
 
     def _authenticate(self, request: Request) -> None:
         mechanism = request.params.get("mechanism", "gsi")
@@ -342,7 +357,7 @@ class ChirpHandler(ConnectionHandler):
     def _get(self, request: Request) -> None:
         # Approve (permissions + existence) before promising data.
         ticket = self.server.storage.approve_get(self.user, request.path)
-        self._respond(Response(Status.OK), [str(ticket.size)])
+        self._respond(Response(Status.OK), [str(ticket.size)], flush=False)
         self.send(ticket)
 
     def _put(self, request: Request) -> None:
@@ -357,7 +372,7 @@ class ChirpHandler(ConnectionHandler):
         """Chirp ``read <path> <offset> <len>``: partial-file read."""
         ticket = self.server.storage.approve_read(
             self.user, request.path, request.offset, request.length)
-        self._respond(Response(Status.OK), [str(ticket.size)])
+        self._respond(Response(Status.OK), [str(ticket.size)], flush=False)
         self.send(ticket)
 
     def _block_write(self, request: Request) -> None:
@@ -371,10 +386,9 @@ class ChirpHandler(ConnectionHandler):
         write_line(self.wfile, f"ok {'-' if crc is None else crc} {moved}")
 
     def _query(self, request: Request) -> None:
-        payload = self.server.advertisement().external_repr().encode()
-        self._respond(Response(Status.OK), [str(len(payload))])
-        self.wfile.write(payload)
-        self.wfile.flush()
+        self._respond(
+            Response(Status.OK),
+            payload=self.server.advertisement().external_repr().encode())
 
     def _checksum(self, request: Request) -> None:
         """Chirp ``checksum <path>``: CRC32 over the file's contents.
@@ -436,10 +450,8 @@ class ChirpHandler(ConnectionHandler):
         elif request.rtype in (RequestType.LIST, RequestType.ACL_GET,
                                RequestType.LOT_STAT, RequestType.LOT_LIST,
                                RequestType.LOT_DELETE):
-            payload = json.dumps(response.data).encode()
-            self._respond(response, [str(len(payload))])
-            self.wfile.write(payload)
-            self.wfile.flush()
+            self._respond(response,
+                          payload=json.dumps(response.data).encode())
         elif request.rtype in (RequestType.LOT_CREATE, RequestType.LOT_RENEW):
             self._respond(response, [str(response.data["lot_id"]),
                                      str(response.data["capacity"]),
@@ -509,7 +521,7 @@ class HttpHandler(ConnectionHandler):
             ticket = storage.approve_get(self.user, request.path)
             http.write_response_head(self.wfile, Response(Status.OK),
                                      content_length=ticket.size,
-                                     keep_alive=keep_alive)
+                                     keep_alive=keep_alive, flush=False)
             self.send(ticket)
         elif request.rtype is RequestType.STAT:  # HEAD
             size = storage.stat(self.user, request.path)["size"]
@@ -708,6 +720,7 @@ class FtpHandler(ConnectionHandler):
                                             timeout=self.data_timeout)
         else:
             raise ProtocolError("no data connection configured")
+        tuned(conn)
         if self.server.faults is not None:
             conn = self.server.faults.wrap_socket(
                 conn, label=f"{self.protocol}-data")
@@ -847,9 +860,10 @@ class GridFtpHandler(FtpHandler):
             host, port = listener.getsockname()
             h = host.split(".")
             lines.append(f" {h[0]},{h[1]},{h[2]},{h[3]},{port // 256},{port % 256}")
-        write_line(self.wfile, "229-Entering Striped Passive Mode")
+        write_line(self.wfile, "229-Entering Striped Passive Mode",
+                   flush=False)
         for line in lines:
-            write_line(self.wfile, line)
+            write_line(self.wfile, line, flush=False)
         write_line(self.wfile, "229 End")
         return True
 
@@ -870,6 +884,7 @@ class GridFtpHandler(FtpHandler):
             for listener in self._spas_listeners:
                 listener.settimeout(self.data_timeout)
                 conn, _ = listener.accept()
+                tuned(conn)
                 if self.server.faults is not None:
                     conn = self.server.faults.wrap_socket(
                         conn, label="gridftp-stripe")
@@ -1237,7 +1252,7 @@ class IbpHandler(ConnectionHandler):
             cap = ibp.parse_capability(args[0])
             offset, nbytes = int(args[1]), int(args[2])
             data = depot.load(cap, offset, nbytes)
-            write_line(self.wfile, ibp.format_ok(len(data)))
+            write_line(self.wfile, ibp.format_ok(len(data)), flush=False)
             self.wfile.write(data)
             self.wfile.flush()
         elif verb == "probe":

@@ -212,8 +212,12 @@ def sendfile(out_fd: int, in_fd: int, count: int,
         try:
             sent = os.sendfile(out_fd, in_fd, None, count)
         except BlockingIOError:
-            ready = _select.select([], [out_fd], [], timeout)[1]
-            if not ready:
+            # poll, not select: select raises ValueError for
+            # descriptors >= FD_SETSIZE (1024), which a busy server's
+            # data sockets reach.
+            waiter = _select.poll()
+            waiter.register(out_fd, _select.POLLOUT)
+            if not waiter.poll(timeout * 1000):
                 raise OSError("sendfile: socket not writable "
                               f"within {timeout}s")
             continue

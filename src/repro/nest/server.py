@@ -37,6 +37,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.mgmt import ManagementEndpoint
 from repro.obs.slo import SloEngine
+from repro.protocols.common import tuned
 from repro.tier.heat import HeatTracker
 
 logger = get_logger(__name__)
@@ -606,6 +607,7 @@ class NestServer:
                 continue
             except OSError:
                 return
+            tuned(conn)
             if self.faults is not None:
                 wrapped = self.faults.wrap_accept(conn, label=f"nest-{proto}")
                 if wrapped is None:

@@ -32,6 +32,7 @@ from repro.obs.health import HealthMonitor
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
+from repro.protocols.common import tuned
 
 __all__ = ["ManagementEndpoint"]
 
@@ -119,6 +120,7 @@ class ManagementEndpoint:
                 continue
             except OSError:
                 return
+            tuned(conn)
             if not self._running:
                 try:
                     conn.close()

@@ -29,6 +29,7 @@ import threading
 import time
 
 from repro.perf.bench import _environment_stamp, append_record
+from repro.protocols.common import tuned
 
 HISTORY_PATH = "BENCH_concurrency.json"
 
@@ -74,7 +75,8 @@ def run_model(model: str, connections: int) -> dict:
         t0 = time.perf_counter()
         for _ in range(connections):
             try:
-                sock = socket.create_connection((host, port), timeout=10.0)
+                sock = tuned(
+                    socket.create_connection((host, port), timeout=10.0))
                 sock.settimeout(10.0)
                 if not _stat_roundtrip(sock, buf):
                     errors += 1

@@ -9,6 +9,7 @@ protocol connection" of the paper's section 3.
 from __future__ import annotations
 
 import enum
+import socket
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO
 
@@ -200,7 +201,27 @@ def read_line(stream: BinaryIO, limit: int = 65536) -> str:
     return raw.rstrip(b"\r\n").decode("utf-8", errors="replace")
 
 
-def write_line(stream: BinaryIO, line: str) -> None:
-    """Write ``line`` with CRLF termination and flush."""
+def write_line(stream: BinaryIO, line: str, flush: bool = True) -> None:
+    """Write ``line`` with CRLF termination and flush.
+
+    ``flush=False`` is for a reply head whose body follows: the line
+    stays in the stream's write buffer and leaves with the flush that
+    ends the body -- one reply, one wire write (sockets are born
+    through :func:`tuned`, so every flush is a packet).
+    """
     stream.write(line.encode("utf-8") + b"\r\n")
-    stream.flush()
+    if flush:
+        stream.flush()
+
+
+def tuned(sock: socket.socket) -> socket.socket:
+    """Tune a just-accepted or just-dialled TCP socket; returns it.
+
+    Every stream socket in the code base passes through here at birth
+    (``scripts/lint_datapath.py`` rule 3).  ``TCP_NODELAY``: all traffic
+    is request/reply with each side writing a whole message per flush,
+    so Nagle's algorithm has nothing to coalesce -- it can only hold a
+    message's last segment until the peer's delayed ACK (~40 ms) fires.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock

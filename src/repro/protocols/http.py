@@ -109,8 +109,10 @@ def read_headers(stream: BinaryIO) -> dict[str, str]:
         headers[key.strip().lower()] = value.strip()
 
 
-def write_request(stream: BinaryIO, req: Request) -> None:
-    """Serialize a request head (client side)."""
+def write_request(stream: BinaryIO, req: Request,
+                  flush: bool = True) -> None:
+    """Serialize a request head (client side); ``flush=False`` when a
+    body follows (see :func:`repro.protocols.common.write_line`)."""
     if req.rtype is RequestType.GET:
         method = "GET"
     elif req.rtype is RequestType.STAT:
@@ -129,14 +131,16 @@ def write_request(stream: BinaryIO, req: Request) -> None:
         lines.append(f"{TRACE_HEADER}: {trace}")
     head = "\r\n".join(lines) + "\r\n\r\n"
     stream.write(head.encode("latin-1"))
-    stream.flush()
+    if flush:
+        stream.flush()
 
 
 def write_response_head(
     stream: BinaryIO, resp: Response, content_length: int = 0,
-    keep_alive: bool = True,
+    keep_alive: bool = True, flush: bool = True,
 ) -> None:
-    """Serialize a response status line + headers (server side)."""
+    """Serialize a response status line + headers (server side);
+    ``flush=False`` when a body follows."""
     code, reason = _STATUS_LINE.get(resp.status, (500, "Internal Server Error"))
     connection = "keep-alive" if keep_alive else "close"
     head = (
@@ -146,7 +150,8 @@ def write_response_head(
         f"Connection: {connection}\r\n\r\n"
     )
     stream.write(head.encode("latin-1"))
-    stream.flush()
+    if flush:
+        stream.flush()
 
 
 def read_response_head(stream: BinaryIO) -> tuple[Response, dict[str, str]]:

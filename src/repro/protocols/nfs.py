@@ -89,9 +89,13 @@ _REPLY = 1
 
 
 def write_record(stream: BinaryIO, payload: bytes) -> None:
-    """Write one RPC record as a single last-fragment."""
-    stream.write(struct.pack(">I", 0x80000000 | len(payload)))
-    stream.write(payload)
+    """Write one RPC record as a single last-fragment.
+
+    Mark and payload go out as one write: a payload larger than the
+    stream's buffer (an 8 KiB READ reply) would otherwise push the
+    4-byte mark onto the wire as a packet of its own.
+    """
+    stream.write(struct.pack(">I", 0x80000000 | len(payload)) + payload)
     stream.flush()
 
 

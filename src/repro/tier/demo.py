@@ -180,6 +180,11 @@ def run_tier_demo(
     runs an autoscaler with deliberately twitchy thresholds.  Three hot
     files take a skewed crowd through the federated client while cold
     files are demoted to the cold tier and read back (recall on miss).
+    The crowd is a closed loop defined by its outcome, not its length:
+    each reader makes at least ``crowd_reads`` reads and keeps reading
+    until every hot file has a second holder or ``scale_deadline``
+    passes -- a crowd counted in reads alone is over before the
+    autoscaler's second tick when a read takes half a millisecond.
     Success: zero client-visible errors, every hot file replicated to a
     second site, all cold data intact, and (when ``tmp_dir`` is given)
     the crash harness green.
@@ -225,6 +230,8 @@ def run_tier_demo(
             target_count=1, policy="load", data_protocol="chirp")
         scalers = [server.attach_autoscaler(replicator)
                    for server in fleet.servers.values()]
+        #: set once the crowd is absorbed or the deadline passes.
+        crowd_over = threading.Event()
         try:
             payloads = {
                 f"hot-{i}.dat": bytes([65 + i]) * hot_bytes
@@ -268,8 +275,10 @@ def run_tier_demo(
                     catalog, fleet.collector, replicator,
                     credential=fleet.credential, data_protocol="chirp")
                 try:
-                    for j in range(crowd_reads):
+                    j = 0
+                    while j < crowd_reads or not crowd_over.is_set():
                         logical = hot_names[(seed + j) % len(hot_names)]
+                        j += 1
                         try:
                             got = mine.read(logical)
                             ok = got == payloads[logical]
@@ -307,10 +316,7 @@ def run_tier_demo(
                 chirp.close()
             recall_seconds = time.perf_counter() - t0
 
-            for t in threads:
-                t.join()
-
-            # -- wait for the autoscalers to absorb the crowd ------------
+            # -- the crowd reads on until the autoscalers absorb it ------
             deadline = time.monotonic() + scale_deadline
             def spread() -> dict[str, int]:
                 return {logical: len(catalog.valid_locations(logical))
@@ -318,6 +324,9 @@ def run_tier_demo(
             while (min(spread().values()) < 2
                    and time.monotonic() < deadline):
                 time.sleep(0.1)
+            crowd_over.set()
+            for t in threads:
+                t.join()
             replica_spread = spread()
 
             # Post-crowd reads must also be clean (served by any holder).
@@ -346,6 +355,7 @@ def run_tier_demo(
                 "seconds": round(elapsed, 4),
             })
         finally:
+            crowd_over.set()  # a failed run must not leave readers spinning
             for scaler in scalers:
                 scaler.stop()
     if tmp_dir is not None:

@@ -269,6 +269,65 @@ class TestStrategyParity:
         assert transfer.crc == PAYLOAD_CRC
 
 
+@pytest.mark.skipif(not fastio.sendfile_available,
+                    reason="platform has no os.sendfile")
+class TestSendfileWritabilityWait:
+    """A momentarily full timeout-carrying socket waits for room --
+    also when its descriptor is numbered past select()'s FD_SETSIZE,
+    as a busy server's data sockets are."""
+
+    @pytest.fixture
+    def full_socket(self):
+        """(descriptor >= 1024 of a socket whose send buffer is full,
+        its peer)."""
+        import fcntl
+
+        left, right = socket.socketpair()
+        left.setblocking(False)
+        try:
+            while True:
+                left.send(b"\0" * 65536)
+        except BlockingIOError:
+            pass
+        left.settimeout(5.0)  # a timeout-carrying socket: non-blocking fd
+        try:
+            high = fcntl.fcntl(left.fileno(), fcntl.F_DUPFD, 1024)
+        except OSError:
+            left.close()
+            right.close()
+            pytest.skip("descriptor limit below 1024")
+        try:
+            yield high, right
+        finally:
+            os.close(high)
+            left.close()
+            right.close()
+
+    def test_high_numbered_descriptor_waits_then_sends(
+            self, full_socket, tmp_path):
+        high, peer = full_socket
+        assert high >= 1024
+        path = tmp_path / "payload.dat"
+        path.write_bytes(PAYLOAD)
+
+        # One read empties the (socketpair-sized) send queue.
+        drainer = threading.Timer(0.05, peer.recv, args=(1 << 20,))
+        drainer.start()
+        with open(path, "rb") as f:
+            sent = fastio.sendfile(high, f.fileno(), len(PAYLOAD), timeout=5.0)
+        drainer.join(timeout=5)
+        assert not drainer.is_alive()
+        assert 0 < sent <= len(PAYLOAD)
+
+    def test_a_socket_that_never_drains_times_out_as_oserror(
+            self, full_socket, tmp_path):
+        high, _peer = full_socket
+        path = tmp_path / "payload.dat"
+        path.write_bytes(PAYLOAD)
+        with open(path, "rb") as f, pytest.raises(OSError, match="writable"):
+            fastio.sendfile(high, f.fileno(), len(PAYLOAD), timeout=0.05)
+
+
 class TestMetrics:
     def test_register_metrics_exposes_counters(self):
         from repro.obs.metrics import MetricsRegistry
