@@ -18,7 +18,7 @@ metadata (the journal, its snapshots), not client data.
 Rule 2: in ``nest/handlers.py`` a ticket is settled, a transfer is
 submitted and the gray-box model is fed in one place only -- the
 ``ConnectionHandler`` door (``send``/``receive``/``_move``).  Any other
-mention of ``.settle``, ``transfers.submit``/``transfer_sync`` or
+mention of ``.settle``, ``transfers.submit`` or
 ``graybox.observe_*`` in that file is a protocol handler growing its
 own copy of the approve -> move -> settle -> observe sequence, which is
 how "approved but never settled" bugs got in.
@@ -85,8 +85,7 @@ def _owner_name(node: ast.expr) -> str:
 def _is_datapath(node: ast.Attribute) -> bool:
     owner = _owner_name(node.value)
     return (node.attr == "settle"
-            or (owner == "transfers"
-                and node.attr in ("submit", "transfer_sync"))
+            or (owner == "transfers" and node.attr == "submit")
             or (owner == "graybox" and node.attr.startswith("observe_")))
 
 

@@ -55,9 +55,8 @@ def _cache_mix_run(policy: str, platform: PlatformProfile,
     Returns (mean response, mean cached-only response, throughput MB/s).
     """
     env = Environment()
-    cfg = NestConfig(scheduling=policy, concurrency="threads",
-                     transfer_workers=4)
-    server = SimNest(env, platform, cfg)
+    cfg = NestConfig(scheduling=policy, transfer_workers=4)
+    server = SimNest(env, platform, cfg, concurrency="threads")
     logs: list[ClientLog] = []
     cached_paths = set()
     for i in range(n_cached):
@@ -320,10 +319,10 @@ def run_seda_overload(platform: PlatformProfile = LINUX,
     result = SedaResult()
     for model in ("threads", "events", "seda"):
         env = Environment()
-        cfg = NestConfig(concurrency=model, concurrency_models=(model,),
-                         transfer_workers=1024, scheduling="fcfs",
+        cfg = NestConfig(transfer_workers=1024, scheduling="fcfs",
                          capacity_bytes=50 * (1 << 30))
-        server = SimNest(env, platform, cfg)
+        server = SimNest(env, platform, cfg, concurrency=model,
+                         models=(model,))
         small_logs: list[ClientLog] = []
         server.populate("/hot", 4096, resident=True)
         for _ in range(n_small):

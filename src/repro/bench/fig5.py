@@ -56,10 +56,8 @@ def run_concurrency_workload(
 ) -> ConcurrencyMeasurement:
     """Measure one scheme on one workload (steady-state window)."""
     env = Environment()
-    cfg = NestConfig(
-        concurrency=scheme, concurrency_models=models, scheduling="fcfs"
-    )
-    server = SimNest(env, platform, cfg)
+    server = SimNest(env, platform, NestConfig(scheduling="fcfs"),
+                     concurrency=scheme, models=models)
     for c in range(n_clients):
         if resident:
             paths = [f"/fig5/f-{c}"] * files_per_client

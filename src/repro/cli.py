@@ -6,12 +6,12 @@
                           [--concurrency-server M] [--shards N]
     python -m repro jbos  [--port-base P]
     python -m repro bench [fig3|fig4|fig5|fig6|ablations|all]
-    python -m repro perf  [smoke|kernel|figures|counters|transfer|concurrency]
-                          [--label L]
-    python -m repro replica [status|demo] [--sites N] [--factor K] [--record]
-    python -m repro tier    [status|demo] [--sites N] [--record]
+    python -m repro perf  [counters]
+    python -m repro replica [status|demo] [--sites N] [--factor K]
+    python -m repro tier    [status|demo] [--sites N]
     python -m repro recover --state-dir DIR [--store-root DIR]
-    python -m repro stats [host:port] [--path /metrics|/healthz|/trace|/ad]
+    python -m repro stats [host:port]
+                          [--path /metrics|/healthz|/trace|/slo|/ad]
 
 ``recover`` replays a ``state_dir``'s snapshot + metadata journal into
 a fresh storage manager and reports what came back (lots, interrupted
@@ -20,17 +20,15 @@ fsck-style view of durable appliance state.
 ``serve`` starts a live NeST on consecutive ports (Chirp at the base)
 and prints its availability ClassAd; ``jbos`` starts the native bunch;
 ``bench`` regenerates the paper's figures on the simulated testbed;
-``perf`` runs the wall-clock benchmarks (appending to the repo's
-``BENCH_*.json`` trajectory files) or prints the hot-path counters of a
-representative mixed run.  ``replica`` stands up an ephemeral federated
-fleet: ``status`` shows the catalog for one seeded file, ``demo`` runs
-the kill-and-heal scenario (and with ``--record`` appends its aggregate
-throughput to ``BENCH_replica.json``).  ``tier`` runs the hierarchical
-storage + autoscaling scenario: one tiered appliance under a flash
-crowd demotes cold files and recalls them on miss while its autoscaler
-replicates the hottest files to idle peers, plus a crash sweep proving
-residency survives a kill at every journal boundary (``--record``
-appends the throughput/absorption record to ``BENCH_tier.json``).
+``perf`` prints the simulated substrate's hot-path counters after a
+representative mixed run (timing anything is the job of
+``benchmarks/appliance/run.py``).  ``replica`` stands up an ephemeral
+federated fleet: ``status`` shows the catalog for one seeded file,
+``demo`` runs the kill-and-heal scenario.  ``tier`` runs the
+hierarchical storage + autoscaling scenario: one tiered appliance under
+a flash crowd demotes cold files and recalls them on miss while its
+autoscaler replicates the hottest files to idle peers, plus a crash
+sweep proving residency survives a kill at every journal boundary.
 ``stats`` scrapes a running appliance's
 management endpoint (the ``mgmt`` port ``serve`` prints), or -- with no
 target -- runs a small self-contained workload and prints the resulting
@@ -154,46 +152,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.what == "smoke":
-        from repro.perf.smoke import main as smoke_main
-
-        rest = ["--label", args.label] if args.label else []
-        return smoke_main(rest)
-    if args.what == "kernel":
-        from repro.perf.bench import record_kernel
-
-        record = record_kernel(label=args.label)
-        print(f"kernel bench: {record['wall_seconds']:.3f}s wall, "
-              f"{record['events_per_second']:,} events/s "
-              f"-> appended to BENCH_kernel.json")
-        return 0
-    if args.what == "transfer":
-        from repro.perf.transfer_bench import render, run
-
-        record = run(smoke=args.smoke, label=args.label)
-        print(render(record))
-        if not args.smoke:
-            print("-> appended to BENCH_transfer.json")
-        return 0
-    if args.what == "concurrency":
-        from repro.perf.concurrency_bench import render, run
-
-        record = run(smoke=args.smoke, label=args.label,
-                     connections=args.connections)
-        print(render(record))
-        if not args.smoke:
-            print("-> appended to BENCH_concurrency.json")
-        return 0
-    if args.what == "figures":
-        from repro.perf.bench import record_figures
-
-        record = record_figures(label=args.label)
-        for name, entry in record["figures"].items():
-            print(f"{name}: {entry['wall_seconds']:.3f}s")
-        print(f"total: {record['total_wall_seconds']:.3f}s "
-              f"-> appended to BENCH_figures.json")
-        return 0
-    # counters: run the traced mixed workload and print its snapshot.
+    """Run the traced mixed workload and print its counter snapshot."""
     from repro.perf.counters import collect_server
     from repro.perf.workloads import traced_mixed_workload
 
@@ -235,12 +194,6 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     print()
     print(json.dumps(record, indent=2, sort_keys=True))
     failed = record["read_errors"] or record["deficits_after_heal"]
-    if args.record:
-        from repro.perf.bench import _environment_stamp, append_record
-
-        record.update(_environment_stamp())
-        append_record("BENCH_replica.json", record)
-        print("\nappended to BENCH_replica.json")
     return 1 if failed else 0
 
 
@@ -262,12 +215,6 @@ def _cmd_tier(args: argparse.Namespace) -> int:
         print(render_tier_status(record))
     else:
         print(json.dumps(record, indent=2, sort_keys=True))
-    if args.record:
-        from repro.perf.bench import _environment_stamp, append_record
-
-        record.update(_environment_stamp())
-        append_record("BENCH_tier.json", record)
-        print("\nappended to BENCH_tier.json")
     return 0 if record["ok"] else 1
 
 
@@ -420,7 +367,7 @@ def _stats_demo() -> int:
             client.close()
         print("# one Chirp put + get against an ephemeral NeST;")
         print(f"# live scrape surface: {server.host}:{server.ports['mgmt']}"
-              " (/metrics /healthz /trace /ad)")
+              " (/metrics /healthz /trace /slo /ad)")
         print()
         print(server.obs.render_prometheus())
         print("# live-health ClassAd attributes")
@@ -471,19 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "ablations", "all"])
     bench.set_defaults(func=_cmd_bench)
 
-    perf = sub.add_parser("perf", help="wall-clock benchmarks and counters")
-    perf.add_argument("what", nargs="?", default="smoke",
-                      choices=["smoke", "kernel", "figures", "counters",
-                               "transfer", "concurrency"])
-    perf.add_argument("--label", default="",
-                      help="label stored with the trajectory record")
-    perf.add_argument("--smoke", action="store_true",
-                      help="transfer/concurrency bench: tiny sizes, "
-                           "counter sanity asserts only, no trajectory "
-                           "append")
-    perf.add_argument("--connections", type=int, default=0,
-                      help="concurrency bench: override the event-path "
-                           "connection target")
+    perf = sub.add_parser(
+        "perf", help="hot-path counter snapshot of a simulated mixed run")
+    perf.add_argument("what", nargs="?", default="counters",
+                      choices=["counters"])
     perf.set_defaults(func=_cmd_perf)
 
     replica = sub.add_parser(
@@ -502,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     replica.add_argument("--file-bytes", type=int, default=64 * 1024)
     replica.add_argument("--no-kill", action="store_true",
                          help="demo without killing an appliance")
-    replica.add_argument("--record", action="store_true",
-                         help="append the demo record to BENCH_replica.json")
     replica.set_defaults(func=_cmd_replica)
 
     tier = sub.add_parser(
@@ -522,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="concurrent reader threads")
     tier.add_argument("--no-crash", action="store_true",
                       help="skip the crash-at-every-journal-boundary sweep")
-    tier.add_argument("--record", action="store_true",
-                      help="append the demo record to BENCH_tier.json")
     tier.set_defaults(func=_cmd_tier)
 
     recover = sub.add_parser(
@@ -561,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="host:port of the management endpoint "
                             "(empty: run a self-contained demo workload)")
     stats.add_argument("--path", default="/metrics",
-                       choices=["/metrics", "/healthz", "/trace", "/ad"],
+                       choices=["/metrics", "/healthz", "/trace", "/slo",
+                                "/ad"],
                        help="which management document to fetch")
     stats.set_defaults(func=_cmd_stats)
     return parser

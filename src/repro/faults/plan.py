@@ -341,6 +341,13 @@ class FaultyStream:
         self._fsock._account("read", len(data))
         return data
 
+    def readinto(self, buffer) -> int:
+        # ``or 0``: a forced EOF comes back from the guard as ``b""``.
+        got = self._fsock._guard_read(
+            lambda: self._raw.readinto(buffer)) or 0
+        self._fsock._account("read", got)
+        return got
+
     def readline(self, limit: int = -1) -> bytes:
         data = self._fsock._guard_read(lambda: self._raw.readline(limit))
         self._fsock._account("read", len(data))

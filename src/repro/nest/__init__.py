@@ -16,14 +16,13 @@ modules:
 * **transfer manager** -- :mod:`repro.nest.transfer` moves data between
   protocol connections under pluggable schedulers
   (:mod:`repro.nest.scheduling`: FCFS, proportional-share stride,
-  cache-aware) and concurrency models with adaptive selection
-  (:mod:`repro.nest.concurrency`).
+  cache-aware); which concurrency architecture serves a connection is
+  chosen adaptively per accept (:mod:`repro.nest.concurrency`).
 
-The schedulers and the adaptive-concurrency policy are *pure* data
-structures, shared verbatim between this live server and the simulated
-substrate in :mod:`repro.simnest` -- the reproduction's embodiment of
-the paper's claim that transfer-manager optimizations apply to every
-protocol at once.
+The schedulers are *pure* data structures, shared verbatim between
+this live server and the simulated substrate in :mod:`repro.simnest`
+-- the reproduction's embodiment of the paper's claim that
+transfer-manager optimizations apply to every protocol at once.
 """
 
 from repro.nest.config import NestConfig

@@ -1,36 +1,27 @@
-"""Concurrency-model selection (paper, section 4.1).
+"""The live server's concurrency-architecture choice (paper, section 4.1).
 
-NeST supports three concurrency architectures -- threads, processes,
-and events -- because no single choice wins everywhere: "requests that
-hit in the cache may perform best with events, and those that are I/O
-bound perform best with threads or processes" [Pai et al.'s Flash].
-Rather than asking an administrator, NeST adapts: "distributing
-requests among the architectures equally at first, monitoring their
-progress, and then slowly biasing requests toward the most effective
-choice" -- while still trying all models periodically, which is the
-visible *cost of adaptation* in Fig. 5.
-
-The policy here is pure (no threads, no simulated time): harnesses call
-:meth:`AdaptiveSelector.choose` per request and
-:meth:`AdaptiveSelector.report` per completion.  The simulated server
-deals each transfer this way (Fig. 5); the live server makes the
-choice once per accepted connection, through
-:class:`ServerModelSwitcher`, which embeds the same selector.
+NeST supports several concurrency architectures because no single
+choice wins everywhere: "requests that hit in the cache may perform
+best with events, and those that are I/O bound perform best with
+threads or processes" [Pai et al.'s Flash].  Rather than asking an
+administrator, NeST adapts.  The live server makes that choice once
+per accepted connection, between its two architectures -- a thread per
+connection and the selector-driven event loop -- through
+:class:`ServerModelSwitcher`.  The per-transfer selection of Fig. 5
+(explore, then bias toward the best model) runs on the simulated
+substrate and lives there: :mod:`repro.simnest.concurrency`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-#: Model names, as in the paper -- plus SEDA, the staged architecture
-#: the paper plans to investigate ("e.g., SEDA and Crovella's
-#: experimental server").
+#: The two architectures the live server can route a connection to.
 THREADS = "threads"
-PROCESSES = "processes"
 EVENTS = "events"
-SEDA = "seda"
-ALL_MODELS = (THREADS, PROCESSES, EVENTS, SEDA)
+
+#: Smoothing of each model's measured goodput.
+EWMA_ALPHA = 0.25
 
 
 @dataclass
@@ -49,126 +40,16 @@ class ModelStats:
         self.completions += 1
 
 
-class Selector:
-    """Interface: pick a concurrency model for each incoming transfer."""
-
-    def choose(self) -> str:
-        raise NotImplementedError
-
-    def report(self, model: str, nbytes: int, elapsed: float) -> None:
-        """Feed back one completed transfer's size and service time."""
-
-
-class FixedSelector(Selector):
-    """Always the same model (the non-adaptive baselines of Fig. 5)."""
-
-    def __init__(self, model: str):
-        self.model = model
-
-    def choose(self) -> str:
-        return self.model
-
-    def report(self, model: str, nbytes: int, elapsed: float) -> None:
-        pass
-
-
-class AdaptiveSelector(Selector):
-    """Explore-then-bias adaptive selection.
-
-    Phases:
-
-    1. **warmup** -- until every model has ``warmup`` completions,
-       requests are dealt round-robin (the paper's "distributing
-       requests among the architectures equally at first");
-    2. **biased** -- requests are distributed by deterministic weighted
-       round-robin with each model's weight proportional to its
-       smoothed goodput ("slowly biasing requests toward the most
-       effective choice").  Every model keeps a weight floor of
-       ``probe_floor`` of the best, so NeST "tries all models
-       periodically" and can re-adapt when the workload shifts -- this
-       continued sampling of the slower model is the visible *cost of
-       adaptation* in Fig. 5.
-
-    Deterministic by construction: no randomness, so simulation runs
-    reproduce exactly.
-    """
-
-    def __init__(
-        self,
-        models: Sequence[str] = (THREADS, EVENTS),
-        warmup: int = 4,
-        probe_floor: float = 0.08,
-        ewma_alpha: float = 0.25,
-    ):
-        if not models:
-            raise ValueError("need at least one concurrency model")
-        self.models = list(models)
-        self.warmup = warmup
-        self.probe_floor = probe_floor
-        self.ewma_alpha = ewma_alpha
-        self.stats: dict[str, ModelStats] = {m: ModelStats() for m in self.models}
-        self._issued: dict[str, int] = {m: 0 for m in self.models}
-        self._credit: dict[str, float] = {m: 0.0 for m in self.models}
-        self._counter = 0
-
-    # -- policy ---------------------------------------------------------------
-    def _weights(self) -> dict[str, float]:
-        best = max(self.stats[m].ewma_goodput for m in self.models)
-        if best <= 0:
-            return {m: 1.0 for m in self.models}
-        return {
-            m: max(self.stats[m].ewma_goodput, self.probe_floor * best)
-            for m in self.models
-        }
-
-    def choose(self) -> str:
-        self._counter += 1
-        # Warmup: equal distribution until every model has evidence.
-        unwarm = [m for m in self.models if self.stats[m].completions < self.warmup]
-        if unwarm:
-            pick = min(unwarm, key=lambda m: self._issued[m])
-            self._issued[pick] += 1
-            return pick
-        # Biased phase: deterministic weighted round-robin (stride-like
-        # credit accumulation) by smoothed goodput.
-        weights = self._weights()
-        total = sum(weights.values())
-        for m in self.models:
-            self._credit[m] += weights[m]
-        pick = max(self.models, key=lambda m: (self._credit[m], m))
-        self._credit[pick] -= total
-        self._issued[pick] += 1
-        return pick
-
-    def report(self, model: str, nbytes: int, elapsed: float) -> None:
-        if model not in self.stats:
-            raise ValueError(f"unknown model {model!r}")
-        self.stats[model].observe(nbytes, elapsed, self.ewma_alpha)
-
-    # -- introspection -----------------------------------------------------------
-    def best_model(self) -> str:
-        """The model with the highest smoothed goodput so far."""
-        return max(
-            self.models,
-            key=lambda m: (self.stats[m].ewma_goodput, -self.models.index(m)),
-        )
-
-    def distribution(self) -> dict[str, int]:
-        """Requests issued per model (for experiment reporting)."""
-        return dict(self._issued)
-
-
 class ServerModelSwitcher:
     """Adaptive *server* architecture selection (Fig. 5, live).
 
-    Where :class:`AdaptiveSelector` deals individual transfers across
-    models by measured goodput, the server-architecture choice is
-    regime-defining: thread-per-connection collapses at high
-    connection counts no matter how good its per-request latency is.
-    The switcher is therefore threshold-driven on the live load
-    signals -- active connections and transfer queue depth -- with a
-    hysteresis band, and only consults measured per-request goodput
-    (an embedded :class:`AdaptiveSelector` fed by the server's
+    The server-architecture choice is regime-defining:
+    thread-per-connection collapses at high connection counts no
+    matter how good its per-request latency is.  The switcher is
+    therefore threshold-driven on the live load signals -- active
+    connections and transfer queue depth -- with a hysteresis band,
+    and only consults measured per-request goodput (one
+    :class:`ModelStats` per model, fed by the server's
     ``observe_request``) in the low-load regime where both
     architectures are viable:
 
@@ -198,8 +79,7 @@ class ServerModelSwitcher:
 
     def __init__(self, connections, queue_depth=None, throughput=None,
                  high: int = 256, low: int = 32, interval: float = 0.25,
-                 models: Sequence[str] = (THREADS, EVENTS), clock=None,
-                 slo_degraded=None, registry=None, tracer=None):
+                 clock=None, slo_degraded=None, registry=None, tracer=None):
         import time as _time
 
         self.connections = connections
@@ -209,7 +89,9 @@ class ServerModelSwitcher:
         self.high = high
         self.low = low
         self.interval = interval
-        self.selector = AdaptiveSelector(models=list(models))
+        #: measured per-request goodput; THREADS first, so it wins a
+        #: tie (and the no-evidence case).
+        self.stats = {THREADS: ModelStats(), EVENTS: ModelStats()}
         self.clock = clock or _time.monotonic
         self.model = THREADS
         self.flips = 0
@@ -242,7 +124,7 @@ class ServerModelSwitcher:
         if degraded or conns >= self.high or depth >= self.high:
             pick = EVENTS
         elif conns <= self.low:
-            pick = self.selector.best_model()
+            pick = max(self.stats, key=lambda m: self.stats[m].ewma_goodput)
         else:
             pick = self.model  # hysteresis: hold in the middle band
         if pick != self.model:
@@ -261,13 +143,4 @@ class ServerModelSwitcher:
     def report(self, model: str, nbytes: int, elapsed: float) -> None:
         """Feed one completed request's service time back (the
         low-load regime's evidence)."""
-        self.selector.report(model, nbytes, elapsed)
-
-
-def make_selector(name: str, models: Sequence[str] = (THREADS, EVENTS)) -> Selector:
-    """Factory: ``"adaptive"`` or a fixed model name."""
-    if name == "adaptive":
-        return AdaptiveSelector(models=models)
-    if name in ALL_MODELS:
-        return FixedSelector(name)
-    raise ValueError(f"unknown concurrency selection {name!r}")
+        self.stats[model].observe(nbytes, elapsed, EWMA_ALPHA)

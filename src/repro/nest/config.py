@@ -2,10 +2,11 @@
 
 One dataclass gathers every administrator-visible knob so the live
 server, the simulated server, and the benches construct servers the
-same way.  Defaults mirror the paper's release 0.9.  Two knobs are
-read by the simulated substrate only (``concurrency``,
-``concurrency_models``); ``transfer_workers`` bounds concurrent
-scheduler grants, not threads -- the live transfer manager has none.
+same way.  Defaults mirror the paper's release 0.9.  Forty fields, none
+of them read by the simulated substrate alone (its per-transfer
+concurrency selection is a ``SimNest`` constructor argument);
+``transfer_workers`` bounds concurrent scheduler grants, not threads
+-- the live transfer manager has none.
 
 A field lives here only while something sets it.  Sizes and thresholds
 nothing ever varied are the owning module's constructor default or a
@@ -46,16 +47,6 @@ class NestConfig:
     #: Stride shares keyed by "protocol" (the paper's implementation)
     #: or "user" (its stated per-user extension).
     share_by: str = "protocol"
-
-    #: Per-transfer concurrency model, *simulated substrate only*
-    #: (Fig. 5 lives there): "adaptive" (default) or a fixed model
-    #: ("threads", "processes", "events", "seda").  The live server
-    #: does not read it -- see ``concurrency_server``.
-    concurrency: str = "adaptive"
-
-    #: Models the simulated substrate's adaptive selector deals among
-    #: (simulated substrate only, like ``concurrency``).
-    concurrency_models: Sequence[str] = ("threads", "events")
 
     #: The live server's one concurrency decision -- how accepted
     #: connections are served: "threaded" dedicates one handler thread

@@ -25,8 +25,9 @@ never instance ``getattr``: fault-injection wrappers
 (:class:`repro.faults.plan.FaultyStream`) forward unknown attributes
 to the raw stream via ``__getattr__``, and an instance-level probe
 would route I/O around the fault plan.  A wrapped stream therefore
-always takes the honest ``read``/``write`` path, where every injected
-reset, short read, and stall still fires.
+never reaches sendfile: it takes the buffered path through its own
+guarded ``readinto``/``write``, where every injected reset, short
+read, and stall still fires.
 
 The module keeps plain-integer counters (the cheapest thing the hot
 path can afford, same convention as the sim kernel counters);
@@ -50,7 +51,6 @@ __all__ = [
     "COUNTERS",
     "DEFAULT_POOL",
     "real_fileno",
-    "supports_readinto",
     "sendfile",
     "sendfile_available",
     "copy_stream",
@@ -189,12 +189,6 @@ def real_fileno(stream) -> Optional[int]:
         return None
 
 
-def supports_readinto(stream) -> bool:
-    """Whether the stream class itself implements ``readinto``
-    (see :func:`real_fileno` for why instance probing is wrong here)."""
-    return getattr(type(stream), "readinto", None) is not None
-
-
 # ---------------------------------------------------------------------------
 # zero-copy send
 # ---------------------------------------------------------------------------
@@ -234,29 +228,19 @@ def copy_stream(source: BinaryIO, sink: BinaryIO, length: int = -1, *,
     """Copy ``length`` bytes (-1: to EOF) through one pooled buffer,
     folding ``zlib.crc32`` into the loop; returns ``(moved, crc)``.
 
-    Uses ``readinto`` when the source class supports it (no per-chunk
-    allocation); falls back to ``read`` for wrapped streams so fault
-    injection stays on-path.
+    The source is read with ``readinto`` (no per-chunk allocation).
     """
     pool = pool or DEFAULT_POOL
     buf = pool.acquire()
     view = memoryview(buf)
-    use_readinto = supports_readinto(source)
     moved = 0
     try:
         while length < 0 or moved < length:
             want = len(buf) if length < 0 else min(len(buf), length - moved)
-            if use_readinto:
-                got = source.readinto(view[:want])
-                if not got:
-                    break
-                chunk = view[:got]
-            else:
-                data = source.read(want)
-                if not data:
-                    break
-                got = len(data)
-                chunk = data
+            got = source.readinto(view[:want])
+            if not got:
+                break
+            chunk = view[:got]
             crc = zlib.crc32(chunk, crc)
             sink.write(chunk)
             moved += got
@@ -271,27 +255,19 @@ def stream_crc32(source: BinaryIO, length: int = -1, *, crc: int = 0,
                  pool: BufferPool | None = None) -> tuple[int, int]:
     """CRC32 of up to ``length`` bytes (-1: to EOF) read through one
     pooled buffer; returns ``(crc, nbytes)``.  Single pass, zero
-    per-chunk allocations for ``readinto``-capable sources."""
+    per-chunk allocations."""
     pool = pool or DEFAULT_POOL
     buf = pool.acquire()
     view = memoryview(buf)
-    use_readinto = supports_readinto(source)
     nbytes = 0
     try:
         while length < 0 or nbytes < length:
             want = len(buf) if length < 0 else min(len(buf), length - nbytes)
-            if use_readinto:
-                got = source.readinto(view[:want])
-                if not got:
-                    break
-                crc = zlib.crc32(view[:got], crc)
-                nbytes += got
-            else:
-                data = source.read(want)
-                if not data:
-                    break
-                crc = zlib.crc32(data, crc)
-                nbytes += len(data)
+            got = source.readinto(view[:want])
+            if not got:
+                break
+            crc = zlib.crc32(view[:got], crc)
+            nbytes += got
     finally:
         view.release()
         pool.release(buf)

@@ -328,12 +328,29 @@ class NestServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "NestServer":
-        """Bind every protocol listener and begin accepting."""
+        """Bind every protocol listener and begin accepting.
+
+        All or nothing: if anything fails to come up (a port in use,
+        the management endpoint, the first advertisement), whatever
+        did start is stopped again before the error is re-raised, so a
+        failed start never leaves a half-appliance serving.
+        """
         if self._running:
             raise RuntimeError("server already started")
         self._running = True
+        try:
+            self._start()
+        except BaseException:
+            self.stop(drain_timeout=0)
+            raise
+        logger.info("%s listening: %s", self.config.name, self.ports)
+        return self
+
+    def _start(self) -> None:
         for proto in self.config.protocols:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            # Registered before bind so a failed start closes it too.
+            self._listeners[proto] = listener
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             if self.config.reuse_port:
                 # Shard workers share one port; the kernel spreads
@@ -346,7 +363,6 @@ class NestServer:
             # queue would tolerate.
             listener.listen(1024)
             listener.settimeout(0.2)
-            self._listeners[proto] = listener
             self.ports[proto] = listener.getsockname()[1]
             thread = threading.Thread(
                 target=self._accept_loop, args=(proto, listener),
@@ -373,8 +389,6 @@ class NestServer:
         if (self.tier_manager is not None
                 and self.config.tier_scan_interval > 0):
             self.tier_manager.start(self.config.tier_scan_interval)
-        logger.info("%s listening: %s", self.config.name, self.ports)
-        return self
 
     def stop(self, drain_timeout: float = 5.0) -> dict[str, int]:
         """Graceful shutdown: stop accepting, drain, then force-close.

@@ -43,7 +43,6 @@ from repro.obs import spans as _spans
 #: sendfile would desynchronize the fd offset from the buffer).
 SENDFILE = "sendfile"
 POOLED = "pooled"
-LEGACY = "legacy"
 
 #: Bytes granted per quantum when a transfer is *alone*: a big quantum
 #: then costs no fairness and saves hundreds of arbitration passes.
@@ -112,10 +111,10 @@ class Transfer:
 
         ``sendfile`` needs a real descriptor on *both* ends -- checked
         at class level so fault-injection wrappers (which forward
-        ``fileno`` via ``__getattr__``) stay on the honest read/write
-        path.  ``pooled`` needs only a class-level ``readinto`` on the
-        source.  Everything else (wrapped streams, odd file-likes)
-        takes the legacy read/write loop, byte-for-byte as before.
+        ``fileno`` via ``__getattr__``) stay on the guarded
+        ``readinto``/``write`` path.  Everything else is ``pooled``,
+        which asks of the source only ``readinto``; a source without
+        one fails its transfer at the first quantum.
         """
         if (fastio.sendfile_available and self.total > 0
                 and fastio.real_fileno(self.source) is not None
@@ -127,9 +126,7 @@ class Transfer:
                 return SENDFILE
             except (OSError, ValueError):
                 pass
-        if fastio.supports_readinto(self.source):
-            return POOLED
-        return LEGACY
+        return POOLED
 
     # -- pumping (on the thread that called wait) ---------------------------
     def pump_chunk(self, nbytes: int) -> int:
@@ -142,9 +139,7 @@ class Transfer:
             if moved is not None:
                 return moved
             # fell through: sendfile refused this pair; demoted.
-        if self.strategy == POOLED:
-            return self._pump_pooled(want)
-        return self._pump_legacy(want)
+        return self._pump_pooled(want)
 
     def _pump_sendfile(self, want: int) -> Optional[int]:
         try:
@@ -152,10 +147,9 @@ class Transfer:
                                    want)
         except OSError:
             # Descriptor pair sendfile cannot serve (or a stalled
-            # socket): demote permanently; the buffered paths resume
+            # socket): demote permanently; the buffered path resumes
             # from the current descriptor offsets.
-            self.strategy = (POOLED if fastio.supports_readinto(self.source)
-                             else LEGACY)
+            self.strategy = POOLED
             return None
         if not sent:
             if self.moved < self.total:
@@ -190,21 +184,6 @@ class Transfer:
                 f"source ended {self.total - self.moved} bytes early"
             )
         return moved_now
-
-    def _pump_legacy(self, want: int) -> int:
-        data = self.source.read(want)
-        if not data:
-            if self.total >= 0 and self.moved < self.total:
-                raise TransferError(
-                    f"source ended {self.total - self.moved} bytes early"
-                )
-            return 0
-        if self.crc is not None:
-            self.crc = zlib.crc32(data, self.crc)
-        self.sink.write(data)
-        self.moved += len(data)
-        fastio.COUNTERS.count_fallback(len(data), self.crc is not None)
-        return len(data)
 
     def _release_buffer(self) -> None:
         if self._view is not None:
@@ -316,10 +295,6 @@ class TransferManager:
         with self._lock:
             self.scheduler.add(job)
         return transfer
-
-    def transfer_sync(self, *args, timeout: float | None = 60.0, **kwargs) -> int:
-        """Submit and pump; returns bytes moved (handler convenience)."""
-        return self.submit(*args, **kwargs).wait(timeout)
 
     def failures(self) -> list[dict[str, Any]]:
         """Recent transfer failures, oldest first.

@@ -9,7 +9,7 @@ a single ``logging`` configuration.  The lint lane
 this module is the only supported way to emit diagnostics.
 
 :func:`console` is the user-facing output channel for script entry
-points (``python -m repro.bench.fig3``, the perf smoke...): a logger
+points (``python -m repro.bench.fig3``...): a logger
 whose handler writes to *the current* ``sys.stdout`` (resolved per
 record, so pytest's capture and shell redirection both see it), with
 no level gate and no propagation into the root logger.

@@ -1,32 +1,29 @@
-"""Performance instrumentation for the simulated substrate.
+"""Introspection of the simulated substrate's hot paths.
 
-The perf layer has three jobs:
+Nothing here measures time -- the repository's one benchmark is
+``python3 benchmarks/appliance/run.py`` (see ``BENCHMARK.json``), whose
+``figures_des`` workload reports ``sim.events_per_s``,
+``sim.pool_hit_rate`` and ``bench.figN_wall_s``.  What stays is what a
+reader of those numbers needs to explain them:
 
 * **counters** -- cheap integer counters the kernel, link, and gate
   maintain on their hot paths (events scheduled/pooled, heap high-water
   mark, link reallocations, gate grants), snapshotted into plain
   dataclasses by :mod:`repro.perf.counters`;
-* **timing** -- the :class:`~repro.perf.timer.WallClockTimer` context
-  manager used by every benchmark;
-* **trajectory** -- :mod:`repro.perf.bench` runs the kernel
-  microbenchmark and the fig3--fig6 figure benchmarks and appends the
-  results to ``BENCH_kernel.json`` / ``BENCH_figures.json``, so each PR
-  from this one onward leaves a recorded wall-clock trajectory that can
-  prove a regression or a win.
+* **the golden workload** -- :func:`repro.perf.workloads.traced_mixed_workload`,
+  the deterministic protocol mix whose chunk-completion trace
+  ``tests/sim/test_determinism.py`` pins.
 
-Run ``repro perf --help`` (or ``python -m repro.perf.smoke``) for the
-command-line surface.
+``repro perf`` runs that workload and prints its counter snapshot.
 """
 
 from repro.perf.counters import (GateCounters, KernelCounters, LinkCounters,
                                  PerfReport, collect)
-from repro.perf.timer import WallClockTimer
 
 __all__ = [
     "GateCounters",
     "KernelCounters",
     "LinkCounters",
     "PerfReport",
-    "WallClockTimer",
     "collect",
 ]

@@ -1,19 +1,17 @@
-"""Deterministic perf/regression workloads.
+"""The deterministic mixed workload behind the golden trace.
 
-Two users:
+:func:`traced_mixed_workload` runs a fig3-style protocol mix on the
+simulated substrate and records every chunk moved.  Two users:
 
-* the **determinism regression test** replays
-  :func:`traced_mixed_workload` and asserts the event-completion order
-  and final byte counts are bit-identical to golden values captured
-  from the seed kernel (the optimized kernel must not change a single
-  simulated outcome);
-* the **kernel microbenchmark** (:func:`kernel_microbench_workload`)
-  exercises the kernel's hot machinery -- timeouts, process resumes,
-  already-fired events, the fair-share link -- without the full server
-  stack, so its events/second is a clean kernel-speed signal.
+* the **determinism regression test** replays it and asserts the
+  event-completion order and final byte counts are bit-identical to
+  golden values captured from the seed kernel (an optimized kernel must
+  not change a single simulated outcome);
+* ``repro perf`` runs it once and prints the hot-path counters it left
+  behind, with the trace digest.
 
-Everything here is closed-form deterministic: no randomness, no wall
-clock leaks into simulated results.
+Closed-form deterministic: no randomness, no wall clock leaks into
+simulated results.
 """
 
 from __future__ import annotations
@@ -111,65 +109,3 @@ def traced_mixed_workload(
     if return_server:
         return result, server
     return result
-
-
-def kernel_microbench_workload(
-    n_processes: int = 200,
-    steps: int = 50,
-    env: Environment | None = None,
-) -> Environment:
-    """A pure-kernel stress mix: timeouts, waits on shared events,
-    already-fired events, interrupts, and a fair-share link.
-
-    Returns the finished environment so callers can read its counters.
-    """
-    from repro.models.network import FairShareLink
-
-    env = env or Environment()
-    link = FairShareLink(env, capacity=1e6, name="bench-link")
-    beat = env.event()
-    last_fired = None
-
-    def metronome():
-        nonlocal beat, last_fired
-        for _ in range(steps):
-            yield env.timeout(1.0)
-            last_fired, beat = beat, env.event()
-            last_fired.succeed()
-
-    def worker(i: int):
-        for s in range(steps):
-            # A chain of small timeouts (the pooled fast path).
-            yield env.timeout(0.1 + (i % 7) * 0.01)
-            yield env.timeout(0.05)
-            if i % 3 == 0:
-                # Wait on the shared beat event.
-                yield beat
-            elif i % 3 == 1 and last_fired is not None:
-                # Yield an event that has already fired: the kernel's
-                # direct-resume (was: bridge-event) path.
-                yield last_fired
-            if i % 5 == 0:
-                yield link.transfer(1000.0 + i, cap=5e4)
-
-    def interrupter(victim):
-        yield env.timeout(steps / 2)
-        if victim.is_alive:
-            victim.interrupt("bench")
-
-    env.process(metronome(), name="metronome")
-    victims = []
-    for i in range(n_processes):
-        def patient(i=i):
-            try:
-                yield env.timeout(10 * steps)
-            except Exception:
-                yield env.timeout(0.5)
-
-        env.process(worker(i), name=f"worker-{i}")
-        if i % 50 == 0:
-            v = env.process(patient(), name=f"patient-{i}")
-            victims.append(v)
-            env.process(interrupter(v), name=f"interrupter-{i}")
-    env.run()
-    return env

@@ -167,7 +167,7 @@ def run_demo(
     """The federation demo: seed, kill, heal, verify.
 
     Returns a JSON-able record (aggregate throughput included) that the
-    CLI can append to the benchmark trajectory.
+    CLI prints.
     """
     fleet = Fleet(sites=sites, readvertise_interval=0.2, ad_ttl=2.0)
     started = time.perf_counter()

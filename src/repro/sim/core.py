@@ -34,7 +34,7 @@ Opt-in telemetry: :meth:`Environment.enable_trace` attaches a
 lifetimes in simulated time (exported to ``chrome://tracing`` via
 :mod:`repro.obs.export_chrome`).  Disabled -- the default -- it costs
 one ``is None`` test per dispatched event, so simulated results stay
-bit-exact and the microbenchmark wall clock is unchanged.
+bit-exact and the kernel's measured speed is unchanged.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ picture instead of a number.
 
 Tracing is **off by default** and guarded by a single ``is None``
 check in the dispatch loop, so the figure numbers stay bit-exact and
-the kernel microbenchmark's wall clock is unaffected when disabled
-(the invariant ``benchmarks/bench_kernel.py`` enforces).  The kernel
+the kernel's speed (the benchmark's ``sim.events_per_s``) is
+unaffected when disabled.  The kernel
 is single-threaded, so the trace keeps plain lists with no locking.
 """
 

@@ -2,7 +2,7 @@
 
 :class:`SimNest` binds the pure policy code -- the storage manager,
 the transfer schedulers of :mod:`repro.nest.scheduling`, and the
-adaptive concurrency selector of :mod:`repro.nest.concurrency` -- to
+adaptive concurrency selector of :mod:`repro.simnest.concurrency` -- to
 the modelled testbed (filesystem, buffer cache, disk, fair-share link).
 Client processes call its ``serve_*`` generator methods, which spend
 simulated time exactly where the real server spends real time: protocol
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import Generator, Sequence
 
 from repro.models.filesystem import FileSystemModel
 from repro.models.network import FairShareLink
 from repro.models.platform import PlatformProfile
-from repro.nest.concurrency import (EVENTS, PROCESSES, SEDA, THREADS,
-                                    Selector, make_selector)
+from repro.nest.concurrency import EVENTS, THREADS
 from repro.nest.config import NestConfig
 from repro.nest.graybox import GrayBoxCacheModel
 from repro.nest.scheduling import TransferJob, make_job, make_scheduler
@@ -36,6 +35,8 @@ from repro.nest.storage import StorageManager, StorageError
 from repro.protocols.common import Status
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
+from repro.simnest.concurrency import (PROCESSES, SEDA, Selector,
+                                       make_selector)
 from repro.simnest.gate import PumpGate
 from repro.simnest.protocolspec import DEFAULT_SPECS, ProtocolSpec
 
@@ -105,6 +106,8 @@ class SimNest:
         link: FairShareLink | None = None,
         specs: dict[str, ProtocolSpec] | None = None,
         is_native: bool = False,
+        concurrency: str = "adaptive",
+        models: Sequence[str] = (THREADS, EVENTS),
     ):
         self.env = env
         self.platform = platform
@@ -143,9 +146,11 @@ class SimNest:
             env, self.scheduler, workers=self.config.transfer_workers,
             grant_cost=grant_cost,
         )
-        self.selector: Selector = make_selector(
-            self.config.concurrency, models=self.config.concurrency_models
-        )
+        #: per-transfer concurrency model (Fig. 5): "adaptive" deals
+        #: transfers among ``models``; a model name pins every transfer
+        #: to it.
+        self.concurrency = concurrency
+        self.selector: Selector = make_selector(concurrency, models=models)
         #: the event loop: capacity-1 -- a single-threaded loop can do
         #: exactly one thing at a time (this is what hurts events on
         #: disk-bound work in Fig. 5).
@@ -381,8 +386,8 @@ class SimNest:
     # pumping under a concurrency model
     # ------------------------------------------------------------------
     def _fixed_model(self) -> str:
-        if self.config.concurrency in (THREADS, EVENTS, PROCESSES, SEDA):
-            return self.config.concurrency
+        if self.concurrency in (THREADS, EVENTS, PROCESSES, SEDA):
+            return self.concurrency
         return THREADS
 
     def _thread_overload_factor(self) -> float:
@@ -558,12 +563,11 @@ class SimJbos:
         for proto in protocols:
             cfg = NestConfig(
                 name=f"native-{proto}", protocols=(proto,),
-                scheduling="fcfs", concurrency="threads",
-                transfer_workers=workers_per_server,
+                scheduling="fcfs", transfer_workers=workers_per_server,
             )
             self.servers[proto] = SimNest(
                 env, platform, cfg, fs=self.fs, link=self.link,
-                specs=specs, is_native=True,
+                specs=specs, is_native=True, concurrency="threads",
             )
 
     def __getitem__(self, protocol: str) -> SimNest:

@@ -16,8 +16,10 @@ Two harnesses:
   replicating the hot files to under-loaded peers with **zero**
   client-visible read errors.
 
-The returned record lands in ``BENCH_tier.json`` next to the other
-benchmark trajectories.
+The returned record is what ``repro tier demo`` prints and what
+``tests/tier`` asserts on (absorption, zero read errors, crash-sweep
+survival); its throughput fields describe this one run and are kept
+nowhere.
 """
 
 from __future__ import annotations

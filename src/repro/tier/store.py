@@ -83,6 +83,11 @@ class _ThrottledStream:
         self._pay(len(data))
         return data
 
+    def readinto(self, buffer) -> int:
+        got = self._raw.readinto(buffer)
+        self._pay(got)
+        return got
+
     def write(self, data) -> int:
         self._pay(len(data))
         return self._raw.write(data)

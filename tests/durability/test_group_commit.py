@@ -139,3 +139,51 @@ class TestStorageIntegration:
         assert made == {f"/w{w}-d{i}" for w in range(nthreads)
                         for i in range(per_thread)}
         dm.close(snapshot=False)
+
+
+class TestLiveAppliance:
+    def test_concurrent_puts_journal_two_records_each(self, tmp_path):
+        """4 writers x 2 PUTs over Chirp into a durable appliance: every
+        PUT journals its begin and its commit, and the flusher (given a
+        2 ms dally so appenders can pile on) never syncs more often
+        than once per record."""
+        from repro.client.chirp import ChirpClient
+        from repro.nest.config import NestConfig
+        from repro.nest.server import NestServer
+
+        writers, per_writer = 4, 2
+        payload = bytes(range(256)) * 32  # 8 KiB
+        config = NestConfig(name="group-commit", protocols=("chirp",),
+                            state_dir=str(tmp_path / "state"),
+                            snapshot_every=0, journal_batch_delay=0.002,
+                            management=False)
+        errors: list[BaseException] = []
+        with NestServer(config) as server:
+            endpoint = server.endpoint("chirp")
+            barrier = threading.Barrier(writers)
+
+            def writer(w):
+                try:
+                    with ChirpClient(*endpoint) as client:
+                        barrier.wait(10)
+                        for i in range(per_writer):
+                            client.put(f"/w{w}-f{i}.dat", payload)
+                except BaseException as exc:  # noqa: BLE001 - reported
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=writer, args=(w,))
+                       for w in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            journal = server.durability.journal
+            records, fsyncs = journal.records_appended, journal.fsync_count
+            stored = [entry["size"]
+                      for entry in server.storage.listdir("admin", "/")]
+        puts = writers * per_writer
+        assert stored == [len(payload)] * puts
+        assert records >= 2 * puts
+        assert 0 < fsyncs <= records

@@ -11,6 +11,10 @@ Three bugs the concurrency work exposed, each pinned here:
 * Re-calling ``advertise_to(..., readvertise_interval=0)`` on a
   running server left the old heartbeat spinning on ``Event.wait(0)``,
   flooding the collector with ads.
+
+And one found later: a ``start()`` that failed part-way (a port in
+use) left the listeners it had already bound accepting and serving,
+``running`` True and the journal open.
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.nest import io as fastio
 from repro.nest.config import NestConfig
 from repro.nest.handlers import ChirpHandler
+from repro.nest.server import NestServer
 from repro.nest.transfer import BURST_BYTES, TransferError, TransferManager
 
 
@@ -205,3 +212,35 @@ class TestHeartbeatReconfigure:
         assert collector.ads >= 4  # the new fast interval took over
         names = _thread_names(f"nest-advertise-{srv.config.name}")
         assert len(names) == 1  # old beat joined, exactly one remains
+
+
+class TestFailedStart:
+    def test_a_port_in_use_leaves_nothing_started(self, tmp_path):
+        """``start()`` is all or nothing.  Chirp binds and begins
+        accepting, then HTTP finds its port taken: the error reaches
+        the caller and nothing of the appliance is left up -- which
+        ``with NestServer(...)`` relies on, since ``__exit__`` never
+        runs when ``__enter__`` raises."""
+        collector = CountingCollector()
+        with socket.socket() as squatter:
+            squatter.bind(("127.0.0.1", 0))
+            squatter.listen(1)
+            srv = NestServer(
+                NestConfig(name="half", protocols=("chirp", "http"),
+                           state_dir=str(tmp_path / "state")),
+                ports={"http": squatter.getsockname()[1]})
+            srv.advertise_to(collector, readvertise_interval=0.02)
+            with pytest.raises(OSError, match="in use"):
+                with srv:
+                    pytest.fail("a half-started server was entered")
+        assert not srv.running
+        assert srv._threads and not any(t.is_alive() for t in srv._threads)
+        assert all(listener.fileno() == -1
+                   for listener in srv._listeners.values())
+        with pytest.raises(OSError):  # the port Chirp had bound is dead
+            socket.create_connection(("127.0.0.1", srv.ports["chirp"]),
+                                     timeout=1.0).close()
+        assert srv.mgmt is None
+        assert srv._advert_thread is None
+        assert collector.withdrawn == ["half"]
+        assert srv.durability.journal._file is None

@@ -93,6 +93,46 @@ class TestFaultPlanWiring:
             a.close()
             b.close()
 
+    def test_readinto_is_guarded_and_accounted_like_read(self):
+        """The pooled pump reads wrapped streams through ``readinto``:
+        same guard, same byte accounting, so a threshold that falls in
+        the middle of a buffer fires on the next call -- at the offset
+        ``read`` reports -- and a SHORT reads as EOF."""
+        def third_pull(action, pull):
+            plan = FaultPlan([FaultRule(op="read", action=action,
+                                        after_bytes=10)])
+            a, b = socket.socketpair()
+            try:
+                b.sendall(b"0123456789abcdef")
+                fsock = plan.wrap_socket(a)
+                stream = fsock.makefile("rb")
+                assert pull(stream) == b"01234567"  # 8 moved
+                assert pull(stream) == b"89abcdef"  # threshold mid-buffer
+                assert plan.events == []
+                try:
+                    last = pull(stream)             # 16 >= 10: fires
+                except FaultInjected:
+                    last = "reset"
+                assert fsock._moved["read"] == 16
+                return last, [(e.op, e.action, e.at_bytes)
+                              for e in plan.events]
+            finally:
+                a.close()
+                b.close()
+
+        def readinto(stream):
+            buf = bytearray(8)
+            return bytes(buf[:stream.readinto(buf)])
+
+        def read(stream):
+            return stream.read(8)
+
+        for action, last in ((FaultAction.RESET, "reset"),
+                             (FaultAction.SHORT, b"")):
+            expected = (last, [("read", action, 16)])
+            assert third_pull(action, readinto) == expected
+            assert third_pull(action, read) == expected
+
     def test_accept_fault_closes_socket_and_returns_none(self):
         plan = FaultPlan.fail_accept(count=1)
         a, b = socket.socketpair()

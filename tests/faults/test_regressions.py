@@ -181,7 +181,7 @@ class TestFtpDataTimeout:
 # satellite (d): transfer failure surfacing
 # ---------------------------------------------------------------------------
 class _ExplodingSource:
-    def read(self, n: int) -> bytes:
+    def readinto(self, buffer) -> int:
         raise OSError("disk gone")
 
 

@@ -11,6 +11,7 @@ whose margins (0.5 ms fixed, 43 ms stalled, 20 ms bound) cannot flake.
 import socket
 import statistics
 import time
+import weakref
 
 import pytest
 
@@ -164,13 +165,24 @@ def test_one_reply_is_one_wire_write(counted, name):
 @pytest.fixture
 def census(monkeypatch):
     """``{(local address, peer address): TCP_NODELAY}`` for every
-    connected TCP socket the process shuts down or closes during the
-    test -- control and data channels, server and client ends alike."""
+    connected TCP socket born during the test that the process shuts
+    down or closes -- control and data channels, server and client
+    ends alike.  (Born during the test: a handler thread of the module's
+    ``counted`` server may still be closing its end of an earlier
+    test's connection, whose client end closed before this began.)"""
     seen: dict[tuple, int] = {}
+    born = weakref.WeakSet()
+    real_init = socket.socket.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        born.add(self)
+
+    monkeypatch.setattr(socket.socket, "__init__", init)
 
     def recording(real):
         def method(self, *args):
-            if (self.family == socket.AF_INET
+            if (self in born and self.family == socket.AF_INET
                     and self.type == socket.SOCK_STREAM
                     and self.fileno() >= 0):
                 try:

@@ -1,8 +1,9 @@
-"""Unit tests for adaptive concurrency-model selection."""
+"""Unit tests for adaptive concurrency-model selection (the simulated
+substrate's per-transfer selector)."""
 
 import pytest
 
-from repro.nest.concurrency import (
+from repro.simnest.concurrency import (
     ALL_MODELS,
     AdaptiveSelector,
     FixedSelector,

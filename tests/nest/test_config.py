@@ -33,5 +33,5 @@ class TestValidation:
         cfg = NestConfig()
         assert set(cfg.protocols) == {"chirp", "ftp", "gridftp", "http", "nfs"}
         assert cfg.scheduling == "fcfs"
-        assert cfg.concurrency == "adaptive"
+        assert cfg.concurrency_server == "threaded"
         assert cfg.lot_enforcement == "quota"

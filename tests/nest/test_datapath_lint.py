@@ -31,7 +31,7 @@ class ConnectionHandler:
 
 class FtpHandler(ConnectionHandler):
     def cmd_retr(self, arg):
-        moved = self.server.transfers.transfer_sync(a, b, 1, protocol="ftp")
+        moved = self.server.transfers.submit(a, b, 1, protocol="ftp").wait()
         self.server.graybox.observe_read(arg, 0, moved)
 
     def send(self, ticket):  # the door is the base class's, not any send()
@@ -40,7 +40,7 @@ class FtpHandler(ConnectionHandler):
     flagged = [line.split(": ")[1].split(" ")[0]
                for line in lint._door_violations(source)]
     assert sorted(flagged) == [".observe_read", ".settle", ".settle",
-                               ".transfer_sync"]
+                               ".submit"]
 
 
 def test_every_socket_in_src_is_tuned_at_birth():

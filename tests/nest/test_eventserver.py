@@ -4,9 +4,11 @@ The EventLoop tests drive the loop with a minimal echo handler over
 socketpairs -- no NestServer, no protocols -- to pin the park /
 dispatch / re-park / retire cycle and the two-phase shutdown.  The
 switcher tests inject signal callables and a fake clock so the policy
-is exercised without sockets at all.  The final test is the
-acceptance-criterion one: a real adaptive-mode server demonstrably
-flips to the event architecture under connection load.
+is exercised without sockets at all.  The live tests are the
+acceptance-criterion ones: a real adaptive-mode server demonstrably
+flips to the event architecture under connection load, and each
+architecture shows its thread signature while holding a burst of
+connections open.
 """
 
 from __future__ import annotations
@@ -265,3 +267,56 @@ class TestAdaptiveServerFlip:
             finally:
                 for sock in socks:
                     sock.close()
+
+
+def _stat_root(sock) -> bool:
+    """One raw Chirp ``stat /`` round trip; True when the reply is ok."""
+    sock.sendall(b"stat /\r\n")
+    reply = b""
+    while not reply.endswith(b"\n"):
+        data = sock.recv(4096)
+        if not data:
+            return False
+        reply += data
+    return reply.startswith(b"ok")
+
+
+class TestConnectionBurst:
+    """Fig. 5's point on real sockets: N connections held open at once,
+    each served while all the others stay open, then each served again.
+    Thread-per-connection needs a thread per held connection; the event
+    path holds them all on its fixed pool."""
+
+    def _hold(self, mode: str, connections: int):
+        from repro.nest.server import NestServer
+
+        before = set(threading.enumerate())
+        config = NestConfig(name=f"burst-{mode}", protocols=("chirp",),
+                            concurrency_server=mode, management=False)
+        socks = []
+        with NestServer(config) as srv:
+            try:
+                for _ in range(connections):
+                    sock = socket.create_connection(srv.endpoint("chirp"),
+                                                    timeout=10.0)
+                    socks.append(sock)
+                    assert _stat_root(sock)
+                held = srv.active_connections()
+                threads = set(threading.enumerate()) - before
+                # Second sweep: every held connection is still served.
+                assert all([_stat_root(sock) for sock in socks])
+            finally:
+                for sock in socks:
+                    sock.close()
+        return held, [t.name for t in threads]
+
+    def test_event_server_holds_a_burst_on_a_fixed_pool(self):
+        held, threads = self._hold("events", 96)
+        assert held >= 96
+        assert len(threads) < 96 / 2
+        assert "nest-chirp-conn" not in threads
+
+    def test_threaded_server_spends_a_thread_per_connection(self):
+        held, threads = self._hold("threaded", 32)
+        assert held >= 32
+        assert threads.count("nest-chirp-conn") >= 32

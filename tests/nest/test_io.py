@@ -11,7 +11,7 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.nest import io as fastio
 from repro.nest.config import NestConfig
-from repro.nest.transfer import (LEGACY, POOLED, SENDFILE, TransferManager)
+from repro.nest.transfer import POOLED, SENDFILE, TransferManager
 
 PAYLOAD = (bytes(range(256)) * 4099)[: 1_000_003]  # ~1 MB, odd size
 PAYLOAD_CRC = zlib.crc32(PAYLOAD) & 0xFFFFFFFF
@@ -84,21 +84,6 @@ class TestCopyStream:
         assert sink.getvalue() == PAYLOAD
         assert crc == PAYLOAD_CRC
 
-    def test_read_fallback_path_is_bit_identical(self):
-        class ReadOnly:
-            """No class-level readinto: forces the read() fallback."""
-
-            def __init__(self, data):
-                self._bio = io.BytesIO(data)
-
-            def read(self, n=-1):
-                return self._bio.read(n)
-
-        sink = io.BytesIO()
-        moved, crc = fastio.copy_stream(ReadOnly(PAYLOAD), sink)
-        assert (moved, crc) == (len(PAYLOAD), PAYLOAD_CRC)
-        assert sink.getvalue() == PAYLOAD
-
     def test_bounded_length(self):
         sink = io.BytesIO()
         moved, crc = fastio.copy_stream(io.BytesIO(PAYLOAD), sink, 1000)
@@ -140,7 +125,6 @@ class TestEligibility:
             wrapper = Forwarder(f)
             assert wrapper.fileno() == f.fileno()  # forwards fine...
             assert fastio.real_fileno(wrapper) is None  # ...but not trusted
-            assert not fastio.supports_readinto(wrapper)
 
 
 class TestStrategyParity:
@@ -252,22 +236,6 @@ class TestStrategyParity:
         assert plan.fired("short") == 1
         assert len(received[0]) < len(PAYLOAD)
 
-    def test_legacy_source_strategy_for_plain_readers(self, manager):
-        class ReadOnly:
-            def __init__(self, data):
-                self._bio = io.BytesIO(data)
-
-            def read(self, n=-1):
-                return self._bio.read(n)
-
-        sink = io.BytesIO()
-        transfer = manager.submit(ReadOnly(PAYLOAD), sink,
-                                  len(PAYLOAD), protocol="chirp")
-        assert transfer.strategy == LEGACY
-        assert transfer.wait(30) == len(PAYLOAD)
-        assert sink.getvalue() == PAYLOAD
-        assert transfer.crc == PAYLOAD_CRC
-
 
 @pytest.mark.skipif(not fastio.sendfile_available,
                     reason="platform has no os.sendfile")
@@ -326,6 +294,36 @@ class TestSendfileWritabilityWait:
         path.write_bytes(PAYLOAD)
         with open(path, "rb") as f, pytest.raises(OSError, match="writable"):
             fastio.sendfile(high, f.fileno(), len(PAYLOAD), timeout=0.05)
+
+
+@pytest.mark.skipif(not fastio.sendfile_available,
+                    reason="platform has no os.sendfile")
+class TestLiveSendfile:
+    def test_a_file_backed_get_goes_out_by_sendfile_alone(self, tmp_path):
+        """End to end over Chirp: a ``LocalFSStore`` file reaches the
+        client intact and every quantum of it was a sendfile -- none
+        fell back to the pooled copy."""
+        from repro.client.chirp import ChirpClient
+        from repro.nest.backends import LocalFSStore
+        from repro.nest.server import NestServer
+
+        payload = PAYLOAD[:256 * 1024]
+        config = NestConfig(name="live-sendfile", protocols=("chirp",),
+                            management=False)
+        with NestServer(config, store=LocalFSStore(str(tmp_path))) as server:
+            with ChirpClient(*server.endpoint("chirp")) as client:
+                client.put("/f.dat", payload)  # seeds via the pooled path
+                before = fastio.COUNTERS.snapshot()
+                data = client.get("/f.dat")
+        # Read once the server has stopped: the client can hold the
+        # last byte before the handler thread has counted its send.
+        after = fastio.COUNTERS.snapshot()
+        assert zlib.crc32(data) == zlib.crc32(payload)
+        assert len(data) == len(payload)
+        assert after["sendfile_sends"] > before["sendfile_sends"]
+        assert (after["sendfile_bytes"] - before["sendfile_bytes"]
+                == len(payload))
+        assert after["fallback_sends"] == before["fallback_sends"]
 
 
 class TestMetrics:

@@ -52,19 +52,19 @@ class TestBasicTransfers:
     def test_round_trip(self, manager):
         payload = b"payload " * 10_000
         sink = io.BytesIO()
-        moved = manager.transfer_sync(io.BytesIO(payload), sink,
-                                      len(payload), "chirp")
+        moved = manager.submit(io.BytesIO(payload), sink,
+                               len(payload), "chirp").wait()
         assert moved == len(payload)
         assert sink.getvalue() == payload
 
     def test_empty_transfer(self, manager):
         sink = io.BytesIO()
-        assert manager.transfer_sync(io.BytesIO(b""), sink, 0, "http") == 0
+        assert manager.submit(io.BytesIO(b""), sink, 0, "http").wait() == 0
 
     def test_unknown_length_reads_to_eof(self, manager):
         payload = b"x" * 123_456
         sink = io.BytesIO()
-        moved = manager.transfer_sync(io.BytesIO(payload), sink, -1, "ftp")
+        moved = manager.submit(io.BytesIO(payload), sink, -1, "ftp").wait()
         assert moved == len(payload)
 
     def test_short_source_reports_error(self, manager):
@@ -72,6 +72,20 @@ class TestBasicTransfers:
         transfer = manager.submit(io.BytesIO(b"only 9 by"), sink, 100, "chirp")
         with pytest.raises(TransferError):
             transfer.wait(5)
+
+    def test_source_without_readinto_fails_its_transfer(self, manager):
+        """Two pumps, no third: a reader that only has ``read`` is not
+        quietly served some other way; the cause is kept."""
+        class ReadOnly:
+            def read(self, n=-1):
+                return b"data"
+
+        transfer = manager.submit(ReadOnly(), io.BytesIO(), 4, "chirp")
+        with pytest.raises(AttributeError, match="readinto"):
+            transfer.wait(5)
+        (failure,) = manager.failures()
+        assert failure["error"] is transfer.error
+        assert (failure["moved"], failure["total"]) == (0, 4)
 
     def test_concurrent_transfers_isolated(self, manager):
         payloads = [bytes([i]) * 10_000 for i in range(16)]
@@ -137,8 +151,8 @@ class TestOwnerPumps:
     def test_manager_creates_no_thread(self):
         before = set(threading.enumerate())
         tm = TransferManager(NestConfig())
-        tm.transfer_sync(io.BytesIO(b"z" * 100_000), io.BytesIO(),
-                         100_000, "chirp")
+        tm.submit(io.BytesIO(b"z" * 100_000), io.BytesIO(),
+                  100_000, "chirp").wait()
         assert set(threading.enumerate()) == before
         tm.shutdown()
 
@@ -309,8 +323,8 @@ class TestScheduling:
 
     def test_shutdown_idempotent_enough(self):
         tm = TransferManager(NestConfig())
-        assert tm.transfer_sync(io.BytesIO(b"ok"), io.BytesIO(), 2,
-                                "chirp") == 2
+        assert tm.submit(io.BytesIO(b"ok"), io.BytesIO(), 2,
+                         "chirp").wait() == 2
         tm.shutdown()
         state = (tm.queue_depth(), tm.in_flight(), tm.failures())
         tm.shutdown()  # a second shutdown changes nothing

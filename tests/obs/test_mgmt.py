@@ -90,6 +90,27 @@ class TestEndpointUnit:
         assert not [t for t in mgmt_threads() if t.is_alive()]
 
 
+class TestStatsCli:
+    def test_every_document_the_index_lists_can_be_asked_for(self, capsys):
+        """``repro stats HOST:PORT --path P`` for each path the
+        endpoint's own index line names -- ``/slo`` used to be refused
+        by argparse before any socket was opened."""
+        from repro.cli import main
+
+        config = NestConfig(name="stats-cli", protocols=("chirp",))
+        with NestServer(config) as server:
+            port = server.ports["mgmt"]
+            _status, index = scrape(port, "/")
+            paths = index.decode().splitlines()[1].split()
+            assert "/slo" in paths
+            for path in paths:
+                assert main(["stats", f"127.0.0.1:{port}",
+                             "--path", path]) == 0
+                body = capsys.readouterr().out
+                if path == "/slo":
+                    assert {"degraded", "objectives"} <= set(json.loads(body))
+
+
 class TestScrapesUnderLoad:
     N_TRANSFERS = 32
 

@@ -1,13 +1,11 @@
-"""The perf layer: counters, timer, trajectory records, and the CLI."""
+"""The perf layer: hot-path counter snapshots and their CLI."""
 
 import json
 
 from repro.models.platform import LINUX
 from repro.nest.config import NestConfig
-from repro.perf import KernelCounters, PerfReport, WallClockTimer, collect
-from repro.perf.bench import append_record, run_kernel_bench
+from repro.perf import collect
 from repro.perf.counters import collect_server
-from repro.perf.workloads import kernel_microbench_workload
 from repro.sim.core import Environment
 from repro.simnest.server import SimNest
 from repro.simnest.workload import _spawn_clients
@@ -68,56 +66,15 @@ def test_report_render_and_dict_roundtrip():
     assert doc["kernel"]["events_processed"] == report.kernel.events_processed
 
 
-def test_wall_clock_timer():
-    with WallClockTimer() as timer:
-        sum(range(1000))
-    assert timer.elapsed >= 0.0
-
-
-def test_kernel_microbench_is_deterministic_in_sim():
-    env1 = kernel_microbench_workload(n_processes=20, steps=5)
-    env2 = kernel_microbench_workload(n_processes=20, steps=5)
-    # Same simulated end time and same event counts: wall clock varies,
-    # the simulation itself must not.
-    assert env1.now == env2.now
-    assert KernelCounters.snapshot(env1) == KernelCounters.snapshot(env2)
-
-
-def test_run_kernel_bench_record_shape():
-    record = run_kernel_bench(n_processes=20, steps=5)
-    assert record["bench"] == "kernel_microbench"
-    assert record["wall_seconds"] >= 0
-    assert record["counters"]["events_processed"] > 0
-
-
-def test_append_record_creates_and_appends(tmp_path):
-    path = str(tmp_path / "BENCH_test.json")
-    doc = append_record(path, {"label": "a"})
-    assert [r["label"] for r in doc["runs"]] == ["a"]
-    doc = append_record(path, {"label": "b"})
-    assert [r["label"] for r in doc["runs"]] == ["a", "b"]
-    with open(path, encoding="utf-8") as fh:
-        on_disk = json.load(fh)
-    assert on_disk["schema"] == 1
-    assert len(on_disk["runs"]) == 2
-
-
-def test_cli_perf_smoke_appends_record(tmp_path, capsys, monkeypatch):
-    from repro.cli import main
+def test_cli_perf_counters_prints_report(capsys, tmp_path, monkeypatch):
+    from repro.cli import build_parser, main
 
     monkeypatch.chdir(tmp_path)
-    assert main(["perf", "smoke", "--label", "test-run"]) == 0
-    out = capsys.readouterr().out
-    assert "events/s" in out
-    with open(tmp_path / "BENCH_kernel.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["runs"][-1]["label"] == "test-run"
-
-
-def test_cli_perf_counters_prints_report(capsys):
-    from repro.cli import main
-
     assert main(["perf", "counters"]) == 0
     out = capsys.readouterr().out
     assert "kernel counters" in out
     assert "chunk completions" in out
+    # A bare ``repro perf`` is the same snapshot, and leaves no file
+    # behind in the directory it ran in.
+    assert build_parser().parse_args(["perf"]).what == "counters"
+    assert list(tmp_path.iterdir()) == []

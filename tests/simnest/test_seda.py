@@ -3,10 +3,10 @@
 import pytest
 
 from repro.models.platform import LINUX
-from repro.nest.concurrency import ALL_MODELS, SEDA, make_selector
 from repro.nest.config import NestConfig
 from repro.sim import Environment
 from repro.simnest.clients import ClientLog, whole_file_client
+from repro.simnest.concurrency import ALL_MODELS, SEDA, make_selector
 from repro.simnest.server import SimNest
 
 MB = 1_000_000
@@ -19,8 +19,7 @@ class TestSedaModel:
 
     def test_seda_serves_files(self):
         env = Environment()
-        cfg = NestConfig(concurrency="seda", concurrency_models=("seda",))
-        server = SimNest(env, LINUX, cfg)
+        server = SimNest(env, LINUX, concurrency="seda", models=("seda",))
         server.populate("/f", MB)
         log = ClientLog(protocol="chirp")
         env.process(whole_file_client(env, server, "chirp", ["/f"] * 3, log))
@@ -30,9 +29,8 @@ class TestSedaModel:
 
     def test_disk_stage_bounds_concurrent_misses(self):
         env = Environment()
-        cfg = NestConfig(concurrency="seda", concurrency_models=("seda",),
-                         transfer_workers=64)
-        server = SimNest(env, LINUX, cfg)
+        server = SimNest(env, LINUX, NestConfig(transfer_workers=64),
+                         concurrency="seda", models=("seda",))
         for i in range(8):
             server.populate(f"/cold{i}", MB, resident=False)
             log = ClientLog(protocol="chirp")
@@ -52,8 +50,7 @@ class TestSedaModel:
 
     def test_cached_reads_bypass_disk_stage(self):
         env = Environment()
-        cfg = NestConfig(concurrency="seda", concurrency_models=("seda",))
-        server = SimNest(env, LINUX, cfg)
+        server = SimNest(env, LINUX, concurrency="seda", models=("seda",))
         server.populate("/hot", MB, resident=True)
         # Saturate the disk stage artificially.
         hold_a = server._seda_disk_stage.request()

@@ -11,9 +11,11 @@ from repro.simnest.server import SimJbos, SimNest, SimRequestError
 MB = 1_000_000
 
 
-def make_server(env=None, **cfg):
+def make_server(env=None, concurrency="adaptive",
+                models=("threads", "events"), **cfg):
     env = env or Environment()
-    return env, SimNest(env, LINUX, NestConfig(**cfg))
+    return env, SimNest(env, LINUX, NestConfig(**cfg),
+                        concurrency=concurrency, models=models)
 
 
 class TestPopulateAndServe:
@@ -96,8 +98,7 @@ class TestPopulateAndServe:
 class TestConcurrencyModels:
     @pytest.mark.parametrize("model", ["threads", "events", "processes"])
     def test_fixed_models_complete(self, model):
-        env, server = make_server(concurrency=model,
-                                  concurrency_models=(model,))
+        env, server = make_server(concurrency=model, models=(model,))
         server.populate("/f", MB)
         log = ClientLog(protocol="chirp")
         env.process(whole_file_client(env, server, "chirp", ["/f"] * 3, log))
@@ -107,7 +108,7 @@ class TestConcurrencyModels:
 
     def test_adaptive_uses_multiple_models(self):
         env, server = make_server(concurrency="adaptive",
-                                  concurrency_models=("threads", "events"))
+                                  models=("threads", "events"))
         server.populate("/f", MB)
         log = ClientLog(protocol="chirp")
         env.process(whole_file_client(env, server, "chirp", ["/f"] * 30, log))
@@ -117,8 +118,7 @@ class TestConcurrencyModels:
     def test_events_serialize_disk_reads(self):
         # Two cold files; the event loop cannot overlap their reads.
         def run(model):
-            env, server = make_server(concurrency=model,
-                                      concurrency_models=(model,))
+            env, server = make_server(concurrency=model, models=(model,))
             for i in range(4):
                 server.populate(f"/cold{i}", 5 * MB, resident=False)
             logs = []
