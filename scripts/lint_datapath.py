@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Three rules, enforced by AST walk (so docstrings and comments that merely
+Four rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -29,6 +29,17 @@ calls ``.accept()`` or ``create_connection(`` must also call
 ``tuned(``, and ``TCP_NODELAY`` is named nowhere but in that helper.
 A listener or dialler that skips it brings back the 44 ms
 Nagle/delayed-ACK stall on every reply it writes in two pieces.
+
+Rule 4: one accept loop.  ``repro.protocols.common.Acceptor`` is the
+only thing under ``src/repro`` that puts a socket into ``.listen(``
+(or ``create_server(``) and serves it for a server's lifetime; the FTP/GridFTP data-channel
+listeners (PASV/SPAS) are the exception because they accept once,
+under ``data_timeout``, and close.  And no function both calls
+``.accept()`` and ``continue``s out of a caught ``socket.timeout`` /
+``TimeoutError``: that is a loop waking on a timer to look at a flag,
+which made an idle appliance wake 30 times a second and ``stop()``
+wait out the timer.  A loop that must be stoppable waits on a wake-up
+it can be written out of.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -120,11 +131,9 @@ def _births_socket(node: ast.Call) -> bool:
                 and not node.args and not node.keywords))
 
 
-def _socket_violations(path: Path, rel: str) -> list[str]:
-    tree = ast.parse(path.read_text(), filename=str(path))
-    out = []
-    # Innermost enclosing def of every call: walk defs outermost first,
-    # so a nested def overwrites its parent's claim.
+def _scope_of_calls(tree: ast.AST) -> dict[int, ast.AST]:
+    """Innermost enclosing def (or the module) of every call: walk defs
+    outermost first, so a nested def overwrites its parent's claim."""
     scope_of: dict[int, ast.AST] = {}
     for scope in ast.walk(tree):
         if isinstance(scope, (ast.Module, ast.FunctionDef,
@@ -132,6 +141,13 @@ def _socket_violations(path: Path, rel: str) -> list[str]:
             for node in ast.walk(scope):
                 if isinstance(node, ast.Call):
                     scope_of[id(node)] = scope
+    return scope_of
+
+
+def _socket_violations(path: Path, rel: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    scope_of = _scope_of_calls(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _births_socket(node):
             scope = scope_of[id(node)]
@@ -150,6 +166,64 @@ def _socket_violations(path: Path, rel: str) -> list[str]:
     return out
 
 
+#: Rule 4: the (file, function) pairs that may call a socket's
+#: ``.listen(``: the acceptor, and the one-shot data-channel listeners.
+LISTEN_ALLOWED = {
+    ("protocols/common.py", "listen"),   # Acceptor.listen
+    ("nest/handlers.py", "cmd_pasv"),
+    ("nest/handlers.py", "cmd_spas"),
+    ("jbos/ftpd.py", "_open_pasv"),
+}
+
+
+def _is_socket_listen(node: ast.Call) -> bool:
+    """``sock.listen()`` / ``sock.listen(backlog)`` or
+    ``[socket.]create_server(...)``; ``Acceptor.listen`` takes an
+    address and a callback, so its callers do not count."""
+    if _owner_name(node.func) == "create_server":
+        return True
+    return (isinstance(node.func, ast.Attribute)
+            and node.func.attr == "listen"
+            and len(node.args) + len(node.keywords) <= 1)
+
+
+def _catches_timeout(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(n is not None and _owner_name(n) in ("timeout", "TimeoutError")
+               for n in names)
+
+
+def _listener_violations(path: Path, rel: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    scope_of = _scope_of_calls(tree)
+    polled: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        scope = scope_of[id(node)]
+        if (_is_socket_listen(node)
+                and (rel, getattr(scope, "name", "")) not in LISTEN_ALLOWED):
+            out.append(
+                f"{path}:{node.lineno}: {_owner_name(node.func)}() outside "
+                "Acceptor -- "
+                "serve the listener through "
+                "repro.protocols.common.Acceptor")
+        if (_owner_name(node.func) == "accept" and id(scope) not in polled
+                and any(isinstance(h, ast.ExceptHandler)
+                        and _catches_timeout(h)
+                        and any(isinstance(n, ast.Continue)
+                                for n in ast.walk(h))
+                        for h in ast.walk(scope))):
+            polled.add(id(scope))
+            out.append(
+                f"{path}:{node.lineno}: accept() polled on a timeout -- "
+                "block in a selector beside a wake-up (Acceptor) instead "
+                "of waking to look at a flag")
+    return out
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -157,6 +231,7 @@ def main() -> int:
         rel = path.relative_to(root).as_posix()
         problems.extend(_violations(path, rel))
         problems.extend(_socket_violations(path, rel))
+        problems.extend(_listener_violations(path, rel))
     problems.extend(_door_violations(root / HANDLERS))
     for line in problems:
         print(line, file=sys.stderr)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+import threading
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -75,13 +75,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  {proto:<8} {server.host}:{port}")
     print("\nAvailability ClassAd:")
     print(server.advertisement().external_repr())
+    return _serve_until_interrupted(server)
+
+
+def _serve_until_interrupted(serving) -> int:
+    """Sleep (no polling) until Ctrl-C, then ``serving.stop()``."""
     print("\nCtrl-C to stop.")
     try:
-        while True:
-            time.sleep(1)
+        threading.Event().wait()
     except KeyboardInterrupt:
         print("stopping")
-        server.stop()
+        serving.stop()
     return 0
 
 
@@ -102,14 +106,7 @@ def _serve_shards(config, args: argparse.Namespace) -> int:
     if group.mgmt is not None:
         print(f"  fleet mgmt {group.mgmt.host}:{group.mgmt.port}  "
               f"(/metrics /trace /slo /healthz, shard-merged)")
-    print("\nCtrl-C to stop.")
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        print("stopping")
-        group.stop()
-    return 0
+    return _serve_until_interrupted(group)
 
 
 def _cmd_jbos(args: argparse.Namespace) -> int:
@@ -124,14 +121,7 @@ def _cmd_jbos(args: argparse.Namespace) -> int:
     print("JBOS bunch serving (shared /pub):")
     for proto, port in sorted(manager.ports.items()):
         print(f"  {proto:<8} {manager.host}:{port}")
-    print("\nCtrl-C to stop.")
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        print("stopping")
-        manager.stop()
-    return 0
+    return _serve_until_interrupted(manager)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -150,7 +150,7 @@ class FaultPlan:
     """A seeded, shareable schedule of injected connection faults."""
 
     def __init__(self, rules: Iterable[FaultRule] = (), seed: int = 0,
-                 sleep: Callable[[float], None] = time.sleep):
+                 sleep: Callable[[float], None] | None = None):
         self.rules: list[FaultRule] = list(rules)
         self.seed = seed
         self._rng = random.Random(seed)
@@ -273,11 +273,13 @@ class FaultPlan:
         return rule.probability >= 1.0 or self._rng.random() < rule.probability
 
     # -- wrapper callbacks --------------------------------------------------
-    def before_io(self, conn: int, op: str, moved: int) -> str | None:
+    def before_io(self, conn: int, op: str, moved: int,
+                  wait: Callable[[float], Any] = time.sleep) -> str | None:
         """The wrapper asks, before each read/write, whether a fault
         fires.  Returns the action (handled by the wrapper) or None.
         Stalls sleep *here* (outside the lock) and then let the I/O
-        proceed."""
+        proceed -- through the plan's injected ``sleep`` if it has one,
+        else through ``wait``, which the wrapper can cut short."""
         with self._lock:
             for rule in self.rules:
                 if rule.wants(conn, op, moved) and self._roll(rule):
@@ -290,7 +292,7 @@ class FaultPlan:
                 return None
         _observe_fault(op, action)
         if action == STALL:
-            self._sleep(stall)
+            (self._sleep or wait)(stall)
             return None
         return action
 
@@ -405,6 +407,9 @@ class FaultySocket:
         self._moved = {"read": 0, "write": 0}
         self._io_lock = threading.Lock()
         self._forced_eof = False
+        #: set by close()/shutdown(): ends a stall in progress, so the
+        #: thread frozen on a torn-down socket finds out at once.
+        self._closed = threading.Event()
 
     # -- fault machinery ---------------------------------------------------
     def _account(self, op: str, n: int) -> None:
@@ -414,7 +419,8 @@ class FaultySocket:
     def _check(self, op: str) -> None:
         with self._io_lock:
             moved = self._moved[op]
-        action = self._plan.before_io(self.conn, op, moved)
+        action = self._plan.before_io(self.conn, op, moved,
+                                      wait=self._closed.wait)
         if action is None:
             return
         if action == RESET:
@@ -476,12 +482,14 @@ class FaultySocket:
         self._account("write", len(data))
 
     def close(self) -> None:
+        self._closed.set()
         try:
             self._sock.close()
         except OSError:
             pass
 
     def shutdown(self, how: int) -> None:
+        self._closed.set()
         self._sock.shutdown(how)
 
     def settimeout(self, value) -> None:

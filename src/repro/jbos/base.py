@@ -18,11 +18,11 @@ from repro.faults import FaultPlan
 from repro.jbos.store import SimpleStore
 from repro.jbos.throttle import Throttle, Unthrottled
 from repro.obs.metrics import global_registry
-from repro.protocols.common import ProtocolError, tuned
+from repro.protocols.common import Acceptor, ProtocolError
 
 
 class NativeServer:
-    """Base: listener + thread-per-connection accept loop."""
+    """Base: one listener, one thread per connection."""
 
     protocol = "base"
 
@@ -40,9 +40,7 @@ class NativeServer:
         self.port: int | None = None
         self.throttle = throttle if throttle is not None else Unthrottled()
         self.faults = faults
-        self._listener: socket.socket | None = None
-        self._thread: threading.Thread | None = None
-        self._running = False
+        self._acceptor: Acceptor | None = None
         #: live connections: socket -> its handler thread.
         self._conn_lock = threading.Lock()
         self._connections: dict[socket.socket, threading.Thread] = {}
@@ -60,18 +58,10 @@ class NativeServer:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "NativeServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(32)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._accept_loop, name=f"jbos-{self.protocol}", daemon=True
-        )
-        self._thread.start()
+        self._acceptor = Acceptor(f"jbos-{self.protocol}")
+        self.port = self._acceptor.listen(
+            self.host, self._requested_port, self._on_connection)
+        self._acceptor.start()
         return self
 
     def stop(self, drain_timeout: float = 5.0) -> dict[str, int]:
@@ -79,11 +69,8 @@ class NativeServer:
         seconds to finish, then force-close the rest.  Returns
         ``{"drained": 0|1, "forced": n}`` like ``NestServer.stop``.
         """
-        self._running = False
-        if self._listener is not None:
-            self._listener.close()
-        if self._thread is not None:
-            self._thread.join(timeout=2)
+        if self._acceptor is not None:
+            self._acceptor.stop()
 
         deadline = time.monotonic() + max(drain_timeout, 0.0)
         while time.monotonic() < deadline:
@@ -120,36 +107,20 @@ class NativeServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- accept loop ----------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            tuned(conn)
-            if self.faults is not None:
-                wrapped = self.faults.wrap_accept(
-                    conn, label=f"jbos-{self.protocol}")
-                if wrapped is None:
-                    continue  # accept fault: connection already closed
-                conn = wrapped
-            if not self._running:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            self._m_connections.inc(protocol=self.protocol)
-            thread = threading.Thread(
-                target=self._safe_handle, args=(conn, addr),
-                name=f"jbos-{self.protocol}-conn", daemon=True,
-            )
-            with self._conn_lock:
-                self._connections[conn] = thread
-            thread.start()
+    # -- per connection -------------------------------------------------------
+    def _on_connection(self, conn: socket.socket, addr) -> None:
+        if self.faults is not None:
+            conn = self.faults.wrap_accept(conn, label=f"jbos-{self.protocol}")
+            if conn is None:
+                return  # accept fault: connection already closed
+        self._m_connections.inc(protocol=self.protocol)
+        thread = threading.Thread(
+            target=self._safe_handle, args=(conn, addr),
+            name=f"jbos-{self.protocol}-conn", daemon=True,
+        )
+        with self._conn_lock:
+            self._connections[conn] = thread
+        thread.start()
 
     def _safe_handle(self, conn: socket.socket, addr) -> None:
         try:

@@ -35,7 +35,7 @@ logger = get_logger(__name__)
 class EventLoop:
     """Selector-driven connection server shared by every listener.
 
-    Accept threads hand connections over with :meth:`adopt`; the loop
+    The acceptor hands connections over with :meth:`adopt`; the loop
     registers the socket for readability and parks it.  When bytes
     arrive, the fd is unregistered (so no second dispatch can fire for
     the same connection) and ``handler.step()`` runs on the pool; the
@@ -129,7 +129,9 @@ class EventLoop:
             for handler in requests:
                 self._park(handler)
             try:
-                events = self._selector.select(timeout=0.2)
+                # No timeout: adopt, re-park and shutdown each write
+                # the wake pipe, so an idle loop never wakes.
+                events = self._selector.select()
             except OSError:
                 break
             with self._lock:

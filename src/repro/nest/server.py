@@ -1,8 +1,9 @@
 """The live NeST server: dispatcher + listeners for every protocol.
 
 One :class:`NestServer` binds a TCP listener per configured protocol
-(Figure 1's protocol layer), accepts connections, and hands each to the
-matching handler from :mod:`repro.nest.handlers`.  All handlers share
+(Figure 1's protocol layer), accepts connections on all of them from
+one thread, and hands each to the matching handler from
+:mod:`repro.nest.handlers`.  All handlers share
 the single storage manager (synchronous metadata path), the single
 transfer manager (asynchronous data path, cross-protocol scheduling),
 the gray-box cache model, and the GSI context -- that sharing is what
@@ -15,6 +16,7 @@ after :meth:`NestServer.start`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import socket
 import threading
@@ -37,7 +39,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.mgmt import ManagementEndpoint
 from repro.obs.slo import SloEngine
-from repro.protocols.common import tuned
+from repro.protocols.common import Acceptor
 from repro.tier.heat import HeatTracker
 
 logger = get_logger(__name__)
@@ -293,9 +295,23 @@ class NestServer:
         self.subject_map = dict(subject_map or {})
         self._requested_ports = dict(ports or {})
         self.ports: dict[str, int] = {}
-        self._listeners: dict[str, socket.socket] = {}
-        self._threads: list[threading.Thread] = []
+        #: one accept thread in front of every protocol's listener.
+        self._acceptor = Acceptor(f"nest-accept-{self.config.name}")
         self._running = False
+        self._stopped = False
+        #: The appliance's parts as (name, start, stop), in start order;
+        #: stop(), crash() and a failed start() walk it backwards, so
+        #: read upwards it is the drain order: the ad goes first, the
+        #: management endpoint outlives the data path.  The autoscaler
+        #: has no start: attach_autoscaler() starts it once a federation
+        #: exists.
+        self._parts = [
+            ("mgmt", self._start_mgmt, self._stop_mgmt),
+            ("acceptor", self._start_acceptor, self._drain),
+            ("tier manager", self._start_tier, self._stop_tier),
+            ("autoscaler", None, self._stop_autoscaler),
+            ("advertisement", self._start_advert, self._stop_advert),
+        ]
         #: live handler connections: handler -> its thread.
         self._conn_lock = threading.Lock()
         self._connections: dict[object, threading.Thread] = {}
@@ -305,7 +321,6 @@ class NestServer:
         self._collector = None
         self._advert_ttl: float | None = None
         self._advert_interval: float = 0.0
-        self._advert_stop = threading.Event()
         self._advert_thread: threading.Thread | None = None
 
     def _build_tiered(self, store: DataStore | None) -> DataStore:
@@ -328,157 +343,135 @@ class NestServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "NestServer":
-        """Bind every protocol listener and begin accepting.
+        """Bring the appliance up, part by part (``self._parts``).
 
-        All or nothing: if anything fails to come up (a port in use,
-        the management endpoint, the first advertisement), whatever
-        did start is stopped again before the error is re-raised, so a
-        failed start never leaves a half-appliance serving.
+        All or nothing: if a part fails to come up (a port in use, the
+        management endpoint), the parts that did are stopped again
+        before the error is re-raised -- a failed start never leaves a
+        half-appliance serving.  One shot: what :meth:`stop` shuts
+        (journal, transfer manager, event loop) stays shut.
         """
-        if self._running:
-            raise RuntimeError("server already started")
+        if self._running or self._stopped:
+            raise RuntimeError(
+                f"{self.config.name} was already started, stopped or "
+                "crashed: build a new NestServer")
         self._running = True
         try:
-            self._start()
+            for _name, start, _stop in self._parts:
+                if start is not None:
+                    start()
         except BaseException:
-            self.stop(drain_timeout=0)
+            self._teardown(0.0)
             raise
         logger.info("%s listening: %s", self.config.name, self.ports)
         return self
 
-    def _start(self) -> None:
-        for proto in self.config.protocols:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            # Registered before bind so a failed start closes it too.
-            self._listeners[proto] = listener
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.config.reuse_port:
-                # Shard workers share one port; the kernel spreads
-                # accepted connections across the processes.
-                listener.setsockopt(socket.SOL_SOCKET,
-                                    socket.SO_REUSEPORT, 1)
-            listener.bind((self.host, self._requested_ports.get(proto, 0)))
-            # Deep backlog: the event path is expected to absorb
-            # thousands-of-connections ramps faster than a 32-deep
-            # queue would tolerate.
-            listener.listen(1024)
-            listener.settimeout(0.2)
-            self.ports[proto] = listener.getsockname()[1]
-            thread = threading.Thread(
-                target=self._accept_loop, args=(proto, listener),
-                name=f"nest-accept-{proto}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        if self.config.management:
-            self.mgmt = ManagementEndpoint(
-                self.obs.registry, health=self.obs.health,
-                recorder=self.obs.recorder, host=self.host,
-                port=self._requested_ports.get("mgmt", 0),
-                service=self.config.name,
-                ad_attributes=self.obs.health_attributes,
-                slo=(self.slo.report if self.slo is not None else None),
-                refresh=(self.slo.evaluate if self.slo is not None else None),
-            ).start()
-            self.ports["mgmt"] = self.mgmt.port
-        if self._collector is not None:
-            # advertise_to() was called before start(): publish now that
-            # the ports are known, and begin the heartbeat.
-            self._publish_ad()
-            self._start_heartbeat()
-        if (self.tier_manager is not None
-                and self.config.tier_scan_interval > 0):
-            self.tier_manager.start(self.config.tier_scan_interval)
-
     def stop(self, drain_timeout: float = 5.0) -> dict[str, int]:
-        """Graceful shutdown: stop accepting, drain, then force-close.
-
-        The sequence is (0) withdraw the availability advertisement and
-        stop the re-advertise heartbeat, so no scheduler matches a
-        dying appliance; (1) close every listener and join the accept
-        threads, so no new connection arrives; (2) immediately close
-        connections idle between requests, and give in-flight handlers
-        up to ``drain_timeout`` seconds to finish their current
-        transfer; (3) force-close whatever is left; (4) join every
-        handler thread and shut the transfer manager down.  Returns
-        ``{"drained": n, "forced": m}`` so operators (and tests) can
-        see whether the drain was clean.
+        """Graceful shutdown: every part stopped, last started first
+        (``self._parts``), in-flight requests given ``drain_timeout``
+        seconds to finish.  Returns ``{"drained": 0|1, "forced": n}`` so
+        operators (and tests) can see whether the drain was clean; on a
+        server that never started, or a second time, a quiet no-op.
         """
-        self._running = False
-        self._stop_heartbeat_and_withdraw()
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-        if self.tier_manager is not None:
-            self.tier_manager.stop()
-        for listener in self._listeners.values():
-            try:
-                listener.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2)
+        forced = self._teardown(max(drain_timeout, 0.0))
+        logger.info("%s stopped (drained=%s forced=%d)",
+                    self.config.name, not forced, forced)
+        return {"drained": int(not forced), "forced": forced}
 
-        # Idle connections are parked on a blocking read between
-        # requests; closing them now is invisible to correctness and
-        # keeps the drain window for handlers doing real work.  The
-        # event loop's idle connections are parked in the selector:
-        # begin_shutdown retires them all synchronously, leaving only
-        # its busy dispatches for the shared drain window below.
+    def crash(self) -> None:
+        """Die like SIGKILL (tests, chaos drills): the journal is closed
+        first and as it stands, so durable state stays as last fsync'd
+        whatever the dying handlers do; then the same walk as
+        :meth:`stop` without its courtesies -- no ad withdrawal, no
+        drain window, no final snapshot.  Only OS resources are
+        released so the same process can host the restarted appliance.
+        """
+        if self.durability is not None:
+            self.durability.close(snapshot=False)
+        self._teardown(None)
+        logger.info("%s crashed (simulated)", self.config.name)
+
+    def _teardown(self, grace: float | None) -> int:
+        """:meth:`stop`, :meth:`crash` and a failed :meth:`start`: stop
+        every part, last first, with ``grace`` seconds of drain
+        (``None``: a crash).  A part's stop is a no-op when the part is
+        not up, so the walk is safe wherever a start got to.  Returns
+        how many connections had to be force-closed."""
+        self._running = False
+        if self._stopped:
+            return 0
+        self._stopped = True
         forced = 0
+        for _name, _start, stop in reversed(self._parts):
+            forced += stop(grace) or 0
+        return forced
+
+    # -- the parts, in start order -------------------------------------------
+    def _start_mgmt(self) -> None:
+        if not self.config.management:
+            return
+        self.mgmt = ManagementEndpoint(
+            self.obs.registry, health=self.obs.health,
+            recorder=self.obs.recorder, host=self.host,
+            port=self._requested_ports.get("mgmt", 0),
+            service=self.config.name,
+            ad_attributes=self.obs.health_attributes,
+            slo=(self.slo.report if self.slo is not None else None),
+            refresh=(self.slo.evaluate if self.slo is not None else None),
+        ).start()
+        self.ports["mgmt"] = self.mgmt.port
+
+    def _stop_mgmt(self, grace: float | None) -> None:
+        if self.mgmt is not None:
+            self.mgmt.stop()
+            self.mgmt = None
+
+    def _drain(self, grace: float | None) -> int:
+        """Stop of the acceptor and all behind it: no new connection,
+        then the drain, then the transfer manager and the journal."""
+        self._acceptor.stop()
+        # Idle connections are parked on a blocking read between
+        # requests: closing one as soon as it is seen idle is invisible
+        # to correctness and keeps the window for handlers doing real
+        # work.  The event loop's are parked in the selector:
+        # begin_shutdown retires them all, leaving its busy dispatches
+        # for the shared window.
         if self._eventloop is not None:
             self._eventloop.begin_shutdown()
-        with self._conn_lock:
-            for handler in list(self._connections):
-                if not getattr(handler, "busy", False):
-                    handler.force_close()
-
-        deadline = time.monotonic() + max(drain_timeout, 0.0)
-        while time.monotonic() < deadline:
-            with self._conn_lock:
-                threaded_live = len(self._connections)
-            event_live = (self._eventloop.busy_count()
-                          if self._eventloop is not None else 0)
-            if not threaded_live and not event_live:
-                break
-            time.sleep(0.01)
+        if grace is not None:
+            deadline = time.monotonic() + grace
+            while True:
+                with self._conn_lock:
+                    for handler in self._connections:
+                        if not handler.busy:
+                            handler.force_close()
+                if (not self.active_connections()
+                        or time.monotonic() >= deadline):
+                    break
+                time.sleep(0.01)
 
         with self._conn_lock:
             stragglers = list(self._connections.items())
         for handler, _thread in stragglers:
-            forced += 1
             handler.force_close()
         for handler, thread in stragglers:
             self._join_handler(handler, thread)
+        forced = len(stragglers)
         if self._eventloop is not None:
             forced += self._eventloop.finish_shutdown()
-
         self.transfers.shutdown()
-        if self.durability is not None:
+        if self.durability is not None and grace is not None:
             # Final compaction: a clean stop leaves a fresh snapshot and
             # an empty journal, so the next start recovers instantly.
             self.durability.close()
-        # The management endpoint outlives the data path so operators
-        # can scrape a draining server; it goes down last.
-        if self.mgmt is not None:
-            self.mgmt.stop()
-            self.mgmt = None
-        drained = forced == 0
-        logger.info("%s stopped (drained=%s forced=%d)",
-                    self.config.name, drained, forced)
-        return {"drained": int(drained), "forced": forced}
+        return forced
 
     def _join_handler(self, handler, thread: threading.Thread) -> None:
         """Join a straggler's handler thread and drop it from the
-        connection table.
-
-        Tolerates the accept-loop hand-off window: the handler is
-        registered in ``_connections`` *before* ``thread.start()`` (so
-        the drain can never miss it), which means a concurrent stop
-        can reach a thread that has not started yet -- ``join()`` then
-        raises RuntimeError.  The accept loop is about to start it (or
-        has already bailed out), so retry briefly instead of crashing
-        mid-drain.
-        """
+        connection table.  A handler is registered before its thread
+        starts (so the drain can never miss it); one caught inside that
+        window makes ``join()`` raise RuntimeError, and is waited for
+        briefly instead of crashing the drain."""
         deadline = time.monotonic() + 2.0
         while True:
             try:
@@ -491,37 +484,45 @@ class NestServer:
         with self._conn_lock:
             self._connections.pop(handler, None)
 
-    def crash(self) -> None:
-        """Die like SIGKILL (tests, chaos drills): no drain, no final
-        snapshot, no ad withdrawal -- durable state stays exactly as
-        the journal last fsync'd it.  Only OS resources are released
-        so the same process can host the restarted appliance.
-        """
-        self._running = False
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
+    def _start_acceptor(self) -> None:
+        for proto in self.config.protocols:
+            # Deep backlog: the event path is expected to absorb
+            # thousands-of-connections ramps faster than a 32-deep
+            # queue would tolerate.  reuse_port: shard workers share
+            # one port.
+            self.ports[proto] = self._acceptor.listen(
+                self.host, self._requested_ports.get(proto, 0),
+                functools.partial(self._on_connection, proto),
+                backlog=1024, reuse_port=self.config.reuse_port)
+        self._acceptor.start()
+
+    def _start_tier(self) -> None:
+        if (self.tier_manager is not None
+                and self.config.tier_scan_interval > 0):
+            self.tier_manager.start(self.config.tier_scan_interval)
+
+    def _stop_tier(self, grace: float | None) -> None:
         if self.tier_manager is not None:
             self.tier_manager.stop()
-        if self.durability is not None:
-            self.durability.close(snapshot=False)
+
+    def _stop_autoscaler(self, grace: float | None) -> None:
+        if self.autoscaler is not None:
+            self.autoscaler.stop()
+
+    def _start_advert(self) -> None:
+        """Publish now that the ports are known, and begin the heartbeat
+        (nothing to do until :meth:`advertise_to` names a collector)."""
+        self._publish_ad()
+        self._start_heartbeat()
+
+    def _stop_advert(self, grace: float | None) -> None:
         self._stop_heartbeat()
-        for listener in self._listeners.values():
+        if self._collector is not None and grace is not None:
             try:
-                listener.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            handlers = list(self._connections)
-        for handler in handlers:
-            handler.force_close()
-        if self._eventloop is not None:
-            self._eventloop.begin_shutdown()
-            self._eventloop.finish_shutdown(timeout=0.5)
-        self.transfers.shutdown()
-        if self.mgmt is not None:
-            self.mgmt.stop()
-            self.mgmt = None
-        logger.info("%s crashed (simulated)", self.config.name)
+                self._collector.withdraw(self.config.name)
+            except Exception:  # noqa: BLE001 - withdrawal is best-effort
+                logger.warning("%s: advertisement withdraw failed",
+                               self.config.name, exc_info=True)
 
     def attach_catalog(self, catalog) -> int:
         """Wire a replica catalog into the durability layer: restores
@@ -612,49 +613,34 @@ class NestServer:
     # ------------------------------------------------------------------
     # dispatcher
     # ------------------------------------------------------------------
-    def _accept_loop(self, proto: str, listener: socket.socket) -> None:
+    def _on_connection(self, proto: str, conn: socket.socket, addr) -> None:
+        """One accepted ``proto`` connection (the acceptor's callback):
+        give it to the event loop or to a handler thread of its own."""
+        if self.faults is not None:
+            conn = self.faults.wrap_accept(conn, label=f"nest-{proto}")
+            if conn is None:
+                return  # accept fault: connection already closed
+        self._m_connections.inc(protocol=proto)
         handler_cls = HANDLERS[proto]
-        while self._running:
-            try:
-                conn, addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            tuned(conn)
-            if self.faults is not None:
-                wrapped = self.faults.wrap_accept(conn, label=f"nest-{proto}")
-                if wrapped is None:
-                    continue  # accept fault: connection already closed
-                conn = wrapped
-            if not self._running:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            self._m_connections.inc(protocol=proto)
-            if self._route_model(proto) == EVENTS:
-                # Event path: no thread -- the connection parks in the
-                # selector until bytes arrive.  Unbuffered reads keep
-                # pipelined requests visible to epoll.
-                handler = handler_cls(self, conn, addr, unbuffered=True)
-                handler.concurrency_model = EVENTS
-                if self._eventloop.adopt(handler):
-                    continue
+        if self._route_model(proto) == EVENTS:
+            # Event path: no thread -- the connection parks in the
+            # selector until bytes arrive.  Unbuffered reads keep
+            # pipelined requests visible to epoll.
+            handler = handler_cls(self, conn, addr, unbuffered=True)
+            handler.concurrency_model = EVENTS
+            if not self._eventloop.adopt(handler):
                 handler.finish()  # loop already shutting down
-                continue
-            handler = handler_cls(self, conn, addr)
-            thread = threading.Thread(
-                target=self._run_handler, args=(handler,),
-                name=f"nest-{proto}-conn", daemon=True,
-            )
-            # Registered before start() so the drain can never miss a
-            # live connection; stop()'s _join_handler tolerates the
-            # not-yet-started window this opens.
-            with self._conn_lock:
-                self._connections[handler] = thread
-            thread.start()
+            return
+        handler = handler_cls(self, conn, addr)
+        thread = threading.Thread(
+            target=self._run_handler, args=(handler,),
+            name=f"nest-{proto}-conn", daemon=True,
+        )
+        # Registered before start() so the drain can never miss a
+        # live connection.
+        with self._conn_lock:
+            self._connections[handler] = thread
+        thread.start()
 
     def _route_model(self, proto: str) -> str:
         """Which server architecture serves this accepted connection."""
@@ -703,10 +689,9 @@ class NestServer:
         reconfigured = interval != self._advert_interval
         self._advert_interval = interval
         if self._running:
-            self._publish_ad()
             if reconfigured:
                 self._stop_heartbeat()
-            self._start_heartbeat()
+            self._start_advert()
 
     def _publish_ad(self) -> None:
         if self._collector is None:
@@ -721,20 +706,15 @@ class NestServer:
     def _start_heartbeat(self) -> None:
         if self._advert_interval <= 0 or self._advert_thread is not None:
             return
-        self._advert_stop.clear()
-        stop = self._advert_stop  # this thread's stop signal, pinned
+        # This thread's own stop signal and period: a reconfigure or a
+        # stop joins it and starts another, so it has no flag to look at.
+        stop, interval = threading.Event(), self._advert_interval
 
         def beat() -> None:
-            while True:
-                interval = self._advert_interval
-                if interval <= 0:
-                    return  # disabled while running: exit, never spin
-                if stop.wait(interval):
-                    return
-                if not self._running:
-                    return
+            while not stop.wait(interval):
                 self._publish_ad()
 
+        self._advert_stop = stop
         self._advert_thread = threading.Thread(
             target=beat, name=f"nest-advertise-{self.config.name}",
             daemon=True)
@@ -742,19 +722,10 @@ class NestServer:
 
     def _stop_heartbeat(self) -> None:
         """Stop (and join) the re-advertise heartbeat, if running."""
-        self._advert_stop.set()
         if self._advert_thread is not None:
+            self._advert_stop.set()
             self._advert_thread.join(timeout=2)
             self._advert_thread = None
-
-    def _stop_heartbeat_and_withdraw(self) -> None:
-        self._stop_heartbeat()
-        if self._collector is not None:
-            try:
-                self._collector.withdraw(self.config.name)
-            except Exception:  # noqa: BLE001 - withdrawal is best-effort
-                logger.warning("%s: advertisement withdraw failed",
-                               self.config.name, exc_info=True)
 
     # ------------------------------------------------------------------
     # identity and advertisement

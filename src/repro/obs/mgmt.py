@@ -32,7 +32,7 @@ from repro.obs.health import HealthMonitor
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.protocols.common import tuned
+from repro.protocols.common import Acceptor
 
 __all__ = ["ManagementEndpoint"]
 
@@ -62,38 +62,23 @@ class ManagementEndpoint:
         #: optional hook run before /metrics and /slo scrapes, so
         #: derived gauges (the SLO engine's) are fresh at read time.
         self.refresh = refresh
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._running = False
+        self._acceptor: Acceptor | None = None
         self._conn_lock = threading.Lock()
         self._threads: dict[threading.Thread, socket.socket] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ManagementEndpoint":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(16)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="obs-mgmt-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._acceptor = Acceptor("obs-mgmt-accept")
+        self.port = self._acceptor.listen(
+            self.host, self._requested_port, self._on_connection,
+            backlog=16)
+        self._acceptor.start()
         return self
 
     def stop(self) -> None:
         """Close the listener and join every scrape thread."""
-        self._running = False
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
+        if self._acceptor is not None:
+            self._acceptor.stop()
         with self._conn_lock:
             pending = list(self._threads.items())
         for thread, conn in pending:
@@ -112,32 +97,15 @@ class ManagementEndpoint:
             return len(self._threads)
 
     # -- serving -----------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            tuned(conn)
-            if not self._running:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            thread = threading.Thread(
-                target=self._serve_one, name="obs-mgmt-scrape", daemon=True
-            )
-            with self._conn_lock:
-                self._threads[thread] = conn
-            thread._mgmt_conn = conn  # type: ignore[attr-defined]
-            thread.start()
+    def _on_connection(self, conn: socket.socket, _addr) -> None:
+        thread = threading.Thread(
+            target=self._serve_one, args=(conn,), name="obs-mgmt-scrape",
+            daemon=True)
+        with self._conn_lock:
+            self._threads[thread] = conn
+        thread.start()
 
-    def _serve_one(self) -> None:
-        thread = threading.current_thread()
-        conn: socket.socket = thread._mgmt_conn  # type: ignore[attr-defined]
+    def _serve_one(self, conn: socket.socket) -> None:
         try:
             conn.settimeout(5.0)
             request = conn.recv(4096).decode("latin-1", "replace")
@@ -161,7 +129,7 @@ class ManagementEndpoint:
             except OSError:
                 pass
             with self._conn_lock:
-                self._threads.pop(thread, None)
+                self._threads.pop(threading.current_thread(), None)
 
     def _refresh(self) -> None:
         if self.refresh is None:

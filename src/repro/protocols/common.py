@@ -9,9 +9,15 @@ protocol connection" of the paper's section 3.
 from __future__ import annotations
 
 import enum
+import selectors
 import socket
+import threading
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Callable
+
+from repro.obs.log import get_logger
+
+logger = get_logger(__name__)
 
 
 #: Protocols NeST release 0.9 speaks, in the paper's order.
@@ -225,3 +231,77 @@ def tuned(sock: socket.socket) -> socket.socket:
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
+
+
+class Acceptor:
+    """The accept loop: one thread in front of any number of listeners.
+
+    :meth:`listen` binds a listener and names the callback that gets
+    its connections, :meth:`start` begins accepting, :meth:`stop`
+    ends it.  The thread blocks in ``select()`` over the listeners and
+    a ``socketpair`` that :meth:`stop` writes to, so an idle acceptor
+    never wakes and a stopping one never waits out a timer.  Every
+    accepted socket is :func:`tuned` before ``on_connection(conn,
+    addr)`` sees it; a callback that raises costs that one connection
+    (closed, logged), never the loop.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._listeners: list[tuple[socket.socket, Callable]] = []
+        self._thread: threading.Thread | None = None
+        self._wake: socket.socket | None = None
+
+    def listen(self, host: str, port: int,
+               on_connection: Callable[[socket.socket, Any], None],
+               backlog: int = 32, reuse_port: bool = False) -> int:
+        """Bind and listen (before :meth:`start`); returns the bound
+        port.  ``reuse_port``: several processes share the port and the
+        kernel spreads connections across them."""
+        # create_server: SO_REUSEADDR, bind, listen; closed if any fails.
+        listener = socket.create_server(
+            (host, port), backlog=backlog, reuse_port=reuse_port)
+        listener.setblocking(False)
+        self._listeners.append((listener, on_connection))
+        return listener.getsockname()[1]
+
+    def start(self) -> None:
+        wake, self._wake = socket.socketpair()
+        self._thread = threading.Thread(
+            target=self._run, args=(wake,), name=self._name, daemon=True)
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Wake the thread, join it, close every listener.  Idempotent,
+        and safe on an acceptor that never started."""
+        if self._thread is not None:
+            self._wake.send(b"\0")
+            self._thread.join()
+            self._wake.close()
+            self._thread = None
+        for listener, _ in self._listeners:
+            listener.close()
+
+    def _run(self, wake: socket.socket) -> None:
+        with selectors.DefaultSelector() as selector, wake:
+            selector.register(wake, selectors.EVENT_READ, None)
+            for listener, on_connection in self._listeners:
+                selector.register(
+                    listener, selectors.EVENT_READ, on_connection)
+            while True:
+                for key, _ in selector.select():
+                    on_connection = key.data
+                    if on_connection is None:
+                        return  # stop() wrote the wake-up
+                    try:
+                        conn, addr = key.fileobj.accept()
+                    except OSError:
+                        # The client gave up first, or another process
+                        # sharing the port took it: nothing to serve.
+                        continue
+                    try:
+                        on_connection(tuned(conn), addr)
+                    except Exception:  # noqa: BLE001 - one connection's cost
+                        logger.exception("%s: connection from %s dropped",
+                                         self._name, addr)
+                        conn.close()

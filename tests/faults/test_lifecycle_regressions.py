@@ -139,10 +139,9 @@ class TestStopAcceptRace:
                                   daemon=True)
         with srv._conn_lock:
             srv._connections[handler] = thread
-        # Generous delay: stop() spends up to one accept-timeout
-        # joining the accept thread before it reaches the straggler
-        # sweep, and the thread must still be unstarted there.
-        starter = threading.Timer(1.0, thread.start)
+        # The thread must still be unstarted when stop() reaches the
+        # straggler sweep, which is its drain window (0.05 s) away.
+        starter = threading.Timer(0.3, thread.start)
         starter.start()
         try:
             # The bug: the straggler join hit the never-started thread
@@ -216,9 +215,9 @@ class TestHeartbeatReconfigure:
 
 class TestFailedStart:
     def test_a_port_in_use_leaves_nothing_started(self, tmp_path):
-        """``start()`` is all or nothing.  Chirp binds and begins
-        accepting, then HTTP finds its port taken: the error reaches
-        the caller and nothing of the appliance is left up -- which
+        """``start()`` is all or nothing.  The management endpoint is
+        up and Chirp bound when HTTP finds its port taken: the error
+        reaches the caller and nothing of the appliance is left up -- which
         ``with NestServer(...)`` relies on, since ``__exit__`` never
         runs when ``__enter__`` raises."""
         collector = CountingCollector()
@@ -234,9 +233,9 @@ class TestFailedStart:
                 with srv:
                     pytest.fail("a half-started server was entered")
         assert not srv.running
-        assert srv._threads and not any(t.is_alive() for t in srv._threads)
-        assert all(listener.fileno() == -1
-                   for listener in srv._listeners.values())
+        assert not _thread_names("nest-accept-half")
+        bound = [listener for listener, _ in srv._acceptor._listeners]
+        assert bound and all(listener.fileno() == -1 for listener in bound)
         with pytest.raises(OSError):  # the port Chirp had bound is dead
             socket.create_connection(("127.0.0.1", srv.ports["chirp"]),
                                      timeout=1.0).close()

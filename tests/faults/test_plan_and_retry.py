@@ -8,6 +8,8 @@ deadlines, and the typed-error taxonomy.
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -165,6 +167,40 @@ class TestFaultPlanWiring:
             plan.wrap_socket(a).sendall(b"after the stall")
             assert naps == [3.5]
             assert plan.fired(FaultAction.STALL) == 1
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("end", ["close", "shutdown"])
+    def test_closing_the_socket_ends_a_stall_in_progress(self, end):
+        """A handler frozen by a STALL used to sleep it out in full
+        after its socket was force-closed, holding a drain for the
+        whole stall."""
+        plan = FaultPlan.stall(seconds=30.0, op="write")
+        a, b = socket.socketpair()
+        stalled = plan.wrap_socket(a)
+
+        def victim():
+            try:
+                stalled.sendall(b"after the stall")
+            except OSError:
+                pass  # the write may meet the dead socket
+
+        thread = threading.Thread(target=victim, daemon=True)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            while not plan.fired(FaultAction.STALL):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            began = time.monotonic()
+            if end == "close":
+                stalled.close()
+            else:
+                stalled.shutdown(socket.SHUT_RDWR)
+            thread.join(5.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - began < 0.2
         finally:
             a.close()
             b.close()

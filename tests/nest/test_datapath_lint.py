@@ -1,4 +1,5 @@
-"""The door rule of ``scripts/lint_datapath.py``."""
+"""The door, socket-birth and one-accept-loop rules of
+``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -85,3 +86,55 @@ def own_tuning(sock):
                for line in lint._socket_violations(source, "newd.py")]
     assert flagged == [(7, "accept()"), (13, "create_connection()"),
                        (28, "TCP_NODELAY")]
+
+
+def test_src_has_one_accept_loop():
+    root = REPO / "src" / "repro"
+    assert [v for path in sorted(root.rglob("*.py"))
+            for v in lint._listener_violations(
+                path, path.relative_to(root).as_posix())] == []
+
+
+def test_a_second_listener_or_a_polled_accept_is_flagged(tmp_path):
+    source = tmp_path / "newd.py"
+    source.write_text('''
+import socket
+from repro.protocols.common import Acceptor, tuned
+
+
+class Daemon:
+    def start(self):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(32)                 # flagged: its own listener
+        listener.settimeout(0.2)
+        self.listener = listener
+
+    def loop(self):
+        while self.running:
+            try:
+                conn, _ = self.listener.accept()    # flagged: polls a flag
+            except socket.timeout:
+                continue
+            tuned(conn)
+
+    def also_start(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))  # flagged
+
+    def good_start(self):
+        self.acceptor = Acceptor("newd")
+        self.port = self.acceptor.listen("127.0.0.1", 0, self.serve)
+
+    def accept_once(self, listener):
+        listener.settimeout(5.0)
+        try:
+            conn, _ = listener.accept()     # one shot: a timeout ends it
+        except TimeoutError:
+            return None
+        return tuned(conn)
+''')
+    flagged = sorted(
+        (int(line.split(":")[1]), line.split(": ")[1].split(" ")[0])
+        for line in lint._listener_violations(source, "newd.py"))
+    assert flagged == [(10, "listen()"), (17, "accept()"),
+                       (23, "create_server()")]

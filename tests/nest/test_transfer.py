@@ -158,8 +158,8 @@ class TestOwnerPumps:
 
     def test_default_server_thread_census(self):
         """A started default NestServer with one Chirp and one HTTP
-        connection open: accept threads + mgmt + one per connection,
-        and nothing named after a transfer pool."""
+        connection open: the one accept thread + mgmt + one per
+        connection, and nothing named after a transfer pool."""
         before = set(threading.enumerate())
         config = NestConfig(name="census")
         with NestServer(config) as server:
@@ -173,9 +173,9 @@ class TestOwnerPumps:
                                set(threading.enumerate()) - before)
         assert not [n for n in names
                     if n.startswith(("nest-xfer", "nest-events"))]
-        accept = [f"nest-accept-{p}" for p in config.protocols]
         assert names == sorted(
-            accept + ["obs-mgmt-accept", "nest-chirp-conn", "nest-http-conn"])
+            ["nest-accept-census", "obs-mgmt-accept",
+             "nest-chirp-conn", "nest-http-conn"])
 
 
 class TestScheduling:
