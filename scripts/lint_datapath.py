@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Four rules, enforced by AST walk (so docstrings and comments that merely
+Five rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -15,13 +15,15 @@ The allowlist names the few files where a whole-file read is the
 correct tool because the file is *by construction* small appliance
 metadata (the journal, its snapshots), not client data.
 
-Rule 2: in ``nest/handlers.py`` a ticket is settled, a transfer is
-submitted and the gray-box model is fed in one place only -- the
-``ConnectionHandler`` door (``send``/``receive``/``_move``).  Any other
-mention of ``.settle``, ``transfers.submit`` or
-``graybox.observe_*`` in that file is a protocol handler growing its
-own copy of the approve -> move -> settle -> observe sequence, which is
-how "approved but never settled" bugs got in.
+Rule 2: a ticket is settled, a transfer is submitted and the gray-box
+model is fed in one place only -- the ``ConnectionHandler`` door
+(``send``/``receive``/``_move``) in ``nest/handlers.py``.  Any other
+mention of ``.settle``, ``transfers.submit`` or ``graybox.observe_*``
+in that file, or anywhere under ``protocols/`` (where the sessions
+live) or ``jbos/``, is a protocol growing its own copy of the approve
+-> move -> settle -> observe sequence, which is how "approved but never
+settled" bugs got in.  (``TransferTicket.__exit__`` in
+``protocols/common.py`` is the ticket settling itself.)
 
 Rule 3: every stream socket is tuned at birth by the one helper,
 ``repro.protocols.common.tuned``.  A function under ``src/repro`` that
@@ -40,6 +42,13 @@ under ``data_timeout``, and close.  And no function both calls
 which made an idle appliance wake 30 times a second and ``stop()``
 wait out the timer.  A loop that must be stoppable waits on a wake-up
 it can be written out of.
+
+Rule 5: the JBOS baseline shares nothing with NeST's managers.  No
+module under ``jbos/`` imports ``repro.nest.storage``, ``.transfer``,
+``.scheduling``, ``.lots``, ``.acl`` or ``.handlers``: Fig. 3 compares
+NeST against daemons that have no storage manager, transfer manager or
+scheduler, and the daemons running NeST's protocol sessions must not
+quietly acquire one.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -78,11 +87,17 @@ def _violations(path: Path, rel: str) -> list[str]:
     return out
 
 
-#: The one file rule 2 reads, and the only functions in it (methods of
-#: ``DOOR_CLASS``, with whatever they nest) that may touch the data path.
+#: Rule 2: the files that may touch the data path at all, and in each
+#: the class whose named methods (with whatever they nest) may.
 HANDLERS = "nest/handlers.py"
 DOOR_CLASS = "ConnectionHandler"
 DOOR = {"send", "receive", "_move"}
+DOORS = {
+    HANDLERS: (DOOR_CLASS, DOOR),
+    "protocols/common.py": ("TransferTicket", {"__exit__"}),
+}
+#: ...and the directories whose other files may not.
+DOORLESS = ("protocols/", "jbos/")
 
 
 def _owner_name(node: ast.expr) -> str:
@@ -100,13 +115,15 @@ def _is_datapath(node: ast.Attribute) -> bool:
             or (owner == "graybox" and node.attr.startswith("observe_")))
 
 
-def _door_violations(path: Path) -> list[str]:
+def _door_violations(path: Path, door=(DOOR_CLASS, DOOR)) -> list[str]:
+    """Data-path mentions in ``path`` outside ``door`` -- a (class,
+    method names) pair, or None for a file that has no door."""
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed: set[int] = set()
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == DOOR_CLASS:
+        if (door and isinstance(cls, ast.ClassDef) and cls.name == door[0]):
             for item in cls.body:
-                if isinstance(item, ast.FunctionDef) and item.name in DOOR:
+                if isinstance(item, ast.FunctionDef) and item.name in door[1]:
                     allowed.update(id(n) for n in ast.walk(item))
     return [
         f"{path}:{node.lineno}: .{node.attr} outside the "
@@ -170,9 +187,8 @@ def _socket_violations(path: Path, rel: str) -> list[str]:
 #: ``.listen(``: the acceptor, and the one-shot data-channel listeners.
 LISTEN_ALLOWED = {
     ("protocols/common.py", "listen"),   # Acceptor.listen
-    ("nest/handlers.py", "cmd_pasv"),
-    ("nest/handlers.py", "cmd_spas"),
-    ("jbos/ftpd.py", "_open_pasv"),
+    ("protocols/ftp.py", "cmd_pasv"),
+    ("protocols/gridftp.py", "cmd_spas"),
 }
 
 
@@ -224,6 +240,31 @@ def _listener_violations(path: Path, rel: str) -> list[str]:
     return out
 
 
+#: Rule 5: what ``repro.nest`` keeps to itself.
+NEST_ONLY = {"storage", "transfer", "scheduling", "lots", "acl", "handlers"}
+
+
+def _manager_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        managers = sorted({
+            ".".join(module.split(".")[:3]) for module in modules
+            if module.startswith("repro.nest.")
+            and module.split(".")[2] in NEST_ONLY})
+        out.extend(
+            f"{path}:{node.lineno}: imports {module} -- the JBOS baseline "
+            "shares no manager with NeST" for module in managers)
+    return out
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -232,7 +273,10 @@ def main() -> int:
         problems.extend(_violations(path, rel))
         problems.extend(_socket_violations(path, rel))
         problems.extend(_listener_violations(path, rel))
-    problems.extend(_door_violations(root / HANDLERS))
+        if rel in DOORS or rel.startswith(DOORLESS):
+            problems.extend(_door_violations(path, DOORS.get(rel)))
+        if rel.startswith("jbos/"):
+            problems.extend(_manager_imports(path))
     for line in problems:
         print(line, file=sys.stderr)
     if problems:

@@ -12,9 +12,9 @@ Two rules, enforced by AST walk (so docstrings and comments that merely
    the dial-able ``repro.`` namespace.
 3. Files on the request path must keep their span evidence: each file
    in ``SPAN_EVIDENCE`` has to reference the named tracing hooks
-   (``request_scope`` in the handlers, dispatch into the spanned
-   ``serve_one`` path in the event server, span shipping in the shard
-   layer).  A refactor that silently drops tracing from a request path
+   (``request_scope`` in the handlers and the protocol sessions they
+   run, dispatch into the spanned ``serve_one`` path in the event
+   server, span shipping in the shard layer).  A refactor that silently drops tracing from a request path
    fails here instead of in production.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
@@ -34,6 +34,12 @@ GETLOGGER_ALLOWED = {"obs/log.py"}
 #: Request-path files and the tracing hooks they must reference.
 SPAN_EVIDENCE = {
     "nest/handlers.py": ("request_scope", "parse_trace_context"),
+    # the sessions' own request loops: FTP, GridFTP and NFS have no
+    # other, Chirp's and HTTP's serve the JBOS baseline.
+    "protocols/chirp.py": ("request_scope",),
+    "protocols/http.py": ("request_scope",),
+    "protocols/ftp.py": ("request_scope",),
+    "protocols/nfs.py": ("request_scope",),
     "nest/eventserver.py": ("step",),
     "nest/shard.py": ("spans",),
     "client/retry.py": ("maybe_span",),

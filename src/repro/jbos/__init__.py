@@ -4,13 +4,19 @@ The alternative to NeST's single multi-protocol server is to run one
 *native* server per protocol side by side: wu-ftpd, Apache, the kernel
 nfsd, and the Globus GridFTP server.  This package provides live
 stand-ins for those: small, independent, single-protocol servers that
-share only a data directory.  Deliberately absent, because the point of
-the comparison is their absence:
+share only a data directory.
 
-* no common request interface -- each server parses and serves its own
-  wire format directly;
-* no shared transfer manager -- each connection pumps its own bytes, so
-  nothing can schedule *across* protocols;
+What a daemon shares with NeST is how its protocol is *spoken*: the
+codec and the session (request loop, verb table, reply encoding, data
+channels) are the classes in :mod:`repro.protocols` that NeST's own
+handlers run, so the two sides cannot drift on the wire.  What it does
+not share -- because the point of the comparison is their absence, and
+``scripts/lint_datapath.py`` (rule 5) checks the imports:
+
+* no storage manager -- a flat in-memory store, every path open to
+  everyone;
+* no shared transfer manager and no scheduler -- each connection copies
+  its own bytes, so nothing can schedule *across* protocols;
 * no lots, no ClassAd ACLs, no advertisement.
 
 The one cross-cutting control a JBOS admin does have is Apache-style
@@ -21,12 +27,14 @@ applies to the HTTP requests the Apache server processes".
 
 from repro.jbos.store import SimpleStore
 from repro.jbos.throttle import Throttle
-from repro.jbos.httpd import NativeHttpd
-from repro.jbos.ftpd import NativeFtpd
-from repro.jbos.gridftpd import NativeGridFtpd
-from repro.jbos.nfsd import NativeNfsd
-from repro.jbos.chirpd import NativeChirpd
-from repro.jbos.manager import JbosManager
+from repro.jbos.manager import (
+    JbosManager,
+    NativeChirpd,
+    NativeFtpd,
+    NativeGridFtpd,
+    NativeHttpd,
+    NativeNfsd,
+)
 
 __all__ = [
     "SimpleStore",

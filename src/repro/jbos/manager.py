@@ -1,22 +1,73 @@
-"""Run the bunch: one native server per protocol over one shared store."""
+"""The bunch: the five native daemons, and a manager to run them over
+one shared store.
+
+Each daemon is a listener (:class:`~repro.jbos.base.NativeServer`)
+whose connections run one protocol's session from :mod:`repro.protocols`
+over the flat store -- nothing else distinguishes them.
+"""
 
 from __future__ import annotations
 
-from repro.jbos.chirpd import NativeChirpd
-from repro.jbos.ftpd import NativeFtpd
-from repro.jbos.gridftpd import NativeGridFtpd
-from repro.jbos.httpd import NativeHttpd
-from repro.jbos.nfsd import NativeNfsd
+from repro.jbos.base import NativeConnection, NativeServer
 from repro.jbos.store import SimpleStore
 from repro.jbos.throttle import Throttle
-from repro.nest.auth import CertificateAuthority
+from repro.nest.auth import CertificateAuthority, GSIContext
+from repro.protocols import chirp, ftp, gridftp, http, nfs
+
+
+class NativeChirpd(NativeServer):
+    """A minimal standalone Chirp file server.
+
+    Chirp has no "native" third-party implementation -- it is NeST's
+    own protocol -- so the bunch carries this bare file server: file
+    and directory operations only, no lots, no ACLs, no authentication.
+    Its existence makes the single-protocol Chirp comparison in Fig. 3
+    meaningful.
+    """
+
+    class Connection(chirp.ChirpSession, NativeConnection):
+        pass
+
+
+class NativeHttpd(NativeServer):
+    """The native HTTP daemon ("Apache" in Fig. 3's JBOS bars)."""
+
+    class Connection(http.HttpSession, NativeConnection):
+        pass
+
+
+class NativeFtpd(NativeServer):
+    """The native FTP daemon ("wu-ftpd" in Fig. 3's JBOS bars)."""
+
+    class Connection(ftp.FtpSession, NativeConnection):
+        greeting = "wu-ftpd (repro) ready"
+
+
+class NativeGridFtpd(NativeServer):
+    """The native GridFTP daemon (the Globus wuftpd derivative of
+    2001): the FTP session plus GSI authentication and extended-block
+    mode, against its own certificate authority."""
+
+    class Connection(gridftp.GridFtpSession, NativeConnection):
+        greeting = "globus-gridftp (repro) ready"
+
+    def __init__(self, *args, ca: CertificateAuthority | None = None,
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gsi = GSIContext(ca or CertificateAuthority())
+
+
+class NativeNfsd(NativeServer):
+    """The native NFS daemon ("Linux nfsd" in Fig. 3's JBOS bars)."""
+
+    class Connection(nfs.NfsSession, NativeConnection):
+        pass
+
 
 _SERVER_CLASSES = {
-    "chirp": NativeChirpd,
-    "http": NativeHttpd,
-    "ftp": NativeFtpd,
-    "gridftp": NativeGridFtpd,
-    "nfs": NativeNfsd,
+    cls.Connection.protocol: cls
+    for cls in (NativeChirpd, NativeHttpd, NativeFtpd, NativeGridFtpd,
+                NativeNfsd)
 }
 
 

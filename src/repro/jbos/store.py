@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import threading
 
+from repro.protocols.common import Status, StorageError
 
-class SimpleStoreError(Exception):
-    """Path-level failure (missing, exists, not a directory...)."""
+
+class SimpleStoreError(StorageError):
+    """Path-level failure (missing, exists, not a directory...), with
+    the status a protocol session maps onto its wire."""
 
 
 class SimpleStore:
@@ -34,22 +37,27 @@ class SimpleStore:
         with self._lock:
             path = self._norm(path)
             if path not in self._files:
-                raise SimpleStoreError(f"no such file {path}")
+                raise SimpleStoreError(Status.NOT_FOUND, f"no such file {path}")
             return self._files[path]
+
+    def _file_path(self, path: str) -> str:
+        """``path`` normalised, if a file may live there."""
+        path = self._norm(path)
+        if self._parent(path) not in self._dirs:
+            raise SimpleStoreError(
+                Status.NOT_FOUND, f"no such directory {self._parent(path)}")
+        if path in self._dirs:
+            raise SimpleStoreError(Status.IS_DIR, f"{path} is a directory")
+        return path
 
     def write(self, path: str, data: bytes) -> None:
         with self._lock:
-            path = self._norm(path)
-            if self._parent(path) not in self._dirs:
-                raise SimpleStoreError(f"no such directory {self._parent(path)}")
-            if path in self._dirs:
-                raise SimpleStoreError(f"{path} is a directory")
-            self._files[path] = bytes(data)
+            self._files[self._file_path(path)] = bytes(data)
 
     def write_at(self, path: str, offset: int, data: bytes) -> int:
         """Block-granular write (for nfsd); returns the new size."""
         with self._lock:
-            path = self._norm(path)
+            path = self._file_path(path)
             current = bytearray(self._files.get(path, b""))
             if offset + len(data) > len(current):
                 current.extend(b"\x00" * (offset + len(data) - len(current)))
@@ -61,7 +69,7 @@ class SimpleStore:
         with self._lock:
             path = self._norm(path)
             if path not in self._files:
-                raise SimpleStoreError(f"no such file {path}")
+                raise SimpleStoreError(Status.NOT_FOUND, f"no such file {path}")
             del self._files[path]
 
     def size(self, path: str) -> int:
@@ -70,7 +78,7 @@ class SimpleStore:
             if path in self._dirs:
                 return 0
             if path not in self._files:
-                raise SimpleStoreError(f"no such file {path}")
+                raise SimpleStoreError(Status.NOT_FOUND, f"no such file {path}")
             return len(self._files[path])
 
     def exists(self, path: str) -> bool:
@@ -87,20 +95,21 @@ class SimpleStore:
         with self._lock:
             path = self._norm(path)
             if path in self._dirs or path in self._files:
-                raise SimpleStoreError(f"{path} exists")
+                raise SimpleStoreError(Status.EXISTS, f"{path} exists")
             if self._parent(path) not in self._dirs:
-                raise SimpleStoreError(f"no such directory {self._parent(path)}")
+                raise SimpleStoreError(
+                    Status.NOT_FOUND, f"no such directory {self._parent(path)}")
             self._dirs.add(path)
 
     def rmdir(self, path: str) -> None:
         with self._lock:
             path = self._norm(path)
             if path == "/":
-                raise SimpleStoreError("cannot remove root")
+                raise SimpleStoreError(Status.DENIED, "cannot remove root")
             if path not in self._dirs:
-                raise SimpleStoreError(f"no such directory {path}")
+                raise SimpleStoreError(Status.NOT_FOUND, f"no such directory {path}")
             if self.listdir(path):
-                raise SimpleStoreError(f"{path} not empty")
+                raise SimpleStoreError(Status.NOT_EMPTY, f"{path} not empty")
             self._dirs.discard(path)
 
     def listdir(self, path: str) -> list[tuple[str, str, int]]:
@@ -108,7 +117,7 @@ class SimpleStore:
         with self._lock:
             path = self._norm(path)
             if path not in self._dirs:
-                raise SimpleStoreError(f"no such directory {path}")
+                raise SimpleStoreError(Status.NOT_FOUND, f"no such directory {path}")
             prefix = path.rstrip("/") + "/"
             out = []
             for d in self._dirs:

@@ -17,7 +17,6 @@ after :meth:`NestServer.start`.
 from __future__ import annotations
 
 import functools
-import itertools
 import socket
 import threading
 import time
@@ -40,6 +39,7 @@ from repro.obs.metrics import global_registry
 from repro.obs.mgmt import ManagementEndpoint
 from repro.obs.slo import SloEngine
 from repro.protocols.common import Acceptor
+from repro.protocols.nfs import FileHandleRegistry
 from repro.tier.heat import HeatTracker
 
 logger = get_logger(__name__)
@@ -47,70 +47,6 @@ logger = get_logger(__name__)
 #: Seconds between ClassAd re-advertisements when ``advertise_to`` is
 #: not given a heartbeat period of its own.
 ADVERTISE_INTERVAL = 30.0
-
-
-class FileHandleRegistry:
-    """NFS file handles: stable token <-> path mapping, server-wide.
-
-    Tokens are scoped to a restart **epoch**: the durability layer
-    bumps the epoch on every recovery, and the epoch is folded into
-    the high 32 bits of each handed-out token.  A handle minted before
-    a crash therefore fails typed (stale) on the restarted server --
-    it can never silently resolve to whatever now lives at that path.
-    The default epoch 0 leaves tokens numerically unchanged for
-    servers that run without a ``state_dir``.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._epoch = 0
-        self._by_token: dict[int, str] = {1: "/"}
-        self._by_path: dict[str, int] = {"/": 1}
-        self._next = itertools.count(2)
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def set_epoch(self, epoch: int) -> None:
-        """Adopt a restart epoch; every pre-existing token goes stale."""
-        with self._lock:
-            self._epoch = int(epoch) & 0xFFFFFFFF
-
-    def token_for(self, path: str) -> int:
-        """The (stable within this epoch) token for a path."""
-        with self._lock:
-            token = self._by_path.get(path)
-            if token is None:
-                token = next(self._next)
-                self._by_path[path] = token
-                self._by_token[token] = path
-            return (self._epoch << 32) | token
-
-    def path_of(self, token: int) -> str | None:
-        """The path behind a token, or None for stale handles (unknown
-        token *or* a token minted in an earlier epoch)."""
-        with self._lock:
-            if (token >> 32) != self._epoch:
-                return None
-            return self._by_token.get(token & 0xFFFFFFFF)
-
-    def forget(self, path: str) -> None:
-        """Invalidate a path's handle (delete/rename/rmdir).
-
-        Also drops every handle *under* the path, so removing or
-        renaming a directory invalidates its whole subtree -- a token
-        must never resolve to a file that re-appears at the same path
-        later with different contents.
-        """
-        if path == "/":
-            return
-        prefix = path.rstrip("/") + "/"
-        with self._lock:
-            stale = [p for p in self._by_path
-                     if p == path or p.startswith(prefix)]
-            for p in stale:
-                del self._by_token[self._by_path.pop(p)]
 
 
 class NestServer:

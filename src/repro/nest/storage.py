@@ -24,23 +24,23 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Callable
+from typing import Any, Callable
 
 from repro.nest.acl import AccessControl, AclError, Rights, default_acl
 from repro.nest.backends import DataStore, MemoryStore
 from repro.nest.lots import LotError, LotManager
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
-from repro.protocols.common import Request, RequestType, Response, Status
-
-
-class StorageError(Exception):
-    """Carries a protocol-independent failure status."""
-
-    def __init__(self, status: Status, message: str = ""):
-        super().__init__(message or status.value)
-        self.status = status
-        self.message = message
+# StorageError and TransferTicket live beside the sessions that catch
+# and settle them; the manager's callers still import them from here.
+from repro.protocols.common import (
+    Request,
+    RequestType,
+    Response,
+    Status,
+    StorageError,
+    TransferTicket,
+)
 
 
 @dataclass
@@ -59,50 +59,6 @@ class FileNode:
     name: str
     owner: str
     size: int = 0
-
-
-@dataclass
-class TransferTicket:
-    """A storage-manager-approved transfer, and the scope of its data
-    movement.
-
-    ``with ticket:`` brackets whatever moves the bytes.  The mover
-    records what actually moved in :attr:`moved` before the scope ends;
-    leaving it -- normally or by any exception, including one raised
-    before a single byte moved -- settles the ticket with that count
-    (0 if nothing did).  Settling happens once: the stream is closed
-    and, for a put, declared vs actual size is reconciled; later calls
-    are no-ops, so a ticket approved is a ticket settled.
-    """
-
-    path: str
-    user: str
-    size: int  #: bytes to move (-1 when unknown until EOF)
-    stream: BinaryIO  #: backend source (get) or sink (put)
-    is_write: bool
-    offset: int = 0
-    #: bytes actually moved, as recorded by whoever moved them.
-    moved: int = 0
-    #: the storage manager's reconciliation at settlement (puts only),
-    #: called with the ticket and the actual byte count.
-    on_settle: Callable[["TransferTicket", int], None] | None = field(
-        default=None, repr=False)
-    settled: bool = field(default=False, init=False)
-
-    def settle(self, actual_bytes: int) -> None:
-        """End the data movement: close the stream, reconcile."""
-        if self.settled:
-            return
-        self.settled = True
-        self.stream.close()
-        if self.on_settle is not None:
-            self.on_settle(self, actual_bytes)
-
-    def __enter__(self) -> "TransferTicket":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.settle(self.moved)
 
 
 def _split(path: str) -> list[str]:

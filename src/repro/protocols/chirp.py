@@ -27,15 +27,23 @@ fixed-arity verb), and an untraced request parses exactly as before.
 
 from __future__ import annotations
 
+import base64
+import json
 from typing import Any
 from urllib.parse import quote, unquote
 
+from repro.nest import io as fastio
+from repro.nest.auth import AuthError
+from repro.obs import spans as _spans
 from repro.protocols.common import (
     ProtocolError,
     Request,
     RequestType,
     Response,
     Status,
+    StorageError,
+    read_line,
+    write_line,
 )
 
 #: Default TCP port for Chirp in this reproduction.
@@ -149,6 +157,15 @@ def encode_request(req: Request) -> str:
     return verb if not args else f"{verb} {encode_args(args)}"
 
 
+def _count(arg: str) -> int:
+    """A byte count or offset off the wire: the peer's number, so never
+    negative (further down, a negative length means "to EOF")."""
+    count = int(arg)
+    if count < 0:
+        raise ValueError(f"negative count {count}")
+    return count
+
+
 def decode_request(line: str) -> Request:
     """Parse one Chirp command line into a :class:`Request`."""
     parts = line.split(" ", 1)
@@ -168,11 +185,11 @@ def decode_request(line: str) -> Request:
             req.path = args[0]
         elif rtype is RequestType.PUT:
             req.path = args[0]
-            req.length = int(args[1])
+            req.length = _count(args[1])
         elif rtype in (RequestType.READ, RequestType.WRITE):
             req.path = args[0]
-            req.offset = int(args[1])
-            req.length = int(args[2])
+            req.offset = _count(args[1])
+            req.length = _count(args[2])
         elif rtype is RequestType.RENAME:
             req.path = args[0]
             req.params["new_path"] = args[1]
@@ -239,7 +256,173 @@ def encode_stat(stat: dict[str, Any]) -> list[str]:
 
 
 def decode_stat(args: list[str]) -> dict[str, Any]:
-    """Inverse of :func:`encode_stat`."""
-    if len(args) < 3:
+    """Inverse of :func:`encode_stat`.  A directory has no owner, and
+    an empty last argument does not survive the wire."""
+    if len(args) < 2:
         raise ProtocolError("malformed stat reply")
-    return {"size": int(args[0]), "type": args[1], "owner": args[2]}
+    return {"size": int(args[0]), "type": args[1],
+            "owner": args[2] if len(args) > 2 else ""}
+
+
+# ---------------------------------------------------------------------------
+# the server side of a connection
+# ---------------------------------------------------------------------------
+
+
+class ChirpSession:
+    """The Chirp session: request loop, verb table and reply encoding,
+    written once against the host contract (:mod:`repro.protocols`)."""
+
+    protocol = "chirp"
+
+    def serve(self) -> None:
+        while self.serve_one():
+            pass
+
+    def serve_one(self) -> bool:
+        """One Chirp request: read a line, decode, dispatch.  False at
+        EOF/quit."""
+        try:
+            line = read_line(self.rfile)
+        except ProtocolError:
+            return False
+        try:
+            request = decode_request(line)
+        except ProtocolError as exc:
+            self._respond(Response(Status.BAD_REQUEST, message=str(exc)))
+            return True
+        with self.request_scope(request.rtype.value, request.path):
+            return self._handle(request)
+
+    def _handle(self, request: Request) -> bool:
+        request.user = self.user
+        if request.rtype is RequestType.QUIT:
+            write_line(self.wfile, "ok")
+            return False
+        verb = self._VERBS.get(request.rtype)
+        try:
+            if verb is None:
+                self._reply(request, self.files.execute(request))
+            else:
+                verb(self, request)
+        except StorageError as exc:
+            # The one StorageError -> reply mapping: a refused approval
+            # (nothing promised yet) or a settlement the journal could
+            # not record both answer in place of the success line.
+            self.mark_request_error()
+            self._respond(Response(exc.status, message=exc.message))
+        return True
+
+    def _respond(self, response: Response, args: list[str] | None = None,
+                 payload: bytes | None = None, flush: bool = True) -> None:
+        """One reply line -- followed, in the same wire write, by
+        ``payload`` (whose length is appended to ``args``).
+        ``flush=False`` when the body goes out through ``send``."""
+        if payload is not None:
+            args = [*(args or ()), str(len(payload))]
+        write_line(self.wfile, encode_response(response, args), flush=False)
+        if payload is not None:
+            self.wfile.write(payload)
+        if flush:
+            self.wfile.flush()
+
+    def _authenticate(self, request: Request) -> None:
+        mechanism = request.params.get("mechanism", "gsi")
+        if mechanism != "gsi" or self.gsi is None:
+            self._respond(Response(Status.BAD_REQUEST,
+                                   message="only gsi supported"))
+            return
+        write_line(self.wfile, "ok")
+        auth_span = _spans.maybe_span("auth", mechanism=mechanism)
+        try:
+            cert = base64.b64decode(read_line(self.rfile))
+            challenge = self.gsi.challenge()
+            write_line(self.wfile, base64.b64encode(challenge).decode())
+            response = base64.b64decode(read_line(self.rfile))
+            subject = self.gsi.accept(cert, challenge, response)
+        except (AuthError, ProtocolError, ValueError) as exc:
+            auth_span.end(status="error")
+            self.mark_request_error()
+            self._respond(Response(Status.NOT_AUTHENTICATED,
+                                   message=str(exc)))
+            return
+        self.user = self.map_subject(subject)
+        auth_span.set(user=self.user).end()
+        self._respond(Response(Status.OK), [self.user])
+
+    def _get(self, request: Request) -> None:
+        # Approve (permissions + existence) before promising data.
+        ticket = self.files.approve_get(self.user, request.path)
+        self._respond(Response(Status.OK), [str(ticket.size)], flush=False)
+        self.send(ticket)
+
+    def _put(self, request: Request) -> None:
+        # Approve before telling the client to send.
+        ticket = self.files.approve_put(self.user, request.path,
+                                        request.length)
+        write_line(self.wfile, "ok")
+        self.receive(ticket, length=request.length)
+        write_line(self.wfile, "ok")
+
+    def _block_read(self, request: Request) -> None:
+        """Chirp ``read <path> <offset> <len>``: partial-file read."""
+        ticket = self.files.approve_read(
+            self.user, request.path, request.offset, request.length)
+        self._respond(Response(Status.OK), [str(ticket.size)], flush=False)
+        self.send(ticket)
+
+    def _block_write(self, request: Request) -> None:
+        """Chirp ``write <path> <offset> <len>``: partial-file write."""
+        ticket = self.files.approve_write(
+            self.user, request.path, request.offset, request.length)
+        write_line(self.wfile, "ok")
+        moved, crc = self.receive(ticket, length=request.length)
+        # Ack with the CRC32 folded into the receive loop: the client
+        # verifies its upload end to end with zero extra read passes.
+        write_line(self.wfile, f"ok {'-' if crc is None else crc} {moved}")
+
+    def _checksum(self, request: Request) -> None:
+        """Chirp ``checksum <path>``: CRC32 over the file's contents.
+
+        Runs the contents through the same read-approval gate as a GET
+        (permissions and existence checked first), so a replica manager
+        can verify a third-party copy end to end without pulling the
+        bytes over the wide area.  Replies ``ok <crc32> <size>``.
+        """
+        ticket = self.files.approve_get(self.user, request.path)
+
+        def fold(ticket):
+            crc, nbytes = fastio.stream_crc32(ticket.stream, ticket.size)
+            return nbytes, crc
+
+        _, crc = self.send(ticket, mover=fold)
+        self._respond(Response(Status.OK), [str(crc), str(ticket.size)])
+
+    def _reply(self, request: Request, response: Response) -> None:
+        if not response.ok:
+            self.mark_request_error()
+            self._respond(response)
+        elif request.rtype is RequestType.STAT:
+            self._respond(response, encode_stat(response.data))
+        elif request.rtype in (RequestType.LIST, RequestType.ACL_GET,
+                               RequestType.LOT_STAT, RequestType.LOT_LIST,
+                               RequestType.LOT_DELETE):
+            self._respond(response,
+                          payload=json.dumps(response.data).encode())
+        elif request.rtype in (RequestType.LOT_CREATE, RequestType.LOT_RENEW):
+            self._respond(response, [str(response.data["lot_id"]),
+                                     str(response.data["capacity"]),
+                                     str(response.data["expires_at"])])
+        else:
+            write_line(self.wfile, "ok")
+
+    #: Verbs served here; every other request type is a metadata
+    #: operation ``files.execute`` runs synchronously.
+    _VERBS = {
+        RequestType.AUTH: _authenticate,
+        RequestType.GET: _get,
+        RequestType.PUT: _put,
+        RequestType.READ: _block_read,
+        RequestType.WRITE: _block_write,
+        RequestType.CHECKSUM: _checksum,
+    }

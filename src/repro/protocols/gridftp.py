@@ -21,10 +21,15 @@ a 64-bit offset, with the EOF flag on a zero-length trailer block.
 
 from __future__ import annotations
 
+import base64
+import socket
 import struct
+import threading
 from typing import BinaryIO, Iterator
 
-from repro.protocols.common import ProtocolError, read_exact
+from repro.nest.auth import AuthError
+from repro.protocols import common, ftp
+from repro.protocols.common import ProtocolError, read_exact, tuned
 
 #: EBLOCK header: flags byte, 64-bit big-endian length and offset.
 _HEADER = struct.Struct(">BQQ")
@@ -123,3 +128,220 @@ def parse_opts_retr(arg: str) -> dict[str, int]:
 def format_opts_retr(parallelism: int) -> str:
     """Render the Parallelism OPTS command argument."""
     return f"RETR Parallelism={parallelism};"
+
+
+# ---------------------------------------------------------------------------
+# the server side of a connection
+# ---------------------------------------------------------------------------
+
+
+class GridFtpSession(ftp.FtpSession):
+    """FTP + GSI (ADAT), extended-block mode, parallel streams."""
+
+    protocol = "gridftp"
+
+    mode = "S"
+    parallelism = 1
+    _gsi_challenge: bytes | None = None
+    _gsi_cert: bytes | None = None
+    _spas_listeners: tuple[socket.socket, ...] = ()
+
+    def cmd_auth(self, arg: str) -> bool:
+        if arg.upper() not in ("GSSAPI", "GSI"):
+            self.reply(ftp.NOT_IMPLEMENTED, "only GSSAPI")
+            return True
+        self.reply(334, "ADAT must follow")
+        return True
+
+    def cmd_adat(self, arg: str) -> bool:
+        try:
+            payload = base64.b64decode(arg)
+        except ValueError:
+            self.reply(ftp.SYNTAX_ERROR, "bad base64")
+            return True
+        if self._gsi_challenge is None:
+            # Step 1: certificate in, challenge out.
+            self._gsi_cert = payload
+            self._gsi_challenge = self.gsi.challenge()
+            token = base64.b64encode(self._gsi_challenge).decode()
+            self.reply(ftp.AUTH_CONTINUE, f"ADAT={token}")
+            return True
+        # Step 2: challenge response in.
+        try:
+            subject = self.gsi.accept(
+                self._gsi_cert, self._gsi_challenge, payload
+            )
+        except AuthError as exc:
+            self.reply(ftp.NOT_LOGGED_IN, str(exc))
+            self._gsi_challenge = None
+            return True
+        self.user = self.map_subject(subject)
+        self.logged_in = True
+        self.reply(ftp.AUTH_OK, f"authenticated as {self.user}")
+        return True
+
+    def cmd_mode(self, arg: str) -> bool:
+        mode = arg.upper()
+        if mode not in ("S", "E"):
+            self.reply(ftp.NOT_IMPLEMENTED, "modes S and E only")
+            return True
+        self.mode = mode
+        self.reply(200, f"mode {mode}")
+        return True
+
+    def cmd_opts(self, arg: str) -> bool:
+        try:
+            opts = parse_opts_retr(arg)
+        except ProtocolError as exc:
+            self.reply(ftp.SYNTAX_ERROR, str(exc))
+            return True
+        self.parallelism = max(1, opts.get("parallelism", 1))
+        self.reply(200, f"parallelism {self.parallelism}")
+        return True
+
+    def cmd_spas(self, arg: str) -> bool:
+        """Striped passive: one listener per parallel stream."""
+        self.close_data_state()
+        listeners, lines = [], []
+        for _ in range(self.parallelism):
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.bind((self.host, 0))
+            listener.listen(2)
+            listeners.append(listener)
+            host, port = listener.getsockname()
+            h = host.split(".")
+            lines.append(f" {h[0]},{h[1]},{h[2]},{h[3]},{port // 256},{port % 256}")
+        self._spas_listeners = tuple(listeners)
+        common.write_line(self.wfile, "229-Entering Striped Passive Mode",
+                          flush=False)
+        for line in lines:
+            common.write_line(self.wfile, line, flush=False)
+        common.write_line(self.wfile, "229 End")
+        return True
+
+    def data_channel_configured(self) -> bool:
+        return bool(self._spas_listeners) or super().data_channel_configured()
+
+    def close_data_state(self) -> None:
+        for listener in self._spas_listeners:
+            listener.close()
+        self._spas_listeners = ()
+        super().close_data_state()
+
+    def _data_connections(self) -> list[socket.socket]:
+        if not self._spas_listeners:
+            return [self.open_data_connection()]
+        conns: list[socket.socket] = []
+        try:
+            for listener in self._spas_listeners:
+                listener.settimeout(self.data_timeout)
+                conn, _ = listener.accept()
+                conns.append(
+                    self.wrap_data_socket(tuned(conn), "gridftp-stripe"))
+        except OSError:
+            for conn in conns:
+                conn.close()
+            raise
+        return conns
+
+    def _run_lanes(self, lane, what: str) -> list[BaseException]:
+        """Extended-block data movement: open the data channel(s) and
+        run ``lane(conn, index)`` on one thread per connection.  Called
+        from a mover, i.e. inside the ticket's scope: a stripe that
+        never connects raises out of here and the ticket settles like
+        any failed transfer.  Returns what the lanes themselves raised
+        -- those are reported in-band, the control connection lives."""
+        errors: list[BaseException] = []
+
+        def guarded(conn: socket.socket, index: int) -> None:
+            try:
+                lane(conn, index)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        try:
+            threads = [
+                threading.Thread(target=guarded, args=(conn, i), daemon=True)
+                for i, conn in enumerate(self._data_connections())
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            if any(t.is_alive() for t in threads):
+                errors.append(TimeoutError(f"parallel {what} lane hung"))
+        finally:
+            self.close_data_state()
+        return errors
+
+    def _lanes_reply(self, errors: list[BaseException], done: str) -> bool:
+        if errors:
+            self.reply(ftp.ACTION_FAILED, f"transfer failed: {errors[0]}")
+        else:
+            self.reply(ftp.TRANSFER_OK, done)
+        return True
+
+    def cmd_retr(self, arg: str) -> bool:
+        if self.mode != "E":
+            return super().cmd_retr(arg)
+        ticket = self.files.approve_get(self.user, self.resolve(arg))
+        self.reply(ftp.OPENING_DATA, "opening extended-block channels")
+        errors: list[BaseException] = []
+
+        def send_lanes(ticket):
+            extents = stripe_ranges(
+                ticket.size, max(1, len(self._spas_listeners)), 256 * 1024)
+            # Lanes share the ticket's stream: each extent is one
+            # bounded seek+read under this lock, so memory per lane is
+            # one stripe block -- never the whole file.
+            source_lock = threading.Lock()
+
+            def lane(conn: socket.socket, index: int) -> None:
+                with conn.makefile("wb") as out:
+                    for offset, length in extents[index]:
+                        with source_lock:
+                            ticket.stream.seek(offset)
+                            payload = read_exact(ticket.stream, length)
+                        write_block(out, offset, payload)
+                    write_eod(out, eof=index == 0)
+
+            errors.extend(self._run_lanes(lane, "send"))
+            return ticket.size, None
+
+        self.send(ticket, mover=send_lanes)
+        return self._lanes_reply(errors, "transfer complete")
+
+    def cmd_stor(self, arg: str) -> bool:
+        if self.mode != "E":
+            return super().cmd_stor(arg)
+        ticket = self.files.approve_put(self.user, self.resolve(arg), 0)
+        self.reply(ftp.OPENING_DATA, "opening extended-block channels")
+        errors: list[BaseException] = []
+
+        def receive_lanes(ticket):
+            # Blocks land directly at their offsets in the ticket's
+            # stream (one seek+write per block under this lock): memory
+            # per lane is one wire block, never the whole file, and
+            # sparse regions zero-fill.
+            sink_lock = threading.Lock()
+            high_water = 0
+
+            def lane(conn: socket.socket, index: int) -> None:
+                nonlocal high_water
+                with conn.makefile("rb") as stream:
+                    for offset, payload in iter_blocks(stream):
+                        with sink_lock:
+                            ticket.stream.seek(offset)
+                            ticket.stream.write(payload)
+                            high_water = max(high_water,
+                                             offset + len(payload))
+
+            errors.extend(self._run_lanes(lane, "receive"))
+            # A failed or hung lane means missing stripes: settle the
+            # STOR as empty rather than commit a silently truncated file.
+            return (0 if errors else high_water), None
+
+        moved, _ = self.receive(ticket, mover=receive_lanes)
+        return self._lanes_reply(errors, f"received {moved} bytes")

@@ -24,6 +24,7 @@ from repro.protocols.common import (
     RequestType,
     Response,
     Status,
+    StorageError,
     read_line,
 )
 
@@ -167,3 +168,76 @@ def read_response_head(stream: BinaryIO) -> tuple[Response, dict[str, str]]:
     headers = read_headers(stream)
     status = _CODE_TO_STATUS.get(code, Status.SERVER_ERROR)
     return Response(status, message=parts[2] if len(parts) > 2 else ""), headers
+
+
+# ---------------------------------------------------------------------------
+# the server side of a connection
+# ---------------------------------------------------------------------------
+
+
+class HttpSession:
+    """The HTTP session: request loop, method table and status
+    mapping, written once against
+    the host contract (:mod:`repro.protocols`).  Anonymous only."""
+
+    protocol = "http"
+
+    def serve(self) -> None:
+        while self.serve_one():
+            pass
+
+    def serve_one(self) -> bool:
+        """One HTTP request/response exchange.  False when the
+        connection should close."""
+        try:
+            request = read_request(self.rfile)
+        except ProtocolError:
+            return False
+        if request is None:
+            return False
+        with self.request_scope(request.rtype.value, request.path):
+            return self._handle(request)
+
+    def _handle(self, request: Request) -> bool:
+        request.user = self.user
+        keep_alive = bool(request.params.get("keep_alive", False))
+        try:
+            self._serve(request, keep_alive)
+        except StorageError as exc:
+            self.mark_request_error()
+            write_response_head(
+                self.wfile, Response(exc.status, message=exc.message),
+                keep_alive=keep_alive)
+        return keep_alive
+
+    def _serve(self, request: Request, keep_alive: bool) -> None:
+        files = self.files
+        if request.rtype is RequestType.GET:
+            # Approve before the status line goes out, so a denial is a
+            # clean 403 rather than a corrupted body.
+            ticket = files.approve_get(self.user, request.path)
+            write_response_head(self.wfile, Response(Status.OK),
+                                content_length=ticket.size,
+                                keep_alive=keep_alive, flush=False)
+            self.send(ticket)
+        elif request.rtype is RequestType.STAT:  # HEAD
+            size = files.stat(self.user, request.path)["size"]
+            write_response_head(self.wfile, Response(Status.OK),
+                                content_length=size, keep_alive=keep_alive)
+        elif request.rtype is RequestType.PUT:
+            if request.length < 0:
+                # The peer's number: further down it would read "to EOF".
+                raise StorageError(Status.BAD_REQUEST,
+                                   "negative Content-Length")
+            ticket = files.approve_put(self.user, request.path,
+                                       request.length)
+            self.receive(ticket, length=request.length)
+            write_response_head(self.wfile, Response(Status.OK),
+                                keep_alive=keep_alive)
+        elif request.rtype is RequestType.DELETE:
+            files.delete(self.user, request.path)
+            write_response_head(self.wfile, Response(Status.OK),
+                                keep_alive=keep_alive)
+        else:
+            write_response_head(self.wfile, Response(Status.BAD_REQUEST),
+                                keep_alive=keep_alive)

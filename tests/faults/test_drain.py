@@ -13,12 +13,19 @@ import time
 
 import pytest
 
+from repro.client import FtpClient, GridFtpClient, NfsClient
 from repro.client.chirp import ChirpClient
 from repro.client.errors import ClientError
 from repro.client.http import HttpClient
 from repro.client.retry import RetryPolicy
 from repro.faults import FaultAction, FaultPlan
-from repro.jbos.httpd import NativeHttpd
+from repro.jbos import (
+    NativeChirpd,
+    NativeFtpd,
+    NativeGridFtpd,
+    NativeHttpd,
+    NativeNfsd,
+)
 from repro.protocols import chirp, http
 from repro.protocols.common import Request, RequestType, write_line
 
@@ -101,8 +108,16 @@ class TestNestServerDrain:
             except BaseException as exc:  # noqa: BLE001 - asserted below
                 results["error"] = exc
 
+        def busy():
+            return any(getattr(h, "busy", False)
+                       for h in list(srv._connections))
+
+        assert _wait_until(lambda: not busy())  # the put's scope has closed
         thread = threading.Thread(target=slow_get, daemon=True)
         thread.start()
+        # In flight, not merely intended: a stop() that wins the race
+        # with the request line closes an idle connection, rightly.
+        assert _wait_until(lambda: results or busy())
         stats = srv.stop(drain_timeout=5.0)
         thread.join(timeout=5)
         assert not thread.is_alive()
@@ -154,6 +169,30 @@ class TestNativeServerDrain:
             assert client.get("/f") == b"abc"
         assert _wait_until(lambda: srv.active_connections() == 0)
         assert srv.stop(drain_timeout=2.0) == {"drained": 1, "forced": 0}
+
+
+#: every native daemon, with its client and that client's whole-file GET.
+NATIVE_GETS = {
+    NativeChirpd: (ChirpClient, "get"),
+    NativeHttpd: (HttpClient, "get"),
+    NativeFtpd: (FtpClient, "retr"),
+    NativeGridFtpd: (GridFtpClient, "retr"),
+    NativeNfsd: (NfsClient, "read_file"),
+}
+
+
+@pytest.mark.parametrize("daemon", NATIVE_GETS, ids=lambda cls: cls.__name__)
+def test_every_native_daemon_takes_a_fault_plan(daemon):
+    """``NativeGridFtpd(faults=...)`` was a TypeError: its constructor
+    forgot the argument its four siblings took."""
+    plan = FaultPlan.fail_accept(count=1)
+    with daemon(faults=plan) as srv:
+        srv.store.write("/f", b"native payload")
+        client_cls, get = NATIVE_GETS[daemon]
+        retry = RetryPolicy(max_attempts=3, base_delay=0.01, deadline=10.0)
+        with client_cls(srv.host, srv.port, retry=retry) as client:
+            assert getattr(client, get)("/f") == b"native payload"
+    assert plan.fired(FaultAction.DROP) == 1
 
 
 class TestConnectionTracking:

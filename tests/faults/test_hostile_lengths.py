@@ -9,12 +9,17 @@ traceback, and the server goes on serving.
 
 from __future__ import annotations
 
+import resource
 import socket
 import struct
 import threading
 
+import pytest
+
+from repro.client import ChirpClient, HttpClient
 from repro.client.ibp import IbpClient
 from repro.client.nfs import NfsClient
+from repro.jbos import NativeChirpd, NativeHttpd
 from repro.protocols import gridftp
 
 
@@ -80,3 +85,46 @@ def test_gridftp_parallelism_is_capped(server_factory, thread_tracebacks,
         assert reply(f"OPTS RETR Parallelism={top};").startswith("200")
     wait_idle(srv)
     assert thread_tracebacks == []
+
+
+TERABYTE = 1 << 40
+#: (daemon, its client, a PUT head announcing ``n`` bytes, the typed
+#: refusal of a negative ``n``).
+NATIVE_PUTS = {
+    "chirp": (NativeChirpd, ChirpClient,
+              "put /pub/x {n}\r\n", b"err bad_request"),
+    "http": (NativeHttpd, HttpClient,
+             "PUT /pub/x HTTP/1.0\r\nContent-Length: {n}\r\n\r\n",
+             b"HTTP/1.0 400"),
+}
+
+
+@pytest.mark.parametrize("proto", NATIVE_PUTS)
+def test_jbos_put_of_a_terabyte_and_of_minus_five(proto, thread_tracebacks,
+                                                  wait_idle):
+    """The native daemons used to ``bytearray(<announced length>)``: a
+    terabyte killed the handler thread with an uncaught MemoryError.
+    The shared session takes the body through the host's door in
+    bounded chunks, and a negative length is refused, typed."""
+    daemon, client_cls, head, refusal = NATIVE_PUTS[proto]
+    with daemon() as srv:
+        srv.store.mkdir("/pub")
+        rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        with socket.create_connection((srv.host, srv.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(head.format(n=TERABYTE).encode())
+            if proto == "chirp":
+                assert sock.recv(16) == b"ok\r\n"  # go ahead
+            sock.sendall(b"x" * 4096)  # ...and the peer walks away
+        with socket.create_connection((srv.host, srv.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(head.format(n=-5).encode())
+            assert sock.recv(64).startswith(refusal)
+        wait_idle(srv)
+        assert thread_tracebacks == []
+        grown_kib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                     - rss_before)
+        assert grown_kib < 64 * 1024  # nowhere near what was announced
+        with client_cls(srv.host, srv.port) as client:
+            client.put("/pub/y", b"still serving")
+            assert client.get("/pub/y") == b"still serving"

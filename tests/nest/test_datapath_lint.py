@@ -1,5 +1,5 @@
-"""The door, socket-birth and one-accept-loop rules of
-``scripts/lint_datapath.py``."""
+"""The door, socket-birth, one-accept-loop and shares-no-manager rules
+of ``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -42,6 +42,51 @@ class FtpHandler(ConnectionHandler):
                for line in lint._door_violations(source)]
     assert sorted(flagged) == [".observe_read", ".settle", ".settle",
                                ".submit"]
+
+
+def test_sessions_and_jbos_have_no_door_of_their_own(tmp_path):
+    root = REPO / "src" / "repro"
+    checked = [path.relative_to(root).as_posix()
+               for path in sorted(root.rglob("*.py"))
+               if path.relative_to(root).as_posix().startswith(lint.DOORLESS)]
+    assert {"protocols/ftp.py", "jbos/base.py"} <= set(checked)
+    assert [v for rel in checked
+            for v in lint._door_violations(root / rel,
+                                           lint.DOORS.get(rel))] == []
+    # A session that settles its own ticket has no door to hide behind.
+    source = tmp_path / "ftp.py"
+    source.write_text('''
+class FtpSession:
+    def cmd_retr(self, arg):
+        ticket = self.files.approve_get(self.user, arg)
+        self.wfile.write(ticket.stream.read(ticket.size))
+        ticket.settle(ticket.size)
+
+    def send(self, ticket):  # a session is not the door either
+        ticket.settle(0)
+''')
+    flagged = [int(line.split(":")[1])
+               for line in lint._door_violations(source, None)]
+    assert flagged == [6, 9]
+
+
+def test_jbos_imports_no_nest_manager(tmp_path):
+    jbos = REPO / "src" / "repro" / "jbos"
+    assert [v for path in sorted(jbos.glob("*.py"))
+            for v in lint._manager_imports(path)] == []
+    source = tmp_path / "newd.py"
+    source.write_text('''
+import repro.nest.transfer                      # flagged
+from repro.nest import auth, scheduling         # flagged: scheduling
+from repro.nest.storage import StorageManager   # flagged
+from repro.nest.auth import GSIContext
+from repro.protocols.common import StorageError
+''')
+    flagged = [(int(line.split(":")[1]), line.split("imports ")[1].split()[0])
+               for line in lint._manager_imports(source)]
+    assert flagged == [(2, "repro.nest.transfer"),
+                       (3, "repro.nest.scheduling"),
+                       (4, "repro.nest.storage")]
 
 
 def test_every_socket_in_src_is_tuned_at_birth():

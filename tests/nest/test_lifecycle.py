@@ -14,7 +14,7 @@ import pytest
 
 from repro.client.chirp import ChirpClient
 from repro.grid.discovery import Collector
-from repro.jbos.chirpd import NativeChirpd
+from repro.jbos import NativeChirpd
 from repro.nest.config import NestConfig
 from repro.nest.server import NestServer
 from repro.obs.metrics import MetricsRegistry
