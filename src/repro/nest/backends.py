@@ -17,6 +17,7 @@ policy code.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import threading
 from typing import BinaryIO, Protocol
@@ -116,11 +117,18 @@ class _AtomicWriter:
     name.  A reader (or a recovery pass) therefore sees the old file or
     the new one, never a torn hybrid -- and a process killed mid-PUT
     leaves only a ``.nest-tmp`` orphan, swept at the next recovery.
+
+    Every writer stages under a name of its own, so concurrent writers
+    of one path never share a temp file: the last to close wins, whole.
     """
+
+    #: Distinguishes this process's writers (``next`` is atomic).
+    _serial = itertools.count()
 
     def __init__(self, final: str, append: bool = False):
         self._final = final
-        self._tmp = final + TEMP_SUFFIX
+        self._tmp = (f"{final}.{os.getpid()}-{next(self._serial)}"
+                     f"{TEMP_SUFFIX}")
         self._f = open(self._tmp, "wb")
         if append and os.path.exists(final):
             with open(final, "rb") as src:

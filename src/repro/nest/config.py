@@ -84,13 +84,16 @@ class NestConfig:
     #: Scheduler grants out at once: how many transfers may be moving
     #: a quantum at the same moment.  Not a thread count -- the
     #: transfer manager has no threads; each connection's own thread
-    #: pumps under a grant.
+    #: pumps under a grant.  Up to this many registered transfers
+    #: never wait for one another, so they are granted
+    #: ``repro.nest.transfer.BURST_BYTES`` at a time.
     transfer_workers: int = 8
 
     #: Bytes moved per proportional-share scheduling quantum.  Small
     #: quanta give fine-grained control; each one costs an arbitration
-    #: pass (the Fig. 4 overhead).  A transfer that is alone is granted
-    #: ``repro.nest.transfer.BURST_BYTES`` at a time instead.
+    #: pass (the Fig. 4 overhead).  Applies when more transfers are
+    #: registered than there are ``transfer_workers`` slots -- only
+    #: then is a transfer kept waiting and a share enforced.
     quantum_bytes: int = 16 * 1024
 
     #: Total storage capacity managed by this NeST.

@@ -13,8 +13,19 @@ worker.  That thread loops *acquire a grant, pump one quantum, release*:
 * at most ``config.transfer_workers`` grants are out at once;
 * whichever thread asks for or returns a grant runs the arbitration
   under the manager's lock and wakes exactly the owner it granted;
-* a transfer that is alone gets :data:`BURST_BYTES` per grant; any
-  contention at all keeps ``config.quantum_bytes``;
+* a grant is sized by *slot* contention: while every registered
+  transfer can hold a slot at once (``scheduler.depth() <=
+  transfer_workers``) nobody is ever kept waiting, the scheduler orders
+  nothing, and each grant is :data:`BURST_BYTES`; the moment there are
+  more unfinished transfers than slots every new grant is
+  ``config.quantum_bytes``, so shares keep their granularity exactly
+  where they are enforced;
+* a burst stays revocable where control is in Python anyway: the pooled
+  pump ends its grant at the next buffer boundary once a transfer is
+  waiting.  The ``sendfile`` pump is one ``os.sendfile`` call per grant,
+  so when transfer number ``transfer_workers + 1`` arrives it waits for
+  at most one in-flight burst of one holder -- the bound
+  ``transfer_workers = 1`` always lived with;
 * when non-work-conserving stride would rather wait for a job that is
   not ready, waiters idle for :data:`IDLE_WAIT` and then the best ready
   job is granted anyway (bounded anticipatory idling).
@@ -44,8 +55,9 @@ from repro.obs import spans as _spans
 SENDFILE = "sendfile"
 POOLED = "pooled"
 
-#: Bytes granted per quantum when a transfer is *alone*: a big quantum
-#: then costs no fairness and saves hundreds of arbitration passes.
+#: Bytes granted per quantum while no transfer can be kept waiting
+#: (there is a slot for every registered one): a big quantum then costs
+#: no fairness and saves hundreds of arbitration passes.
 BURST_BYTES = 4 * 1024 * 1024
 
 #: Recent per-transfer failure causes kept for ``failures()``.
@@ -166,8 +178,13 @@ class Transfer:
             self._buffer = fastio.DEFAULT_POOL.acquire()
             self._view = memoryview(self._buffer)
         view = self._view
+        waiting = self.manager._waiting
         moved_now = 0
         while moved_now < want:
+            if moved_now and waiting:
+                # Someone is being kept waiting: hand the rest of a
+                # burst back at this buffer boundary.
+                break
             step = min(len(view), want - moved_now)
             got = self.source.readinto(view[:step])
             if not got:
@@ -245,6 +262,13 @@ class TransferManager:
             reg.gauge_callback("nest_transfer_failure_ring",
                                lambda: len(self._failures),
                                "Failure causes currently retained.")
+            reg.gauge_callback("nest_transfer_grants",
+                               lambda: float(self.grants),
+                               "Scheduler grants issued (quanta and bursts).")
+            reg.gauge_callback("nest_transfer_burst_grants",
+                               lambda: float(self.burst_grants),
+                               "Grants of BURST_BYTES: issued while every "
+                               "registered transfer had a slot.")
             fastio.register_metrics(reg)
         self.scheduler: Scheduler = make_scheduler(
             config.scheduling,
@@ -258,6 +282,11 @@ class TransferManager:
         self._waiting: dict[int, Transfer] = {}
         #: grants currently out (at most ``config.transfer_workers``).
         self._active = 0
+        #: grants issued, and how many of them were bursts (plain ints
+        #: bumped under the lock; ``PumpGate.grants`` is the simulated
+        #: twin).
+        self.grants = 0
+        self.burst_grants = 0
         #: monotonic time at which idling waiters force a grant, while
         #: non-work-conserving stride is holding a slot back.
         self._idle_until: Optional[float] = None
@@ -469,9 +498,14 @@ class TransferManager:
         del self._waiting[transfer.job.job_id]
         transfer.job.ready = False
         self._active += 1
-        # Alone = the only transfer submitted and unfinished.
-        transfer._grant = (BURST_BYTES if self.scheduler.depth() == 1
-                           else self.config.quantum_bytes)
+        self.grants += 1
+        # A slot for every transfer submitted and unfinished: nobody
+        # can be kept waiting, so a small quantum would buy no fairness.
+        if self.scheduler.depth() <= self.config.transfer_workers:
+            self.burst_grants += 1
+            transfer._grant = BURST_BYTES
+        else:
+            transfer._grant = self.config.quantum_bytes
         transfer._granted.notify()
 
     # -- telemetry ---------------------------------------------------------

@@ -9,6 +9,7 @@ protocol connection" of the paper's section 3.
 from __future__ import annotations
 
 import enum
+import io
 import selectors
 import socket
 import threading
@@ -226,11 +227,17 @@ def read_exact_into(stream: BinaryIO, view: memoryview) -> None:
 
 def read_exact(stream: BinaryIO, n: int) -> bytes:
     """Read exactly ``n`` bytes or raise :exc:`ProtocolError` on EOF."""
-    # Fast path: one buffer filled in place, one bytes object out.
-    # The check is class-level on purpose -- fault-injection wrappers
-    # forward unknown attributes to the raw stream, and reading around
-    # them would skip injected faults (see repro.nest.io).
-    if getattr(type(stream), "readinto", None) is not None:
+    if n < 0:
+        raise ValueError("negative count")  # never read(-1) to EOF
+    # One buffer filled in place, one bytes object out -- except from a
+    # ``BufferedReader``, whose ``read(n)`` CPython fills straight into
+    # the result object (no second allocation, no copy): that takes the
+    # loop below, one pass of it.  The checks are class-level on
+    # purpose -- fault-injection wrappers forward unknown attributes to
+    # the raw stream, and reading around them would skip injected
+    # faults (see repro.nest.io).
+    if (type(stream) is not io.BufferedReader
+            and getattr(type(stream), "readinto", None) is not None):
         buf = bytearray(n)
         read_exact_into(stream, memoryview(buf))
         return bytes(buf)

@@ -1,8 +1,15 @@
 """Unit tests for the physical-storage backends."""
 
+import io
+import os
+import threading
+
 import pytest
 
-from repro.nest.backends import LocalFSStore, MemoryStore
+from repro.client.chirp import ChirpClient
+from repro.nest.backends import TEMP_SUFFIX, LocalFSStore, MemoryStore
+from repro.nest.config import NestConfig
+from repro.nest.server import NestServer
 
 
 @pytest.fixture(params=["memory", "localfs"])
@@ -61,6 +68,82 @@ class TestBackendContract:
             w.write(b"d")
         with store.open_read("/a/b/c/deep") as r:
             assert r.read() == b"d"
+
+    def test_concurrent_writers_of_one_path_never_tear(self, store):
+        a = store.open_write("/x")
+        b = store.open_write("/x")
+        a.write(b"A" * 100_000)
+        b.write(b"B" * 50_000)
+        a.close()
+        with store.open_read("/x") as r:
+            assert r.read() == b"A" * 100_000
+        b.close()  # the last closer wins, whole
+        with store.open_read("/x") as r:
+            assert r.read() == b"B" * 50_000
+
+
+def staged_files(root) -> list[str]:
+    return [name for _, _, names in os.walk(root) for name in names
+            if name.endswith(TEMP_SUFFIX)]
+
+
+class TestStagedNames:
+    def test_each_writer_stages_under_its_own_swept_name(self, tmp_path):
+        store = LocalFSStore(str(tmp_path))
+        a = store.open_write("/x")
+        b = store.open_write("/x")
+        assert len(staged_files(tmp_path)) == 2
+        a.close()
+        b.close()
+        assert staged_files(tmp_path) == []
+        store.open_write("/y").write(b"orphan")  # never closed: a crash
+        assert store.sweep_temp() == 1
+        assert staged_files(tmp_path) == [] and not store.exists("/y")
+
+    def test_two_connections_putting_one_path_at_once(self, tmp_path):
+        """Both PUTs are mid-body at the same time; both are
+        acknowledged (CRC checked by the client) and the file is wholly
+        one of the two payloads."""
+        size = 1 << 20
+        payloads = [b"A" * size, b"B" * size]
+        both_mid_body = threading.Barrier(2, timeout=10)
+
+        class MeetMidBody(io.BytesIO):
+            met = False
+
+            def readinto(self, view):
+                if not self.met:
+                    self.met = True
+                    both_mid_body.wait()
+                return super().readinto(view)
+
+        outcomes = [None, None]
+
+        def put(i, endpoint):
+            try:
+                with ChirpClient(*endpoint) as client:
+                    outcomes[i] = client.put_stream(
+                        "/same.dat", MeetMidBody(payloads[i]), size)
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                outcomes[i] = exc
+
+        config = NestConfig(name="same-path", protocols=("chirp",),
+                            management=False)
+        with NestServer(config, store=LocalFSStore(str(tmp_path))) as server:
+            # the second PUT overwrites: anonymous needs "w" as well.
+            server.storage.acl_set("admin", "/", "*", "rliwd")
+            threads = [threading.Thread(
+                target=put, args=(i, server.endpoint("chirp")))
+                for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert outcomes == [size, size]
+            with ChirpClient(*server.endpoint("chirp")) as client:
+                assert client.get("/same.dat") in payloads
+        assert staged_files(tmp_path) == []
 
 
 class TestLocalFSSandbox:

@@ -9,12 +9,15 @@ import io
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro.client.chirp import ChirpClient
 from repro.client.http import HttpClient
+from repro.nest import io as fastio
 from repro.nest import transfer as transfer_module
+from repro.nest.backends import LocalFSStore
 from repro.nest.config import NestConfig
 from repro.nest.server import NestServer
 from repro.nest.transfer import TransferError, TransferManager
@@ -334,3 +337,195 @@ class TestScheduling:
         late = tm.submit(io.BytesIO(b"late"), io.BytesIO(), 4, "chirp")
         with pytest.raises(TransferError, match="manager shut down"):
             late.wait(5)
+
+
+MIB = 1 << 20
+
+
+def wait_until(condition, timeout=10):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert condition()
+
+
+class TestGrantSize:
+    """A grant is ``BURST_BYTES`` while there is a slot for every
+    registered transfer and ``quantum_bytes`` once there is not; counted
+    with the manager's own ``grants`` / ``burst_grants``."""
+
+    @staticmethod
+    def recording_sink(tm, log, key=None):
+        """A sink that logs, per write, who wrote, how many transfers
+        were registered, the bursts granted so far and the bytes."""
+        class Sink(io.BytesIO):
+            def write(self, data):
+                log.append((key, tm.scheduler.depth(), tm.burst_grants,
+                            len(data)))
+                return super().write(data)
+        return Sink()
+
+    def test_two_transfers_with_slots_to_spare_move_in_bursts(self):
+        tm = TransferManager(NestConfig())
+        try:
+            sinks = [io.BytesIO(), io.BytesIO()]
+            transfers = [tm.submit(io.BytesIO(bytes([i]) * MIB), sink, MIB,
+                                   "chirp") for i, sink in enumerate(sinks)]
+            assert pump_each_on_its_own_thread(transfers) == [MIB, MIB]
+        finally:
+            tm.shutdown()
+        assert [s.getvalue() for s in sinks] == [b"\0" * MIB, b"\1" * MIB]
+        assert tm.burst_grants == tm.grants
+        assert 2 <= tm.grants <= 4  # 64 each at quantum_bytes
+
+    def test_two_transfers_on_one_slot_take_quanta_only(self):
+        config = NestConfig(transfer_workers=1)
+        tm = TransferManager(config)
+        log = []
+        try:
+            transfers = [tm.submit(io.BytesIO(b"d" * MIB),
+                                   self.recording_sink(tm, log), MIB, "chirp")
+                         for _ in range(2)]
+            assert pump_each_on_its_own_thread(transfers) == [MIB, MIB]
+        finally:
+            tm.shutdown()
+        contended = [entry for entry in log if entry[1] == 2]
+        # Whichever finished first moved all of its bytes in company.
+        assert len(contended) >= MIB // config.quantum_bytes
+        assert all(bursts == 0 and size <= config.quantum_bytes
+                   for _, _, bursts, size in contended)
+        assert tm.grants >= len(contended)
+
+    def test_no_burst_once_there_is_one_transfer_more_than_slots(self):
+        config = NestConfig(transfer_workers=2)
+        tm = TransferManager(config)
+        gate = threading.Event()
+        entered = threading.Semaphore(0)
+        log = []
+
+        class GatedSource(io.BytesIO):
+            def readinto(self, view):
+                entered.release()
+                gate.wait(30)
+                return super().readinto(view)
+
+        try:
+            holders = [tm.submit(GatedSource(b"h" * MIB),
+                                 self.recording_sink(tm, log), MIB, "chirp")
+                       for _ in range(config.transfer_workers)]
+            threads = [threading.Thread(target=h.wait, args=(30,))
+                       for h in holders]
+            for thread in threads:
+                thread.start()
+            for _ in holders:
+                assert entered.acquire(timeout=10)
+            assert tm.burst_grants == tm.grants == config.transfer_workers
+            last = tm.submit(io.BytesIO(b"n" * MIB),
+                             self.recording_sink(tm, log), MIB, "chirp")
+            bursts_before = tm.burst_grants
+            gate.set()
+            assert last.wait(30) == MIB
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            gate.set()
+            tm.shutdown()
+        assert [h.moved for h in holders] == [MIB] * len(holders)
+        crowded = [entry for entry in log
+                   if entry[1] == config.transfer_workers + 1]
+        assert crowded
+        assert all(bursts == bursts_before for _, _, bursts, _ in crowded)
+
+    def test_a_pooled_burst_yields_within_one_buffer_of_a_waiter(self):
+        tm = TransferManager(NestConfig(transfer_workers=1))
+        gate = threading.Event()
+        mid_burst = threading.Event()
+        log = []
+        buffer_bytes = fastio.DEFAULT_POOL.buffer_bytes
+        size = 8 * buffer_bytes
+
+        class GatedSource(io.BytesIO):
+            reads = 0
+
+            def readinto(self, view):
+                self.reads += 1
+                if self.reads == 2:
+                    mid_burst.set()
+                    gate.wait(30)
+                return super().readinto(view)
+
+        try:
+            holder = tm.submit(GatedSource(b"h" * size),
+                               self.recording_sink(tm, log, "holder"), size,
+                               "chirp")
+            holding = threading.Thread(target=holder.wait, args=(30,))
+            holding.start()
+            assert mid_burst.wait(10)
+            assert (tm.grants, tm.burst_grants, holder.moved) == (
+                1, 1, buffer_bytes)
+            newcomer = tm.submit(io.BytesIO(b"n" * size),
+                                 self.recording_sink(tm, log, "newcomer"),
+                                 size, "chirp")
+            arriving = threading.Thread(target=newcomer.wait, args=(30,))
+            arriving.start()
+            wait_until(lambda: tm.queue_depth() == 1)
+            gate.set()
+            for thread in (holding, arriving):
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            gate.set()
+            tm.shutdown()
+        assert holder.moved == newcomer.moved == size
+        writers = [key for key, _, _, _ in log]
+        # The read that was in flight lands, and the very next bytes to
+        # move are the newcomer's: the other six buffers of the burst
+        # went back.
+        assert writers[:3] == ["holder", "holder", "newcomer"]
+        assert tm.queue_depth() == 0 and tm.in_flight() == 0
+
+
+@pytest.mark.skipif(not fastio.sendfile_available,
+                    reason="platform has no os.sendfile")
+class TestLiveGrants:
+    def test_two_connections_getting_8mib_files_move_them_in_bursts(
+            self, tmp_path):
+        """One Chirp and one HTTP connection, four 8 MiB GETs each, at
+        once: a second connection must not put both back on 16 KiB
+        quanta (512 arbitrations per file)."""
+        payload = bytes(range(256)) * (8 * MIB // 256)
+        config = NestConfig(name="live-grants", protocols=("chirp", "http"),
+                            management=False)
+        got = {"chirp": [], "http": []}
+
+        def fetch(key, client):
+            for _ in range(4):
+                got[key].append(client.get("/big.dat"))
+
+        with NestServer(config, store=LocalFSStore(str(tmp_path))) as server:
+            tm = server.transfers
+            with ChirpClient(*server.endpoint("chirp")) as chirp, \
+                    HttpClient(*server.endpoint("http")) as http:
+                chirp.put("/big.dat", payload)
+                grants = tm.grants
+                before = fastio.COUNTERS.snapshot()
+                threads = [threading.Thread(target=fetch, args=pair)
+                           for pair in (("chirp", chirp), ("http", http))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                    assert not thread.is_alive()
+        # Counted once the server has stopped: a client can hold the
+        # last byte before its handler thread has finished the transfer.
+        after = fastio.COUNTERS.snapshot()
+        crc = zlib.crc32(payload)
+        for key in ("chirp", "http"):
+            assert [len(d) for d in got[key]] == [len(payload)] * 4
+            assert [zlib.crc32(d) for d in got[key]] == [crc] * 4
+        assert (after["sendfile_bytes"] - before["sendfile_bytes"]
+                == 8 * len(payload))
+        assert after["fallback_bytes"] == before["fallback_bytes"]
+        assert tm.grants - grants <= 64  # ~600 at 16 KiB quanta
+        assert tm.queue_depth() == 0 and tm.in_flight() == 0
