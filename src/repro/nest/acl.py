@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.classads import ClassAd, ClassAdCollection
+from repro.obs.metrics import Counter, MetricsRegistry, global_registry
 
 #: All recognised rights letters, in canonical order.
 ALL_RIGHTS = "rwmidla"
@@ -161,16 +162,26 @@ class AccessControl:
         return allowed
 
 
+#: The registry ``_count_check`` last resolved its counter in, and that
+#: counter: registered once per registry, not once per check.
+_checks: tuple[MetricsRegistry, Counter] | None = None
+
+
 def _count_check(allowed: bool) -> None:
     """Process-wide ACL check/denial tally (ACL objects are per
-    directory and carry no registry reference)."""
-    from repro.obs.metrics import global_registry
-
-    global_registry().counter(
-        "repro_acl_checks_total",
-        "ACL checks evaluated, by outcome.",
-        labelnames=("outcome",),
-    ).inc(outcome="allowed" if allowed else "denied")
+    directory and carry no registry reference).  The counter is
+    re-resolved only when ``reset_global_registry`` swapped the
+    registry."""
+    global _checks
+    registry = global_registry()
+    cached = _checks
+    if cached is None or cached[0] is not registry:
+        cached = _checks = (registry, registry.counter(
+            "repro_acl_checks_total",
+            "ACL checks evaluated, by outcome.",
+            labelnames=("outcome",),
+        ))
+    cached[1].inc(outcome="allowed" if allowed else "denied")
 
 
 def default_acl(owner: str, groups: dict[str, set[str]] | None = None,

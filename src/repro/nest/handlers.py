@@ -10,15 +10,14 @@ storage manager (``files``), and every byte moves through
 ``ConnectionHandler.send``/``receive``, the one place that holds a
 ticket's scope open, runs the transfer and feeds the gray-box model.
 What stays here besides the host is what only an appliance has: the
-``parse`` span, trace-context adoption, Chirp's ``query`` and
-``thirdput``, and the IBP depot dialect.
+``parse`` span, trace-context adoption, the head-sampling decision,
+Chirp's ``query`` and ``thirdput``, and the IBP depot dialect.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, BinaryIO
 
 from repro.nest import io as fastio
@@ -45,6 +44,70 @@ if TYPE_CHECKING:  # pragma: no cover
 #: threaded ``run`` and the event loop's ``step`` share this contract.
 WIRE_ERRORS = (ProtocolError, ConnectionError, OSError, ValueError,
                TransferError)
+
+
+class RequestScope:
+    """One request's telemetry, entered once around it: the busy flag,
+    the ``request`` span pushed onto this thread's trace stack (so
+    storage/ACL/transfer layers attach their own children), and one
+    ``observe_request`` -- metrics plus the health feed -- on the way
+    out, whether or not the tree was recorded.
+
+    A request head sampling left out pushes an
+    :class:`~repro.obs.spans.UnsampledSpan` instead, and nothing below
+    it records a span.  If it ends in error (an exception, or
+    ``mark_request_error``) or is slower than the server's
+    ``slow_request_s``, it is recorded after all: one retroactive
+    ``request`` span, tagged ``sampled=False``."""
+
+    __slots__ = ("handler", "op", "attrs", "span", "started")
+
+    def __init__(self, handler: "ConnectionHandler", op: str, path: str,
+                 trace: tuple[str, str] | None, sampled: bool):
+        self.handler = handler
+        self.op = op
+        # taken at entry, so a request kept after the fact carries the
+        # identity it arrived with, as a sampled one does
+        self.attrs = attrs = {
+            "op": op, "protocol": handler.protocol,
+            "user_class": ("anonymous" if handler.user == "anonymous"
+                           else "authenticated")}
+        if path:
+            attrs["path"] = path
+        if trace is not None:
+            # The caller's trace: its id, the remote span as parent,
+            # and the local connection trace kept for correlation.
+            self.span = handler.tracer.adopt(
+                "request", trace[0], trace[1],
+                conn_trace=handler.conn_span.trace_id, **attrs)
+        elif sampled:
+            self.span = handler.conn_span.child("request", **attrs)
+        else:
+            self.span = _spans.UnsampledSpan()
+
+    def __enter__(self):
+        self.handler.busy = True
+        self.span.__enter__()
+        self.started = time.perf_counter()
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        handler = self.handler
+        span = self.span
+        try:
+            span.__exit__(exc_type, exc, tb)
+        finally:
+            elapsed = time.perf_counter() - self.started
+            ok = span.status == "ok"
+            handler.busy = False
+            handler.server.observe_request(
+                handler.protocol, self.op, ok, elapsed,
+                model=handler.concurrency_model)
+        if type(span) is _spans.UnsampledSpan and (
+                not ok or elapsed > handler.server.slow_request_s):
+            handler.conn_span.child_at(
+                "request", _spans.PERF_EPOCH + self.started, elapsed,
+                status=span.status, sampled=False, **self.attrs)
 
 
 class ConnectionHandler:
@@ -95,7 +158,8 @@ class ConnectionHandler:
         self.concurrency_model = "threads"
         #: root span of this connection's trace, opened at accept;
         #: every request on the connection is a child.
-        self.conn_span = server.obs.tracer.start_trace(
+        self.tracer = server.obs.tracer
+        self.conn_span = self.tracer.start_trace(
             "accept", protocol=self.protocol, peer=str(addr))
 
     def run(self) -> None:
@@ -137,45 +201,22 @@ class ConnectionHandler:
         """The connection's descriptor (selector registration)."""
         return self.sock.fileno()
 
-    @contextmanager
     def request_scope(self, op: str, path: str = "",
-                      trace: tuple[str, str] | None = None):
-        """Wrap one request: the busy flag, a ``request`` child span
-        pushed onto this thread's trace stack (so storage/ACL/transfer
-        layers attach their own children), and request metrics plus the
-        health feed on the way out.
+                      trace: tuple[str, str] | None = None,
+                      sampled: bool | None = None) -> RequestScope:
+        """Wrap one request (see :class:`RequestScope`).
 
-        With ``trace`` (a parsed wire trace context), the request span
-        *adopts* the caller's trace -- its id is the remote trace's and
-        its parent is the remote span -- so merged fleet documents show
-        one tree across processes.  The local connection trace id is
-        kept as an attribute for correlation.
+        ``sampled`` is the request's head-sampling decision; Chirp's
+        ``serve_one``, which needs it earlier for the ``parse`` span,
+        passes it, every other caller leaves it to be made here.  With ``trace`` (a parsed wire trace context)
+        the tree is recorded whatever the decision, and the request
+        span *adopts* the caller's trace -- its id is the remote
+        trace's and its parent is the remote span -- so merged fleet
+        documents show one tree across processes.
         """
-        user_class = ("anonymous" if self.user == "anonymous"
-                      else "authenticated")
-        if trace is not None:
-            span = self.server.obs.tracer.adopt(
-                "request", trace[0], trace[1], op=op,
-                protocol=self.protocol, user_class=user_class,
-                conn_trace=self.conn_span.trace_id)
-        else:
-            span = self.conn_span.child(
-                "request", op=op, protocol=self.protocol,
-                user_class=user_class)
-        if path:
-            span.set(path=path)
-        self.busy = True
-        started = time.perf_counter()
-        ok = False
-        try:
-            with span:
-                yield span
-            ok = span.status == "ok"
-        finally:
-            self.busy = False
-            self.server.observe_request(
-                self.protocol, op, ok, time.perf_counter() - started,
-                model=self.concurrency_model)
+        if sampled is None:
+            sampled = self.tracer.head_sample()
+        return RequestScope(self, op, path, trace, sampled)
 
     def mark_request_error(self) -> None:
         """Flag the active request span (and its metric outcome) as an
@@ -282,20 +323,33 @@ class ChirpHandler(chirp.ChirpSession, ConnectionHandler):
             line = read_line(self.rfile)
         except ProtocolError:
             return False
-        parse = self.conn_span.child("parse", protocol=self.protocol)
+        sampled = self.tracer.head_sample()
+        started = time.perf_counter()
         try:
             request = chirp.decode_request(line)
         except ProtocolError as exc:
-            parse.end(status="error")
+            self._parse_span(started, "error", sampled)
             self.server.observe_request(self.protocol, "parse",
                                         False, 0.0)
             self._respond(Response(Status.BAD_REQUEST, message=str(exc)))
             return True
-        parse.end()
+        if sampled:
+            self._parse_span(started, "ok", sampled)
         trace = _spans.parse_trace_context(request.params.get("trace"))
         with self.request_scope(request.rtype.value, request.path,
-                                trace=trace):
+                                trace=trace, sampled=sampled):
             return self._handle(request)
+
+    def _parse_span(self, started: float, status: str,
+                    sampled: bool) -> None:
+        """The ``parse`` span, recorded once its outcome is known: for
+        a sampled request, and for a parse error even when head
+        sampling had left the request out (tagged ``sampled=False``)."""
+        kept = {} if sampled else {"sampled": False}
+        self.conn_span.child_at(
+            "parse", _spans.PERF_EPOCH + started,
+            time.perf_counter() - started, status=status,
+            protocol=self.protocol, **kept)
 
     def _query(self, request: Request) -> None:
         self._respond(

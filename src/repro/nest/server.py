@@ -37,7 +37,7 @@ from repro.obs import Observability
 from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.mgmt import ManagementEndpoint
-from repro.obs.slo import SloEngine
+from repro.obs.slo import SloEngine, default_objectives
 from repro.protocols.common import Acceptor
 from repro.protocols.nfs import FileHandleRegistry
 from repro.tier.heat import HeatTracker
@@ -162,6 +162,12 @@ class NestServer:
         self.slo: SloEngine | None = None
         if self.config.slo:
             self.slo = SloEngine(registry=reg)
+        #: the slow tail head sampling always keeps: a request slower
+        #: than the SLO's own latency threshold is recorded regardless.
+        self.slow_request_s = next(
+            (o.threshold for o in (self.slo.objectives if self.slo
+                                   else default_objectives())
+             if o.name == "request_latency_p99"), float("inf"))
         if self.config.concurrency_server in ("events", "adaptive"):
             self._eventloop = EventLoop(name=self.config.name, registry=reg)
         if self.config.concurrency_server == "adaptive":

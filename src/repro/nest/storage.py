@@ -22,7 +22,6 @@ from __future__ import annotations
 import errno as _errno
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -90,6 +89,53 @@ def _deserialize_dir(name: str, data: dict[str, Any],
             name=child_name, owner=meta.get("owner", ""),
             size=int(meta.get("size", 0)))
     return node
+
+
+class _StorageOp:
+    """One storage operation's scope (:meth:`StorageManager._op`): a
+    ``storage`` child span under whatever request is being traced, the
+    op/outcome count, and -- for the outermost op on this thread -- the
+    journal-durability wait on the way out.
+
+    Callers stack it *outside* the lock (``with self._op(..),
+    self._lock:``), so the durability wait runs after the lock is
+    released -- the other half of the journal's group-commit split.  A
+    failed wait ends the span as an error and counts the op with its
+    :class:`StorageError` status, like a failure inside the body."""
+
+    __slots__ = ("manager", "op", "span", "outermost")
+
+    def __init__(self, manager: "StorageManager", op: str, path: str):
+        self.manager = manager
+        self.op = op
+        self.span = _spans.maybe_span("storage", op=op, path=path)
+
+    def __enter__(self) -> None:
+        local = self.manager._local
+        self.outermost = getattr(local, "waits", None) is None
+        if self.outermost:
+            local.waits = []
+        self.span.__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        manager = self.manager
+        try:
+            if exc is None and self.outermost:
+                manager._await_durable()
+        except BaseException as late:
+            exc = late
+            raise
+        finally:
+            self.span.__exit__(type(exc) if exc is not None else None,
+                               exc, None)
+            if self.outermost:
+                manager._local.waits = None
+            ops = manager._m_ops
+            if ops is not None:
+                if exc is None:
+                    ops.inc(op=self.op, outcome="ok")
+                elif isinstance(exc, StorageError):
+                    ops.inc(op=self.op, outcome=exc.status.value)
 
 
 class StorageManager:
@@ -252,34 +298,10 @@ class StorageManager:
             self.used_bytes = int(state.get("used_bytes", 0))
             self.lots.restore(state.get("lots", {}))
 
-    @contextmanager
-    def _op(self, op: str, path: str = ""):
-        """One storage operation: a ``storage`` child span under
-        whatever request is being traced, plus op/outcome counts.
-
-        Callers stack it *outside* the lock (``with self._op(..),
-        self._lock:``), so the post-body durability wait below runs
-        after the lock is released -- the other half of the journal's
-        group-commit split."""
-        span = _spans.maybe_span("storage", op=op, path=path)
-        outermost = getattr(self._local, "waits", None) is None
-        if outermost:
-            self._local.waits = []
-        try:
-            with span:
-                yield
-                if outermost:
-                    self._await_durable()
-        except StorageError as exc:
-            if self._m_ops is not None:
-                self._m_ops.inc(op=op, outcome=exc.status.value)
-            raise
-        else:
-            if self._m_ops is not None:
-                self._m_ops.inc(op=op, outcome="ok")
-        finally:
-            if outermost:
-                self._local.waits = None
+    def _op(self, op: str, path: str = "") -> _StorageOp:
+        """One storage operation's telemetry and durability scope (see
+        :class:`_StorageOp`)."""
+        return _StorageOp(self, op, path)
 
     # ------------------------------------------------------------------
     # namespace internals
@@ -302,14 +324,23 @@ class StorageManager:
         return self._walk_dir(parts[:-1]), parts[-1]
 
     def _lookup(self, path: str) -> "DirNode | FileNode":
+        return self._resolve(path)[0]
+
+    def _resolve(self, path: str) -> tuple["DirNode | FileNode",
+                                           AccessControl]:
+        """One walk: the node at ``path`` and the ACL governing it --
+        its own for a directory, its parent directory's for a file.
+        Raises NOT_FOUND (or NOT_DIR for a file mid-path)."""
         parts = _split(path)
         if not parts:
-            return self.root
+            return self.root, self.root.acl
         parent = self._walk_dir(parts[:-1])
         node = parent.children.get(parts[-1])
         if node is None:
             raise StorageError(Status.NOT_FOUND, path)
-        return node
+        if isinstance(node, DirNode):
+            return node, node.acl
+        return node, parent.acl
 
     def _check(self, acl: AccessControl, user: str, letter: str) -> None:
         if not acl.allows(user, letter):
@@ -317,13 +348,6 @@ class StorageManager:
                 self._m_denied.inc(right=letter)
             _spans.annotate("acl_denied", 1)
             raise StorageError(Status.DENIED, f"{user} lacks {letter!r}")
-
-    def _dir_acl_of(self, path: str) -> AccessControl:
-        node = self._lookup(path)
-        if isinstance(node, FileNode):
-            parent, _ = self._parent_and_name(path)
-            return parent.acl
-        return node.acl
 
     def _reclaim_file(self, path: str) -> None:
         """Best-effort lot reclamation: delete the file's data + metadata."""
@@ -389,8 +413,8 @@ class StorageManager:
     def stat(self, user: str, path: str) -> dict[str, Any]:
         """Metadata for one entry; requires lookup on the parent."""
         with self._lock:
-            node = self._lookup(path)
-            self._check(self._dir_acl_of(path), user, "l")
+            node, acl = self._resolve(path)
+            self._check(acl, user, "l")
             if isinstance(node, DirNode):
                 return {"size": 0, "type": "dir", "owner": ""}
             return {"size": node.size, "type": "file", "owner": node.owner}
@@ -505,10 +529,10 @@ class StorageManager:
         transitions ride is reentrant-safe under our lock.
         """
         with self._op("approve_get", path), self._lock:
-            node = self._lookup(path)
+            node, acl = self._resolve(path)
             if isinstance(node, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            self._check(self._dir_acl_of(path), user, "r")
+            self._check(acl, user, "r")
             self._record_heat(path, node.size)
             return TransferTicket(
                 path=path, user=user, size=node.size,
@@ -583,10 +607,10 @@ class StorageManager:
     def approve_read(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
         """Authorize a block read (NFS)."""
         with self._op("approve_read", path), self._lock:
-            node = self._lookup(path)
+            node, acl = self._resolve(path)
             if isinstance(node, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            self._check(self._dir_acl_of(path), user, "r")
+            self._check(acl, user, "r")
             length = max(0, min(length, node.size - offset))
             self._record_heat(path, length)
             stream = self.store.open_read(path)

@@ -46,6 +46,7 @@ from repro.obs.spans import (
     Span,
     SpanRecorder,
     Tracer,
+    UnsampledSpan,
     annotate,
     current_span,
     current_trace_context,
@@ -67,6 +68,7 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Tracer",
+    "UnsampledSpan",
     "annotate",
     "console",
     "current_span",

@@ -18,9 +18,14 @@ Design points:
   protocol, operation, user-class, and outcome -- all low-cardinality
   by construction; the cap is a backstop against a bug (or an
   attacker) minting series from unbounded input.
-* **Cheap hot path.**  An unlabelled counter increment is one lock
-  acquire and one integer add; the lock is per-metric so unrelated
-  instruments never contend.
+* **Cheap hot path.**  An update is one dict lookup (the call site's
+  label items, resolved to their series key once and cached per
+  metric), one lock acquire and one add; the lock is per-metric so
+  unrelated instruments never contend.  Every update still counts:
+  the cache saves the key's construction, never the write.
+* **Reads never mutate.**  ``value``/``count``/``sum`` of a label set
+  that was never written read 0 even at the series cap; only writes
+  collapse into the overflow series and count a dropped series.
 * **Consistent snapshots.**  :meth:`MetricsRegistry.snapshot` walks
   every metric under its lock and returns plain dictionaries, so a
   scrape concurrent with updates sees each series at a single point
@@ -30,6 +35,7 @@ Design points:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 __all__ = [
@@ -73,18 +79,49 @@ class _Metric:
         self.max_series = max_series
         self._lock = threading.Lock()
         self._series: dict[tuple[str, ...], Any] = {}
+        #: call-site label items -> admitted series key, bounded; only
+        #: ever grows, and only with keys already in ``_series``'s
+        #: admission (see :meth:`_admit`).  The unlabelled key is
+        #: pre-seeded so an unlabelled update never takes the slow path.
+        self._keys: dict[tuple, tuple[str, ...]] = (
+            {} if self.labelnames else {(): ()})
         self.dropped_series = 0
 
-    def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
+    def _cached_key(self, labels: Mapping[str, str]
+                    ) -> tuple[str, ...] | None:
+        """The series key this call site resolved to before, or None.
+
+        Safe outside the lock: the cache only ever gains entries, and
+        a key it holds is already admitted, so it can never be one that
+        would now overflow.  A label value that cannot be hashed takes
+        the slow path, exactly as before the cache existed."""
+        try:
+            return self._keys.get(tuple(labels.items()))
+        except TypeError:
+            return None
+
+    def _admit(self, labels: Mapping[str, str]) -> tuple[str, ...]:
+        """Resolve a *write*'s series key (caller holds the lock): past
+        ``max_series`` a new label set collapses into the overflow
+        series and counts as dropped; an admitted key whose labels are
+        all strings is cached for the next update from its call site."""
+        key = self._read_key(labels)
+        if key not in self._series and len(self._series) >= self.max_series:
+            self.dropped_series += 1
+            return ("overflow",) * len(self.labelnames)
+        if (len(self._keys) < 2 * self.max_series
+                and all(type(v) is str for v in labels.values())):
+            self._keys[tuple(labels.items())] = key
+        return key
+
+    def _read_key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
+        """A *read*'s series key: never the overflow series (unless
+        asked for by name) and never a dropped-series count."""
         if not self.labelnames:
             if labels:
                 raise ValueError(f"metric {self.name!r} takes no labels")
             return ()
-        key = _series_key(self.labelnames, labels)
-        if key not in self._series and len(self._series) >= self.max_series:
-            self.dropped_series += 1
-            return ("overflow",) * len(self.labelnames)
-        return key
+        return _series_key(self.labelnames, labels)
 
     def series(self) -> dict[tuple[str, ...], Any]:
         """Point-in-time copy of every series value."""
@@ -100,13 +137,16 @@ class Counter(_Metric):
     def inc(self, amount: float = 1, **labels: str) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
+        key = self._cached_key(labels)
         with self._lock:
-            key = self._key(labels)
+            if key is None:
+                key = self._admit(labels)
             self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels: str) -> float:
+        key = self._read_key(labels)
         with self._lock:
-            return self._series.get(self._key(labels), 0)
+            return self._series.get(key, 0)
 
     def total(self) -> float:
         """Sum across every label combination."""
@@ -128,12 +168,17 @@ class Gauge(_Metric):
         self.callback = callback
 
     def set(self, value: float, **labels: str) -> None:
+        key = self._cached_key(labels)
         with self._lock:
-            self._series[self._key(labels)] = value
+            if key is None:
+                key = self._admit(labels)
+            self._series[key] = value
 
     def inc(self, amount: float = 1, **labels: str) -> None:
+        key = self._cached_key(labels)
         with self._lock:
-            key = self._key(labels)
+            if key is None:
+                key = self._admit(labels)
             self._series[key] = self._series.get(key, 0) + amount
 
     def dec(self, amount: float = 1, **labels: str) -> None:
@@ -145,8 +190,9 @@ class Gauge(_Metric):
                 return float(self.callback())
             except Exception:  # noqa: BLE001 - a broken probe reads as 0
                 return 0.0
+        key = self._read_key(labels)
         with self._lock:
-            return self._series.get(self._key(labels), 0)
+            return self._series.get(key, 0)
 
     def series(self) -> dict[tuple[str, ...], Any]:
         if self.callback is not None:
@@ -177,27 +223,31 @@ class Histogram(_Metric):
             raise ValueError("histogram needs at least one bucket")
 
     def observe(self, value: float, **labels: str) -> None:
+        # first bucket whose bound is >= value; NaN compares false with
+        # every bound, so it belongs in +Inf, where bisect cannot put it
+        index = (bisect_left(self.buckets, value) if value == value
+                 else len(self.buckets))
+        key = self._cached_key(labels)
         with self._lock:
-            key = self._key(labels)
+            if key is None:
+                key = self._admit(labels)
             series = self._series.get(key)
             if series is None:
                 series = self._series[key] = _HistogramSeries(len(self.buckets))
             series.count += 1
             series.total += value
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.bucket_counts[i] += 1
-                    return
-            series.bucket_counts[-1] += 1
+            series.bucket_counts[index] += 1
 
     def count(self, **labels: str) -> int:
+        key = self._read_key(labels)
         with self._lock:
-            series = self._series.get(self._key(labels))
+            series = self._series.get(key)
             return series.count if series else 0
 
     def sum(self, **labels: str) -> float:
+        key = self._read_key(labels)
         with self._lock:
-            series = self._series.get(self._key(labels))
+            series = self._series.get(key)
             return series.total if series else 0.0
 
     def series(self) -> dict[tuple[str, ...], Any]:
@@ -319,6 +369,9 @@ _global: MetricsRegistry | None = None
 def global_registry() -> MetricsRegistry:
     """The process-wide default registry (created on first use)."""
     global _global
+    registry = _global
+    if registry is not None:
+        return registry
     with _global_lock:
         if _global is None:
             _global = MetricsRegistry(namespace="repro")

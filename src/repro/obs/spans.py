@@ -18,6 +18,13 @@ nothing is being traced.
 
 Finished spans land in a bounded :class:`SpanRecorder` ring; the
 management endpoint and the Chrome trace exporter read from there.
+
+Recording every request's tree is not free, so the live server *head
+samples*: :meth:`Tracer.head_sample` decides once per request, and a
+request left out pushes an :class:`UnsampledSpan` marker instead of a
+span -- every ``child`` of it is the shared null span, so the layers
+below record nothing without being told.  What the marker remembers is
+the request's status, so an error is still seen and kept.
 """
 
 from __future__ import annotations
@@ -26,12 +33,14 @@ import itertools
 import re
 import threading
 import time
+from collections import deque
 from typing import Any, Iterable, Optional
 
 __all__ = [
     "Span",
     "SpanRecorder",
     "Tracer",
+    "UnsampledSpan",
     "annotate",
     "current_span",
     "current_trace_context",
@@ -42,12 +51,18 @@ __all__ = [
 ]
 
 
+#: Wall-clock seconds at ``perf_counter()`` zero: a span reads one clock
+#: and derives its epoch ``start`` from it.
+PERF_EPOCH = time.time() - time.perf_counter()
+
+
 class Span:
     """One timed operation inside a trace.
 
     ``start`` is epoch seconds (for cross-host correlation), while the
     duration is measured with ``perf_counter`` so it is monotonic and
-    sub-millisecond accurate.  Attributes are a small flat dict --
+    sub-millisecond accurate; both come from one ``perf_counter`` read
+    (``start`` via :data:`PERF_EPOCH`).  Attributes are a small flat dict --
     protocol, op, user class, outcome, byte counts, fault and retry
     annotations.
     """
@@ -63,12 +78,12 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
-        self.start = time.time()
+        self._t0 = t0 = time.perf_counter()
+        self.start = PERF_EPOCH + t0
         self.duration: float | None = None
         self.attributes: dict[str, Any] = dict(attributes or {})
         self.status = "ok"
         self._recorder = recorder
-        self._t0 = time.perf_counter()
 
     # -- annotation --------------------------------------------------------
     def set(self, **attrs: Any) -> "Span":
@@ -102,15 +117,16 @@ class Span:
                     parent_id=self.span_id, recorder=self._recorder,
                     attributes=attrs)
 
-    def child_at(self, name: str, start: float, duration: float,
-                 **attrs: Any) -> "Span":
+    def child_at(self, name: str, start: float, duration: float, *,
+                 status: str = "ok", **attrs: Any) -> "Span":
         """Record a retroactive child whose timing was measured
-        elsewhere."""
+        elsewhere (a kept request that head sampling had left out)."""
         span = Span(self.trace_id, _next_span_id(), name,
                     parent_id=self.span_id, recorder=self._recorder,
                     attributes=attrs)
         span.start = start
         span.duration = duration
+        span.status = status
         if self._recorder is not None:
             self._recorder.record(span)
         return span
@@ -166,22 +182,60 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class UnsampledSpan:
+    """What a request head sampling left out pushes instead of its
+    ``request`` span: one small object, no id, nothing recorded.
+
+    Its children are :data:`NULL_SPAN`, so ``maybe_span`` and every
+    ``parent.child(...)`` below it cost nothing further; ``end`` keeps
+    only the status, so an in-band error (``mark_request_error``) still
+    reaches the request scope, which then records the request after
+    all."""
+
+    __slots__ = ("status",)
+
+    def __init__(self) -> None:
+        self.status = "ok"
+
+    def child(self, name: str, **attrs: Any) -> _NullSpan:
+        return NULL_SPAN
+
+    def set(self, **attrs: Any) -> "UnsampledSpan":
+        return self
+
+    def add(self, key: str, amount: float = 1) -> "UnsampledSpan":
+        return self
+
+    def end(self, status: str | None = None) -> "UnsampledSpan":
+        if status is not None:
+            self.status = status
+        return self
+
+    def __enter__(self) -> "UnsampledSpan":
+        _push(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _pop(self)
+        self.end(status="error" if exc_type is not None else None)
+
+
 class SpanRecorder:
-    """Bounded ring of finished spans (newest last), thread-safe."""
+    """Bounded ring of finished spans (newest last), thread-safe.
+
+    ``dropped`` counts exactly the spans pushed out of the full ring."""
 
     def __init__(self, limit: int = 4096):
         self.limit = limit
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
+        self._spans: deque[Span] = deque(maxlen=limit)
         self.dropped = 0
 
     def record(self, span: Span) -> None:
         with self._lock:
+            if len(self._spans) == self.limit:
+                self.dropped += 1
             self._spans.append(span)
-            if len(self._spans) > self.limit:
-                overflow = len(self._spans) - self.limit
-                del self._spans[:overflow]
-                self.dropped += overflow
 
     def spans(self) -> list[Span]:
         """Snapshot of recorded spans, oldest first."""
@@ -206,12 +260,11 @@ class SpanRecorder:
 # id generation and thread-local propagation
 # ----------------------------------------------------------------------
 _ids = itertools.count(1)
-_id_lock = threading.Lock()
 
 
 def _next_span_id() -> str:
-    with _id_lock:
-        return f"{next(_ids):08x}"
+    # next() on an itertools.count is atomic under the GIL
+    return f"{next(_ids):08x}"
 
 
 _active = threading.local()
@@ -268,18 +321,34 @@ def annotate(key: str, amount: float = 1) -> None:
 
 
 class Tracer:
-    """Mints traces and root spans bound to one recorder."""
+    """Mints traces and root spans bound to one recorder, and makes the
+    head-sampling decision: one request in ``trace_every`` has its tree
+    recorded."""
+
+    #: Head sampling (ROADMAP 4(b): a budgeted telemetry cost): the live
+    #: server records the span tree of one request in this many.  Errors,
+    #: requests slower than the ``request_latency_p99`` SLO threshold and
+    #: requests carrying a wire trace context are recorded regardless;
+    #: metrics count every request.  A test or drive that inspects every
+    #: tree sets it to 1 on its server's tracer instance.
+    trace_every = 32
 
     def __init__(self, recorder: SpanRecorder | None = None,
                  service: str = "nest"):
         self.recorder = recorder if recorder is not None else SpanRecorder()
         self.service = service
         self._trace_ids = itertools.count(1)
-        self._lock = threading.Lock()
+        self._requests = itertools.count()
 
     def _next_trace_id(self) -> str:
-        with self._lock:
-            return f"{self.service}-{next(self._trace_ids):06d}"
+        return f"{self.service}-{next(self._trace_ids):06d}"
+
+    def head_sample(self) -> bool:
+        """Whether the request about to be served records its span
+        tree: a deterministic 1 in ``trace_every`` (the first request
+        always), never an RNG.  Errors, slow requests and requests
+        carrying a trace context are kept by the caller regardless."""
+        return next(self._requests) % self.trace_every == 0
 
     def start_trace(self, name: str, **attrs: Any) -> Span:
         """A new root span beginning a fresh trace."""
@@ -342,13 +411,14 @@ def parse_trace_context(token: Any) -> tuple[str, str] | None:
 
 
 def current_trace_context() -> str | None:
-    """The active span's wire token, or None when nothing is traced.
+    """The active span's wire token, or None when nothing is traced
+    (or the request was left out by head sampling).
 
     Protocol clients call this right before serializing a request; the
     one thread-local read keeps untraced hot paths free of overhead.
     """
     span = current_span()
-    if span is None:
+    if span is None or type(span) is UnsampledSpan:
         return None
     return format_trace_context(span)
 

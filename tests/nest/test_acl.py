@@ -109,3 +109,24 @@ class TestAccessControl:
         acl = AccessControl(groups=groups)
         dup = acl.copy()
         assert dup.groups is groups
+
+
+class TestCheckCounter:
+    def test_counter_follows_a_swapped_global_registry(self):
+        from repro.obs.metrics import reset_global_registry
+
+        acl = AccessControl()
+        acl.set_entry("a", "r")
+        first = reset_global_registry()
+        acl.allows("a", "r")
+        acl.allows("b", "r")
+        checks = first.get("repro_acl_checks_total")
+        assert checks.value(outcome="allowed") == 1
+        assert checks.value(outcome="denied") == 1
+        second = reset_global_registry()
+        acl.allows("a", "r")
+        assert second.get("repro_acl_checks_total").value(
+            outcome="allowed") == 1
+        assert checks.value(outcome="allowed") == 1  # the old one is left
+        assert second.get("repro_acl_checks_total").labelnames == (
+            "outcome",)

@@ -170,6 +170,37 @@ class TestAclEnforcement:
         listing = dict(sm.acl_get("alice", "/data"))
         assert listing["bob"] == "rwl"
 
+    @pytest.mark.parametrize("verb", ["stat", "approve_get", "approve_read"])
+    def test_lookup_verbs_report_in_one_order(self, sm, verb):
+        # NOT_FOUND before IS_DIR before DENIED, from the one path walk.
+        call = {"stat": lambda user, path: sm.stat(user, path),
+                "approve_get": sm.approve_get,
+                "approve_read": lambda user, path: sm.approve_read(
+                    user, path, 0, 1)}[verb]
+        put(sm, "alice", "/data/f", b"secret")
+        sm.mkdir("alice", "/data/sub")
+        sm.acl_set("alice", "/data", "*", "")
+        sm.acl_set("alice", "/data/sub", "*", "")
+
+        def status(user, path):
+            try:
+                call(user, path)
+            except StorageError as exc:
+                return exc.status
+            return Status.OK
+
+        assert status("bob", "/data/missing") is Status.NOT_FOUND
+        assert status("bob", "/data/f/below") is Status.NOT_DIR
+        assert status("bob", "/data/f") is Status.DENIED
+        assert status("alice", "/data/f") is Status.OK
+        if verb == "stat":
+            # a directory is stat-able, under its own ACL
+            assert status("bob", "/data/sub") is Status.DENIED
+            assert status("alice", "/data/sub") is Status.OK
+        else:
+            assert status("bob", "/data/sub") is Status.IS_DIR
+            assert status("alice", "/data/sub") is Status.IS_DIR
+
     def test_enforcement_is_protocol_independent(self, sm):
         # The same denial no matter which protocol made the request.
         sm.acl_set("alice", "/data", "*", "l")

@@ -25,6 +25,7 @@ PAYLOAD = b"traced" * 4096  # 24 KiB: enough to cross the transfer path
 def server():
     ca = CertificateAuthority("Trace Test CA")
     srv = NestServer(NestConfig(name="trace-nest"), ca=ca)
+    srv.obs.tracer.trace_every = 1
     srv.start()
     srv.storage.mkdir("admin", "/data")
     srv.storage.acl_set("admin", "/data", "*", "rliwd")

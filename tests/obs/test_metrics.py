@@ -73,6 +73,74 @@ class TestBoundedSeries:
         c.inc(op="get")  # established series keeps its own cell
         assert c.value(op="get") == 2
 
+    def test_overflowing_label_set_is_never_cached(self):
+        # Every write of an overflowing label set counts a drop, the
+        # hundredth as much as the first.
+        c = MetricsRegistry().counter("c", labelnames=("op",), max_series=1)
+        c.inc(op="get")
+        for _ in range(100):
+            c.inc(op="put")
+        assert c.dropped_series == 100
+        assert c.value(op="overflow") == 100
+        assert c.value(op="get") == 1
+
+
+class TestReadsAtTheCap:
+    """A read never resolves to the overflow series and never counts a
+    drop: an unwritten label set reads 0, however full the metric."""
+
+    @staticmethod
+    def _full_counter():
+        c = MetricsRegistry().counter("c", labelnames=("op",), max_series=2)
+        for op in ("a", "b", "c", "c"):
+            c.inc(op=op)
+        return c
+
+    def test_counter_value(self):
+        c = self._full_counter()
+        assert c.dropped_series == 2
+        assert c.value(op="zzz") == 0
+        assert c.value(op="zzz") == 0
+        assert c.dropped_series == 2
+        assert c.value(op="overflow") == 2
+
+    def test_gauge_value(self):
+        g = MetricsRegistry().gauge("g", labelnames=("op",), max_series=1)
+        g.set(5, op="a")
+        g.set(7, op="b")  # overflow
+        assert g.dropped_series == 1
+        assert g.value(op="zzz") == 0
+        assert g.value(op="b") == 0
+        assert g.dropped_series == 1
+
+    def test_histogram_count_and_sum(self):
+        h = MetricsRegistry().histogram("h", labelnames=("op",),
+                                        max_series=1)
+        h.observe(0.5, op="a")
+        h.observe(2.0, op="b")  # overflow
+        assert h.dropped_series == 1
+        assert h.count(op="zzz") == 0
+        assert h.sum(op="zzz") == 0.0
+        assert h.count(op="a") == 1
+        assert h.sum(op="a") == 0.5
+        assert h.dropped_series == 1
+
+
+class TestKeyCache:
+    def test_argument_order_reaches_the_same_series(self):
+        c = MetricsRegistry().counter("c", labelnames=("op", "outcome"))
+        c.inc(op="get", outcome="ok")
+        c.inc(outcome="ok", op="get")
+        c.inc(op="get", outcome="ok")
+        assert c.series() == {("get", "ok"): 3}
+
+    def test_non_string_labels_keep_their_own_series(self):
+        # 1, 1.0 and True hash alike; each must still be str()-ed apart.
+        c = MetricsRegistry().counter("c", labelnames=("n",))
+        for value in (1, 1.0, True, "1", 1):
+            c.inc(n=value)
+        assert c.series() == {("1",): 3, ("1.0",): 1, ("True",): 1}
+
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -112,6 +180,18 @@ class TestHistogram:
         series = h.series()[()]
         assert series["buckets"] == [1, 2, 3]
         assert series["count"] == 3
+
+    def test_bucket_edges_are_inclusive(self):
+        h = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
+        for value in (0.1, 1.0, -3.0):
+            h.observe(value)
+        assert h.series()[()]["buckets"] == [2, 3, 3]
+
+    def test_nan_lands_in_the_inf_bucket(self):
+        h = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
+        h.observe(float("nan"))
+        assert h.series()[()]["buckets"] == [0, 0, 1]
+        assert h.count() == 1
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

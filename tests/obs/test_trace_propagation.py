@@ -91,6 +91,7 @@ class TestWireFormat:
 def server():
     srv = NestServer(NestConfig(name="prop-nest",
                                 protocols=("chirp", "http")))
+    srv.obs.tracer.trace_every = 1
     srv.start()
     srv.storage.mkdir("admin", "/data")
     srv.storage.acl_set("admin", "/data", "*", "rliwd")
@@ -165,6 +166,7 @@ class TestRetryAttempts:
         plan = FaultPlan.reset_once(connection=2, op="write")
         srv = NestServer(NestConfig(name="retry-nest",
                                     protocols=("chirp",)), faults=plan)
+        srv.obs.tracer.trace_every = 1
         srv.start()
         try:
             srv.storage.mkdir("admin", "/data")
