@@ -49,29 +49,32 @@ def main() -> int:
                     assert client.get(path) == b"fleet" * 64
 
         base = f"http://{group.mgmt.host}:{group.mgmt.port}"
+
+        def traced(doc: dict) -> list:
+            return [e for e in doc["traceEvents"]
+                    if e.get("ph") == "X"
+                    and e.get("args", {}).get("trace_id") == root.trace_id]
+
+        # Workers push on their own clock: wait for the push that
+        # carries the requests' spans.
         deadline = time.monotonic() + 10.0
-        metrics = ""
-        while time.monotonic() < deadline:
-            metrics = urllib.request.urlopen(base + "/metrics").read().decode()
-            if 'shard="0"' in metrics and 'shard="1"' in metrics \
-                    and "nest_connections_total" in metrics:
+        while True:
+            doc = json.loads(urllib.request.urlopen(base + "/trace").read())
+            if traced(doc) or time.monotonic() >= deadline:
                 break
             time.sleep(0.2)
+        metrics = urllib.request.urlopen(base + "/metrics").read().decode()
         assert 'shard="0"' in metrics and 'shard="1"' in metrics, \
             "parent /metrics never showed shard-labelled series"
         assert "nest_connections_total" in metrics, \
             "parent /metrics lost the summed connection counter"
 
-        doc = json.loads(urllib.request.urlopen(base + "/trace").read())
         problems = validate_trace(doc)
         assert not problems, f"merged fleet trace invalid: {problems[:3]}"
         span_pids = {e["pid"] for e in doc["traceEvents"]
                      if e.get("ph") == "X"}
         assert len(span_pids) >= 1, "merged fleet trace has no spans"
-        traced = [e for e in doc["traceEvents"]
-                  if e.get("ph") == "X"
-                  and e.get("args", {}).get("trace_id") == root.trace_id]
-        assert traced, "no worker span joined the client's trace"
+        assert traced(doc), "no worker span joined the client's trace"
     finally:
         group.stop()
 

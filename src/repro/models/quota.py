@@ -73,11 +73,6 @@ class QuotaTable:
         """Drop a user's quota (they become unconstrained)."""
         self.entries.pop(user, None)
 
-    def limit_of(self, user: str) -> int | None:
-        """The user's byte limit, or None if unconstrained."""
-        entry = self.entries.get(user)
-        return entry.limit if entry else None
-
     def used_by(self, user: str) -> int:
         """Bytes currently charged to the user."""
         entry = self.entries.get(user)

@@ -2,7 +2,7 @@
 
 One dataclass gathers every administrator-visible knob so the live
 server, the simulated server, and the benches construct servers the
-same way.  Defaults mirror the paper's release 0.9.  Nineteen fields,
+same way.  Defaults mirror the paper's release 0.9.  Eighteen fields,
 none of them read by the simulated substrate alone (its per-transfer
 concurrency selection is a ``SimNest`` constructor argument);
 ``transfer_workers`` bounds concurrent scheduler grants, not threads
@@ -21,7 +21,9 @@ validated there: the adaptive switcher's ``high`` / ``low`` /
 the server's component (``server.tier_manager.policy``,
 ``server.heat.halflife``, ...) before ``start()``, or passes it to
 ``attach_autoscaler``.  Tiering is on when ``NestServer`` is given a
-``cold_store``.  Sizes nothing ever varied are named constants:
+``cold_store``; service-level objectives (``repro.obs.slo``) are
+always evaluated -- the ``SloDegraded`` ad attribute, ``/slo`` and the
+adaptive switcher all read them.  Sizes nothing ever varied are named constants:
 ``transfer.BURST_BYTES`` / ``FAILURE_HISTORY``,
 ``graybox.ASSUMED_CACHE_BYTES``, ``server.ADVERTISE_INTERVAL``.
 """
@@ -105,13 +107,8 @@ class NestConfig:
     default_anonymous_lot_bytes: int = 0
 
     #: Serve the observability management endpoint (/metrics, /healthz,
-    #: /trace, /ad) next to the protocol listeners.
+    #: /trace, /slo, /ad) next to the protocol listeners.
     management: bool = True
-
-    #: Evaluate service-level objectives (repro.obs.slo) against this
-    #: server's metrics: publishes slo_* gauges, serves /slo on the
-    #: management endpoint, and stamps SloDegraded into the ClassAd.
-    slo: bool = True
 
     #: Shard workers: seconds between telemetry snapshots shipped over
     #: the control pipe to the parent for fleet-wide aggregation.

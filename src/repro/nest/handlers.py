@@ -50,7 +50,7 @@ class RequestScope:
     """One request's telemetry, entered once around it: the busy flag,
     the ``request`` span pushed onto this thread's trace stack (so
     storage/ACL/transfer layers attach their own children), and one
-    ``observe_request`` -- metrics plus the health feed -- on the way
+    ``observe_request`` -- the request's metrics -- on the way
     out, whether or not the tree was recorded.
 
     A request head sampling left out pushes an
@@ -461,6 +461,9 @@ class IbpHandler(ConnectionHandler):
     """
 
     protocol = "ibp"
+    #: The verbs :meth:`_dispatch` serves.
+    _VERBS = frozenset({"allocate", "store", "load", "probe", "extend",
+                        "increment", "decrement", "status"})
 
     def serve(self) -> None:
         from repro.nest.ibp import IbpDepot  # local import: optional protocol
@@ -480,7 +483,9 @@ class IbpHandler(ConnectionHandler):
             if verb == "quit":
                 write_line(self.wfile, ibp.format_ok())
                 return
-            with self.request_scope(verb) as sp:
+            # an unknown verb is the client's word, not an op label
+            with self.request_scope(verb if verb in self._VERBS
+                                    else "unknown") as sp:
                 try:
                     self._dispatch(depot, verb, args)
                 except ibp.IbpError as exc:

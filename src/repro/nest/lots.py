@@ -546,10 +546,3 @@ class LotManager:
             except ValueError:
                 pass
         return lot
-
-    def lots_for_user(self, owner: str) -> list[Lot]:
-        """The user's lots, active first."""
-        self.expire_lots()
-        mine = [l for l in self.lots.values() if l.owner == owner]
-        mine.sort(key=lambda l: (l.state is not LotState.ACTIVE, l.lot_id))
-        return mine

@@ -37,7 +37,7 @@ from repro.obs import Observability
 from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.mgmt import ManagementEndpoint
-from repro.obs.slo import SloEngine, default_objectives
+from repro.obs.slo import SloEngine
 from repro.protocols.common import Acceptor
 from repro.protocols.nfs import FileHandleRegistry
 from repro.tier.heat import HeatTracker
@@ -159,14 +159,11 @@ class NestServer:
         #: service-level objectives evaluated against this server's own
         #: registry; publishes slo_* gauges, feeds /slo, the ClassAd's
         #: SloDegraded attribute, and the adaptive switcher.
-        self.slo: SloEngine | None = None
-        if self.config.slo:
-            self.slo = SloEngine(registry=reg)
+        self.slo = SloEngine(registry=reg)
         #: the slow tail head sampling always keeps: a request slower
         #: than the SLO's own latency threshold is recorded regardless.
         self.slow_request_s = next(
-            (o.threshold for o in (self.slo.objectives if self.slo
-                                   else default_objectives())
+            (o.threshold for o in self.slo.objectives
              if o.name == "request_latency_p99"), float("inf"))
         if self.config.concurrency_server in ("events", "adaptive"):
             self._eventloop = EventLoop(name=self.config.name, registry=reg)
@@ -175,8 +172,7 @@ class NestServer:
                 connections=self.active_connections,
                 queue_depth=self.transfers.queue_depth,
                 throughput=lambda: self.obs.health.throughput_bps() / 1e6,
-                slo_degraded=(self.slo.degraded if self.slo is not None
-                              else None),
+                slo_degraded=self.slo.degraded,
                 registry=reg,
                 tracer=self.obs.tracer,
             )
@@ -202,13 +198,16 @@ class NestServer:
         reg.gauge_callback("nest_active_connections",
                            self.active_connections,
                            "Live handler connections.")
-        health = self.obs.health
-        health.add_probe("queue_depth", self.transfers.queue_depth)
-        health.add_probe("transfer_failures",
-                         lambda: len(self.transfers.failures()))
+        # The health document's probes are registry gauges too
+        # (repro.obs.health.PROBES); queue depth and the failure ring
+        # are the transfer manager's own.
         if self.faults is not None:
-            health.add_probe("faults_injected", self.faults.fired)
-        health.add_probe("retries", _client_retries_observed)
+            reg.gauge_callback("nest_faults_injected", self.faults.fired,
+                               "Faults the fault plan has injected.")
+        reg.gauge_callback("nest_client_retries_observed",
+                           _client_retries_observed,
+                           "Retries recorded process-wide by the client "
+                           "retry layer.")
         self.mgmt: ManagementEndpoint | None = None
         if self.config.require_lots and self.config.default_anonymous_lot_bytes:
             # Recovery may have brought the default lot back already; a
@@ -334,13 +333,10 @@ class NestServer:
         if not self.config.management:
             return
         self.mgmt = ManagementEndpoint(
-            self.obs.registry, health=self.obs.health,
-            recorder=self.obs.recorder, host=self.host,
+            metrics=self._metrics_snapshot, trace=self.obs.chrome_trace,
+            health=self.obs.health.snapshot, slo=self.slo.report,
+            ad=self.obs.health_attributes, host=self.host,
             port=self._requested_ports.get("mgmt", 0),
-            service=self.config.name,
-            ad_attributes=self.obs.health_attributes,
-            slo=(self.slo.report if self.slo is not None else None),
-            refresh=(self.slo.evaluate if self.slo is not None else None),
         ).start()
         self.ports["mgmt"] = self.mgmt.port
 
@@ -655,7 +651,8 @@ class NestServer:
 
     def observe_request(self, protocol: str, op: str, ok: bool,
                         seconds: float, model: str | None = None) -> None:
-        """Handler callback: one finished request's metrics + health.
+        """Handler callback: one finished request's metrics (the health
+        document reads them back from the registry).
 
         ``model`` names the server architecture that served the
         request ("threads"/"events"); successful requests feed the
@@ -664,11 +661,16 @@ class NestServer:
         self._m_requests.inc(protocol=protocol, op=op,
                              outcome="ok" if ok else "error")
         self._m_request_seconds.observe(seconds, protocol=protocol)
-        self.obs.health.record_request(protocol, ok)
         if self._switcher is not None and model is not None and ok:
             # 1 request / elapsed = service rate, the low-load
             # regime's relative-goodput signal.
             self._switcher.report(model, 1, max(seconds, 1e-6))
+
+    def _metrics_snapshot(self) -> dict:
+        """``/metrics``: the registry at one point in time, with the SLO
+        gauges evaluated just before it."""
+        self.slo.evaluate()
+        return self.obs.registry.snapshot()
 
     def advertisement(self) -> ClassAd:
         """Current resource/data availability as a ClassAd (§2.1),
@@ -676,9 +678,7 @@ class NestServer:
         SLO verdict (``SloDegraded``), so matchmakers can steer load
         away from an appliance that is burning its error budget."""
         health = self.obs.health_attributes()
-        if self.slo is not None:
-            self.slo.evaluate()
-            health.update(self.slo.attributes())
+        health.update(self.slo.attributes())
         # What is hot *here*: peer autoscalers and future predictive
         # placement read this next to the load numbers.
         health.update(self.heat.ad_attributes())

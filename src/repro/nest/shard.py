@@ -16,26 +16,32 @@ client that cares which worker holds a file can route itself by
 connecting to that worker's *direct* (per-worker HTTP) port; clients
 that don't care just use the shared port.
 
-The control plane is deliberately tiny: one pipe per worker carrying
-``ready`` at boot, ``health`` request/reply dicts (pid, ports, live
-and total connections), ``stop``, and periodic unsolicited
-``telemetry`` messages -- each worker's MetricsRegistry snapshot plus
-its finished spans, shipped every ``telemetry_interval`` seconds.
-Workers also treat a closed pipe as a stop order, so an orphaned
-worker shuts down instead of lingering when the parent dies.
+The control plane is deliberately tiny: one pipe per worker.  Upward
+it carries ``ready`` at boot and then unsolicited ``telemetry`` pushes
+-- each worker's MetricsRegistry snapshot, its SLO report and its
+finished spans, shipped every ``telemetry_interval`` seconds; the
+``ready`` message carries the first push.  Downward it carries only
+``stop``, and a worker also treats a closed pipe as a stop order, so an
+orphaned worker shuts down instead of lingering when the parent dies.
 
-The parent aggregates what the workers ship: a collector thread
-drains the pipes into a per-worker store, and (when the base config
-has ``management`` on) a :class:`repro.obs.fleet.FleetManagementEndpoint`
-serves the *merged* fleet view -- ``/metrics`` with counters summed
-and gauges labelled ``shard="N"``, ``/trace`` as one Chrome document
-with a process row per worker, ``/slo`` with each worker's verdict.
+The parent aggregates what the workers ship: a collector thread blocks
+on the pipes and drains each push into a per-worker store.  A worker's
+health (pid, ports, live and total connections) is read from its
+``ready`` message and its latest snapshot -- nothing asks a worker
+anything.  When the base config has ``management`` on, the parent runs
+the same :class:`repro.obs.mgmt.ManagementEndpoint` an appliance does,
+given the *merged* documents: ``/metrics`` with counters summed and
+gauges labelled ``shard="N"`` (:func:`repro.obs.fleet.merge_snapshots`),
+``/trace`` as one Chrome document with a process row per worker,
+``/slo`` with each worker's verdict, ``/healthz`` with each worker's
+health.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import socket
@@ -117,27 +123,18 @@ def _worker_main(index: int, config: NestConfig, host: str,
         except (OSError, BrokenPipeError):
             pass
         return
-    conn.send({"type": "ready", "index": index, "pid": os.getpid(),
-               "ports": dict(server.ports), "shard_root": root})
     interval = max(config.telemetry_interval, 0.05)
-    next_ship = time.monotonic() + interval
     try:
+        _ship_telemetry(server, index, conn, "ready",
+                        ports=dict(server.ports), shard_root=root)
+        next_ship = time.monotonic() + interval
         while True:
-            if conn.poll(0.2):
-                msg = conn.recv()
-                if msg == "stop":
-                    break
-                if msg == "health":
-                    total = server.obs.registry.get("nest_connections_total")
-                    conn.send({
-                        "type": "health", "index": index, "pid": os.getpid(),
-                        "shard_root": root, "ports": dict(server.ports),
-                        "active_connections": server.active_connections(),
-                        "connections_total": int(total.total()) if total else 0,
-                    })
-            if time.monotonic() >= next_ship:
-                _ship_telemetry(server, index, conn)
-                next_ship = time.monotonic() + interval
+            # Asleep on the pipe until the next push is due.
+            if conn.poll(max(next_ship - time.monotonic(), 0.0)):
+                conn.recv()
+                break  # "stop": the only order that comes down the pipe
+            _ship_telemetry(server, index, conn)
+            next_ship = time.monotonic() + interval
     except (EOFError, OSError):
         pass  # parent died: treat as a stop order
     finally:
@@ -149,25 +146,24 @@ def _worker_main(index: int, config: NestConfig, host: str,
         conn.close()
 
 
-def _ship_telemetry(server, index: int, conn) -> None:
-    """One unsolicited telemetry push: SLO-refreshed metrics snapshot
-    plus the worker's whole finished-span ring (the parent dedupes by
-    span identity, so re-shipping is idempotent)."""
+def _ship_telemetry(server, index: int, conn, kind: str = "telemetry",
+                    **extra) -> None:
+    """One telemetry push: the SLO report, the metrics snapshot taken
+    right after it (so its slo_* gauges are that report's), and the
+    worker's whole finished-span ring (the parent dedupes by span
+    identity, so re-shipping is idempotent).  ``kind="ready"`` with
+    the worker's ports is the first push; it goes out even if the
+    telemetry in it could not be taken."""
+    msg = {"type": kind, "index": index, "pid": os.getpid(), **extra}
     try:
-        if server.slo is not None:
-            server.slo.evaluate()
-        conn.send({
-            "type": "telemetry", "index": index,
-            "service": server.config.name, "pid": os.getpid(),
-            "metrics": server.obs.registry.snapshot(),
-            "spans": [s.to_dict() for s in server.obs.recorder.spans()],
-            "slo": (server.slo.report() if server.slo is not None else None),
-        })
-    except (OSError, BrokenPipeError):
-        raise  # pipe gone: the main loop treats this as a stop order
+        msg["slo"] = server.slo.report()
+        msg.update(service=server.config.name,
+                   metrics=server.obs.registry.snapshot(),
+                   spans=[s.to_dict() for s in server.obs.recorder.spans()])
     except Exception:  # noqa: BLE001 - telemetry must never kill a worker
         logger.warning("shard %d: telemetry snapshot failed", index,
                        exc_info=True)
+    conn.send(msg)  # a gone pipe raises: the main loop's stop order
 
 
 @dataclasses.dataclass
@@ -180,9 +176,6 @@ class ShardWorker:
     http_port: int
     pid: int = 0
     shard_root: str = ""
-    #: serialises pipe use between the telemetry collector thread and
-    #: request/reply callers (health, stop).
-    lock: threading.Lock = dataclasses.field(default_factory=threading.Lock)
 
 
 class ShardGroup:
@@ -209,9 +202,10 @@ class ShardGroup:
         self._worker_meta: dict[str, tuple[str, int]] = {}
         self._worker_spans: dict[str, dict[tuple, dict]] = {}
         self._worker_slo: dict[str, dict] = {}
-        self._collector_stop = threading.Event()
         self._collector_thread: threading.Thread | None = None
-        self.mgmt = None  # FleetManagementEndpoint when management is on
+        #: stop()'s wake-up for the collector asleep on the pipes.
+        self._wake = None
+        self.mgmt = None  # the fleet's ManagementEndpoint, if any
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -223,7 +217,7 @@ class ShardGroup:
         for index in range(self.shards):
             # Each worker is a full appliance: shared-port Chirp plus a
             # direct per-worker HTTP port for shard-addressed access.
-            # The management endpoint is off -- health flows over the
+            # The management endpoint is off -- telemetry flows up the
             # control pipe -- and the event-driven path is on, so one
             # worker carries thousands of connections per core.
             config = dataclasses.replace(
@@ -273,20 +267,20 @@ class ShardGroup:
             worker.pid = msg["pid"]
             worker.shard_root = msg["shard_root"]
             worker.http_port = msg["ports"].get("http", worker.http_port)
-        self._collector_stop.clear()
+            self._ingest(msg)
+        wake_recv, self._wake = self._ctx.Pipe(duplex=False)
         self._collector_thread = threading.Thread(
-            target=self._collect_loop, name="shard-telemetry", daemon=True)
+            target=self._collect_loop, args=(wake_recv,),
+            name="shard-telemetry", daemon=True)
         self._collector_thread.start()
         if self._base_config.management:
-            from repro.obs.fleet import FleetManagementEndpoint
+            from repro.obs.fleet import merge_fleet_trace, merge_snapshots
+            from repro.obs.mgmt import ManagementEndpoint
 
-            self.mgmt = FleetManagementEndpoint(
-                snapshots=self.fleet_snapshots,
-                spans=self.fleet_spans,
-                health=self.health,
-                slo=self.fleet_slo,
-                host=self.host,
-                service=f"{self._base_config.name}-fleet",
+            self.mgmt = ManagementEndpoint(
+                metrics=lambda: merge_snapshots(self.fleet_snapshots()),
+                trace=lambda: merge_fleet_trace(self.fleet_spans()),
+                health=self.health, slo=self.fleet_slo, host=self.host,
             ).start()
         logger.info("shard group up: %d workers on %s:%d",
                     self.shards, self.host, self.chirp_port)
@@ -302,16 +296,19 @@ class ShardGroup:
         if self.mgmt is not None:
             self.mgmt.stop()
             self.mgmt = None
-        self._collector_stop.set()
         if self._collector_thread is not None:
+            try:
+                self._wake.send("stop")
+            except OSError:
+                pass  # the collector is gone already
             self._collector_thread.join(timeout=5.0)
             self._collector_thread = None
+            self._wake.close()
         for worker in self.workers:
-            with worker.lock:
-                try:
-                    worker.conn.send("stop")
-                except (OSError, BrokenPipeError):
-                    pass
+            try:
+                worker.conn.send("stop")
+            except (OSError, BrokenPipeError):
+                pass
         deadline = time.monotonic() + timeout
         for worker in self.workers:
             worker.process.join(max(deadline - time.monotonic(), 0.1))
@@ -335,59 +332,49 @@ class ShardGroup:
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
-    def health(self, timeout: float = 5.0) -> list[dict]:
-        """One health dict per worker (index, pid, ports, connection
-        counts); unresponsive workers report ``{"alive": False}``.
-
-        Each worker's request/reply transaction runs under that
-        worker's pipe lock so it cannot interleave with the telemetry
-        collector; unsolicited telemetry messages read while waiting
-        for the reply are ingested, not dropped.
-        """
+    def health(self) -> list[dict]:
+        """One health dict per worker: pid, shard root and direct HTTP
+        port from its ``ready`` message (beside the shared Chirp port),
+        live and total connections from its latest telemetry push; a
+        dead worker reports ``alive`` False."""
+        with self._telemetry_lock:
+            metrics = dict(self._worker_metrics)
         reports = []
-        deadline = time.monotonic() + timeout
         for worker in self.workers:
-            report = {"index": worker.index, "alive": False,
-                      "pid": worker.pid}
-            with worker.lock:
-                try:
-                    worker.conn.send("health")
-                    while True:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not worker.conn.poll(
-                                max(remaining, 0.05)):
-                            break
-                        msg = worker.conn.recv()
-                        if self._ingest(msg):
-                            continue
-                        if isinstance(msg, dict) and msg.get("type") == "health":
-                            report = dict(msg)
-                            report["alive"] = True
-                            break
-                except (EOFError, OSError, BrokenPipeError):
-                    pass
-            reports.append(report)
+            snap = metrics.get(str(worker.index), {})
+            active = snap.get("nest_active_connections", {}).get("series", {})
+            total = snap.get("nest_connections_total", {}).get("series", {})
+            reports.append({
+                "index": worker.index, "alive": worker.process.is_alive(),
+                "pid": worker.pid, "shard_root": worker.shard_root,
+                "ports": {"chirp": self.chirp_port,
+                          "http": worker.http_port},
+                "active_connections": int(active.get((), 0)),
+                "connections_total": int(sum(total.values())),
+            })
         return reports
 
     # ------------------------------------------------------------------
     # fleet telemetry
     # ------------------------------------------------------------------
-    def _collect_loop(self) -> None:
-        """Drain unsolicited worker telemetry into the parent store."""
-        while not self._collector_stop.wait(0.05):
-            for worker in list(self.workers):
-                with worker.lock:
+    def _collect_loop(self, wake) -> None:
+        """Drain worker telemetry into the parent store: asleep on the
+        pipes until a push (or stop()'s wake-up) arrives."""
+        pipes = [worker.conn for worker in self.workers]
+        with wake:
+            while True:
+                for conn in multiprocessing.connection.wait([*pipes, wake]):
+                    if conn is wake:
+                        return
                     try:
-                        while worker.conn.poll(0):
-                            self._ingest(worker.conn.recv())
-                    except (EOFError, OSError, BrokenPipeError):
-                        pass  # worker gone; stop() reaps it
+                        self._ingest(conn.recv())
+                    except (EOFError, OSError):
+                        pipes.remove(conn)  # worker gone; stop() reaps it
 
-    def _ingest(self, msg) -> bool:
-        """Store one telemetry message; False if it was something else
-        (a reply someone is waiting for)."""
-        if not isinstance(msg, dict) or msg.get("type") != "telemetry":
-            return False
+    def _ingest(self, msg) -> None:
+        """Store one telemetry push (a ``ready`` message is the first)."""
+        if not isinstance(msg, dict) or "metrics" not in msg:
+            return
         label = str(msg.get("index", "?"))
         with self._telemetry_lock:
             self._worker_metrics[label] = msg.get("metrics", {})
@@ -406,7 +393,6 @@ class ShardGroup:
             if overflow > 0:
                 for key in list(store)[:overflow]:
                     del store[key]
-        return True
 
     def fleet_snapshots(self) -> dict[str, dict]:
         """Latest metrics snapshot per shard label (for merging)."""

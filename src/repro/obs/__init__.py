@@ -12,7 +12,15 @@ Everything measured in the reproduction flows through this package:
   Prometheus text exposition and Chrome trace-event JSON;
 * :mod:`repro.obs.health` -- rolling throughput, queue depth, and
   error rates consolidated for the live-health ClassAd feed;
+* :mod:`repro.obs.slo` -- service-level objectives and error budgets;
+* :mod:`repro.obs.fleet` -- merging shard workers' snapshots and spans;
 * :mod:`repro.obs.mgmt` -- the HTTP management endpoint.
+
+A number is counted once, in the registry.  Every document built from
+it -- ``/metrics``, ``/healthz``, the ClassAd health block, the SLO
+report, a shard fleet's merged view -- is a function of a
+:meth:`MetricsRegistry.snapshot`; only the rolling throughput window
+and the span ring live elsewhere.
 
 :class:`Observability` bundles one appliance's registry, tracer, span
 recorder, and health monitor so the server wires a single object
@@ -21,6 +29,7 @@ through its layers.
 
 from __future__ import annotations
 
+import os
 from typing import Any
 
 from repro.obs.export_chrome import (
@@ -103,11 +112,14 @@ class Observability:
 
     def render_prometheus(self) -> str:
         """The registry as Prometheus text exposition."""
-        return render_prometheus(self.registry)
+        return render_prometheus(self.registry.snapshot())
 
     def chrome_trace(self) -> dict:
-        """Recorded spans as a Chrome trace-event document."""
-        return spans_to_chrome(self.recorder, service=self.service)
+        """Recorded spans as a Chrome trace-event document.  The real
+        OS pid keeps it mergeable with other processes' documents
+        (distinct pid per process row)."""
+        return spans_to_chrome(self.recorder, service=self.service,
+                               pid=os.getpid())
 
     def health_attributes(self) -> dict[str, Any]:
         """Live-health ClassAd attributes (measured, not static)."""

@@ -1,4 +1,4 @@
-"""Prometheus text exposition (version 0.0.4) for a MetricsRegistry.
+"""Prometheus text exposition (version 0.0.4) of a metrics snapshot.
 
 The management endpoint serves this at ``/metrics`` and the
 ``repro stats`` CLI prints it; the format is the plain-text scrape
@@ -8,14 +8,16 @@ format every Prometheus-compatible collector understands::
     # TYPE nest_requests_total counter
     nest_requests_total{protocol="chirp",op="get",outcome="ok"} 12
 
-Rendering reads one consistent snapshot per metric (the registry's
-per-metric locks), escapes label values, and emits histograms as
-cumulative ``_bucket`` series plus ``_sum`` / ``_count``.
+The input is a :meth:`MetricsRegistry.snapshot` -- one appliance's, or
+a shard fleet's merged by :func:`repro.obs.fleet.merge_snapshots` --
+so every exposition is a function of a snapshot.  Label values are
+escaped, and histograms render as cumulative ``_bucket`` series plus
+``_sum`` / ``_count``.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
+from typing import Any, Mapping
 
 __all__ = ["render_prometheus"]
 
@@ -40,33 +42,30 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry's current state in Prometheus text format."""
+def render_prometheus(snapshot: Mapping[str, Mapping[str, Any]]) -> str:
+    """A metrics snapshot in Prometheus text format."""
     lines: list[str] = []
-    for metric in registry.metrics():
-        name = metric.name
-        lines.append(f"# HELP {name} {metric.help or name}")
-        lines.append(f"# TYPE {name} {metric.kind}")
-        series = metric.series()
-        if isinstance(metric, Histogram):
+    for name, entry in snapshot.items():
+        labelnames = tuple(entry["labels"])
+        series = entry["series"]
+        lines.append(f"# HELP {name} {entry['help'] or name}")
+        lines.append(f"# TYPE {name} {entry['kind']}")
+        if entry["kind"] == "histogram":
+            bounds = [*entry["buckets"], float("inf")]
             for key, data in sorted(series.items()):
-                bounds = [*metric.buckets, float("inf")]
                 for bound, cumulative in zip(bounds, data["buckets"]):
                     le = "+Inf" if bound == float("inf") else _format_value(
                         float(bound))
-                    labels = _labels(metric.labelnames, key, (("le", le),))
+                    labels = _labels(labelnames, key, (("le", le),))
                     lines.append(f"{name}_bucket{labels} {cumulative}")
-                base = _labels(metric.labelnames, key)
+                base = _labels(labelnames, key)
                 lines.append(f"{name}_sum{base} {_format_value(data['sum'])}")
                 lines.append(f"{name}_count{base} {data['count']}")
             continue
-        if isinstance(metric, Gauge) and metric.callback is not None:
-            lines.append(f"{name} {_format_value(metric.value())}")
-            continue
-        if not series and not metric.labelnames:
+        if not series and not labelnames:
             lines.append(f"{name} 0")
             continue
         for key, value in sorted(series.items()):
-            labels = _labels(metric.labelnames, key)
+            labels = _labels(labelnames, key)
             lines.append(f"{name}{labels} {_format_value(value)}")
     return "\n".join(lines) + "\n"

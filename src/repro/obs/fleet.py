@@ -1,53 +1,39 @@
 """Fleet-wide telemetry merging for the multi-process shard layer.
 
-PR 7's shard layer split one appliance into N worker processes, which
-fragmented observability: each worker has its own MetricsRegistry and
-SpanRecorder, so ``/metrics`` became N per-shard silos and no single
-``/trace`` document could explain a request the kernel routed to an
-arbitrary worker.  This module is the parent-side half of the repair:
-workers periodically ship :meth:`MetricsRegistry.snapshot` dicts and
-``Span.to_dict`` lists over the existing control pipe, and the
-functions here merge them into one operator-facing view:
+The shard layer splits one appliance into N worker processes, each
+with its own MetricsRegistry and SpanRecorder.  Workers ship
+:meth:`MetricsRegistry.snapshot` dicts and ``Span.to_dict`` lists over
+their control pipe, and the parent merges them with the functions here
+into the documents its one :class:`~repro.obs.mgmt.ManagementEndpoint`
+serves:
 
-* :func:`render_fleet_prometheus` -- one Prometheus exposition where
-  **counters are summed** across shards (a request is a request no
-  matter which worker served it), **gauges keep one series per shard**
-  labeled ``shard="N"`` (point-in-time values like active connections
-  are meaningless summed without attribution), and **histograms are
-  bucket-merged** (cumulative bucket arrays, sums, and counts add
-  element-wise because every worker shares the same bucket bounds).
+* :func:`merge_snapshots` -- one snapshot of the same shape a single
+  registry produces, so ``/metrics`` is the same
+  :func:`~repro.obs.export_prom.render_prometheus` a single appliance
+  uses.  **Counters are summed** across shards (a request is a request
+  no matter which worker served it), **gauges keep one series per
+  shard** under a trailing ``shard`` label (point-in-time values like
+  active connections are meaningless summed without attribution), and
+  **histograms are bucket-merged** (cumulative bucket arrays, sums, and
+  counts add element-wise because every worker shares the same bucket
+  bounds).
 * :func:`merge_fleet_trace` -- one Chrome trace document with a
   distinct ``pid`` (the worker's real OS pid) and ``process_name``
   per worker, so a trace that crossed shards renders as one timeline
   spanning several process rows.
-* :class:`FleetManagementEndpoint` -- the parent's ManagementEndpoint
-  subclass serving the merged documents (plus ``/slo`` evaluated over
-  the merged counters) from the shipped snapshots.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.obs.export_chrome import spans_to_chrome, merge_chrome_traces
-from repro.obs.export_prom import _format_value, _labels
-from repro.obs.mgmt import ManagementEndpoint
 from repro.obs.spans import spans_from_dicts
 
 __all__ = [
-    "FleetManagementEndpoint",
     "merge_fleet_trace",
     "merge_snapshots",
-    "render_fleet_prometheus",
 ]
-
-
-def _split_key(flat: str, labelnames: tuple[str, ...]) -> tuple[str, ...]:
-    """Invert the ``",".join(key)`` flattening snapshot() applies."""
-    if not labelnames:
-        return ()
-    return tuple(flat.split(",", len(labelnames) - 1))
 
 
 def merge_snapshots(
@@ -57,11 +43,11 @@ def merge_snapshots(
     ``snapshots`` maps a shard label (``"0"``, ``"1"``, ...) to that
     worker's :meth:`MetricsRegistry.snapshot`.  Counters and histogram
     series merge by summing; gauge series are kept per-shard under a
-    synthetic trailing ``shard`` label.  Metric schema (kind, help,
-    buckets) is taken from the first shard that reports the metric;
-    a shard shipping an incompatible shape for the same name (bucket
-    count mismatch after a rolling upgrade, say) is skipped for that
-    metric rather than corrupting the merge.
+    trailing ``shard`` label.  Metric schema (kind, help, buckets) is
+    taken from the first shard that reports the metric; a shard
+    shipping an incompatible shape for the same name (bucket count
+    mismatch after a rolling upgrade, say) is skipped for that metric
+    rather than corrupting the merge.
     """
     fleet: dict[str, dict] = {}
     for shard in sorted(snapshots):
@@ -73,6 +59,8 @@ def merge_snapshots(
                 continue
             kind = entry.get("kind", "untyped")
             labelnames = tuple(entry.get("labels") or ())
+            if kind == "gauge":
+                labelnames += ("shard",)
             merged = fleet.get(name)
             if merged is None:
                 merged = fleet[name] = {
@@ -89,7 +77,7 @@ def merge_snapshots(
             if kind == "gauge":
                 # one series per shard: attribution beats a meaningless sum
                 for key, value in series.items():
-                    merged["series"][(key, shard)] = value
+                    merged["series"][(*key, shard)] = value
                 continue
             for key, value in series.items():
                 have = merged["series"].get(key)
@@ -113,43 +101,6 @@ def merge_snapshots(
     return fleet
 
 
-def render_fleet_prometheus(
-        snapshots: Mapping[str, Mapping[str, Any]]) -> str:
-    """Render merged per-shard snapshots as one Prometheus exposition."""
-    fleet = merge_snapshots(snapshots)
-    lines: list[str] = []
-    for name in fleet:
-        entry = fleet[name]
-        kind = entry["kind"]
-        labelnames = entry["labels"]
-        lines.append(f"# HELP {name} {entry['help'] or name}")
-        lines.append(f"# TYPE {name} {kind}")
-        if kind == "histogram":
-            bounds = [*entry.get("buckets", ()), float("inf")]
-            for flat, data in sorted(entry["series"].items()):
-                key = _split_key(flat, labelnames)
-                for bound, cumulative in zip(bounds, data["buckets"]):
-                    le = "+Inf" if bound == float("inf") \
-                        else _format_value(float(bound))
-                    labels = _labels(labelnames, key, (("le", le),))
-                    lines.append(f"{name}_bucket{labels} {cumulative}")
-                base = _labels(labelnames, key)
-                lines.append(f"{name}_sum{base} {_format_value(data['sum'])}")
-                lines.append(f"{name}_count{base} {data['count']}")
-            continue
-        if kind == "gauge":
-            for (flat, shard), value in sorted(entry["series"].items()):
-                key = _split_key(flat, labelnames)
-                labels = _labels(labelnames, key, (("shard", shard),))
-                lines.append(f"{name}{labels} {_format_value(value)}")
-            continue
-        for flat, value in sorted(entry["series"].items()):
-            key = _split_key(flat, labelnames)
-            labels = _labels(labelnames, key)
-            lines.append(f"{name}{labels} {_format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def merge_fleet_trace(
         worker_spans: Mapping[str, tuple[str, int, list[dict]]]) -> dict:
     """One Chrome trace document from per-worker shipped span dicts.
@@ -164,52 +115,3 @@ def merge_fleet_trace(
         docs.append(spans_to_chrome(spans_from_dicts(records),
                                     service=service, pid=pid))
     return merge_chrome_traces(docs)
-
-
-class FleetManagementEndpoint(ManagementEndpoint):
-    """The shard parent's management endpoint.
-
-    Serves the same paths as a single appliance's endpoint, but every
-    document is computed from the workers' shipped telemetry:
-
-    * ``/metrics`` -- :func:`render_fleet_prometheus` over the latest
-      snapshot from each worker;
-    * ``/trace`` -- :func:`merge_fleet_trace`, one pid per worker;
-    * ``/healthz`` and ``/slo`` -- provider callables supplied by the
-      ShardGroup (pipe-health reports; SLO evaluation over the merged
-      counters).
-    """
-
-    def __init__(self, *,
-                 snapshots: Callable[[], Mapping[str, Mapping[str, Any]]],
-                 spans: Callable[[], Mapping[str, tuple[str, int,
-                                                        list[dict]]]],
-                 health: Callable[[], dict] | None = None,
-                 slo: Callable[[], dict] | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 service: str = "nest-fleet"):
-        super().__init__(registry=None, host=host, port=port,
-                         service=service)
-        self._snapshots = snapshots
-        self._span_source = spans
-        self._fleet_health = health
-        self._fleet_slo = slo
-
-    def _respond(self, path: str) -> tuple[str, str, bytes]:
-        path = path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_fleet_prometheus(self._snapshots()).encode()
-            return "200 OK", "text/plain; version=0.0.4", body
-        if path == "/trace":
-            doc = merge_fleet_trace(self._span_source())
-            return "200 OK", "application/json", json.dumps(doc).encode()
-        if path == "/healthz":
-            body = self._fleet_health() if self._fleet_health else {"ok": True}
-            return "200 OK", "application/json", json.dumps(
-                body, sort_keys=True).encode()
-        if path == "/slo":
-            if self._fleet_slo is None:
-                return "404 Not Found", "text/plain", b"no slo engine\n"
-            return "200 OK", "application/json", json.dumps(
-                self._fleet_slo(), sort_keys=True).encode()
-        return super()._respond(path)

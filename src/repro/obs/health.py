@@ -4,9 +4,13 @@ The paper's dispatcher "periodically consolidates information about
 resource and data availability" (section 2.1); related replica-selection
 work ranks storage servers by *observed* transfer performance rather
 than static capacity.  :class:`HealthMonitor` is that consolidation
-point for one appliance: it keeps a rolling-window throughput estimate,
-per-protocol request/error tallies, and probes (queue depth, failure
-ring size, fault/retry totals), and renders them both as ClassAd
+point for one appliance.  The one thing it keeps itself is a
+rolling-window throughput estimate; everything else it reads from a
+:meth:`MetricsRegistry.snapshot` of the appliance's registry --
+per-protocol request and error counts from ``nest_requests_total``,
+and the probes (queue depth, failure ring size, fault/retry totals)
+from the gauges named in :data:`PROBES` -- so the ad, ``/healthz`` and
+``/metrics`` carry the same numbers.  It renders them both as ClassAd
 attributes for :func:`repro.nest.advertise.build_advertisement` and as
 a JSON health document for the management endpoint.
 """
@@ -16,11 +20,20 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["HealthMonitor"]
+__all__ = ["HealthMonitor", "PROBES"]
+
+#: Health-document probe name -> the registry gauge it reads.  A probe
+#: whose gauge is not registered (no fault plan, say) is left out.
+PROBES = {
+    "queue_depth": "nest_transfer_queue_depth",
+    "transfer_failures": "nest_transfer_failure_ring",
+    "faults_injected": "nest_faults_injected",
+    "retries": "nest_client_retries_observed",
+}
 
 
 class _RollingBytes:
@@ -66,51 +79,28 @@ class HealthMonitor:
                  clock: Callable[[], float] = time.monotonic):
         self.registry = registry
         self._throughput = _RollingBytes(window=window, clock=clock)
-        self._lock = threading.Lock()
-        self._requests: dict[str, int] = {}
-        self._errors: dict[str, int] = {}
-        #: named probes sampled at snapshot time (queue depth...).
-        self._probes: dict[str, Callable[[], float]] = {}
 
-    # -- feed --------------------------------------------------------------
     def record_bytes(self, nbytes: float) -> None:
         """Feed data-path bytes into the rolling throughput window."""
         self._throughput.record(nbytes)
 
-    def record_request(self, protocol: str, ok: bool) -> None:
-        with self._lock:
-            self._requests[protocol] = self._requests.get(protocol, 0) + 1
-            if not ok:
-                self._errors[protocol] = self._errors.get(protocol, 0) + 1
-
-    def add_probe(self, name: str, probe: Callable[[], float]) -> None:
-        """Register a live probe sampled at every snapshot."""
-        with self._lock:
-            self._probes[name] = probe
-
-    # -- read --------------------------------------------------------------
     def throughput_bps(self) -> float:
         return self._throughput.per_second()
 
-    def error_rate(self, protocol: str) -> float:
-        with self._lock:
-            total = self._requests.get(protocol, 0)
-            if not total:
-                return 0.0
-            return self._errors.get(protocol, 0) / total
-
     def snapshot(self) -> dict[str, Any]:
-        """One consistent health document (JSON-able)."""
-        with self._lock:
-            requests = dict(self._requests)
-            errors = dict(self._errors)
-            probes = dict(self._probes)
-        sampled: dict[str, float] = {}
-        for name, probe in probes.items():
-            try:
-                sampled[name] = float(probe())
-            except Exception:  # noqa: BLE001 - one dead probe != no health
-                sampled[name] = 0.0
+        """One health document (JSON-able): the throughput window plus
+        what one snapshot of the registry counts."""
+        metrics = self.registry.snapshot()
+        requests: dict[str, int] = {}
+        errors: dict[str, int] = {}
+        counter = metrics.get("nest_requests_total", {})
+        for (protocol, _op, outcome), count in counter.get(
+                "series", {}).items():
+            requests[protocol] = requests.get(protocol, 0) + count
+            if outcome != "ok":
+                errors[protocol] = errors.get(protocol, 0) + count
+        probes = {probe: float(metrics[name]["series"].get((), 0.0))
+                  for probe, name in PROBES.items() if name in metrics}
         return {
             "throughput_bps": self.throughput_bps(),
             "requests": requests,
@@ -119,7 +109,7 @@ class HealthMonitor:
                 proto: errors.get(proto, 0) / count
                 for proto, count in requests.items() if count
             },
-            "probes": sampled,
+            "probes": probes,
         }
 
     def ad_attributes(self) -> dict[str, Any]:

@@ -333,7 +333,9 @@ class MetricsRegistry:
         The dict is picklable and self-describing (kind, label schema,
         help text, histogram bucket bounds), so shard workers can ship
         it over the control pipe and the parent can merge and re-render
-        it without access to the live metric objects.
+        it without access to the live metric objects.  Series stay
+        keyed by their label-value tuples, so a label value holding a
+        ``,`` reads back as the value it was.
         """
         out: dict[str, dict[str, Any]] = {}
         for metric in self.metrics():
@@ -341,8 +343,7 @@ class MetricsRegistry:
                 "kind": metric.kind,
                 "labels": metric.labelnames,
                 "help": metric.help,
-                "series": {",".join(k) if k else "": v
-                           for k, v in metric.series().items()},
+                "series": metric.series(),
             }
             if isinstance(metric, Histogram):
                 entry["buckets"] = list(metric.buckets)

@@ -4,64 +4,66 @@ A tiny HTTP/1.0 server (raw sockets, thread-per-request, in the same
 idiom as the rest of the live stack) bound next to the protocol
 listeners, serving:
 
-* ``GET /metrics``  -- Prometheus text exposition of the registry;
+* ``GET /metrics``  -- Prometheus text exposition of a metrics snapshot;
 * ``GET /healthz``  -- the JSON health document (rolling throughput,
   per-protocol error rates, probe samples);
 * ``GET /trace``    -- recent request spans as a Chrome trace-event
   JSON document (load it in ``chrome://tracing`` / Perfetto);
+* ``GET /slo``      -- the SLO report;
 * ``GET /ad``       -- the live-health ClassAd attribute block.
 
-Scrapes are read-only and cheap: each handler takes one consistent
-snapshot (the registry's per-metric locks, the recorder's ring lock)
-so a scrape concurrent with 32 in-flight transfers, an active fault
-plan, or a draining ``stop()`` still returns an internally consistent
-document.  ``stop()`` closes the listener and joins every scrape
-thread -- the endpoint never leaks.
+The endpoint computes nothing itself: it is built from one document
+provider per path (zero-argument callables).  A single appliance
+passes its own -- its registry's snapshot, its recorder's trace, its
+health monitor, its SLO engine, its ad block -- and a shard group
+passes the fleet-merged ones, so one class serves both.  Each scrape
+calls its provider once; providers take consistent snapshots (the
+registry's per-metric locks, the recorder's ring lock), so a scrape
+concurrent with 32 in-flight transfers, an active fault plan, or a
+draining ``stop()`` still returns an internally consistent document.
+``stop()`` closes the listener and joins every scrape thread -- the
+endpoint never leaks.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
+from typing import Any, Callable
 
-from repro.obs.export_chrome import spans_to_chrome
 from repro.obs.export_prom import render_prometheus
-from repro.obs.health import HealthMonitor
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
 from repro.protocols.common import Acceptor
 
 __all__ = ["ManagementEndpoint"]
 
 logger = get_logger(__name__)
 
+#: A document provider: called once per scrape of its path.
+Provider = Callable[[], Any]
+
+
+def _no_trace() -> dict:
+    return {"traceEvents": []}
+
 
 class ManagementEndpoint:
-    """Serves observability documents for one appliance over HTTP."""
+    """Serves one appliance's (or one shard fleet's) observability
+    documents over HTTP."""
 
-    def __init__(self, registry: MetricsRegistry,
-                 health: HealthMonitor | None = None,
-                 recorder: SpanRecorder | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 service: str = "nest",
-                 ad_attributes=None, slo=None, refresh=None):
-        self.registry = registry
-        self.health = health
-        self.recorder = recorder
+    def __init__(self, *, metrics: Provider = dict,
+                 trace: Provider = _no_trace, health: Provider = dict,
+                 slo: Provider = dict, ad: Provider = dict,
+                 host: str = "127.0.0.1", port: int = 0):
+        """``metrics`` returns a :meth:`MetricsRegistry.snapshot`; the
+        others return the JSON documents of their paths."""
+        self._metrics = metrics
+        self._documents = {"/healthz": health, "/trace": trace,
+                           "/slo": slo, "/ad": ad}
         self.host = host
-        self.service = service
         self._requested_port = port
         self.port: int | None = None
-        #: optional callable returning the live-health ClassAd attrs.
-        self.ad_attributes = ad_attributes
-        #: optional callable returning the SLO report document.
-        self.slo = slo
-        #: optional hook run before /metrics and /slo scrapes, so
-        #: derived gauges (the SLO engine's) are fresh at read time.
-        self.refresh = refresh
         self._acceptor: Acceptor | None = None
         self._conn_lock = threading.Lock()
         self._threads: dict[threading.Thread, socket.socket] = {}
@@ -131,42 +133,15 @@ class ManagementEndpoint:
             with self._conn_lock:
                 self._threads.pop(threading.current_thread(), None)
 
-    def _refresh(self) -> None:
-        if self.refresh is None:
-            return
-        try:
-            self.refresh()
-        except Exception:  # noqa: BLE001 - a broken probe must not 500
-            logger.exception("management refresh hook failed")
-
     def _respond(self, path: str) -> tuple[str, str, bytes]:
         path = path.split("?", 1)[0]
         if path == "/metrics":
-            self._refresh()
-            body = render_prometheus(self.registry).encode()
+            body = render_prometheus(self._metrics()).encode()
             return "200 OK", "text/plain; version=0.0.4", body
-        if path == "/healthz":
-            doc = self.health.snapshot() if self.health else {}
+        provider = self._documents.get(path)
+        if provider is not None:
             return "200 OK", "application/json", json.dumps(
-                doc, sort_keys=True).encode()
-        if path == "/trace":
-            recorder = self.recorder
-            # The real OS pid keeps this document mergeable with other
-            # workers' documents (distinct pid per process row).
-            doc = spans_to_chrome(recorder, service=self.service,
-                                  pid=os.getpid()) \
-                if recorder else {"traceEvents": []}
-            return "200 OK", "application/json", json.dumps(doc).encode()
-        if path == "/slo":
-            if self.slo is None:
-                return "404 Not Found", "text/plain", b"no slo engine\n"
-            self._refresh()
-            return "200 OK", "application/json", json.dumps(
-                self.slo(), sort_keys=True).encode()
-        if path == "/ad":
-            attrs = self.ad_attributes() if self.ad_attributes else {}
-            return "200 OK", "application/json", json.dumps(
-                attrs, sort_keys=True).encode()
+                provider(), sort_keys=True).encode()
         if path == "/":
             return ("200 OK", "text/plain",
                     b"repro management endpoint\n"

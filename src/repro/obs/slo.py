@@ -124,9 +124,8 @@ def _outcome_good_bad(entry: Mapping[str, Any]) -> tuple[float, float]:
     except ValueError:
         pos = len(labels) - 1 if labels else -1
     good = bad = 0.0
-    for flat, value in (entry.get("series") or {}).items():
-        parts = flat.split(",") if flat else []
-        outcome = parts[pos] if 0 <= pos < len(parts) else "ok"
+    for key, value in (entry.get("series") or {}).items():
+        outcome = key[pos] if 0 <= pos < len(key) else "ok"
         if outcome == "ok":
             good += value
         else:

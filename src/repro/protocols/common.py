@@ -83,13 +83,6 @@ class RequestType(enum.Enum):
     QUIT = "quit"
 
 
-#: Request types the dispatcher routes to the transfer manager; all
-#: others go to the storage manager (paper, section 2.1).
-TRANSFER_TYPES = frozenset(
-    {RequestType.GET, RequestType.PUT, RequestType.READ, RequestType.WRITE}
-)
-
-
 class Status(enum.Enum):
     """Common response status codes (mapped per protocol on the wire)."""
 
@@ -125,11 +118,6 @@ class Request:
     user: str = "anonymous"
     protocol: str = "chirp"
     params: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def is_transfer(self) -> bool:
-        """True when the dispatcher must route this to the transfer manager."""
-        return self.rtype in TRANSFER_TYPES
 
 
 @dataclass

@@ -165,15 +165,19 @@ class FtpSession:
                 except ProtocolError:
                     self.reply(SYNTAX_ERROR, "bad command")
                     continue
-                with self.request_scope(verb.lower()):
-                    keep = self.dispatch(verb, arg)
+                handler = getattr(self, f"cmd_{verb.lower()}", None)
+                # A verb not in the table is the client's word, not an
+                # op: one label for all of them keeps the request
+                # counter's series bounded whatever a client sends.
+                with self.request_scope(verb.lower() if handler
+                                        else "unknown"):
+                    keep = self.dispatch(verb, arg, handler)
                 if not keep:
                     return
         finally:
             self.close_data_state()
 
-    def dispatch(self, verb: str, arg: str) -> bool:
-        handler = getattr(self, f"cmd_{verb.lower()}", None)
+    def dispatch(self, verb: str, arg: str, handler) -> bool:
         if handler is None:
             self.reply(NOT_IMPLEMENTED, f"{verb} not implemented")
             return True

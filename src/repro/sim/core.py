@@ -148,10 +148,6 @@ class Event:
         env._push(self, env._now, NORMAL)
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it will not crash the run."""
-        self._defused = True
-
 
 class Timeout(Event):
     """An event that fires after a fixed delay."""
@@ -495,10 +491,6 @@ class Environment:
         """Schedule ``event`` at absolute time ``when``."""
         self._seqno = seq = self._seqno + 1
         heapq.heappush(self._queue, (when, priority, seq, event))
-
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        """Back-compat alias for :meth:`_push` with a relative delay."""
-        self._push(event, self._now + delay, priority)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""

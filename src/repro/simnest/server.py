@@ -424,11 +424,6 @@ class SimNest:
             return (2 * p.event_dispatch_cost,)
         return (p.event_dispatch_cost,)  # events
 
-    def _concurrency_overhead(self, model: str, job: TransferJob,
-                              first: bool) -> Generator:
-        """Process step: spend the model's per-chunk CPU (batched)."""
-        yield self.env.timeout_chain(self._overhead_delays(model, first))
-
     def _read_data(self, model: str, path: str, offset: int, nbytes: int) -> Generator:
         """Read from the fs under the model's blocking semantics."""
         if model == EVENTS:

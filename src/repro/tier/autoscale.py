@@ -49,7 +49,7 @@ class AutoScaler:
         health: HealthMonitor,
         heat: HeatTracker,
         replicator: Replicator,
-        slo=None,
+        slo,
         *,
         queue_high: float = 4.0,
         error_high: float = 0.05,
@@ -150,7 +150,7 @@ class AutoScaler:
         self._prev_requests = served
         self._prev_stamp = now
         error_rate = max(doc["error_rates"].values(), default=0.0)
-        degraded = bool(self.slo.degraded()) if self.slo is not None else False
+        degraded = bool(self.slo.degraded())
         return {
             "queue_depth": float(doc["probes"].get("queue_depth", 0.0)),
             "error_rate": error_rate,

@@ -139,11 +139,11 @@ def test_fsync_amortization_gauge(journal_path):
     reg = MetricsRegistry()
     j = MetadataJournal(journal_path, registry=reg)
     snap = reg.snapshot()
-    assert snap["journal_records_per_fsync"]["series"][""] == 0.0
+    assert snap["journal_records_per_fsync"]["series"][()] == 0.0
     for i in range(3):
         j.append("mkdir", {"path": f"/d{i}"})
     snap = reg.snapshot()
-    ratio = snap["journal_records_per_fsync"]["series"][""]
+    ratio = snap["journal_records_per_fsync"]["series"][()]
     assert ratio == pytest.approx(j.records_appended / j.fsync_count)
     assert ratio >= 1.0
     j.close()

@@ -232,8 +232,8 @@ class TestServerModelSwitcher:
         conns["n"] = 0
         assert sw.choose() == THREADS
         counts = registry.snapshot()["server_model_switch_total"]["series"]
-        assert counts[EVENTS] == 1
-        assert counts[THREADS] == 1
+        assert counts[(EVENTS,)] == 1
+        assert counts[(THREADS,)] == 1
         spans = [s for s in recorder.spans()
                  if s.name == "server.model_switch"]
         assert [s.attributes["to"] for s in spans] == [EVENTS, THREADS]

@@ -55,7 +55,8 @@ IDLE = {
     "nest-adaptive": lambda: NestServer(
         NestConfig(name="idle", concurrency_server="adaptive")),
     "jbos-chirpd": NativeChirpd,
-    "mgmt-endpoint": lambda: ManagementEndpoint(MetricsRegistry()),
+    "mgmt-endpoint": lambda: ManagementEndpoint(
+        metrics=MetricsRegistry().snapshot),
 }
 
 

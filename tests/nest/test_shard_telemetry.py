@@ -1,11 +1,11 @@
 """Shard telemetry: workers ship snapshots, the parent serves the fleet.
 
 A live two-worker group (real spawned processes) under a short
-telemetry interval.  The parent's FleetManagementEndpoint must expose
-the merged view -- summed counters, shard-labelled gauges, a merged
-Chrome trace with one pid per worker, and per-shard SLO reports --
-while the health control plane keeps working over the same pipes, and
-stop() must tear it all down without leaking parent-side threads.
+telemetry interval.  The parent's management endpoint must expose the
+merged view -- summed counters, shard-labelled gauges, a merged Chrome
+trace with one pid per worker, and per-shard SLO reports -- while
+worker health is read from those same pushes, and stop() must tear it
+all down without leaking parent-side threads.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class TestFleetEndpoint:
             assert "objectives" in shard
 
     def test_health_survives_concurrent_telemetry(self, group):
-        # Telemetry messages interleave on the same pipes; the health
-        # transaction must still find its reply every time.
+        # Health is read from the pushes the collector keeps ingesting,
+        # never asked over the pipe, so it answers every time.
         for _ in range(5):
             reports = group.health()
             assert sorted(r["index"] for r in reports) == [0, 1]
@@ -131,3 +131,19 @@ def test_stop_drains_without_leaking_threads():
     leaked = [t for t in threading.enumerate()
               if t not in before and t.is_alive()]
     assert not leaked, f"shard teardown leaked threads: {leaked}"
+
+
+def test_health_right_after_start_comes_from_the_ready_push():
+    """The first push rides on ``ready``: with no periodic push due for
+    a minute, health straight after start() already has each worker's
+    ports and connection count."""
+    config = NestConfig(name="tele-ready", telemetry_interval=60.0)
+    with ShardGroup(2, config=config) as grp:
+        reports = grp.health()
+        assert sorted(r["index"] for r in reports) == [0, 1]
+        for report in reports:
+            assert report["alive"]
+            assert report["pid"] == grp.workers[report["index"]].pid
+            assert {"chirp", "http"} <= set(report["ports"])
+            assert report["connections_total"] == 0
+            assert report["active_connections"] == 0

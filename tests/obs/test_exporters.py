@@ -23,7 +23,7 @@ class TestPrometheus:
         reg.counter("nest_requests_total", "Requests served.",
                     labelnames=("protocol", "op")).inc(
             12, protocol="chirp", op="get")
-        text = render_prometheus(reg)
+        text = render_prometheus(reg.snapshot())
         assert "# HELP nest_requests_total Requests served.\n" in text
         assert "# TYPE nest_requests_total counter\n" in text
         assert 'nest_requests_total{protocol="chirp",op="get"} 12\n' in text
@@ -33,7 +33,7 @@ class TestPrometheus:
         h = reg.histogram("lat", "latency", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
-        text = render_prometheus(reg)
+        text = render_prometheus(reg.snapshot())
         assert 'lat_bucket{le="0.1"} 1' in text
         assert 'lat_bucket{le="1"} 2' in text
         assert 'lat_bucket{le="+Inf"} 2' in text
@@ -44,20 +44,79 @@ class TestPrometheus:
         reg = MetricsRegistry()
         box = {"v": 4}
         reg.gauge_callback("depth", lambda: box["v"])
-        assert "depth 4" in render_prometheus(reg)
+        assert "depth 4" in render_prometheus(reg.snapshot())
         box["v"] = 9
-        assert "depth 9" in render_prometheus(reg)
+        assert "depth 9" in render_prometheus(reg.snapshot())
 
     def test_label_values_escaped(self):
         reg = MetricsRegistry()
         reg.counter("c", labelnames=("op",)).inc(op='we"ird\nname')
-        text = render_prometheus(reg)
+        text = render_prometheus(reg.snapshot())
         assert 'op="we\\"ird\\nname"' in text
 
     def test_bare_counter_renders_zero(self):
         reg = MetricsRegistry()
         reg.counter("untouched")
-        assert "untouched 0\n" in render_prometheus(reg)
+        assert "untouched 0\n" in render_prometheus(reg.snapshot())
+
+    def test_golden_exposition(self):
+        """Every kind of series renders byte for byte as it did when
+        the renderer walked the live registry; a label value holding
+        ``,`` survives the snapshot."""
+        reg = MetricsRegistry()
+        reqs = reg.counter("demo_requests_total",
+                           "Requests, by protocol and op.",
+                           labelnames=("protocol", "op"))
+        reqs.inc(3, protocol="chirp", op="get")
+        reqs.inc(protocol="http", op="put")
+        reqs.inc(2, protocol="ftp", op="a,b")
+        reg.counter("demo_bytes_total", "Bytes moved.").inc(4096)
+        reg.counter("demo_untouched_total", "Never incremented.")
+        reg.gauge("demo_depth", "Queue depth.").set(2.5)
+        reg.gauge_callback("demo_probe", lambda: 7, "Probed at read time.")
+        reg.gauge_callback("demo_broken", lambda: 1 / 0,
+                           "A probe that raises.")
+        lat = reg.histogram("demo_seconds", "Latency.",
+                            labelnames=("protocol",),
+                            buckets=(0.01, 0.1, 1.0))
+        for value in (0.005, 0.05, 0.5):
+            lat.observe(value, protocol="chirp")
+        lat.observe(2.0, protocol="http")
+        assert render_prometheus(reg.snapshot()) == (
+            '# HELP demo_requests_total Requests, by protocol and op.\n'
+            '# TYPE demo_requests_total counter\n'
+            'demo_requests_total{protocol="chirp",op="get"} 3\n'
+            'demo_requests_total{protocol="ftp",op="a,b"} 2\n'
+            'demo_requests_total{protocol="http",op="put"} 1\n'
+            '# HELP demo_bytes_total Bytes moved.\n'
+            '# TYPE demo_bytes_total counter\n'
+            'demo_bytes_total 4096\n'
+            '# HELP demo_untouched_total Never incremented.\n'
+            '# TYPE demo_untouched_total counter\n'
+            'demo_untouched_total 0\n'
+            '# HELP demo_depth Queue depth.\n'
+            '# TYPE demo_depth gauge\n'
+            'demo_depth 2.5\n'
+            '# HELP demo_probe Probed at read time.\n'
+            '# TYPE demo_probe gauge\n'
+            'demo_probe 7\n'
+            '# HELP demo_broken A probe that raises.\n'
+            '# TYPE demo_broken gauge\n'
+            'demo_broken 0\n'
+            '# HELP demo_seconds Latency.\n'
+            '# TYPE demo_seconds histogram\n'
+            'demo_seconds_bucket{protocol="chirp",le="0.01"} 1\n'
+            'demo_seconds_bucket{protocol="chirp",le="0.1"} 2\n'
+            'demo_seconds_bucket{protocol="chirp",le="1"} 3\n'
+            'demo_seconds_bucket{protocol="chirp",le="+Inf"} 3\n'
+            'demo_seconds_sum{protocol="chirp"} 0.555\n'
+            'demo_seconds_count{protocol="chirp"} 3\n'
+            'demo_seconds_bucket{protocol="http",le="0.01"} 0\n'
+            'demo_seconds_bucket{protocol="http",le="0.1"} 0\n'
+            'demo_seconds_bucket{protocol="http",le="1"} 0\n'
+            'demo_seconds_bucket{protocol="http",le="+Inf"} 1\n'
+            'demo_seconds_sum{protocol="http"} 2\n'
+            'demo_seconds_count{protocol="http"} 1\n')
 
 
 class TestChromeExport:

@@ -15,11 +15,8 @@ from repro.obs.export_chrome import (
     spans_to_chrome,
     validate_trace,
 )
-from repro.obs.fleet import (
-    merge_fleet_trace,
-    merge_snapshots,
-    render_fleet_prometheus,
-)
+from repro.obs.export_prom import render_prometheus
+from repro.obs.fleet import merge_fleet_trace, merge_snapshots
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder, Tracer
 
@@ -42,31 +39,64 @@ class TestMergeSnapshots:
         snaps = {"0": _shard_registry(3, 1).snapshot(),
                  "1": _shard_registry(5, 7).snapshot()}
         fleet = merge_snapshots(snaps)
-        assert fleet["nest_requests_total"]["series"]["chirp,get,ok"] == 8
+        requests = fleet["nest_requests_total"]["series"]
+        assert requests[("chirp", "get", "ok")] == 8
         gauges = fleet["nest_active_connections"]["series"]
-        assert gauges[("", "0")] == 1
-        assert gauges[("", "1")] == 7
-        hist = fleet["nest_request_seconds"]["series"]["chirp"]
+        assert gauges[("0",)] == 1
+        assert gauges[("1",)] == 7
+        hist = fleet["nest_request_seconds"]["series"][("chirp",)]
         assert hist["count"] == 8
         assert hist["buckets"][-1] == 8  # +Inf cumulative
 
     def test_incompatible_shapes_are_skipped_not_corrupted(self):
         good = _shard_registry(2, 0).snapshot()
         bad = {"nest_requests_total": {"kind": "gauge", "labels": (),
-                                       "series": {"": 99.0}}}
+                                       "series": {(): 99.0}}}
         fleet = merge_snapshots({"0": good, "1": bad})
         assert fleet["nest_requests_total"]["kind"] == "counter"
-        assert fleet["nest_requests_total"]["series"]["chirp,get,ok"] == 2
+        requests = fleet["nest_requests_total"]["series"]
+        assert requests[("chirp", "get", "ok")] == 2
 
     def test_render_exposition_has_shard_labels_and_sums(self):
-        text = render_fleet_prometheus(
+        text = render_prometheus(merge_snapshots(
             {"0": _shard_registry(3, 1).snapshot(),
-             "1": _shard_registry(5, 7).snapshot()})
+             "1": _shard_registry(5, 7).snapshot()}))
         assert 'nest_active_connections{shard="0"} 1' in text
         assert 'nest_active_connections{shard="1"} 7' in text
         assert 'nest_requests_total{protocol="chirp",op="get",' \
                'outcome="ok"} 8' in text
         assert 'le="+Inf"' in text
+
+    def test_fleet_render_of_two_snapshots(self):
+        """The shard parent's ``/metrics`` is the appliance renderer over
+        the merged snapshot: counters summed, gauges ``shard="N"``,
+        histograms bucket-merged -- and a ``,`` in a label value
+        survives the trip."""
+        shards = {}
+        for label, (n, active) in {"0": (3, 1), "1": (5, 7)}.items():
+            reg = MetricsRegistry()
+            reg.counter("reqs_total", "Requests.",
+                        labelnames=("op",)).inc(n, op="a,b")
+            reg.gauge("active", "Live.").set(active)
+            hist = reg.histogram("lat", "Latency.", buckets=(0.1,))
+            for _ in range(n):
+                hist.observe(0.0625)
+            hist.observe(1.0)
+            shards[label] = reg.snapshot()
+        assert render_prometheus(merge_snapshots(shards)) == (
+            '# HELP reqs_total Requests.\n'
+            '# TYPE reqs_total counter\n'
+            'reqs_total{op="a,b"} 8\n'
+            '# HELP active Live.\n'
+            '# TYPE active gauge\n'
+            'active{shard="0"} 1\n'
+            'active{shard="1"} 7\n'
+            '# HELP lat Latency.\n'
+            '# TYPE lat histogram\n'
+            'lat_bucket{le="0.1"} 8\n'
+            'lat_bucket{le="+Inf"} 10\n'
+            'lat_sum 2.5\n'
+            'lat_count 10\n')
 
 
 def _worker_spans(service, n=2):

@@ -16,6 +16,18 @@ from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
 
 
+def _requests(registry):
+    """The appliance's request counter, as ``NestServer`` registers it."""
+    return registry.counter("nest_requests_total", "Requests served.",
+                            labelnames=("protocol", "op", "outcome"),
+                            max_series=256)
+
+
+def _observe(registry, protocol, ok):
+    _requests(registry).inc(protocol=protocol, op="get",
+                            outcome="ok" if ok else "error")
+
+
 class TestHealthMonitor:
     def _monitor(self, clock):
         return HealthMonitor(MetricsRegistry(), window=10.0, clock=clock)
@@ -36,32 +48,35 @@ class TestHealthMonitor:
     def test_error_rates_per_protocol(self):
         mon = self._monitor(lambda: 0.0)
         for ok in (True, True, True, False):
-            mon.record_request("chirp", ok)
-        mon.record_request("http", True)
-        assert mon.error_rate("chirp") == 0.25
-        assert mon.error_rate("http") == 0.0
-        assert mon.error_rate("nfs") == 0.0  # never seen: no errors
+            _observe(mon.registry, "chirp", ok)
+        _observe(mon.registry, "http", True)
+        rates = mon.snapshot()["error_rates"]
+        assert rates["chirp"] == 0.25
+        assert rates["http"] == 0.0
+        assert rates.get("nfs", 0.0) == 0.0  # never seen: no errors
 
     def test_probes_sampled_at_snapshot_time(self):
         mon = self._monitor(lambda: 0.0)
         depth = [4]
-        mon.add_probe("queue_depth", lambda: depth[0])
+        mon.registry.gauge_callback("nest_transfer_queue_depth",
+                                    lambda: depth[0])
         assert mon.snapshot()["probes"]["queue_depth"] == 4.0
         depth[0] = 9
         assert mon.snapshot()["probes"]["queue_depth"] == 9.0
 
     def test_dead_probe_reads_as_zero(self):
         mon = self._monitor(lambda: 0.0)
-        mon.add_probe("broken", lambda: 1 / 0)
-        assert mon.snapshot()["probes"]["broken"] == 0.0
+        mon.registry.gauge_callback("nest_transfer_failure_ring",
+                                    lambda: 1 / 0)
+        assert mon.snapshot()["probes"]["transfer_failures"] == 0.0
 
     def test_ad_attributes_shape(self):
         now = [100.0]
         mon = self._monitor(lambda: now[0])
         mon.record_bytes(10_000_000)
-        mon.record_request("chirp", True)
-        mon.record_request("chirp", False)
-        mon.add_probe("queue_depth", lambda: 3)
+        _observe(mon.registry, "chirp", True)
+        _observe(mon.registry, "chirp", False)
+        mon.registry.gauge_callback("nest_transfer_queue_depth", lambda: 3)
         attrs = mon.ad_attributes()
         assert attrs["ThroughputMBps"] == 1.0  # 10 MB / 10 s window
         assert attrs["QueueDepth"] == 3
@@ -87,7 +102,7 @@ class TestAdvertisementMerge:
         server = NestServer(NestConfig(name="adv-nest",
                                        protocols=("chirp",)))
         try:
-            server.obs.health.record_request("chirp", False)
+            server.observe_request("chirp", "get", False, 0.001)
             assert server.advertisement().eval("ChirpErrorRate") == 1.0
         finally:
             server.transfers.shutdown()

@@ -213,7 +213,7 @@ class TestRegistry:
         reg.counter("c", "help", labelnames=("op",)).inc(op="get")
         snap = reg.snapshot()
         assert snap["c"]["kind"] == "counter"
-        assert snap["c"]["series"] == {"get": 1}
+        assert snap["c"]["series"] == {("get",): 1}
 
     def test_reset_global_registry_isolates(self):
         first = reset_global_registry()

@@ -19,7 +19,7 @@ from repro.client import ChirpClient
 from repro.faults import FaultPlan
 from repro.nest.config import NestConfig
 from repro.nest.server import NestServer
-from repro.obs.export_chrome import validate_trace
+from repro.obs.export_chrome import spans_to_chrome, validate_trace
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.mgmt import ManagementEndpoint
@@ -52,9 +52,10 @@ class TestEndpointUnit:
         registry = MetricsRegistry()
         registry.counter("demo_total", "demo").inc(3)
         ep = ManagementEndpoint(
-            registry, health=HealthMonitor(registry),
-            recorder=SpanRecorder(), service="unit",
-            ad_attributes=lambda: {"ThroughputMBps": 1.5},
+            metrics=registry.snapshot,
+            health=HealthMonitor(registry).snapshot,
+            trace=lambda: spans_to_chrome(SpanRecorder(), service="unit"),
+            ad=lambda: {"ThroughputMBps": 1.5},
         ).start()
         yield ep
         ep.stop()

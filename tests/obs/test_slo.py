@@ -30,13 +30,13 @@ def histogram_entry(count, within, bounds=(0.1, 1.0)):
     # cumulative buckets: [<=0.1, <=1.0, +Inf]
     return {"kind": "histogram", "labels": ("protocol",), "help": "",
             "buckets": list(bounds),
-            "series": {"chirp": {"count": count, "sum": float(count),
+            "series": {("chirp",): {"count": count, "sum": float(count),
                                  "buckets": [within, within, count]}}}
 
 
 def gauge_entry(value):
     return {"kind": "gauge", "labels": (), "help": "",
-            "series": {"": value}}
+            "series": {(): value}}
 
 
 ERRORS = SloObjective("errors", kind="error_rate", metric="reqs",
@@ -66,7 +66,7 @@ class TestErrorRate:
     def test_all_ok_is_compliant_with_full_budget(self):
         engine = SloEngine(objectives=(ERRORS,), clock=Clock())
         (status,) = engine.evaluate(
-            {"reqs": counter_entry({"chirp,get,ok": 100.0})})
+            {"reqs": counter_entry({("chirp", "get", "ok"): 100.0})})
         assert status["compliant"] and not status["degraded"]
         assert status["error_budget_remaining"] == 1.0
 
@@ -74,11 +74,11 @@ class TestErrorRate:
         clock = Clock()
         engine = SloEngine(objectives=(ERRORS,), windows=(60.0, 600.0),
                            clock=clock)
-        engine.sample({"reqs": counter_entry({"chirp,get,ok": 100.0})})
+        engine.sample({"reqs": counter_entry({("chirp", "get", "ok"): 100.0})})
         clock.now += 30.0
         (status,) = engine.evaluate(
-            {"reqs": counter_entry({"chirp,get,ok": 100.0,
-                                    "chirp,get,error": 10.0})})
+            {"reqs": counter_entry({("chirp", "get", "ok"): 100.0,
+                                    ("chirp", "get", "error"): 10.0})})
         # 10 bad of 10 new events in-window: far beyond the 1% budget.
         assert not status["compliant"]
         assert status["degraded"]
@@ -89,9 +89,9 @@ class TestErrorRate:
         clock = Clock()
         engine = SloEngine(objectives=(ERRORS,), windows=(60.0, 600.0),
                            clock=clock)
-        engine.sample({"reqs": counter_entry({"chirp,get,error": 5.0})})
+        engine.sample({"reqs": counter_entry({("chirp", "get", "error"): 5.0})})
         bad_then_good = {"reqs": counter_entry(
-            {"chirp,get,error": 5.0, "chirp,get,ok": 10000.0})}
+            {("chirp", "get", "error"): 5.0, ("chirp", "get", "ok"): 10000.0})}
         clock.now += 700.0  # the errors fall off the long window
         (status,) = engine.evaluate(bad_then_good)
         assert status["compliant"]

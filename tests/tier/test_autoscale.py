@@ -88,7 +88,7 @@ def rig():
     heat = HeatTracker(halflife=60.0, clock=clock)
     replicator = FakeReplicator()
     scaler = AutoScaler(
-        "nest-0", health, heat, replicator,
+        "nest-0", health, heat, replicator, FakeSlo(),
         queue_high=4.0, error_high=0.05, rate_high=50.0,
         max_files=3, max_replicas=3, budget=2, window=60.0,
         cooldown=10.0, hysteresis=2, clock=clock)
@@ -191,14 +191,14 @@ class TestBudget:
     def test_validation(self, rig):
         _clock, health, heat, replicator, _scaler = rig
         with pytest.raises(ValueError):
-            AutoScaler("n", health, heat, replicator, hysteresis=0)
+            AutoScaler("n", health, heat, replicator, FakeSlo(), hysteresis=0)
         with pytest.raises(ValueError):
-            AutoScaler("n", health, heat, replicator, budget=0)
+            AutoScaler("n", health, heat, replicator, FakeSlo(), budget=0)
         for bad in ({"queue_high": -1.0}, {"rate_high": -1.0},
                     {"cooldown": -1.0}, {"max_replicas": 0},
                     {"interval": 0.0}):
             with pytest.raises(ValueError):
-                AutoScaler("n", health, heat, replicator, **bad)
+                AutoScaler("n", health, heat, replicator, FakeSlo(), **bad)
 
 
 class TestScaleOut:
@@ -212,7 +212,7 @@ class TestScaleOut:
     def test_seeds_catalog_from_local_lookup(self, rig):
         _clock, health, heat, replicator, _scaler = rig
         scaler = AutoScaler(
-            "nest-0", health, heat, replicator, hysteresis=1,
+            "nest-0", health, heat, replicator, FakeSlo(), hysteresis=1,
             local_lookup=lambda logical: (1024, 0xABCD))
         heat.record("/replicas/local.dat")
         health.queue_depth = 10.0
