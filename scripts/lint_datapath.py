@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Five rules, enforced by AST walk (so docstrings and comments that merely
+Six rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -49,6 +49,13 @@ module under ``jbos/`` imports ``repro.nest.storage``, ``.transfer``,
 NeST against daemons that have no storage manager, transfer manager or
 scheduler, and the daemons running NeST's protocol sessions must not
 quietly acquire one.
+
+Rule 6: one periodic loop.  ``repro.protocols.common.Periodic`` is the
+only thing under ``src/repro`` that runs ``while not <event>.wait(...)``.
+Each hand-copied loop of that shape re-decided the same questions --
+does an exception end it, does a zero period spin (``Event.wait(0)``
+returns at once), does ``stop()`` join -- and one of them got the last
+one wrong.  Periodic work is a ``Periodic``, or a subclass of it.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -265,6 +272,38 @@ def _manager_imports(path: Path) -> list[str]:
     return out
 
 
+#: Rule 6: the one class (and its file) whose body may loop on a wait.
+LOOP_FILE = "protocols/common.py"
+LOOP_CLASS = "Periodic"
+
+
+def _is_wait_loop(node: ast.AST) -> bool:
+    """``while not <x>.wait(...)``."""
+    test = getattr(node, "test", None)
+    return (isinstance(node, ast.While)
+            and isinstance(test, ast.UnaryOp)
+            and isinstance(test.op, ast.Not)
+            and isinstance(test.operand, ast.Call)
+            and isinstance(test.operand.func, ast.Attribute)
+            and test.operand.func.attr == "wait")
+
+
+def _loop_violations(path: Path, rel: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed: set[int] = set()
+    for cls in ast.walk(tree):
+        if (rel == LOOP_FILE and isinstance(cls, ast.ClassDef)
+                and cls.name == LOOP_CLASS):
+            allowed.update(id(n) for n in ast.walk(cls))
+    return [
+        f"{path}:{node.lineno}: while not .wait() loop outside "
+        f"{LOOP_CLASS} -- run periodic work through "
+        "repro.protocols.common.Periodic"
+        for node in ast.walk(tree)
+        if _is_wait_loop(node) and id(node) not in allowed
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -273,6 +312,7 @@ def main() -> int:
         problems.extend(_violations(path, rel))
         problems.extend(_socket_violations(path, rel))
         problems.extend(_listener_violations(path, rel))
+        problems.extend(_loop_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -33,8 +33,11 @@ from repro.durability.recovery import RecoveryReport, StorageReplayer
 from repro.durability.snapshot import SnapshotStore
 from repro.nest.lots import LotError
 from repro.nest.storage import StorageError, StorageManager
+from repro.obs.log import get_logger
 
 __all__ = ["DurabilityManager"]
+
+logger = get_logger(__name__)
 
 
 class DurabilityManager:
@@ -203,6 +206,7 @@ class DurabilityManager:
         self.journal.last_seq = max(self.journal.last_seq, max_seq, snap_seq)
         report.corrupt_tail = replay.corrupt_tail
 
+        replayer.finish_moves()
         report.interrupted_puts = replayer.reconcile_pending_puts()
         report.reconciled_charges = replayer.reconcile_charges()
         if tier is not None:
@@ -240,6 +244,11 @@ class DurabilityManager:
         # Fold reconciliation results into a fresh compacted snapshot,
         # so the next crash replays from here instead of re-deriving.
         self.snapshot()
+        logger.info(
+            "%s recovered: %d records replayed, %d lots, "
+            "%d interrupted puts, epoch %d", self.state_dir,
+            report.replayed_records, len(report.recovered_lots),
+            len(report.interrupted_puts), report.epoch)
         return report
 
     def attach_catalog(self, catalog) -> int:

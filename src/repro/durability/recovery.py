@@ -28,7 +28,13 @@ from typing import Any
 
 from repro.nest.acl import Rights, default_acl
 from repro.nest.lots import LotError, LotState
-from repro.nest.storage import DirNode, FileNode, StorageError, StorageManager
+from repro.nest.storage import (
+    DirNode,
+    FileNode,
+    StorageError,
+    StorageManager,
+    move_bytes,
+)
 
 __all__ = ["RecoveryReport", "StorageReplayer", "backend_size"]
 
@@ -97,6 +103,9 @@ class StorageReplayer:
         self.storage = storage
         #: path -> its unmatched put_begin record
         self.pending_puts: dict[str, dict[str, Any]] = {}
+        #: replayed renames as (node, path, new_path), oldest first;
+        #: their byte moves wait for the final namespace.
+        self.moves: list[tuple[Any, str, str]] = []
 
     def apply(self, rec: dict[str, Any]) -> bool:
         """Apply one record; True when the type was a storage record."""
@@ -140,36 +149,27 @@ class StorageReplayer:
         node.name = new_name
         new_parent.children[new_name] = node
         self.storage.lots.rename_charges(rec["path"], rec["new_path"])
-        if isinstance(node, FileNode):
-            self._redo_move(rec["path"], rec["new_path"])
+        self.moves.append((node, rec["path"], rec["new_path"]))
 
-    def _redo_move(self, path: str, new_path: str) -> None:
-        """Finish an interrupted backend move.
+    def finish_moves(self) -> None:
+        """Finish the replayed renames' byte moves, oldest first, once
+        the namespace is final.
 
         ``rename`` journals before touching the backend, so a crash
         between the two leaves the record durable but the bytes under
-        the old path.  The record wins: carry the data over (the
-        atomic writer keeps this safe) and drop the old copy.
+        the old path: the record wins.  A move that landed before the
+        crash is skipped (:func:`move_bytes` finds no old copy), and so
+        is one whose old name a later record re-used: the bytes there
+        are that later file's.
         """
-        store = self.storage.store
-        try:
-            if backend_size(store, path) is None:
-                return
-            if backend_size(store, new_path) is None:
-                src = store.open_read(path)
-                dst = store.open_write(new_path)
-                try:
-                    while True:
-                        chunk = src.read(1 << 20)
-                        if not chunk:
-                            break
-                        dst.write(chunk)
-                finally:
-                    src.close()
-                    dst.close()
-            store.delete(path)
-        except OSError:
-            pass  # a sick disk must not abort recovery
+        for node, path, new_path in self.moves:
+            if self.storage.exists(path):
+                continue
+            try:
+                move_bytes(self.storage.store, node, path, new_path)
+            except OSError:
+                pass  # a sick disk must not abort recovery
+        self.moves.clear()
 
     def _r_file_reclaim(self, rec: dict) -> None:
         parent, name, node = self._node(rec["path"])

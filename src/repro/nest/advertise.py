@@ -10,13 +10,17 @@ matchmaking request ads against these advertisements
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.classads import ClassAd
 from repro.classads.parser import parse_expression
+from repro.obs.log import get_logger
+from repro.protocols.common import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nest.storage import StorageManager
+
+logger = get_logger(__name__)
 
 
 def build_advertisement(
@@ -67,6 +71,59 @@ def build_advertisement(
         "other.Type == \"Request\" && other.RequestedSpace <= my.GrantableSpace"
     )
     return ad
+
+
+class Advertiser(Periodic):
+    """One appliance's ad in a collector -- the server's "advertisement"
+    part.
+
+    :meth:`start` publishes the ad and begins the heartbeat (thread
+    ``nest-advertise-<name>``) that re-publishes it every ``interval``
+    seconds, before the collector's TTL lets it lapse; :meth:`stop`
+    ends the heartbeat and withdraws the ad, so a stopping appliance
+    leaves matchmaking at once -- unless the stop is a crash (``grace``
+    None), which leaves the ad to lapse.  Until :meth:`retarget` names a
+    collector there is nothing to publish or withdraw.
+    """
+
+    def __init__(self, name: str, build: Callable[[], ClassAd]):
+        super().__init__(f"nest-advertise-{name}", 0.0, self.publish)
+        self.name = name
+        self.build = build
+        self.collector = None
+        self.ttl: float | None = None
+
+    def retarget(self, collector, ttl: float | None, interval: float) -> None:
+        """Advertise into ``collector`` with ``ttl``, every ``interval``
+        seconds (0: a one-shot ad).  A changed period stops the running
+        heartbeat -- joined, never left re-reading the period -- and the
+        next :meth:`start` begins the new one."""
+        if interval != self.interval:
+            Periodic.stop(self)
+            self.interval = interval
+        self.collector, self.ttl = collector, ttl
+
+    def start(self) -> "Advertiser":
+        self.publish()
+        return super().start()
+
+    def stop(self, grace: float | None = None) -> None:
+        super().stop()
+        if self.collector is not None and grace is not None:
+            try:
+                self.collector.withdraw(self.name)
+            except Exception:  # noqa: BLE001 - withdrawal is best-effort
+                logger.warning("%s: advertisement withdraw failed",
+                               self.name, exc_info=True)
+
+    def publish(self) -> None:
+        if self.collector is None:
+            return
+        try:
+            self.collector.advertise(self.build(), ttl=self.ttl)
+        except Exception:  # noqa: BLE001 - ads are best-effort
+            logger.warning("%s: advertisement publish failed",
+                           self.name, exc_info=True)
 
 
 def storage_request_ad(

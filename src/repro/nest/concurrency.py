@@ -110,6 +110,14 @@ class ServerModelSwitcher:
                 "server_model_switch_total",
                 "Server concurrency-architecture switches, by new model.",
                 labelnames=("to",))
+            registry.gauge_callback(
+                "nest_server_model_events",
+                lambda: 1.0 if self.model == EVENTS else 0.0,
+                "1 when the adaptive switcher currently routes new "
+                "connections to the event loop.")
+            registry.gauge_callback(
+                "nest_server_model_flips", lambda: float(self.flips),
+                "Times the adaptive switcher changed server model.")
 
     def choose(self) -> str:
         """The architecture for the next accepted connection."""

@@ -405,16 +405,21 @@ class LotManager:
                 return
 
     def rename_charges(self, path: str, new_path: str) -> None:
-        """Re-key a renamed path's charges (and attachment).
+        """Re-key the charges (and attachments) of a renamed path and of
+        every path under it, for a directory.
 
         Not journaled: the storage-level ``rename`` record replays
         this re-keying deterministically.
         """
-        for lot in self.lots.values():
-            if path in lot.charges:
-                lot.charges[new_path] = lot.charges.pop(path)
-        if path in self.attachments:
-            self.attachments[new_path] = self.attachments.pop(path)
+        prefix = path.rstrip("/") + "/"
+        new_prefix = new_path.rstrip("/") + "/"
+        for table in [lot.charges for lot in self.lots.values()] + [
+                self.attachments]:
+            for old in [p for p in table
+                        if p == path or p.startswith(prefix)]:
+                renamed = (new_path if old == path
+                           else new_prefix + old[len(prefix):])
+                table[renamed] = table.pop(old)
 
     def release(self, path: str, nbytes: int | None = None) -> None:
         """Release a file's charges (all of them when ``nbytes`` is None)."""

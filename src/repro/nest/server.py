@@ -20,10 +20,11 @@ import functools
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 from repro.classads import ClassAd
 from repro.faults import FaultPlan
-from repro.nest.advertise import build_advertisement
+from repro.nest.advertise import Advertiser, build_advertisement
 from repro.nest.auth import CertificateAuthority, GSIContext
 from repro.nest.backends import DataStore, MemoryStore
 from repro.nest.concurrency import EVENTS, THREADS, ServerModelSwitcher
@@ -76,11 +77,12 @@ class NestServer:
         #: recorder, and live-health consolidation, private per server
         #: so side-by-side instances stay isolated.
         self.obs = Observability(service=self.config.name)
+        reg = self.obs.registry
         self.fhandles = FileHandleRegistry()
         #: per-file access heat: every approved read feeds it, the
         #: migration policy and the autoscaler read it, and its top-N
         #: surfaces as the ClassAd ``HotFiles`` block.
-        self.heat = HeatTracker(registry=self.obs.registry)
+        self.heat = HeatTracker(registry=reg)
         #: hierarchical storage: with a cold store, the storage
         #: manager's backend is a TieredStore fronting it with the fast
         #: local one; residency journals through the durability layer
@@ -91,7 +93,7 @@ class NestServer:
 
             self.tiered = store = TieredStore(
                 store if store is not None else MemoryStore(), cold_store,
-                registry=self.obs.registry)
+                registry=reg)
         self.storage = StorageManager(
             store=store,
             capacity_bytes=self.config.capacity_bytes,
@@ -99,7 +101,7 @@ class NestServer:
             require_lots=self.config.require_lots,
             lot_enforcement=self.config.lot_enforcement,
             invalidate=self.fhandles.forget,
-            registry=self.obs.registry,
+            registry=reg,
             heat=self.heat,
         )
         #: Durable state: when the config names a ``state_dir``, recover
@@ -116,19 +118,11 @@ class NestServer:
                 self.config.state_dir,
                 fsync=self.config.journal_fsync,
                 faults=disk_faults,
-                registry=self.obs.registry,
+                registry=reg,
             )
             self.recovery_report = self.durability.recover_into(
                 self.storage, tier=self.tiered)
             self.fhandles.set_epoch(self.recovery_report.epoch)
-            logger.info(
-                "%s recovered: %d records replayed, %d lots, "
-                "%d interrupted puts, epoch %d",
-                self.config.name,
-                self.recovery_report.replayed_records,
-                len(self.recovery_report.recovered_lots),
-                len(self.recovery_report.interrupted_puts),
-                self.recovery_report.epoch)
         #: background migration loop, started and stopped with the
         #: server; its ``policy`` and ``interval`` may be set before
         #: ``start()``.
@@ -138,9 +132,7 @@ class NestServer:
 
             self.tier_manager = TierManager(
                 self.storage, self.tiered, self.heat,
-                tracer=self.obs.tracer,
-                registry=self.obs.registry,
-            )
+                tracer=self.obs.tracer, registry=reg)
         #: decentralized autoscaler; built by :meth:`attach_autoscaler`
         #: once a federation (catalog + replicator) exists.
         self.autoscaler = None
@@ -155,16 +147,13 @@ class NestServer:
         #: default threaded appliance carries no extra threads or fds.
         self._eventloop: EventLoop | None = None
         self._switcher: ServerModelSwitcher | None = None
-        reg = self.obs.registry
         #: service-level objectives evaluated against this server's own
         #: registry; publishes slo_* gauges, feeds /slo, the ClassAd's
         #: SloDegraded attribute, and the adaptive switcher.
         self.slo = SloEngine(registry=reg)
-        #: the slow tail head sampling always keeps: a request slower
-        #: than the SLO's own latency threshold is recorded regardless.
-        self.slow_request_s = next(
-            (o.threshold for o in self.slo.objectives
-             if o.name == "request_latency_p99"), float("inf"))
+        #: requests slower than this are traced whatever the sample
+        #: (the SLO's own latency threshold).
+        self.slow_request_s = self.slo.slow_request_s
         if self.config.concurrency_server in ("events", "adaptive"):
             self._eventloop = EventLoop(name=self.config.name, registry=reg)
         if self.config.concurrency_server == "adaptive":
@@ -176,15 +165,6 @@ class NestServer:
                 registry=reg,
                 tracer=self.obs.tracer,
             )
-            reg.gauge_callback(
-                "nest_server_model_events",
-                lambda: 1.0 if self._switcher.model == EVENTS else 0.0,
-                "1 when the adaptive switcher currently routes new "
-                "connections to the event loop.")
-            reg.gauge_callback(
-                "nest_server_model_flips",
-                lambda: float(self._switcher.flips),
-                "Times the adaptive switcher changed server model.")
         self._m_connections = reg.counter(
             "nest_connections_total", "Accepted client connections.",
             labelnames=("protocol",))
@@ -208,7 +188,6 @@ class NestServer:
                            _client_retries_observed,
                            "Retries recorded process-wide by the client "
                            "retry layer.")
-        self.mgmt: ManagementEndpoint | None = None
         if self.config.require_lots and self.config.default_anonymous_lot_bytes:
             # Recovery may have brought the default lot back already; a
             # second one would double the anonymous guarantee.
@@ -237,29 +216,34 @@ class NestServer:
         self._acceptor = Acceptor(f"nest-accept-{self.config.name}")
         self._running = False
         self._stopped = False
-        #: The appliance's parts as (name, start, stop), in start order;
-        #: stop(), crash() and a failed start() walk it backwards, so
-        #: read upwards it is the drain order: the ad goes first, the
-        #: management endpoint outlives the data path.  The autoscaler
-        #: has no start: attach_autoscaler() starts it once a federation
-        #: exists.
-        self._parts = [
-            ("mgmt", self._start_mgmt, self._stop_mgmt),
-            ("acceptor", self._start_acceptor, self._drain),
-            ("tier manager", self._start_tier, self._stop_tier),
-            ("autoscaler", None, self._stop_autoscaler),
-            ("advertisement", self._start_advert, self._stop_advert),
-        ]
         #: live handler connections: handler -> its thread.
         self._conn_lock = threading.Lock()
         self._connections: dict[object, threading.Thread] = {}
-        #: collector this server advertises into (None until
-        #: :meth:`advertise_to`), plus the heartbeat that refreshes the
-        #: ad before its TTL expires.
-        self._collector = None
-        self._advert_ttl: float | None = None
-        self._advert_interval: float = 0.0
-        self._advert_thread: threading.Thread | None = None
+        #: the management endpoint (None when the config turns it off,
+        #: and once the server has stopped).
+        self.mgmt = ManagementEndpoint(
+            metrics=self._metrics_snapshot, trace=self.obs.chrome_trace,
+            health=self.obs.health.snapshot, slo=self.slo.report,
+            ad=self.obs.health_attributes, host=host,
+            port=self._requested_ports.get("mgmt", 0),
+        ) if self.config.management else None
+        #: this appliance's ClassAd in the collector :meth:`advertise_to`
+        #: names, kept fresh by a heartbeat.
+        self._advert = Advertiser(self.config.name, self.advertisement)
+        #: The appliance's parts by name, in start order; each has
+        #: ``start()`` and ``stop(grace)`` (None: absent).  stop(),
+        #: crash() and a failed start() walk them backwards, so read
+        #: upwards this is the drain order: the ad goes first, the
+        #: management endpoint outlives the data path.
+        #: attach_autoscaler() fills in the autoscaler.
+        self._parts = {
+            "mgmt": self.mgmt,
+            "acceptor": SimpleNamespace(start=self._start_acceptor,
+                                        stop=self._drain),
+            "tier manager": self.tier_manager,
+            "autoscaler": None,
+            "advertisement": self._advert,
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -279,9 +263,9 @@ class NestServer:
                 "crashed: build a new NestServer")
         self._running = True
         try:
-            for _name, start, _stop in self._parts:
-                if start is not None:
-                    start()
+            for part in self._parts.values():
+                if part is not None:
+                    part.start()
         except BaseException:
             self._teardown(0.0)
             raise
@@ -324,26 +308,29 @@ class NestServer:
             return 0
         self._stopped = True
         forced = 0
-        for _name, _start, stop in reversed(self._parts):
-            forced += stop(grace) or 0
+        for part in reversed(self._parts.values()):
+            if part is not None:
+                forced += part.stop(grace) or 0
+        self.mgmt = None
         return forced
 
-    # -- the parts, in start order -------------------------------------------
-    def _start_mgmt(self) -> None:
-        if not self.config.management:
-            return
-        self.mgmt = ManagementEndpoint(
-            metrics=self._metrics_snapshot, trace=self.obs.chrome_trace,
-            health=self.obs.health.snapshot, slo=self.slo.report,
-            ad=self.obs.health_attributes, host=self.host,
-            port=self._requested_ports.get("mgmt", 0),
-        ).start()
-        self.ports["mgmt"] = self.mgmt.port
-
-    def _stop_mgmt(self, grace: float | None) -> None:
+    # -- the acceptor part ---------------------------------------------------
+    def _start_acceptor(self) -> None:
+        """Every port the appliance serves goes into ``self.ports``: the
+        management endpoint's (part 1, up already), then each
+        protocol's listener."""
         if self.mgmt is not None:
-            self.mgmt.stop()
-            self.mgmt = None
+            self.ports["mgmt"] = self.mgmt.port
+        for proto in self.config.protocols:
+            # Deep backlog: the event path is expected to absorb
+            # thousands-of-connections ramps faster than a 32-deep
+            # queue would tolerate.  reuse_port: shard workers share
+            # one port.
+            self.ports[proto] = self._acceptor.listen(
+                self.host, self._requested_ports.get(proto, 0),
+                functools.partial(self._on_connection, proto),
+                backlog=1024, reuse_port=self.config.reuse_port)
+        self._acceptor.start()
 
     def _drain(self, grace: float | None) -> int:
         """Stop of the acceptor and all behind it: no new connection,
@@ -374,7 +361,9 @@ class NestServer:
         for handler, _thread in stragglers:
             handler.force_close()
         for handler, thread in stragglers:
-            self._join_handler(handler, thread)
+            thread.join(timeout=2.0)
+            with self._conn_lock:
+                self._connections.pop(handler, None)
         forced = len(stragglers)
         if self._eventloop is not None:
             forced += self._eventloop.finish_shutdown()
@@ -384,63 +373,6 @@ class NestServer:
             # an empty journal, so the next start recovers instantly.
             self.durability.close()
         return forced
-
-    def _join_handler(self, handler, thread: threading.Thread) -> None:
-        """Join a straggler's handler thread and drop it from the
-        connection table.  A handler is registered before its thread
-        starts (so the drain can never miss it); one caught inside that
-        window makes ``join()`` raise RuntimeError, and is waited for
-        briefly instead of crashing the drain."""
-        deadline = time.monotonic() + 2.0
-        while True:
-            try:
-                thread.join(timeout=max(deadline - time.monotonic(), 0.01))
-                break
-            except RuntimeError:
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(0.002)
-        with self._conn_lock:
-            self._connections.pop(handler, None)
-
-    def _start_acceptor(self) -> None:
-        for proto in self.config.protocols:
-            # Deep backlog: the event path is expected to absorb
-            # thousands-of-connections ramps faster than a 32-deep
-            # queue would tolerate.  reuse_port: shard workers share
-            # one port.
-            self.ports[proto] = self._acceptor.listen(
-                self.host, self._requested_ports.get(proto, 0),
-                functools.partial(self._on_connection, proto),
-                backlog=1024, reuse_port=self.config.reuse_port)
-        self._acceptor.start()
-
-    def _start_tier(self) -> None:
-        if self.tier_manager is not None:
-            self.tier_manager.start()
-
-    def _stop_tier(self, grace: float | None) -> None:
-        if self.tier_manager is not None:
-            self.tier_manager.stop()
-
-    def _stop_autoscaler(self, grace: float | None) -> None:
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-
-    def _start_advert(self) -> None:
-        """Publish now that the ports are known, and begin the heartbeat
-        (nothing to do until :meth:`advertise_to` names a collector)."""
-        self._publish_ad()
-        self._start_heartbeat()
-
-    def _stop_advert(self, grace: float | None) -> None:
-        self._stop_heartbeat()
-        if self._collector is not None and grace is not None:
-            try:
-                self._collector.withdraw(self.config.name)
-            except Exception:  # noqa: BLE001 - withdrawal is best-effort
-                logger.warning("%s: advertisement withdraw failed",
-                               self.config.name, exc_info=True)
 
     def attach_catalog(self, catalog) -> int:
         """Wire a replica catalog into the durability layer: restores
@@ -462,8 +394,10 @@ class NestServer:
         -- whose placement policy already refuses degraded peers.
         ``policy`` overrides the scaler's thresholds and tick
         ``interval`` (:class:`~repro.tier.autoscale.AutoScaler`'s
-        keywords).  Returns the scaler; ``start=False`` leaves the loop
-        to the caller (tests drive
+        keywords).  Returns the scaler, one of the server's parts from
+        now on: stopped with it, and started with it when attached
+        before :meth:`start`.  ``start=False`` on a running server
+        leaves the loop to the caller (tests drive
         :meth:`~repro.tier.autoscale.AutoScaler.tick` by hand).
         """
         from repro.tier.autoscale import AutoScaler
@@ -477,6 +411,7 @@ class NestServer:
             registry=self.obs.registry,
             **policy,
         )
+        self._parts["autoscaler"] = self.autoscaler
         if start:
             self.autoscaler.start()
         return self.autoscaler
@@ -551,11 +486,12 @@ class NestServer:
             target=self._run_handler, args=(handler,),
             name=f"nest-{proto}-conn", daemon=True,
         )
-        # Registered before start() so the drain can never miss a
-        # live connection.
+        # Registered and started under the lock the drain lists the
+        # table under: it never misses a live connection, and never
+        # meets a thread it cannot join yet.
         with self._conn_lock:
             self._connections[handler] = thread
-        thread.start()
+            thread.start()
 
     def _route_model(self, proto: str) -> str:
         """Which server architecture serves this accepted connection."""
@@ -584,63 +520,17 @@ class NestServer:
         default); ``readvertise_interval`` is the heartbeat period that
         refreshes the ad *before* that TTL expires (None:
         :data:`ADVERTISE_INTERVAL`; 0 disables the heartbeat, leaving a
-        one-shot ad).  The registration also wires the other half of
-        the lifecycle: :meth:`stop` withdraws the ad as the first step
+        one-shot ad).  :meth:`stop` withdraws the ad as the first step
         of the graceful drain, so a stopping appliance disappears from
         matchmaking immediately instead of lingering until TTL expiry.
-
-        Re-calling on a running server reconfigures the heartbeat: a
-        changed interval stops the old beat thread and starts a fresh
-        one (or none, for 0) -- the old thread must never keep
-        re-reading the new interval, because ``Event.wait(0)`` returns
-        immediately and would turn a disabled heartbeat into a hot
-        spin flooding the collector.
+        On a running server it publishes now, and a changed interval
+        replaces the heartbeat.
         """
-        self._collector = collector
-        self._advert_ttl = ttl
         interval = (ADVERTISE_INTERVAL
                     if readvertise_interval is None else readvertise_interval)
-        interval = max(float(interval), 0.0)
-        reconfigured = interval != self._advert_interval
-        self._advert_interval = interval
+        self._advert.retarget(collector, ttl, max(float(interval), 0.0))
         if self._running:
-            if reconfigured:
-                self._stop_heartbeat()
-            self._start_advert()
-
-    def _publish_ad(self) -> None:
-        if self._collector is None:
-            return
-        try:
-            self._collector.advertise(self.advertisement(),
-                                      ttl=self._advert_ttl)
-        except Exception:  # noqa: BLE001 - ads are best-effort
-            logger.warning("%s: advertisement publish failed",
-                           self.config.name, exc_info=True)
-
-    def _start_heartbeat(self) -> None:
-        if self._advert_interval <= 0 or self._advert_thread is not None:
-            return
-        # This thread's own stop signal and period: a reconfigure or a
-        # stop joins it and starts another, so it has no flag to look at.
-        stop, interval = threading.Event(), self._advert_interval
-
-        def beat() -> None:
-            while not stop.wait(interval):
-                self._publish_ad()
-
-        self._advert_stop = stop
-        self._advert_thread = threading.Thread(
-            target=beat, name=f"nest-advertise-{self.config.name}",
-            daemon=True)
-        self._advert_thread.start()
-
-    def _stop_heartbeat(self) -> None:
-        """Stop (and join) the re-advertise heartbeat, if running."""
-        if self._advert_thread is not None:
-            self._advert_stop.set()
-            self._advert_thread.join(timeout=2)
-            self._advert_thread = None
+            self._advert.start()
 
     # ------------------------------------------------------------------
     # identity and advertisement

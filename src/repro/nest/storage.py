@@ -64,6 +64,36 @@ def _split(path: str) -> list[str]:
     return [p for p in path.split("/") if p]
 
 
+def move_bytes(store: DataStore, node: "DirNode | FileNode", path: str,
+               new_path: str) -> None:
+    """Carry ``node``'s backing bytes -- one file's, or those of every
+    file under a directory -- from ``path`` to ``new_path``: copied
+    through one pooled buffer, then the old copy dropped.  Idempotent,
+    so recovery can finish a move a crash cut short: a file whose old
+    copy is gone has moved, and one whose new copy exists is only
+    dropped from the old name."""
+    if isinstance(node, DirNode):
+        for name, child in node.children.items():
+            move_bytes(store, child, f"{path.rstrip('/')}/{name}",
+                       f"{new_path.rstrip('/')}/{name}")
+        return
+    if not store.exists(path):
+        return
+    if not store.exists(new_path):
+        # Imported here: the simulated substrate builds storage
+        # managers too and never moves a byte.
+        from repro.nest.io import copy_stream
+
+        src = store.open_read(path)
+        dst = store.open_write(new_path)
+        try:
+            copy_stream(src, dst)
+        finally:
+            src.close()
+            dst.close()
+    store.delete(path)
+
+
 def _serialize_dir(node: DirNode) -> dict[str, Any]:
     dirs: dict[str, Any] = {}
     files: dict[str, Any] = {}
@@ -440,7 +470,8 @@ class StorageManager:
             self.invalidate(path)
 
     def rename(self, user: str, path: str, new_path: str) -> None:
-        """Rename within the namespace; requires modify on both parents."""
+        """Rename a file, or a directory with everything under it;
+        requires modify on the old parent and insert on the new."""
         with self._lock:
             parent, name = self._parent_and_name(path)
             self._check(parent.acl, user, "m")
@@ -451,26 +482,19 @@ class StorageManager:
             self._check(new_parent.acl, user, "i")
             if new_name in new_parent.children:
                 raise StorageError(Status.EXISTS, new_path)
+            if _split(new_path)[:len(_split(path))] == _split(path):
+                # It would hang the directory under itself, detached:
+                # neither name would resolve afterwards.
+                raise StorageError(Status.BAD_REQUEST,
+                                   f"{new_path} is inside {path}")
             del parent.children[name]
             node.name = new_name
             new_parent.children[new_name] = node
             self.lots.rename_charges(path, new_path)
             # Journal before moving the bytes: if a crash interrupts
-            # the move, replay re-does it from whichever path still
-            # holds the data (see StorageReplayer._redo_move).
+            # the move, replay finishes it (StorageReplayer.finish_moves).
             self._emit("rename", path=path, new_path=new_path)
-            if isinstance(node, FileNode):
-                # Move the backing bytes through one pooled buffer.
-                from repro.nest.io import copy_stream
-
-                src = self.store.open_read(path)
-                dst = self.store.open_write(new_path)
-                try:
-                    copy_stream(src, dst)
-                finally:
-                    src.close()
-                    dst.close()
-                self.store.delete(path)
+            move_bytes(self.store, node, path, new_path)
             # The old name no longer resolves (and for directories the
             # whole old subtree died): stale handles must not survive.
             self.invalidate(path)

@@ -77,8 +77,9 @@ class ManagementEndpoint:
         self._acceptor.start()
         return self
 
-    def stop(self) -> None:
-        """Close the listener and join every scrape thread."""
+    def stop(self, grace: float | None = None) -> None:
+        """Close the listener and join every scrape thread (``grace``:
+        the server-part signature; a scrape gets its own bound)."""
         if self._acceptor is not None:
             self._acceptor.stop()
         with self._conn_lock:

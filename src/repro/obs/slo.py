@@ -162,6 +162,11 @@ class SloEngine:
         if not self.windows:
             raise ValueError("need at least one window")
         self.degraded_burn = degraded_burn
+        #: the slow tail head sampling always keeps: a request slower
+        #: than the latency objective's threshold (none: nothing is slow).
+        self.slow_request_s = next(
+            (o.threshold for o in self.objectives
+             if o.name == "request_latency_p99"), float("inf"))
         self.clock = clock
         self.registry = registry
         self._lock = threading.Lock()

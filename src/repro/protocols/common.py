@@ -352,3 +352,49 @@ class Acceptor:
                         logger.exception("%s: connection from %s dropped",
                                          self._name, addr)
                         conn.close()
+
+
+class Periodic:
+    """The periodic loop: ``fn()`` every ``interval`` seconds on a thread
+    named ``name``, from :meth:`start` until :meth:`stop`.
+
+    ``interval <= 0`` means no thread at all (the owner calls ``fn`` by
+    hand), so a zero period can never become a hot spin.  :meth:`start`
+    reads ``interval``; a running loop keeps the period it started
+    with.  The thread sleeps in ``Event.wait``, which :meth:`stop` sets,
+    so stopping never waits out a period; an exception from ``fn`` is
+    logged and the loop goes on.  A second :meth:`start`, and a
+    :meth:`stop` of a loop that is not running, are no-ops.
+    """
+
+    def __init__(self, name: str, interval: float, fn: Callable[[], Any]):
+        self.interval = float(interval)
+        self._name = name
+        self._fn = fn
+        self._thread: threading.Thread | None = None
+        self._wake = threading.Event()
+
+    def start(self):
+        if self._thread is None and self.interval > 0:
+            self._wake.clear()
+            self._thread = threading.Thread(
+                target=self._run, args=(self.interval,),
+                name=self._name, daemon=True)
+            self._thread.start()
+        return self
+
+    def stop(self, grace: float | None = None) -> None:
+        """Wake the thread and join it.  ``grace`` is the server-part
+        signature (``NestServer._parts``); a loop has nothing to drain."""
+        if self._thread is not None:
+            self._wake.set()
+            self._thread.join()
+            self._thread = None
+
+    def _run(self, interval: float) -> None:
+        while not self._wake.wait(interval):
+            try:
+                self._fn()
+            except Exception:  # noqa: BLE001 - the loop must survive
+                logger.exception("%s: periodic call failed; continuing",
+                                 self._name)

@@ -20,7 +20,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.client.errors import ClientError
 from repro.client.gridftp import GridFtpClient, third_party_transfer
@@ -29,6 +29,7 @@ from repro.client.retry import RetryPolicy
 from repro.nest.auth import Credential
 from repro.obs import Observability
 from repro.obs.log import get_logger
+from repro.protocols.common import Periodic
 from repro.replica.catalog import COPYING, SUSPECT, VALID, ReplicaCatalog
 from repro.replica.placement import (
     PlacementPolicy,
@@ -101,8 +102,8 @@ class Replicator:
                                           max_delay=0.5, deadline=30.0)
         self.obs = obs or Observability(service="federation")
         self._prepared: set[str] = set()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        #: the background repair loop (:meth:`start`).
+        self._repair = Periodic("replica-repair", 0.0, self.repair_once)
         reg = self.obs.registry
         self._m_copies = reg.counter(
             "replica_copies_total",
@@ -378,28 +379,13 @@ class Replicator:
 
     def start(self, interval: float = 1.0) -> "Replicator":
         """Run :meth:`repair_once` every ``interval`` seconds until
-        :meth:`stop`."""
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self.repair_once()
-                except Exception:  # noqa: BLE001 - the loop must survive
-                    logger.exception("repair pass failed")
-
-        self._thread = threading.Thread(target=loop, daemon=True,
-                                        name="replica-repair")
-        self._thread.start()
+        :meth:`stop` (``interval <= 0``: never)."""
+        self._repair.interval = interval
+        self._repair.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        self._repair.stop()
 
     def __enter__(self) -> "Replicator":
         return self

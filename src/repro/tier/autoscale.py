@@ -25,13 +25,13 @@ overloaded node must never dump load onto another struggling node.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.obs.health import HealthMonitor
 from repro.obs.log import get_logger
+from repro.protocols.common import Periodic
 from repro.replica.replicator import ReplicationError, Replicator
 from repro.tier.heat import HeatTracker
 
@@ -40,8 +40,11 @@ logger = get_logger(__name__)
 __all__ = ["AutoScaler"]
 
 
-class AutoScaler:
-    """One appliance's overload-driven replication loop."""
+class AutoScaler(Periodic):
+    """One appliance's overload-driven replication loop: a
+    :class:`~repro.protocols.common.Periodic` (thread
+    ``autoscale-<name>``) calling :meth:`tick` every ``interval``
+    seconds."""
 
     def __init__(
         self,
@@ -77,6 +80,7 @@ class AutoScaler:
             raise ValueError("max_replicas must be >= 1")
         if interval <= 0:
             raise ValueError("interval must be > 0")
+        super().__init__(f"autoscale-{name}", interval, self.tick)
         self.name = name
         self.health = health
         self.heat = heat
@@ -93,8 +97,6 @@ class AutoScaler:
         self.window = float(window)
         self.cooldown = float(cooldown)
         self.hysteresis = int(hysteresis)
-        #: seconds between ticks of the background loop.
-        self.interval = float(interval)
         self.prefix = prefix.rstrip("/") + "/"
         #: ``logical -> (size, crc32)`` for files this appliance holds
         #: locally but the catalog does not know about; lets the scaler
@@ -102,8 +104,6 @@ class AutoScaler:
         self.local_lookup = local_lookup
         self.clock = clock
         self.tracer = tracer
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self._pressure = 0  #: consecutive overloaded ticks
         self._cooling_until = 0.0
         self._actions: deque[float] = deque()  #: action stamps in window
@@ -280,33 +280,6 @@ class AutoScaler:
             logger.info("autoscale %s: replicated %s", self.name,
                         [r["logical"] for r in results])
         return results
-
-    # ------------------------------------------------------------------
-    # background loop
-    # ------------------------------------------------------------------
-    def start(self) -> "AutoScaler":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        interval = self.interval
-
-        def loop() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self.tick()
-                except Exception:  # noqa: BLE001 - the loop must survive
-                    logger.exception("autoscale tick failed; continuing")
-
-        self._thread = threading.Thread(
-            target=loop, name=f"autoscale-{self.name}", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
 
     def describe(self) -> dict[str, Any]:
         return {

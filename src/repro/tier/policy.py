@@ -3,8 +3,8 @@
 :class:`TierPolicy` is the *what*: a small declarative predicate --
 age, size, heat ceiling, lot-aware pinning -- deciding whether one file
 is demotable.  :class:`TierManager` is the *when*: a background loop
-(same start/stop shape as the replica repair loop) that walks the
-namespace, asks the policy, and executes demotions through
+(a :class:`~repro.protocols.common.Periodic`) that walks the namespace,
+asks the policy, and executes demotions through
 :meth:`~repro.tier.store.TieredStore.migrate`, at most
 ``max_per_scan`` per pass so a scan never monopolizes the appliance.
 
@@ -16,13 +16,13 @@ lot holds it (the operator's "this stays on disk" knob).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.nest.storage import DirNode, FileNode, StorageManager
 from repro.obs.log import get_logger
+from repro.protocols.common import Periodic
 from repro.tier.heat import HeatTracker
 from repro.tier.store import HOT, TierError, TieredStore
 
@@ -100,8 +100,13 @@ class TierPolicy:
         }
 
 
-class TierManager:
-    """Background demotion loop: namespace walk -> policy -> migrate."""
+class TierManager(Periodic):
+    """Background demotion loop: namespace walk -> policy -> migrate.
+
+    A :class:`~repro.protocols.common.Periodic` (thread ``tier-manager``)
+    calling :meth:`scan_once` every ``interval`` seconds; 0 leaves the
+    loop off (:meth:`scan_once` is then driven by hand).  ``interval``
+    and ``policy`` may be set before :meth:`start`."""
 
     def __init__(self, storage: StorageManager, tiered: TieredStore,
                  heat: HeatTracker, policy: TierPolicy | None = None, *,
@@ -110,21 +115,17 @@ class TierManager:
                  tracer=None, registry=None):
         if interval < 0:
             raise ValueError("interval must be >= 0")
+        super().__init__("tier-manager", interval, self.scan_once)
         self.storage = storage
         self.tiered = tiered
         self.heat = heat
         self.policy = policy if policy is not None else TierPolicy()
-        #: seconds between background scans; 0 leaves the loop off
-        #: (:meth:`scan_once` is then driven by hand).
-        self.interval = float(interval)
         self.max_per_scan = max_per_scan
         self.clock = clock
         self.tracer = tracer
         #: when the scanner first saw each path; the age baseline for
         #: files that have never been read.
         self._first_seen: dict[str, float] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self.scans = 0
         self.migrated_files = 0
         self.migrated_bytes = 0
@@ -198,33 +199,6 @@ class TierManager:
         if migrated:
             logger.info("tier scan demoted %d file(s)", len(migrated))
         return migrated
-
-    # ------------------------------------------------------------------
-    # background loop (same shape as Replicator.start/stop)
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None or self.interval <= 0:
-            return
-        self._stop.clear()
-        interval = self.interval
-
-        def loop() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self.scan_once()
-                except Exception:
-                    logger.exception("tier scan failed; continuing")
-
-        self._thread = threading.Thread(
-            target=loop, name="tier-manager", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
 
     def describe(self) -> dict[str, Any]:
         return {

@@ -35,6 +35,14 @@ def put(storage, user, path, data: bytes):
     ticket.settle(len(data))
 
 
+def get(storage, user, path) -> bytes:
+    ticket = storage.approve_get(user, path)
+    try:
+        return ticket.stream.read(ticket.size)
+    finally:
+        ticket.settle(ticket.size)
+
+
 def test_namespace_acls_groups_lots_survive_restart(tmp_path):
     store = MemoryStore()
     s1, m1, _ = make_stack(tmp_path / "state", store)
@@ -57,6 +65,65 @@ def test_namespace_acls_groups_lots_survive_restart(tmp_path):
     lot = next(iter(s2.lots.lots.values()))
     assert lot.owner == "alice" and lot.used == 1000
     assert lot.charges == {"/data/sub/g": 1000}  # charges follow renames
+    m2.close()
+
+
+class CrashingStore(MemoryStore):
+    """A store the process dies in while writing: armed, every write
+    raises, as if the crash came mid-move."""
+
+    crashed = False
+
+    def open_write(self, path, append=False):
+        if self.crashed:
+            raise OSError("crashed mid-move")
+        return super().open_write(path, append)
+
+
+def test_directory_rename_cut_by_a_crash_is_finished_on_restart(tmp_path):
+    """The rename record is journaled before any byte moves; a crash
+    between the two must not lose the directory's files."""
+    store = CrashingStore()
+    s1, m1, _ = make_stack(tmp_path / "state", store)
+    s1.lots.create_lot("alice", 4096, 3600.0)
+    s1.mkdir("admin", "/d")
+    s1.acl_set("admin", "/d", "alice", "rwilmd")
+    s1.mkdir("alice", "/d/a")
+    put(s1, "alice", "/d/a/x", b"hello")
+    store.crashed = True
+    with pytest.raises(OSError):
+        s1.rename("alice", "/d/a", "/d/b")
+    m1.close(snapshot=False)  # crash: journal only, no final snapshot
+
+    store.crashed = False
+    s2, m2, _ = make_stack(tmp_path / "state", store)
+    assert s2.stat("alice", "/d/b/x")["size"] == 5
+    assert get(s2, "alice", "/d/b/x") == b"hello"
+    assert not store.exists("/d/a/x")
+    lot = next(iter(s2.lots.lots.values()))
+    assert lot.charges == {"/d/b/x": 5}
+    m2.close()
+
+
+def test_a_name_reused_after_a_rename_keeps_its_bytes_on_restart(tmp_path):
+    """Replay re-does a rename's byte move; it must not take the bytes
+    a later write put under the old name (write, rename, write again:
+    the save-by-rename pattern)."""
+    store = MemoryStore()
+    s1, m1, _ = make_stack(tmp_path / "state", store)
+    s1.lots.create_lot("alice", 4096, 3600.0)
+    s1.mkdir("admin", "/d")
+    s1.acl_set("admin", "/d", "alice", "rwilmd")
+    put(s1, "alice", "/d/tmp", b"first")
+    s1.rename("alice", "/d/tmp", "/d/one")
+    put(s1, "alice", "/d/tmp", b"second")
+    s1.rename("alice", "/d/one", "/d/two")
+    m1.close(snapshot=False)  # crash: journal only, no final snapshot
+
+    s2, m2, _ = make_stack(tmp_path / "state", store)
+    assert get(s2, "alice", "/d/two") == b"first"
+    assert get(s2, "alice", "/d/tmp") == b"second"
+    assert not s2.exists("/d/one") and not store.exists("/d/one")
     m2.close()
 
 

@@ -28,7 +28,6 @@ import pytest
 
 from repro.nest import io as fastio
 from repro.nest.config import NestConfig
-from repro.nest.handlers import ChirpHandler
 from repro.nest.server import NestServer
 from repro.nest.transfer import BURST_BYTES, TransferError, TransferManager
 
@@ -128,32 +127,41 @@ class TestShutdownFailsPending:
 
 class TestStopAcceptRace:
     def test_stop_tolerates_not_yet_started_handler_thread(
-            self, server_factory):
+            self, server_factory, monkeypatch):
         srv = server_factory(protocols=("chirp",))
-        # Freeze the hand-off at its racy point: the handler is in
-        # _connections but its thread has not started -- exactly the
-        # window the accept loop opens between register and start().
+        # Freeze the hand-off at its racy point: the accept path has
+        # registered a handler and is inside its thread's start(), held
+        # there while stop() runs.
+        in_start = threading.Event()
+        real_start = threading.Thread.start
+
+        def held_start(thread):
+            if thread.name == "nest-chirp-conn":
+                in_start.set()
+                time.sleep(0.3)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", held_start)
         client, conn = socket.socketpair()
-        handler = ChirpHandler(srv, conn, ("127.0.0.1", 0))
-        thread = threading.Thread(target=srv._run_handler, args=(handler,),
-                                  daemon=True)
-        with srv._conn_lock:
-            srv._connections[handler] = thread
-        # The thread must still be unstarted when stop() reaches the
-        # straggler sweep, which is its drain window (0.05 s) away.
-        starter = threading.Timer(0.3, thread.start)
-        starter.start()
+        accept = threading.Thread(target=srv._on_connection,
+                                  args=("chirp", conn, ("127.0.0.1", 0)))
+        accept.start()
         try:
+            assert in_start.wait(5.0)
             # The bug: the straggler join hit the never-started thread
             # and raised RuntimeError mid-drain.
-            result = srv.stop(drain_timeout=0.05)
+            srv.stop(drain_timeout=0.05)
+            accept.join(5.0)
+            assert not accept.is_alive()
+            # The handler was in the drain set and is gone now -- its
+            # connection closed, not leaked: the fix must not trade the
+            # race for a leak.
+            client.settimeout(5.0)
+            assert client.recv(1) == b""
         finally:
             client.close()
-        assert result["forced"] >= 1
-        thread.join(5.0)
-        # The handler stayed in the drain set the whole time and is
-        # gone now -- the fix must not trade the race for a leak.
         assert srv.active_connections() == 0
+        assert not _thread_names("nest-chirp-conn")
 
     def test_clean_stop_still_drains(self, server_factory):
         from repro.client.chirp import ChirpClient
@@ -191,7 +199,7 @@ class TestHeartbeatReconfigure:
         assert collector.ads >= 3  # heartbeat alive and beating
         srv.advertise_to(collector, readvertise_interval=0.0)
         # Reconfigure joined the beat thread -- not merely signalled.
-        assert srv._advert_thread is None
+        assert not _thread_names(f"nest-advertise-{srv.config.name}")
         baseline = collector.ads
         time.sleep(0.25)
         # The bug: the old thread re-read the interval and
@@ -240,6 +248,6 @@ class TestFailedStart:
             socket.create_connection(("127.0.0.1", srv.ports["chirp"]),
                                      timeout=1.0).close()
         assert srv.mgmt is None
-        assert srv._advert_thread is None
+        assert not _thread_names("nest-advertise-half")
         assert collector.withdrawn == ["half"]
         assert srv.durability.journal._file is None

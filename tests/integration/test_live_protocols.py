@@ -37,6 +37,19 @@ class TestChirp:
             c.unlink("/data/subdir/g")
             c.rmdir("/data/subdir")
 
+    def test_rename_directory_keeps_its_files_bytes(self, server):
+        with ChirpClient(*server.endpoint("chirp")) as c:
+            c.mkdir("/data/top")
+            c.mkdir("/data/top/old")
+            c.put("/data/top/old/x", b"hello")
+            c.rename("/data/top/old", "/data/top/new")
+            assert c.stat("/data/top/new/x")["size"] == 5
+            assert c.get("/data/top/new/x") == b"hello"
+            with pytest.raises(ChirpError) as info:
+                c.rename("/data/top/new", "/data/top/new/inner")
+            assert info.value.status is Status.BAD_REQUEST
+            assert c.get("/data/top/new/x") == b"hello"
+
     def test_missing_file_error(self, server):
         with ChirpClient(*server.endpoint("chirp")) as c:
             with pytest.raises(ChirpError) as info:

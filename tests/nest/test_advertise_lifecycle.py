@@ -1,5 +1,6 @@
 """The server's advertisement lifecycle: publish, heartbeat, withdraw."""
 
+import threading
 import time
 
 from repro.grid.discovery import Collector
@@ -64,7 +65,8 @@ class TestAdvertiseTo:
         try:
             server.advertise_to(collector, ttl=0.1,
                                 readvertise_interval=0.0)
-            assert server._advert_thread is None
+            assert not [t for t in threading.enumerate()
+                        if t.name == "nest-advertise-ad-life"]
             time.sleep(0.25)
             assert collector.names() == set()
         finally:
@@ -76,7 +78,7 @@ class TestAdvertiseTo:
         collector = Collector()
         with NestServer(_config()) as server:
             server.advertise_to(collector)
-            assert server._advert_interval == ADVERTISE_INTERVAL
+            assert server._advert.interval == ADVERTISE_INTERVAL
 
     def test_running_property(self):
         server = NestServer(_config())

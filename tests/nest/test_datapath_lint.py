@@ -1,5 +1,5 @@
-"""The door, socket-birth, one-accept-loop and shares-no-manager rules
-of ``scripts/lint_datapath.py``."""
+"""The door, socket-birth, one-accept-loop, shares-no-manager and
+one-periodic-loop rules of ``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -183,3 +183,48 @@ class Daemon:
         for line in lint._listener_violations(source, "newd.py"))
     assert flagged == [(10, "listen()"), (17, "accept()"),
                        (23, "create_server()")]
+
+
+def test_src_has_one_periodic_loop():
+    root = REPO / "src" / "repro"
+    assert [v for path in sorted(root.rglob("*.py"))
+            for v in lint._loop_violations(
+                path, path.relative_to(root).as_posix())] == []
+    common = root / lint.LOOP_FILE
+    assert lint._loop_violations(common, "periodic.py")  # the one, moved
+
+
+def test_a_second_periodic_loop_is_flagged(tmp_path):
+    source = tmp_path / "scanner.py"
+    source.write_text('''
+import threading
+from repro.protocols.common import Periodic
+
+
+class Scanner:
+    def start(self):
+        def loop():
+            while not self._stop.wait(self.interval):   # flagged
+                self.scan_once()
+        threading.Thread(target=loop, daemon=True).start()
+
+    def beat(self, stop):
+        while not stop.wait(1.0):                       # flagged
+            self.publish()
+
+    def good_start(self):
+        self.loop = Periodic("scanner", 30.0, self.scan_once).start()
+
+    def drain(self, done):
+        while not done.is_set():                        # not a wait
+            done.wait()
+
+
+class Periodic:
+    def _run(self, wake, interval):
+        while not wake.wait(interval):                  # wrong file
+            self._fn()
+''')
+    flagged = [int(line.split(":")[1])
+               for line in lint._loop_violations(source, "scanner.py")]
+    assert sorted(flagged) == [9, 14, 27]

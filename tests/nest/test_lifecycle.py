@@ -9,6 +9,7 @@ import socket
 import statistics
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,25 +120,26 @@ def test_failed_start_stops_what_started_in_reverse(tmp_path, failing):
         ports={"http": squatter.getsockname()[1]} if squatted else None,
         cold_store=MemoryStore())
     srv.advertise_to(collector, readvertise_interval=0.02)
-    assert [name for name, _, _ in srv._parts] == PARTS
+    assert list(srv._parts) == PARTS
 
     calls = []
 
-    def logged(name, start, stop):
+    def logged(name, part):
         def logged_start():
             calls.append(("start", name))
             if name == failing:
                 raise RuntimeError(f"{name} will not start")
-            if start is not None:
-                start()
+            if part is not None:
+                part.start()
 
         def logged_stop(grace):
             calls.append(("stop", name))
-            return stop(grace)
+            return part.stop(grace) if part is not None else None
 
-        return name, logged_start, logged_stop
+        return SimpleNamespace(start=logged_start, stop=logged_stop)
 
-    srv._parts = [logged(*part) for part in srv._parts]
+    srv._parts = {name: logged(name, part)
+                  for name, part in srv._parts.items()}
     try:
         with pytest.raises(OSError if squatted else RuntimeError,
                            match="in use" if squatted else "will not start"):
@@ -156,7 +158,9 @@ def test_failed_start_stops_what_started_in_reverse(tmp_path, failing):
     assert not srv.running
     assert set(threading.enumerate()) - threads_before == set()
     assert _listening_sockets() == listening_before
-    assert srv.mgmt is None and srv._advert_thread is None
+    assert srv.mgmt is None
+    assert "nest-advertise-part-k" not in {
+        t.name for t in threading.enumerate()}
     assert srv.tier_manager._thread is None
     assert srv.durability.journal._file is None
     assert collector.names() == set()

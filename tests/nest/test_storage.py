@@ -87,6 +87,41 @@ class TestNamespace:
             sm.rename("alice", "/data/a", "/data/b")
         assert info.value.status is Status.EXISTS
 
+    def test_rename_directory_moves_every_descendant(self, clock):
+        """Renaming a directory used to move its namespace only: stat
+        said 5 bytes while a read returned b'', and the lot kept
+        charging the old paths."""
+        sm = StorageManager(clock=clock, require_lots=True)
+        lot = sm.lots.create_lot("alice", 1 << 20, duration=3600.0)
+        sm.mkdir("alice", "/data")
+        sm.mkdir("alice", "/data/a")
+        sm.mkdir("alice", "/data/a/sub")
+        put(sm, "alice", "/data/a/x", b"hello")
+        put(sm, "alice", "/data/a/sub/y", b"world!")
+        sm.rename("alice", "/data/a", "/data/b")
+        assert sm.stat("alice", "/data/b/x")["size"] == 5
+        assert get(sm, "alice", "/data/b/x") == b"hello"
+        assert get(sm, "alice", "/data/b/sub/y") == b"world!"
+        assert not sm.store.exists("/data/a/x")
+        assert not sm.store.exists("/data/a/sub/y")
+        assert lot.charges == {"/data/b/x": 5, "/data/b/sub/y": 6}
+        sm.delete("alice", "/data/b/x")
+        assert lot.used == 6
+
+    def test_rename_into_own_subtree_rejected(self, sm):
+        # It used to succeed and leave neither /data/c nor /data/c/d.
+        sm.mkdir("alice", "/data/c")
+        for target in ("/data/c/d", "/data/c/"):
+            with pytest.raises(StorageError) as info:
+                sm.rename("alice", "/data/c", target)
+            assert info.value.status in (Status.BAD_REQUEST, Status.EXISTS)
+        sm.mkdir("alice", "/data/c/d")
+        with pytest.raises(StorageError) as info:
+            sm.rename("alice", "/data/c", "/data/c/d/e")
+        assert info.value.status is Status.BAD_REQUEST
+        assert sm.exists("/data/c/d")
+        assert [e["name"] for e in sm.listdir("alice", "/data")] == ["c"]
+
     def test_delete_releases_space(self, sm):
         put(sm, "alice", "/data/f", b"12345")
         used = sm.used_bytes
