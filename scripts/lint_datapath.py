@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Six rules, enforced by AST walk (so docstrings and comments that merely
+Seven rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -56,6 +56,14 @@ Each hand-copied loop of that shape re-decided the same questions --
 does an exception end it, does a zero period spin (``Event.wait(0)``
 returns at once), does ``stop()`` join -- and one of them got the last
 one wrong.  Periodic work is a ``Periodic``, or a subclass of it.
+
+Rule 7: one journal write site.  In ``durability/journal.py``,
+``._file.write(`` and ``_do_fsync(`` appear only in
+``MetadataJournal._flush_batch`` and the ``_faulty_write`` helper it
+calls.  Group commit is the only way a record reaches the journal
+file; a second write path (the record-at-a-time ``append`` that fault
+plans once took) is one the crash sweeps test instead of the one
+production runs.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -122,16 +130,23 @@ def _is_datapath(node: ast.Attribute) -> bool:
             or (owner == "graybox" and node.attr.startswith("observe_")))
 
 
+def _inside(tree: ast.AST, cls_name: str, methods: set[str]) -> set[int]:
+    """Ids of every node in the named methods of class ``cls_name``
+    (with whatever they nest)."""
+    allowed: set[int] = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == cls_name:
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name in methods:
+                    allowed.update(id(n) for n in ast.walk(item))
+    return allowed
+
+
 def _door_violations(path: Path, door=(DOOR_CLASS, DOOR)) -> list[str]:
     """Data-path mentions in ``path`` outside ``door`` -- a (class,
     method names) pair, or None for a file that has no door."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    allowed: set[int] = set()
-    for cls in ast.walk(tree):
-        if (door and isinstance(cls, ast.ClassDef) and cls.name == door[0]):
-            for item in cls.body:
-                if isinstance(item, ast.FunctionDef) and item.name in door[1]:
-                    allowed.update(id(n) for n in ast.walk(item))
+    allowed = _inside(tree, *door) if door else set()
     return [
         f"{path}:{node.lineno}: .{node.attr} outside the "
         f"{DOOR_CLASS} door -- move bytes with self.send/self.receive"
@@ -304,6 +319,34 @@ def _loop_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 7: the journal file, and the class and methods that write it.
+JOURNAL_FILE = "durability/journal.py"
+JOURNAL_WRITERS = ("MetadataJournal", {"_flush_batch", "_faulty_write"})
+
+
+def _writes_journal(node: ast.Call) -> bool:
+    """``<x>._file.write(...)`` or ``[self.]_do_fsync(...)``."""
+    func = node.func
+    return (_owner_name(func) == "_do_fsync"
+            or (isinstance(func, ast.Attribute) and func.attr == "write"
+                and _owner_name(func.value) == "_file"))
+
+
+def _journal_violations(path: Path, rel: str) -> list[str]:
+    if rel != JOURNAL_FILE:
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = _inside(tree, *JOURNAL_WRITERS)
+    return [
+        f"{path}:{node.lineno}: {_owner_name(node.func)}() outside "
+        "MetadataJournal._flush_batch -- enqueue with append_async and "
+        "let group commit write the record"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _writes_journal(node)
+        and id(node) not in allowed
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -313,6 +356,7 @@ def main() -> int:
         problems.extend(_socket_violations(path, rel))
         problems.extend(_listener_violations(path, rel))
         problems.extend(_loop_violations(path, rel))
+        problems.extend(_journal_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -7,20 +7,19 @@ line::
 
 where the payload carries a monotonically increasing ``seq``, a
 ``type`` tag, and the event's fields.  Appends are fsync'd by default
-(``fsync=False`` trades durability of the last few records for speed
--- used by the crash-sweep tests, whose "disk" is the same process).
+(``fsync=False`` skips only the ``os.fsync`` -- used by the
+crash-sweep tests, whose "disk" is the same process).
 
-Durable appends use **group commit**: concurrent appenders enqueue
-framed records; whoever reaches the flush lock first becomes the
-flusher and writes every queued record with a *single* write+fsync,
-and each caller returns only once its record's batch is durable.
-Under concurrency the fsync count collapses from one-per-record to
-one-per-batch while every acknowledged record is on disk -- the
-classic WAL group commit.  The grouped path engages only for the
-plain durable configuration (``fsync=True``, no fault plan,
-``batch_records > 1``); fault injection and ``fsync=False`` keep the
-original record-at-a-time path so every injected torn/short/crash
-fault lands exactly where the crash sweep expects it.
+Every append goes through **group commit**: appenders enqueue framed
+records; whoever reaches the flush lock first becomes the flusher and
+writes every queued record (up to :data:`BATCH_RECORDS`) with a
+*single* write+fsync, and each caller returns only once its record's
+batch is durable.  Under concurrency the fsync count collapses from
+one-per-record to one-per-batch while every acknowledged record is on
+disk -- the classic WAL group commit.  There is no other write path:
+a :class:`~repro.faults.disk.DiskFaultPlan` is consulted per record
+inside the flush, so the crash sweeps exercise the code production
+runs.
 
 The framing makes every corruption mode the disk-fault layer can
 inject *detectable*: a torn tail (no trailing newline), a short write
@@ -46,7 +45,10 @@ from typing import Any, Optional
 
 from repro.faults.disk import CRASH, SHORT, TORN, SimulatedCrash
 
-__all__ = ["JournalError", "ReplayResult", "MetadataJournal"]
+__all__ = ["BATCH_RECORDS", "JournalError", "ReplayResult", "MetadataJournal"]
+
+#: Most records one flush writes; a longer queue takes several flushes.
+BATCH_RECORDS = 64
 
 
 class JournalError(OSError):
@@ -66,10 +68,7 @@ class MetadataJournal:
     """Append-fsync-replay over one journal file."""
 
     def __init__(self, path: str, *, fsync: bool = True, faults=None,
-                 registry=None, batch_records: int = 64,
-                 batch_delay: float = 0.0):
-        if batch_delay < 0:
-            raise ValueError("batch_delay must be >= 0")
+                 registry=None):
         self.path = str(path)
         self._fsync = fsync
         self._faults = faults
@@ -78,20 +77,10 @@ class MetadataJournal:
         #: sequence number of the last record acknowledged (durable or
         #: folded into a snapshot); the next append gets ``last_seq+1``.
         self.last_seq = 0
-        #: group commit: grouped appends engage only for the plain
-        #: durable configuration -- fault injection and fsync=False
-        #: need the record-at-a-time path's exact fault placement.
-        self._grouped = fsync and faults is None and batch_records > 1
-        self._batch_max = max(1, int(batch_records))
-        #: seconds the flusher may dally for co-batching appenders
-        #: before flushing a non-full batch; 0 flushes as soon as the
-        #: flush lock is free (batches then form from fsync
-        #: backpressure alone).
-        self.batch_delay = float(batch_delay)
         self._flush_lock = threading.RLock()
         self._tail_seq = 0  #: highest seq handed out (>= last_seq)
         self._pending: list[tuple[int, bytes]] = []
-        self._batch_errors: dict[int, JournalError] = {}
+        self._batch_errors: dict[int, BaseException] = {}
         #: plain hot-path counters (the bench reads these directly).
         self.fsync_count = 0
         self.records_appended = 0
@@ -124,53 +113,12 @@ class MetadataJournal:
     # appending
     # ------------------------------------------------------------------
     def append(self, rtype: str, fields: dict[str, Any]) -> int:
-        """Durably append one record; returns its sequence number.
+        """Durably append one record; returns its sequence number once
+        the batch holding it is on disk."""
+        seq = self.append_async(rtype, fields)
+        self.wait_durable(seq)
+        return seq
 
-        On the grouped path the caller blocks until the batch holding
-        its record is flushed; on the record-at-a-time path the append
-        is written and fsync'd inline, exactly as before group commit.
-        """
-        if self._grouped:
-            seq = self.append_async(rtype, fields)
-            self.wait_durable(seq)
-            return seq
-        with self._lock:
-            seq = self.last_seq + 1
-            rec = {"seq": seq, "type": rtype, **fields}
-            data = json.dumps(rec, sort_keys=True,
-                              separators=(",", ":")).encode()
-            line = b"%08x " % (zlib.crc32(data) & 0xFFFFFFFF,) + data + b"\n"
-            try:
-                self._open()
-                rule = (self._faults.check("append", at=seq)
-                        if self._faults is not None else None)
-                if rule is not None:
-                    self._faulty_write(rule, line)
-                else:
-                    self._file.write(line)
-                    self._do_fsync()
-            except OSError as exc:
-                if self._m_errors is not None:
-                    self._m_errors.inc()
-                if isinstance(exc, JournalError):
-                    raise
-                raise JournalError(
-                    exc.errno if exc.errno is not None else _errno.EIO,
-                    f"journal append failed: {exc}") from exc
-            except ValueError as exc:  # write on a closed file
-                if self._m_errors is not None:
-                    self._m_errors.inc()
-                raise JournalError(_errno.EIO,
-                                   f"journal closed: {exc}") from exc
-            self.last_seq = seq
-            self.records_appended += 1
-            if self._m_records is not None:
-                self._m_records.inc()
-            if self._h_batch is not None:
-                self._h_batch.observe(1.0)
-            return seq
-
-    # -- group commit ------------------------------------------------------
     def append_async(self, rtype: str, fields: dict[str, Any]) -> int:
         """Assign a seq and enqueue the framed record *without* waiting
         for the disk.
@@ -181,13 +129,8 @@ class MetadataJournal:
         only after releasing it, so concurrent mutators overlap in the
         queue and share one flush.  The record is not durable until
         ``wait_durable(seq)`` returns; acknowledging before that is a
-        durability lie.  On the record-at-a-time path (fault injection,
-        ``fsync=False``, ``batch_records <= 1``) this degrades to a
-        full synchronous :meth:`append` and ``wait_durable`` is a
-        no-op.
+        durability lie.
         """
-        if not self._grouped:
-            return self.append(rtype, fields)
         with self._lock:
             self._tail_seq = max(self._tail_seq, self.last_seq) + 1
             seq = self._tail_seq
@@ -199,18 +142,19 @@ class MetadataJournal:
         return seq
 
     def wait_durable(self, seq: int) -> None:
-        """Drive/await the flush that makes record ``seq`` durable.
+        """Drive/await the flush that makes record ``seq`` durable;
+        raise its :class:`JournalError` (or :class:`SimulatedCrash`)
+        when the flush that carried it failed.
 
         Whoever acquires the flush lock becomes the flusher for every
-        record queued at that moment.  Followers that arrive while a
-        flush is in progress block on the lock; by the time they get
-        it their record is usually already durable (``last_seq`` has
-        passed their seq) and they return without touching the disk.
-        Batching therefore emerges from fsync backpressure -- no
-        background thread, no timers, no idle latency.
+        record queued at that moment (up to :data:`BATCH_RECORDS`).
+        Followers that arrive while a flush is in progress block on
+        the lock; by the time they get it their record is usually
+        already durable (``last_seq`` has passed their seq) and they
+        return without touching the disk.  Batching therefore emerges
+        from fsync backpressure -- no background thread, no timers, no
+        idle latency.
         """
-        if not self._grouped:
-            return
         while True:
             with self._flush_lock:
                 with self._lock:
@@ -221,50 +165,61 @@ class MetadataJournal:
                     if self._m_errors is not None:
                         self._m_errors.inc()
                     raise error
-                if self.batch_delay > 0:
-                    with self._lock:
-                        full = len(self._pending) >= self._batch_max
-                    if not full:
-                        # Dally with the flush lock held so co-batching
-                        # appenders can pile onto the queue.
-                        time.sleep(self.batch_delay)
                 with self._lock:
-                    batch = self._pending[: self._batch_max]
-                    del self._pending[: len(batch)]
+                    batch = self._pending[:BATCH_RECORDS]
+                    del self._pending[:len(batch)]
                 if batch:
                     self._flush_batch(batch)
 
     def _flush_batch(self, batch: list[tuple[int, bytes]]) -> None:
-        """One write+fsync covering every record in ``batch``; on
-        failure the whole batch is marked failed so each waiter gets a
-        typed :class:`JournalError` instead of a false ack."""
-        payload = b"".join(line for _, line in batch)
+        """The one place records reach the file: one write+fsync for
+        the whole batch.
+
+        A fault plan is consulted per record.  Records ahead of a
+        faulted one are written and synced first, so they are
+        durable; the faulted record and every record behind it --
+        the rest of the batch and everything still queued -- never
+        reach the file, and each waiter gets the failure (a typed
+        :class:`JournalError`, or :class:`SimulatedCrash`) instead of
+        an ack.
+        """
+        done = 0  # records of ``batch`` on disk
+        error: BaseException | None = None
         try:
             self._open()
-            self._file.write(payload)
+            for i, (seq, line) in enumerate(batch):
+                rule = (self._faults.check("append", at=seq)
+                        if self._faults is not None else None)
+                if rule is not None:
+                    self._file.write(b"".join(r for _, r in batch[done:i]))
+                    self._do_fsync()
+                    done = i
+                    self._faulty_write(rule, line)
+                    done = i + 1  # SHORT: the fragment counts as written
+            self._file.write(b"".join(line for _, line in batch[done:]))
             self._do_fsync()
-        except (OSError, ValueError) as exc:
-            if isinstance(exc, JournalError):
-                error = exc
-            elif isinstance(exc, ValueError):  # write on a closed file
-                error = JournalError(_errno.EIO, f"journal closed: {exc}")
-                error.__cause__ = exc
-            else:
-                error = JournalError(
-                    exc.errno if exc.errno is not None else _errno.EIO,
-                    f"journal append failed: {exc}")
-                error.__cause__ = exc
-            with self._lock:
-                for seq, _ in batch:
-                    self._batch_errors[seq] = error
-            return
+            done = len(batch)
+        except (SimulatedCrash, JournalError) as exc:
+            error = exc
+        except (OSError, ValueError) as exc:  # ValueError: closed file
+            error = JournalError(
+                getattr(exc, "errno", None) or _errno.EIO,
+                f"journal append failed: {exc}")
+            error.__cause__ = exc
         with self._lock:
-            self.last_seq = max(self.last_seq, batch[-1][0])
-        self.records_appended += len(batch)
-        if self._m_records is not None:
-            self._m_records.inc(len(batch))
-        if self._h_batch is not None:
-            self._h_batch.observe(float(len(batch)))
+            if done:
+                self.last_seq = max(self.last_seq, batch[done - 1][0])
+            if error is not None:
+                failed = batch[done:] + self._pending
+                self._pending = []
+                for seq, _ in failed:
+                    self._batch_errors[seq] = error
+        if done:
+            self.records_appended += done
+            if self._m_records is not None:
+                self._m_records.inc(done)
+            if self._h_batch is not None:
+                self._h_batch.observe(float(done))
 
     def _faulty_write(self, rule, line: bytes) -> None:
         """Enact an injected append fault (torn/short land a fragment)."""

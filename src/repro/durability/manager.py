@@ -2,17 +2,19 @@
 
 Ties the pieces together for a live appliance:
 
-* **record** -- the sink bound to the replica catalog; appends to the
-  write-ahead journal and triggers a compacted snapshot every
-  ``snapshot_every`` records.  The storage manager gets the split form
-  (**record_async** under its lock, **wait_durable** after releasing
-  it) so concurrent mutators share group-commit flushes;
+* **record** -- the sink bound to the replica catalog and the tiered
+  store; appends to the write-ahead journal and triggers a compacted
+  snapshot every ``snapshot_every`` records.  The storage manager is
+  handed the manager itself and uses the split form (**record_async**
+  under its lock, **wait_durable** before any backing-store side
+  effect, or after releasing the lock) so concurrent mutators share
+  group-commit flushes;
 * **snapshot** -- serialize full state (under the storage lock, so the
   captured journal ``seq`` is consistent), save atomically, then
   truncate the journal *only if* nothing was appended meanwhile;
 * **recover_into** -- snapshot install + journal replay + interrupted
   -put reconciliation + temp-file sweep + file-handle epoch bump, then
-  bind the sinks so the restarted appliance journals new mutations.
+  bind the journal so the restarted appliance records new mutations.
 
 The restart **epoch** is a small integer persisted in
 ``state_dir/epoch`` and incremented by every recovery; the NFS
@@ -44,16 +46,14 @@ class DurabilityManager:
     """Journal + snapshots + recovery over one ``state_dir``."""
 
     def __init__(self, state_dir: str, *, fsync: bool = True,
-                 snapshot_every: int = 512, faults=None, registry=None,
-                 batch_records: int = 64):
+                 snapshot_every: int = 512, faults=None, registry=None):
         if snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
         self.state_dir = str(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
         self.journal = MetadataJournal(
             os.path.join(self.state_dir, "journal.log"),
-            fsync=fsync, faults=faults, registry=registry,
-            batch_records=batch_records)
+            fsync=fsync, faults=faults, registry=registry)
         self.snapshots = SnapshotStore(
             os.path.join(self.state_dir, "snapshot.json"), faults=faults)
         self.snapshot_every = int(snapshot_every)
@@ -68,9 +68,6 @@ class DurabilityManager:
         #: when :meth:`attach_catalog` runs.
         self._deferred_replica: list[dict[str, Any]] = []
         self._snapshot_catalog_state: dict[str, Any] | None = None
-        #: tier records replayed before any tiered store was attached.
-        self._deferred_tier: list[dict[str, Any]] = []
-        self._snapshot_tier_state: dict[str, Any] | None = None
         self._m_recoveries = None
         self._m_replayed = None
         if registry is not None:
@@ -102,14 +99,15 @@ class DurabilityManager:
         """Assign and enqueue one mutation record without touching the
         disk; the record is durable only once :meth:`wait_durable` has
         returned for its seq.  The storage manager calls this under
-        its own lock and waits after releasing it, so concurrent
-        mutators share group-commit flushes instead of serializing
-        one fsync each."""
+        its own lock and mostly waits after releasing it, so
+        concurrent mutators share group-commit flushes instead of
+        serializing one fsync each."""
         return self.journal.append_async(rtype, fields)
 
     def wait_durable(self, seq: int) -> None:
-        """Block until record ``seq`` is on disk; compacts periodically
-        (the snapshot trigger lives here, off the storage lock)."""
+        """Block until record ``seq`` is on disk (raising the typed
+        failure if its flush failed); compacts periodically -- the
+        snapshot trigger lives here."""
         self.journal.wait_durable(seq)
         take = False
         with self._lock:
@@ -153,8 +151,8 @@ class DurabilityManager:
     def recover_into(self, storage: StorageManager,
                      catalog=None, tier=None) -> RecoveryReport:
         """Rebuild ``storage`` (and ``catalog`` and the ``tier``
-        residency map) from durable state, then bind the journal sinks
-        so new mutations are recorded."""
+        residency map) from durable state, then bind the journal so
+        new mutations are recorded."""
         t0 = time.perf_counter()
         report = RecoveryReport(state_dir=self.state_dir)
         state, snap_seq = self.snapshots.load()
@@ -168,8 +166,6 @@ class DurabilityManager:
             tier_state = state.get("tier")
             if tier is not None and tier_state is not None:
                 tier.restore(tier_state)
-            else:
-                self._snapshot_tier_state = tier_state
         report.snapshot_seq = snap_seq
 
         replay = self.journal.replay()
@@ -191,11 +187,9 @@ class DurabilityManager:
                     else:
                         self._deferred_replica.append(rec)
                     report.replayed_records += 1
-                elif str(rec.get("type", "")).startswith("tier_"):
-                    if tier is not None:
-                        tier.apply_record(rec)
-                    else:
-                        self._deferred_tier.append(rec)
+                elif (tier is not None
+                      and str(rec.get("type", "")).startswith("tier_")):
+                    tier.apply_record(rec)
                     report.replayed_records += 1
                 else:
                     report.skipped_records += 1
@@ -229,8 +223,7 @@ class DurabilityManager:
         self.storage = storage
         self.catalog = catalog
         self.tier = tier
-        storage.set_journal(self.record, async_sink=self.record_async,
-                            wait_sink=self.wait_durable)
+        storage.set_journal(self)
         if catalog is not None:
             catalog.journal = self.record
             catalog.advertise()
@@ -267,24 +260,6 @@ class DurabilityManager:
         self.catalog = catalog
         catalog.journal = self.record
         catalog.advertise()
-        return applied
-
-    def attach_tier(self, tier) -> int:
-        """Late-bind a tiered store: install its snapshot residency,
-        apply deferred replayed tier records, reconcile in-flight
-        transitions, bind the sink.  Returns how many deferred records
-        were applied."""
-        if self._snapshot_tier_state is not None:
-            tier.restore(self._snapshot_tier_state)
-            self._snapshot_tier_state = None
-        applied = 0
-        for rec in self._deferred_tier:
-            if tier.apply_record(rec):
-                applied += 1
-        self._deferred_tier.clear()
-        tier.reconcile()
-        self.tier = tier
-        tier.journal = self.record
         return applied
 
     # ------------------------------------------------------------------

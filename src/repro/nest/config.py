@@ -12,8 +12,7 @@ A field lives here only while something sets it.  A knob of one
 component lives once, as that component's constructor default, and is
 validated there: the adaptive switcher's ``high`` / ``low`` /
 ``interval`` (``ServerModelSwitcher``), the journal's
-``snapshot_every`` (``DurabilityManager``) and group-commit
-``batch_delay`` (``MetadataJournal``), the demotion policy and scan
+``snapshot_every`` (``DurabilityManager``), the demotion policy and scan
 ``interval`` (``TierPolicy`` / ``TierManager``), the heat half-life
 (``HeatTracker``), the autoscaler's thresholds and ``interval``
 (``AutoScaler``), and ``reclaim_policy`` / ``anonymous_rights``

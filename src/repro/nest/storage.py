@@ -129,9 +129,12 @@ class _StorageOp:
 
     Callers stack it *outside* the lock (``with self._op(..),
     self._lock:``), so the durability wait runs after the lock is
-    released -- the other half of the journal's group-commit split.  A
-    failed wait ends the span as an error and counts the op with its
-    :class:`StorageError` status, like a failure inside the body."""
+    released -- the other half of the journal's group-commit split.  An
+    op that touches the backing store waits earlier, under the lock
+    (:meth:`StorageManager._await_durable`), or touches it only after
+    this scope closes.  A failed wait ends the span as an error and
+    counts the op with its :class:`StorageError` status, like a
+    failure inside the body."""
 
     __slots__ = ("manager", "op", "span", "outermost")
 
@@ -215,11 +218,9 @@ class StorageManager:
         #: the same demand signal.
         self.heat = heat
         self._lock = threading.RLock()
-        #: metadata-journal sink (set via :meth:`set_journal`); None
+        #: the metadata journal (set via :meth:`set_journal`); None
         #: means the appliance runs memory-only, exactly as before.
-        self._journal: Callable[..., Any] | None = None
-        self._journal_async: Callable[..., int] | None = None
-        self._journal_wait: Callable[[int], None] | None = None
+        self._journal = None
         #: per-thread list of journal seqs enqueued by the op in
         #: flight; non-None only between _op entry and exit.
         self._local = threading.local()
@@ -239,30 +240,29 @@ class StorageManager:
     # ------------------------------------------------------------------
     # durability wiring (see repro.durability)
     # ------------------------------------------------------------------
-    def set_journal(self, sink: Callable[..., Any] | None, *,
-                    async_sink: Callable[..., int] | None = None,
-                    wait_sink: Callable[[int], None] | None = None) -> None:
-        """Bind the metadata-journal sink; lot mutations are routed
-        through :meth:`_emit` too so a journal failure surfaces as one
-        typed :class:`StorageError` everywhere.
+    def set_journal(self, journal) -> None:
+        """Bind the metadata journal -- an object with
+        ``record_async(rtype, **fields) -> seq`` and
+        ``wait_durable(seq)`` (a
+        :class:`~repro.durability.DurabilityManager`), or None.  Lot
+        mutations are routed through :meth:`_emit` too, so a journal
+        failure surfaces as one typed :class:`StorageError`
+        everywhere.
 
-        When the split form is bound (``async_sink`` + ``wait_sink``),
-        ops *enqueue* records while holding the storage lock and block
-        for durability only in :meth:`_op`'s exit, after the lock is
-        released -- otherwise the lock serializes every append and
-        group commit can never batch.
+        Write-ahead rule: a mutation's records are durable before it
+        is acknowledged *and* before the backing store is touched.
+        Ops enqueue while holding the storage lock and wait in
+        :meth:`_op`'s exit, after the lock is released, so concurrent
+        mutators share one group-commit flush; an op that moves or
+        drops backing bytes waits first (:meth:`_await_durable`).
         """
-        self._journal = sink
-        self._journal_async = async_sink if sink is not None else None
-        self._journal_wait = wait_sink if sink is not None else None
-        self.lots.journal = self._emit if sink is not None else None
+        self._journal = journal
+        self.lots.journal = self._emit if journal is not None else None
 
     def _emit(self, rtype: str, **fields) -> None:
-        """Record one durable mutation in the bound journal.
-
-        Inside an :meth:`_op` scope with the split sink bound, this
-        only *enqueues* (the op's exit waits for durability after the
-        storage lock is gone); elsewhere it appends synchronously.
+        """Record one durable mutation in the bound journal: enqueue it
+        into the running op's wait list or, outside an :meth:`_op`
+        scope, enqueue it and wait at once.
 
         A failed append (disk gone, out of space) must not kill the
         connection: it degrades into a typed response -- ``ENOSPC``
@@ -270,29 +270,32 @@ class StorageManager:
         server error.  The in-memory mutation has already happened;
         the journal's error counter records the divergence.
         """
-        if self._journal is None:
+        journal = self._journal
+        if journal is None:
             return
         waits = getattr(self._local, "waits", None)
         try:
-            if self._journal_async is not None and waits is not None:
-                waits.append(self._journal_async(rtype, **fields))
+            seq = journal.record_async(rtype, **fields)
+            if waits is None:
+                journal.wait_durable(seq)
             else:
-                self._journal(rtype, **fields)
+                waits.append(seq)
         except OSError as exc:
             raise self._journal_failure(exc) from exc
 
     def _await_durable(self) -> None:
-        """Block until every record the finishing op enqueued is on
-        disk.  Runs in :meth:`_op`'s exit -- i.e. after ``self._lock``
-        is released -- so concurrent mutators pile onto one
-        group-commit flush instead of fsyncing one by one."""
+        """Block until every record the running op enqueued is on disk.
+        :meth:`_op`'s exit calls it after ``self._lock`` is released,
+        so concurrent mutators pile onto one group-commit flush; an op
+        about to touch the backing store calls it first, under the
+        lock."""
         waits = getattr(self._local, "waits", None)
-        if not waits or self._journal_wait is None:
+        if not waits:
             return
         seqs, self._local.waits = list(waits), []
         for seq in seqs:
             try:
-                self._journal_wait(seq)
+                self._journal.wait_durable(seq)
             except OSError as exc:
                 raise self._journal_failure(exc) from exc
 
@@ -390,6 +393,7 @@ class StorageManager:
         except StorageError:
             pass
         self._emit("file_reclaim", path=path)
+        self._await_durable()
         self.store.delete(path)
         self.invalidate(path)
 
@@ -466,6 +470,7 @@ class StorageManager:
             self.used_bytes -= node.size
             self.lots.release(path)
             del parent.children[name]
+            self._await_durable()
             self.store.delete(path)
             self.invalidate(path)
 
@@ -491,9 +496,10 @@ class StorageManager:
             node.name = new_name
             new_parent.children[new_name] = node
             self.lots.rename_charges(path, new_path)
-            # Journal before moving the bytes: if a crash interrupts
+            # Durable before moving the bytes: if a crash interrupts
             # the move, replay finishes it (StorageReplayer.finish_moves).
             self._emit("rename", path=path, new_path=new_path)
+            self._await_durable()
             move_bytes(self.store, node, path, new_path)
             # The old name no longer resolves (and for directories the
             # whole old subtree died): stale handles must not survive.
@@ -596,12 +602,14 @@ class StorageManager:
                 # an open put for recovery to settle, never a release
                 # without its put.
                 self.lots.release(path, old_size - declared)
-            return TransferTicket(
-                path=path, user=user, size=declared,
-                stream=self.store.open_write(path), is_write=True,
-                on_settle=lambda ticket, actual: self._settle_put(
-                    ticket, declared, actual),
-            )
+        # The stream opens once put_begin is durable: a crash before
+        # then leaves the store untouched.
+        return TransferTicket(
+            path=path, user=user, size=declared,
+            stream=self.store.open_write(path), is_write=True,
+            on_settle=lambda ticket, actual: self._settle_put(
+                ticket, declared, actual),
+        )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
         """Authorize a block write (NFS); creates the file if needed."""
@@ -621,12 +629,12 @@ class StorageManager:
             existing.size += growth
             self.used_bytes += growth
             self._emit("write", user=user, path=path, size=existing.size)
-            stream = self.store.open_update(path)
-            stream.seek(offset)
-            return TransferTicket(
-                path=path, user=user, size=length, stream=stream,
-                is_write=True, offset=offset,
-            )
+        stream = self.store.open_update(path)
+        stream.seek(offset)
+        return TransferTicket(
+            path=path, user=user, size=length, stream=stream,
+            is_write=True, offset=offset,
+        )
 
     def approve_read(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
         """Authorize a block read (NFS)."""

@@ -212,8 +212,8 @@ class TieredStore:
         self.residency: dict[str, str] = {}
         self._lock = threading.RLock()
         #: durability sink ``(rtype, **fields) -> Any``; bound by
-        #: DurabilityManager.recover_into(tier=...)/attach_tier, or
-        #: directly by tests.  None journals nothing (memory-only).
+        #: DurabilityManager.recover_into(tier=...), or directly by
+        #: tests.  None journals nothing (memory-only).
         self.journal: Callable[..., Any] | None = None
         #: bytes currently resident in the cold tier (gauge feed).
         self._cold_bytes = 0

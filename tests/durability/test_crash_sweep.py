@@ -4,15 +4,21 @@ boundary of a scripted workload, recover, and check the invariants.
 Two faults per boundary -- a clean crash just before the record lands,
 and a torn write that leaves half the record on disk -- so a workload
 of N records yields 2N crash points (the workload below emits 25+,
-for the required 50+ points).
+for the required 50+ points).  The namespace verbs run on two entry
+points: direct calls, which wait for each record as it is emitted, and
+``StorageManager.execute`` -- the wire path, which waits at the op's
+exit or, for a verb that moves or drops backing bytes, just before.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.durability import DurabilityManager
 from repro.faults.disk import DiskFaultPlan, SimulatedCrash
 from repro.nest.backends import MemoryStore
 from repro.nest.storage import DirNode, FileNode, StorageManager
+from repro.protocols.common import Request, RequestType, Status
 
 CAPACITY = 1 << 20
 
@@ -23,21 +29,51 @@ def put(storage, user, path, data: bytes) -> None:
     ticket.settle(len(data))
 
 
-def run_workload(s: StorageManager) -> None:
+class Wire:
+    """``run_workload``'s namespace verbs, as requests to ``execute``."""
+
+    def __init__(self, storage: StorageManager):
+        self.storage = storage
+
+    def _execute(self, rtype, user, path, **params) -> None:
+        response = self.storage.execute(
+            Request(rtype, path, user=user, params=params))
+        assert response.status is Status.OK, response.message
+
+    def mkdir(self, user, path):
+        self._execute(RequestType.MKDIR, user, path)
+
+    def acl_set(self, user, path, subject, rights):
+        self._execute(RequestType.ACL_SET, user, path,
+                      subject=subject, rights=rights)
+
+    def rename(self, user, path, new_path):
+        self._execute(RequestType.RENAME, user, path, new_path=new_path)
+
+    def delete(self, user, path):
+        self._execute(RequestType.DELETE, user, path)
+
+
+#: entry point name -> what ``run_workload`` calls the namespace verbs on
+ENTRY_POINTS = {"direct": lambda storage: storage, "wire": Wire}
+
+
+def run_workload(s: StorageManager, entry: str = "direct") -> None:
     """A fixed script touching every journaled mutation type."""
+    ns = ENTRY_POINTS[entry](s)
     s.lots.create_lot("alice", 1 << 16, 3600.0)
     s.lots.create_lot("bob", 1 << 16, 3600.0)
     lot3 = s.lots.create_lot("carol", 1 << 16, 3600.0)
     s.add_group("team", {"alice", "bob"})
-    s.mkdir("admin", "/a")
-    s.acl_set("admin", "/a", "group:team", "rwmidl")
-    s.mkdir("admin", "/b")
-    s.acl_set("admin", "/b", "carol", "rwmidl")
+    ns.mkdir("admin", "/a")
+    ns.acl_set("admin", "/a", "group:team", "rwmidl")
+    ns.mkdir("admin", "/b")
+    ns.acl_set("admin", "/b", "carol", "rwmidl")
     put(s, "alice", "/a/one", b"1" * 100)
     put(s, "bob", "/a/two", b"2" * 200)
     put(s, "carol", "/b/three", b"3" * 300)
-    s.rename("alice", "/a/one", "/a/uno")
-    s.delete("bob", "/a/two")
+    ns.rename("alice", "/a/one", "/a/uno")
+    ns.delete("bob", "/a/two")
     s.lots.renew(lot3.lot_id, 7200.0)
     s.lots.attach(lot3.lot_id, "/b")
     put(s, "carol", "/b/four", b"4" * 50)
@@ -52,11 +88,11 @@ def boot(state_dir, store, faults=None):
     return storage, manager, report
 
 
-def crash_workload(state_dir, store, plan) -> bool:
+def crash_workload(state_dir, store, plan, entry="direct") -> bool:
     """Run the workload under ``plan``; True when the crash fired."""
     storage, manager, _ = boot(state_dir, store, faults=plan)
     try:
-        run_workload(storage)
+        run_workload(storage, entry)
     except SimulatedCrash:
         return True
     finally:
@@ -98,25 +134,28 @@ def check_invariants(storage) -> None:
     for path, total in totals.items():
         assert path in sizes, f"charge for missing file {path}"
         assert total <= sizes[path], f"overcharge on {path}"
+    # 3. Every file's size is the length of its bytes in the store.
+    for path, size in sizes.items():
+        assert storage.store.size(path) == size, f"{path} lost bytes"
 
 
-def workload_record_count(tmp_path) -> int:
+def workload_record_count(tmp_path, entry="direct") -> int:
     store = MemoryStore()
-    storage, manager, _ = boot(tmp_path / "probe", store)
-    run_workload(storage)
+    storage, manager, _ = boot(tmp_path / f"probe-{entry}", store)
+    run_workload(storage, entry)
     n = manager.journal.last_seq
     manager.close(snapshot=False)
     return n
 
 
-def sweep(tmp_path, make_plan) -> int:
+def sweep(tmp_path, make_plan, entry="direct") -> int:
     """Crash at every record boundary; returns the number of points."""
-    total = workload_record_count(tmp_path)
+    total = workload_record_count(tmp_path, entry)
     assert total >= 25, f"workload too small for the sweep: {total}"
     for k in range(1, total + 1):
         state_dir = tmp_path / f"state{k}"
         store = MemoryStore()
-        crashed = crash_workload(state_dir, store, make_plan(k))
+        crashed = crash_workload(state_dir, store, make_plan(k), entry)
         assert crashed, f"fault at record {k} never fired"
 
         s2, m2, report = boot(state_dir, store)
@@ -148,6 +187,15 @@ def test_torn_write_at_every_record_boundary(tmp_path):
     assert n >= 25
 
 
+@pytest.mark.parametrize("make_plan", [DiskFaultPlan.crash_at_record,
+                                       DiskFaultPlan.torn_record],
+                         ids=["crash", "torn"])
+def test_every_record_boundary_over_the_wire(tmp_path, make_plan):
+    assert sweep(tmp_path, make_plan, entry="wire") >= 25
+
+
 def test_sweep_covers_fifty_points(tmp_path):
-    # The acceptance bar: both sweeps together cover >= 50 boundaries.
-    assert 2 * workload_record_count(tmp_path) >= 50
+    # The acceptance bar: both sweeps together cover >= 50 boundaries,
+    # on each entry point.
+    for entry in ENTRY_POINTS:
+        assert 2 * workload_record_count(tmp_path, entry) >= 50

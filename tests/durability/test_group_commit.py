@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.durability.journal import MetadataJournal
+from repro.durability.journal import BATCH_RECORDS, MetadataJournal
 from repro.durability.manager import DurabilityManager
 from repro.nest.storage import StorageManager
 
@@ -20,7 +20,7 @@ class TestAsyncSplit:
     def test_enqueue_then_wait_batches_into_one_flush(self, journal_path):
         """Records enqueued before anyone waits share a single
         write+fsync -- deterministically, no thread races needed."""
-        j = MetadataJournal(journal_path, batch_records=64)
+        j = MetadataJournal(journal_path)
         seqs = [j.append_async("mkdir", {"path": f"/d{i}"})
                 for i in range(50)]
         assert j.fsync_count == 0  # nothing durable yet
@@ -33,25 +33,17 @@ class TestAsyncSplit:
         j.close()
 
     def test_batch_size_cap_is_honoured(self, journal_path):
-        j = MetadataJournal(journal_path, batch_records=8)
+        j = MetadataJournal(journal_path)
+        total = 2 * BATCH_RECORDS + 1
         seqs = [j.append_async("mkdir", {"path": f"/d{i}"})
-                for i in range(20)]
+                for i in range(total)]
         j.wait_durable(seqs[-1])
-        assert j.fsync_count == 3  # ceil(20 / 8)
-        assert len(j.replay().records) == 20
-        j.close()
-
-    def test_wait_durable_noop_on_ungrouped_journal(self, journal_path):
-        j = MetadataJournal(journal_path, batch_records=1)
-        seq = j.append_async("mkdir", {"path": "/d"})
-        # append_async degraded to a full synchronous append.
-        assert j.fsync_count == 1 and j.last_seq == seq
-        j.wait_durable(seq)
-        assert j.fsync_count == 1
+        assert j.fsync_count == 3  # ceil(total / BATCH_RECORDS)
+        assert len(j.replay().records) == total
         j.close()
 
     def test_reset_refuses_while_records_pending(self, journal_path):
-        j = MetadataJournal(journal_path, batch_records=64)
+        j = MetadataJournal(journal_path)
         j.append_async("mkdir", {"path": "/a"})
         assert not j.reset_if_quiescent(j.last_seq)
         j.wait_durable(j.append_async("mkdir", {"path": "/b"}))
@@ -59,7 +51,7 @@ class TestAsyncSplit:
         j.close()
 
     def test_close_flushes_unwaited_records(self, journal_path):
-        j = MetadataJournal(journal_path, batch_records=64)
+        j = MetadataJournal(journal_path)
         seqs = [j.append_async("mkdir", {"path": f"/d{i}"})
                 for i in range(3)]
         j.close()
@@ -68,10 +60,7 @@ class TestAsyncSplit:
 
 
 class TestKnobValidation:
-    def test_negative_batch_delay_and_snapshot_every_refused(
-            self, tmp_path, journal_path):
-        with pytest.raises(ValueError):
-            MetadataJournal(journal_path, batch_delay=-0.001)
+    def test_negative_snapshot_every_refused(self, tmp_path):
         with pytest.raises(ValueError):
             DurabilityManager(str(tmp_path / "state"), snapshot_every=-1)
 
@@ -81,7 +70,7 @@ class TestConcurrentAppenders:
         """16 threads x 16 durable appends: far fewer fsyncs than
         records, no seq reused, and a fresh journal (the "crashed"
         process's successor) replays every one of them."""
-        j = MetadataJournal(journal_path, batch_records=64)
+        j = MetadataJournal(journal_path)
         per_thread, nthreads = 16, 16
         barrier = threading.Barrier(nthreads)
         acked: list[int] = []
@@ -153,9 +142,8 @@ class TestStorageIntegration:
 class TestLiveAppliance:
     def test_concurrent_puts_journal_two_records_each(self, tmp_path):
         """4 writers x 2 PUTs over Chirp into a durable appliance: every
-        PUT journals its begin and its commit, and the flusher (given a
-        2 ms dally so appenders can pile on) never syncs more often
-        than once per record."""
+        PUT journals its begin and its commit, and the flusher never
+        syncs more often than once per record."""
         from repro.client.chirp import ChirpClient
         from repro.nest.config import NestConfig
         from repro.nest.server import NestServer
@@ -168,7 +156,6 @@ class TestLiveAppliance:
         errors: list[BaseException] = []
         server = NestServer(config)
         server.durability.snapshot_every = 0
-        server.durability.journal.batch_delay = 0.002
         with server:
             endpoint = server.endpoint("chirp")
             barrier = threading.Barrier(writers)

@@ -1,0 +1,145 @@
+"""The one journal write path: fault plans act inside group commit, and
+the backing store is touched only after the records describing the
+change are durable."""
+
+from __future__ import annotations
+
+import errno
+import sys
+import threading
+
+import pytest
+
+from repro.durability import DurabilityManager
+from repro.durability.journal import JournalError, MetadataJournal
+from repro.faults.disk import DiskFaultPlan, SimulatedCrash
+from repro.nest.backends import MemoryStore
+from repro.nest.storage import StorageManager
+from repro.protocols.common import Request, RequestType, Status
+
+
+class TestFaultsInsideGroupCommit:
+    """Three records enqueued, then one waited on: the flush that
+    carries them consults the plan per record."""
+
+    @staticmethod
+    def enqueue_three(path, plan):
+        journal = MetadataJournal(path, fsync=False, faults=plan)
+        seqs = [journal.append_async("mkdir", {"path": f"/d{i}"})
+                for i in (1, 2, 3)]
+        journal.wait_durable(seqs[0])
+        return journal, seqs
+
+    @pytest.mark.parametrize("plan", [DiskFaultPlan.crash_at_record,
+                                      DiskFaultPlan.torn_record],
+                             ids=["crash", "torn"])
+    def test_a_crash_keeps_the_records_ahead_and_no_record_behind(
+            self, tmp_path, plan):
+        path = str(tmp_path / "journal.log")
+        journal, seqs = self.enqueue_three(path, plan(2))
+        assert journal.last_seq == seqs[0]
+        for seq in seqs[1:]:
+            with pytest.raises(SimulatedCrash):
+                journal.wait_durable(seq)
+        journal.close()  # a later close writes nothing behind the crash
+        replay = MetadataJournal(path).replay()
+        assert [r["path"] for r in replay.records] == ["/d1"]
+
+    def test_an_eio_fails_its_record_and_those_behind_it_only(
+            self, tmp_path):
+        path = str(tmp_path / "journal.log")
+        journal, seqs = self.enqueue_three(
+            path, DiskFaultPlan.eio_at_record(2))
+        for seq in seqs[1:]:
+            with pytest.raises(JournalError) as exc:
+                journal.wait_durable(seq)
+            assert exc.value.errno == errno.EIO
+        after = journal.append("mkdir", {"path": "/d4"})
+        assert journal.last_seq == after
+        journal.close()
+        replay = MetadataJournal(path).replay()
+        assert [r["path"] for r in replay.records] == ["/d1", "/d4"]
+        assert not replay.corrupt_tail
+
+    def test_concurrent_appenders_see_exactly_what_landed(self, tmp_path):
+        """16 threads append while record 40 fails: every acked record
+        is on disk and no failed one is."""
+        path = str(tmp_path / "journal.log")
+        journal = MetadataJournal(path, fsync=False,
+                                  faults=DiskFaultPlan.eio_at_record(40))
+        acked: list[int] = []
+        failed: list[BaseException] = []
+        barrier = threading.Barrier(16)
+
+        def writer(w):
+            barrier.wait(10)
+            for i in range(16):
+                try:
+                    acked.append(
+                        journal.append("mkdir", {"path": f"/{w}-{i}"}))
+                except JournalError as exc:
+                    failed.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,))
+                       for w in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert failed and len(acked) + len(failed) == 256
+        journal.close()
+        replay = MetadataJournal(path).replay()
+        assert sorted(r["seq"] for r in replay.records) == sorted(acked)
+
+
+class _EioFile:
+    """A journal file whose every write fails: the disk went away."""
+
+    closed = False
+
+    def write(self, data: bytes) -> int:
+        raise OSError(errno.EIO, "injected EIO")
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _boot(state_dir, store):
+    storage = StorageManager(store=store, capacity_bytes=1 << 20)
+    manager = DurabilityManager(str(state_dir))
+    manager.recover_into(storage)
+    return storage, manager
+
+
+@pytest.mark.parametrize("request_", [
+    Request(RequestType.RENAME, "/a/x", user="admin",
+            params={"new_path": "/a/y"}),
+    Request(RequestType.DELETE, "/a/x", user="admin"),
+], ids=["rename", "delete"])
+def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_):
+    """A durable journal with no fault plan, whose writes then fail
+    with EIO under a RENAME or DELETE on the wire path.  The request
+    fails, and because no byte moved ahead of its record, a restart
+    finds ``/a/x`` whole."""
+    store = MemoryStore()
+    storage, manager = _boot(tmp_path / "state", store)
+    storage.mkdir("admin", "/a")
+    ticket = storage.approve_put("admin", "/a/x", 5)
+    ticket.stream.write(b"hello")
+    ticket.settle(5)
+    manager.journal.close()
+    manager.journal._file = _EioFile()
+
+    assert storage.execute(request_).status is Status.SERVER_ERROR
+
+    restarted, _ = _boot(tmp_path / "state", store)
+    assert restarted.stat("admin", "/a/x")["size"] == 5
+    ticket = restarted.approve_get("admin", "/a/x")
+    assert ticket.stream.read(5) == b"hello"
+    ticket.settle(5)

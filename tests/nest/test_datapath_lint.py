@@ -1,5 +1,6 @@
-"""The door, socket-birth, one-accept-loop, shares-no-manager and
-one-periodic-loop rules of ``scripts/lint_datapath.py``."""
+"""The door, socket-birth, one-accept-loop, shares-no-manager,
+one-periodic-loop and one-journal-write-site rules of
+``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -228,3 +229,44 @@ class Periodic:
     flagged = [int(line.split(":")[1])
                for line in lint._loop_violations(source, "scanner.py")]
     assert sorted(flagged) == [9, 14, 27]
+
+
+def test_the_journal_file_has_one_write_site():
+    root = REPO / "src" / "repro"
+    journal = root / lint.JOURNAL_FILE
+    assert lint._journal_violations(journal, lint.JOURNAL_FILE) == []
+
+
+def test_a_second_journal_write_path_is_flagged(tmp_path):
+    source = tmp_path / "journal.py"
+    source.write_text('''
+import os
+
+
+class MetadataJournal:
+    def append(self, rtype, fields):
+        line = self._frame(rtype, fields)
+        self._file.write(line)                          # flagged
+        self._do_fsync()                                # flagged
+
+    def _flush_batch(self, batch):
+        self._file.write(b"".join(batch))
+        self._do_fsync()
+
+    def _faulty_write(self, rule, line):
+        self._file.write(line[:1])
+        self._do_fsync()
+
+    def _do_fsync(self):
+        os.fsync(self._file.fileno())
+
+
+class Replayer:
+    def _flush_batch(self, batch):
+        self._file.write(batch)                         # wrong class
+''')
+    flagged = sorted(
+        int(line.split(":")[1])
+        for line in lint._journal_violations(source, lint.JOURNAL_FILE))
+    assert flagged == [8, 9, 25]
+    assert lint._journal_violations(source, "durability/snapshot.py") == []
