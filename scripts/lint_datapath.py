@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Seven rules, enforced by AST walk (so docstrings and comments that merely
+Eight rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -64,6 +64,15 @@ calls.  Group commit is the only way a record reaches the journal
 file; a second write path (the record-at-a-time ``append`` that fault
 plans once took) is one the crash sweeps test instead of the one
 production runs.
+
+Rule 8: one commit site per journaled component.  In ``nest/storage.py``,
+``nest/lots.py``, ``replica/catalog.py`` and ``tier/store.py`` the call
+to the journal sink (``._emit(`` in storage, ``.journal(`` elsewhere)
+appears only in the component's ``_commit``, which applies the record
+through ``apply_record`` -- the function crash replay calls -- and then
+journals it.  A mutation that journals anywhere else has a second
+meaning for its record: live and replayed state drift apart, and a
+snapshot taken inside the record's own wait can miss the change.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -347,6 +356,30 @@ def _journal_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 8: journaled component file -> (its class, its journal sink).
+COMMIT_SITES = {
+    "nest/storage.py": ("StorageManager", "_emit"),
+    "nest/lots.py": ("LotManager", "journal"),
+    "replica/catalog.py": ("ReplicaCatalog", "journal"),
+    "tier/store.py": ("TieredStore", "journal"),
+}
+
+
+def _commit_violations(path: Path, rel: str) -> list[str]:
+    if rel not in COMMIT_SITES:
+        return []
+    cls, sink = COMMIT_SITES[rel]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = _inside(tree, cls, {"_commit"})
+    return [
+        f"{path}:{node.lineno}: .{sink}() outside {cls}._commit -- apply "
+        "the record through apply_record and journal it in _commit"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == sink and id(node) not in allowed
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -357,6 +390,7 @@ def main() -> int:
         problems.extend(_listener_violations(path, rel))
         problems.extend(_loop_violations(path, rel))
         problems.extend(_journal_violations(path, rel))
+        problems.extend(_commit_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

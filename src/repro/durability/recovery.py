@@ -5,9 +5,9 @@ Recovery is three passes over durable state:
 1. **install** the latest compacted snapshot (if any) into the storage
    manager -- namespace, ACLs, groups, lots, accounting;
 2. **replay** every intact journal record with ``seq`` beyond the
-   snapshot, applying each mutation *directly* onto the in-memory
-   structures (no ACL checks, no re-journaling -- history already
-   passed both);
+   snapshot through the components' own ``apply_record`` -- the
+   function each live mutation committed through (no ACL checks, no
+   re-journaling: history already passed both);
 3. **reconcile** what the journal could not know: a ``put_begin``
    without a matching ``put_commit`` is an interrupted transfer, so
    the file's true size is whatever the (atomic-write) backend holds
@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.nest.acl import Rights, default_acl
-from repro.nest.lots import LotError, LotState
+from repro.nest.lots import LotError
 from repro.nest.storage import (
     DirNode,
     FileNode,
@@ -91,12 +90,14 @@ def backend_size(store, path: str) -> int | None:
 
 
 class StorageReplayer:
-    """Applies replayed journal records onto a storage manager.
+    """Replays journal records into a storage manager.
 
-    One record type -> one ``_r_<type>`` method; unknown types return
-    False so the caller can route them elsewhere (replica records go
-    to the catalog).  Tracks ``put_begin`` brackets so unmatched ones
-    can be reconciled against the backend afterwards.
+    Each record is applied by :meth:`StorageManager.apply_record`, the
+    function the live mutation committed through; types it does not own
+    return False so the caller can route them elsewhere (replica
+    records go to the catalog).  What only recovery needs stays here:
+    the ``put_begin`` brackets left open, and the replayed renames whose
+    byte moves wait for the final namespace.
     """
 
     def __init__(self, storage: StorageManager):
@@ -109,53 +110,27 @@ class StorageReplayer:
 
     def apply(self, rec: dict[str, Any]) -> bool:
         """Apply one record; True when the type was a storage record."""
-        handler = getattr(self, "_r_" + str(rec.get("type")), None)
-        if handler is None:
+        rtype, path = rec.get("type"), rec.get("path", "")
+        renamed = self._node(path)[2] if rtype == "rename" else None
+        if not self.storage.apply_record(rec):
             return False
-        handler(rec)
+        if rtype == "put_begin":
+            self.pending_puts[path] = rec
+        elif rtype in ("put_commit", "delete"):
+            self.pending_puts.pop(path, None)
+        elif renamed is not None:
+            self.moves.append((renamed, path, rec["new_path"]))
         return True
 
-    # -- namespace ---------------------------------------------------------
     def _node(self, path: str) -> tuple[DirNode, str, Any]:
         parent, name = self.storage._parent_and_name(path)
         return parent, name, parent.children.get(name)
-
-    def _r_mkdir(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if node is None:
-            parent.children[name] = DirNode(
-                name=name,
-                acl=default_acl(rec.get("user", "admin"), self.storage.groups,
-                                self.storage.anonymous_rights))
-
-    def _r_rmdir(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if isinstance(node, DirNode):
-            del parent.children[name]
-
-    def _r_delete(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if isinstance(node, FileNode):
-            self.storage.used_bytes -= node.size
-            del parent.children[name]
-        self.pending_puts.pop(rec["path"], None)
-
-    def _r_rename(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if node is None:
-            return
-        new_parent, new_name = self.storage._parent_and_name(rec["new_path"])
-        del parent.children[name]
-        node.name = new_name
-        new_parent.children[new_name] = node
-        self.storage.lots.rename_charges(rec["path"], rec["new_path"])
-        self.moves.append((node, rec["path"], rec["new_path"]))
 
     def finish_moves(self) -> None:
         """Finish the replayed renames' byte moves, oldest first, once
         the namespace is final.
 
-        ``rename`` journals before touching the backend, so a crash
+        ``rename`` commits before touching the backend, so a crash
         between the two leaves the record durable but the bytes under
         the old path: the record wins.  A move that landed before the
         crash is skipped (:func:`move_bytes` finds no old copy), and so
@@ -170,98 +145,6 @@ class StorageReplayer:
             except OSError:
                 pass  # a sick disk must not abort recovery
         self.moves.clear()
-
-    def _r_file_reclaim(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if isinstance(node, FileNode):
-            self.storage.used_bytes -= node.size
-            del parent.children[name]
-
-    # -- ACLs and groups ---------------------------------------------------
-    def _r_acl_set(self, rec: dict) -> None:
-        node = self.storage._lookup(rec["path"])
-        if isinstance(node, DirNode):
-            node.acl.set_entry(rec["subject"], Rights.parse(rec["rights"]))
-
-    def _r_group_set(self, rec: dict) -> None:
-        self.storage.groups[rec["name"]] = set(rec.get("members", []))
-
-    # -- transfers ---------------------------------------------------------
-    def _r_put_begin(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        old_size = node.size if isinstance(node, FileNode) else 0
-        if isinstance(node, FileNode):
-            node.size = int(rec["size"])
-        else:
-            parent.children[name] = FileNode(
-                name=name, owner=rec.get("user", ""), size=int(rec["size"]))
-        self.storage.used_bytes += int(rec["size"]) - old_size
-        self.pending_puts[rec["path"]] = rec
-
-    def _r_put_commit(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if isinstance(node, FileNode):
-            actual = int(rec["size"])
-            self.storage.used_bytes += actual - node.size
-            node.size = actual
-        self.pending_puts.pop(rec["path"], None)
-
-    def _r_write(self, rec: dict) -> None:
-        parent, name, node = self._node(rec["path"])
-        if not isinstance(node, FileNode):
-            node = FileNode(name=name, owner=rec.get("user", ""), size=0)
-            parent.children[name] = node
-        size = int(rec["size"])
-        if size > node.size:
-            self.storage.used_bytes += size - node.size
-            node.size = size
-
-    # -- lots --------------------------------------------------------------
-    def _r_lot_create(self, rec: dict) -> None:
-        self.storage.lots.restore_lot(
-            lot_id=rec["lot_id"], owner=rec["owner"],
-            capacity=int(rec["capacity"]),
-            expires_at=float(rec["expires_at"]),
-            volatile=bool(rec.get("volatile", False)),
-            last_used=float(rec.get("last_used", 0.0)))
-
-    def _r_lot_renew(self, rec: dict) -> None:
-        lot = self.storage.lots.lots.get(rec["lot_id"])
-        if lot is not None:
-            lot.expires_at = float(rec["expires_at"])
-            lot.state = LotState(rec.get("state", "active"))
-
-    def _r_lot_delete(self, rec: dict) -> None:
-        self.storage.lots.lots.pop(rec["lot_id"], None)
-
-    def _r_lot_pin(self, rec: dict) -> None:
-        lot = self.storage.lots.lots.get(rec["lot_id"])
-        if lot is not None:
-            lot.pinned = bool(rec.get("pinned", False))
-
-    def _r_lot_attach(self, rec: dict) -> None:
-        self.storage.lots.attachments[rec["prefix"]] = rec["lot_id"]
-
-    def _r_lot_charge(self, rec: dict) -> None:
-        lot = self.storage.lots.lots.get(rec["lot_id"])
-        if lot is not None:
-            path = rec["path"]
-            lot.charges[path] = lot.charges.get(path, 0) + int(rec["nbytes"])
-            lot.last_used = float(rec.get("last_used", lot.last_used))
-
-    def _release(self, rec: dict) -> None:
-        lot = self.storage.lots.lots.get(rec["lot_id"])
-        if lot is None:
-            return
-        path = rec["path"]
-        left = lot.charges.get(path, 0) - int(rec["nbytes"])
-        if left > 0:
-            lot.charges[path] = left
-        else:
-            lot.charges.pop(path, None)
-
-    _r_lot_release = _release
-    _r_lot_reclaim = _release
 
     # -- reconciliation ----------------------------------------------------
     def reconcile_pending_puts(self) -> list[dict[str, Any]]:

@@ -122,9 +122,10 @@ class LotManager:
         #: to the attached lot first (Chirp's ``lot_attach``).
         self.attachments: dict[str, str] = {}
         self._next_id = 1
-        #: optional metadata-journal sink ``(rtype, **fields)``; every
-        #: durable mutation is emitted here so the durability layer can
-        #: rebuild lots after a crash (:mod:`repro.durability`).
+        #: optional metadata-journal sink ``(rtype, **fields)``;
+        #: :meth:`_commit` publishes every durable mutation here so the
+        #: durability layer can rebuild lots after a crash
+        #: (:mod:`repro.durability`).
         self.journal: Callable[..., Any] | None = None
         self._m_expired = None
         self._m_reclaimed_files = None
@@ -151,16 +152,28 @@ class LotManager:
             "nest_lot_used_bytes", self.total_used,
             "Bytes charged across all lots.")
 
-    def _emit(self, rtype: str, **fields) -> None:
-        """Publish one durable mutation to the bound journal sink.
+    def _commit(self, rtype: str, **fields) -> None:
+        """Apply one lot mutation through :meth:`apply_record`, then
+        publish it to the bound journal sink -- the one place either
+        happens, so replay runs the code the live verb ran.
 
         Expiry is deliberately *not* journaled: it is a pure function
         of ``expires_at`` vs the clock, so recovery re-derives it
         lazily -- which is exactly how a lot that expired while the
         server was down comes back BEST_EFFORT.
         """
+        self.apply_record({"type": rtype, **fields})
         if self.journal is not None:
             self.journal(rtype, **fields)
+
+    def apply_record(self, rec: dict[str, Any]) -> bool:
+        """Apply one lot record -- committed live, or replayed after a
+        crash; True when the type is a lot record."""
+        handler = getattr(self, "_r_" + str(rec.get("type")), None)
+        if handler is None:
+            return False
+        handler(rec)
+        return True
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -228,20 +241,11 @@ class LotManager:
                     )
                 self._reclaim(shortfall)
         now = self.clock()
-        lot = Lot(
-            lot_id=f"lot{self._next_id}",
-            owner=owner,
-            capacity=int(capacity),
-            expires_at=now + duration,
-            last_used=now,
-            volatile=volatile,
-        )
-        self._next_id += 1
-        self.lots[lot.lot_id] = lot
-        self._emit("lot_create", lot_id=lot.lot_id, owner=owner,
-                   capacity=lot.capacity, expires_at=lot.expires_at,
-                   volatile=volatile, last_used=now)
-        return lot
+        lot_id = f"lot{self._next_id}"
+        self._commit("lot_create", lot_id=lot_id, owner=owner,
+                     capacity=int(capacity), expires_at=now + duration,
+                     volatile=volatile, last_used=now)
+        return self.lots[lot_id]
 
     def renew(self, lot_id: str, duration: float, owner: str | None = None) -> Lot:
         """Extend a lot's duration; best-effort lots reactivate if the
@@ -254,18 +258,16 @@ class LotManager:
             )
             if lot.capacity > others:
                 raise LotError(f"cannot reactivate {lot_id}: space since promised away")
-            lot.state = LotState.ACTIVE
-        lot.expires_at = self.clock() + duration
-        self._emit("lot_renew", lot_id=lot.lot_id,
-                   expires_at=lot.expires_at, state=lot.state.value)
+        self._commit("lot_renew", lot_id=lot.lot_id,
+                     expires_at=self.clock() + duration,
+                     state=LotState.ACTIVE.value)
         return lot
 
     def delete_lot(self, lot_id: str, owner: str | None = None) -> list[str]:
         """Terminate a lot; returns paths whose only charge was here
         (candidates for deletion by the storage manager)."""
         lot = self._get(lot_id, owner)
-        del self.lots[lot.lot_id]
-        self._emit("lot_delete", lot_id=lot.lot_id)
+        self._commit("lot_delete", lot_id=lot.lot_id)
         orphans = []
         for path in lot.charges:
             if not any(path in other.charges for other in self.lots.values()):
@@ -318,17 +320,15 @@ class LotManager:
         """Bind a path prefix to a lot: future charges for files under
         ``prefix`` are packed into that lot first."""
         lot = self._get(lot_id, owner)
-        normalized = prefix.rstrip("/") or "/"
-        self.attachments[normalized] = lot.lot_id
-        self._emit("lot_attach", lot_id=lot.lot_id, prefix=normalized)
+        self._commit("lot_attach", lot_id=lot.lot_id,
+                     prefix=prefix.rstrip("/") or "/")
 
     def pin_lot(self, lot_id: str, pinned: bool = True,
                 owner: str | None = None) -> Lot:
         """Pin (or unpin) a lot: pinned lots' files are excluded from
         storage-tier demotion.  Journaled, so pins survive a crash."""
         lot = self._get(lot_id, owner)
-        lot.pinned = bool(pinned)
-        self._emit("lot_pin", lot_id=lot.lot_id, pinned=lot.pinned)
+        self._commit("lot_pin", lot_id=lot.lot_id, pinned=bool(pinned))
         return lot
 
     def is_pinned(self, path: str) -> bool:
@@ -377,11 +377,8 @@ class LotManager:
                 raise LotError(
                     f"user {owner!r} over quota: {used}+{nbytes} > {limit}"
                 )
-            lot = mine[0]
-            lot.charges[path] = lot.charges.get(path, 0) + nbytes
-            lot.last_used = now
-            self._emit("lot_charge", lot_id=lot.lot_id, path=path,
-                       nbytes=nbytes, last_used=now)
+            self._commit("lot_charge", lot_id=mine[0].lot_id, path=path,
+                         nbytes=nbytes, last_used=now)
             return
         # nest-managed: pack into lots with room, spanning if needed.
         # Check first so a failed charge leaves no partial state.
@@ -396,10 +393,8 @@ class LotManager:
             if room <= 0:
                 continue
             take = min(room, remaining)
-            lot.charges[path] = lot.charges.get(path, 0) + take
-            lot.last_used = now
-            self._emit("lot_charge", lot_id=lot.lot_id, path=path,
-                       nbytes=take, last_used=now)
+            self._commit("lot_charge", lot_id=lot.lot_id, path=path,
+                         nbytes=take, last_used=now)
             remaining -= take
             if remaining == 0:
                 return
@@ -427,20 +422,14 @@ class LotManager:
         for lot in self.lots.values():
             if path not in lot.charges:
                 continue
-            if remaining is None:
-                freed = lot.charges.pop(path)
-                self._emit("lot_release", lot_id=lot.lot_id, path=path,
-                           nbytes=freed)
-            else:
-                take = min(lot.charges[path], remaining)
-                lot.charges[path] -= take
+            take = lot.charges[path]
+            if remaining is not None:
+                take = min(take, remaining)
                 remaining -= take
-                if lot.charges[path] == 0:
-                    del lot.charges[path]
-                self._emit("lot_release", lot_id=lot.lot_id, path=path,
-                           nbytes=take)
-                if remaining == 0:
-                    return
+            self._commit("lot_release", lot_id=lot.lot_id, path=path,
+                         nbytes=take)
+            if remaining == 0:
+                return
 
     # ------------------------------------------------------------------
     # reclamation
@@ -466,9 +455,9 @@ class LotManager:
             if freed >= needed:
                 break
             for path in list(lot.charges):
-                nbytes = lot.charges.pop(path)
-                self._emit("lot_reclaim", lot_id=lot.lot_id, path=path,
-                           nbytes=nbytes)
+                nbytes = lot.charges[path]
+                self._commit("lot_reclaim", lot_id=lot.lot_id, path=path,
+                             nbytes=nbytes)
                 freed += nbytes
                 reclaimed_files += 1
                 if not any(path in other.charges for other in self.lots.values()):
@@ -476,8 +465,7 @@ class LotManager:
                 if freed >= needed:
                     break
             if not lot.charges:
-                del self.lots[lot.lot_id]
-                self._emit("lot_delete", lot_id=lot.lot_id)
+                self._commit("lot_delete", lot_id=lot.lot_id)
         if reclaimed_files and self._m_reclaimed_files is not None:
             self._m_reclaimed_files.inc(reclaimed_files)
             self._m_reclaimed_bytes.inc(freed)
@@ -487,7 +475,8 @@ class LotManager:
         return sum(l.used for l in self.lots.values())
 
     # ------------------------------------------------------------------
-    # durability (snapshot serialization + journal-replay restore)
+    # durability: one apply function per lot record type, run by
+    # _commit live and by crash replay; snapshot serialize + restore
     # ------------------------------------------------------------------
     def serialize(self) -> dict:
         """JSON-able full state for a compacted snapshot."""
@@ -515,39 +504,66 @@ class LotManager:
         references -- gauges, the storage manager -- stay valid)."""
         self.lots.clear()
         for doc in data["lots"]:
-            self.restore_lot(
-                lot_id=doc["lot_id"], owner=doc["owner"],
-                capacity=int(doc["capacity"]),
-                expires_at=float(doc["expires_at"]),
-                state=doc.get("state", LotState.ACTIVE.value),
-                volatile=bool(doc.get("volatile", False)),
-                pinned=bool(doc.get("pinned", False)),
-                last_used=float(doc.get("last_used", 0.0)),
-                charges={p: int(n) for p, n in doc.get("charges", {}).items()},
-            )
+            self._r_lot_create(doc)
         self.attachments.clear()
         self.attachments.update(data.get("attachments", {}))
         self._next_id = max(self._next_id, int(data.get("next_id", 1)))
 
-    def restore_lot(self, *, lot_id: str, owner: str, capacity: int,
-                    expires_at: float, state: str = "active",
-                    volatile: bool = False, pinned: bool = False,
-                    last_used: float = 0.0,
-                    charges: dict[str, int] | None = None) -> Lot:
-        """Re-create one lot exactly as journaled (replay path; no
-        space checks -- the original create already passed them)."""
+    def _r_lot_create(self, rec: dict) -> None:
+        """Create one lot exactly as recorded -- a ``lot_create`` record
+        or a snapshot's lot document (no space checks: the live
+        ``create_lot`` made them before committing)."""
         lot = Lot(
-            lot_id=lot_id, owner=owner, capacity=int(capacity),
-            expires_at=expires_at, state=LotState(state),
-            volatile=volatile, pinned=pinned, last_used=last_used,
+            lot_id=rec["lot_id"], owner=rec["owner"],
+            capacity=int(rec["capacity"]),
+            expires_at=float(rec["expires_at"]),
+            state=LotState(rec.get("state", LotState.ACTIVE.value)),
+            volatile=bool(rec.get("volatile", False)),
+            pinned=bool(rec.get("pinned", False)),
+            last_used=float(rec.get("last_used", 0.0)),
+            charges={p: int(n) for p, n in rec.get("charges", {}).items()},
         )
-        if charges:
-            lot.charges.update(charges)
-        self.lots[lot_id] = lot
+        self.lots[lot.lot_id] = lot
         # Never re-mint an id that history already used.
-        if lot_id.startswith("lot"):
+        if lot.lot_id.startswith("lot"):
             try:
-                self._next_id = max(self._next_id, int(lot_id[3:]) + 1)
+                self._next_id = max(self._next_id, int(lot.lot_id[3:]) + 1)
             except ValueError:
                 pass
-        return lot
+
+    def _r_lot_renew(self, rec: dict) -> None:
+        lot = self.lots.get(rec["lot_id"])
+        if lot is not None:
+            lot.expires_at = float(rec["expires_at"])
+            lot.state = LotState(rec.get("state", LotState.ACTIVE.value))
+
+    def _r_lot_delete(self, rec: dict) -> None:
+        self.lots.pop(rec["lot_id"], None)
+
+    def _r_lot_pin(self, rec: dict) -> None:
+        lot = self.lots.get(rec["lot_id"])
+        if lot is not None:
+            lot.pinned = bool(rec.get("pinned", False))
+
+    def _r_lot_attach(self, rec: dict) -> None:
+        self.attachments[rec["prefix"]] = rec["lot_id"]
+
+    def _r_lot_charge(self, rec: dict) -> None:
+        lot = self.lots.get(rec["lot_id"])
+        if lot is not None:
+            path = rec["path"]
+            lot.charges[path] = lot.charges.get(path, 0) + int(rec["nbytes"])
+            lot.last_used = float(rec.get("last_used", lot.last_used))
+
+    def _r_lot_release(self, rec: dict) -> None:
+        lot = self.lots.get(rec["lot_id"])
+        if lot is None:
+            return
+        path = rec["path"]
+        left = lot.charges.get(path, 0) - int(rec["nbytes"])
+        if left > 0:
+            lot.charges[path] = left
+        else:
+            lot.charges.pop(path, None)
+
+    _r_lot_reclaim = _r_lot_release

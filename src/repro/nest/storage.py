@@ -249,8 +249,10 @@ class StorageManager:
         failure surfaces as one typed :class:`StorageError`
         everywhere.
 
-        Write-ahead rule: a mutation's records are durable before it
-        is acknowledged *and* before the backing store is touched.
+        Apply, then journal: every mutation reaches memory and the
+        journal together, through :meth:`_commit`.  Write-ahead rule:
+        a mutation's records are durable before it is acknowledged
+        *and* before the backing store is touched.
         Ops enqueue while holding the storage lock and wait in
         :meth:`_op`'s exit, after the lock is released, so concurrent
         mutators share one group-commit flush; an op that moves or
@@ -282,6 +284,27 @@ class StorageManager:
                 waits.append(seq)
         except OSError as exc:
             raise self._journal_failure(exc) from exc
+
+    def _commit(self, rtype: str, **fields) -> None:
+        """Apply one durable mutation through :meth:`apply_record`, then
+        journal it (:meth:`_emit`).  Crash replay calls the same
+        ``apply_record``, so a record means one thing live and after a
+        restart; and because the change is in memory before its record
+        is queued, a snapshot taken inside the record's own durability
+        wait already holds it."""
+        self.apply_record({"type": rtype, **fields})
+        self._emit(rtype, **fields)
+
+    def apply_record(self, rec: dict[str, Any]) -> bool:
+        """Apply one journal record -- committed live, or replayed after
+        a crash (no ACL or space checks: the live verb made them before
+        committing).  Lot records go to the lot manager.  True when the
+        type was a storage or lot record."""
+        handler = getattr(self, "_r_" + str(rec.get("type")), None)
+        if handler is None:
+            return self.lots.apply_record(rec)
+        handler(rec)
+        return True
 
     def _await_durable(self) -> None:
         """Block until every record the running op enqueued is on disk.
@@ -384,15 +407,7 @@ class StorageManager:
 
     def _reclaim_file(self, path: str) -> None:
         """Best-effort lot reclamation: delete the file's data + metadata."""
-        try:
-            parent, name = self._parent_and_name(path)
-            node = parent.children.get(name)
-            if isinstance(node, FileNode):
-                self.used_bytes -= node.size
-                del parent.children[name]
-        except StorageError:
-            pass
-        self._emit("file_reclaim", path=path)
+        self._commit("file_reclaim", path=path)
         self._await_durable()
         self.store.delete(path)
         self.invalidate(path)
@@ -407,10 +422,7 @@ class StorageManager:
             self._check(parent.acl, user, "i")
             if name in parent.children:
                 raise StorageError(Status.EXISTS, path)
-            parent.children[name] = DirNode(
-                name=name, acl=default_acl(user, self.groups, self.anonymous_rights)
-            )
-            self._emit("mkdir", user=user, path=path)
+            self._commit("mkdir", user=user, path=path)
 
     def rmdir(self, user: str, path: str) -> None:
         """Remove an empty directory; requires delete on the parent."""
@@ -424,8 +436,7 @@ class StorageManager:
                 raise StorageError(Status.NOT_DIR, path)
             if node.children:
                 raise StorageError(Status.NOT_EMPTY, path)
-            del parent.children[name]
-            self._emit("rmdir", path=path)
+            self._commit("rmdir", path=path)
             self.invalidate(path)
 
     def listdir(self, user: str, path: str) -> list[dict[str, Any]]:
@@ -463,13 +474,12 @@ class StorageManager:
                 raise StorageError(Status.NOT_FOUND, path)
             if isinstance(node, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            # Journal first: a crash right after leaves an orphan
-            # charge, which recovery reconciles; the reverse order
-            # would leave a phantom released-but-present file.
-            self._emit("delete", path=path)
-            self.used_bytes -= node.size
+            # The file goes before its charges: a crash between the
+            # records leaves an orphan charge, which recovery
+            # reconciles; the reverse order would leave a phantom
+            # released-but-present file.
+            self._commit("delete", path=path)
             self.lots.release(path)
-            del parent.children[name]
             self._await_durable()
             self.store.delete(path)
             self.invalidate(path)
@@ -492,13 +502,9 @@ class StorageManager:
                 # neither name would resolve afterwards.
                 raise StorageError(Status.BAD_REQUEST,
                                    f"{new_path} is inside {path}")
-            del parent.children[name]
-            node.name = new_name
-            new_parent.children[new_name] = node
-            self.lots.rename_charges(path, new_path)
             # Durable before moving the bytes: if a crash interrupts
             # the move, replay finishes it (StorageReplayer.finish_moves).
-            self._emit("rename", path=path, new_path=new_path)
+            self._commit("rename", path=path, new_path=new_path)
             self._await_durable()
             move_bytes(self.store, node, path, new_path)
             # The old name no longer resolves (and for directories the
@@ -525,12 +531,10 @@ class StorageManager:
                 raise StorageError(Status.NOT_DIR, path)
             self._check(node.acl, user, "a")
             try:
-                parsed = Rights.parse(rights)
-                node.acl.set_entry(subject, parsed)
+                self._commit("acl_set", path=path, subject=subject,
+                             rights=str(Rights.parse(rights)))
             except AclError as exc:
                 raise StorageError(Status.BAD_REQUEST, str(exc)) from exc
-            self._emit("acl_set", path=path, subject=subject,
-                       rights=str(parsed))
 
     def acl_get(self, user: str, path: str) -> list[tuple[str, str]]:
         """Read a directory's ACL; requires lookup."""
@@ -544,8 +548,7 @@ class StorageManager:
     def add_group(self, name: str, members: set[str]) -> None:
         """Define or replace a user group."""
         with self._lock:
-            self.groups[name] = set(members)
-            self._emit("group_set", name=name, members=sorted(members))
+            self._commit("group_set", name=name, members=sorted(members))
 
     # ------------------------------------------------------------------
     # transfer approval (paper: storage manager synchronously approves,
@@ -587,13 +590,8 @@ class StorageManager:
             declared = max(0, length)
             old_size = existing.size if existing else 0
             self._charge(user, path, declared - old_size)
-            if existing is None:
-                parent.children[name] = FileNode(name=name, owner=user, size=declared)
-            else:
-                existing.size = declared
-            self.used_bytes += declared - old_size
-            self._emit("put_begin", user=user, path=path, size=declared,
-                       old_size=old_size, existed=existing is not None)
+            self._commit("put_begin", user=user, path=path, size=declared,
+                         old_size=old_size, existed=existing is not None)
             if declared < old_size:
                 # Overwriting with less: the lot gets the shrinkage
                 # back now, so its charge tracks the node's size just
@@ -607,8 +605,7 @@ class StorageManager:
         return TransferTicket(
             path=path, user=user, size=declared,
             stream=self.store.open_write(path), is_write=True,
-            on_settle=lambda ticket, actual: self._settle_put(
-                ticket, declared, actual),
+            on_settle=self._settle_put,
         )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
@@ -618,17 +615,13 @@ class StorageManager:
             existing = parent.children.get(name)
             if isinstance(existing, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            if existing is None:
-                self._check(parent.acl, user, "i")
-                existing = FileNode(name=name, owner=user, size=0)
-                parent.children[name] = existing
-            else:
-                self._check(parent.acl, user, "w")
-            growth = max(0, offset + length - existing.size)
+            self._check(parent.acl, user, "i" if existing is None else "w")
+            size = existing.size if existing is not None else 0
+            growth = max(0, offset + length - size)
+            # A refused charge leaves no file behind: the node is made
+            # by the commit, as replay makes it.
             self._charge(user, path, growth)
-            existing.size += growth
-            self.used_bytes += growth
-            self._emit("write", user=user, path=path, size=existing.size)
+            self._commit("write", user=user, path=path, size=size + growth)
         stream = self.store.open_update(path)
         stream.seek(offset)
         return TransferTicket(
@@ -667,30 +660,107 @@ class StorageManager:
             except LotError as exc:
                 raise StorageError(Status.NO_SPACE, str(exc)) from exc
 
-    def _settle_put(self, ticket: TransferTicket, declared: int, actual: int) -> None:
-        """Reconcile declared vs actual size after a put completes."""
-        with self._op("commit_put", ticket.path), self._lock:
+    def _settle_put(self, ticket: TransferTicket, actual: int) -> None:
+        """Commit a finished put at its actual size.  The lot delta is
+        taken from the node's current size, so whichever put settles
+        last leaves size, accounting and charges agreeing."""
+        path = ticket.path
+        with self._op("commit_put", path), self._lock:
+            found = self._file(path)
+            delta = actual - found[2].size if found is not None else 0
             # The commit record closes the put_begin bracket: recovery
             # treats an unmatched put_begin as an interrupted transfer.
-            self._emit("put_commit", path=ticket.path, size=actual)
-            if actual == declared:
-                return
-            try:
-                parent, name = self._parent_and_name(ticket.path)
-            except StorageError:
-                return
-            node = parent.children.get(name)
-            if not isinstance(node, FileNode):
-                return
-            delta = actual - declared
-            node.size = actual
-            self.used_bytes += delta
+            self._commit("put_commit", path=path, size=actual)
             if delta < 0:
-                self.lots.release(ticket.path, -delta)
-            elif self.require_lots:
+                self.lots.release(path, -delta)
+            elif delta > 0 and self.require_lots:
                 # Under-declared: charge the remainder (may raise; the
                 # transfer manager reports the failure to the client).
-                self.lots.charge(ticket.user, ticket.path, delta)
+                self.lots.charge(ticket.user, path, delta)
+
+    # ------------------------------------------------------------------
+    # journal records: one apply function per type, run by _commit on
+    # the live path and by apply_record during crash replay
+    # ------------------------------------------------------------------
+    def _file(self, path: str) -> "tuple[DirNode, str, FileNode] | None":
+        """The file at ``path`` with its parent and name; None when
+        there is none, its parent directory gone included."""
+        try:
+            parent, name = self._parent_and_name(path)
+        except StorageError:
+            return None
+        node = parent.children.get(name)
+        return (parent, name, node) if isinstance(node, FileNode) else None
+
+    def _r_mkdir(self, rec: dict) -> None:
+        parent, name = self._parent_and_name(rec["path"])
+        if name not in parent.children:
+            parent.children[name] = DirNode(
+                name=name, acl=default_acl(rec.get("user", "admin"),
+                                           self.groups, self.anonymous_rights))
+
+    def _r_rmdir(self, rec: dict) -> None:
+        parent, name = self._parent_and_name(rec["path"])
+        if isinstance(parent.children.get(name), DirNode):
+            del parent.children[name]
+
+    def _r_file_reclaim(self, rec: dict) -> None:
+        found = self._file(rec["path"])
+        if found is not None:
+            parent, name, node = found
+            self.used_bytes -= node.size
+            del parent.children[name]
+
+    _r_delete = _r_file_reclaim
+
+    def _r_rename(self, rec: dict) -> None:
+        parent, name = self._parent_and_name(rec["path"])
+        node = parent.children.get(name)
+        if node is None:
+            return
+        new_parent, new_name = self._parent_and_name(rec["new_path"])
+        del parent.children[name]
+        node.name = new_name
+        new_parent.children[new_name] = node
+        self.lots.rename_charges(rec["path"], rec["new_path"])
+
+    def _r_acl_set(self, rec: dict) -> None:
+        node = self._lookup(rec["path"])
+        if isinstance(node, DirNode):
+            node.acl.set_entry(rec["subject"], Rights.parse(rec["rights"]))
+
+    def _r_group_set(self, rec: dict) -> None:
+        self.groups[rec["name"]] = set(rec.get("members", []))
+
+    def _r_put_begin(self, rec: dict) -> None:
+        parent, name = self._parent_and_name(rec["path"])
+        node = parent.children.get(name)
+        size = int(rec["size"])
+        if isinstance(node, FileNode):
+            self.used_bytes += size - node.size
+            node.size = size
+        else:
+            parent.children[name] = FileNode(
+                name=name, owner=rec.get("user", ""), size=size)
+            self.used_bytes += size
+
+    def _r_put_commit(self, rec: dict) -> None:
+        found = self._file(rec["path"])
+        if found is not None:
+            node = found[2]
+            self.used_bytes += int(rec["size"]) - node.size
+            node.size = int(rec["size"])
+
+    def _r_write(self, rec: dict) -> None:
+        parent, name = self._parent_and_name(rec["path"])
+        node = parent.children.get(name)
+        if not isinstance(node, FileNode):
+            node = parent.children[name] = FileNode(
+                name=name, owner=rec.get("user", ""))
+        size = int(rec["size"])
+        if size > node.size:
+            self.used_bytes += size - node.size
+            node.size = size
 
     # ------------------------------------------------------------------
     # request execution (the dispatcher's synchronous path)

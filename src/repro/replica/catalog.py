@@ -104,7 +104,12 @@ class ReplicaCatalog:
             "Replica copies currently in the valid state.")
 
     # -- mutation ----------------------------------------------------------
-    def _emit(self, rtype: str, **fields) -> None:
+    def _commit(self, rtype: str, **fields) -> None:
+        """Apply one mutation through :meth:`apply_record`, then journal
+        it: replay applies the same record through the same function.
+        The catalog lock is released before the sink runs (a snapshot
+        it triggers serializes the catalog)."""
+        self.apply_record({"type": rtype, **fields})
         if self.journal is not None:
             self.journal(rtype, **fields)
 
@@ -113,13 +118,10 @@ class ReplicaCatalog:
         """Record a (new or replacing) replica of ``logical`` on ``site``."""
         if state not in _STATES:
             raise ValueError(f"unknown replica state {state!r}")
-        now = self.clock()
-        replica = Replica(site=site, path=path, state=state, size=size,
-                          registered_at=now, state_changed_at=now)
+        self._commit("replica_register", logical=logical, site=site,
+                     path=path, size=size, state=state)
         with self._lock:
-            self._sets.setdefault(logical, {})[site] = replica
-        self._emit("replica_register", logical=logical, site=site,
-                   path=path, size=size, state=state)
+            replica = self._sets.get(logical, {}).get(site)
         self._m_transitions.inc(state=state)
         self._readvertise(logical)
         return replica
@@ -129,16 +131,10 @@ class ReplicaCatalog:
                     size: Optional[int] = None) -> Replica:
         with self._lock:
             replica = self._sets.get(logical, {}).get(site)
-            if replica is None:
-                raise KeyError(f"no replica of {logical!r} on {site!r}")
-            replica.state = state
-            replica.state_changed_at = self.clock()
-            if checksum is not None:
-                replica.checksum = checksum
-            if size is not None:
-                replica.size = size
-        self._emit("replica_state", logical=logical, site=site, state=state,
-                   checksum=checksum, size=size)
+        if replica is None:
+            raise KeyError(f"no replica of {logical!r} on {site!r}")
+        self._commit("replica_state", logical=logical, site=site,
+                     state=state, checksum=checksum, size=size)
         self._m_transitions.inc(state=state)
         self._readvertise(logical)
         return replica
@@ -155,29 +151,17 @@ class ReplicaCatalog:
 
     def drop(self, logical: str, site: str) -> None:
         """Remove the record of ``logical``'s copy on ``site``."""
-        with self._lock:
-            replicas = self._sets.get(logical)
-            if replicas is not None:
-                replicas.pop(site, None)
-                if not replicas:
-                    del self._sets[logical]
-        self._emit("replica_drop", logical=logical, site=site)
+        self._commit("replica_drop", logical=logical, site=site)
         self._readvertise(logical)
 
     def drop_site(self, site: str) -> int:
         """Remove every replica recorded on ``site`` (site decommission);
         returns how many were dropped."""
-        touched: list[str] = []
         with self._lock:
-            for logical, replicas in list(self._sets.items()):
-                if site in replicas:
-                    del replicas[site]
-                    touched.append(logical)
-                    if not replicas:
-                        del self._sets[logical]
+            touched = [logical for logical, replicas in self._sets.items()
+                       if site in replicas]
         for logical in touched:
-            self._emit("replica_drop", logical=logical, site=site)
-            self._readvertise(logical)
+            self.drop(logical, site)
         return len(touched)
 
     # -- durability (snapshot + journal replay; see repro.durability) ------
@@ -210,8 +194,10 @@ class ReplicaCatalog:
                         registered_at=at, state_changed_at=at)
 
     def apply_record(self, rec: dict[str, Any]) -> bool:
-        """Apply one replayed journal record; returns whether the type
-        was ours.  Never re-emits or advertises -- replay is silent."""
+        """Apply one journal record -- committed live by :meth:`_commit`,
+        or replayed after a crash; returns whether the type was ours.
+        Never journals or advertises: the live verb does both around
+        it, and replay is silent."""
         rtype = rec.get("type")
         if rtype == "replica_register":
             at = self.clock()
@@ -227,6 +213,7 @@ class ReplicaCatalog:
                 replica = self._sets.get(rec["logical"], {}).get(rec["site"])
                 if replica is not None:
                     replica.state = rec.get("state", replica.state)
+                    replica.state_changed_at = self.clock()
                     if rec.get("checksum") is not None:
                         replica.checksum = rec["checksum"]
                     if rec.get("size") is not None:

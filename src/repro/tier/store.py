@@ -258,23 +258,20 @@ class TieredStore:
             return self.residency.get(path, HOT)
 
     def _set_state(self, path: str, state: str) -> None:
-        """Journal, then apply, one residency transition.  Journal
-        first: a crash after the append but before the map update is
-        identical (for recovery) to one right after both."""
+        """Commit one residency transition (:meth:`_commit`)."""
         if state not in _STATES:
             raise ValueError(f"unknown residency state {state!r}")
-        if self.journal is not None:
-            self.journal("tier_state", path=path, state=state)
-        if state == HOT:
-            self.residency.pop(path, None)
-        else:
-            self.residency[path] = state
+        self._commit("tier_state", path=path, state=state)
 
-    def _drop_state(self, path: str) -> None:
-        if path in self.residency or self.journal is not None:
-            if self.journal is not None:
-                self.journal("tier_drop", path=path)
-            self.residency.pop(path, None)
+    def _commit(self, rtype: str, **fields) -> None:
+        """Apply one residency record through :meth:`apply_record`, then
+        journal it.  Applied first, so a snapshot taken inside the
+        record's own durability wait already holds it (a COLD record's
+        snapshot must not capture MIGRATING); the bytes move only after
+        the sink returns, so the record is still durable before them."""
+        self.apply_record({"type": rtype, **fields})
+        if self.journal is not None:
+            self.journal(rtype, **fields)
 
     # ------------------------------------------------------------------
     # DataStore protocol
@@ -314,7 +311,7 @@ class TieredStore:
             state = self.residency.get(path, HOT)
             if state != HOT:
                 self._cold_bytes -= self.cold.size(path)
-            self._drop_state(path)
+            self._commit("tier_drop", path=path)
             self.fast.delete(path)
             self.cold.delete(path)
 
@@ -465,7 +462,8 @@ class TieredStore:
                     self.residency[path] = st
 
     def apply_record(self, rec: dict[str, Any]) -> bool:
-        """Apply one replayed journal record; True when it was ours."""
+        """Apply one journal record -- committed live by :meth:`_commit`,
+        or replayed after a crash; True when it was ours."""
         rtype = str(rec.get("type", ""))
         if rtype == "tier_state":
             state = rec.get("state")

@@ -1,0 +1,165 @@
+"""A journal record means one thing: the state a live appliance holds
+equals the state crash replay rebuilds from its journal.
+
+Two halves.  A snapshot taken inside a record's own durability wait must
+already hold that record's change, or recovery skips the record and
+resurrects what it undid (a deleted file, a migration's MIGRATING
+residency).  And with no snapshot at all, recovering fresh instances
+from a run's journal must give back the live run's storage, catalog and
+tier state exactly -- including the runs where the live verb once did
+something other than its record says (two PUTs of one path settling out
+of order, an NFS write refused for lack of a lot).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.durability import DurabilityManager
+from repro.nest.backends import MemoryStore
+from repro.nest.storage import StorageManager
+from repro.obs.metrics import MetricsRegistry
+from repro.protocols.common import Status, StorageError
+from repro.replica.catalog import VALID, ReplicaCatalog
+from repro.tier.demo import _PAYLOADS, _put, _tier_workload
+from repro.tier.store import COLD, TieredStore
+from tests.durability.test_crash_sweep import ENTRY_POINTS, put, run_workload
+
+CAPACITY = 1 << 20
+
+
+def clock() -> float:
+    return 1000.0
+
+
+class Appliance:
+    """Storage (over ``store``, or a tiered store over ``tiers``) and an
+    optional replica catalog, recovered from ``state_dir``."""
+
+    def __init__(self, state_dir, *, store=None, tiers=None,
+                 require_lots=False, catalog=False, snapshot_every=0):
+        self.state_dir = str(state_dir)
+        self.args = dict(store=store, tiers=tiers, require_lots=require_lots,
+                         catalog=catalog)
+        self.tier = TieredStore(*tiers) if tiers else None
+        self.catalog = (ReplicaCatalog(clock=clock, registry=MetricsRegistry())
+                        if catalog else None)
+        self.storage = StorageManager(
+            store=self.tier or store, clock=clock, capacity_bytes=CAPACITY,
+            require_lots=require_lots)
+        self.manager = DurabilityManager(self.state_dir, fsync=False,
+                                         snapshot_every=snapshot_every)
+        self.manager.recover_into(self.storage, catalog=self.catalog,
+                                  tier=self.tier)
+
+    def state(self) -> tuple:
+        return (self.storage.serialize_state(),
+                self.catalog.serialize() if self.catalog else None,
+                self.tier.serialize() if self.tier else None)
+
+    def restart(self) -> "Appliance":
+        """Crash -- the journal file closes, no shutdown snapshot -- and
+        recover fresh instances from the same state and stores."""
+        self.manager.journal.close()
+        return Appliance(self.state_dir, **self.args)
+
+
+def assert_replay_equals_live(live: Appliance) -> Appliance:
+    state = live.state()
+    again = live.restart()
+    assert again.state() == state
+    again.manager.close(snapshot=False)
+    return again
+
+
+# -- a snapshot inside a record's own wait ---------------------------------
+@pytest.mark.parametrize("every", [1, 2, 3, 4])
+def test_a_direct_delete_stays_deleted_whatever_snapshots(tmp_path, every):
+    store = MemoryStore()
+    live = Appliance(tmp_path, store=store, snapshot_every=every)
+    live.storage.mkdir("admin", "/a")
+    put(live.storage, "admin", "/a/x", b"hello")
+    live.storage.delete("admin", "/a/x")
+    again = live.restart()
+    assert not again.storage.exists("/a/x")
+    assert again.storage.used_bytes == 0
+    again.manager.close(snapshot=False)
+
+
+@pytest.mark.parametrize("every", range(1, 7))
+def test_a_migrated_file_keeps_its_bytes_whatever_snapshots(tmp_path, every):
+    fast, cold = MemoryStore(), MemoryStore()
+    live = Appliance(tmp_path, tiers=(fast, cold), snapshot_every=every)
+    live.storage.mkdir("anonymous", "/data")
+    _put(live.storage, "/data/alpha", _PAYLOADS["/data/alpha"])
+    live.tier.migrate("/data/alpha")
+    again = live.restart()
+    assert again.tier.state_of("/data/alpha") == COLD
+    assert cold.exists("/data/alpha")
+    ticket = again.storage.approve_get("anonymous", "/data/alpha")
+    got = bytearray()
+    while chunk := ticket.stream.read(4096):
+        got += chunk
+    ticket.stream.close()
+    assert bytes(got) == _PAYLOADS["/data/alpha"]
+    again.manager.close(snapshot=False)
+
+
+# -- no snapshot: replay rebuilds the live state ---------------------------
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_the_crash_sweep_workload(tmp_path, entry):
+    live = Appliance(tmp_path, store=MemoryStore(), require_lots=True)
+    run_workload(live.storage, entry)
+    assert_replay_equals_live(live)
+
+
+def test_the_tier_workload(tmp_path):
+    live = Appliance(tmp_path, tiers=(MemoryStore(), MemoryStore()))
+    _tier_workload(live.storage, live.tier)
+    assert_replay_equals_live(live)
+
+
+def test_the_catalog(tmp_path):
+    live = Appliance(tmp_path, store=MemoryStore(), catalog=True)
+    catalog = live.catalog
+    catalog.register("f1", "s1", "/r/f1", size=10)
+    catalog.register("f1", "s2", "/r/f1", size=10)
+    catalog.register("f2", "s1", "/r/f2")
+    catalog.mark_valid("f1", "s1", checksum=0xABCD, size=10)
+    catalog.mark_suspect("f1", "s2")
+    catalog.mark_valid("f2", "s1", size=3)
+    assert catalog.drop_site("s1") == 2
+    catalog.register("f3", "s2", "/r/f3", state=VALID)
+    assert_replay_equals_live(live)
+
+
+@pytest.mark.parametrize("require_lots", [False, True],
+                         ids=["raw", "lots"])
+def test_two_puts_of_one_path_settling_out_of_order(tmp_path, require_lots):
+    store = MemoryStore()
+    live = Appliance(tmp_path, store=store, require_lots=require_lots)
+    storage = live.storage
+    if require_lots:
+        storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    a = storage.approve_put("admin", "/f", 10)
+    b = storage.approve_put("admin", "/f", 20)
+    b.stream.write(b"B" * 20)
+    b.settle(20)
+    a.stream.write(b"A" * 10)
+    a.settle(10)
+    # The store holds the last closer's bytes; the namespace, the
+    # accounting and the lot follow the last settle.
+    assert store.size("/f") == 10
+    assert storage.stat("admin", "/f")["size"] == 10
+    assert storage.used_bytes == 10
+    assert storage.lots.total_used() == (10 if require_lots else 0)
+    assert_replay_equals_live(live)
+
+
+def test_a_refused_nfs_write_leaves_no_file(tmp_path):
+    live = Appliance(tmp_path, store=MemoryStore(), require_lots=True)
+    with pytest.raises(StorageError) as refused:
+        live.storage.approve_write("admin", "/w", 0, 10)
+    assert refused.value.status is Status.NO_SPACE
+    assert not live.storage.exists("/w")
+    assert_replay_equals_live(live)

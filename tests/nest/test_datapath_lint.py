@@ -1,5 +1,5 @@
 """The door, socket-birth, one-accept-loop, shares-no-manager,
-one-periodic-loop and one-journal-write-site rules of
+one-periodic-loop, one-journal-write-site and one-commit-site rules of
 ``scripts/lint_datapath.py``."""
 
 import importlib.util
@@ -270,3 +270,54 @@ class Replayer:
         for line in lint._journal_violations(source, lint.JOURNAL_FILE))
     assert flagged == [8, 9, 25]
     assert lint._journal_violations(source, "durability/snapshot.py") == []
+
+
+def test_each_journaled_component_has_one_commit_site():
+    root = REPO / "src" / "repro"
+    for rel in lint.COMMIT_SITES:
+        assert lint._commit_violations(root / rel, rel) == []
+
+
+def test_a_second_commit_site_is_flagged(tmp_path):
+    storage = tmp_path / "storage.py"
+    storage.write_text('''
+class StorageManager:
+    def set_journal(self, journal):
+        self.lots.journal = self._emit                  # not a call
+
+    def _reclaim_file(self, path):
+        try:
+            self._commit("file_reclaim", path=path)
+        except StorageError:
+            self._emit("file_reclaim", path=path)       # flagged
+
+    def _commit(self, rtype, **fields):
+        self.apply_record({"type": rtype, **fields})
+        self._emit(rtype, **fields)
+''')
+    tier = tmp_path / "store.py"
+    tier.write_text('''
+class TieredStore:
+    def _set_state(self, path, state):
+        if self.journal is not None:
+            self.journal("tier_state", path=path, state=state)  # flagged
+        self.residency[path] = state
+
+    def _commit(self, rtype, **fields):
+        self.apply_record({"type": rtype, **fields})
+        if self.journal is not None:
+            self.journal(rtype, **fields)
+
+
+class Mirror:
+    def _commit(self, rtype, **fields):
+        self.journal(rtype, **fields)                   # wrong class
+''')
+    flagged = [
+        (rel, int(line.split(":")[1]))
+        for source, rel in ((storage, "nest/storage.py"),
+                            (tier, "tier/store.py"))
+        for line in lint._commit_violations(source, rel)]
+    assert sorted(flagged) == [("nest/storage.py", 10),
+                               ("tier/store.py", 5), ("tier/store.py", 16)]
+    assert lint._commit_violations(tier, "tier/demo.py") == []
