@@ -8,12 +8,20 @@ mutation a journal record, folds the journal into atomic snapshots,
 and rebuilds the managers from snapshot + replay on restart.
 """
 
-from repro.durability.journal import JournalError, MetadataJournal, ReplayResult
+from repro.durability.journal import (
+    FORMAT_VERSION,
+    FormatVersionError,
+    JournalError,
+    MetadataJournal,
+    ReplayResult,
+)
 from repro.durability.manager import DurabilityManager
 from repro.durability.recovery import RecoveryReport, StorageReplayer
 from repro.durability.snapshot import SnapshotError, SnapshotStore
 
 __all__ = [
+    "FORMAT_VERSION",
+    "FormatVersionError",
     "JournalError",
     "MetadataJournal",
     "ReplayResult",

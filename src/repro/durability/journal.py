@@ -6,7 +6,8 @@ line::
     <crc32 of payload, 8 hex chars> <payload JSON>\\n
 
 where the payload carries a monotonically increasing ``seq``, a
-``type`` tag, and the event's fields.  Appends are fsync'd by default
+``type`` tag, the format version ``v`` (:data:`FORMAT_VERSION`), and
+the event's fields.  Appends are fsync'd by default
 (``fsync=False`` skips only the ``os.fsync`` -- used by the
 crash-sweep tests, whose "disk" is the same process).
 
@@ -45,14 +46,36 @@ from typing import Any, Optional
 
 from repro.faults.disk import CRASH, SHORT, TORN, SimulatedCrash
 
-__all__ = ["BATCH_RECORDS", "JournalError", "ReplayResult", "MetadataJournal"]
+__all__ = ["BATCH_RECORDS", "FORMAT_VERSION", "FormatVersionError",
+           "JournalError", "ReplayResult", "MetadataJournal",
+           "check_format"]
 
 #: Most records one flush writes; a longer queue takes several flushes.
 BATCH_RECORDS = 64
 
+#: Format of the durable state, stamped as ``"v"`` into every journal
+#: record and every snapshot document.  State written before stamping
+#: carries none and reads as version 1.
+FORMAT_VERSION = 1
+
 
 class JournalError(OSError):
     """A journal append (or sync) failed; ``errno`` says why."""
+
+
+class FormatVersionError(Exception):
+    """Durable state is stamped with a format this code cannot read
+    (a newer appliance wrote it); recovery refuses it untouched."""
+
+
+def check_format(doc: dict, what: str) -> None:
+    """Raise :class:`FormatVersionError` unless ``doc`` (a journal
+    record or snapshot document) is in :data:`FORMAT_VERSION`."""
+    version = doc.get("v", 1)
+    if version != FORMAT_VERSION:
+        raise FormatVersionError(
+            f"{what} has format version {version!r}; this appliance "
+            f"reads version {FORMAT_VERSION}")
 
 
 @dataclass
@@ -134,7 +157,8 @@ class MetadataJournal:
         with self._lock:
             self._tail_seq = max(self._tail_seq, self.last_seq) + 1
             seq = self._tail_seq
-            rec = {"seq": seq, "type": rtype, **fields}
+            rec = {"seq": seq, "type": rtype, "v": FORMAT_VERSION,
+                   **fields}
             data = json.dumps(rec, sort_keys=True,
                               separators=(",", ":")).encode()
             line = b"%08x " % (zlib.crc32(data) & 0xFFFFFFFF,) + data + b"\n"

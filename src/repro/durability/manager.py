@@ -30,7 +30,7 @@ import threading
 import time
 from typing import Any, Optional
 
-from repro.durability.journal import MetadataJournal
+from repro.durability.journal import MetadataJournal, check_format
 from repro.durability.recovery import RecoveryReport, StorageReplayer
 from repro.durability.snapshot import SnapshotStore
 from repro.nest.lots import LotError
@@ -152,10 +152,18 @@ class DurabilityManager:
                      catalog=None, tier=None) -> RecoveryReport:
         """Rebuild ``storage`` (and ``catalog`` and the ``tier``
         residency map) from durable state, then bind the journal so
-        new mutations are recorded."""
+        new mutations are recorded.  A snapshot or journal record in a
+        format this code cannot read raises
+        :class:`~repro.durability.journal.FormatVersionError` before
+        anything is installed."""
         t0 = time.perf_counter()
         report = RecoveryReport(state_dir=self.state_dir)
+        # Read everything before changing anything: state in a format
+        # this code cannot read is refused whole, its files untouched.
         state, snap_seq = self.snapshots.load()
+        replay = self.journal.replay()
+        for rec in replay.records:
+            check_format(rec, f"journal record {rec['seq']}")
         if state is not None:
             storage.install_state(state.get("storage", {}))
             cat_state = state.get("catalog")
@@ -168,7 +176,6 @@ class DurabilityManager:
                 tier.restore(tier_state)
         report.snapshot_seq = snap_seq
 
-        replay = self.journal.replay()
         if replay.corrupt_tail:
             self.journal.truncate_to(replay.valid_bytes)
         replayer = StorageReplayer(storage)

@@ -1,7 +1,8 @@
 """Compacted state snapshots for the metadata journal.
 
 A snapshot is one JSON document -- the full serialized appliance
-state plus the journal sequence number it covers -- written with the
+state, the journal sequence number it covers and the format version
+``v`` -- written with the
 classic atomic dance: temp file in the same directory, fsync, then
 ``os.replace`` onto the final name.  A reader therefore sees either
 the old snapshot or the new one, never a torn hybrid, no matter where
@@ -19,6 +20,7 @@ import json
 import os
 from typing import Any, Optional
 
+from repro.durability.journal import FORMAT_VERSION, check_format
 from repro.faults.disk import raise_for
 
 __all__ = ["SnapshotError", "SnapshotStore"]
@@ -45,8 +47,9 @@ class SnapshotStore:
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        payload = json.dumps({"seq": int(seq), "state": state},
-                             sort_keys=True).encode()
+        payload = json.dumps(
+            {"seq": int(seq), "state": state, "v": FORMAT_VERSION},
+            sort_keys=True).encode()
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as f:
             f.write(payload)
@@ -56,7 +59,8 @@ class SnapshotStore:
 
     def load(self) -> tuple[Optional[dict[str, Any]], int]:
         """The latest snapshot's ``(state, seq)``, or ``(None, 0)``
-        when no snapshot has ever been taken."""
+        when no snapshot has ever been taken.  A snapshot in another
+        format raises :class:`~repro.durability.journal.FormatVersionError`."""
         try:
             with open(self.path, "rb") as f:
                 raw = f.read()
@@ -64,7 +68,9 @@ class SnapshotStore:
             return None, 0
         try:
             doc = json.loads(raw)
-            return doc["state"], int(doc["seq"])
+            state, seq = doc["state"], int(doc["seq"])
         except (ValueError, KeyError, TypeError) as exc:
             raise SnapshotError(
                 f"unreadable snapshot {self.path!r}: {exc}") from exc
+        check_format(doc, f"snapshot {self.path!r}")
+        return state, seq

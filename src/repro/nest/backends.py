@@ -55,6 +55,27 @@ class DataStore(Protocol):
 TEMP_SUFFIX = ".nest-tmp"
 
 
+class _MemoryWriter(io.BytesIO):
+    """A :class:`MemoryStore` write stream: buffers in RAM and lands
+    the whole file (or its appended tail) in the store on close."""
+
+    def __init__(self, store: "MemoryStore", path: str,
+                 append: bool = False):
+        super().__init__()
+        self._store = store
+        self._path = path
+        self._append = append
+
+    def close(self) -> None:
+        store, path = self._store, self._path
+        with store._lock:
+            if self._append and path in store._files:
+                store._files[path].extend(self.getvalue())
+            else:
+                store._files[path] = bytearray(self.getvalue())
+        super().close()
+
+
 class MemoryStore:
     """Bytes in RAM, keyed by path."""
 
@@ -68,31 +89,14 @@ class MemoryStore:
         return io.BytesIO(data)
 
     def open_write(self, path: str, append: bool = False) -> BinaryIO:
-        store = self
-
-        class _Writer(io.BytesIO):
-            def close(inner) -> None:
-                with store._lock:
-                    if append and path in store._files:
-                        store._files[path].extend(inner.getvalue())
-                    else:
-                        store._files[path] = bytearray(inner.getvalue())
-                super(_Writer, inner).close()
-
-        return _Writer()
+        return _MemoryWriter(self, path, append)
 
     def open_update(self, path: str) -> BinaryIO:
-        store = self
+        """The file's current bytes, seekable and rewritable; the whole
+        buffer replaces the file on close."""
         with self._lock:
             current = bytes(self._files.get(path, b""))
-
-        class _Updater(io.BytesIO):
-            def close(inner) -> None:
-                with store._lock:
-                    store._files[path] = bytearray(inner.getvalue())
-                super(_Updater, inner).close()
-
-        buf = _Updater()
+        buf = _MemoryWriter(self, path)
         buf.write(current)
         buf.seek(0)
         return buf

@@ -12,10 +12,10 @@ idle Grid clients) where threads collapse and events win.
 The loop is deliberately protocol-agnostic: it drives any handler
 exposing ``fileno`` / ``step`` (serve exactly one request, return
 whether to re-park) / ``finish`` / ``force_close``.  All protocol
-knowledge stays in :mod:`repro.nest.handlers`; handlers built with
-``unbuffered=True`` keep pipelined request bytes in the kernel socket
-buffer, so a parked connection with work pending always re-triggers
-the selector.
+knowledge stays in :mod:`repro.nest.handlers`; a handler's ``step``
+serves on while its read buffer holds a pipelined request, so a
+connection is parked only once its pending bytes, if any, are back in
+the kernel socket buffer where the selector sees them.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ once against the host contract there; :class:`ConnectionHandler`
 is NeST's host for it: metadata operations go synchronously to the
 storage manager (``files``), and every byte moves through
 ``ConnectionHandler.send``/``receive``, the one place that holds a
-ticket's scope open, runs the transfer and feeds the gray-box model.
+ticket's scope open, runs the transfer and feeds the gray-box model
+(when cache-aware scheduling built one).
 What stays here besides the host is what only an appliance has: the
 ``parse`` span, trace-context adoption, the head-sampling decision,
 Chirp's ``query`` and ``thirdput``, and the IBP depot dialect.
@@ -122,8 +123,8 @@ class ConnectionHandler:
     Handlers whose wire format is a clean request-at-a-time loop set
     ``event_capable`` and implement :meth:`serve_one`; the server may
     then park their connections in the event loop instead of
-    dedicating a thread (``unbuffered`` read streams keep pipelined
-    bytes in the kernel buffer where the selector can see them).
+    dedicating a thread (:meth:`step` serves on while the read buffer
+    holds bytes the selector cannot see).
     """
 
     protocol = "base"
@@ -133,8 +134,7 @@ class ConnectionHandler:
     #: thread-per-connection.
     event_capable = False
 
-    def __init__(self, server: "NestServer", sock: socket.socket, addr,
-                 *, unbuffered: bool = False):
+    def __init__(self, server: "NestServer", sock: socket.socket, addr):
         self.server = server
         self.sock = sock
         self.addr = addr
@@ -145,11 +145,7 @@ class ConnectionHandler:
         self.host = server.host
         self.faults = server.faults
         self.fhandles = server.fhandles
-        # Event mode must not read ahead: a buffered rfile would slurp
-        # pipelined requests into userspace where the selector cannot
-        # see them, leaving the connection parked with work pending.
-        self.rfile: BinaryIO = sock.makefile(
-            "rb", buffering=0 if unbuffered else -1)
+        self.rfile: BinaryIO = sock.makefile("rb")
         self.wfile: BinaryIO = sock.makefile("wb")
         self.user = "anonymous"
         self.busy = False
@@ -183,13 +179,30 @@ class ConnectionHandler:
 
     def step(self) -> bool:
         """One event-loop dispatch: :meth:`serve_one` under the same
-        error contract as the threaded :meth:`run`.  Returns whether
-        the connection should be re-parked."""
+        error contract as the threaded :meth:`run`, repeated while a
+        pipelined request already waits in the read buffer (bytes in
+        userspace never wake the selector).  Returns whether the
+        connection should be re-parked."""
         try:
-            return self.serve_one()
+            while self.serve_one():
+                if not self._read_ahead():
+                    return True
+            return False
         except WIRE_ERRORS:
             self.conn_span.set(wire_error=True)
             return False
+
+    def _read_ahead(self) -> bool:
+        """Whether more request bytes are readable right now.  ``peek``
+        answers from the read buffer when it holds any; otherwise it
+        makes one read, non-blocking, so an idle connection answers
+        False at once and is parked."""
+        timeout = self.sock.gettimeout()
+        self.sock.setblocking(False)
+        try:
+            return bool(self.rfile.peek(1))
+        finally:
+            self.sock.settimeout(timeout)
 
     def finish(self) -> None:
         """Tear down and end the connection trace (idempotent: the
@@ -259,7 +272,8 @@ class ConnectionHandler:
     #
     # Every byte a protocol moves goes through send/receive: they alone
     # hold the ticket's scope open, run the transfer and feed the
-    # gray-box model (scripts/lint_datapath.py enforces it).  A handler
+    # gray-box model, if the server has one (scripts/lint_datapath.py
+    # enforces it).  A handler
     # only parses, asks the storage manager for a ticket, and encodes
     # the reply.  ``mover(ticket) -> (moved, crc)`` replaces the
     # transfer manager for data that does not flow stream-to-stream
@@ -299,9 +313,10 @@ class ConnectionHandler:
                 ticket.moved = transfer.wait(60)
                 crc = transfer.crc
         graybox = self.server.graybox
-        observe = (graybox.observe_write if ticket.is_write
-                   else graybox.observe_read)
-        observe(ticket.path, ticket.offset, ticket.moved)
+        if graybox is not None:  # only cache-aware scheduling has one
+            observe = (graybox.observe_write if ticket.is_write
+                       else graybox.observe_read)
+            observe(ticket.path, ticket.offset, ticket.moved)
         return ticket.moved, crc
 
 

@@ -6,7 +6,8 @@ one thread, and hands each to the matching handler from
 :mod:`repro.nest.handlers`.  All handlers share
 the single storage manager (synchronous metadata path), the single
 transfer manager (asynchronous data path, cross-protocol scheduling),
-the gray-box cache model, and the GSI context -- that sharing is what
+the gray-box cache model (built only for cache-aware scheduling), and
+the GSI context -- that sharing is what
 distinguishes NeST from JBOS.
 
 Ports default to 0 (ephemeral) so tests and examples can run many
@@ -24,13 +25,13 @@ from types import SimpleNamespace
 
 from repro.classads import ClassAd
 from repro.faults import FaultPlan
+from repro.nest import graybox
 from repro.nest.advertise import Advertiser, build_advertisement
 from repro.nest.auth import CertificateAuthority, GSIContext
 from repro.nest.backends import DataStore, MemoryStore
 from repro.nest.concurrency import EVENTS, THREADS, ServerModelSwitcher
 from repro.nest.config import NestConfig
 from repro.nest.eventserver import EventLoop
-from repro.nest.graybox import GrayBoxCacheModel
 from repro.nest.handlers import HANDLERS
 from repro.nest.storage import StorageManager
 from repro.nest.transfer import TransferManager
@@ -79,6 +80,9 @@ class NestServer:
         self.obs = Observability(service=self.config.name)
         reg = self.obs.registry
         self.fhandles = FileHandleRegistry()
+        #: shadow of the kernel buffer cache; None unless the
+        #: cache-aware scheduler is there to read it.
+        self.graybox = graybox.model_for(self.config.scheduling)
         #: per-file access heat: every approved read feeds it, the
         #: migration policy and the autoscaler read it, and its top-N
         #: surfaces as the ClassAd ``HotFiles`` block.
@@ -100,7 +104,7 @@ class NestServer:
             clock=time.time,
             require_lots=self.config.require_lots,
             lot_enforcement=self.config.lot_enforcement,
-            invalidate=self.fhandles.forget,
+            invalidate=self._invalidate,
             registry=reg,
             heat=self.heat,
         )
@@ -136,9 +140,10 @@ class NestServer:
         #: decentralized autoscaler; built by :meth:`attach_autoscaler`
         #: once a federation (catalog + replicator) exists.
         self.autoscaler = None
-        self.graybox = GrayBoxCacheModel()
         self.transfers = TransferManager(
-            self.config, residency=self.graybox.predict_residency,
+            self.config,
+            residency=(self.graybox.predict_residency
+                       if self.graybox is not None else None),
             obs=self.obs,
         )
         #: event-driven data path (paper §4.1's "events", live) and the
@@ -440,6 +445,13 @@ class NestServer:
 
         return lookup
 
+    def _invalidate(self, path: str) -> None:
+        """The storage manager's hook: ``path`` no longer names what it
+        did, so its NFS handles go, and so do its shadow cache blocks."""
+        self.fhandles.forget(path)
+        if self.graybox is not None:
+            self.graybox.observe_delete(path)
+
     def active_connections(self) -> int:
         """How many handler connections are currently live (threaded
         handler threads plus connections owned by the event loop)."""
@@ -474,9 +486,8 @@ class NestServer:
         handler_cls = HANDLERS[proto]
         if self._route_model(proto) == EVENTS:
             # Event path: no thread -- the connection parks in the
-            # selector until bytes arrive.  Unbuffered reads keep
-            # pipelined requests visible to epoll.
-            handler = handler_cls(self, conn, addr, unbuffered=True)
+            # selector until bytes arrive.
+            handler = handler_cls(self, conn, addr)
             handler.concurrency_model = EVENTS
             if not self._eventloop.adopt(handler):
                 handler.finish()  # loop already shutting down

@@ -28,8 +28,8 @@ from repro.models.filesystem import FileSystemModel
 from repro.models.network import FairShareLink
 from repro.models.platform import PlatformProfile
 from repro.nest.concurrency import EVENTS, THREADS
+from repro.nest import graybox
 from repro.nest.config import NestConfig
-from repro.nest.graybox import GrayBoxCacheModel
 from repro.nest.scheduling import TransferJob, make_job, make_scheduler
 from repro.nest.storage import StorageManager, StorageError
 from repro.protocols.common import Status
@@ -129,11 +129,15 @@ class SimNest:
             require_lots=self.config.require_lots,
             lot_enforcement=self.config.lot_enforcement,
         )
-        self.graybox = GrayBoxCacheModel(block_size=platform.block_size)
+        #: the gray-box shadow cache, for the cache-aware scheduler
+        #: only (None under every other policy; see :meth:`_observe`).
+        self.graybox = graybox.model_for(self.config.scheduling,
+                                         block_size=platform.block_size)
         self.scheduler = make_scheduler(
             self.config.scheduling,
             shares=self.config.shares,
-            residency=self.graybox.predict_residency,
+            residency=(self.graybox.predict_residency
+                       if self.graybox is not None else None),
             work_conserving=self.config.work_conserving,
             share_by=self.config.share_by,
         )
@@ -194,7 +198,14 @@ class SimNest:
         self.fs.used_bytes += size
         if resident:
             self.fs.cache.access_read(path, 0, size)
-            self.graybox.observe_read(path, 0, size)
+            self._observe(False, path, 0, size)
+
+    def _observe(self, write: bool, path: str, offset: int,
+                 nbytes: int) -> None:
+        """Feed the gray-box shadow, when this server has one."""
+        if self.graybox is not None:
+            (self.graybox.observe_write if write
+             else self.graybox.observe_read)(path, offset, nbytes)
 
     def rtt(self) -> float:
         """One network round trip."""
@@ -256,7 +267,7 @@ class SimNest:
             yield from self._pump_out(job, spec, path, size, cap, model)
         finally:
             self.scheduler.remove(job)
-        self.graybox.observe_read(path, 0, size)
+        self._observe(False, path, 0, size)
         yield self.env.timeout(self.platform.net_latency)  # last ack back
         elapsed = self.env.now - start
         self.selector.report(model, size, elapsed)
@@ -287,7 +298,7 @@ class SimNest:
         finally:
             self.scheduler.remove(job)
             ticket.settle(size)
-        self.graybox.observe_write(path, 0, size)
+        self._observe(True, path, 0, size)
         yield self.env.timeout(self.platform.net_latency)
         elapsed = self.env.now - start
         self.selector.report(model, size, elapsed)
@@ -324,7 +335,7 @@ class SimNest:
             if job is not conn.flow_job:
                 self.scheduler.remove(job)
         self.stats.moved(conn.protocol, nbytes)
-        self.graybox.observe_read(path, offset, nbytes)
+        self._observe(False, path, offset, nbytes)
         yield self.env.timeout(self.platform.net_latency)
         elapsed = self.env.now - start
         self.stats.account(conn.protocol, nbytes, elapsed, self._fixed_model(),
@@ -359,7 +370,7 @@ class SimNest:
             if job is not conn.flow_job:
                 self.scheduler.remove(job)
         self.stats.moved(conn.protocol, nbytes)
-        self.graybox.observe_write(path, offset, nbytes)
+        self._observe(True, path, offset, nbytes)
         yield self.env.timeout(self.platform.net_latency)
         elapsed = self.env.now - start
         self.stats.account(conn.protocol, nbytes, elapsed, self._fixed_model(),

@@ -146,6 +146,18 @@ class TestStagedNames:
         assert staged_files(tmp_path) == []
 
 
+class TestMemoryStreams:
+    def test_every_stream_is_one_module_level_class(self):
+        # A class built inside open_write/open_update cost every PUT
+        # to a memory store a __build_class__.
+        store = MemoryStore()
+        streams = [store.open_write("/a"), store.open_write("/b", append=True),
+                   store.open_update("/a")]
+        assert len({type(s) for s in streams}) == 1
+        for s in streams:
+            s.close()
+
+
 class TestLocalFSSandbox:
     def test_escape_rejected(self, tmp_path):
         store = LocalFSStore(str(tmp_path / "root"))

@@ -328,3 +328,73 @@ class TestConnectionBurst:
         held, threads = self._hold("threaded", 32)
         assert held >= 32
         assert threads.count("nest-chirp-conn") >= 32
+
+
+class TestBufferedEventReads:
+    """An event-mode connection reads through the same buffered stream
+    as a threaded one, and a request pipelined into that buffer is
+    served without waiting for the selector."""
+
+    HEAD = b"HEAD /data/f HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+
+    def _server(self):
+        from repro.nest.server import NestServer
+
+        srv = NestServer(NestConfig(name="buffered-events",
+                                    protocols=("http",),
+                                    concurrency_server="events",
+                                    management=False))
+        srv.start()
+        srv.storage.mkdir("admin", "/data")
+        ticket = srv.storage.approve_put("admin", "/data/f", 5)
+        ticket.stream.write(b"hello")
+        ticket.settle(5)
+        return srv
+
+    @staticmethod
+    def _heads(sock, count: int) -> list[bytes]:
+        """Read ``count`` HEAD replies (heads only, no bodies)."""
+        data = b""
+        while data.count(b"\r\n\r\n") < count:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+        return data.split(b"\r\n\r\n")[:count]
+
+    def test_two_pipelined_requests_are_both_answered(self):
+        srv = self._server()
+        try:
+            with socket.create_connection(srv.endpoint("http"),
+                                          timeout=5.0) as sock:
+                sock.sendall(self.HEAD * 2)
+                replies = self._heads(sock, 2)
+            assert len(replies) == 2
+            assert all(r.startswith(b"HTTP/1.0 200") for r in replies)
+        finally:
+            srv.stop()
+
+    def test_a_head_costs_at_most_two_socket_reads(self, monkeypatch):
+        srv = self._server()
+        reads = []
+        readinto = socket.SocketIO.readinto
+
+        def counting(self, buffer):
+            reads.append(1)
+            return readinto(self, buffer)
+
+        try:
+            with socket.create_connection(srv.endpoint("http"),
+                                          timeout=5.0) as sock:
+                sock.sendall(self.HEAD)  # warm: accept and adopt
+                assert self._heads(sock, 1)[0].startswith(b"HTTP/1.0 200")
+                monkeypatch.setattr(socket.SocketIO, "readinto", counting)
+                for _ in range(10):
+                    sock.sendall(self.HEAD)
+                    assert self._heads(sock, 1)[0].startswith(
+                        b"HTTP/1.0 200")
+                monkeypatch.undo()
+            # (the client reads with recv, so every call is the server's)
+            assert len(reads) <= 2 * 10
+        finally:
+            srv.stop()
