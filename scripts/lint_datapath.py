@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Eight rules, enforced by AST walk (so docstrings and comments that merely
+Nine rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -73,6 +73,14 @@ through ``apply_record`` -- the function crash replay calls -- and then
 journals it.  A mutation that journals anywhere else has a second
 meaning for its record: live and replayed state drift apart, and a
 snapshot taken inside the record's own wait can miss the change.
+
+Rule 9: a simulation has an end.  Outside ``sim/``, an ``Environment(``
+call appears only as the context expression of a ``with`` statement,
+so the environment is closed -- its suspended processes ended, its
+queues dropped -- when the block that reads its result is left.  A
+bare ``env = Environment()`` leaves the finished model in a reference
+cycle that only the cyclic collector frees, whenever it next runs, and
+several finished figures' worth of memory piles up meanwhile.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -380,6 +388,27 @@ def _commit_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 9: the kernel's own package, where environments are made bare.
+SIM_DIR = "sim/"
+
+
+def _environment_violations(path: Path, rel: str) -> list[str]:
+    if rel.startswith(SIM_DIR):
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    managed = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith))
+               for item in node.items}
+    return [
+        f"{path}:{node.lineno}: Environment() outside a with statement -- "
+        "write `with Environment() as env:` and read the result inside it"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _owner_name(node.func) == "Environment"
+        and id(node) not in managed
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -391,6 +420,7 @@ def main() -> int:
         problems.extend(_loop_violations(path, rel))
         problems.extend(_journal_violations(path, rel))
         problems.extend(_commit_violations(path, rel))
+        problems.extend(_environment_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -54,35 +54,35 @@ def _cache_mix_run(policy: str, platform: PlatformProfile,
 
     Returns (mean response, mean cached-only response, throughput MB/s).
     """
-    env = Environment()
-    cfg = NestConfig(scheduling=policy, transfer_workers=4)
-    server = SimNest(env, platform, cfg, concurrency="threads")
-    logs: list[ClientLog] = []
-    cached_paths = set()
-    for i in range(n_cached):
-        path = f"/mix/cached-{i}"
-        server.populate(path, file_bytes, resident=True)
-        cached_paths.add(path)
-        log = ClientLog(protocol="chirp")
-        logs.append(log)
-        env.process(whole_file_client(env, server, "chirp", [path], log))
-    for i in range(n_uncached):
-        path = f"/mix/cold-{i}"
-        server.populate(path, file_bytes, resident=False)
-        log = ClientLog(protocol="chirp")
-        logs.append(log)
-        env.process(whole_file_client(env, server, "chirp", [path], log))
-    env.run()
-    responses = [r.elapsed for log in logs for r in log.results]
-    cached = [r.elapsed for log in logs for r in log.results
-              if r.path in cached_paths]
-    total_bytes = sum(r.nbytes for log in logs for r in log.results)
-    makespan = max(r.end for log in logs for r in log.results)
-    return (
-        sum(responses) / len(responses),
-        sum(cached) / len(cached),
-        total_bytes / makespan / MB,
-    )
+    with Environment() as env:
+        cfg = NestConfig(scheduling=policy, transfer_workers=4)
+        server = SimNest(env, platform, cfg, concurrency="threads")
+        logs: list[ClientLog] = []
+        cached_paths = set()
+        for i in range(n_cached):
+            path = f"/mix/cached-{i}"
+            server.populate(path, file_bytes, resident=True)
+            cached_paths.add(path)
+            log = ClientLog(protocol="chirp")
+            logs.append(log)
+            env.process(whole_file_client(env, server, "chirp", [path], log))
+        for i in range(n_uncached):
+            path = f"/mix/cold-{i}"
+            server.populate(path, file_bytes, resident=False)
+            log = ClientLog(protocol="chirp")
+            logs.append(log)
+            env.process(whole_file_client(env, server, "chirp", [path], log))
+        env.run()
+        responses = [r.elapsed for log in logs for r in log.results]
+        cached = [r.elapsed for log in logs for r in log.results
+                  if r.path in cached_paths]
+        total_bytes = sum(r.nbytes for log in logs for r in log.results)
+        makespan = max(r.end for log in logs for r in log.results)
+        return (
+            sum(responses) / len(responses),
+            sum(cached) / len(cached),
+            total_bytes / makespan / MB,
+        )
 
 
 def run_cache_aware(platform: PlatformProfile = LINUX) -> CacheAwareResult:
@@ -218,30 +218,31 @@ def run_user_shares(platform: PlatformProfile = LINUX,
     from repro.simnest.clients import whole_file_client
     from repro.simnest.server import SimNest
 
-    env = Environment()
-    # Fewer worker slots than jobs, so the scheduler (not free slots)
-    # decides who pumps next.
-    cfg = NestConfig(scheduling="stride", share_by="user",
-                     shares={"vip": ratio, "guest": 1.0},
-                     transfer_workers=4)
-    server = SimNest(env, platform, cfg)
-    for user in ("vip", "guest"):
-        for i in range(4):
-            path = f"/us/{user}-{i}"
-            server.populate(path, 10 * MB, resident=True)
-            log = ClientLog(protocol="http")
-            env.process(whole_file_client(
-                env, server, "http", [path] * 10_000, log, user=user))
-    env.run(until=warmup)
-    before = _bytes_by_user(server)
-    env.run(until=horizon)
-    after = _bytes_by_user(server)
-    window = horizon - warmup
-    return UserShareResult(
-        vip_mbps=(after.get("vip", 0) - before.get("vip", 0)) / window / MB,
-        guest_mbps=(after.get("guest", 0) - before.get("guest", 0)) / window / MB,
-        requested_ratio=ratio,
-    )
+    with Environment() as env:
+        # Fewer worker slots than jobs, so the scheduler (not free
+        # slots) decides who pumps next.
+        cfg = NestConfig(scheduling="stride", share_by="user",
+                         shares={"vip": ratio, "guest": 1.0},
+                         transfer_workers=4)
+        server = SimNest(env, platform, cfg)
+        for user in ("vip", "guest"):
+            for i in range(4):
+                path = f"/us/{user}-{i}"
+                server.populate(path, 10 * MB, resident=True)
+                log = ClientLog(protocol="http")
+                env.process(whole_file_client(
+                    env, server, "http", [path] * 10_000, log, user=user))
+        env.run(until=warmup)
+        before = _bytes_by_user(server)
+        env.run(until=horizon)
+        after = _bytes_by_user(server)
+        window = horizon - warmup
+        return UserShareResult(
+            vip_mbps=(after.get("vip", 0) - before.get("vip", 0)) / window / MB,
+            guest_mbps=((after.get("guest", 0) - before.get("guest", 0))
+                        / window / MB),
+            requested_ratio=ratio,
+        )
 
 
 def _bytes_by_user(server) -> dict[str, int]:
@@ -318,34 +319,36 @@ def run_seda_overload(platform: PlatformProfile = LINUX,
 
     result = SedaResult()
     for model in ("threads", "events", "seda"):
-        env = Environment()
-        cfg = NestConfig(transfer_workers=1024, scheduling="fcfs",
-                         capacity_bytes=50 * (1 << 30))
-        server = SimNest(env, platform, cfg, concurrency=model,
-                         models=(model,))
-        small_logs: list[ClientLog] = []
-        server.populate("/hot", 4096, resident=True)
-        for _ in range(n_small):
-            log = ClientLog(protocol="chirp")
-            small_logs.append(log)
-            env.process(whole_file_client(env, server, "chirp",
-                                          ["/hot"] * 100_000, log))
-        for c in range(n_big):
-            paths = [f"/cold/{c}-{i}" for i in range(40)]
-            for p in paths:
-                server.populate(p, 10 * MB, resident=False)
-            log = ClientLog(protocol="chirp")
-            env.process(whole_file_client(env, server, "chirp", paths, log))
-        env.run(until=warmup)
-        before = sum(server.stats.progress_by_protocol.values())
-        env.run(until=horizon)
-        after = sum(server.stats.progress_by_protocol.values())
-        lats = [r.elapsed for log in small_logs for r in log.results
-                if r.start >= warmup]
-        result.bandwidth_mbps[model] = (after - before) / (horizon - warmup) / MB
-        result.small_latency_ms[model] = (
-            sum(lats) / len(lats) * 1e3 if lats else float("nan")
-        )
+        with Environment() as env:
+            cfg = NestConfig(transfer_workers=1024, scheduling="fcfs",
+                             capacity_bytes=50 * (1 << 30))
+            server = SimNest(env, platform, cfg, concurrency=model,
+                             models=(model,))
+            small_logs: list[ClientLog] = []
+            server.populate("/hot", 4096, resident=True)
+            for _ in range(n_small):
+                log = ClientLog(protocol="chirp")
+                small_logs.append(log)
+                env.process(whole_file_client(env, server, "chirp",
+                                              ["/hot"] * 100_000, log))
+            for c in range(n_big):
+                paths = [f"/cold/{c}-{i}" for i in range(40)]
+                for p in paths:
+                    server.populate(p, 10 * MB, resident=False)
+                log = ClientLog(protocol="chirp")
+                env.process(whole_file_client(env, server, "chirp", paths,
+                                              log))
+            env.run(until=warmup)
+            before = sum(server.stats.progress_by_protocol.values())
+            env.run(until=horizon)
+            after = sum(server.stats.progress_by_protocol.values())
+            lats = [r.elapsed for log in small_logs for r in log.results
+                    if r.start >= warmup]
+            result.bandwidth_mbps[model] = ((after - before)
+                                            / (horizon - warmup) / MB)
+            result.small_latency_ms[model] = (
+                sum(lats) / len(lats) * 1e3 if lats else float("nan")
+            )
     return result
 
 def report_all() -> str:  # pragma: no cover - convenience entry point

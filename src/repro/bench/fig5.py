@@ -55,33 +55,34 @@ def run_concurrency_workload(
     models: tuple[str, ...] = ("threads", "events"),
 ) -> ConcurrencyMeasurement:
     """Measure one scheme on one workload (steady-state window)."""
-    env = Environment()
-    server = SimNest(env, platform, NestConfig(scheduling="fcfs"),
-                     concurrency=scheme, models=models)
-    for c in range(n_clients):
-        if resident:
-            paths = [f"/fig5/f-{c}"] * files_per_client
-            server.populate(paths[0], file_bytes, resident=True)
-        else:
-            paths = [f"/fig5/f-{c}-{i}" for i in range(files_per_client)]
-            for p in paths:
-                server.populate(p, file_bytes, resident=False)
-        log = ClientLog(protocol="chirp")
-        env.process(whole_file_client(env, server, "chirp", paths, log))
-    env.run(until=warmup)
-    bytes0 = sum(server.stats.progress_by_protocol.values())
-    lat_index = len(server.stats.latencies)
-    env.run(until=horizon)
-    bytes1 = sum(server.stats.progress_by_protocol.values())
-    window = horizon - warmup
-    latencies = server.stats.latencies[lat_index:]
-    avg_latency = (sum(latencies) / len(latencies)) if latencies else float("nan")
-    return ConcurrencyMeasurement(
-        scheme=scheme,
-        avg_latency_ms=avg_latency * 1e3,
-        bandwidth_mbps=(bytes1 - bytes0) / window / 1e6,
-        model_mix=dict(server.stats.model_assignments),
-    )
+    with Environment() as env:
+        server = SimNest(env, platform, NestConfig(scheduling="fcfs"),
+                         concurrency=scheme, models=models)
+        for c in range(n_clients):
+            if resident:
+                paths = [f"/fig5/f-{c}"] * files_per_client
+                server.populate(paths[0], file_bytes, resident=True)
+            else:
+                paths = [f"/fig5/f-{c}-{i}" for i in range(files_per_client)]
+                for p in paths:
+                    server.populate(p, file_bytes, resident=False)
+            log = ClientLog(protocol="chirp")
+            env.process(whole_file_client(env, server, "chirp", paths, log))
+        env.run(until=warmup)
+        bytes0 = sum(server.stats.progress_by_protocol.values())
+        lat_index = len(server.stats.latencies)
+        env.run(until=horizon)
+        bytes1 = sum(server.stats.progress_by_protocol.values())
+        window = horizon - warmup
+        latencies = server.stats.latencies[lat_index:]
+        avg_latency = ((sum(latencies) / len(latencies)) if latencies
+                       else float("nan"))
+        return ConcurrencyMeasurement(
+            scheme=scheme,
+            avg_latency_ms=avg_latency * 1e3,
+            bandwidth_mbps=(bytes1 - bytes0) / window / 1e6,
+            model_mix=dict(server.stats.model_assignments),
+        )
 
 
 def run(

@@ -47,22 +47,22 @@ def measure_write(
     chunk: int = 1 << 20,
 ) -> float:
     """Bandwidth (MB/s) of one sequential write stream, fsync at close."""
-    env = Environment()
-    fs = FileSystemModel(env, platform, quotas_enabled=quotas_enabled)
-    fs.quotas.set_limit("writer", size_bytes * 2)
-    fs.create("/fig6/stream", "writer")
+    with Environment() as env:
+        fs = FileSystemModel(env, platform, quotas_enabled=quotas_enabled)
+        fs.quotas.set_limit("writer", size_bytes * 2)
+        fs.create("/fig6/stream", "writer")
 
-    def writer():
-        offset = 0
-        while offset < size_bytes:
-            n = min(chunk, size_bytes - offset)
-            yield from fs.write("/fig6/stream", offset, n)
-            offset += n
-        yield from fs.sync("/fig6/stream")
+        def writer():
+            offset = 0
+            while offset < size_bytes:
+                n = min(chunk, size_bytes - offset)
+                yield from fs.write("/fig6/stream", offset, n)
+                offset += n
+            yield from fs.sync("/fig6/stream")
 
-    proc = env.process(writer())
-    env.run(proc)
-    return size_bytes / env.now / MB
+        proc = env.process(writer())
+        env.run(proc)
+        return size_bytes / env.now / MB
 
 
 def run(platform: PlatformProfile = LINUX) -> Fig6Result:

@@ -26,16 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.nest.lots import LotError
 from repro.nest.storage import (
     DirNode,
     FileNode,
-    StorageError,
     StorageManager,
     move_bytes,
 )
 
-__all__ = ["RecoveryReport", "StorageReplayer", "backend_size"]
+__all__ = ["RecoveryReport", "StorageReplayer"]
 
 
 @dataclass
@@ -73,20 +71,6 @@ class RecoveryReport:
             "epoch": self.epoch,
             "duration_seconds": self.duration_seconds,
         }
-
-
-def backend_size(store, path: str) -> int | None:
-    """Bytes the backend actually holds for ``path`` (None if absent)."""
-    exists = getattr(store, "exists", None)
-    try:
-        if exists is not None:
-            if not exists(path):
-                return None
-            return store.size(path)
-        size = store.size(path)
-        return size if size > 0 else None
-    except OSError:
-        return None
 
 
 class StorageReplayer:
@@ -153,44 +137,21 @@ class StorageReplayer:
         With atomic-write backends the data is either complete (the
         writer's final rename happened) or entirely the pre-put
         content (or absent); a torn file is impossible.  Metadata is
-        adjusted to that truth: size and accounting settle to the
-        backend's bytes, and charges for bytes that never landed are
-        released.
+        adjusted to that truth by
+        :meth:`StorageManager.settle_to_backend` -- the function that
+        settles an aborted put live.
         """
         out: list[dict[str, Any]] = []
         storage = self.storage
         for path in sorted(self.pending_puts):
-            try:
-                parent, name, node = self._node(path)
-            except StorageError:
+            found = storage._file(path)
+            if found is None:
                 continue
-            if not isinstance(node, FileNode):
-                continue
-            actual = backend_size(storage.store, path)
-            if actual is None:
-                storage.used_bytes -= node.size
-                storage.lots.release(path)
-                del parent.children[name]
-                out.append({"path": path, "disposition": "absent",
-                            "size": 0})
-            else:
-                delta = actual - node.size
-                node.size = actual
-                storage.used_bytes += delta
-                if delta < 0:
-                    storage.lots.release(path, -delta)
-                elif delta > 0 and storage.require_lots:
-                    # An overwrite with less that never landed: the
-                    # old, larger content survived, and its shrinkage
-                    # was released at approval.  Charge it back.
-                    try:
-                        storage.lots.charge(
-                            self.pending_puts[path].get("user", node.owner),
-                            path, delta)
-                    except LotError:
-                        pass  # no room any more: the bytes stay, uncharged
-                out.append({"path": path, "disposition": "settled",
-                            "size": actual})
+            size = storage.settle_to_backend(
+                path, self.pending_puts[path].get("user", found[2].owner))
+            out.append({"path": path,
+                        "disposition": "absent" if size is None else "settled",
+                        "size": size or 0})
         self.pending_puts.clear()
         return out
 

@@ -55,6 +55,11 @@ class _Sink(io.BytesIO):
             self.data = self.getvalue()
         super().close()
 
+    def discard(self) -> None:
+        """A cut-short transfer: the daemon wrote in place, so what
+        arrived stays, as ``close`` keeps it."""
+        self.close()
+
 
 class StoreFiles:
     """A :class:`SimpleStore` as the sessions' ``files``: users are

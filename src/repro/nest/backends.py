@@ -51,13 +51,28 @@ class DataStore(Protocol):
         ...
 
 
+def backend_size(store, path: str) -> int | None:
+    """Bytes the backend actually holds for ``path`` (None if absent)."""
+    exists = getattr(store, "exists", None)
+    try:
+        if exists is not None:
+            if not exists(path):
+                return None
+            return store.size(path)
+        size = store.size(path)
+        return size if size > 0 else None
+    except OSError:
+        return None
+
+
 #: Suffix of in-flight atomic-write temp files (swept at recovery).
 TEMP_SUFFIX = ".nest-tmp"
 
 
 class _MemoryWriter(io.BytesIO):
     """A :class:`MemoryStore` write stream: buffers in RAM and lands
-    the whole file (or its appended tail) in the store on close."""
+    the whole file (or its appended tail) in the store on close --
+    or, on :meth:`discard`, lands nothing."""
 
     def __init__(self, store: "MemoryStore", path: str,
                  append: bool = False):
@@ -73,6 +88,9 @@ class _MemoryWriter(io.BytesIO):
                 store._files[path].extend(self.getvalue())
             else:
                 store._files[path] = bytearray(self.getvalue())
+        super().close()
+
+    def discard(self) -> None:
         super().close()
 
 
@@ -155,6 +173,16 @@ class _AtomicWriter:
         os.fsync(self._f.fileno())
         self._f.close()
         os.replace(self._tmp, self._final)
+
+    def discard(self) -> None:
+        """Drop the staged bytes: the final name keeps what it held."""
+        if self._f.closed:
+            return
+        self._f.close()
+        try:
+            os.unlink(self._tmp)
+        except FileNotFoundError:
+            pass
 
     def __enter__(self) -> "_AtomicWriter":
         return self

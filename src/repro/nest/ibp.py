@@ -127,7 +127,7 @@ class IbpDepot:
             # A stable allocation is a space guarantee (an ACTIVE lot);
             # a volatile one is a reclaimable lot -- the §8 analogy
             # between IBP volatility and NeST's best-effort semantics.
-            lot = self.storage.lots.create_lot(
+            lot = self.storage.create_lot(
                 owner, size, duration, volatile=(atype == VOLATILE)
             )
         except LotError as exc:

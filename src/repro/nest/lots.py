@@ -90,9 +90,10 @@ class LotManager:
     """Manages all lots on one NeST, with pluggable clock and enforcement.
 
     ``clock`` abstracts time so the same code runs live (``time.time``)
-    and on the DES (``lambda: env.now``).  ``on_reclaim`` is invoked
-    with each file path whose space is reclaimed from a best-effort
-    lot, so the storage manager can delete the actual data.
+    and on the DES (``lambda: env.now``).  :meth:`create_lot` returns
+    the file paths whose space it reclaimed from best-effort lots, so
+    the storage manager can delete the actual data; the lot manager
+    holds no reference back to it.
     """
 
     def __init__(
@@ -101,7 +102,6 @@ class LotManager:
         clock: Callable[[], float],
         enforcement: str = "quota",
         reclaim_policy: str = "expired-first",
-        on_reclaim: Callable[[str], None] | None = None,
         groups: dict[str, set[str]] | None = None,
     ):
         if enforcement not in ("quota", "nest"):
@@ -112,7 +112,6 @@ class LotManager:
         self.clock = clock
         self.enforcement = enforcement
         self.reclaim_policy = reclaim_policy
-        self.on_reclaim = on_reclaim or (lambda path: None)
         #: group name -> members, for **group lots** (a lot owned by
         #: ``group:<name>`` is usable by every member -- the paper's
         #: "group lots will be included in the next release").
@@ -217,19 +216,25 @@ class LotManager:
         return self._best_effort_used()
 
     def create_lot(self, owner: str, capacity: int, duration: float,
-                   volatile: bool = False) -> Lot:
+                   volatile: bool = False) -> tuple[Lot, list[str]]:
         """Create a lot, reclaiming best-effort space if necessary.
 
-        A ``volatile`` lot (IBP volatile allocations) makes no space
+        Returns the lot and the paths whose last charge reclamation
+        took: their bytes are no longer backed by any lot, and the
+        caller deletes them (:meth:`StorageManager.create_lot
+        <repro.nest.storage.StorageManager.create_lot>`).  A
+        ``volatile`` lot (IBP volatile allocations) makes no space
         guarantee: nothing is reclaimed for it, and its own data is
         reclaimable at any time.
 
-        Raises :exc:`LotError` when the guarantee cannot be met even
-        after reclaiming every best-effort byte.
+        Raises :exc:`LotError`, before reclaiming anything, when the
+        arguments are bad or the guarantee cannot be met even after
+        reclaiming every best-effort byte.
         """
         if capacity <= 0 or duration <= 0:
             raise LotError("capacity and duration must be positive")
         self.expire_lots()
+        reclaimed: list[str] = []
         if not volatile:
             shortfall = capacity - self.available_for_new_lot()
             if shortfall > 0:
@@ -239,13 +244,13 @@ class LotManager:
                         f"{self.available_for_new_lot()} free, "
                         f"{self.reclaimable_bytes()} reclaimable"
                     )
-                self._reclaim(shortfall)
+                reclaimed = self._reclaim(shortfall)
         now = self.clock()
         lot_id = f"lot{self._next_id}"
         self._commit("lot_create", lot_id=lot_id, owner=owner,
                      capacity=int(capacity), expires_at=now + duration,
                      volatile=volatile, last_used=now)
-        return self.lots[lot_id]
+        return self.lots[lot_id], reclaimed
 
     def renew(self, lot_id: str, duration: float, owner: str | None = None) -> Lot:
         """Extend a lot's duration; best-effort lots reactivate if the
@@ -448,9 +453,12 @@ class LotManager:
             best_effort.sort(key=lambda l: l.last_used)
         return best_effort
 
-    def _reclaim(self, needed: int) -> None:
+    def _reclaim(self, needed: int) -> list[str]:
+        """Release best-effort charges until ``needed`` bytes are free;
+        returns the paths left with no charge in any lot."""
         freed = 0
         reclaimed_files = 0
+        unbacked: list[str] = []
         for lot in self._victim_order():
             if freed >= needed:
                 break
@@ -461,7 +469,7 @@ class LotManager:
                 freed += nbytes
                 reclaimed_files += 1
                 if not any(path in other.charges for other in self.lots.values()):
-                    self.on_reclaim(path)
+                    unbacked.append(path)
                 if freed >= needed:
                     break
             if not lot.charges:
@@ -469,6 +477,7 @@ class LotManager:
         if reclaimed_files and self._m_reclaimed_files is not None:
             self._m_reclaimed_files.inc(reclaimed_files)
             self._m_reclaimed_bytes.inc(freed)
+        return unbacked
 
     def total_used(self) -> int:
         """Bytes charged across all lots."""

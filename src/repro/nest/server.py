@@ -200,7 +200,7 @@ class NestServer:
                 lot.owner == "anonymous"
                 for lot in self.storage.lots.lots.values())
             if not recovered_anonymous:
-                self.storage.lots.create_lot(
+                self.storage.create_lot(
                     "anonymous", self.config.default_anonymous_lot_bytes,
                     duration=365 * 24 * 3600.0,
                 )

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.nest.acl import AccessControl, AclError, Rights, default_acl
-from repro.nest.backends import DataStore, MemoryStore
-from repro.nest.lots import LotError, LotManager
+from repro.nest.backends import DataStore, MemoryStore, backend_size
+from repro.nest.lots import Lot, LotError, LotManager
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
 # StorageError and TransferTicket live beside the sessions that catch
@@ -208,7 +208,6 @@ class StorageManager:
             clock=clock,
             enforcement=lot_enforcement,
             reclaim_policy=reclaim_policy,
-            on_reclaim=self._reclaim_file,
             groups=self.groups,
         )
         self.capacity_bytes = capacity_bytes
@@ -218,6 +217,9 @@ class StorageManager:
         #: the same demand signal.
         self.heat = heat
         self._lock = threading.RLock()
+        #: path -> approved puts of it not yet settled: an aborted put
+        #: leaves the file to another one still open (:meth:`_end_put`).
+        self._open_puts: dict[str, int] = {}
         #: the metadata journal (set via :meth:`set_journal`); None
         #: means the appliance runs memory-only, exactly as before.
         self._journal = None
@@ -404,6 +406,18 @@ class StorageManager:
                 self._m_denied.inc(right=letter)
             _spans.annotate("acl_denied", 1)
             raise StorageError(Status.DENIED, f"{user} lacks {letter!r}")
+
+    def create_lot(self, owner: str, capacity: int, duration: float,
+                   volatile: bool = False) -> Lot:
+        """Create a lot (:meth:`LotManager.create_lot
+        <repro.nest.lots.LotManager.create_lot>`): each file whose
+        best-effort space it reclaimed loses its data and metadata."""
+        with self._lock:
+            lot, reclaimed = self.lots.create_lot(owner, capacity, duration,
+                                                  volatile=volatile)
+            for path in reclaimed:
+                self._reclaim_file(path)
+            return lot
 
     def _reclaim_file(self, path: str) -> None:
         """Best-effort lot reclamation: delete the file's data + metadata."""
@@ -600,12 +614,19 @@ class StorageManager:
                 # an open put for recovery to settle, never a release
                 # without its put.
                 self.lots.release(path, old_size - declared)
+            self._open_puts[path] = self._open_puts.get(path, 0) + 1
         # The stream opens once put_begin is durable: a crash before
         # then leaves the store untouched.
+        try:
+            stream = self.store.open_write(path)
+        except BaseException:
+            # A put whose stream never opened landed nothing.
+            with self._op("commit_put", path), self._lock:
+                self._end_put(path, user, None)
+            raise
         return TransferTicket(
-            path=path, user=user, size=declared,
-            stream=self.store.open_write(path), is_write=True,
-            on_settle=self._settle_put,
+            path=path, user=user, size=declared, stream=stream,
+            is_write=True, on_settle=self._settle_put,
         )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
@@ -661,22 +682,67 @@ class StorageManager:
                 raise StorageError(Status.NO_SPACE, str(exc)) from exc
 
     def _settle_put(self, ticket: TransferTicket, actual: int) -> None:
-        """Commit a finished put at its actual size.  The lot delta is
-        taken from the node's current size, so whichever put settles
-        last leaves size, accounting and charges agreeing."""
-        path = ticket.path
-        with self._op("commit_put", path), self._lock:
-            found = self._file(path)
-            delta = actual - found[2].size if found is not None else 0
-            # The commit record closes the put_begin bracket: recovery
-            # treats an unmatched put_begin as an interrupted transfer.
-            self._commit("put_commit", path=path, size=actual)
-            if delta < 0:
-                self.lots.release(path, -delta)
-            elif delta > 0 and self.require_lots:
-                # Under-declared: charge the remainder (may raise; the
-                # transfer manager reports the failure to the client).
-                self.lots.charge(ticket.user, path, delta)
+        with self._op("commit_put", ticket.path), self._lock:
+            self._end_put(ticket.path, ticket.user,
+                          None if ticket.aborted else actual)
+
+    def _end_put(self, path: str, user: str, size: int | None) -> None:
+        """Close one approved put of ``path``: commit it at ``size``
+        bytes, or, when it was aborted (``size`` None) and so landed
+        nothing, settle the file to the backend's bytes
+        (:meth:`settle_to_backend`).  An aborted put with another put
+        of the path still open leaves the file alone: that put's
+        ``put_begin`` already stands for it, and its settlement
+        decides the file."""
+        left = self._open_puts[path] - 1
+        if left:
+            self._open_puts[path] = left
+        else:
+            del self._open_puts[path]
+        if size is not None:
+            # Under-declared: charging the remainder may raise; the
+            # transfer manager reports the failure to the client.
+            self._commit_put(path, user, size)
+        elif not left:
+            self.settle_to_backend(path, user)
+
+    def settle_to_backend(self, path: str, user: str) -> int | None:
+        """Settle the file at ``path`` to the bytes the backend holds
+        for it: where a put that landed nothing leaves it -- live, an
+        aborted put; after a crash, an interrupted one.
+
+        An overwrite keeps its old size, and gets back the charge a
+        shrinking overwrite released at approval (its bytes stay
+        uncharged when no room is left).  With no bytes at all the node
+        and its charges go.  Returns the size settled to, or None when
+        the file went."""
+        with self._lock:
+            actual = backend_size(self.store, path)
+            if actual is None:
+                # The "delete" record closes the put_begin bracket too.
+                self._commit("delete", path=path)
+                self.lots.release(path)
+                return None
+            try:
+                self._commit_put(path, user, actual)
+            except LotError:
+                pass
+            return actual
+
+    def _commit_put(self, path: str, user: str, size: int) -> None:
+        """Commit the file at ``path`` at ``size`` bytes.  The lot
+        delta is taken from the node's current size, so whichever put
+        settles last leaves size, accounting and charges agreeing;
+        charging growth may raise :exc:`LotError`."""
+        found = self._file(path)
+        delta = size - found[2].size if found is not None else 0
+        # The commit record closes the put_begin bracket: recovery
+        # treats an unmatched put_begin as an interrupted transfer.
+        self._commit("put_commit", path=path, size=size)
+        if delta < 0:
+            self.lots.release(path, -delta)
+        elif delta > 0 and self.require_lots:
+            self.lots.charge(user, path, delta)
 
     # ------------------------------------------------------------------
     # journal records: one apply function per type, run by _commit on
@@ -800,7 +866,7 @@ class StorageManager:
             # administrators grant access to a NeST, they can
             # simultaneously make a set of default lots for users").
             self._check(self.root.acl, request.user, "a")
-        lot = self.lots.create_lot(
+        lot = self.create_lot(
             owner=owner,
             capacity=int(request.params.get("capacity", 0)),
             duration=float(request.params.get("duration", 0)),

@@ -78,34 +78,37 @@ def traced_mixed_workload(
     scheduling unit of data finishes its service cycle, so any change
     in event ordering, timing arithmetic, or tie-breaking shows up as a
     diverging trace.
+
+    The simulation is closed before returning: a ``return_server=True``
+    caller reads the server's counters, which outlive the close.
     """
-    env = Environment()
-    server = SimNest(env, platform, NestConfig(scheduling="fcfs"))
-    result = TraceResult()
+    with Environment() as env:
+        server = SimNest(env, platform, NestConfig(scheduling="fcfs"))
+        result = TraceResult()
 
-    stats = server.stats
-    original_moved = type(stats).moved
+        stats = server.stats
+        original_moved = type(stats).moved
 
-    def recording_moved(protocol: str, nbytes: int) -> None:
-        result.records.append((repr(env.now), protocol, nbytes))
-        original_moved(stats, protocol, nbytes)
+        def recording_moved(protocol: str, nbytes: int) -> None:
+            result.records.append((repr(env.now), protocol, nbytes))
+            original_moved(stats, protocol, nbytes)
 
-    stats.moved = recording_moved
-    _spawn_clients(
-        env,
-        get_server=lambda _p: server,
-        get_cap=lambda _p: None,
-        protocols=list(TRACE_PROTOCOLS),
-        n_clients=n_clients,
-        file_bytes=file_mb * 1_000_000,
-        files_per_client=10_000,
-    )
-    env.run(until=horizon)
-    result.final_bytes = dict(sorted(stats.progress_by_protocol.items()))
-    result.requests = dict(sorted(stats.requests_by_protocol.items()))
-    result.latency_count = len(stats.latencies)
-    result.latency_sum_repr = repr(sum(stats.latencies))
-    result.end_time_repr = repr(env.now)
+        stats.moved = recording_moved
+        _spawn_clients(
+            env,
+            get_server=lambda _p: server,
+            get_cap=lambda _p: None,
+            protocols=list(TRACE_PROTOCOLS),
+            n_clients=n_clients,
+            file_bytes=file_mb * 1_000_000,
+            files_per_client=10_000,
+        )
+        env.run(until=horizon)
+        result.final_bytes = dict(sorted(stats.progress_by_protocol.items()))
+        result.requests = dict(sorted(stats.requests_by_protocol.items()))
+        result.latency_count = len(stats.latencies)
+        result.latency_sum_repr = repr(sum(stats.latencies))
+        result.end_time_repr = repr(env.now)
     if return_server:
         return result, server
     return result

@@ -158,6 +158,13 @@ class TransferTicket:
     (0 if nothing did).  Settling happens once: the stream is closed
     and, for a put, declared vs actual size is reconciled; later calls
     are no-ops, so a ticket approved is a ticket settled.
+
+    A movement that raised, or that moved less than ``size``, leaves
+    the ticket :attr:`aborted`.  An aborted ticket with an approver to
+    reconcile it (a put) calls its stream's ``discard`` instead of
+    ``close`` -- NeST's writers drop their staged bytes, so the put
+    lands nothing -- and the approver reconciles: NeST restores the
+    state from before the approval.
     """
 
     path: str
@@ -173,20 +180,30 @@ class TransferTicket:
     on_settle: Callable[["TransferTicket", int], None] | None = field(
         default=None, repr=False)
     settled: bool = field(default=False, init=False)
+    #: the movement was cut short (see the class docstring).
+    aborted: bool = field(default=False, init=False)
 
     def settle(self, actual_bytes: int) -> None:
-        """End the data movement: close the stream, reconcile."""
+        """End the data movement: close (or discard) the stream,
+        reconcile."""
         if self.settled:
             return
         self.settled = True
-        self.stream.close()
+        if actual_bytes < self.size:
+            self.aborted = True
+        if self.aborted and self.on_settle is not None:
+            self.stream.discard()
+        else:
+            self.stream.close()
         if self.on_settle is not None:
             self.on_settle(self, actual_bytes)
 
     def __enter__(self) -> "TransferTicket":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.aborted = True
         self.settle(self.moved)
 
 

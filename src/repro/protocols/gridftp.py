@@ -339,9 +339,13 @@ class GridFtpSession(ftp.FtpSession):
                                              offset + len(payload))
 
             errors.extend(self._run_lanes(lane, "receive"))
-            # A failed or hung lane means missing stripes: settle the
-            # STOR as empty rather than commit a silently truncated file.
-            return (0 if errors else high_water), None
+            # A failed or hung lane means missing stripes: abort the
+            # STOR, leaving what was there before, rather than commit a
+            # silently truncated file.
+            if errors:
+                ticket.aborted = True
+                return 0, None
+            return high_water, None
 
         moved, _ = self.receive(ticket, mover=receive_lanes)
         return self._lanes_reply(errors, f"received {moved} bytes")

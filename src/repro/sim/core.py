@@ -29,6 +29,16 @@ processed, direct resumes, timeout pool hits, heap high-water mark)
 that :mod:`repro.perf` snapshots; each is a plain attribute increment
 on the hot path.
 
+A simulation has an end: :meth:`Environment.close` (or leaving a
+``with Environment() as env:`` block) closes every still-suspended
+process generator, so its ``finally`` blocks run once, and drops the
+event heap, the pending-resume deque and the timeout pool, keeping only
+the perf counters.  A finished simulation is one reference cycle
+(environment -> queued events -> ``Process._resume`` callbacks ->
+suspended generators -> the model -> environment); closing breaks it,
+so refcounting frees the whole model as soon as its result is read,
+instead of whenever the cyclic collector next runs.
+
 Opt-in telemetry: :meth:`Environment.enable_trace` attaches a
 :class:`repro.sim.trace.KernelTrace` recording dispatches and process
 lifetimes in simulated time (exported to ``chrome://tracing`` via
@@ -210,6 +220,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         self._born = env._now
+        env._procs[self] = None
         init = Initialize(env)
         init.callbacks.append(self._resume)
 
@@ -297,6 +308,7 @@ class Process(Event):
         self._value = value
         self._triggered = True
         env = self.env
+        del env._procs[self]
         if env._trace is not None:
             env._trace.record_process(self.name, self._born, env._now)
         env._push(self, env._now, NORMAL)
@@ -375,6 +387,8 @@ class Environment:
         high-water mark of the event heap;
     ``events_scheduled``
         total scheduling operations (heap pushes + direct resumes).
+
+    The counters stay readable after :meth:`close`.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -384,6 +398,10 @@ class Environment:
         #: direct resumes waiting to dispatch: (seq, process, event).
         self._pending: deque[tuple[int, Process, Event]] = deque()
         self._timeout_pool: list[Timeout] = []
+        #: processes whose generator has not finished, in creation
+        #: order (a dict as an ordered set): what :meth:`close` ends.
+        self._procs: dict[Process, None] = {}
+        self._closed = False
         #: opt-in simulated-time trace (None = zero-overhead default).
         self._trace = None
         # perf counters
@@ -415,6 +433,44 @@ class Environment:
     def events_scheduled(self) -> int:
         """Total scheduling operations (heap pushes + direct resumes)."""
         return self._seqno
+
+    # -- lifecycle ----------------------------------------------------------
+    def close(self) -> None:
+        """End the simulation.
+
+        Every process still suspended has its generator closed (so its
+        ``finally`` blocks run, once), then the event heap, the
+        pending-resume deque and the timeout pool are dropped.  Finished
+        processes are left as they are, and the perf counters stay
+        readable.  Closing twice is harmless; :meth:`run` afterwards
+        raises :exc:`SimulationError`.
+
+        What the ``finally`` blocks schedule on the way out (a resource
+        released to its next waiter, say) is dropped with the queue and
+        is not counted: the counters describe the simulation that ran.
+        """
+        self._closed = True
+        counted = (self._seqno, self.timeouts_created, self.timeouts_reused)
+        # A finally block may start a process of its own: close until
+        # none is left.
+        while self._procs:
+            procs, self._procs = self._procs, {}
+            for proc in procs:
+                # Nothing it waits on, and nothing waiting on it, will
+                # fire again: drop both links along with the frame.
+                proc._target = None
+                proc.callbacks = []
+                proc._generator.close()
+        self._queue = []
+        self._pending.clear()
+        self._timeout_pool.clear()
+        self._seqno, self.timeouts_created, self.timeouts_reused = counted
+
+    def __enter__(self) -> "Environment":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -547,6 +603,8 @@ class Environment:
         * a number -- run until that simulated time;
         * an :class:`Event` -- run until it fires, returning its value.
         """
+        if self._closed:
+            raise SimulationError("environment is closed")
         if until is None:
             self._dispatch(None)
             return None

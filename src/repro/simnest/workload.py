@@ -127,24 +127,24 @@ def run_single_protocol(
     warmup: float = 2.0,
 ) -> WorkloadResult:
     """Fig. 3's single-protocol bars: one protocol, NeST or native."""
-    env = Environment()
-    file_bytes = file_mb * MB
-    if server_kind == "nest":
-        cfg = config or NestConfig()
-        server = SimNest(env, platform, cfg)
-        servers = [server]
-        get_server = lambda _p: server
-        get_cap = lambda _p: None
-    elif server_kind == "jbos":
-        jbos = SimJbos(env, platform, protocols=(protocol,))
-        servers = list(jbos.servers.values())
-        get_server = lambda p: jbos[p]
-        get_cap = lambda p: jbos.effective_cap(p)
-    else:
-        raise ValueError(f"unknown server kind {server_kind!r}")
-    logs = _spawn_clients(env, get_server, get_cap, [protocol], n_clients,
-                          file_bytes, files_per_client)
-    return _collect(env, logs, servers, horizon, warmup)
+    with Environment() as env:
+        file_bytes = file_mb * MB
+        if server_kind == "nest":
+            cfg = config or NestConfig()
+            server = SimNest(env, platform, cfg)
+            servers = [server]
+            get_server = lambda _p: server
+            get_cap = lambda _p: None
+        elif server_kind == "jbos":
+            jbos = SimJbos(env, platform, protocols=(protocol,))
+            servers = list(jbos.servers.values())
+            get_server = lambda p: jbos[p]
+            get_cap = lambda p: jbos.effective_cap(p)
+        else:
+            raise ValueError(f"unknown server kind {server_kind!r}")
+        logs = _spawn_clients(env, get_server, get_cap, [protocol], n_clients,
+                              file_bytes, files_per_client)
+        return _collect(env, logs, servers, horizon, warmup)
 
 
 def run_mixed_protocols(
@@ -160,21 +160,22 @@ def run_mixed_protocols(
     throttle: dict[str, float] | None = None,
 ) -> WorkloadResult:
     """Fig. 3's mixed bars and the whole of Fig. 4: all protocols at once."""
-    env = Environment()
-    file_bytes = file_mb * MB
-    if server_kind == "nest":
-        cfg = config or NestConfig()
-        server = SimNest(env, platform, cfg)
-        servers = [server]
-        get_server = lambda _p: server
-        get_cap = lambda _p: None
-    elif server_kind == "jbos":
-        jbos = SimJbos(env, platform, protocols=protocols, throttle=throttle)
-        servers = list(jbos.servers.values())
-        get_server = lambda p: jbos[p]
-        get_cap = lambda p: jbos.effective_cap(p)
-    else:
-        raise ValueError(f"unknown server kind {server_kind!r}")
-    logs = _spawn_clients(env, get_server, get_cap, list(protocols), n_clients,
-                          file_bytes, files_per_client)
-    return _collect(env, logs, servers, horizon, warmup)
+    with Environment() as env:
+        file_bytes = file_mb * MB
+        if server_kind == "nest":
+            cfg = config or NestConfig()
+            server = SimNest(env, platform, cfg)
+            servers = [server]
+            get_server = lambda _p: server
+            get_cap = lambda _p: None
+        elif server_kind == "jbos":
+            jbos = SimJbos(env, platform, protocols=protocols,
+                           throttle=throttle)
+            servers = list(jbos.servers.values())
+            get_server = lambda p: jbos[p]
+            get_cap = lambda p: jbos.effective_cap(p)
+        else:
+            raise ValueError(f"unknown server kind {server_kind!r}")
+        logs = _spawn_clients(env, get_server, get_cap, list(protocols),
+                              n_clients, file_bytes, files_per_client)
+        return _collect(env, logs, servers, horizon, warmup)

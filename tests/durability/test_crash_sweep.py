@@ -63,7 +63,7 @@ def run_workload(s: StorageManager, entry: str = "direct") -> None:
     ns = ENTRY_POINTS[entry](s)
     s.lots.create_lot("alice", 1 << 16, 3600.0)
     s.lots.create_lot("bob", 1 << 16, 3600.0)
-    lot3 = s.lots.create_lot("carol", 1 << 16, 3600.0)
+    lot3, _ = s.lots.create_lot("carol", 1 << 16, 3600.0)
     s.add_group("team", {"alice", "bob"})
     ns.mkdir("admin", "/a")
     ns.acl_set("admin", "/a", "group:team", "rwmidl")

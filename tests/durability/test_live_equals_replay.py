@@ -8,7 +8,7 @@ residency).  And with no snapshot at all, recovering fresh instances
 from a run's journal must give back the live run's storage, catalog and
 tier state exactly -- including the runs where the live verb once did
 something other than its record says (two PUTs of one path settling out
-of order, an NFS write refused for lack of a lot).
+of order, an NFS write refused for lack of a lot, a PUT cut short).
 """
 
 from __future__ import annotations
@@ -162,4 +162,29 @@ def test_a_refused_nfs_write_leaves_no_file(tmp_path):
         live.storage.approve_write("admin", "/w", 0, 10)
     assert refused.value.status is Status.NO_SPACE
     assert not live.storage.exists("/w")
+    assert_replay_equals_live(live)
+
+
+@pytest.mark.parametrize("old", [None, 8, 64], ids=["new", "growing",
+                                                   "shrinking"])
+def test_a_put_cut_short_leaves_the_state_from_before_it(tmp_path, old):
+    """A put that moves less than it declared is undone live, and the
+    journal replays to the same state: an overwrite keeps its old
+    bytes, size and lot charge; a new file leaves nothing."""
+    store = MemoryStore()
+    live = Appliance(tmp_path, store=store, require_lots=True)
+    storage = live.storage
+    storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    if old is not None:
+        put(storage, "admin", "/f", b"o" * old)
+    before = storage.serialize_state()
+    ticket = storage.approve_put("admin", "/f", 32)
+    ticket.stream.write(b"n" * 5)
+    ticket.settle(5)
+    assert ticket.aborted
+    assert storage.serialize_state() == before
+    if old is None:
+        assert not store.exists("/f")
+    else:
+        assert store.open_read("/f").read() == b"o" * old
     assert_replay_equals_live(live)

@@ -236,7 +236,7 @@ def test_lot_renewed_before_crash_stays_active(tmp_path):
     now = [1000.0]
     store = MemoryStore()
     s1, m1, _ = make_stack(tmp_path / "state", store, clock=lambda: now[0])
-    lot = s1.lots.create_lot("alice", 4096, duration=500.0)
+    lot, _ = s1.lots.create_lot("alice", 4096, duration=500.0)
     s1.lots.renew(lot.lot_id, 5000.0)  # now expires at 6000
     m1.close(snapshot=False)
 
@@ -319,20 +319,22 @@ def _shrinking_overwrite_stack(tmp_path, store):
 @pytest.mark.parametrize("landed", [1024, 300])
 def test_shrinking_overwrite_replays_to_the_live_charge(tmp_path, landed):
     """Live and replayed lot accounting agree after a put replaced a
-    larger file (``landed`` < 1024: the overwrite itself fell short),
+    larger file (``landed`` < 1024: the overwrite itself fell short, so
+    it was undone and the old 64 KiB got its released charge back),
     and recovery had nothing to trim -- the journal alone is right."""
     store = MemoryStore()
     s1, m1 = _shrinking_overwrite_stack(tmp_path, store)
     ticket = s1.approve_put("alice", "/d/f", 1024)
     ticket.stream.write(b"s" * landed)
     ticket.settle(landed)
+    size = landed if landed == 1024 else 65536
     (live,) = s1.lots.lots.values()
-    assert live.used == s1.used_bytes == landed
+    assert live.used == s1.used_bytes == store.size("/d/f") == size
     m1.close(snapshot=False)
 
     s2, m2, report = make_stack(tmp_path / "state", store)
     (lot,) = s2.lots.lots.values()
-    assert lot.used == s2.used_bytes == landed
+    assert lot.used == s2.used_bytes == size
     assert lot.charges == live.charges
     assert report.reconciled_charges == 0
     m2.close()

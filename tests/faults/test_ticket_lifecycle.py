@@ -314,7 +314,7 @@ def test_no_data_channel_configured_is_503_before_approval(
 @pytest.mark.parametrize("proto", FTP_FAMILY)
 def test_data_channel_never_connects(appliance_factory, thread_tracebacks, proto):
     """PASV/SPAS, then STOR, and the client never dials: the accept
-    times out *inside* the ticket's scope -- the put is settled (empty)
+    times out *inside* the ticket's scope -- the put is settled (undone)
     and the control connection closes like any wire error."""
     appliance = appliance_factory()
     with ftp_session(appliance, proto) as raw:
@@ -409,5 +409,35 @@ def test_put_source_ends_short(appliance_factory, thread_tracebacks, proto, shor
     short_put(appliance)
     assert [t.path for t in appliance.tickets] == ["/data/f"]
     assert_typed_replies(appliance, proto, "/data/f")
+    # The put was undone: no file, not even an empty one.
+    assert not appliance.server.storage.exists("/data/f")
+    assert not os.path.exists(os.path.join(appliance.root, "data", "f"))
     appliance.assert_invariants()
     assert thread_tracebacks == []
+
+
+# ---------------------------------------------------------------------------
+# a put cut short is undone: the state from before the PUT stays
+# ---------------------------------------------------------------------------
+OLD = {"growing": b"old version\n" * 3,          # the put would grow it
+       "shrinking": PAYLOAD * 2}                  # the put would shrink it
+
+
+@pytest.mark.parametrize("old", sorted(OLD))
+@pytest.mark.parametrize("proto,short_put", [
+    ("chirp", short_chirp_put), ("http", short_http_put)])
+def test_short_put_over_a_file_keeps_the_old_version(
+        appliance_factory, thread_tracebacks, proto, short_put, old):
+    appliance = appliance_factory()
+    appliance.seed("/data/f", OLD[old])
+    storage = appliance.server.storage
+    before = (storage.used_bytes, storage.lots.total_used())
+    short_put(appliance)
+    appliance.wait_idle()
+    assert storage.stat("anonymous", "/data/f")["size"] == len(OLD[old])
+    assert (storage.used_bytes, storage.lots.total_used()) == before
+    with client_for(appliance, proto) as client:
+        assert get(client, proto, "/data/f") == OLD[old]
+    appliance.assert_invariants()
+    assert thread_tracebacks == []
+

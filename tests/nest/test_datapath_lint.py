@@ -1,6 +1,6 @@
 """The door, socket-birth, one-accept-loop, shares-no-manager,
-one-periodic-loop, one-journal-write-site and one-commit-site rules of
-``scripts/lint_datapath.py``."""
+one-periodic-loop, one-journal-write-site, one-commit-site and
+closed-environment rules of ``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -321,3 +321,38 @@ class Mirror:
     assert sorted(flagged) == [("nest/storage.py", 10),
                                ("tier/store.py", 5), ("tier/store.py", 16)]
     assert lint._commit_violations(tier, "tier/demo.py") == []
+
+
+def test_every_environment_in_src_is_closed_by_a_with():
+    root = REPO / "src" / "repro"
+    checked = [path.relative_to(root).as_posix()
+               for path in sorted(root.rglob("*.py"))]
+    assert {"bench/fig6.py", "simnest/workload.py"} <= set(checked)
+    assert [v for rel in checked
+            for v in lint._environment_violations(root / rel, rel)] == []
+
+
+def test_a_bare_environment_is_flagged(tmp_path):
+    source = tmp_path / "figx.py"
+    source.write_text('''
+from repro import sim
+from repro.sim.core import Environment
+
+
+def measure():
+    env = Environment()                                 # flagged
+    return run(env)
+
+
+def measure_twice():
+    with Environment() as env, sim.Environment() as other:
+        return run(env) + run(other)
+
+
+def helper():
+    return run(sim.Environment(initial_time=5.0))       # flagged
+''')
+    flagged = [int(line.split(":")[1])
+               for line in lint._environment_violations(source, "bench/figx.py")]
+    assert flagged == [7, 17]
+    assert lint._environment_violations(source, "sim/core.py") == []

@@ -45,15 +45,15 @@ class TestGroupLots:
 
     def test_own_lot_preferred_over_group_lot(self, clock):
         mgr = self.make(clock)
-        group = mgr.create_lot("group:wind", 1000, duration=60)
-        personal = mgr.create_lot("alice", 1000, duration=60)
+        group, _ = mgr.create_lot("group:wind", 1000, duration=60)
+        personal, _ = mgr.create_lot("alice", 1000, duration=60)
         mgr.charge("alice", "/f", 600)
         assert personal.used == 600
         assert group.used == 0
 
     def test_member_can_renew_group_lot(self, clock):
         mgr = self.make(clock)
-        lot = mgr.create_lot("group:wind", 1000, duration=60)
+        lot, _ = mgr.create_lot("group:wind", 1000, duration=60)
         mgr.renew(lot.lot_id, 120, owner="bob")
         with pytest.raises(LotError):
             mgr.renew(lot.lot_id, 120, owner="mallory")
@@ -109,24 +109,22 @@ class TestVolatileLots:
         mgr.create_lot("s", 1000, duration=60)
 
     def test_volatile_data_reclaimed_for_guarantee(self, clock):
-        reclaimed = []
-        mgr = LotManager(1000, clock=clock, enforcement="nest",
-                         on_reclaim=reclaimed.append)
+        mgr = LotManager(1000, clock=clock, enforcement="nest")
         mgr.create_lot("v", 800, duration=60, volatile=True)
         mgr.charge("v", "/vdata", 700)
-        mgr.create_lot("s", 600, duration=60)
+        _, reclaimed = mgr.create_lot("s", 600, duration=60)
         assert "/vdata" in reclaimed
 
     def test_volatile_lot_accepts_charges_while_active(self, clock):
         mgr = LotManager(1000, clock=clock, enforcement="nest")
-        lot = mgr.create_lot("v", 500, duration=60, volatile=True)
+        lot, _ = mgr.create_lot("v", 500, duration=60, volatile=True)
         mgr.charge("v", "/f", 300)
         assert lot.used == 300
         assert lot.state is LotState.ACTIVE
 
     def test_volatile_expiry_still_applies(self, clock):
         mgr = LotManager(1000, clock=clock, enforcement="nest")
-        lot = mgr.create_lot("v", 500, duration=10, volatile=True)
+        lot, _ = mgr.create_lot("v", 500, duration=10, volatile=True)
         clock.now = 20.0
         mgr.expire_lots()
         assert lot.state is LotState.BEST_EFFORT

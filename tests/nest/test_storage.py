@@ -92,7 +92,7 @@ class TestNamespace:
         said 5 bytes while a read returned b'', and the lot kept
         charging the old paths."""
         sm = StorageManager(clock=clock, require_lots=True)
-        lot = sm.lots.create_lot("alice", 1 << 20, duration=3600.0)
+        lot, _ = sm.lots.create_lot("alice", 1 << 20, duration=3600.0)
         sm.mkdir("alice", "/data")
         sm.mkdir("alice", "/data/a")
         sm.mkdir("alice", "/data/a/sub")
@@ -149,11 +149,13 @@ class TestDataPath:
             sm.approve_get("alice", "/data")
         assert info.value.status is Status.IS_DIR
 
-    def test_put_settle_shrink_adjusts_size(self, sm):
+    def test_put_settled_short_leaves_no_file(self, sm):
         ticket = sm.approve_put("alice", "/data/f", 100)
         ticket.stream.write(b"abc")
-        ticket.settle(3)
-        assert sm.stat("alice", "/data/f")["size"] == 3
+        ticket.settle(3)  # fewer bytes than declared: the put is undone
+        assert not sm.exists("/data/f")
+        assert not sm.store.exists("/data/f")
+        assert sm.used_bytes == 0
 
     def test_block_write_and_read(self, sm):
         t = sm.approve_write("alice", "/data/f", 0, 4)
@@ -276,8 +278,62 @@ class TestLotIntegration:
         sm.lots.create_lot("alice", 800, duration=10)
         put(sm, "alice", "/d/victim", b"v" * 700)
         clock.now = 50.0  # lot expires -> best effort
-        sm.lots.create_lot("bob", 900, duration=60)
+        sm.create_lot("bob", 900, duration=60)
         assert not sm.exists("/d/victim")
+
+    @pytest.mark.parametrize("params", [
+        {"capacity": 900}, {"capacity": 900, "duration": 0},
+        {"capacity": 5000, "duration": 60}])
+    def test_refused_lot_create_reclaims_nothing(self, clock, params):
+        """A LOT_CREATE refused for its arguments or for space is
+        refused before any best-effort file is reclaimed for it."""
+        sm = StorageManager(clock=clock, require_lots=True,
+                            capacity_bytes=1000)
+        sm.mkdir("alice", "/d")
+        sm.lots.create_lot("alice", 800, duration=10)
+        put(sm, "alice", "/d/victim", b"v" * 700)
+        clock.now = 50.0  # lot expires -> best effort
+        resp = sm.execute(Request(rtype=RequestType.LOT_CREATE,
+                                  user="alice", params=params))
+        assert not resp.ok
+        assert get(sm, "alice", "/d/victim") == b"v" * 700
+        assert sm.lots.total_used() == sm.used_bytes == 700
+
+
+class TestConcurrentPuts:
+    """Two puts of one path settle to the same file whatever order
+    they settle in, an aborted one included."""
+
+    @pytest.mark.parametrize("aborted_first", [True, False])
+    def test_aborted_put_leaves_a_concurrent_one(self, clock, aborted_first):
+        sm = StorageManager(clock=clock, require_lots=True)
+        sm.mkdir("alice", "/d")
+        sm.lots.create_lot("alice", 1000, duration=60)
+        a = sm.approve_put("alice", "/d/p", 100)  # creates /d/p
+        b = sm.approve_put("alice", "/d/p", 40)   # overwrites a's node
+        a.stream.write(b"a" * 10)
+        b.stream.write(b"b" * 40)
+        if aborted_first:
+            a.settle(10)
+            b.settle(40)
+        else:
+            b.settle(40)
+            a.settle(10)
+        assert sm.stat("alice", "/d/p")["size"] == 40
+        assert get(sm, "alice", "/d/p") == b"b" * 40
+        assert sm.used_bytes == sm.lots.total_used() == 40
+
+    def test_both_aborted_leave_no_file(self, clock):
+        sm = StorageManager(clock=clock, require_lots=True)
+        sm.mkdir("alice", "/d")
+        sm.lots.create_lot("alice", 1000, duration=60)
+        a = sm.approve_put("alice", "/d/p", 100)
+        b = sm.approve_put("alice", "/d/p", 40)
+        a.settle(0)
+        b.settle(0)
+        assert not sm.exists("/d/p")
+        assert not sm.store.exists("/d/p")
+        assert sm.used_bytes == sm.lots.total_used() == 0
 
 
 class TestOverwriteWithLess:
@@ -309,13 +365,16 @@ class TestOverwriteWithLess:
         assert lotted.lots.total_used() == self.SMALL
 
     @pytest.mark.parametrize("landed", [0, 300])
-    def test_short_overwrite_settles_to_what_landed(self, lotted, landed):
+    def test_short_overwrite_keeps_the_old_file(self, lotted, landed):
         ticket = lotted.approve_put("alice", "/d/f", self.SMALL)
         ticket.stream.write(b"s" * landed)
         ticket.settle(landed)  # the transfer failed after ``landed`` bytes
-        assert lotted.stat("alice", "/d/f")["size"] == landed
-        assert lotted.used_bytes == landed
-        assert lotted.lots.total_used() == landed
+        # The shrinkage released at approval is charged back.
+        assert lotted.stat("alice", "/d/f")["size"] == self.BIG
+        assert lotted.store.open_read("/d/f").read(self.BIG + 1) == (
+            b"b" * self.BIG)
+        assert lotted.used_bytes == self.BIG
+        assert lotted.lots.total_used() == self.BIG
 
     def test_under_declared_overwrite_charges_the_rest(self, lotted):
         ticket = lotted.approve_put("alice", "/d/f", self.SMALL)

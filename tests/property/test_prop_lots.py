@@ -31,7 +31,7 @@ def apply_ops(mgr, clock, ops):
     for kind, user, amount, duration, path in ops:
         try:
             if kind == "create":
-                lot = mgr.create_lot(user, amount, duration)
+                lot, _ = mgr.create_lot(user, amount, duration)
                 lot_ids.append(lot.lot_id)
             elif kind == "charge":
                 mgr.charge(user, path, amount)

@@ -161,7 +161,7 @@ class TestTierManager:
         clock = Clock()
         tiered = TieredStore(MemoryStore(), MemoryStore())
         storage = StorageManager(store=tiered, capacity_bytes=1 << 20)
-        lot = storage.lots.create_lot("alice", 4096, 3600.0)
+        lot, _ = storage.lots.create_lot("alice", 4096, 3600.0)
         storage.lots.attach(lot.lot_id, "/pinned", "alice")
         storage.mkdir("anonymous", "/pinned")
         put(storage, "/pinned/a.dat", b"p" * 100)
