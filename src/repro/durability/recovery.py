@@ -111,15 +111,16 @@ class StorageReplayer:
         return parent, name, parent.children.get(name)
 
     def finish_moves(self) -> None:
-        """Finish the replayed renames' byte moves, oldest first, once
-        the namespace is final.
+        """Finish the replayed renames' store renames, oldest first,
+        once the namespace is final.
 
         ``rename`` commits before touching the backend, so a crash
         between the two leaves the record durable but the bytes under
-        the old path: the record wins.  A move that landed before the
-        crash is skipped (:func:`move_bytes` finds no old copy), and so
-        is one whose old name a later record re-used: the bytes there
-        are that later file's.
+        the old path: the record wins, and the old name is renamed
+        through the same :func:`move_bytes` the live rename runs.  A
+        rename that landed before the crash is skipped (no old copy),
+        and so is one whose old name a later record re-used: the bytes
+        there are that later file's.
         """
         for node, path, new_path in self.moves:
             if self.storage.exists(path):

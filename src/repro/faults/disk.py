@@ -274,32 +274,19 @@ class FaultyStore:
     """A :class:`~repro.nest.backends.DataStore` wrapper whose write
     streams consult a :class:`DiskFaultPlan` -- the disk counterpart
     of wrapping a socket in a :class:`~repro.faults.plan.FaultySocket`.
+    Reads and the metadata calls (``rename``, ``delete``, ``size``,
+    ``exists``) reach ``inner`` unchanged through ``__getattr__``.
     """
 
     def __init__(self, inner, plan: DiskFaultPlan):
         self.inner = inner
         self.plan = plan
 
-    def open_read(self, path: str):
-        return self.inner.open_read(path)
-
-    def open_write(self, path: str, append: bool = False):
-        return FaultyFile(self.inner.open_write(path, append=append), self.plan)
+    def open_write(self, path: str):
+        return FaultyFile(self.inner.open_write(path), self.plan)
 
     def open_update(self, path: str):
         return FaultyFile(self.inner.open_update(path), self.plan)
-
-    def delete(self, path: str) -> None:
-        self.inner.delete(path)
-
-    def size(self, path: str) -> int:
-        return self.inner.size(path)
-
-    def exists(self, path: str) -> bool:
-        exists = getattr(self.inner, "exists", None)
-        if exists is not None:
-            return exists(path)
-        return self.inner.size(path) > 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

@@ -8,10 +8,11 @@ local filesystem and planned raw disk and memory.  We provide:
 * :class:`LocalFSStore` -- files in a directory of the real local
   filesystem, with path sandboxing.
 
-A backend stores only bytes; all namespace, ACL, and lot logic lives in
-:class:`repro.nest.storage.StorageManager`, which is what lets the
-simulated substrate swap in a time-modelled store without touching
-policy code.
+A backend stores only bytes under names: it writes, reads, updates,
+renames and deletes one file at a time.  All namespace, ACL, and lot
+logic lives in :class:`repro.nest.storage.StorageManager`, which is
+what lets the simulated substrate swap in a time-modelled store
+without touching policy code.
 """
 
 from __future__ import annotations
@@ -24,18 +25,25 @@ from typing import BinaryIO, Protocol
 
 
 class DataStore(Protocol):
-    """What the storage manager needs from physical storage."""
+    """What the storage manager needs from physical storage: per-file
+    streams, plus the metadata calls ``rename``, ``delete``, ``size``
+    and ``exists``, which move no bytes."""
 
     def open_read(self, path: str) -> BinaryIO:
         """A readable binary stream of the file's contents."""
         ...
 
-    def open_write(self, path: str, append: bool = False) -> BinaryIO:
-        """A writable binary stream (created/truncated unless append)."""
+    def open_write(self, path: str) -> BinaryIO:
+        """A writable binary stream; the file is replaced on close."""
         ...
 
     def open_update(self, path: str) -> BinaryIO:
         """A seekable read/write stream for block-granular updates."""
+        ...
+
+    def rename(self, path: str, new_path: str) -> None:
+        """Give one existing file's bytes a new name, replacing
+        whatever that name held; no byte is copied."""
         ...
 
     def delete(self, path: str) -> None:
@@ -53,14 +61,8 @@ class DataStore(Protocol):
 
 def backend_size(store, path: str) -> int | None:
     """Bytes the backend actually holds for ``path`` (None if absent)."""
-    exists = getattr(store, "exists", None)
     try:
-        if exists is not None:
-            if not exists(path):
-                return None
-            return store.size(path)
-        size = store.size(path)
-        return size if size > 0 else None
+        return store.size(path) if store.exists(path) else None
     except OSError:
         return None
 
@@ -71,23 +73,18 @@ TEMP_SUFFIX = ".nest-tmp"
 
 class _MemoryWriter(io.BytesIO):
     """A :class:`MemoryStore` write stream: buffers in RAM and lands
-    the whole file (or its appended tail) in the store on close --
-    or, on :meth:`discard`, lands nothing."""
+    the whole file in the store on close -- or, on :meth:`discard`,
+    lands nothing."""
 
-    def __init__(self, store: "MemoryStore", path: str,
-                 append: bool = False):
+    def __init__(self, store: "MemoryStore", path: str):
         super().__init__()
         self._store = store
         self._path = path
-        self._append = append
 
     def close(self) -> None:
-        store, path = self._store, self._path
+        store = self._store
         with store._lock:
-            if self._append and path in store._files:
-                store._files[path].extend(self.getvalue())
-            else:
-                store._files[path] = bytearray(self.getvalue())
+            store._files[self._path] = bytearray(self.getvalue())
         super().close()
 
     def discard(self) -> None:
@@ -106,8 +103,8 @@ class MemoryStore:
             data = bytes(self._files.get(path, b""))
         return io.BytesIO(data)
 
-    def open_write(self, path: str, append: bool = False) -> BinaryIO:
-        return _MemoryWriter(self, path, append)
+    def open_write(self, path: str) -> BinaryIO:
+        return _MemoryWriter(self, path)
 
     def open_update(self, path: str) -> BinaryIO:
         """The file's current bytes, seekable and rewritable; the whole
@@ -118,6 +115,12 @@ class MemoryStore:
         buf.write(current)
         buf.seek(0)
         return buf
+
+    def rename(self, path: str, new_path: str) -> None:
+        with self._lock:
+            if path not in self._files:
+                raise FileNotFoundError(path)
+            self._files[new_path] = self._files.pop(path)
 
     def delete(self, path: str) -> None:
         with self._lock:
@@ -147,18 +150,11 @@ class _AtomicWriter:
     #: Distinguishes this process's writers (``next`` is atomic).
     _serial = itertools.count()
 
-    def __init__(self, final: str, append: bool = False):
+    def __init__(self, final: str):
         self._final = final
         self._tmp = (f"{final}.{os.getpid()}-{next(self._serial)}"
                      f"{TEMP_SUFFIX}")
         self._f = open(self._tmp, "wb")
-        if append and os.path.exists(final):
-            with open(final, "rb") as src:
-                while True:
-                    chunk = src.read(1 << 20)
-                    if not chunk:
-                        break
-                    self._f.write(chunk)
 
     def write(self, data: bytes) -> int:
         return self._f.write(data)
@@ -211,10 +207,10 @@ class LocalFSStore:
     def open_read(self, path: str) -> BinaryIO:
         return open(self._resolve(path), "rb")
 
-    def open_write(self, path: str, append: bool = False) -> BinaryIO:
+    def open_write(self, path: str) -> BinaryIO:
         full = self._resolve(path)
         os.makedirs(os.path.dirname(full), exist_ok=True)
-        return _AtomicWriter(full, append=append)
+        return _AtomicWriter(full)
 
     def open_update(self, path: str) -> BinaryIO:
         full = self._resolve(path)
@@ -222,6 +218,11 @@ class LocalFSStore:
         if not os.path.exists(full):
             open(full, "wb").close()
         return open(full, "r+b")
+
+    def rename(self, path: str, new_path: str) -> None:
+        full = self._resolve(new_path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        os.replace(self._resolve(path), full)
 
     def delete(self, path: str) -> None:
         try:

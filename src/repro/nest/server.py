@@ -433,9 +433,8 @@ class NestServer:
             except ValueError:
                 return None
             store = self.storage.store
-            exists = getattr(store, "exists", None)
             try:
-                if exists is not None and not exists(path):
+                if not store.exists(path):
                     return None
                 with store.open_read(path) as stream:
                     crc, size = stream_crc32(stream)

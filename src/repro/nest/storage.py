@@ -67,31 +67,15 @@ def _split(path: str) -> list[str]:
 def move_bytes(store: DataStore, node: "DirNode | FileNode", path: str,
                new_path: str) -> None:
     """Carry ``node``'s backing bytes -- one file's, or those of every
-    file under a directory -- from ``path`` to ``new_path``: copied
-    through one pooled buffer, then the old copy dropped.  Idempotent,
-    so recovery can finish a move a crash cut short: a file whose old
-    copy is gone has moved, and one whose new copy exists is only
-    dropped from the old name."""
+    file under a directory -- from ``path`` to ``new_path``, one
+    ``store.rename`` per file.  Idempotent, so recovery can finish a
+    move a crash cut short: a file whose old copy is gone has moved."""
     if isinstance(node, DirNode):
         for name, child in node.children.items():
             move_bytes(store, child, f"{path.rstrip('/')}/{name}",
                        f"{new_path.rstrip('/')}/{name}")
-        return
-    if not store.exists(path):
-        return
-    if not store.exists(new_path):
-        # Imported here: the simulated substrate builds storage
-        # managers too and never moves a byte.
-        from repro.nest.io import copy_stream
-
-        src = store.open_read(path)
-        dst = store.open_write(new_path)
-        try:
-            copy_stream(src, dst)
-        finally:
-            src.close()
-            dst.close()
-    store.delete(path)
+    elif store.exists(path):
+        store.rename(path, new_path)
 
 
 def _serialize_dir(node: DirNode) -> dict[str, Any]:
@@ -516,8 +500,8 @@ class StorageManager:
                 # neither name would resolve afterwards.
                 raise StorageError(Status.BAD_REQUEST,
                                    f"{new_path} is inside {path}")
-            # Durable before moving the bytes: if a crash interrupts
-            # the move, replay finishes it (StorageReplayer.finish_moves).
+            # Durable before the store rename: if a crash cuts it,
+            # replay finishes it (StorageReplayer.finish_moves).
             self._commit("rename", path=path, new_path=new_path)
             self._await_durable()
             move_bytes(self.store, node, path, new_path)

@@ -5,9 +5,9 @@ Two harnesses:
 * :func:`run_crash_harness` -- the deterministic half.  A tiered store
   journaling through a real durability manager is killed (simulated
   SIGKILL via :class:`~repro.faults.disk.DiskFaultPlan`) at *every*
-  journal boundary of a migrate + recall script; each time, a fresh
-  boot must recover the file intact in exactly one tier.  This is the
-  "residency survives a mid-migration crash" proof.
+  journal boundary of a migrate + recall + rename script; each time, a
+  fresh boot must recover every file intact in exactly one tier.  This
+  is the "residency survives a mid-migration crash" proof.
 
 * :func:`run_tier_demo` -- the live half.  A small fleet where one
   appliance tiers its storage; three hot files take a skewed flash
@@ -52,6 +52,9 @@ _PAYLOADS = {
     "/data/gamma": b"C" * 1024,
 }
 
+#: The COLD file the workload renames, and its new name.
+_RENAME = ("/data/gamma", "/data/delta")
+
 
 def _put(storage: StorageManager, path: str, data: bytes) -> None:
     ticket = storage.approve_put("anonymous", path, len(data))
@@ -69,8 +72,9 @@ def _tier_boot(state_dir: str, fast: MemoryStore, cold: MemoryStore,
 
 
 def _tier_workload(storage: StorageManager, tiered: TieredStore) -> None:
-    """Puts, demotions, a recall, and a write-over-cold: every tier
-    journal record type crosses the journal at least once."""
+    """Puts, demotions, a recall, a write-over-cold and a rename of a
+    COLD file: every tier journal record type crosses the journal at
+    least once."""
     storage.mkdir("anonymous", "/data")
     for path, data in _PAYLOADS.items():
         _put(storage, path, data)
@@ -86,6 +90,8 @@ def _tier_workload(storage: StorageManager, tiered: TieredStore) -> None:
     ticket.stream.close()
     # Overwrite a cold file: the new hot bytes must win.
     _put(storage, "/data/beta", _PAYLOADS["/data/beta"] + b"!")
+    # Rename a cold file: its residency moves, its bytes stay cold.
+    storage.rename("anonymous", *_RENAME)
 
 
 def _workload_records(tmp_dir: str) -> int:
@@ -98,8 +104,11 @@ def _workload_records(tmp_dir: str) -> int:
 
 
 def _expected_sizes() -> dict[str, int]:
+    """Each file's size under its name when the workload is done."""
     sizes = {path: len(data) for path, data in _PAYLOADS.items()}
     sizes["/data/beta"] += 1  # the overwrite appends one byte
+    old, new = _RENAME
+    sizes[new] = sizes.pop(old)
     return sizes
 
 
@@ -111,6 +120,7 @@ def run_crash_harness(tmp_dir: str) -> dict[str, Any]:
     """
     total = _workload_records(tmp_dir)
     failures: list[str] = []
+    first_sizes = {path: len(data) for path, data in _PAYLOADS.items()}
     final_sizes = _expected_sizes()
     for k in range(1, total + 1):
         state_dir = f"{tmp_dir}/state{k}"
@@ -137,15 +147,19 @@ def run_crash_harness(tmp_dir: str) -> dict[str, Any]:
         for path, state in t2.residency.items():
             if state not in (HOT, COLD):
                 failures.append(f"point {k}: {path} stuck {state}")
-        for path in _PAYLOADS:
+        for path in sorted(set(_PAYLOADS) | set(final_sizes)):
+            if s2.exists(path) != t2.exists(path):
+                failures.append(f"point {k}: {path} namespace and store "
+                                f"disagree")
             if not t2.exists(path):
                 continue  # crashed before this file's put committed
             got = t2.size(path)
-            want_now = len(_PAYLOADS[path])
-            if got not in (want_now, final_sizes[path]):
+            if got not in (first_sizes.get(path), final_sizes.get(path)):
                 failures.append(
                     f"point {k}: {path} has {got} bytes between tiers")
             state = t2.state_of(path)
+            if path == _RENAME[1] and state != COLD:
+                failures.append(f"point {k}: {path} recalled by rename")
             in_fast = t2.fast.exists(path)
             in_cold = t2.cold.exists(path)
             if state == HOT and not in_fast:

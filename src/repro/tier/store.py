@@ -24,7 +24,9 @@ Reads of COLD files **recall on miss**: the bytes stream cold -> fast
 through :func:`repro.nest.io.copy_stream` (pooled buffers, in-stream
 CRC) before the read is served from the fast tier.  Writes always land
 in the fast tier; a write over a COLD path invalidates the cold copy
-only after the new bytes are safely landed.
+only after the new bytes are safely landed.  A rename keeps residency:
+the entry moves to the new name and each tier renames its own bytes,
+so a COLD file stays COLD and nothing is recalled.
 """
 
 from __future__ import annotations
@@ -111,7 +113,9 @@ class RateLimitedStore:
     Every opened stream is throttled to ``bandwidth_bps`` and charged
     ``latency`` seconds up front (the mount/seek).  Deliberately the
     same wrapper shape as :class:`~repro.faults.disk.FaultyStore`, so a
-    cold tier can be both slow *and* faulty by stacking the two.
+    cold tier can be both slow *and* faulty by stacking the two.  The
+    metadata calls (``rename``, ``delete``, ``size``, ``exists``) move
+    no bytes: they reach ``inner`` unthrottled through ``__getattr__``.
     """
 
     def __init__(self, inner: DataStore, bandwidth_bps: float = 8e6,
@@ -131,9 +135,9 @@ class RateLimitedStore:
         return _ThrottledStream(self.inner.open_read(path),
                                 self.bandwidth_bps, self._sleep)
 
-    def open_write(self, path: str, append: bool = False) -> BinaryIO:
+    def open_write(self, path: str) -> BinaryIO:
         self._mount()
-        return _ThrottledStream(self.inner.open_write(path, append=append),
+        return _ThrottledStream(self.inner.open_write(path),
                                 self.bandwidth_bps, self._sleep)
 
     def open_update(self, path: str) -> BinaryIO:
@@ -141,27 +145,8 @@ class RateLimitedStore:
         return _ThrottledStream(self.inner.open_update(path),
                                 self.bandwidth_bps, self._sleep)
 
-    def delete(self, path: str) -> None:
-        self.inner.delete(path)
-
-    def size(self, path: str) -> int:
-        return self.inner.size(path)
-
-    def exists(self, path: str) -> bool:
-        exists = getattr(self.inner, "exists", None)
-        if exists is not None:
-            return exists(path)
-        return self.inner.size(path) > 0
-
     def __getattr__(self, name):
         return getattr(self.inner, name)
-
-
-def _exists(store, path: str) -> bool:
-    exists = getattr(store, "exists", None)
-    if exists is not None:
-        return bool(exists(path))
-    return store.size(path) > 0
 
 
 class _PromotingWriter:
@@ -289,15 +274,9 @@ class TieredStore:
                 self.recall(path)
             return self.fast.open_read(path)
 
-    def open_write(self, path: str, append: bool = False) -> BinaryIO:
+    def open_write(self, path: str) -> BinaryIO:
         with self._lock:
-            state = self.residency.get(path, HOT)
-            if append and state in (COLD, RECALLING):
-                # Appending needs the existing bytes in the fast tier.
-                self._set_state(path, COLD)
-                self.recall(path)
-            return _PromotingWriter(
-                self.fast.open_write(path, append=append), self, path)
+            return _PromotingWriter(self.fast.open_write(path), self, path)
 
     def open_update(self, path: str) -> BinaryIO:
         with self._lock:
@@ -305,6 +284,19 @@ class TieredStore:
                 self._set_state(path, COLD)
                 self.recall(path)
             return self.fast.open_update(path)
+
+    def rename(self, path: str, new_path: str) -> None:
+        """Rename in every tier that holds the bytes; a residency entry
+        moves with them (committed before any byte moves), so a COLD
+        file stays COLD and nothing is recalled."""
+        with self._lock:
+            state = self.residency.get(path)
+            if state is not None:
+                self._commit("tier_state", path=new_path, state=state)
+                self._commit("tier_drop", path=path)
+            for store in (self.fast, self.cold):
+                if store.exists(path):
+                    store.rename(path, new_path)
 
     def delete(self, path: str) -> None:
         with self._lock:
@@ -328,7 +320,7 @@ class TieredStore:
 
     def exists(self, path: str) -> bool:
         with self._lock:
-            return _exists(self.fast, path) or _exists(self.cold, path)
+            return self.fast.exists(path) or self.cold.exists(path)
 
     def sweep_temp(self) -> int:
         """Forward the recovery temp sweep to whichever tiers have one."""
@@ -353,7 +345,7 @@ class TieredStore:
         with self._lock:
             if self.residency.get(path, HOT) != HOT:
                 raise TierError(f"{path!r} is not HOT")
-            if not _exists(self.fast, path):
+            if not self.fast.exists(path):
                 raise TierError(f"{path!r} has no fast-tier bytes")
             expected = self.fast.size(path)
             with _spans.maybe_span("tier.migrate", path=path,
@@ -439,7 +431,7 @@ class TieredStore:
         stale cold copy (called by :class:`_PromotingWriter`)."""
         with self._lock:
             state = self.residency.get(path, HOT)
-            if state == HOT and not _exists(self.cold, path):
+            if state == HOT and not self.cold.exists(path):
                 return  # plain hot write, nothing tiered: no journal
             self._cold_bytes -= self.cold.size(path)
             self._set_state(path, HOT)
@@ -502,8 +494,8 @@ class TieredStore:
         with self._lock:
             for path in sorted(self.residency):
                 state = self.residency[path]
-                in_fast = _exists(self.fast, path)
-                in_cold = _exists(self.cold, path)
+                in_fast = self.fast.exists(path)
+                in_cold = self.cold.exists(path)
                 if state == MIGRATING:
                     if in_cold:
                         self.cold.delete(path)

@@ -111,17 +111,6 @@ def test_memory_store_exists():
     assert store.exists("/f")  # even empty files exist
 
 
-def test_atomic_writer_append_mode(tmp_path):
-    store = LocalFSStore(str(tmp_path))
-    with store.open_write("/f") as w:
-        w.write(b"one")
-    with store.open_write("/f", append=True) as w:
-        w.write(b"two")
-    with store.open_read("/f") as r:
-        assert r.read() == b"onetwo"
-    assert store.sweep_temp() == 0
-
-
 def test_atomic_writer_unclosed_leaves_no_file(tmp_path):
     store = LocalFSStore(str(tmp_path))
     w = store.open_write("/g")

@@ -69,15 +69,15 @@ def test_namespace_acls_groups_lots_survive_restart(tmp_path):
 
 
 class CrashingStore(MemoryStore):
-    """A store the process dies in while writing: armed, every write
-    raises, as if the crash came mid-move."""
+    """A store the process dies in while renaming: armed, every rename
+    raises, as if the crash came before the bytes moved."""
 
     crashed = False
 
-    def open_write(self, path, append=False):
+    def rename(self, path, new_path):
         if self.crashed:
             raise OSError("crashed mid-move")
-        return super().open_write(path, append)
+        super().rename(path, new_path)
 
 
 def test_directory_rename_cut_by_a_crash_is_finished_on_restart(tmp_path):

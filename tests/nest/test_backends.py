@@ -33,14 +33,6 @@ class TestBackendContract:
             w.write(b"short")
         assert store.size("/f") == 5
 
-    def test_append_mode(self, store):
-        with store.open_write("/f") as w:
-            w.write(b"one")
-        with store.open_write("/f", append=True) as w:
-            w.write(b"two")
-        with store.open_read("/f") as r:
-            assert r.read() == b"onetwo"
-
     def test_update_seek_write(self, store):
         with store.open_write("/f") as w:
             w.write(b"abcdef")
@@ -151,8 +143,7 @@ class TestMemoryStreams:
         # A class built inside open_write/open_update cost every PUT
         # to a memory store a __build_class__.
         store = MemoryStore()
-        streams = [store.open_write("/a"), store.open_write("/b", append=True),
-                   store.open_update("/a")]
+        streams = [store.open_write("/a"), store.open_update("/a")]
         assert len({type(s) for s in streams}) == 1
         for s in streams:
             s.close()

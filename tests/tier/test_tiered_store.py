@@ -88,15 +88,6 @@ class TestWrites:
         assert get(tiered, "/a.dat") == b"new"
         assert not cold.exists("/a.dat")
 
-    def test_append_over_cold_recalls_first(self, tiers):
-        _fast, _cold, tiered = tiers
-        put(tiered, "/a.dat", b"head-")
-        tiered.migrate("/a.dat")
-        with tiered.open_write("/a.dat", append=True) as stream:
-            stream.write(b"tail")
-        assert get(tiered, "/a.dat") == b"head-tail"
-        assert tiered.state_of("/a.dat") == HOT
-
     def test_delete_clears_both_tiers(self, tiers):
         fast, cold, tiered = tiers
         put(tiered, "/a.dat", b"z" * 64)
