@@ -10,6 +10,7 @@ mod_throttle comparison (section 4.2's related-work argument).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.bench.fairness import jains_fairness, proportional_shares
 from repro.bench.fig6 import measure_write
@@ -231,7 +232,7 @@ def run_user_shares(platform: PlatformProfile = LINUX,
                 server.populate(path, 10 * MB, resident=True)
                 log = ClientLog(protocol="http")
                 env.process(whole_file_client(
-                    env, server, "http", [path] * 10_000, log, user=user))
+                    env, server, "http", repeat(path, 10_000), log, user=user))
         env.run(until=warmup)
         before = _bytes_by_user(server)
         env.run(until=horizon)
@@ -330,7 +331,7 @@ def run_seda_overload(platform: PlatformProfile = LINUX,
                 log = ClientLog(protocol="chirp")
                 small_logs.append(log)
                 env.process(whole_file_client(env, server, "chirp",
-                                              ["/hot"] * 100_000, log))
+                                              repeat("/hot", 100_000), log))
             for c in range(n_big):
                 paths = [f"/cold/{c}-{i}" for i in range(40)]
                 for p in paths:

@@ -16,6 +16,7 @@ clarity"); a separate ablation turns it back on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.models.platform import LINUX, SOLARIS, PlatformProfile
 from repro.nest.config import NestConfig
@@ -60,8 +61,9 @@ def run_concurrency_workload(
                          concurrency=scheme, models=models)
         for c in range(n_clients):
             if resident:
-                paths = [f"/fig5/f-{c}"] * files_per_client
-                server.populate(paths[0], file_bytes, resident=True)
+                path = f"/fig5/f-{c}"
+                server.populate(path, file_bytes, resident=True)
+                paths = repeat(path, files_per_client)
             else:
                 paths = [f"/fig5/f-{c}-{i}" for i in range(files_per_client)]
                 for p in paths:

@@ -1,6 +1,6 @@
 """LRU kernel buffer cache model (block bookkeeping).
 
-The cache tracks which ``(file_id, block)`` pairs are resident and
+The cache tracks which ``(path, block)`` pairs are resident and
 whether they are dirty.  It is pure bookkeeping -- it spends no
 simulated time itself; the filesystem model charges memory-copy time
 for hits and disk time for misses and write-back.
@@ -15,7 +15,7 @@ scheduling.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable
+from typing import Iterable
 
 
 class BufferCache:
@@ -28,12 +28,12 @@ class BufferCache:
         self.block_size = int(block_size)
         self.capacity_blocks = self.capacity_bytes // self.block_size
         # key -> dirty flag; OrderedDict keeps LRU order (MRU at end).
-        self._blocks: "OrderedDict[tuple[Hashable, int], bool]" = OrderedDict()
+        self._blocks: "OrderedDict[tuple[str, int], bool]" = OrderedDict()
         # The dirty subset, kept in the same relative LRU order as
         # ``_blocks`` (every reorder of a dirty key is mirrored), so
         # dirty-byte counts and oldest-dirty scans need not walk the
         # whole cache.
-        self._dirty: "OrderedDict[tuple[Hashable, int], None]" = OrderedDict()
+        self._dirty: "OrderedDict[tuple[str, int], None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -60,22 +60,22 @@ class BufferCache:
         """Bytes cached and not yet written back."""
         return len(self._dirty) * self.block_size
 
-    def contains(self, file_id: Hashable, block: int) -> bool:
+    def contains(self, path: str, block: int) -> bool:
         """True if the block is resident (does not touch LRU order)."""
-        return (file_id, block) in self._blocks
+        return (path, block) in self._blocks
 
-    def resident_fraction(self, file_id: Hashable, size_bytes: int) -> float:
+    def resident_fraction(self, path: str, size_bytes: int) -> float:
         """Fraction of a file's blocks currently resident."""
         blocks = self.blocks_of(0, size_bytes)
         if len(blocks) == 0:
             return 1.0
-        hits = sum(1 for b in blocks if (file_id, b) in self._blocks)
+        hits = sum(1 for b in blocks if (path, b) in self._blocks)
         return hits / len(blocks)
 
     # -- access ----------------------------------------------------------------
     def access_read(
-        self, file_id: Hashable, offset: int, nbytes: int
-    ) -> tuple[int, int, list[tuple[Hashable, int]]]:
+        self, path: str, offset: int, nbytes: int
+    ) -> tuple[int, int, list[tuple[str, int]]]:
         """Record a read; returns (hit_bytes, miss_bytes, evicted_dirty).
 
         Missing blocks are inserted (the read populates the cache);
@@ -84,9 +84,9 @@ class BufferCache:
         """
         hit_blocks = 0
         miss_blocks = 0
-        evicted: list[tuple[Hashable, int]] = []
+        evicted: list[tuple[str, int]] = []
         for b in self.blocks_of(offset, nbytes):
-            key = (file_id, b)
+            key = (path, b)
             if key in self._blocks:
                 hit_blocks += 1
                 self._blocks.move_to_end(key)
@@ -100,12 +100,12 @@ class BufferCache:
         return hit_blocks * self.block_size, miss_blocks * self.block_size, evicted
 
     def access_write(
-        self, file_id: Hashable, offset: int, nbytes: int
-    ) -> list[tuple[Hashable, int]]:
+        self, path: str, offset: int, nbytes: int
+    ) -> list[tuple[str, int]]:
         """Record a write (blocks become dirty); returns evicted dirty blocks."""
-        evicted: list[tuple[Hashable, int]] = []
+        evicted: list[tuple[str, int]] = []
         for b in self.blocks_of(offset, nbytes):
-            key = (file_id, b)
+            key = (path, b)
             if key in self._blocks:
                 self._blocks[key] = True
                 self._blocks.move_to_end(key)
@@ -115,34 +115,34 @@ class BufferCache:
                 evicted.extend(self._insert(key, dirty=True))
         return evicted
 
-    def clean(self, keys: Iterable[tuple[Hashable, int]]) -> None:
+    def clean(self, keys: Iterable[tuple[str, int]]) -> None:
         """Mark blocks as written back (no longer dirty)."""
         for key in keys:
             if key in self._blocks:
                 self._blocks[key] = False
                 self._dirty.pop(key, None)
 
-    def dirty_blocks_of(self, file_id: Hashable) -> list[tuple[Hashable, int]]:
-        """All dirty blocks belonging to ``file_id``."""
-        return [k for k in self._dirty if k[0] == file_id]
+    def dirty_blocks_of(self, path: str) -> list[tuple[str, int]]:
+        """All dirty blocks belonging to ``path``."""
+        return [k for k in self._dirty if k[0] == path]
 
-    def oldest_dirty(self, max_blocks: int) -> list[tuple[Hashable, int]]:
+    def oldest_dirty(self, max_blocks: int) -> list[tuple[str, int]]:
         """Up to ``max_blocks`` dirty blocks, oldest (LRU) first."""
-        run: list[tuple[Hashable, int]] = []
+        run: list[tuple[str, int]] = []
         for key in self._dirty:
             run.append(key)
             if len(run) >= max_blocks:
                 break
         return run
 
-    def invalidate_file(self, file_id: Hashable) -> None:
-        """Drop every block of ``file_id`` (e.g. on delete)."""
-        for key in [k for k in self._blocks if k[0] == file_id]:
+    def invalidate_file(self, path: str) -> None:
+        """Drop every block of ``path`` (e.g. on delete)."""
+        for key in [k for k in self._blocks if k[0] == path]:
             del self._blocks[key]
             self._dirty.pop(key, None)
 
-    def _insert(self, key: tuple[Hashable, int], dirty: bool) -> list[tuple[Hashable, int]]:
-        evicted: list[tuple[Hashable, int]] = []
+    def _insert(self, key: tuple[str, int], dirty: bool) -> list[tuple[str, int]]:
+        evicted: list[tuple[str, int]] = []
         if self.capacity_blocks == 0:
             # Degenerate cache: writes are immediately "evicted".
             return [key] if dirty else []

@@ -33,28 +33,28 @@ class Disk:
         self.seek_time = float(seek_time)
         self.name = name
         self._arm = Resource(env, capacity=1)
-        self._head: tuple[object, float] | None = None  # (file_id, next offset)
+        self._head: tuple[str, float] | None = None  # (path, next offset)
         #: Lifetime counters for experiment reporting.
         self.bytes_read = 0.0
         self.bytes_written = 0.0
         self.seeks = 0
 
-    def read(self, file_id: object, offset: float, nbytes: float) -> Generator:
-        """Process step: read ``nbytes`` of ``file_id`` starting at ``offset``."""
-        yield from self._io(file_id, offset, nbytes, self.read_bw, write=False)
+    def read(self, path: str, offset: float, nbytes: float) -> Generator:
+        """Process step: read ``nbytes`` of ``path`` starting at ``offset``."""
+        yield from self._io(path, offset, nbytes, self.read_bw, write=False)
 
-    def write(self, file_id: object, offset: float, nbytes: float) -> Generator:
-        """Process step: write ``nbytes`` of ``file_id`` starting at ``offset``."""
-        yield from self._io(file_id, offset, nbytes, self.write_bw, write=True)
+    def write(self, path: str, offset: float, nbytes: float) -> Generator:
+        """Process step: write ``nbytes`` of ``path`` starting at ``offset``."""
+        yield from self._io(path, offset, nbytes, self.write_bw, write=True)
 
     def _io(
-        self, file_id: object, offset: float, nbytes: float, bw: float, write: bool
+        self, path: str, offset: float, nbytes: float, bw: float, write: bool
     ) -> Generator:
         if nbytes <= 0:
             return
         with self._arm.request() as grant:
             yield grant
-            if self._head != (file_id, offset):
+            if self._head != (path, offset):
                 self.seeks += 1
                 # Seek + stream as one batched timeout: the arm is held
                 # throughout, so nothing can observe the intermediate
@@ -63,7 +63,7 @@ class Disk:
                 yield self.env.timeout_chain((self.seek_time, nbytes / bw))
             else:
                 yield self.env.timeout(nbytes / bw)
-            self._head = (file_id, offset + nbytes)
+            self._head = (path, offset + nbytes)
             if write:
                 self.bytes_written += nbytes
             else:

@@ -19,8 +19,8 @@ This is the OS-level substrate the simulated NeST runs on.  It owns a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Hashable
+from dataclasses import dataclass
+from typing import Generator
 
 from repro.models.cache import BufferCache
 from repro.models.disk import Disk
@@ -36,11 +36,6 @@ class FileMeta:
     path: str
     owner: str
     size: int = 0
-    file_id: Hashable = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.file_id is None:
-            self.file_id = self.path
 
 
 class FileSystemModel:
@@ -96,7 +91,7 @@ class FileSystemModel:
     def delete(self, path: str) -> None:
         """Remove a file, releasing its space and quota charge."""
         meta = self.lookup(path)
-        self.cache.invalidate_file(meta.file_id)
+        self.cache.invalidate_file(path)
         self.quotas.release(meta.owner, meta.size)
         self.used_bytes -= meta.size
         del self.files[path]
@@ -116,15 +111,13 @@ class FileSystemModel:
         nbytes = max(0, min(nbytes, meta.size - offset))
         if nbytes <= 0:
             return
-        hit_bytes, miss_bytes, evicted = self.cache.access_read(
-            meta.file_id, offset, nbytes
-        )
+        hit_bytes, miss_bytes, evicted = self.cache.access_read(path, offset, nbytes)
         if evicted:
             yield from self._writeback(evicted)
         if hit_bytes:
             yield self.env.timeout(hit_bytes / self.platform.mem_copy_bw)
         if miss_bytes:
-            yield from self.disk.read(meta.file_id, offset, miss_bytes)
+            yield from self.disk.read(path, offset, miss_bytes)
 
     def write(self, path: str, offset: int, nbytes: int) -> Generator:
         """Write ``nbytes`` at ``offset`` with write-behind semantics.
@@ -145,7 +138,7 @@ class FileSystemModel:
             self.used_bytes += growth
         # Copy into the cache.
         yield self.env.timeout(nbytes / self.platform.mem_copy_bw)
-        evicted = self.cache.access_write(meta.file_id, offset, nbytes)
+        evicted = self.cache.access_write(path, offset, nbytes)
         if evicted:
             yield from self._writeback(evicted, quota_user=meta.owner)
         # Dirty-headroom throttle: the writer blocks until the cache is
@@ -164,8 +157,8 @@ class FileSystemModel:
         quota surcharge is a single metadata block rather than
         per-data-block (see :mod:`repro.models.quota`).
         """
-        meta = self.lookup(path)
-        dirty = sorted(self.cache.dirty_blocks_of(meta.file_id), key=lambda k: k[1])
+        self.lookup(path)
+        dirty = sorted(self.cache.dirty_blocks_of(path), key=lambda k: k[1])
         yield from self._flush_blocks(dirty, quota_surcharge=False)
         if self.quotas_enabled and dirty:
             yield from self.disk.write(
@@ -175,36 +168,33 @@ class FileSystemModel:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _oldest_dirty_run(self, max_blocks: int = 64) -> list[tuple[Hashable, int]]:
+    def _oldest_dirty_run(self, max_blocks: int = 64) -> list[tuple[str, int]]:
         """Up to ``max_blocks`` dirty blocks in LRU order, grouped so a
         contiguous run from one file flushes as one sequential write."""
-        run = self.cache.oldest_dirty(max_blocks)
-        run.sort(key=lambda k: (str(k[0]), k[1]))
-        return run
+        return sorted(self.cache.oldest_dirty(max_blocks))
 
     def _writeback(
-        self, blocks: list[tuple[Hashable, int]], quota_user: str | None = None
+        self, blocks: list[tuple[str, int]], quota_user: str | None = None
     ) -> Generator:
         if blocks:
-            yield from self._flush_blocks(sorted(blocks, key=lambda k: (str(k[0]), k[1])),
-                                          quota_surcharge=True)
+            yield from self._flush_blocks(sorted(blocks), quota_surcharge=True)
 
     def _flush_blocks(
-        self, blocks: list[tuple[Hashable, int]], quota_surcharge: bool
+        self, blocks: list[tuple[str, int]], quota_surcharge: bool
     ) -> Generator:
         """Write the given cache blocks to disk as contiguous runs."""
         if not blocks:
             return
         bs = self.platform.block_size
-        # Group into (file_id, start_block, count) runs.
-        runs: list[tuple[Hashable, int, int]] = []
-        for file_id, block in blocks:
-            if runs and runs[-1][0] == file_id and runs[-1][1] + runs[-1][2] == block:
-                runs[-1] = (file_id, runs[-1][1], runs[-1][2] + 1)
+        # Group into (path, start_block, count) runs.
+        runs: list[tuple[str, int, int]] = []
+        for path, block in blocks:
+            if runs and runs[-1][0] == path and runs[-1][1] + runs[-1][2] == block:
+                runs[-1] = (path, runs[-1][1], runs[-1][2] + 1)
             else:
-                runs.append((file_id, block, 1))
-        for file_id, start, count in runs:
-            yield from self.disk.write(file_id, start * bs, count * bs)
+                runs.append((path, block, 1))
+        for path, start, count in runs:
+            yield from self.disk.write(path, start * bs, count * bs)
             if self.quotas_enabled and quota_surcharge:
                 surcharge = count * self.quota_io_blocks_per_data_block * bs
                 if surcharge > 0:

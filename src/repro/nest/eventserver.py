@@ -100,10 +100,11 @@ class EventLoop:
         return True
 
     def live(self) -> int:
-        """Connections this loop owns right now (parked + busy)."""
+        """Connections this loop owns right now: every one adopted and
+        not yet retired, including one the loop thread is moving from
+        the park queue to the selector."""
         with self._lock:
-            return (len(self._parked) + len(self._busy)
-                    + len(self._park_requests))
+            return self.adopted - self.retired
 
     def busy_count(self) -> int:
         """Dispatches currently executing on the worker pool."""
@@ -198,11 +199,12 @@ class EventLoop:
             self._retire(handler)
 
     def _retire(self, handler) -> None:
-        self.retired += 1
         try:
             handler.finish()
         except Exception:  # noqa: BLE001 - teardown is best-effort
             logger.warning("event handler teardown failed", exc_info=True)
+        with self._lock:
+            self.retired += 1
 
     # ------------------------------------------------------------------
     # shutdown

@@ -11,7 +11,7 @@ block-based and latency-bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import Generator, Iterable
 
 from repro.sim.core import Environment
 from repro.simnest.protocolspec import ProtocolSpec
@@ -54,13 +54,16 @@ def whole_file_client(
     env: Environment,
     server: SimNest,
     protocol: str,
-    paths: list[str],
+    paths: Iterable[str],
     log: ClientLog,
     client_cap: float | None = None,
     user: str = "anonymous",
     put_size: int | None = None,
 ) -> Generator:
-    """Fetch (or store, when ``put_size`` is set) each path in turn."""
+    """Fetch (or store, when ``put_size`` is set) each path in turn.
+
+    ``paths`` is consumed lazily, one path per request, so a closed
+    loop over one file can be ``itertools.repeat(path, n)``."""
     conn = yield from server.connect(protocol, user)
     for path in paths:
         start = env.now
@@ -77,15 +80,19 @@ def whole_file_client(
 def nfs_client(
     env: Environment,
     server: SimNest,
-    paths: list[str],
-    sizes: list[int],
+    paths: Iterable[str],
+    sizes: Iterable[int],
     log: ClientLog,
     spec: ProtocolSpec,
     client_cap: float | None = None,
     user: str = "anonymous",
 ) -> Generator:
     """Read each file as a stream of block RPCs with ``spec.window``
-    outstanding requests (round-robin striped across sub-loops)."""
+    outstanding requests (round-robin striped across sub-loops).
+
+    ``paths`` and ``sizes`` are consumed lazily and pairwise; the
+    shorter one ends the loop, so ``sizes`` may be an endless
+    ``itertools.repeat(size)``."""
     conn = yield from server.connect("nfs", user)
     for path, size in zip(paths, sizes):
         start = env.now

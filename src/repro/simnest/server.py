@@ -446,9 +446,8 @@ class SimNest:
             # Stage routing: cache-resident reads take the fast
             # event-driven path; only disk-bound work enters the
             # bounded disk stage (admission control over the spindle).
-            file_id = self.fs.files[path].file_id if path in self.fs.files else path
             resident = all(
-                self.fs.cache.contains(file_id, b)
+                self.fs.cache.contains(path, b)
                 for b in self.fs.cache.blocks_of(offset, nbytes)
             )
             if resident:

@@ -10,6 +10,7 @@ per-protocol delivered bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from repro.models.platform import PlatformProfile
@@ -63,18 +64,20 @@ def _spawn_clients(
         for c in range(n_clients):
             # One file per client, fetched repeatedly: the paper's
             # closed-loop in-cache workload (the whole working set must
-            # stay buffer-cache resident).
-            paths = [f"/data/{protocol}-{c}" for _ in range(files_per_client)]
-            for path in set(paths):
-                if not server.storage.exists(path):
-                    server.populate(path, file_bytes, resident=True)
+            # stay buffer-cache resident).  The request stream is an
+            # iterator over that one path, so a client's memory does not
+            # grow with how many requests it might issue.
+            path = f"/data/{protocol}-{c}"
+            if not server.storage.exists(path):
+                server.populate(path, file_bytes, resident=True)
+            paths = repeat(path, files_per_client)
             log = ClientLog(protocol=protocol)
             logs.append(log)
             cap = get_cap(protocol)
             if protocol == "nfs":
                 spec = server.specs["nfs"]
                 env.process(
-                    nfs_client(env, server, paths, [file_bytes] * len(paths),
+                    nfs_client(env, server, paths, repeat(file_bytes),
                                log, spec, client_cap=cap)
                 )
             else:

@@ -120,6 +120,41 @@ class TestEventLoop:
         assert forced == 0
         assert all(h.finished.is_set() for h in handlers)
 
+    def test_a_connection_is_live_while_it_is_being_parked(self):
+        # The loop thread takes a handler off the park queue, then asks
+        # for its fd and registers it; a connection in that step must
+        # still count, or a drain or the switcher reads one short.
+        class SlowToPark(EchoHandler):
+            def __init__(self, sock):
+                super().__init__(sock)
+                self.parking = threading.Event()
+                self.release = threading.Event()
+
+            def fileno(self):
+                self.parking.set()
+                assert self.release.wait(5.0)
+                return super().fileno()
+
+        loop = EventLoop(workers=1, name="evt-parking")
+        client, server_side = socket.socketpair()
+        handler = SlowToPark(server_side)
+        try:
+            assert loop.adopt(handler)
+            assert handler.parking.wait(5.0)
+            assert loop.live() == 1
+            handler.release.set()
+            client.settimeout(5.0)
+            client.sendall(b"ping")
+            assert client.recv(4096) == b"ping"
+            assert loop.live() == 1
+            client.close()
+            assert _wait_until(lambda: loop.live() == 0)
+        finally:
+            handler.release.set()
+            loop.begin_shutdown()
+            loop.finish_shutdown()
+            client.close()
+
     def test_shutdown_refuses_new_adoptions(self):
         loop = EventLoop(workers=1, name="evt-stop")
         loop.begin_shutdown()
