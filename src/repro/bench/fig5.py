@@ -21,7 +21,7 @@ from itertools import repeat
 from repro.models.platform import LINUX, SOLARIS, PlatformProfile
 from repro.nest.config import NestConfig
 from repro.sim.core import Environment
-from repro.simnest.clients import ClientLog, whole_file_client
+from repro.simnest.clients import whole_file_client
 from repro.simnest.server import SimNest
 
 #: Concurrency schemes measured, in the paper's order.
@@ -68,8 +68,8 @@ def run_concurrency_workload(
                 paths = [f"/fig5/f-{c}-{i}" for i in range(files_per_client)]
                 for p in paths:
                     server.populate(p, file_bytes, resident=False)
-            log = ClientLog(protocol="chirp")
-            env.process(whole_file_client(env, server, "chirp", paths, log))
+            # Latency comes from ``server.stats``: no client log is kept.
+            env.process(whole_file_client(env, server, "chirp", paths, None))
         env.run(until=warmup)
         bytes0 = sum(server.stats.progress_by_protocol.values())
         lat_index = len(server.stats.latencies)

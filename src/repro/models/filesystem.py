@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.models.cache import BufferCache
+from repro.models.cache import BufferCache, Run
 from repro.models.disk import Disk
 from repro.models.platform import PlatformProfile
 from repro.models.quota import OverQuota, QuotaTable
@@ -148,7 +148,7 @@ class FileSystemModel:
             dirty = self._oldest_dirty_run()
             if not dirty:
                 break
-            yield from self._flush_blocks(dirty, quota_surcharge=True)
+            yield from self._flush_runs(dirty, quota_surcharge=True)
 
     def sync(self, path: str) -> Generator:
         """Flush all of a file's dirty blocks (fsync).
@@ -158,8 +158,8 @@ class FileSystemModel:
         per-data-block (see :mod:`repro.models.quota`).
         """
         self.lookup(path)
-        dirty = sorted(self.cache.dirty_blocks_of(path), key=lambda k: k[1])
-        yield from self._flush_blocks(dirty, quota_surcharge=False)
+        dirty = sorted(self.cache.dirty_runs_of(path), key=lambda r: r[1])
+        yield from self._flush_runs(dirty, quota_surcharge=False)
         if self.quotas_enabled and dirty:
             yield from self.disk.write(
                 "__quota__", 0, self.platform.block_size
@@ -168,38 +168,41 @@ class FileSystemModel:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _oldest_dirty_run(self, max_blocks: int = 64) -> list[tuple[str, int]]:
+    def _oldest_dirty_run(self, max_blocks: int = 64) -> list[Run]:
         """Up to ``max_blocks`` dirty blocks in LRU order, grouped so a
         contiguous run from one file flushes as one sequential write."""
         return sorted(self.cache.oldest_dirty(max_blocks))
 
-    def _writeback(
-        self, blocks: list[tuple[str, int]], quota_user: str | None = None
-    ) -> Generator:
-        if blocks:
-            yield from self._flush_blocks(sorted(blocks), quota_surcharge=True)
+    def _writeback(self, runs: list[Run],
+                   quota_user: str | None = None) -> Generator:
+        runs = sorted(runs)
+        if any(a[0] == b[0] and b[1] < a[1] + a[2]
+               for a, b in zip(runs, runs[1:])):
+            # A write wider than the cache can evict a block twice;
+            # each copy is its own write, as a sorted block list has it.
+            runs = [(p, b, 1) for p, s, n in runs for b in range(s, s + n)]
+        yield from self._flush_runs(runs, quota_surcharge=True)
 
-    def _flush_blocks(
-        self, blocks: list[tuple[str, int]], quota_surcharge: bool
-    ) -> Generator:
-        """Write the given cache blocks to disk as contiguous runs."""
-        if not blocks:
+    def _flush_runs(self, runs: list[Run], quota_surcharge: bool) -> Generator:
+        """Write the given sorted cache runs to disk, coalescing runs
+        that continue one another into one sequential write."""
+        if not runs:
             return
         bs = self.platform.block_size
-        # Group into (path, start_block, count) runs.
-        runs: list[tuple[str, int, int]] = []
-        for path, block in blocks:
-            if runs and runs[-1][0] == path and runs[-1][1] + runs[-1][2] == block:
-                runs[-1] = (path, runs[-1][1], runs[-1][2] + 1)
-            else:
-                runs.append((path, block, 1))
+        writes: list[Run] = []
         for path, start, count in runs:
+            last = writes[-1] if writes else None
+            if last and last[0] == path and last[1] + last[2] == start:
+                writes[-1] = (path, last[1], last[2] + count)
+            else:
+                writes.append((path, start, count))
+        for path, start, count in writes:
             yield from self.disk.write(path, start * bs, count * bs)
             if self.quotas_enabled and quota_surcharge:
                 surcharge = count * self.quota_io_blocks_per_data_block * bs
                 if surcharge > 0:
                     yield from self.disk.write("__quota__", 0, surcharge)
-        self.cache.clean(blocks)
+        self.cache.clean(runs)
 
 
 __all__ = ["FileSystemModel", "FileMeta", "OverQuota"]

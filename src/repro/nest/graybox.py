@@ -67,7 +67,8 @@ class GrayBoxCacheModel:
 
     # -- predictions ----------------------------------------------------------
     def predict_residency(self, path: Hashable, size_bytes: int) -> float:
-        """Estimated fraction of the file resident in the kernel cache."""
+        """Estimated fraction of the file resident in the kernel cache
+        (a walk over the file's cached runs, not its blocks)."""
         with self._lock:
             return self._shadow.resident_fraction(path, size_bytes)
 

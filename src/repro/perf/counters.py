@@ -1,4 +1,4 @@
-"""Snapshots of the hot-path counters kept by kernel, link, and gate.
+"""Snapshots of the hot-path counters kept by kernel, link, gate and cache.
 
 The counted quantities live as plain integer attributes on the counted
 objects themselves (an attribute increment is the cheapest thing the
@@ -81,12 +81,32 @@ class GateCounters:
 
 
 @dataclass
+class CacheCounters:
+    """Counters for one :class:`~repro.models.cache.BufferCache`."""
+
+    resident_blocks: int = 0
+    runs: int = 0
+    hits: int = 0
+    misses: int = 0
+
+    @classmethod
+    def snapshot(cls, cache: Any) -> "CacheCounters":
+        return cls(
+            resident_blocks=len(cache),
+            runs=getattr(cache, "run_count", 0),
+            hits=getattr(cache, "hits", 0),
+            misses=getattr(cache, "misses", 0),
+        )
+
+
+@dataclass
 class PerfReport:
     """One combined counter snapshot, ready to serialize."""
 
     kernel: KernelCounters = field(default_factory=KernelCounters)
     links: list[LinkCounters] = field(default_factory=list)
     gates: list[GateCounters] = field(default_factory=list)
+    caches: list[CacheCounters] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -124,6 +144,13 @@ class PerfReport:
         for index, gate in enumerate(self.gates):
             for name, value in asdict(gate).items():
                 gates.set(value, gate=str(index), counter=name)
+        caches = reg.gauge(
+            "repro_sim_cache_counter",
+            "Buffer-cache model counters (latest snapshot).",
+            labelnames=("cache", "counter"))
+        for index, cache in enumerate(self.caches):
+            for name, value in asdict(cache).items():
+                caches.set(value, cache=str(index), counter=name)
 
     def render(self) -> str:
         """Human-readable counter table."""
@@ -148,19 +175,28 @@ class PerfReport:
             lines.append(
                 f"gate: {gate.grants} grants, {gate.arbitrations} arbitrations"
             )
+        for cache in self.caches:
+            lines.append(
+                f"cache: {cache.resident_blocks} blocks resident in "
+                f"{cache.runs} runs, {cache.hits} hits, {cache.misses} misses"
+            )
         return "\n".join(lines)
 
 
 def collect(env: Environment, links: Iterable[Any] = (),
-            gates: Iterable[Any] = ()) -> PerfReport:
+            gates: Iterable[Any] = (),
+            caches: Iterable[Any] = ()) -> PerfReport:
     """Snapshot every counter of one simulation run."""
     return PerfReport(
         kernel=KernelCounters.snapshot(env),
         links=[LinkCounters.snapshot(l) for l in links],
         gates=[GateCounters.snapshot(g) for g in gates],
+        caches=[CacheCounters.snapshot(c) for c in caches],
     )
 
 
 def collect_server(server: Any) -> PerfReport:
-    """Snapshot counters from a SimNest-like server (env, link, gate)."""
-    return collect(server.env, links=[server.link], gates=[server.gate])
+    """Snapshot counters from a SimNest-like server (env, link, gate,
+    the filesystem's buffer cache)."""
+    return collect(server.env, links=[server.link], gates=[server.gate],
+                   caches=[server.fs.cache])

@@ -55,7 +55,7 @@ def whole_file_client(
     server: SimNest,
     protocol: str,
     paths: Iterable[str],
-    log: ClientLog,
+    log: ClientLog | None,
     client_cap: float | None = None,
     user: str = "anonymous",
     put_size: int | None = None,
@@ -63,7 +63,9 @@ def whole_file_client(
     """Fetch (or store, when ``put_size`` is set) each path in turn.
 
     ``paths`` is consumed lazily, one path per request, so a closed
-    loop over one file can be ``itertools.repeat(path, n)``."""
+    loop over one file can be ``itertools.repeat(path, n)``.  With
+    ``log=None`` no per-request record is kept, for callers that read
+    the server's own statistics."""
     conn = yield from server.connect(protocol, user)
     for path in paths:
         start = env.now
@@ -71,10 +73,11 @@ def whole_file_client(
             nbytes, _lat = yield from server.serve_get(conn, path, client_cap)
         else:
             nbytes, _lat = yield from server.serve_put(conn, path, put_size, client_cap)
-        log.results.append(
-            FetchResult(protocol=protocol, path=path, nbytes=nbytes,
-                        start=start, end=env.now)
-        )
+        if log is not None:
+            log.results.append(
+                FetchResult(protocol=protocol, path=path, nbytes=nbytes,
+                            start=start, end=env.now)
+            )
 
 
 def nfs_client(

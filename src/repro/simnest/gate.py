@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Generator
+from typing import Deque
 
 from repro.nest.scheduling import Scheduler, TransferJob
 from repro.sim.core import Environment, Event
@@ -61,9 +61,10 @@ class PumpGate:
         self.arbitrations = 0
 
     # -- transfer side -------------------------------------------------------
-    def acquire(self, job: TransferJob, nbytes: int) -> Generator:
-        """Process step: wait until the scheduler grants ``job`` a slot
-        to move ``nbytes``."""
+    def acquire(self, job: TransferJob, nbytes: int) -> Event:
+        """Queue a request for ``job`` to move ``nbytes``; the returned
+        event fires when the scheduler grants it a slot (a process
+        ``yield``s it)."""
         ev = Event(self.env)
         entry = self._waiters.get(job.job_id)
         if entry is None:
@@ -72,7 +73,7 @@ class PumpGate:
             entry[1].append((ev, nbytes))
         self._refresh(job)
         self._try_grant()
-        yield ev
+        return ev
 
     def release(self, job: TransferJob, moved: int) -> None:
         """Return the slot after moving ``moved`` bytes."""

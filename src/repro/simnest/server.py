@@ -319,7 +319,7 @@ class SimNest:
         start = env.now + self.platform.net_latency
         yield env.timeout_chain((self.platform.net_latency, self._parse_cost(spec)))
         job = self._block_job(conn, path)
-        yield from self.gate.acquire(job, nbytes)
+        yield self.gate.acquire(job, nbytes)
         try:
             model = self._fixed_model()
             # Concurrency overhead + protocol per-chunk CPU as one
@@ -360,7 +360,7 @@ class SimNest:
         if path not in self.fs.files:
             self.fs.create(path, conn.user)
         job = self._block_job(conn, path)
-        yield from self.gate.acquire(job, nbytes)
+        yield self.gate.acquire(job, nbytes)
         try:
             yield self.link.transfer(nbytes, cap=cap, group=conn.protocol)
             yield self.env.timeout(spec.per_chunk_cpu)
@@ -446,11 +446,7 @@ class SimNest:
             # Stage routing: cache-resident reads take the fast
             # event-driven path; only disk-bound work enters the
             # bounded disk stage (admission control over the spindle).
-            resident = all(
-                self.fs.cache.contains(path, b)
-                for b in self.fs.cache.blocks_of(offset, nbytes)
-            )
-            if resident:
+            if self.fs.cache.is_resident(path, offset, nbytes):
                 yield from self.fs.read(path, offset, nbytes)
             else:
                 with self._seda_disk_stage.request() as grant:
@@ -481,7 +477,7 @@ class SimNest:
         pending_send = None
         while offset < size:
             n = min(chunk, size - offset)
-            yield from self.gate.acquire(job, n)
+            yield self.gate.acquire(job, n)
             try:
                 yield env.timeout_chain(
                     self._overhead_delays(model, first) + (per_chunk_cpu,)
@@ -513,7 +509,7 @@ class SimNest:
         first = True
         while offset < size:
             n = min(chunk, size - offset)
-            yield from self.gate.acquire(job, n)
+            yield self.gate.acquire(job, n)
             try:
                 yield env.timeout_chain(self._overhead_delays(model, first))
                 yield self.link.transfer(n, cap=cap, group=job.protocol)

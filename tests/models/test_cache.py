@@ -1,5 +1,7 @@
 """Unit tests for the LRU buffer-cache model."""
 
+import gc
+
 import pytest
 
 from repro.models.cache import BufferCache
@@ -59,10 +61,8 @@ class TestReadPath:
     def test_eviction_returns_dirty_blocks(self):
         c = cache(blocks=2)
         c.access_write("d", 0, 200)  # both blocks dirty
-        evicted = []
-        _, _, ev = c.access_read("x", 0, 200)
-        evicted.extend(ev)
-        assert set(evicted) == {("d", 0), ("d", 1)}
+        _, _, evicted = c.access_read("x", 0, 200)
+        assert evicted == [("d", 0, 2)]
 
 
 class TestWritePath:
@@ -74,7 +74,7 @@ class TestWritePath:
     def test_clean_clears_dirty(self):
         c = cache()
         c.access_write("f", 0, 200)
-        c.clean([("f", 0), ("f", 1)])
+        c.clean([("f", 0, 2)])
         assert c.dirty_bytes == 0
         assert c.resident_bytes == 200
 
@@ -82,7 +82,7 @@ class TestWritePath:
         c = cache()
         c.access_write("f", 0, 100)
         c.access_write("g", 0, 100)
-        assert c.dirty_blocks_of("f") == [("f", 0)]
+        assert c.dirty_runs_of("f") == [("f", 0, 1)]
 
     def test_rewrite_keeps_single_copy(self):
         c = cache()
@@ -93,7 +93,7 @@ class TestWritePath:
     def test_zero_capacity_cache_bounces_writes(self):
         c = BufferCache(0, block_size=100)
         evicted = c.access_write("f", 0, 100)
-        assert evicted == [("f", 0)]
+        assert evicted == [("f", 0, 1)]
         assert len(c) == 0
 
 
@@ -116,3 +116,18 @@ class TestInvalidation:
     def test_resident_fraction_empty_file(self):
         c = cache()
         assert c.resident_fraction("f", 0) == 1.0
+
+
+def test_a_dropped_cache_is_freed_by_refcounting():
+    gc.collect()
+    gc.disable()
+    try:
+        c = cache(blocks=8)
+        c.access_read("f", 0, 300)
+        c.access_write("g", 0, 200)
+        c.access_read("f", 100, 100)
+        assert c.run_count == 4
+        del c
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -143,4 +143,4 @@ class TestQuotaIntegration:
         run_io(env, fs.write("/a", 0, 1 << 20))
         assert fs.cache.dirty_bytes > 0
         run_io(env, fs.sync("/a"))
-        assert fs.cache.dirty_blocks_of("/a") == []
+        assert fs.cache.dirty_runs_of("/a") == []

@@ -42,6 +42,10 @@ def test_counters_move_on_a_real_workload():
     (gate,) = report.gates
     assert gate.grants > 0
     assert gate.arbitrations >= gate.grants
+    (cache,) = report.caches
+    assert cache.resident_blocks == len(server.fs.cache) > 0
+    assert 0 < cache.runs <= cache.resident_blocks
+    assert cache.hits + cache.misses > 0
 
 
 def test_snapshot_tolerates_counterless_objects():
@@ -61,6 +65,7 @@ def test_report_render_and_dict_roundtrip():
     assert "events processed" in text
     assert "pool hit rate" in text
     assert "reallocations" in text
+    assert "runs" in text
     doc = report.to_dict()
     json.dumps(doc)  # must be JSON-serializable
     assert doc["kernel"]["events_processed"] == report.kernel.events_processed

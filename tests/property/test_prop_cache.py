@@ -33,7 +33,7 @@ class TestLruInvariants:
             elif kind == "write":
                 cache.access_write(file_id, offset, nbytes)
             elif kind == "clean":
-                cache.clean(cache.dirty_blocks_of(file_id))
+                cache.clean(cache.dirty_runs_of(file_id))
             else:
                 cache.invalidate_file(file_id)
             assert len(cache) <= capacity_blocks
@@ -57,8 +57,10 @@ class TestLruInvariants:
             # some point, and no block is reported evicted twice by one
             # access.  (The same access may legitimately re-insert an
             # evicted block -- e.g. a write wider than the cache.)
-            assert len(evicted) == len(set(evicted))
-            for victim in evicted:
+            victims = [(path, b) for path, start, count in evicted
+                       for b in range(start, start + count)]
+            assert len(victims) == len(set(victims))
+            for victim in victims:
                 assert victim in dirty_ever
 
     @given(access_sequences())

@@ -8,7 +8,7 @@ from repro.simnest.gate import PumpGate
 
 
 def drain(env, gate, job, nbytes, log, name):
-    yield from gate.acquire(job, nbytes)
+    yield gate.acquire(job, nbytes)
     log.append((env.now, name, "granted"))
     yield env.timeout(1.0)
     gate.release(job, nbytes)
@@ -53,7 +53,7 @@ class TestAdmission:
             job = make_job(proto)
             sched.add(job)
             while True:
-                yield from gate.acquire(job, 100)
+                yield gate.acquire(job, 100)
                 yield env.timeout(0.01)
                 moved[proto] += 100
                 gate.release(job, 100)
@@ -74,7 +74,7 @@ class TestAdmission:
         done = []
 
         def lane(name):
-            yield from gate.acquire(job, 10)
+            yield gate.acquire(job, 10)
             yield env.timeout(0.5)
             gate.release(job, 10)
             done.append((env.now, name))
@@ -93,7 +93,7 @@ class TestAdmission:
         def pump(i):
             job = make_job("p")
             gate.scheduler.add(job)
-            yield from gate.acquire(job, 10)
+            yield gate.acquire(job, 10)
             granted.append(env.now)
             gate.release(job, 10)
 
@@ -112,7 +112,7 @@ class TestAdmission:
         gate.scheduler.add(quitter)
 
         def hold():
-            yield from gate.acquire(holder, 10)
+            yield gate.acquire(holder, 10)
             yield env.timeout(5)
             gate.release(holder, 10)
 
@@ -123,7 +123,7 @@ class TestAdmission:
 
         env.process(hold())
         # quitter enqueues, then withdraws before being served.
-        list(gate.acquire(quitter, 10))  # enqueue without waiting
+        gate.acquire(quitter, 10)  # enqueue without waiting
         env.process(quit_early())
         env.run()
         assert not quitter.ready
@@ -136,7 +136,7 @@ class TestAdmission:
 
         def pump():
             for _ in range(5):
-                yield from gate.acquire(job, 1)
+                yield gate.acquire(job, 1)
                 gate.release(job, 1)
 
         env.process(pump())
@@ -159,7 +159,7 @@ class TestNonWorkConserving:
         granted = []
 
         def pump():
-            yield from gate.acquire(http, 10)
+            yield gate.acquire(http, 10)
             granted.append(env.now)
             gate.release(http, 10)
 
