@@ -26,13 +26,13 @@ settled" bugs got in.  (``TransferTicket.__exit__`` in
 ``protocols/common.py`` is the ticket settling itself.)
 
 Rule 3: every stream socket is tuned at birth by the one helper,
-``repro.protocols.common.tuned``.  A function under ``src/repro`` that
+``repro.protocols.runtime.tuned``.  A function under ``src/repro`` that
 calls ``.accept()`` or ``create_connection(`` must also call
 ``tuned(``, and ``TCP_NODELAY`` is named nowhere but in that helper.
 A listener or dialler that skips it brings back the 44 ms
 Nagle/delayed-ACK stall on every reply it writes in two pieces.
 
-Rule 4: one accept loop.  ``repro.protocols.common.Acceptor`` is the
+Rule 4: one accept loop.  ``repro.protocols.runtime.Acceptor`` is the
 only thing under ``src/repro`` that puts a socket into ``.listen(``
 (or ``create_server(``) and serves it for a server's lifetime; the FTP/GridFTP data-channel
 listeners (PASV/SPAS) are the exception because they accept once,
@@ -50,7 +50,7 @@ NeST against daemons that have no storage manager, transfer manager or
 scheduler, and the daemons running NeST's protocol sessions must not
 quietly acquire one.
 
-Rule 6: one periodic loop.  ``repro.protocols.common.Periodic`` is the
+Rule 6: one periodic loop.  ``repro.protocols.runtime.Periodic`` is the
 only thing under ``src/repro`` that runs ``while not <event>.wait(...)``.
 Each hand-copied loop of that shape re-decided the same questions --
 does an exception end it, does a zero period spin (``Event.wait(0)``
@@ -174,7 +174,7 @@ def _door_violations(path: Path, door=(DOOR_CLASS, DOOR)) -> list[str]:
 
 
 #: Where rule 3's helper lives (relative to ``src/repro``), and its name.
-TUNER_FILE = "protocols/common.py"
+TUNER_FILE = "protocols/runtime.py"
 TUNER = "tuned"
 
 
@@ -213,7 +213,7 @@ def _socket_violations(path: Path, rel: str) -> list[str]:
                 out.append(
                     f"{path}:{node.lineno}: {_owner_name(node.func)}() without "
                     f"{TUNER}() in the same function -- pass the new "
-                    "socket through repro.protocols.common.tuned")
+                    "socket through repro.protocols.runtime.tuned")
         if (rel != TUNER_FILE and isinstance(node, ast.Attribute)
                 and node.attr == "TCP_NODELAY"):
             out.append(
@@ -225,7 +225,7 @@ def _socket_violations(path: Path, rel: str) -> list[str]:
 #: Rule 4: the (file, function) pairs that may call a socket's
 #: ``.listen(``: the acceptor, and the one-shot data-channel listeners.
 LISTEN_ALLOWED = {
-    ("protocols/common.py", "listen"),   # Acceptor.listen
+    ("protocols/runtime.py", "listen"),  # Acceptor.listen
     ("protocols/ftp.py", "cmd_pasv"),
     ("protocols/gridftp.py", "cmd_spas"),
 }
@@ -264,7 +264,7 @@ def _listener_violations(path: Path, rel: str) -> list[str]:
                 f"{path}:{node.lineno}: {_owner_name(node.func)}() outside "
                 "Acceptor -- "
                 "serve the listener through "
-                "repro.protocols.common.Acceptor")
+                "repro.protocols.runtime.Acceptor")
         if (_owner_name(node.func) == "accept" and id(scope) not in polled
                 and any(isinstance(h, ast.ExceptHandler)
                         and _catches_timeout(h)
@@ -305,7 +305,7 @@ def _manager_imports(path: Path) -> list[str]:
 
 
 #: Rule 6: the one class (and its file) whose body may loop on a wait.
-LOOP_FILE = "protocols/common.py"
+LOOP_FILE = "protocols/runtime.py"
 LOOP_CLASS = "Periodic"
 
 
@@ -330,7 +330,7 @@ def _loop_violations(path: Path, rel: str) -> list[str]:
     return [
         f"{path}:{node.lineno}: while not .wait() loop outside "
         f"{LOOP_CLASS} -- run periodic work through "
-        "repro.protocols.common.Periodic"
+        "repro.protocols.runtime.Periodic"
         for node in ast.walk(tree)
         if _is_wait_loop(node) and id(node) not in allowed
     ]

@@ -257,7 +257,7 @@ def _fetch(target: str, path: str) -> bytes:
     """GET one management-endpoint document; raises OSError/ValueError."""
     import socket
 
-    from repro.protocols.common import tuned
+    from repro.protocols.runtime import tuned
 
     host, _, port = target.rpartition(":")
     try:

@@ -26,7 +26,7 @@ from repro.client.errors import FatalError, TransientError, is_transient
 from repro.client.retry import RetryPolicy
 from repro.faults import FaultPlan
 from repro.obs.spans import current_trace_context
-from repro.protocols.common import tuned
+from repro.protocols.runtime import tuned
 
 T = TypeVar("T")
 

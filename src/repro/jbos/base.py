@@ -26,7 +26,6 @@ from repro.jbos.store import SimpleStore
 from repro.jbos.throttle import Throttle, Unthrottled
 from repro.obs.metrics import global_registry
 from repro.protocols.common import (
-    Acceptor,
     ProtocolError,
     Request,
     RequestType,
@@ -36,6 +35,7 @@ from repro.protocols.common import (
     TransferTicket,
 )
 from repro.protocols.nfs import FileHandleRegistry
+from repro.protocols.runtime import Acceptor
 
 #: Bytes per throttled write of the direct copy.
 CHUNK = 65536

@@ -21,25 +21,8 @@ of the DES kernel in :mod:`repro.sim`:
 Calibration targets come from the paper's own measurements (e.g. the
 delivered single-protocol peak of ~35 MB/s on the GigE cluster) --
 see DESIGN.md section 1.
+
+The package re-exports nothing on purpose: the live gray-box shadow
+(:mod:`repro.nest.graybox`) imports the cache model alone and must not
+load the DES kernel with it.
 """
-
-from repro.models.network import FairShareLink
-from repro.models.disk import Disk
-from repro.models.cache import BufferCache
-from repro.models.quota import QuotaTable, OverQuota
-from repro.models.filesystem import FileSystemModel, FileMeta
-from repro.models.platform import PlatformProfile, LINUX, SOLARIS, get_platform
-
-__all__ = [
-    "FairShareLink",
-    "Disk",
-    "BufferCache",
-    "QuotaTable",
-    "OverQuota",
-    "FileSystemModel",
-    "FileMeta",
-    "PlatformProfile",
-    "LINUX",
-    "SOLARIS",
-    "get_platform",
-]

@@ -23,23 +23,8 @@ The schedulers are *pure* data structures, shared verbatim between
 this live server and the simulated substrate in :mod:`repro.simnest`
 -- the reproduction's embodiment of the paper's claim that
 transfer-manager optimizations apply to every protocol at once.
+
+The package re-exports nothing on purpose: importing one policy module
+(as the simulator does) must not load the live server, its sockets or
+the authentication layer's OpenSSL.
 """
-
-from repro.nest.config import NestConfig
-from repro.nest.storage import StorageManager
-from repro.nest.lots import Lot, LotManager, LotError
-from repro.nest.acl import AccessControl, Rights
-from repro.nest.auth import CertificateAuthority, Credential, GSIContext
-
-__all__ = [
-    "NestConfig",
-    "StorageManager",
-    "Lot",
-    "LotManager",
-    "LotError",
-    "AccessControl",
-    "Rights",
-    "CertificateAuthority",
-    "Credential",
-    "GSIContext",
-]

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.classads import ClassAd
 from repro.classads.parser import parse_expression
 from repro.obs.log import get_logger
-from repro.protocols.common import Periodic
+from repro.protocols.runtime import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nest.storage import StorageManager

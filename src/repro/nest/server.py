@@ -35,12 +35,12 @@ from repro.nest.eventserver import EventLoop
 from repro.nest.handlers import HANDLERS
 from repro.nest.storage import StorageManager
 from repro.nest.transfer import TransferManager
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.obs.log import get_logger
 from repro.obs.metrics import global_registry
 from repro.obs.mgmt import ManagementEndpoint
 from repro.obs.slo import SloEngine
-from repro.protocols.common import Acceptor
+from repro.protocols.runtime import Acceptor
 from repro.protocols.nfs import FileHandleRegistry
 from repro.tier.heat import HeatTracker
 

@@ -232,10 +232,10 @@ class TransferManager:
     def __init__(self, config: NestConfig, residency=None, obs=None):
         config.validate()
         self.config = config
-        #: optional repro.obs.Observability bundle; when present every
-        #: transfer feeds the metrics registry, the health monitor's
-        #: rolling throughput, and (for traced requests) queue-wait and
-        #: transfer child spans.
+        #: optional repro.obs.observability.Observability bundle; when
+        #: present every transfer feeds the metrics registry, the health
+        #: monitor's rolling throughput, and (for traced requests)
+        #: queue-wait and transfer child spans.
         self.obs = obs
         if obs is not None:
             reg = obs.registry

@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 from repro.obs.export_prom import render_prometheus
 from repro.obs.log import get_logger
-from repro.protocols.common import Acceptor
+from repro.protocols.runtime import Acceptor
 
 __all__ = ["ManagementEndpoint"]
 

@@ -9,6 +9,8 @@ This package provides:
 
 * :mod:`repro.protocols.common` -- the common request/response objects
   and stream helpers shared by all protocols;
+* :mod:`repro.protocols.runtime` -- socket tuning and the accept and
+  periodic loops every live server shares;
 * :mod:`repro.protocols.chirp` -- Chirp, NeST's native text protocol
   (the only protocol with lot management and ACL operations);
 * :mod:`repro.protocols.http` -- an HTTP/1.0 subset (GET/PUT/HEAD);

@@ -21,8 +21,8 @@ from repro.protocols.common import (
     Response,
     Status,
     StorageError,
-    tuned,
 )
+from repro.protocols.runtime import tuned
 
 #: Default control-connection ports in this reproduction.
 DEFAULT_PORT = 9021

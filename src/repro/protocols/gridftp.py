@@ -29,7 +29,8 @@ from typing import BinaryIO, Iterator
 
 from repro.nest.auth import AuthError
 from repro.protocols import common, ftp
-from repro.protocols.common import ProtocolError, read_exact, tuned
+from repro.protocols.common import ProtocolError, read_exact
+from repro.protocols.runtime import tuned
 
 #: EBLOCK header: flags byte, 64-bit big-endian length and offset.
 _HEADER = struct.Struct(">BQQ")

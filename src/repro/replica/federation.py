@@ -21,7 +21,7 @@ from repro.client.errors import ClientError, TransientError
 from repro.client.highlevel import NestClient
 from repro.client.retry import RetryPolicy
 from repro.nest.auth import Credential
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.obs.log import get_logger
 from repro.replica.catalog import ReplicaCatalog
 from repro.replica.placement import SiteInfo, throughput_ranked_sites

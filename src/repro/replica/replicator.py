@@ -27,9 +27,9 @@ from repro.client.gridftp import GridFtpClient, third_party_transfer
 from repro.client.chirp import ChirpClient
 from repro.client.retry import RetryPolicy
 from repro.nest.auth import Credential
-from repro.obs import Observability
+from repro.obs.observability import Observability
 from repro.obs.log import get_logger
-from repro.protocols.common import Periodic
+from repro.protocols.runtime import Periodic
 from repro.replica.catalog import COPYING, SUSPECT, VALID, ReplicaCatalog
 from repro.replica.placement import (
     PlacementPolicy,

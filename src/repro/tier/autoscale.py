@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 
 from repro.obs.health import HealthMonitor
 from repro.obs.log import get_logger
-from repro.protocols.common import Periodic
+from repro.protocols.runtime import Periodic
 from repro.replica.replicator import ReplicationError, Replicator
 from repro.tier.heat import HeatTracker
 
@@ -42,7 +42,7 @@ __all__ = ["AutoScaler"]
 
 class AutoScaler(Periodic):
     """One appliance's overload-driven replication loop: a
-    :class:`~repro.protocols.common.Periodic` (thread
+    :class:`~repro.protocols.runtime.Periodic` (thread
     ``autoscale-<name>``) calling :meth:`tick` every ``interval``
     seconds."""
 

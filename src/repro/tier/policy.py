@@ -3,7 +3,7 @@
 :class:`TierPolicy` is the *what*: a small declarative predicate --
 age, size, heat ceiling, lot-aware pinning -- deciding whether one file
 is demotable.  :class:`TierManager` is the *when*: a background loop
-(a :class:`~repro.protocols.common.Periodic`) that walks the namespace,
+(a :class:`~repro.protocols.runtime.Periodic`) that walks the namespace,
 asks the policy, and executes demotions through
 :meth:`~repro.tier.store.TieredStore.migrate`, at most
 ``max_per_scan`` per pass so a scan never monopolizes the appliance.
@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional
 
 from repro.nest.storage import DirNode, FileNode, StorageManager
 from repro.obs.log import get_logger
-from repro.protocols.common import Periodic
+from repro.protocols.runtime import Periodic
 from repro.tier.heat import HeatTracker
 from repro.tier.store import HOT, TierError, TieredStore
 
@@ -103,7 +103,7 @@ class TierPolicy:
 class TierManager(Periodic):
     """Background demotion loop: namespace walk -> policy -> migrate.
 
-    A :class:`~repro.protocols.common.Periodic` (thread ``tier-manager``)
+    A :class:`~repro.protocols.runtime.Periodic` (thread ``tier-manager``)
     calling :meth:`scan_once` every ``interval`` seconds; 0 leaves the
     loop off (:meth:`scan_once` is then driven by hand).  ``interval``
     and ``policy`` may be set before :meth:`start`."""

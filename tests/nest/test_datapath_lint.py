@@ -95,13 +95,19 @@ def test_every_socket_in_src_is_tuned_at_birth():
     assert [v for path in sorted(root.rglob("*.py"))
             for v in lint._socket_violations(
                 path, path.relative_to(root).as_posix())] == []
+    # Only the runtime may name TCP_NODELAY: the same helper anywhere
+    # else (the request interface included) is a second tuning site.
+    tuner = root / lint.TUNER_FILE
+    assert [line.split(": ")[1].split(" ")[0]
+            for line in lint._socket_violations(
+                tuner, "protocols/common.py")] == ["TCP_NODELAY"]
 
 
 def test_an_untuned_listener_or_a_second_nodelay_site_is_flagged(tmp_path):
     source = tmp_path / "newd.py"
     source.write_text('''
 import socket
-from repro.protocols.common import tuned
+from repro.protocols.runtime import tuned
 
 
 def accept_loop(listener):
@@ -139,13 +145,18 @@ def test_src_has_one_accept_loop():
     assert [v for path in sorted(root.rglob("*.py"))
             for v in lint._listener_violations(
                 path, path.relative_to(root).as_posix())] == []
+    # Acceptor.listen is exempt in the runtime only.
+    runtime = root / "protocols" / "runtime.py"
+    assert [line.split(": ")[1].split(" ")[0]
+            for line in lint._listener_violations(
+                runtime, "protocols/common.py")] == ["create_server()"]
 
 
 def test_a_second_listener_or_a_polled_accept_is_flagged(tmp_path):
     source = tmp_path / "newd.py"
     source.write_text('''
 import socket
-from repro.protocols.common import Acceptor, tuned
+from repro.protocols.runtime import Acceptor, tuned
 
 
 class Daemon:
@@ -191,15 +202,18 @@ def test_src_has_one_periodic_loop():
     assert [v for path in sorted(root.rglob("*.py"))
             for v in lint._loop_violations(
                 path, path.relative_to(root).as_posix())] == []
-    common = root / lint.LOOP_FILE
-    assert lint._loop_violations(common, "periodic.py")  # the one, moved
+    runtime = root / lint.LOOP_FILE
+    assert lint._loop_violations(runtime, "periodic.py")  # the one, moved
+    # The request interface is not the runtime: back in common.py the
+    # loop would be flagged too.
+    assert lint._loop_violations(runtime, "protocols/common.py")
 
 
 def test_a_second_periodic_loop_is_flagged(tmp_path):
     source = tmp_path / "scanner.py"
     source.write_text('''
 import threading
-from repro.protocols.common import Periodic
+from repro.protocols.runtime import Periodic
 
 
 class Scanner:

@@ -1,4 +1,4 @@
-"""``repro.protocols.common.Acceptor``: the one accept loop."""
+"""``repro.protocols.runtime.Acceptor``: the one accept loop."""
 
 import os
 import socket
@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.protocols.common import Acceptor
+from repro.protocols.runtime import Acceptor
 
 
 def _open_fds() -> int:

@@ -1,8 +1,8 @@
-"""``repro.protocols.common.Periodic``: the one periodic loop."""
+"""``repro.protocols.runtime.Periodic``: the one periodic loop."""
 
 import threading
 
-from repro.protocols.common import Periodic
+from repro.protocols.runtime import Periodic
 
 NAME = "periodic-test"
 
