@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Nine rules, enforced by AST walk (so docstrings and comments that merely
+Ten rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -81,6 +81,15 @@ queues dropped -- when the block that reads its result is left.  A
 bare ``env = Environment()`` leaves the finished model in a reference
 cycle that only the cyclic collector frees, whenever it next runs, and
 several finished figures' worth of memory piles up meanwhile.
+
+Rule 10: a snapshot is taken where no record stands without its byte
+effect.  Under ``durability/`` and in ``nest/storage.py`` a
+``.snapshot(`` call appears only in ``DurabilityManager``'s op-exit
+hook (``after_op``, which a storage operation calls once its records
+are durable, their byte effects done and the storage lock released),
+its ``close`` and its ``recover_into``.  A snapshot taken anywhere
+else -- inside a durability wait, say -- can fold a record whose
+effect has not happened, and recovery then never redoes it.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -409,6 +418,26 @@ def _environment_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 10: where a snapshot may be taken -- the file, class and methods.
+SNAPSHOT_FILE = "durability/manager.py"
+SNAPSHOT_TAKERS = ("DurabilityManager", {"after_op", "close", "recover_into"})
+
+
+def _snapshot_violations(path: Path, rel: str) -> list[str]:
+    if not (rel.startswith("durability/") or rel == "nest/storage.py"):
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = (_inside(tree, *SNAPSHOT_TAKERS) if rel == SNAPSHOT_FILE
+               else set())
+    return [
+        f"{path}:{node.lineno}: .snapshot() outside the op-exit hook -- "
+        "count the record and let DurabilityManager.after_op take it"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "snapshot" and id(node) not in allowed
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -421,6 +450,7 @@ def main() -> int:
         problems.extend(_journal_violations(path, rel))
         problems.extend(_commit_violations(path, rel))
         problems.extend(_environment_violations(path, rel))
+        problems.extend(_snapshot_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -14,8 +14,8 @@
                           [--path /metrics|/healthz|/trace|/slo|/ad]
 
 ``recover`` replays a ``state_dir``'s snapshot + metadata journal into
-a fresh storage manager and reports what came back (lots, interrupted
-puts, replayed records) without starting a server -- the offline
+a fresh storage manager and reports what came back (lots, replayed
+records, reconciled charges) without starting a server -- the offline
 fsck-style view of durable appliance state.
 ``serve`` starts a live NeST on consecutive ports (Chirp at the base)
 and prints its availability ClassAd; ``jbos`` starts the native bunch;

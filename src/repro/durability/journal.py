@@ -55,8 +55,10 @@ BATCH_RECORDS = 64
 
 #: Format of the durable state, stamped as ``"v"`` into every journal
 #: record and every snapshot document.  State written before stamping
-#: carries none and reads as version 1.
-FORMAT_VERSION = 1
+#: carries none and reads as version 1.  Version 2 journals a PUT as
+#: one ``put_commit`` naming its staged file; version 1 also opened it
+#: with a begin record, which this code no longer reads.
+FORMAT_VERSION = 2
 
 
 class JournalError(OSError):
@@ -281,6 +283,11 @@ class MetadataJournal:
         self.fsync_count += 1
         if self._h_fsync is not None:
             self._h_fsync.observe(time.perf_counter() - t0)
+
+    @property
+    def tail_seq(self) -> int:
+        """The last seq handed out, whether or not it is durable yet."""
+        return max(self._tail_seq, self.last_seq)
 
     # ------------------------------------------------------------------
     # replay

@@ -3,18 +3,23 @@
 Ties the pieces together for a live appliance:
 
 * **record** -- the sink bound to the replica catalog and the tiered
-  store; appends to the write-ahead journal and triggers a compacted
-  snapshot every ``snapshot_every`` records.  The storage manager is
-  handed the manager itself and uses the split form (**record_async**
-  under its lock, **wait_durable** before any backing-store side
-  effect, or after releasing the lock) so concurrent mutators share
-  group-commit flushes;
+  store; appends to the write-ahead journal and counts the record
+  toward the next snapshot.  The storage manager is handed the manager
+  itself and uses the split form (**record_async** under its lock,
+  **wait_durable** before any backing-store side effect, or after
+  releasing the lock) so concurrent mutators share group-commit
+  flushes;
+* **after_op** -- the op-exit hook: once ``snapshot_every`` records
+  are counted, the next storage operation to succeed takes the
+  snapshot on its way out, its records' byte effects done and the
+  storage lock released -- never between a record and its effect;
 * **snapshot** -- serialize full state (under the storage lock, so the
   captured journal ``seq`` is consistent), save atomically, then
   truncate the journal *only if* nothing was appended meanwhile;
-* **recover_into** -- snapshot install + journal replay + interrupted
-  -put reconciliation + temp-file sweep + file-handle epoch bump, then
-  bind the journal so the restarted appliance records new mutations.
+* **recover_into** -- snapshot install + journal replay + the byte
+  moves of replayed renames and PUT commits + temp-file sweep +
+  file-handle epoch bump, then bind the journal so the restarted
+  appliance records new mutations.
 
 The restart **epoch** is a small integer persisted in
 ``state_dir/epoch`` and incremented by every recovery; the NFS
@@ -32,7 +37,7 @@ from typing import Any, Optional
 
 from repro.durability.journal import MetadataJournal, check_format
 from repro.durability.recovery import RecoveryReport, StorageReplayer
-from repro.durability.snapshot import SnapshotStore
+from repro.durability.snapshot import SnapshotStore, fsync_dir
 from repro.nest.lots import LotError
 from repro.nest.storage import StorageError, StorageManager
 from repro.obs.log import get_logger
@@ -90,7 +95,8 @@ class DurabilityManager:
     # the live sink
     # ------------------------------------------------------------------
     def record(self, rtype: str, **fields) -> int:
-        """Durably journal one mutation; compacts periodically."""
+        """Durably journal one mutation (counted toward the next
+        snapshot, as :meth:`wait_durable` counts)."""
         seq = self.record_async(rtype, **fields)
         self.wait_durable(seq)
         return seq
@@ -106,25 +112,35 @@ class DurabilityManager:
 
     def wait_durable(self, seq: int) -> None:
         """Block until record ``seq`` is on disk (raising the typed
-        failure if its flush failed); compacts periodically -- the
-        snapshot trigger lives here."""
+        failure if its flush failed), and count it toward the next
+        snapshot -- which :meth:`after_op` takes, never this call: it
+        runs between a record and its byte effect."""
         self.journal.wait_durable(seq)
-        take = False
         with self._lock:
             self._since_snapshot += 1
-            if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
+
+    def after_op(self) -> None:
+        """The op-exit hook: a storage operation that succeeded calls it
+        last, its wait over and the storage lock released, so no record
+        it wrote stands without its byte effect.  Takes the snapshot
+        once ``snapshot_every`` records have been counted."""
+        with self._lock:
+            due = (self.snapshot_every
+                   and self._since_snapshot >= self.snapshot_every)
+            if due:
                 self._since_snapshot = 0
-                take = True
-        if take:
+        if due:
             self.snapshot()
 
     def snapshot(self) -> bool:
         """Fold the journal into a compacted snapshot.
 
         Serialization happens under the storage lock, so the captured
-        ``seq`` exactly covers every storage record in the state.
-        (Replica records emitted concurrently are idempotent on
-        replay, so the catalog needs no such fence.)  The journal is
+        ``seq`` -- the last one handed out, durable or still queued --
+        exactly covers every storage record in the state: each is
+        applied before it gets its seq, so replay must not apply it
+        again.  (Replica records emitted concurrently are idempotent
+        on replay, so the catalog needs no such fence.)  The journal is
         truncated only when nothing newer was appended meanwhile --
         otherwise compaction simply waits for the next snapshot.
         """
@@ -132,7 +148,7 @@ class DurabilityManager:
         if storage is None:
             return False
         with storage._lock:
-            seq = self.journal.last_seq
+            seq = self.journal.tail_seq
             state: dict[str, Any] = {"storage": storage.serialize_state()}
         if self.catalog is not None:
             state["catalog"] = self.catalog.serialize()
@@ -208,7 +224,6 @@ class DurabilityManager:
         report.corrupt_tail = replay.corrupt_tail
 
         replayer.finish_moves()
-        report.interrupted_puts = replayer.reconcile_pending_puts()
         report.reconciled_charges = replayer.reconcile_charges()
         if tier is not None:
             # Settle in-flight migrations/recalls *before* the temp
@@ -245,10 +260,9 @@ class DurabilityManager:
         # so the next crash replays from here instead of re-deriving.
         self.snapshot()
         logger.info(
-            "%s recovered: %d records replayed, %d lots, "
-            "%d interrupted puts, epoch %d", self.state_dir,
-            report.replayed_records, len(report.recovered_lots),
-            len(report.interrupted_puts), report.epoch)
+            "%s recovered: %d records replayed, %d lots, epoch %d",
+            self.state_dir, report.replayed_records,
+            len(report.recovered_lots), report.epoch)
         return report
 
     def attach_catalog(self, catalog) -> int:
@@ -289,6 +303,7 @@ class DurabilityManager:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self._epoch_path())
+        fsync_dir(self.state_dir)
 
     # ------------------------------------------------------------------
     # shutdown

@@ -8,12 +8,12 @@ Recovery is three passes over durable state:
    snapshot through the components' own ``apply_record`` -- the
    function each live mutation committed through (no ACL checks, no
    re-journaling: history already passed both);
-3. **reconcile** what the journal could not know: a ``put_begin``
-   without a matching ``put_commit`` is an interrupted transfer, so
-   the file's true size is whatever the (atomic-write) backend holds
-   -- the complete new file, the untouched old one, or nothing.  Lot
-   charges and accounting are settled to that truth; orphaned
-   atomic-write temp files are swept.
+3. **finish** what a crash cut between a durable record and its byte
+   effect: a ``rename``'s store rename, and a ``put_commit``'s rename
+   of its staged file over the path -- the same store call.  A PUT
+   with no durable commit never happened: its staged file is swept
+   with the other orphans, and the lot charges its approval reserved
+   are released (:meth:`StorageReplayer.reconcile_charges`).
 
 Lot *expiry* is deliberately absent from the journal: it is a pure
 function of ``expires_at`` vs the clock, re-derived lazily on the next
@@ -45,7 +45,6 @@ class RecoveryReport:
     replayed_records: int = 0  #: intact journal records applied
     skipped_records: int = 0  #: records replay could not apply
     corrupt_tail: bool = False  #: journal ended in a torn/corrupt record
-    interrupted_puts: list[dict[str, Any]] = field(default_factory=list)
     recovered_lots: list[str] = field(default_factory=list)
     recovered_replicas: int = 0
     reconciled_charges: int = 0  #: dangling lot charges released/trimmed
@@ -62,7 +61,6 @@ class RecoveryReport:
             "replayed_records": self.replayed_records,
             "skipped_records": self.skipped_records,
             "corrupt_tail": self.corrupt_tail,
-            "interrupted_puts": list(self.interrupted_puts),
             "recovered_lots": list(self.recovered_lots),
             "recovered_replicas": self.recovered_replicas,
             "reconciled_charges": self.reconciled_charges,
@@ -80,16 +78,14 @@ class StorageReplayer:
     function the live mutation committed through; types it does not own
     return False so the caller can route them elsewhere (replica
     records go to the catalog).  What only recovery needs stays here:
-    the ``put_begin`` brackets left open, and the replayed renames whose
-    byte moves wait for the final namespace.
+    the byte moves of replayed renames and PUT commits, which wait for
+    the final namespace.
     """
 
     def __init__(self, storage: StorageManager):
         self.storage = storage
-        #: path -> its unmatched put_begin record
-        self.pending_puts: dict[str, dict[str, Any]] = {}
-        #: replayed renames as (node, path, new_path), oldest first;
-        #: their byte moves wait for the final namespace.
+        #: replayed byte moves as (node, path, new_path), oldest first:
+        #: a rename's, or a PUT commit's from its staged name.
         self.moves: list[tuple[Any, str, str]] = []
 
     def apply(self, rec: dict[str, Any]) -> bool:
@@ -98,12 +94,10 @@ class StorageReplayer:
         renamed = self._node(path)[2] if rtype == "rename" else None
         if not self.storage.apply_record(rec):
             return False
-        if rtype == "put_begin":
-            self.pending_puts[path] = rec
-        elif rtype in ("put_commit", "delete"):
-            self.pending_puts.pop(path, None)
-        elif renamed is not None:
+        if renamed is not None:
             self.moves.append((renamed, path, rec["new_path"]))
+        elif rtype == "put_commit":
+            self.moves.append((self._node(path)[2], rec["staged"], path))
         return True
 
     def _node(self, path: str) -> tuple[DirNode, str, Any]:
@@ -111,16 +105,17 @@ class StorageReplayer:
         return parent, name, parent.children.get(name)
 
     def finish_moves(self) -> None:
-        """Finish the replayed renames' store renames, oldest first,
-        once the namespace is final.
+        """Finish the replayed moves' store renames, oldest first, once
+        the namespace is final.
 
-        ``rename`` commits before touching the backend, so a crash
-        between the two leaves the record durable but the bytes under
-        the old path: the record wins, and the old name is renamed
-        through the same :func:`move_bytes` the live rename runs.  A
-        rename that landed before the crash is skipped (no old copy),
-        and so is one whose old name a later record re-used: the bytes
-        there are that later file's.
+        A rename and a PUT commit each journal before touching the
+        backend, so a crash between the two leaves the record durable
+        but the bytes under the old (or staged) name: the record wins,
+        and the old name is renamed through the same
+        :func:`move_bytes` the live verb runs.  A move that landed
+        before the crash is skipped (no old copy), and so is a rename
+        whose old name a later record re-used: the bytes there are that
+        later file's.  A staged name is never in the namespace.
         """
         for node, path, new_path in self.moves:
             if self.storage.exists(path):
@@ -132,37 +127,14 @@ class StorageReplayer:
         self.moves.clear()
 
     # -- reconciliation ----------------------------------------------------
-    def reconcile_pending_puts(self) -> list[dict[str, Any]]:
-        """Settle every unmatched ``put_begin`` against the backend.
-
-        With atomic-write backends the data is either complete (the
-        writer's final rename happened) or entirely the pre-put
-        content (or absent); a torn file is impossible.  Metadata is
-        adjusted to that truth by
-        :meth:`StorageManager.settle_to_backend` -- the function that
-        settles an aborted put live.
-        """
-        out: list[dict[str, Any]] = []
-        storage = self.storage
-        for path in sorted(self.pending_puts):
-            found = storage._file(path)
-            if found is None:
-                continue
-            size = storage.settle_to_backend(
-                path, self.pending_puts[path].get("user", found[2].owner))
-            out.append({"path": path,
-                        "disposition": "absent" if size is None else "settled",
-                        "size": size or 0})
-        self.pending_puts.clear()
-        return out
-
     def reconcile_charges(self) -> int:
         """Release lot charges the journal left dangling.
 
-        Two crash windows produce them: a ``lot_charge`` journaled
-        before its ``put_begin`` (the file never materialised in the
-        namespace), and a ``delete`` record whose ``lot_release``
-        never landed.  Either way the durable namespace is the truth:
+        Three crash windows produce them: a PUT's reservation
+        (``lot_charge`` at approval) whose ``put_commit`` never landed,
+        a shrinking overwrite's commit whose ``lot_release`` never
+        landed, and a ``delete`` record whose ``lot_release`` never
+        landed.  Either way the durable namespace is the truth:
         charges for paths without a file node are dropped entirely,
         and per-path charge totals above the node's size are trimmed
         to it.  Returns how many paths were adjusted.

@@ -9,8 +9,9 @@ the old snapshot or the new one, never a torn hybrid, no matter where
 a crash lands.
 
 Compaction ordering (see :class:`~repro.durability.manager.DurabilityManager`):
-the snapshot is made durable *first*, the journal truncated *second*.
-A crash between the two leaves journal records whose ``seq`` the
+the snapshot is made durable *first* -- its bytes, then its directory
+entry (:func:`fsync_dir`) -- and the journal truncated *second*.  A
+crash between the two leaves journal records whose ``seq`` the
 snapshot already covers; replay skips them, so the window is harmless.
 """
 
@@ -23,7 +24,18 @@ from typing import Any, Optional
 from repro.durability.journal import FORMAT_VERSION, check_format
 from repro.faults.disk import raise_for
 
-__all__ = ["SnapshotError", "SnapshotStore"]
+__all__ = ["SnapshotError", "SnapshotStore", "fsync_dir"]
+
+
+def fsync_dir(path: str) -> None:
+    """Make the entries of directory ``path`` durable: an
+    ``os.replace`` inside it survives a power cut only once the
+    directory itself is synced."""
+    fd = os.open(path or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class SnapshotError(Exception):
@@ -56,6 +68,7 @@ class SnapshotStore:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self.path)
+        fsync_dir(parent)
 
     def load(self) -> tuple[Optional[dict[str, Any]], int]:
         """The latest snapshot's ``(state, seq)``, or ``(None, 0)``

@@ -34,7 +34,11 @@ class DataStore(Protocol):
         ...
 
     def open_write(self, path: str) -> BinaryIO:
-        """A writable binary stream; the file is replaced on close."""
+        """A writable binary stream to ``path``, which it creates or
+        truncates; ``close`` makes the bytes durable and ``discard``
+        drops them.  A writer that must not tear a file others read
+        writes a fresh name (:func:`staged_name`) and renames it over
+        the file -- what the storage manager's PUT commit does."""
         ...
 
     def open_update(self, path: str) -> BinaryIO:
@@ -43,7 +47,9 @@ class DataStore(Protocol):
 
     def rename(self, path: str, new_path: str) -> None:
         """Give one existing file's bytes a new name, replacing
-        whatever that name held; no byte is copied."""
+        whatever that name held; no byte is copied.  It is how a
+        RENAME moves a file and how a PUT's staged bytes become the
+        file."""
         ...
 
     def delete(self, path: str) -> None:
@@ -59,16 +65,18 @@ class DataStore(Protocol):
         ...
 
 
-def backend_size(store, path: str) -> int | None:
-    """Bytes the backend actually holds for ``path`` (None if absent)."""
-    try:
-        return store.size(path) if store.exists(path) else None
-    except OSError:
-        return None
-
-
-#: Suffix of in-flight atomic-write temp files (swept at recovery).
+#: Suffix of staged (not yet committed) files, swept at recovery.
 TEMP_SUFFIX = ".nest-tmp"
+
+#: Distinguishes this process's staged names (``next`` is atomic).
+_staged_serial = itertools.count()
+
+
+def staged_name(path: str) -> str:
+    """A fresh name beside ``path`` to stage a write of it under: one
+    per writer, so concurrent writers of one path never share a file,
+    and ending in :data:`TEMP_SUFFIX`, so a crash's leftover is swept."""
+    return f"{path}.{os.getpid()}-{next(_staged_serial)}{TEMP_SUFFIX}"
 
 
 class _MemoryWriter(io.BytesIO):
@@ -82,6 +90,8 @@ class _MemoryWriter(io.BytesIO):
         self._path = path
 
     def close(self) -> None:
+        if self.closed:
+            return
         store = self._store
         with store._lock:
             store._files[self._path] = bytearray(self.getvalue())
@@ -137,24 +147,16 @@ class MemoryStore:
 
 
 class _AtomicWriter:
-    """A write stream that lands atomically: bytes go to a same-directory
-    temp file; ``close`` fsyncs and ``os.replace``\\ s it onto the final
-    name.  A reader (or a recovery pass) therefore sees the old file or
-    the new one, never a torn hybrid -- and a process killed mid-PUT
-    leaves only a ``.nest-tmp`` orphan, swept at the next recovery.
+    """A :class:`LocalFSStore` write stream: ``close`` fsyncs the file,
+    ``discard`` unlinks it.  The atomicity is the caller's: the storage
+    manager writes a staged name and commits by renaming it over the
+    file, so a reader (or a recovery pass) sees the old file or the new
+    one, never a torn hybrid, and a process killed mid-PUT leaves only a
+    ``.nest-tmp`` orphan, swept at the next recovery."""
 
-    Every writer stages under a name of its own, so concurrent writers
-    of one path never share a temp file: the last to close wins, whole.
-    """
-
-    #: Distinguishes this process's writers (``next`` is atomic).
-    _serial = itertools.count()
-
-    def __init__(self, final: str):
-        self._final = final
-        self._tmp = (f"{final}.{os.getpid()}-{next(self._serial)}"
-                     f"{TEMP_SUFFIX}")
-        self._f = open(self._tmp, "wb")
+    def __init__(self, path: str):
+        self._path = path
+        self._f = open(path, "wb")
 
     def write(self, data: bytes) -> int:
         return self._f.write(data)
@@ -168,15 +170,14 @@ class _AtomicWriter:
         self._f.flush()
         os.fsync(self._f.fileno())
         self._f.close()
-        os.replace(self._tmp, self._final)
 
     def discard(self) -> None:
-        """Drop the staged bytes: the final name keeps what it held."""
+        """Drop the written bytes and the file."""
         if self._f.closed:
             return
         self._f.close()
         try:
-            os.unlink(self._tmp)
+            os.unlink(self._path)
         except FileNotFoundError:
             pass
 
@@ -240,8 +241,8 @@ class LocalFSStore:
         return os.path.isfile(self._resolve(path))
 
     def sweep_temp(self) -> int:
-        """Delete orphaned atomic-write temp files (crash leftovers);
-        returns how many were removed."""
+        """Delete staged files a crash left uncommitted; returns how
+        many were removed."""
         swept = 0
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for name in filenames:

@@ -14,19 +14,23 @@ Four responsibilities, exactly as the paper lists them:
 
 Data transfers are *approved* here (permission + lot/space checks) and
 then executed asynchronously by the transfer manager: ``approve_get``/
-``approve_put`` return tickets carrying the backend stream.
+``approve_put`` return tickets carrying the backend stream.  A PUT's
+stream writes a staged file; its settlement commits it -- one
+``put_commit`` record, durable before the staged file is renamed over
+the path -- so until then every reader sees the file from before it.
 """
 
 from __future__ import annotations
 
 import errno as _errno
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.nest.acl import AccessControl, AclError, Rights, default_acl
-from repro.nest.backends import DataStore, MemoryStore, backend_size
+from repro.nest.backends import DataStore, MemoryStore, staged_name
 from repro.nest.lots import Lot, LotError, LotManager
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
@@ -109,22 +113,28 @@ class _StorageOp:
     """One storage operation's scope (:meth:`StorageManager._op`): a
     ``storage`` child span under whatever request is being traced, the
     op/outcome count, and -- for the outermost op on this thread -- the
-    journal-durability wait on the way out.
+    journal-durability wait on the way out, then the journal's op-exit
+    hook (``after_op``: the periodic snapshot).
 
     Callers stack it *outside* the lock (``with self._op(..),
     self._lock:``), so the durability wait runs after the lock is
     released -- the other half of the journal's group-commit split.  An
     op that touches the backing store waits earlier, under the lock
     (:meth:`StorageManager._await_durable`), or touches it only after
-    this scope closes.  A failed wait ends the span as an error and
-    counts the op with its :class:`StorageError` status, like a
-    failure inside the body."""
+    this scope closes; either way every record of the op has its byte
+    effect by the time the hook runs.  A failed wait ends the span as
+    an error and counts the op with its :class:`StorageError` status,
+    like a failure inside the body, and takes no snapshot.  An op made
+    with ``wait=False`` leaves its records for a later op's flush to
+    carry (the journal flushes in seq order)."""
 
-    __slots__ = ("manager", "op", "span", "outermost")
+    __slots__ = ("manager", "op", "span", "outermost", "wait")
 
-    def __init__(self, manager: "StorageManager", op: str, path: str):
+    def __init__(self, manager: "StorageManager", op: str, path: str,
+                 wait: bool = True):
         self.manager = manager
         self.op = op
+        self.wait = wait
         self.span = _spans.maybe_span("storage", op=op, path=path)
 
     def __enter__(self) -> None:
@@ -138,7 +148,10 @@ class _StorageOp:
         manager = self.manager
         try:
             if exc is None and self.outermost:
-                manager._await_durable()
+                if self.wait:
+                    manager._await_durable()
+                if manager._journal is not None:
+                    manager._journal.after_op()
         except BaseException as late:
             exc = late
             raise
@@ -201,9 +214,8 @@ class StorageManager:
         #: the same demand signal.
         self.heat = heat
         self._lock = threading.RLock()
-        #: path -> approved puts of it not yet settled: an aborted put
-        #: leaves the file to another one still open (:meth:`_end_put`).
-        self._open_puts: dict[str, int] = {}
+        #: raw bytes approved puts hold in reserve until they settle.
+        self._reserved = 0
         #: the metadata journal (set via :meth:`set_journal`); None
         #: means the appliance runs memory-only, exactly as before.
         self._journal = None
@@ -228,8 +240,8 @@ class StorageManager:
     # ------------------------------------------------------------------
     def set_journal(self, journal) -> None:
         """Bind the metadata journal -- an object with
-        ``record_async(rtype, **fields) -> seq`` and
-        ``wait_durable(seq)`` (a
+        ``record_async(rtype, **fields) -> seq``, ``wait_durable(seq)``
+        and the op-exit hook ``after_op()`` (a
         :class:`~repro.durability.DurabilityManager`), or None.  Lot
         mutations are routed through :meth:`_emit` too, so a journal
         failure surfaces as one typed :class:`StorageError`
@@ -276,8 +288,7 @@ class StorageManager:
         journal it (:meth:`_emit`).  Crash replay calls the same
         ``apply_record``, so a record means one thing live and after a
         restart; and because the change is in memory before its record
-        is queued, a snapshot taken inside the record's own durability
-        wait already holds it."""
+        is handed a seq, a snapshot covering that seq holds it."""
         self.apply_record({"type": rtype, **fields})
         self._emit(rtype, **fields)
 
@@ -340,10 +351,10 @@ class StorageManager:
             self.used_bytes = int(state.get("used_bytes", 0))
             self.lots.restore(state.get("lots", {}))
 
-    def _op(self, op: str, path: str = "") -> _StorageOp:
+    def _op(self, op: str, path: str = "", wait: bool = True) -> _StorageOp:
         """One storage operation's telemetry and durability scope (see
         :class:`_StorageOp`)."""
-        return _StorageOp(self, op, path)
+        return _StorageOp(self, op, path, wait)
 
     # ------------------------------------------------------------------
     # namespace internals
@@ -573,44 +584,36 @@ class StorageManager:
     def approve_put(self, user: str, path: str, length: int) -> TransferTicket:
         """Authorize a whole-file write of ``length`` bytes.
 
-        Charges lots/space up front so the guarantee holds before any
-        data moves; over-declaration is settled back on completion.
+        Reserves the growth over the file's current size -- raw space,
+        and lot space when lots are required -- so the guarantee holds
+        before any data moves, and opens a stream to a staged file of
+        its own.  Nothing in the namespace changes until the ticket
+        settles (:meth:`_settle_put`): the approval journals no
+        namespace record and waits for none, its lot reservation riding
+        the commit's flush.
         """
-        with self._op("approve_put", path), self._lock:
+        with self._op("approve_put", path, wait=False), self._lock:
             parent, name = self._parent_and_name(path)
             existing = parent.children.get(name)
             if isinstance(existing, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            if existing is None:
-                self._check(parent.acl, user, "i")
-            else:
-                self._check(parent.acl, user, "w")
+            self._check(parent.acl, user, "i" if existing is None else "w")
             declared = max(0, length)
-            old_size = existing.size if existing else 0
-            self._charge(user, path, declared - old_size)
-            self._commit("put_begin", user=user, path=path, size=declared,
-                         old_size=old_size, existed=existing is not None)
-            if declared < old_size:
-                # Overwriting with less: the lot gets the shrinkage
-                # back now, so its charge tracks the node's size just
-                # as used_bytes does; _settle_put corrects from there.
-                # Journaled after put_begin: a crash in between leaves
-                # an open put for recovery to settle, never a release
-                # without its put.
-                self.lots.release(path, old_size - declared)
-            self._open_puts[path] = self._open_puts.get(path, 0) + 1
-        # The stream opens once put_begin is durable: a crash before
-        # then leaves the store untouched.
+            growth = max(0, declared - (existing.size if existing else 0))
+            self._charge(user, path, growth)
+            self._reserved += growth
+        staged = staged_name(path)
         try:
-            stream = self.store.open_write(path)
+            stream = self.store.open_write(staged)
         except BaseException:
-            # A put whose stream never opened landed nothing.
+            # A put whose stream never opened lands nothing.
             with self._op("commit_put", path), self._lock:
-                self._end_put(path, user, None)
+                self._unreserve(path, growth)
             raise
         return TransferTicket(
             path=path, user=user, size=declared, stream=stream,
-            is_write=True, on_settle=self._settle_put,
+            is_write=True,
+            on_settle=functools.partial(self._settle_put, staged, growth),
         )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
@@ -655,9 +658,11 @@ class StorageManager:
             self.heat.record(path, nbytes)
 
     def _charge(self, user: str, path: str, growth: int) -> None:
+        """Take ``growth`` more bytes for ``path`` out of the free raw
+        space and, when lots are required, out of the user's lots."""
         if growth <= 0:
             return
-        if growth > self.capacity_bytes - self.used_bytes:
+        if growth > self.capacity_bytes - self.used_bytes - self._reserved:
             raise StorageError(Status.NO_SPACE, "filesystem full")
         if self.require_lots:
             try:
@@ -665,68 +670,57 @@ class StorageManager:
             except LotError as exc:
                 raise StorageError(Status.NO_SPACE, str(exc)) from exc
 
-    def _settle_put(self, ticket: TransferTicket, actual: int) -> None:
+    def _unreserve(self, path: str, reserved: int) -> None:
+        """Give back what an approval reserved for a put of ``path``."""
+        self._reserved -= reserved
+        if reserved:
+            self.lots.release(path, reserved)
+
+    def _settle_put(self, staged: str, reserved: int,
+                    ticket: TransferTicket, actual: int) -> None:
+        """Settle one approved put: commit its staged bytes as the file
+        (:meth:`_commit_put`) or -- aborted, its stream discarded --
+        give back its reservation, leaving the file as it was."""
         with self._op("commit_put", ticket.path), self._lock:
-            self._end_put(ticket.path, ticket.user,
-                          None if ticket.aborted else actual)
+            if ticket.aborted:
+                self._unreserve(ticket.path, reserved)
+            else:
+                self._commit_put(ticket.user, ticket.path, staged, actual,
+                                 reserved)
 
-    def _end_put(self, path: str, user: str, size: int | None) -> None:
-        """Close one approved put of ``path``: commit it at ``size``
-        bytes, or, when it was aborted (``size`` None) and so landed
-        nothing, settle the file to the backend's bytes
-        (:meth:`settle_to_backend`).  An aborted put with another put
-        of the path still open leaves the file alone: that put's
-        ``put_begin`` already stands for it, and its settlement
-        decides the file."""
-        left = self._open_puts[path] - 1
-        if left:
-            self._open_puts[path] = left
-        else:
-            del self._open_puts[path]
-        if size is not None:
-            # Under-declared: charging the remainder may raise; the
-            # transfer manager reports the failure to the client.
-            self._commit_put(path, user, size)
-        elif not left:
-            self.settle_to_backend(path, user)
+    def _commit_put(self, user: str, path: str, staged: str, size: int,
+                    reserved: int) -> None:
+        """Make the ``size`` bytes staged under ``staged`` the file at
+        ``path``: the one place a put's bytes become the file.
 
-    def settle_to_backend(self, path: str, user: str) -> int | None:
-        """Settle the file at ``path`` to the bytes the backend holds
-        for it: where a put that landed nothing leaves it -- live, an
-        aborted put; after a crash, an interrupted one.
-
-        An overwrite keeps its old size, and gets back the charge a
-        shrinking overwrite released at approval (its bytes stay
-        uncharged when no room is left).  With no bytes at all the node
-        and its charges go.  Returns the size settled to, or None when
-        the file went."""
-        with self._lock:
-            actual = backend_size(self.store, path)
-            if actual is None:
-                # The "delete" record closes the put_begin bracket too.
-                self._commit("delete", path=path)
-                self.lots.release(path)
-                return None
-            try:
-                self._commit_put(path, user, actual)
-            except LotError:
-                pass
-            return actual
-
-    def _commit_put(self, path: str, user: str, size: int) -> None:
-        """Commit the file at ``path`` at ``size`` bytes.  The lot
-        delta is taken from the node's current size, so whichever put
-        settles last leaves size, accounting and charges agreeing;
-        charging growth may raise :exc:`LotError`."""
-        found = self._file(path)
-        delta = size - found[2].size if found is not None else 0
-        # The commit record closes the put_begin bracket: recovery
-        # treats an unmatched put_begin as an interrupted transfer.
-        self._commit("put_commit", path=path, size=size)
-        if delta < 0:
-            self.lots.release(path, -delta)
-        elif delta > 0 and self.require_lots:
-            self.lots.charge(user, path, delta)
+        The lot is charged the growth over the file's size now that
+        approval did not reserve (an under-declared put, or one whose
+        directory went, is refused here and lands nothing); one
+        ``put_commit`` record follows, durable before the store renames
+        the staged file over the path -- the call a RENAME's bytes move
+        by, which replay redoes the same way.  Whichever put commits
+        last wins both the bytes and the size."""
+        try:
+            parent, name = self._parent_and_name(path)
+            node = parent.children.get(name)
+            if isinstance(node, DirNode):
+                raise StorageError(Status.IS_DIR, path)
+            change = size - (node.size if node is not None else 0) - reserved
+            self._charge(user, path, change)
+        except StorageError:
+            self._unreserve(path, reserved)
+            self.store.delete(staged)
+            raise
+        self._reserved -= reserved
+        self._commit("put_commit", path=path, size=size, user=user,
+                     staged=staged)
+        if change < 0:
+            # After the commit record: a crash between the two leaves
+            # an overcharge, which recovery trims -- never a charge
+            # below the file's size.
+            self.lots.release(path, -change)
+        self._await_durable()
+        self.store.rename(staged, path)
 
     # ------------------------------------------------------------------
     # journal records: one apply function per type, run by _commit on
@@ -782,24 +776,15 @@ class StorageManager:
     def _r_group_set(self, rec: dict) -> None:
         self.groups[rec["name"]] = set(rec.get("members", []))
 
-    def _r_put_begin(self, rec: dict) -> None:
+    def _r_put_commit(self, rec: dict) -> None:
         parent, name = self._parent_and_name(rec["path"])
         node = parent.children.get(name)
+        if not isinstance(node, FileNode):
+            node = parent.children[name] = FileNode(
+                name=name, owner=rec.get("user", ""))
         size = int(rec["size"])
-        if isinstance(node, FileNode):
-            self.used_bytes += size - node.size
-            node.size = size
-        else:
-            parent.children[name] = FileNode(
-                name=name, owner=rec.get("user", ""), size=size)
-            self.used_bytes += size
-
-    def _r_put_commit(self, rec: dict) -> None:
-        found = self._file(rec["path"])
-        if found is not None:
-            node = found[2]
-            self.used_bytes += int(rec["size"]) - node.size
-            node.size = int(rec["size"])
+        self.used_bytes += size - node.size
+        node.size = size
 
     def _r_write(self, rec: dict) -> None:
         parent, name = self._parent_and_name(rec["path"])

@@ -23,10 +23,12 @@ between tiers -- at worst a completed copy is redone.
 Reads of COLD files **recall on miss**: the bytes stream cold -> fast
 through :func:`repro.nest.io.copy_stream` (pooled buffers, in-stream
 CRC) before the read is served from the fast tier.  Writes always land
-in the fast tier; a write over a COLD path invalidates the cold copy
-only after the new bytes are safely landed.  A rename keeps residency:
-the entry moves to the new name and each tier renames its own bytes,
-so a COLD file stays COLD and nothing is recalled.
+in the fast tier, under a staged name the storage manager then renames
+over the file.  A rename keeps residency: the entry moves to the new
+name and each tier renames its own bytes, so a COLD file stays COLD
+and nothing is recalled.  A rename over an existing name first drops
+that name's residency and cold copy, so a PUT over a COLD file
+invalidates the cold copy only once the new bytes are committed.
 """
 
 from __future__ import annotations
@@ -149,40 +151,6 @@ class RateLimitedStore:
         return getattr(self.inner, name)
 
 
-class _PromotingWriter:
-    """A fast-tier write stream that settles residency on close: the
-    path becomes HOT and any cold copy is invalidated -- but only
-    *after* the new bytes landed, so a crash mid-write leaves the old
-    cold copy authoritative instead of losing the file."""
-
-    def __init__(self, raw: BinaryIO, store: "TieredStore", path: str):
-        self._raw = raw
-        self._store = store
-        self._path = path
-        self._settled = False
-
-    def write(self, data) -> int:
-        return self._raw.write(data)
-
-    def close(self) -> None:
-        self._raw.close()
-        if not self._settled:
-            self._settled = True
-            self._store._promote_written(self._path)
-
-    def flush(self) -> None:
-        self._raw.flush()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __getattr__(self, name):
-        return getattr(self._raw, name)
-
-
 class TieredStore:
     """Fast tier over cold tier with journaled per-file residency."""
 
@@ -275,8 +243,7 @@ class TieredStore:
             return self.fast.open_read(path)
 
     def open_write(self, path: str) -> BinaryIO:
-        with self._lock:
-            return _PromotingWriter(self.fast.open_write(path), self, path)
+        return self.fast.open_write(path)
 
     def open_update(self, path: str) -> BinaryIO:
         with self._lock:
@@ -288,8 +255,13 @@ class TieredStore:
     def rename(self, path: str, new_path: str) -> None:
         """Rename in every tier that holds the bytes; a residency entry
         moves with them (committed before any byte moves), so a COLD
-        file stays COLD and nothing is recalled."""
+        file stays COLD and nothing is recalled.  A cold copy under
+        ``new_path`` is the replaced file's: it goes first, with that
+        name's residency.  (A residency entry there with no cold copy is
+        this rename's own, moved before a crash cut its bytes' move.)"""
         with self._lock:
+            if self.cold.exists(new_path):
+                self._drop(new_path)
             state = self.residency.get(path)
             if state is not None:
                 self._commit("tier_state", path=new_path, state=state)
@@ -300,12 +272,16 @@ class TieredStore:
 
     def delete(self, path: str) -> None:
         with self._lock:
-            state = self.residency.get(path, HOT)
-            if state != HOT:
-                self._cold_bytes -= self.cold.size(path)
-            self._commit("tier_drop", path=path)
+            self._drop(path)
             self.fast.delete(path)
-            self.cold.delete(path)
+
+    def _drop(self, path: str) -> None:
+        """Forget ``path``'s residency (journaled first) and its cold
+        copy."""
+        if self.residency.get(path, HOT) != HOT:
+            self._cold_bytes -= self.cold.size(path)
+        self._commit("tier_drop", path=path)
+        self.cold.delete(path)
 
     def size(self, path: str) -> int:
         with self._lock:
@@ -425,17 +401,6 @@ class TieredStore:
                 self._m_recalls.inc(outcome="ok")
                 self._m_recalled_bytes.inc(expected)
             return expected
-
-    def _promote_written(self, path: str) -> None:
-        """A fast-tier write completed: the path is HOT now; drop any
-        stale cold copy (called by :class:`_PromotingWriter`)."""
-        with self._lock:
-            state = self.residency.get(path, HOT)
-            if state == HOT and not self.cold.exists(path):
-                return  # plain hot write, nothing tiered: no journal
-            self._cold_bytes -= self.cold.size(path)
-            self._set_state(path, HOT)
-            self.cold.delete(path)
 
     # ------------------------------------------------------------------
     # durability (snapshot serialization + replay + reconciliation)

@@ -78,6 +78,10 @@ def run_workload(s: StorageManager, entry: str = "direct") -> None:
     s.lots.attach(lot3.lot_id, "/b")
     put(s, "carol", "/b/four", b"4" * 50)
     put(s, "alice", "/a/five", b"5" * 150)
+    # Overwrites: a growing one charges the lot its growth, a
+    # shrinking one gives the difference back after its commit.
+    put(s, "alice", "/a/uno", b"U" * 120)
+    put(s, "carol", "/b/three", b"T" * 30)
 
 
 def boot(state_dir, store, faults=None):

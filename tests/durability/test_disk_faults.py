@@ -12,7 +12,12 @@ from repro.faults.disk import (
     FaultyStore,
     SimulatedCrash,
 )
-from repro.nest.backends import TEMP_SUFFIX, LocalFSStore, MemoryStore
+from repro.nest.backends import (
+    TEMP_SUFFIX,
+    LocalFSStore,
+    MemoryStore,
+    staged_name,
+)
 
 
 def test_rule_validation():
@@ -42,12 +47,12 @@ def test_plan_matches_journal_records_by_seq():
 def test_faulty_store_crash_mid_write_never_publishes(tmp_path):
     plan = DiskFaultPlan.crash_on_store_write(at_call=2)
     store = FaultyStore(LocalFSStore(str(tmp_path)), plan)
-    w = store.open_write("/data/f")
+    w = store.open_write(staged_name("/data/f"))
     w.write(b"a" * 10)
     with pytest.raises(SimulatedCrash):
         w.write(b"b" * 10)
-    # The atomic writer never renamed: the file is absent, only the
-    # temp fragment remains, and a sweep removes it.
+    # The staged file was never committed: the file is absent, only the
+    # staged fragment remains, and a sweep removes it.
     assert not store.exists("/data/f")
     inner = store.inner
     assert inner.sweep_temp() == 1
@@ -60,7 +65,7 @@ def test_faulty_store_crash_preserves_old_version(tmp_path):
         w.write(b"old-contents")
     plan = DiskFaultPlan.crash_on_store_write(at_call=1)
     store = FaultyStore(inner, plan)
-    w = store.open_write("/f")
+    w = store.open_write(staged_name("/f"))
     with pytest.raises(SimulatedCrash):
         w.write(b"new-contents-that-die")
     with inner.open_read("/f") as r:
@@ -113,7 +118,7 @@ def test_memory_store_exists():
 
 def test_atomic_writer_unclosed_leaves_no_file(tmp_path):
     store = LocalFSStore(str(tmp_path))
-    w = store.open_write("/g")
+    w = store.open_write(staged_name("/g"))
     w.write(b"half-finished")
     # No close: simulates a killed process.  Nothing published.
     assert not store.exists("/g")

@@ -1,6 +1,7 @@
 """The durable format's version stamp: every journal record and every
 snapshot carries ``"v"``; state without one (written before stamping)
-recovers as version 1, and state stamped newer is refused untouched."""
+reads as version 1, and state in any version but this build's is
+refused untouched."""
 
 from __future__ import annotations
 
@@ -19,17 +20,9 @@ from repro.nest.storage import StorageManager
 
 CLOCK = 1_000_000.0
 
-#: A state dir exactly as the appliance wrote it before the stamp
-#: existed: a snapshot covering seq 6, then four journal records.
-UNSTAMPED_SNAPSHOT = (
-    '{"seq": 6, "state": {"storage": {"groups": {}, "lots": {"attachments":'
-    ' {}, "lots": [{"capacity": 4096, "charges": {"/data/a": 100},'
-    ' "expires_at": 1003600.0, "last_used": 1000000.0, "lot_id": "lot1",'
-    ' "owner": "alice", "pinned": false, "state": "active", "volatile":'
-    ' false}], "next_id": 2}, "root": {"acl": [["admin", "rwmidla"], ["*",'
-    ' "ril"]], "dirs": {"data": {"acl": [["admin", "rwmidla"], ["*", "rl"],'
-    ' ["alice", "rwmidl"]], "dirs": {}, "files": {"a": {"owner": "alice",'
-    ' "size": 100}}}}, "files": {}}, "used_bytes": 100}}}')
+#: A journal exactly as the appliance wrote it before the stamp existed
+#: (format version 1): a PUT bracketed by ``put_begin`` and
+#: ``put_commit``, then a rename.
 UNSTAMPED_JOURNAL = (
     'b8731e34 {"last_used":1000000.0,"lot_id":"lot1","nbytes":200,'
     '"path":"/data/b","seq":7,"type":"lot_charge"}\n'
@@ -69,18 +62,12 @@ def test_records_and_snapshots_are_stamped(tmp_path):
     assert doc["v"] == FORMAT_VERSION
 
 
-def test_unstamped_state_recovers_as_version_one(tmp_path):
-    (tmp_path / "snapshot.json").write_text(UNSTAMPED_SNAPSHOT)
+def test_a_version_one_journal_with_put_begin_is_refused_untouched(tmp_path):
     (tmp_path / "journal.log").write_text(UNSTAMPED_JOURNAL)
-    storage, manager, report = recover(tmp_path)
-    assert report.snapshot_seq == 6
-    assert report.replayed_records == 4
-    assert report.skipped_records == 0
-    assert storage.stat("admin", "/data/b")["size"] == 200
-    assert storage.stat("admin", "/data/c")["size"] == 100
-    assert not storage.exists("/data/a")
-    assert storage.lots.lots["lot1"].owner == "alice"
-    manager.close()
+    before = files(tmp_path)
+    with pytest.raises(FormatVersionError, match="format version 1"):
+        recover(tmp_path)
+    assert files(tmp_path) == before
 
 
 @pytest.mark.parametrize("where", ["journal", "snapshot"])
@@ -101,6 +88,7 @@ def test_newer_format_is_refused_untouched(tmp_path, where):
         doc["v"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
     before = files(tmp_path)
-    with pytest.raises(FormatVersionError, match="format version 2"):
+    with pytest.raises(FormatVersionError,
+                       match=f"format version {FORMAT_VERSION + 1}"):
         recover(tmp_path)
     assert files(tmp_path) == before

@@ -79,7 +79,7 @@ class TestConcurrentAppenders:
         def writer(w):
             barrier.wait()
             for i in range(per_thread):
-                seq = j.append("put_begin", {"path": f"/w{w}-f{i}"})
+                seq = j.append("put_commit", {"path": f"/w{w}-f{i}"})
                 with lock:
                     acked.append(seq)
 
@@ -139,11 +139,32 @@ class TestStorageIntegration:
         dm.close(snapshot=False)
 
 
+@pytest.mark.parametrize("require_lots", [False, True], ids=["raw", "lots"])
+def test_a_durable_put_costs_one_journal_fsync(tmp_path, require_lots):
+    """The lot reservation an approval journals rides the commit's
+    flush: one PUT, one fsync."""
+    storage = StorageManager(capacity_bytes=1 << 20,
+                             require_lots=require_lots)
+    dm = DurabilityManager(str(tmp_path / "state"), fsync=True,
+                           snapshot_every=0)
+    dm.recover_into(storage)
+    storage.mkdir("admin", "/d")
+    if require_lots:
+        storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    before = dm.journal.fsync_count
+    ticket = storage.approve_put("admin", "/d/f", 4096)
+    ticket.stream.write(b"f" * 4096)
+    ticket.settle(4096)
+    assert dm.journal.fsync_count - before == 1
+    assert storage.stat("admin", "/d/f")["size"] == 4096
+    dm.close(snapshot=False)
+
+
 class TestLiveAppliance:
-    def test_concurrent_puts_journal_two_records_each(self, tmp_path):
+    def test_concurrent_puts_journal_one_commit_record_each(self, tmp_path):
         """4 writers x 2 PUTs over Chirp into a durable appliance: every
-        PUT journals its begin and its commit, and the flusher never
-        syncs more often than once per record."""
+        PUT journals one commit, and the flusher never syncs more often
+        than once per record."""
         from repro.client.chirp import ChirpClient
         from repro.nest.config import NestConfig
         from repro.nest.server import NestServer
@@ -179,9 +200,11 @@ class TestLiveAppliance:
             assert errors == []
             journal = server.durability.journal
             records, fsyncs = journal.records_appended, journal.fsync_count
+            commits = [r for r in MetadataJournal(journal.path).replay()
+                       .records if r["type"] == "put_commit"]
             stored = [entry["size"]
                       for entry in server.storage.listdir("admin", "/")]
         puts = writers * per_writer
         assert stored == [len(payload)] * puts
-        assert records >= 2 * puts
+        assert len(commits) == puts
         assert 0 < fsyncs <= records

@@ -1,14 +1,16 @@
 """A journal record means one thing: the state a live appliance holds
 equals the state crash replay rebuilds from its journal.
 
-Two halves.  A snapshot taken inside a record's own durability wait must
-already hold that record's change, or recovery skips the record and
-resurrects what it undid (a deleted file, a migration's MIGRATING
-residency).  And with no snapshot at all, recovering fresh instances
-from a run's journal must give back the live run's storage, catalog and
-tier state exactly -- including the runs where the live verb once did
-something other than its record says (two PUTs of one path settling out
-of order, an NFS write refused for lack of a lot, a PUT cut short).
+Two halves.  Wherever the periodic snapshot lands, it must hold every
+change it covers and no record may stand in it without its byte effect,
+or recovery resurrects what a verb undid (a deleted file, a migration's
+MIGRATING residency), keeps a PUT that never committed, or loses a
+rename's bytes.  And with no snapshot at all, recovering fresh
+instances from a run's journal must give back the live run's storage,
+catalog and tier state exactly -- including the runs where the live
+verb once did something other than its record says (two PUTs of one
+path settling out of order, an NFS write refused for lack of a lot, a
+PUT cut short).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.replica.catalog import VALID, ReplicaCatalog
 from repro.tier.demo import _PAYLOADS, _put, _tier_workload
 from repro.tier.store import COLD, TieredStore
 from tests.durability.test_crash_sweep import ENTRY_POINTS, put, run_workload
+from tests.durability.test_recovery import CrashingStore
 
 CAPACITY = 1 << 20
 
@@ -72,7 +75,7 @@ def assert_replay_equals_live(live: Appliance) -> Appliance:
     return again
 
 
-# -- a snapshot inside a record's own wait ---------------------------------
+# -- wherever the snapshot lands --------------------------------------------
 @pytest.mark.parametrize("every", [1, 2, 3, 4])
 def test_a_direct_delete_stays_deleted_whatever_snapshots(tmp_path, every):
     store = MemoryStore()
@@ -105,6 +108,36 @@ def test_a_migrated_file_keeps_its_bytes_whatever_snapshots(tmp_path, every):
     again.manager.close(snapshot=False)
 
 
+@pytest.mark.parametrize("every", range(1, 7))
+def test_an_interrupted_put_is_gone_whatever_snapshots(tmp_path, every):
+    live = Appliance(tmp_path, store=MemoryStore(), snapshot_every=every)
+    live.storage.mkdir("admin", "/a")
+    ticket = live.storage.approve_put("admin", "/a/x", 5)
+    ticket.stream.write(b"hel")
+    again = live.restart()
+    assert not again.storage.exists("/a/x")
+    assert again.storage.used_bytes == 0
+    again.manager.close(snapshot=False)
+
+
+@pytest.mark.parametrize("every", range(1, 7))
+def test_a_rename_cut_before_its_bytes_move_keeps_them_whatever_snapshots(
+        tmp_path, every):
+    store = CrashingStore()
+    live = Appliance(tmp_path, store=store, snapshot_every=every)
+    live.storage.mkdir("admin", "/a")
+    put(live.storage, "admin", "/a/x", b"hello")
+    store.crashed = True
+    with pytest.raises(OSError):
+        live.storage.rename("admin", "/a/x", "/a/y")
+    store.crashed = False
+    again = live.restart()
+    ticket = again.storage.approve_get("admin", "/a/y")
+    assert ticket.size == 5 and ticket.stream.read(5) == b"hello"
+    ticket.settle(5)
+    again.manager.close(snapshot=False)
+
+
 # -- no snapshot: replay rebuilds the live state ---------------------------
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_the_crash_sweep_workload(tmp_path, entry):
@@ -133,9 +166,11 @@ def test_the_catalog(tmp_path):
     assert_replay_equals_live(live)
 
 
-@pytest.mark.parametrize("require_lots", [False, True],
-                         ids=["raw", "lots"])
-def test_two_puts_of_one_path_settling_out_of_order(tmp_path, require_lots):
+@pytest.mark.parametrize(("require_lots", "straddled"),
+                         [(False, False), (True, False), (True, True)],
+                         ids=["raw", "lots", "straddled"])
+def test_two_puts_of_one_path_settling_out_of_order(tmp_path, require_lots,
+                                                    straddled):
     store = MemoryStore()
     live = Appliance(tmp_path, store=store, require_lots=require_lots)
     storage = live.storage
@@ -143,13 +178,17 @@ def test_two_puts_of_one_path_settling_out_of_order(tmp_path, require_lots):
         storage.lots.create_lot("admin", 1 << 16, 3600.0)
     a = storage.approve_put("admin", "/f", 10)
     b = storage.approve_put("admin", "/f", 20)
-    b.stream.write(b"B" * 20)
-    b.settle(20)
     a.stream.write(b"A" * 10)
+    b.stream.write(b"B" * 20)
+    if straddled:
+        # A's stream closes first, B's second, then B settles first.
+        a.stream.close()
+        b.stream.close()
+    b.settle(20)
     a.settle(10)
-    # The store holds the last closer's bytes; the namespace, the
-    # accounting and the lot follow the last settle.
-    assert store.size("/f") == 10
+    # The last commit wins: the store's bytes, the namespace, the
+    # accounting and the lot all follow it.
+    assert store.open_read("/f").read(11) == b"A" * 10
     assert storage.stat("admin", "/f")["size"] == 10
     assert storage.used_bytes == 10
     assert storage.lots.total_used() == (10 if require_lots else 0)

@@ -7,9 +7,13 @@ and recover into fresh managers over the same backend.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from repro.durability import DurabilityManager
+from repro.durability.journal import MetadataJournal
 from repro.nest.backends import LocalFSStore, MemoryStore
 from repro.nest.lots import LotState
 from repro.nest.storage import StorageError, StorageManager
@@ -168,19 +172,53 @@ def test_snapshot_compaction_truncates_journal(tmp_path):
     m2.close()
 
 
+def test_a_snapshot_is_durable_in_its_directory_before_the_truncation(
+        tmp_path, monkeypatch):
+    """Compaction replaces snapshot.json, fsyncs the state directory so
+    the new entry survives a power cut, and only then truncates the
+    journal; the epoch file's replace is followed by the same fsync."""
+    events: list[str] = []
+    real_fsync, real_replace = os.fsync, os.replace
+    real_reset = MetadataJournal.reset_if_quiescent
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(f"fsync {kind}")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(f"replace {os.path.basename(dst)}")
+        real_replace(src, dst)
+
+    def reset(journal, upto_seq):
+        events.append("truncate")
+        return real_reset(journal, upto_seq)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(MetadataJournal, "reset_if_quiescent", reset)
+    s1, m1, _ = make_stack(tmp_path / "state", MemoryStore())
+    assert events[events.index("replace epoch") + 1] == "fsync dir"
+    s1.mkdir("admin", "/d")
+    events.clear()
+    assert m1.snapshot()
+    assert events[-3:] == ["replace snapshot.json", "fsync dir", "truncate"]
+    m1.close(snapshot=False)
+
+
 def test_interrupted_put_new_file_vanishes(tmp_path):
     store = MemoryStore()
     s1, m1, _ = make_stack(tmp_path / "state", store)
     s1.lots.create_lot("alice", 4096, 3600.0)
     s1.mkdir("admin", "/d")
     s1.acl_set("admin", "/d", "alice", "rwil")
-    # put_begin journaled; the data never lands, settle never runs.
+    # The lot reservation journaled; the data never lands, settle
+    # never runs.
     ticket = s1.approve_put("alice", "/d/torn", 500)
     ticket.stream.write(b"q" * 120)  # MemoryStore: invisible until close
     m1.close(snapshot=False)
 
     s2, m2, report = make_stack(tmp_path / "state", store)
-    assert [p["disposition"] for p in report.interrupted_puts] == ["absent"]
     assert not s2.exists("/d/torn")
     assert s2.used_bytes == 0
     lot = next(iter(s2.lots.lots.values()))
@@ -200,7 +238,6 @@ def test_interrupted_overwrite_keeps_old_version(tmp_path):
     m1.close(snapshot=False)
 
     s2, m2, report = make_stack(tmp_path / "state", store)
-    assert [p["disposition"] for p in report.interrupted_puts] == ["settled"]
     # Old version intact -- never a torn hybrid.
     assert s2.stat("alice", "/d/f")["size"] == 100
     with store.open_read("/d/f") as r:
@@ -320,8 +357,8 @@ def _shrinking_overwrite_stack(tmp_path, store):
 def test_shrinking_overwrite_replays_to_the_live_charge(tmp_path, landed):
     """Live and replayed lot accounting agree after a put replaced a
     larger file (``landed`` < 1024: the overwrite itself fell short, so
-    it was undone and the old 64 KiB got its released charge back),
-    and recovery had nothing to trim -- the journal alone is right."""
+    it was undone and the old 64 KiB kept their charge), and recovery
+    had nothing to trim -- the journal alone is right."""
     store = MemoryStore()
     s1, m1 = _shrinking_overwrite_stack(tmp_path, store)
     ticket = s1.approve_put("alice", "/d/f", 1024)
@@ -341,19 +378,17 @@ def test_shrinking_overwrite_replays_to_the_live_charge(tmp_path, landed):
 
 
 def test_interrupted_shrinking_overwrite_charges_old_content_back(tmp_path):
-    """Crash after a shrinking overwrite was approved (shrinkage
-    released) but before it landed: the atomic backend still holds the
-    old 64 KiB, and recovery charges the lot for all of it again."""
+    """Crash after a shrinking overwrite was approved but before it
+    committed: the old 64 KiB stay the file, and stay charged to the
+    lot, in flight and after recovery."""
     store = LocalFSStore(str(tmp_path / "data"))
     s1, m1 = _shrinking_overwrite_stack(tmp_path, store)
     ticket = s1.approve_put("alice", "/d/f", 1024)
-    ticket.stream.write(b"s" * 100)  # never closed: no rename, no commit
-    assert next(iter(s1.lots.lots.values())).used == 1024
+    ticket.stream.write(b"s" * 100)  # never closed: no commit
+    assert next(iter(s1.lots.lots.values())).used == 65536
     m1.close(snapshot=False)
 
     s2, m2, report = make_stack(tmp_path / "state", store)
-    assert report.interrupted_puts == [
-        {"path": "/d/f", "disposition": "settled", "size": 65536}]
     (lot,) = s2.lots.lots.values()
     assert lot.used == s2.used_bytes == 65536
     assert s2.stat("alice", "/d/f")["size"] == 65536

@@ -7,9 +7,15 @@ import threading
 import pytest
 
 from repro.client.chirp import ChirpClient
-from repro.nest.backends import TEMP_SUFFIX, LocalFSStore, MemoryStore
+from repro.nest.backends import (
+    TEMP_SUFFIX,
+    LocalFSStore,
+    MemoryStore,
+    staged_name,
+)
 from repro.nest.config import NestConfig
 from repro.nest.server import NestServer
+from repro.nest.storage import StorageManager
 
 
 @pytest.fixture(params=["memory", "localfs"])
@@ -62,14 +68,18 @@ class TestBackendContract:
             assert r.read() == b"d"
 
     def test_concurrent_writers_of_one_path_never_tear(self, store):
-        a = store.open_write("/x")
-        b = store.open_write("/x")
+        # Each writer stages under a name of its own and renames it
+        # over the path, as a PUT commits.
+        names = [staged_name("/x"), staged_name("/x")]
+        a, b = (store.open_write(name) for name in names)
         a.write(b"A" * 100_000)
         b.write(b"B" * 50_000)
         a.close()
+        store.rename(names[0], "/x")
         with store.open_read("/x") as r:
             assert r.read() == b"A" * 100_000
-        b.close()  # the last closer wins, whole
+        b.close()
+        store.rename(names[1], "/x")  # the last rename wins, whole
         with store.open_read("/x") as r:
             assert r.read() == b"B" * 50_000
 
@@ -82,13 +92,16 @@ def staged_files(root) -> list[str]:
 class TestStagedNames:
     def test_each_writer_stages_under_its_own_swept_name(self, tmp_path):
         store = LocalFSStore(str(tmp_path))
-        a = store.open_write("/x")
-        b = store.open_write("/x")
+        storage = StorageManager(store=store)
+        a = storage.approve_put("admin", "/x", 1)
+        b = storage.approve_put("admin", "/x", 1)
         assert len(staged_files(tmp_path)) == 2
-        a.close()
-        b.close()
+        for ticket in (a, b):
+            ticket.stream.write(b"x")
+            ticket.settle(1)
         assert staged_files(tmp_path) == []
-        store.open_write("/y").write(b"orphan")  # never closed: a crash
+        orphan = storage.approve_put("admin", "/y", 6)
+        orphan.stream.write(b"orphan")  # never settled: a crash
         assert store.sweep_temp() == 1
         assert staged_files(tmp_path) == [] and not store.exists("/y")
 

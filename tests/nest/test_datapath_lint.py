@@ -370,3 +370,36 @@ def helper():
                for line in lint._environment_violations(source, "bench/figx.py")]
     assert flagged == [7, 17]
     assert lint._environment_violations(source, "sim/core.py") == []
+
+
+def test_snapshots_are_taken_only_at_op_exit_close_and_recovery():
+    root = REPO / "src" / "repro"
+    for rel in ("durability/manager.py", "durability/recovery.py",
+                "nest/storage.py"):
+        assert lint._snapshot_violations(root / rel, rel) == []
+
+
+def test_a_snapshot_inside_wait_durable_is_flagged(tmp_path):
+    source = tmp_path / "manager.py"
+    source.write_text('''
+class DurabilityManager:
+    def wait_durable(self, seq):
+        self.journal.wait_durable(seq)
+        if self._since_snapshot >= self.snapshot_every:
+            self.snapshot()                             # flagged
+
+    def after_op(self):
+        self.snapshot()
+
+    def close(self, *, snapshot=True):
+        if snapshot:
+            self.snapshot()
+
+    def recover_into(self, storage):
+        self.snapshot()
+''')
+    flagged = [int(line.split(":")[1]) for line in
+               lint._snapshot_violations(source, "durability/manager.py")]
+    assert flagged == [6]
+    assert lint._snapshot_violations(source, "nest/storage.py") != []
+    assert lint._snapshot_violations(source, "tier/store.py") == []

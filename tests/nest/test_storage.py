@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.nest.backends import LocalFSStore, MemoryStore
 from repro.nest.storage import StorageError, StorageManager
 from repro.protocols.common import Request, RequestType, Status
 
@@ -309,8 +310,8 @@ class TestConcurrentPuts:
         sm = StorageManager(clock=clock, require_lots=True)
         sm.mkdir("alice", "/d")
         sm.lots.create_lot("alice", 1000, duration=60)
-        a = sm.approve_put("alice", "/d/p", 100)  # creates /d/p
-        b = sm.approve_put("alice", "/d/p", 40)   # overwrites a's node
+        a = sm.approve_put("alice", "/d/p", 100)
+        b = sm.approve_put("alice", "/d/p", 40)
         a.stream.write(b"a" * 10)
         b.stream.write(b"b" * 40)
         if aborted_first:
@@ -336,6 +337,43 @@ class TestConcurrentPuts:
         assert sm.used_bytes == sm.lots.total_used() == 0
 
 
+class TestReadsDuringAPut:
+    """A GET or STAT while a PUT is in flight sees the file from before
+    the PUT, with a size that matches the bytes it reads."""
+
+    @pytest.fixture(params=["memory", "localfs"])
+    def store_sm(self, request, clock, tmp_path):
+        store = (MemoryStore() if request.param == "memory"
+                 else LocalFSStore(str(tmp_path / "root")))
+        sm = StorageManager(store=store, clock=clock)
+        sm.mkdir("alice", "/data")
+        return sm
+
+    def test_an_overwrite_in_flight(self, store_sm):
+        put(store_sm, "alice", "/data/f", b"abc")
+        ticket = store_sm.approve_put("alice", "/data/f", 8)
+        ticket.stream.write(b"12345678")
+        ticket.stream.flush()
+        assert store_sm.stat("alice", "/data/f")["size"] == 3
+        reader = store_sm.approve_get("alice", "/data/f")
+        got = reader.stream.read(reader.size + 1)
+        reader.settle(len(got))
+        assert reader.size == len(got) == 3 and got == b"abc"
+        ticket.settle(8)
+        assert get(store_sm, "alice", "/data/f") == b"12345678"
+
+    def test_a_new_file_in_flight(self, store_sm):
+        ticket = store_sm.approve_put("alice", "/data/new", 5)
+        ticket.stream.write(b"hello")
+        ticket.stream.flush()
+        for read in (store_sm.stat, store_sm.approve_get):
+            with pytest.raises(StorageError) as info:
+                read("alice", "/data/new")
+            assert info.value.status is Status.NOT_FOUND
+        ticket.settle(5)
+        assert store_sm.stat("alice", "/data/new")["size"] == 5
+
+
 class TestOverwriteWithLess:
     """``lot.used`` follows live bytes when a put replaces a larger
     file (it used to keep the old, larger charge for ever)."""
@@ -357,9 +395,9 @@ class TestOverwriteWithLess:
         assert lotted.used_bytes == self.SMALL
         assert lotted.lots.total_used() == self.SMALL
 
-    def test_shrinkage_is_released_at_approval(self, lotted):
+    def test_old_bytes_stay_charged_until_commit(self, lotted):
         ticket = lotted.approve_put("alice", "/d/f", self.SMALL)
-        assert lotted.lots.total_used() == lotted.used_bytes == self.SMALL
+        assert lotted.lots.total_used() == lotted.used_bytes == self.BIG
         ticket.stream.write(b"s" * self.SMALL)
         ticket.settle(self.SMALL)
         assert lotted.lots.total_used() == self.SMALL
@@ -369,7 +407,7 @@ class TestOverwriteWithLess:
         ticket = lotted.approve_put("alice", "/d/f", self.SMALL)
         ticket.stream.write(b"s" * landed)
         ticket.settle(landed)  # the transfer failed after ``landed`` bytes
-        # The shrinkage released at approval is charged back.
+        # Nothing was committed: the old file keeps its charge.
         assert lotted.stat("alice", "/d/f")["size"] == self.BIG
         assert lotted.store.open_read("/d/f").read(self.BIG + 1) == (
             b"b" * self.BIG)

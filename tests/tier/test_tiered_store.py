@@ -3,7 +3,7 @@ journal records, crash reconciliation, and the rate-limited cold tier."""
 
 import pytest
 
-from repro.nest.backends import MemoryStore
+from repro.nest.backends import MemoryStore, staged_name
 from repro.tier.store import (
     COLD,
     HOT,
@@ -16,8 +16,11 @@ from repro.tier.store import (
 
 
 def put(store, path, data):
-    with store.open_write(path) as stream:
+    """Write ``path`` as a PUT lands: a staged file renamed over it."""
+    staged = staged_name(path)
+    with store.open_write(staged) as stream:
         stream.write(data)
+    store.rename(staged, path)
 
 
 def get(store, path):
@@ -87,6 +90,16 @@ class TestWrites:
         assert tiered.state_of("/a.dat") == HOT
         assert get(tiered, "/a.dat") == b"new"
         assert not cold.exists("/a.dat")
+
+    def test_rename_over_a_cold_file_drops_its_cold_copy(self, tiers):
+        fast, cold, tiered = tiers
+        put(tiered, "/a", b"stale" * 20)
+        tiered.migrate("/a")
+        put(tiered, "/b", b"fresh")
+        tiered.rename("/b", "/a")
+        assert get(tiered, "/a") == b"fresh"
+        assert tiered.state_of("/a") == HOT
+        assert not cold.exists("/a") and tiered._cold_bytes == 0
 
     def test_delete_clears_both_tiers(self, tiers):
         fast, cold, tiered = tiers
