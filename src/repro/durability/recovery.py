@@ -131,7 +131,8 @@ class StorageReplayer:
         """Release lot charges the journal left dangling.
 
         Three crash windows produce them: a PUT's reservation
-        (``lot_charge`` at approval) whose ``put_commit`` never landed,
+        (``lot_charge`` of its staged name at approval) whose
+        ``put_commit`` never landed,
         a shrinking overwrite's commit whose ``lot_release`` never
         landed, and a ``delete`` record whose ``lot_release`` never
         landed.  Either way the durable namespace is the truth:

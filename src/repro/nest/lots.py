@@ -29,6 +29,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.nest.backends import TEMP_SUFFIX
+
 
 class LotError(Exception):
     """Lot operation failed (no space, unknown lot, not owner...)."""
@@ -410,16 +412,46 @@ class LotManager:
 
         Not journaled: the storage-level ``rename`` record replays
         this re-keying deterministically.
+        A staged name under a renamed directory keeps its charge: it
+        is an in-flight put's reservation, which that put settles by
+        the name it charged, and its bytes do not move either.
         """
         prefix = path.rstrip("/") + "/"
         new_prefix = new_path.rstrip("/") + "/"
         for table in [lot.charges for lot in self.lots.values()] + [
                 self.attachments]:
             for old in [p for p in table
-                        if p == path or p.startswith(prefix)]:
+                        if p == path or (p.startswith(prefix)
+                                         and not p.endswith(TEMP_SUFFIX))]:
                 renamed = (new_path if old == path
                            else new_prefix + old[len(prefix):])
                 table[renamed] = table.pop(old)
+
+    def merge_charges(self, path: str, into: str) -> None:
+        """Add ``path``'s charges in every lot to ``into``'s, leaving
+        ``path`` with none -- how a committed put's reservation, held
+        under its staged name, joins the file's charge.
+
+        Not journaled: the ``put_commit`` record replays it."""
+        for lot in self.lots.values():
+            nbytes = lot.charges.pop(path, 0)
+            if nbytes:
+                lot.charges[into] = lot.charges.get(into, 0) + nbytes
+
+    def charges_of(self, path: str) -> dict[str, int]:
+        """``path``'s charge in each lot that holds one, by lot id."""
+        return {lot.lot_id: lot.charges[path] for lot in self.lots.values()
+                if path in lot.charges}
+
+    def set_charges(self, path: str, charges: dict[str, int]) -> None:
+        """Put ``path``'s charges back to ``charges`` (from
+        :meth:`charges_of`) in memory only, journaling nothing."""
+        for lot in self.lots.values():
+            nbytes = charges.get(lot.lot_id, 0)
+            if nbytes:
+                lot.charges[path] = nbytes
+            else:
+                lot.charges.pop(path, None)
 
     def release(self, path: str, nbytes: int | None = None) -> None:
         """Release a file's charges (all of them when ``nbytes`` is None)."""

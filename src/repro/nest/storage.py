@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.nest.acl import AccessControl, AclError, Rights, default_acl
-from repro.nest.backends import DataStore, MemoryStore, staged_name
+from repro.nest.backends import (TEMP_SUFFIX, DataStore, MemoryStore,
+                                 staged_name)
 from repro.nest.lots import Lot, LotError, LotManager
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
@@ -124,17 +125,13 @@ class _StorageOp:
     this scope closes; either way every record of the op has its byte
     effect by the time the hook runs.  A failed wait ends the span as
     an error and counts the op with its :class:`StorageError` status,
-    like a failure inside the body, and takes no snapshot.  An op made
-    with ``wait=False`` leaves its records for a later op's flush to
-    carry (the journal flushes in seq order)."""
+    like a failure inside the body, and takes no snapshot."""
 
-    __slots__ = ("manager", "op", "span", "outermost", "wait")
+    __slots__ = ("manager", "op", "span", "outermost")
 
-    def __init__(self, manager: "StorageManager", op: str, path: str,
-                 wait: bool = True):
+    def __init__(self, manager: "StorageManager", op: str, path: str):
         self.manager = manager
         self.op = op
-        self.wait = wait
         self.span = _spans.maybe_span("storage", op=op, path=path)
 
     def __enter__(self) -> None:
@@ -148,8 +145,7 @@ class _StorageOp:
         manager = self.manager
         try:
             if exc is None and self.outermost:
-                if self.wait:
-                    manager._await_durable()
+                manager._await_durable()
                 if manager._journal is not None:
                     manager._journal.after_op()
         except BaseException as late:
@@ -313,11 +309,16 @@ class StorageManager:
         if not waits:
             return
         seqs, self._local.waits = list(waits), []
+        # Every seq is waited for, even past a failure: the journal
+        # keeps a failed flush's error for each seq until its wait.
+        failure = None
         for seq in seqs:
             try:
                 self._journal.wait_durable(seq)
             except OSError as exc:
-                raise self._journal_failure(exc) from exc
+                failure = failure or exc
+        if failure is not None:
+            raise self._journal_failure(failure) from failure
 
     @staticmethod
     def _journal_failure(exc: OSError) -> StorageError:
@@ -351,10 +352,10 @@ class StorageManager:
             self.used_bytes = int(state.get("used_bytes", 0))
             self.lots.restore(state.get("lots", {}))
 
-    def _op(self, op: str, path: str = "", wait: bool = True) -> _StorageOp:
+    def _op(self, op: str, path: str = "") -> _StorageOp:
         """One storage operation's telemetry and durability scope (see
         :class:`_StorageOp`)."""
-        return _StorageOp(self, op, path, wait)
+        return _StorageOp(self, op, path)
 
     # ------------------------------------------------------------------
     # namespace internals
@@ -411,7 +412,9 @@ class StorageManager:
             lot, reclaimed = self.lots.create_lot(owner, capacity, duration,
                                                   volatile=volatile)
             for path in reclaimed:
-                self._reclaim_file(path)
+                # An in-flight put's reservation has no file to lose.
+                if not path.endswith(TEMP_SUFFIX):
+                    self._reclaim_file(path)
             return lot
 
     def _reclaim_file(self, path: str) -> None:
@@ -590,9 +593,11 @@ class StorageManager:
         its own.  Nothing in the namespace changes until the ticket
         settles (:meth:`_settle_put`): the approval journals no
         namespace record and waits for none, its lot reservation riding
-        the commit's flush.
+        the commit's flush.  The reservation is charged under the
+        staged name, which no DELETE or RENAME of the path reaches.
         """
-        with self._op("approve_put", path, wait=False), self._lock:
+        staged = staged_name(path)
+        with self._op("approve_put", path), self._lock:
             parent, name = self._parent_and_name(path)
             existing = parent.children.get(name)
             if isinstance(existing, DirNode):
@@ -600,20 +605,24 @@ class StorageManager:
             self._check(parent.acl, user, "i" if existing is None else "w")
             declared = max(0, length)
             growth = max(0, declared - (existing.size if existing else 0))
-            self._charge(user, path, growth)
+            waits = self._local.waits
+            mark = len(waits)
+            self._charge(user, staged, growth)
             self._reserved += growth
-        staged = staged_name(path)
+            # The settle waits for these records instead.
+            carried = waits[mark:]
+            del waits[mark:]
+        settle = functools.partial(self._settle_put, path, staged, growth,
+                                   carried)
         try:
             stream = self.store.open_write(staged)
         except BaseException:
             # A put whose stream never opened lands nothing.
-            with self._op("commit_put", path), self._lock:
-                self._unreserve(path, growth)
+            settle(None, 0)
             raise
         return TransferTicket(
             path=path, user=user, size=declared, stream=stream,
-            is_write=True,
-            on_settle=functools.partial(self._settle_put, staged, growth),
+            is_write=True, on_settle=settle,
         )
 
     def approve_write(self, user: str, path: str, offset: int, length: int) -> TransferTicket:
@@ -670,23 +679,27 @@ class StorageManager:
             except LotError as exc:
                 raise StorageError(Status.NO_SPACE, str(exc)) from exc
 
-    def _unreserve(self, path: str, reserved: int) -> None:
-        """Give back what an approval reserved for a put of ``path``."""
+    def _unreserve(self, staged: str, reserved: int) -> None:
+        """Give back what an approval reserved for the put staged under
+        ``staged``."""
         self._reserved -= reserved
         if reserved:
-            self.lots.release(path, reserved)
+            self.lots.release(staged)
 
-    def _settle_put(self, staged: str, reserved: int,
-                    ticket: TransferTicket, actual: int) -> None:
+    def _settle_put(self, path: str, staged: str, reserved: int,
+                    carried: list[int], ticket: TransferTicket | None,
+                    actual: int) -> None:
         """Settle one approved put: commit its staged bytes as the file
-        (:meth:`_commit_put`) or -- aborted, its stream discarded --
-        give back its reservation, leaving the file as it was."""
-        with self._op("commit_put", ticket.path), self._lock:
-            if ticket.aborted:
-                self._unreserve(ticket.path, reserved)
+        (:meth:`_commit_put`) or -- aborted, its stream discarded or
+        never opened (no ticket) -- give back its reservation, leaving
+        the file as it was.  Either way the op waits for the
+        approval's records too."""
+        with self._op("commit_put", path), self._lock:
+            self._local.waits.extend(carried)
+            if ticket is None or ticket.aborted:
+                self._unreserve(staged, reserved)
             else:
-                self._commit_put(ticket.user, ticket.path, staged, actual,
-                                 reserved)
+                self._commit_put(ticket.user, path, staged, actual, reserved)
 
     def _commit_put(self, user: str, path: str, staged: str, size: int,
                     reserved: int) -> None:
@@ -699,16 +712,23 @@ class StorageManager:
         ``put_commit`` record follows, durable before the store renames
         the staged file over the path -- the call a RENAME's bytes move
         by, which replay redoes the same way.  Whichever put commits
-        last wins both the bytes and the size."""
+        last wins both the bytes and the size.
+
+        When that flush fails, the commit is undone in memory before
+        the error goes back: the file keeps its old size, owner and
+        charges -- or, new, is gone again -- so a reader's size still
+        matches the bytes, and the staged file is deleted."""
         try:
             parent, name = self._parent_and_name(path)
             node = parent.children.get(name)
             if isinstance(node, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            change = size - (node.size if node is not None else 0) - reserved
+            old_size = node.size if node is not None else None
+            charges = self.lots.charges_of(path)
+            change = size - (old_size or 0) - reserved
             self._charge(user, path, change)
         except StorageError:
-            self._unreserve(path, reserved)
+            self._unreserve(staged, reserved)
             self.store.delete(staged)
             raise
         self._reserved -= reserved
@@ -719,7 +739,19 @@ class StorageManager:
             # an overcharge, which recovery trims -- never a charge
             # below the file's size.
             self.lots.release(path, -change)
-        self._await_durable()
+        try:
+            self._await_durable()
+        except StorageError:
+            # The journal failed, so the undo is memory's alone.
+            node = parent.children[name]
+            self.used_bytes += (old_size or 0) - node.size
+            if old_size is None:
+                del parent.children[name]
+            else:
+                node.size = old_size
+            self.lots.set_charges(path, charges)
+            self.store.delete(staged)
+            raise
         self.store.rename(staged, path)
 
     # ------------------------------------------------------------------
@@ -785,6 +817,7 @@ class StorageManager:
         size = int(rec["size"])
         self.used_bytes += size - node.size
         node.size = size
+        self.lots.merge_charges(rec["staged"], rec["path"])
 
     def _r_write(self, rec: dict) -> None:
         parent, name = self._parent_and_name(rec["path"])

@@ -195,6 +195,37 @@ def test_two_puts_of_one_path_settling_out_of_order(tmp_path, require_lots,
     assert_replay_equals_live(live)
 
 
+@pytest.mark.parametrize("race", ["delete", "rename", "rename_dir"])
+def test_a_put_in_flight_keeps_its_reservation_through_a_delete_or_rename(
+        tmp_path, race):
+    """The reservation of an overwrite PUT in flight is charged under
+    its staged name, so deleting or renaming the file (or its
+    directory) neither frees nor moves it: whatever the PUT commits is
+    charged in full, live and after a restart."""
+    live = Appliance(tmp_path, store=MemoryStore(), require_lots=True)
+    storage = live.storage
+    storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    storage.mkdir("admin", "/d")
+    put(storage, "admin", "/d/p", b"o" * 100)
+    ticket = storage.approve_put("admin", "/d/p", 200)
+    ticket.stream.write(b"n" * 200)
+    if race == "delete":
+        storage.delete("admin", "/d/p")
+    elif race == "rename":
+        storage.rename("admin", "/d/p", "/d/q")
+    else:
+        storage.rename("admin", "/d", "/e")
+    if race == "rename_dir":
+        with pytest.raises(StorageError):
+            ticket.settle(200)
+    else:
+        ticket.settle(200)
+        assert storage.stat("admin", "/d/p")["size"] == 200
+    assert storage.lots.total_used() == storage.used_bytes
+    again = assert_replay_equals_live(live)
+    assert again.storage.lots.total_used() == again.storage.used_bytes
+
+
 def test_a_refused_nfs_write_leaves_no_file(tmp_path):
     live = Appliance(tmp_path, store=MemoryStore(), require_lots=True)
     with pytest.raises(StorageError) as refused:

@@ -5,6 +5,7 @@ change are durable."""
 from __future__ import annotations
 
 import errno
+import os
 import sys
 import threading
 
@@ -13,9 +14,9 @@ import pytest
 from repro.durability import DurabilityManager
 from repro.durability.journal import JournalError, MetadataJournal
 from repro.faults.disk import DiskFaultPlan, SimulatedCrash
-from repro.nest.backends import MemoryStore
+from repro.nest.backends import TEMP_SUFFIX, LocalFSStore, MemoryStore
 from repro.nest.storage import StorageManager
-from repro.protocols.common import Request, RequestType, Status
+from repro.protocols.common import Request, RequestType, Status, StorageError
 
 
 class TestFaultsInsideGroupCommit:
@@ -143,3 +144,51 @@ def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_):
     ticket = restarted.approve_get("admin", "/a/x")
     assert ticket.stream.read(5) == b"hello"
     ticket.settle(5)
+
+
+def _staged_left(store) -> list[str]:
+    names = (list(store._files) if isinstance(store, MemoryStore) else
+             [n for _, _, files in os.walk(store.root) for n in files])
+    return [n for n in names if n.endswith(TEMP_SUFFIX)]
+
+
+@pytest.mark.parametrize("old", [None, b"abc"], ids=["new", "overwrite"])
+@pytest.mark.parametrize("backend", ["memory", "localfs"])
+def test_a_put_whose_commit_never_lands_is_undone(tmp_path, backend, old):
+    """The journal's writes fail with EIO under a PUT, whose approval
+    waits for no flush and whose commit's flush fails.  The
+    settle fails typed and the commit is undone in memory: ``stat``
+    and a GET see the file from before the PUT, at a size that matches
+    its bytes, the accounting and the lot are as they were, no staged
+    file is left, and the journal keeps no failed flush's error for a
+    record nobody will wait for."""
+    store = (MemoryStore() if backend == "memory"
+             else LocalFSStore(str(tmp_path / "data")))
+    storage = StorageManager(store=store, capacity_bytes=1 << 20,
+                             clock=lambda: 1000.0, require_lots=True)
+    manager = DurabilityManager(str(tmp_path / "state"))
+    manager.recover_into(storage)
+    storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    storage.mkdir("admin", "/a")
+    if old is not None:
+        ticket = storage.approve_put("admin", "/a/x", len(old))
+        ticket.stream.write(old)
+        ticket.settle(len(old))
+    manager.journal.close()
+    manager.journal._file = _EioFile()
+    before = storage.serialize_state()
+    ticket = storage.approve_put("admin", "/a/x", 8)
+    ticket.stream.write(b"12345678")
+
+    with pytest.raises(StorageError) as failed:
+        ticket.settle(8)
+    assert failed.value.status is Status.SERVER_ERROR
+    assert storage.serialize_state() == before
+    if old is None:
+        assert not storage.exists("/a/x")
+    else:
+        get = storage.approve_get("admin", "/a/x")
+        assert get.size == len(old) and get.stream.read(100) == old
+        get.settle(len(old))
+    assert _staged_left(store) == []
+    assert manager.journal._batch_errors == {}

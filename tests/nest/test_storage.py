@@ -282,6 +282,23 @@ class TestLotIntegration:
         sm.create_lot("bob", 900, duration=60)
         assert not sm.exists("/d/victim")
 
+    def test_reclaiming_a_put_in_flight_leaves_its_staged_bytes(
+            self, clock, tmp_path):
+        """A best-effort lot reclaimed while a PUT charged to it is in
+        flight takes the reservation only: nothing under the staged
+        name is a file yet, so the PUT still commits its bytes."""
+        sm = StorageManager(store=LocalFSStore(str(tmp_path)), clock=clock,
+                            require_lots=True, capacity_bytes=1000)
+        sm.mkdir("alice", "/d")
+        sm.lots.create_lot("alice", 800, duration=10)
+        ticket = sm.approve_put("alice", "/d/f", 700)
+        ticket.stream.write(b"n" * 700)
+        clock.now = 50.0  # lot expires -> best effort
+        sm.create_lot("bob", 900, duration=60)
+        ticket.settle(700)
+        assert sm.stat("alice", "/d/f")["size"] == 700
+        assert get(sm, "alice", "/d/f") == b"n" * 700
+
     @pytest.mark.parametrize("params", [
         {"capacity": 900}, {"capacity": 900, "duration": 0},
         {"capacity": 5000, "duration": 60}])
