@@ -70,8 +70,12 @@ def traced_mixed_workload(
     n_clients: int = 2,
     file_mb: int = 1,
     return_server: bool = False,
+    config: NestConfig | None = None,
 ):
     """Run the fig3-style mixed workload, recording every chunk moved.
+
+    ``config`` is the server's configuration, FIFO (``fcfs``) by
+    default; a stride config traces the Fig. 4 arbitration path.
 
     The per-chunk ``stats.moved`` stream is a faithful proxy for the
     kernel's event-completion order: each record is emitted when one
@@ -83,7 +87,8 @@ def traced_mixed_workload(
     caller reads the server's counters, which outlive the close.
     """
     with Environment() as env:
-        server = SimNest(env, platform, NestConfig(scheduling="fcfs"))
+        server = SimNest(env, platform,
+                         config or NestConfig(scheduling="fcfs"))
         result = TraceResult()
 
         stats = server.stats

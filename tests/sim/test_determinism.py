@@ -9,6 +9,12 @@ tie-breaking, timeout pooling, or the fair-share allocation shows up
 here as a diverging trace -- ``repr`` of the float times keeps the
 comparison bit-exact.
 
+``tests/sim/golden_stride_trace.json`` holds the same trace under the
+byte-based stride scheduler at three Fig. 4 ratios over a 4 s horizon:
+the serialized-arbitration grant path and the fair-share link's wakes,
+which the FIFO trace never exercises.  Each run's record compares the
+same fields as the FIFO golden.
+
 To re-capture the golden file (ONLY when a semantic change is intended
 and reviewed):
 
@@ -17,14 +23,23 @@ and reviewed):
     from repro.perf.workloads import traced_mixed_workload
     json.dump(traced_mixed_workload().to_golden(),
               open('tests/sim/golden_mixed_trace.json', 'w'), indent=2)"
+
+The stride golden is re-captured the same way, one ``to_golden()`` per
+ratio under ``"runs"``, with ``config=NestConfig(scheduling="stride",
+shares=...)`` and ``horizon=4.0``.
 """
 
 import json
 import os
 
-from repro.perf.workloads import traced_mixed_workload
+import pytest
+
+from repro.nest.config import NestConfig
+from repro.perf.workloads import TRACE_PROTOCOLS, traced_mixed_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_mixed_trace.json")
+STRIDE_GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
+                                  "golden_stride_trace.json")
 
 
 def test_mixed_trace_matches_seed_golden():
@@ -48,3 +63,17 @@ def test_trace_is_reproducible_within_session():
     second = traced_mixed_workload(horizon=0.05)
     assert first.sha256() == second.sha256()
     assert first.final_bytes == second.final_bytes
+
+
+with open(STRIDE_GOLDEN_PATH, encoding="utf-8") as _fh:
+    _STRIDE_GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("label", sorted(_STRIDE_GOLDEN["runs"]))
+def test_stride_trace_matches_golden(label):
+    ratios = [float(r) for r in label.split(":")]
+    config = NestConfig(scheduling="stride",
+                        shares=dict(zip(TRACE_PROTOCOLS, ratios)))
+    got = traced_mixed_workload(horizon=_STRIDE_GOLDEN["horizon"],
+                                config=config).to_golden()
+    assert got == _STRIDE_GOLDEN["runs"][label]
