@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Ten rules, enforced by AST walk (so docstrings and comments that merely
+Eleven rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -90,6 +90,14 @@ are durable, their byte effects done and the storage lock released),
 its ``close`` and its ``recover_into``.  A snapshot taken anywhere
 else -- inside a durability wait, say -- can fold a record whose
 effect has not happened, and recovery then never redoes it.
+
+Rule 11: no closure per event.  Under ``sim/``, ``simnest/`` and
+``models/`` no ``.callbacks.append(`` is handed a ``lambda``.  A model
+that made the event knows what should happen when it fires: it
+schedules the event itself (``Environment.schedule``) or appends a
+bound method, which reads what it needs from its object.  A lambda per
+event is an allocation on the hottest path and, when it only succeeds
+a second event, a dispatch that does nothing.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -438,6 +446,26 @@ def _snapshot_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 11: the simulator's packages, where events fire by the million.
+CALLBACK_DIRS = ("sim/", "simnest/", "models/")
+
+
+def _callback_violations(path: Path, rel: str) -> list[str]:
+    if not rel.startswith(CALLBACK_DIRS):
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{node.lineno}: a lambda appended to .callbacks -- "
+        "schedule the event itself or append a bound method"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "callbacks"
+        and any(isinstance(arg, ast.Lambda) for arg in node.args)
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -451,6 +479,7 @@ def main() -> int:
         problems.extend(_commit_violations(path, rel))
         problems.extend(_environment_violations(path, rel))
         problems.extend(_snapshot_violations(path, rel))
+        problems.extend(_callback_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.fairness import jains_fairness, proportional_shares
+from repro.bench.fig3 import MIXED_PROTOCOLS, fifo_mixed_mbps
 from repro.models.platform import LINUX, PlatformProfile
 from repro.nest.config import NestConfig
 from repro.simnest.workload import run_mixed_protocols
@@ -32,7 +33,7 @@ CONFIGURATIONS: list[tuple[str, tuple[int, ...] | None]] = [
     ("1:1:1:4", (1, 1, 1, 4)),
 ]
 
-PROTOCOLS = ("chirp", "gridftp", "http", "nfs")
+PROTOCOLS = MIXED_PROTOCOLS
 
 
 @dataclass
@@ -70,28 +71,28 @@ def run(
     result = Fig4Result()
     for label, ratios in CONFIGURATIONS:
         if ratios is None:
-            cfg = NestConfig(scheduling="fcfs")
-        else:
-            cfg = NestConfig(
-                scheduling="stride",
-                shares=dict(zip(PROTOCOLS, (float(r) for r in ratios))),
-                work_conserving=work_conserving,
-            )
+            # Fig. 3's mixed NeST bars: the same run, simulated once.
+            total, per_mbps = fifo_mixed_mbps(platform, horizon)
+            per = dict(zip(PROTOCOLS, per_mbps))
+            result.rows.append(Fig4Row(label, total, per, None, None))
+            continue
+        cfg = NestConfig(
+            scheduling="stride",
+            shares=dict(zip(PROTOCOLS, (float(r) for r in ratios))),
+            work_conserving=work_conserving,
+        )
         measured = run_mixed_protocols(
             platform, "nest", config=cfg, protocols=PROTOCOLS, horizon=horizon
         )
         per = {p: measured.bandwidth_mbps(p) for p in PROTOCOLS}
         total = measured.bandwidth_mbps()
-        if ratios is None:
-            result.rows.append(Fig4Row(label, total, per, None, None))
-        else:
-            desired = dict(
-                zip(PROTOCOLS, proportional_shares(total, [float(r) for r in ratios]))
-            )
-            fairness = jains_fairness(
-                [per[p] for p in PROTOCOLS], [desired[p] for p in PROTOCOLS]
-            )
-            result.rows.append(Fig4Row(label, total, per, desired, fairness))
+        desired = dict(
+            zip(PROTOCOLS, proportional_shares(total, [float(r) for r in ratios]))
+        )
+        fairness = jains_fairness(
+            [per[p] for p in PROTOCOLS], [desired[p] for p in PROTOCOLS]
+        )
+        result.rows.append(Fig4Row(label, total, per, desired, fairness))
     return result
 
 

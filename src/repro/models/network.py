@@ -46,7 +46,14 @@ class FairShareLink:
         self.name = name
         self._flows: list[_Flow] = []
         self._last_update = env.now
-        self._generation = 0
+        #: ``(when, seq)`` of the next completion wake-up, its sequence
+        #: number reserved when it was computed; None with no flows.
+        self._due: Optional[tuple[float, int]] = None
+        #: ``(when, seq)`` of the one heap entry that delivers it: it
+        #: fires at or before ``_due`` and, if early, moves itself
+        #: there.  The link holds only the key, never the event (the
+        #: event's callback holds the link).
+        self._carrier: Optional[tuple[float, int]] = None
         #: Optional aggregate caps per flow group (e.g. one protocol's
         #: flows collectively limited by its implementation).
         self.group_caps: dict[str, float] = {}
@@ -86,6 +93,7 @@ class FairShareLink:
                      group=group)
         self._flows.append(flow)
         self._reallocate()
+        self._arm()
         return ev
 
     @property
@@ -128,10 +136,11 @@ class FairShareLink:
                 flow.event.succeed(now)
 
     def _reallocate(self) -> None:
-        """Recompute max-min fair rates and schedule the next completion."""
-        self._generation += 1
+        """Recompute max-min fair rates and the next completion's
+        wake-up (:meth:`_arm` puts it in the heap)."""
         flows = self._flows
         if not flows:
+            self._due = None
             return
         self.reallocations += 1
         # Group caps become tighter per-flow caps for symmetric members:
@@ -139,21 +148,15 @@ class FairShareLink:
         # is exact max-min for symmetric flows (our workloads) and a
         # close bound otherwise.
         group_caps = self.group_caps
-        if group_caps:
-            counts: dict[str, int] = {}
-            for f in flows:
-                g = f.group
-                if g is not None and g in group_caps:
-                    counts[g] = counts.get(g, 0) + 1
-            eff = []
-            for f in flows:
-                cap = f.cap
-                g = f.group
-                if g is not None and g in group_caps:
-                    share = group_caps[g] / counts[g]
-                    if share < cap:
-                        cap = share
-                eff.append(cap)
+        counts: dict[str, int] = {}
+        for f in flows:
+            g = f.group
+            if g in group_caps:
+                counts[g] = counts.get(g, 0) + 1
+        if counts:
+            shares = {g: group_caps[g] / n for g, n in counts.items()}
+            eff = [f.cap if (share := shares.get(f.group)) is None
+                   or share >= f.cap else share for f in flows]
         else:
             eff = [f.cap for f in flows]
         # ``horizon`` (time to the next completion) is folded into each
@@ -212,12 +215,39 @@ class FairShareLink:
             # No flow is moving: mirror the seed's empty-min() error.
             raise SimulationError("reallocation with no positive rate")
         horizon = max(horizon, _EPSILON_TIME)
-        generation = self._generation
-        wake = self.env.timeout(horizon)
-        wake.callbacks.append(lambda _ev: self._on_wake(generation))
+        # The key a fresh ``env.timeout(horizon)`` would get here.
+        env = self.env
+        self._due = (env.now + horizon, env.reserve_seq())
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a newer allocation
-        self._settle()
-        self._reallocate()
+    def _arm(self, wake: Optional[Event] = None) -> None:
+        """Make sure one heap entry fires by the due wake-up.
+
+        An entry already due no later stays and moves itself when it
+        fires early; only a wake-up earlier than it needs a new entry
+        (``wake``, when the caller has a fired one to reuse), and the
+        old one then fires as a no-op.
+        """
+        due = self._due
+        if due is None:
+            return
+        carrier = self._carrier
+        if carrier is not None and carrier[0] <= due[0]:
+            return
+        if wake is None:
+            wake = Event(self.env)
+        self._carrier = due
+        self.env.schedule(wake, due[0], value=due[1], seq=due[1])
+        wake.callbacks.append(self._wake)
+
+    def _wake(self, wake: Event) -> None:
+        """A wake-up entry fires (its value is its seq): settle and
+        reallocate if it is the due one, else move it to the due one."""
+        carrier = self._carrier
+        if carrier is None or wake.value != carrier[1]:
+            return  # an earlier wake-up replaced this entry
+        self._carrier = None
+        due = self._due
+        if due is not None and due[1] == carrier[1]:
+            self._settle()
+            self._reallocate()
+        self._arm(wake)

@@ -490,9 +490,18 @@ class StorageManager:
             # records leaves an orphan charge, which recovery
             # reconciles; the reverse order would leave a phantom
             # released-but-present file.
+            charges = self.lots.charges_of(path)
             self._commit("delete", path=path)
             self.lots.release(path)
-            self._await_durable()
+            try:
+                self._await_durable()
+            except StorageError:
+                # The journal failed, so the undo is memory's alone:
+                # the file and its charges are back, as its bytes are.
+                parent.children[name] = node
+                self.used_bytes += node.size
+                self.lots.set_charges(path, charges)
+                raise
             self.store.delete(path)
             self.invalidate(path)
 
@@ -517,7 +526,14 @@ class StorageManager:
             # Durable before the store rename: if a crash cuts it,
             # replay finishes it (StorageReplayer.finish_moves).
             self._commit("rename", path=path, new_path=new_path)
-            self._await_durable()
+            try:
+                self._await_durable()
+            except StorageError:
+                # The journal failed: undo the rename in memory by
+                # applying its inverse, so the name matches the bytes.
+                self._r_rename({"type": "rename", "path": new_path,
+                                "new_path": path})
+                raise
             move_bytes(self.store, node, path, new_path)
             # The old name no longer resolves (and for directories the
             # whole old subtree died): stale handles must not survive.
@@ -673,9 +689,14 @@ class StorageManager:
             return
         if growth > self.capacity_bytes - self.used_bytes - self._reserved:
             raise StorageError(Status.NO_SPACE, "filesystem full")
-        if self.require_lots:
+        self._charge_lots(user, path, growth)
+
+    def _charge_lots(self, user: str, path: str, nbytes: int) -> None:
+        """Charge ``nbytes`` for ``path`` to the user's lots, when lots
+        are required."""
+        if self.require_lots and nbytes > 0:
             try:
-                self.lots.charge(user, path, growth)
+                self.lots.charge(user, path, nbytes)
             except LotError as exc:
                 raise StorageError(Status.NO_SPACE, str(exc)) from exc
 
@@ -707,8 +728,10 @@ class StorageManager:
         ``path``: the one place a put's bytes become the file.
 
         The lot is charged the growth over the file's size now that
-        approval did not reserve (an under-declared put, or one whose
-        directory went, is refused here and lands nothing); one
+        approval did not reserve, and again whatever of the reservation
+        a lot reclaim took (an under-declared put, one whose directory
+        went, or one whose user has no lot room left, is refused here
+        and lands nothing); one
         ``put_commit`` record follows, durable before the store renames
         the staged file over the path -- the call a RENAME's bytes move
         by, which replay redoes the same way.  Whichever put commits
@@ -725,6 +748,12 @@ class StorageManager:
                 raise StorageError(Status.IS_DIR, path)
             old_size = node.size if node is not None else None
             charges = self.lots.charges_of(path)
+            if reserved and self.require_lots:
+                # A lot reclaim (create_lot) may have taken the
+                # reservation from under the staged name: charge what
+                # it took again, or refuse.
+                held = sum(self.lots.charges_of(staged).values())
+                self._charge_lots(user, staged, reserved - held)
             change = size - (old_size or 0) - reserved
             self._charge(user, path, change)
         except StorageError:

@@ -23,6 +23,14 @@ story):
 * following SimPy, ``event.callbacks`` becomes ``None`` once the event
   is processed, which both drops a list allocation per event and makes
   :meth:`Process.interrupt`'s stale-target guard actually work.
+* a model that knows when an event it made will fire schedules that
+  event itself with :meth:`Environment.schedule`, instead of a timeout
+  whose callback succeeds it: one dispatch, not two.  A wake-up that
+  keeps moving later (the fair-share link's next completion) stays one
+  heap entry: the model draws the would-be timeout's sequence number
+  with :meth:`Environment.reserve_seq` and, when the entry fires early,
+  schedules it again under that number, so the dispatch order is the
+  one a fresh timeout per wake-up would give;
 
 The kernel also keeps integer perf counters (events scheduled and
 processed, direct resumes, timeout pool hits, heap high-water mark)
@@ -142,7 +150,8 @@ class Event:
         self._value = value
         self._triggered = True
         env = self.env
-        env._push(self, env._now, NORMAL)
+        env._seqno = seq = env._seqno + 1
+        heapq.heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -492,7 +501,8 @@ class Environment:
             ev._defused = False
             ev.delay = delay
             self.timeouts_reused += 1
-            self._push(ev, self._now + delay, NORMAL)
+            self._seqno = seq = self._seqno + 1
+            heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
             return ev
         return Timeout(self, delay, value)
 
@@ -522,7 +532,8 @@ class Environment:
             ev._defused = False
             ev.delay = when - self._now
             self.timeouts_reused += 1
-            self._push(ev, when, NORMAL)
+            self._seqno = seq = self._seqno + 1
+            heapq.heappush(self._queue, (when, NORMAL, seq, ev))
             return ev
         return Timeout(self, when - self._now, value, _at=when)
 
@@ -547,6 +558,39 @@ class Environment:
         """Schedule ``event`` at absolute time ``when``."""
         self._seqno = seq = self._seqno + 1
         heapq.heappush(self._queue, (when, priority, seq, event))
+
+    def reserve_seq(self) -> int:
+        """Draw a sequence number now, for a :meth:`schedule` made later.
+
+        An event scheduled with it dispatches exactly where one
+        scheduled at the moment of the reservation would have.
+        """
+        self._seqno = seq = self._seqno + 1
+        return seq
+
+    def schedule(self, event: Event, when: float, value: Any = None,
+                 seq: Optional[int] = None) -> None:
+        """Trigger ``event`` to succeed with ``value`` at absolute time
+        ``when``.
+
+        Its heap key is ``(when, NORMAL, seq)``: ``seq`` is a fresh
+        number, or one drawn earlier by :meth:`reserve_seq`.  One event
+        stands in for a timeout whose callback would succeed it, and an
+        event whose callbacks are running (it is being dispatched) may
+        be scheduled again: it comes back pending, with no callbacks,
+        and fires a second time at ``when``.
+        """
+        if when < self._now:
+            raise SimulationError(f"cannot schedule at {when!r} before now")
+        if seq is None:
+            self._seqno = seq = self._seqno + 1
+        if event._processed:
+            event._processed = False
+            event.callbacks = []
+        event._ok = True
+        event._value = value
+        event._triggered = True
+        heapq.heappush(self._queue, (when, NORMAL, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""

@@ -69,10 +69,15 @@ class PumpGate:
         entry = self._waiters.get(job.job_id)
         if entry is None:
             self._waiters[job.job_id] = (job, deque([(ev, nbytes)]))
+            job.available = nbytes
         else:
             entry[1].append((ev, nbytes))
-        self._refresh(job)
-        self._try_grant()
+            job.available = entry[1][0][1]
+        # The job is ready, offering its oldest request.
+        job.ready = True
+        job.enqueue_seq = next(_enqueue_counter)
+        if self._active < self.workers:
+            self._try_grant()
         return ev
 
     def release(self, job: TransferJob, moved: int) -> None:
@@ -87,41 +92,29 @@ class PumpGate:
         job.ready = False
         job.available = 0
 
-    # -- bookkeeping -------------------------------------------------------------
-    def _refresh(self, job: TransferJob) -> None:
-        """Sync the job's scheduler-visible readiness with its queue."""
-        entry = self._waiters.get(job.job_id)
-        if entry and entry[1]:
-            job.ready = True
-            job.available = entry[1][0][1]
-            job.enqueue_seq = next(_enqueue_counter)
+    def _dispatch(self, job: TransferJob) -> None:
+        """Grant ``job``'s oldest request, serializing through the
+        arbiter's CPU cost."""
+        queue = self._waiters[job.job_id][1]
+        ev = queue.popleft()[0]
+        if queue:
+            job.available = queue[0][1]
         else:
-            self._waiters.pop(job.job_id, None)
+            del self._waiters[job.job_id]
             job.ready = False
             job.available = 0
-
-    def _pop_grant(self, job: TransferJob) -> Event:
-        entry = self._waiters[job.job_id]
-        ev, _nbytes = entry[1].popleft()
-        if entry[1]:
-            job.available = entry[1][0][1]
-        else:
-            self._waiters.pop(job.job_id, None)
-            job.ready = False
-            job.available = 0
-        return ev
-
-    def _dispatch(self, ev: Event) -> None:
-        """Fire a grant, serializing through the arbiter's CPU cost."""
         self._active += 1
         self.grants += 1
         if self.grant_cost <= 0:
             ev.succeed()
             return
-        start = max(self.env.now, self._arbiter_free_at)
-        self._arbiter_free_at = start + self.grant_cost
-        delay = self.env.timeout(self._arbiter_free_at - self.env.now)
-        delay.callbacks.append(lambda _e, target=ev: target.succeed())
+        env = self.env
+        now = env.now
+        free_at = self._arbiter_free_at = (max(now, self._arbiter_free_at)
+                                           + self.grant_cost)
+        # The grant fires where a timeout of ``free_at - now`` would:
+        # the same float, one event instead of a timeout and its grant.
+        env.schedule(ev, now + (free_at - now))
 
     # -- arbitration -----------------------------------------------------------
     def _try_grant(self) -> None:
@@ -140,7 +133,7 @@ class PumpGate:
                     timer = self.env.timeout(self.idle_wait)
                     timer.callbacks.append(self._idle_expired)
                 return
-            self._dispatch(self._pop_grant(choice))
+            self._dispatch(choice)
 
     def _idle_expired(self, _event: Event) -> None:
         self._idle_timer_pending = False
@@ -154,5 +147,5 @@ class PumpGate:
             if not candidates:
                 return
             job = min(candidates, key=lambda j: (j.pass_value, j.enqueue_seq))
-            self._dispatch(self._pop_grant(job))
+            self._dispatch(job)
         self._try_grant()

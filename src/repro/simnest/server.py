@@ -20,9 +20,10 @@ more than one of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator, Sequence
+from typing import Callable, Generator, Sequence
 
 from repro.models.filesystem import FileSystemModel
 from repro.models.network import FairShareLink
@@ -263,9 +264,48 @@ class SimNest:
         model = self.selector.choose()
         job = make_job(conn.protocol, user=conn.user, path=path, total_bytes=size)
         self.scheduler.add(job)
+        threads = model == THREADS
+        if threads:
+            self._active_threads += 1
+        # The transfer manager's service cycle, in this frame: move
+        # ``size`` bytes server -> client, one gate-scheduled chunk at
+        # a time.
+        gate = self.gate
+        link = self.link
+        protocol = conn.protocol
+        chunk = self._chunk_size(model)
+        per_chunk_cpu = spec.per_chunk_cpu
+        read = self._reader(model)
+        offset = 0
+        first = True
+        pending_send = None
         try:
-            yield from self._pump_out(job, spec, path, size, cap, model)
+            while offset < size:
+                n = min(chunk, size - offset)
+                yield gate.acquire(job, n)
+                try:
+                    yield env.timeout_chain(
+                        self._overhead_delays(model, first) + (per_chunk_cpu,)
+                    )
+                    yield from read(path, offset, n)
+                    if model == EVENTS:
+                        # Async sends: overlap this chunk's send with the
+                        # next chunk's read; bound buffering to one chunk.
+                        if pending_send is not None:
+                            yield pending_send
+                        pending_send = link.transfer(n, cap=cap, group=protocol)
+                    else:
+                        yield link.transfer(n, cap=cap, group=protocol)
+                finally:
+                    gate.release(job, n)
+                self.stats.moved(protocol, n)
+                offset += n
+                first = False
+            if pending_send is not None:
+                yield pending_send
         finally:
+            if threads:
+                self._active_threads -= 1
             self.scheduler.remove(job)
         self._observe(False, path, 0, size)
         yield self.env.timeout(self.platform.net_latency)  # last ack back
@@ -328,7 +368,7 @@ class SimNest:
                 self._overhead_delays(model, first=job.bytes_moved == 0)
                 + (spec.per_chunk_cpu,)
             )
-            yield from self._read_data(model, path, offset, nbytes)
+            yield from self._reader(model)(path, offset, nbytes)
             yield self.link.transfer(nbytes, cap=cap, group=conn.protocol)
         finally:
             self.gate.release(job, nbytes)
@@ -435,8 +475,16 @@ class SimNest:
             return (2 * p.event_dispatch_cost,)
         return (p.event_dispatch_cost,)  # events
 
-    def _read_data(self, model: str, path: str, offset: int, nbytes: int) -> Generator:
-        """Read from the fs under the model's blocking semantics."""
+    def _reader(self, model: str) -> Callable[[str, int, int], Generator]:
+        """The fs read under the model's blocking semantics: a model
+        with no stage to pass reads straight from the fs."""
+        if model == EVENTS or model == SEDA:
+            return functools.partial(self._staged_read, model)
+        return self.fs.read
+
+    def _staged_read(self, model: str, path: str, offset: int,
+                     nbytes: int) -> Generator:
+        """Read through the event loop or a SEDA stage."""
         if model == EVENTS:
             # The single-threaded loop is busy for the whole read.
             with self._event_loop.request() as grant:
@@ -452,53 +500,6 @@ class SimNest:
                 with self._seda_disk_stage.request() as grant:
                     yield grant
                     yield from self.fs.read(path, offset, nbytes)
-        else:
-            yield from self.fs.read(path, offset, nbytes)
-
-    def _pump_out(self, job: TransferJob, spec: ProtocolSpec, path: str,
-                  size: int, cap: float, model: str) -> Generator:
-        """Move ``size`` bytes server -> client, one gate-scheduled
-        chunk at a time (the transfer manager's service cycle)."""
-        if model == THREADS:
-            self._active_threads += 1
-        try:
-            yield from self._pump_out_inner(job, spec, path, size, cap, model)
-        finally:
-            if model == THREADS:
-                self._active_threads -= 1
-
-    def _pump_out_inner(self, job: TransferJob, spec: ProtocolSpec, path: str,
-                        size: int, cap: float, model: str) -> Generator:
-        env = self.env
-        chunk = self._chunk_size(model)
-        per_chunk_cpu = spec.per_chunk_cpu
-        offset = 0
-        first = True
-        pending_send = None
-        while offset < size:
-            n = min(chunk, size - offset)
-            yield self.gate.acquire(job, n)
-            try:
-                yield env.timeout_chain(
-                    self._overhead_delays(model, first) + (per_chunk_cpu,)
-                )
-                yield from self._read_data(model, path, offset, n)
-                if model == EVENTS:
-                    # Async sends: overlap this chunk's send with the
-                    # next chunk's read; bound buffering to one chunk.
-                    if pending_send is not None:
-                        yield pending_send
-                    pending_send = self.link.transfer(n, cap=cap,
-                                                      group=job.protocol)
-                else:
-                    yield self.link.transfer(n, cap=cap, group=job.protocol)
-            finally:
-                self.gate.release(job, n)
-            self.stats.moved(job.protocol, n)
-            offset += n
-            first = False
-        if pending_send is not None:
-            yield pending_send
 
     def _pump_in(self, job: TransferJob, spec: ProtocolSpec, path: str,
                  size: int, cap: float, model: str) -> Generator:

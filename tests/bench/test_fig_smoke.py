@@ -71,3 +71,35 @@ class TestReports:
         )
         text = fig3.report(result)
         assert "mixed total" in text
+
+
+def test_fig3_then_fig4_simulate_the_fifo_mixed_run_once(monkeypatch):
+    """Fig. 3's mixed NeST bars and Fig. 4's FIFO row are one run: a
+    figures pass makes one FIFO mixed ``Environment``, not two, and the
+    two figures read the same bandwidths from it."""
+    fifo_runs = []
+
+    def counting(module):
+        real = module.run_mixed_protocols
+
+        def run_mixed_protocols(platform, server_kind="nest", config=None,
+                                **kwargs):
+            if server_kind == "nest" and (config is None
+                                          or config.scheduling == "fcfs"):
+                fifo_runs.append(module.__name__)
+            return real(platform, server_kind, config=config, **kwargs)
+
+        monkeypatch.setattr(module, "run_mixed_protocols", run_mixed_protocols)
+
+    counting(fig3)
+    counting(fig4)
+    fig3.fifo_mixed_mbps.cache_clear()
+    try:
+        three = fig3.run(horizon=2.2)
+        four = fig4.run(horizon=2.2)
+    finally:
+        fig3.fifo_mixed_mbps.cache_clear()
+    assert fifo_runs == ["repro.bench.fig3"]
+    fifo = four.row("FIFO")
+    assert fifo.total_mbps == three.mixed_nest_total
+    assert fifo.per_protocol_mbps == three.mixed_nest

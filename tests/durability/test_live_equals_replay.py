@@ -258,3 +258,50 @@ def test_a_put_cut_short_leaves_the_state_from_before_it(tmp_path, old):
     else:
         assert store.open_read("/f").read() == b"o" * old
     assert_replay_equals_live(live)
+
+
+# -- a lot reclaim under an in-flight PUT -------------------------------------
+@pytest.mark.parametrize("other_lot", [False, True],
+                         ids=["refused", "charged-again"])
+def test_a_put_whose_reservation_a_reclaim_took_stays_charged(tmp_path,
+                                                              other_lot):
+    """alice is mid-way through a 700-byte PUT when the lot holding its
+    reservation expires, and bob's new lot reclaims that reservation.
+    The settle charges the 700 bytes again -- to alice's other lot,
+    when she has one -- or refuses the PUT: either way the lots hold
+    every stored byte, live and after replay."""
+    now = [1000.0]
+    store = MemoryStore()
+
+    def boot():
+        storage = StorageManager(
+            store=store, clock=lambda: now[0], require_lots=True,
+            capacity_bytes=2000 if other_lot else 1000)
+        manager = DurabilityManager(str(tmp_path), fsync=False)
+        manager.recover_into(storage)
+        return storage, manager
+
+    storage, manager = boot()
+    storage.create_lot("alice", 800, 10.0)
+    if other_lot:
+        storage.create_lot("alice", 800, 100.0)
+    ticket = storage.approve_put("alice", "/x", 700)
+    ticket.stream.write(b"a" * 350)
+    now[0] += 20.0  # the first lot expires: its space is best-effort
+    storage.create_lot("bob", 1100 if other_lot else 900, 10.0)
+    ticket.stream.write(b"a" * 350)
+    if other_lot:
+        ticket.settle(700)
+    else:
+        with pytest.raises(StorageError) as refused:
+            ticket.settle(700)
+        assert refused.value.status is Status.NO_SPACE
+    assert storage.exists("/x") is other_lot
+    assert storage.lots.total_used() == storage.used_bytes
+    assert storage.used_bytes == (700 if other_lot else 0)
+    state = storage.serialize_state()
+    manager.journal.close()
+    again, manager = boot()
+    assert again.serialize_state() == state
+    assert again.lots.total_used() == again.used_bytes
+    manager.close(snapshot=False)

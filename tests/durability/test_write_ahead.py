@@ -112,7 +112,8 @@ class _EioFile:
 
 
 def _boot(state_dir, store):
-    storage = StorageManager(store=store, capacity_bytes=1 << 20)
+    storage = StorageManager(store=store, capacity_bytes=1 << 20,
+                             require_lots=True)
     manager = DurabilityManager(str(state_dir))
     manager.recover_into(storage)
     return storage, manager
@@ -126,19 +127,29 @@ def _boot(state_dir, store):
 def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_):
     """A durable journal with no fault plan, whose writes then fail
     with EIO under a RENAME or DELETE on the wire path.  The request
-    fails, and because no byte moved ahead of its record, a restart
-    finds ``/a/x`` whole."""
+    fails and is undone in memory: before any restart ``/a/x`` stats
+    whole, ``/a/y`` does not exist, and the accounting and the lot
+    charge are as they were.  Because no byte moved ahead of its
+    record, a restart finds ``/a/x`` whole too."""
     store = MemoryStore()
     storage, manager = _boot(tmp_path / "state", store)
+    storage.lots.create_lot("admin", 1 << 16, 3600.0)
     storage.mkdir("admin", "/a")
     ticket = storage.approve_put("admin", "/a/x", 5)
     ticket.stream.write(b"hello")
     ticket.settle(5)
+    charges = storage.lots.charges_of("/a/x")
     manager.journal.close()
     manager.journal._file = _EioFile()
 
     assert storage.execute(request_).status is Status.SERVER_ERROR
 
+    assert storage.stat("admin", "/a/x")["size"] == 5
+    assert not storage.exists("/a/y")
+    assert storage.used_bytes == 5
+    assert storage.lots.charges_of("/a/x") == charges
+    assert storage.lots.charges_of("/a/y") == {}
+    assert sum(charges.values()) == 5
     restarted, _ = _boot(tmp_path / "state", store)
     assert restarted.stat("admin", "/a/x")["size"] == 5
     ticket = restarted.approve_get("admin", "/a/x")

@@ -403,3 +403,34 @@ class DurabilityManager:
     assert flagged == [6]
     assert lint._snapshot_violations(source, "nest/storage.py") != []
     assert lint._snapshot_violations(source, "tier/store.py") == []
+
+
+def test_the_simulator_appends_no_closure_per_event():
+    root = REPO / "src" / "repro"
+    checked = [path.relative_to(root).as_posix()
+               for path in sorted(root.rglob("*.py"))]
+    assert {"models/network.py", "simnest/gate.py"} <= set(checked)
+    assert [v for rel in checked
+            for v in lint._callback_violations(root / rel, rel)] == []
+
+
+def test_a_lambda_callback_is_flagged(tmp_path):
+    source = tmp_path / "link.py"
+    source.write_text('''
+class Link:
+    def arm(self, env, generation):
+        wake = env.timeout(1.0)
+        wake.callbacks.append(lambda _ev: self.wake(generation))   # flagged
+        other = env.timeout(2.0)
+        other.callbacks.append(self.wake)
+
+    def grant(self, env, ev):
+        delay = env.timeout(1.0)
+        delay.callbacks.append(lambda _e, target=ev: target.succeed())  # flagged
+        env.schedule(ev, env.now + 1.0)
+''')
+    flagged = [int(line.split(":")[1])
+               for line in lint._callback_violations(source, "models/link.py")]
+    assert flagged == [5, 11]
+    assert lint._callback_violations(source, "simnest/link.py") != []
+    assert lint._callback_violations(source, "nest/link.py") == []

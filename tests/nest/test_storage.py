@@ -286,18 +286,22 @@ class TestLotIntegration:
             self, clock, tmp_path):
         """A best-effort lot reclaimed while a PUT charged to it is in
         flight takes the reservation only: nothing under the staged
-        name is a file yet, so the PUT still commits its bytes."""
+        name is a file yet, so the PUT still commits its bytes -- charged
+        again, to alice's other lot.  (With no lot left to charge, the
+        commit is refused: ``test_live_equals_replay.py``.)"""
         sm = StorageManager(store=LocalFSStore(str(tmp_path)), clock=clock,
-                            require_lots=True, capacity_bytes=1000)
+                            require_lots=True, capacity_bytes=2000)
         sm.mkdir("alice", "/d")
         sm.lots.create_lot("alice", 800, duration=10)
+        sm.lots.create_lot("alice", 800, duration=100)
         ticket = sm.approve_put("alice", "/d/f", 700)
         ticket.stream.write(b"n" * 700)
-        clock.now = 50.0  # lot expires -> best effort
-        sm.create_lot("bob", 900, duration=60)
+        clock.now = 50.0  # the first lot expires -> best effort
+        sm.create_lot("bob", 1100, duration=60)
         ticket.settle(700)
         assert sm.stat("alice", "/d/f")["size"] == 700
         assert get(sm, "alice", "/d/f") == b"n" * 700
+        assert sm.lots.total_used() == sm.used_bytes == 700
 
     @pytest.mark.parametrize("params", [
         {"capacity": 900}, {"capacity": 900, "duration": 0},

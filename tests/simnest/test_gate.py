@@ -103,6 +103,23 @@ class TestAdmission:
         # Serial arbiter: grants at 0.1, 0.2, 0.3.
         assert granted == pytest.approx([0.1, 0.2, 0.3])
 
+    def test_a_costed_grant_is_one_kernel_event(self):
+        """With ``grant_cost > 0`` the grant event itself is scheduled
+        at the arbiter's release time: one dispatch per grant, no
+        timeout standing in front of it."""
+        with Environment() as env:
+            gate = PumpGate(env, StrideScheduler({"p": 1.0}), workers=4,
+                            grant_cost=0.25)
+            jobs = [make_job("p") for _ in range(3)]
+            grants = []
+            for job in jobs:
+                gate.scheduler.add(job)
+                grants.append(gate.acquire(job, 10))
+            env.run()
+            assert env.events_processed == len(grants) == gate.grants
+            assert all(g.processed and g.ok for g in grants)
+            assert env.now == 0.75
+
     def test_withdraw(self):
         env = Environment()
         gate = PumpGate(env, FCFSScheduler(), workers=1)
