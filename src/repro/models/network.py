@@ -20,15 +20,15 @@ from repro.sim.core import Environment, Event, SimulationError
 
 
 class _Flow:
-    __slots__ = ("remaining", "cap", "rate", "event", "group")
+    __slots__ = ("remaining", "kind", "rate", "event")
 
     def __init__(self, remaining: float, cap: float, event: Event,
                  group: str | None = None):
         self.remaining = remaining
-        self.cap = cap
+        #: what its allocation depends on: its own cap and its group.
+        self.kind = (cap, group)
         self.rate = 0.0
         self.event = event
-        self.group = group
 
 
 _EPSILON_BYTES = 1e-6
@@ -45,6 +45,8 @@ class FairShareLink:
         self.capacity = float(capacity)
         self.name = name
         self._flows: list[_Flow] = []
+        #: each flow's ``kind``, in flow order: the allocation's key.
+        self._kinds: list[tuple[float, Optional[str]]] = []
         self._last_update = env.now
         #: ``(when, seq)`` of the next completion wake-up, its sequence
         #: number reserved when it was computed; None with no flows.
@@ -59,11 +61,12 @@ class FairShareLink:
         self.group_caps: dict[str, float] = {}
         #: Total bytes ever delivered (for utilization accounting).
         self.bytes_delivered = 0.0
-        #: Max-min allocations keyed by the *ordered* tuple of effective
-        #: per-flow caps.  The water-fill result is a pure function of
-        #: that tuple (capacity is constant), and keeping the key ordered
-        #: preserves the exact ``budget -= rate`` float sequence, so a
-        #: cached allocation is bit-identical to a recomputed one.
+        #: Max-min allocations keyed by the *ordered* tuple of flow
+        #: kinds.  The rates are a pure function of that tuple (capacity
+        #: and group caps are constant; setting a group cap clears the
+        #: cache), and keeping the key ordered preserves the exact
+        #: ``budget -= rate`` float sequence, so a cached allocation is
+        #: bit-identical to a recomputed one.
         self._alloc_cache: dict[tuple, tuple] = {}
         #: perf counters (see repro.perf): allocation runs vs cache hits.
         self.reallocations = 0
@@ -73,6 +76,7 @@ class FairShareLink:
     def set_group_cap(self, group: str, cap: float) -> None:
         """Limit the aggregate rate of all flows tagged ``group``."""
         self.group_caps[group] = float(cap)
+        self._alloc_cache.clear()
 
     def transfer(self, nbytes: float, cap: float | None = None,
                  group: str | None = None) -> Event:
@@ -92,6 +96,7 @@ class FairShareLink:
         flow = _Flow(float(nbytes), float(cap) if cap else float("inf"), ev,
                      group=group)
         self._flows.append(flow)
+        self._kinds.append(flow.kind)
         self._reallocate()
         self._arm()
         return ev
@@ -131,7 +136,9 @@ class FairShareLink:
         self._last_update = now
         if any_done:
             finished = [f for f in flows if f.remaining <= _EPSILON_BYTES]
-            self._flows = [f for f in flows if f.remaining > _EPSILON_BYTES]
+            flows = self._flows = [f for f in flows
+                                   if f.remaining > _EPSILON_BYTES]
+            self._kinds = [f.kind for f in flows]
             for flow in finished:
                 flow.event.succeed(now)
 
@@ -143,74 +150,25 @@ class FairShareLink:
             self._due = None
             return
         self.reallocations += 1
-        # Group caps become tighter per-flow caps for symmetric members:
-        # each of a group's n active flows may use at most cap/n, which
-        # is exact max-min for symmetric flows (our workloads) and a
-        # close bound otherwise.
-        group_caps = self.group_caps
-        counts: dict[str, int] = {}
-        for f in flows:
-            g = f.group
-            if g in group_caps:
-                counts[g] = counts.get(g, 0) + 1
-        if counts:
-            shares = {g: group_caps[g] / n for g, n in counts.items()}
-            eff = [f.cap if (share := shares.get(f.group)) is None
-                   or share >= f.cap else share for f in flows]
+        key = tuple(self._kinds)
+        rates = self._alloc_cache.get(key)
+        if rates is not None:
+            self.alloc_cache_hits += 1
         else:
-            eff = [f.cap for f in flows]
-        # ``horizon`` (time to the next completion) is folded into each
-        # rate-assignment loop below: same divisions, same minimum as a
+            rates = self._allocate(key)
+            if len(self._alloc_cache) >= 512:
+                self._alloc_cache.clear()
+            self._alloc_cache[key] = rates
+        # ``horizon`` (time to the next completion) is folded into the
+        # rate-assignment loop: same divisions, same minimum as a
         # separate ``min()`` pass, one traversal less.
         horizon = float("inf")
-        if len(flows) == 1:
-            # Single flow: the water-fill reduces to min(cap, capacity),
-            # spelled with the same comparison it would perform.
-            f = flows[0]
-            e = eff[0]
-            rate = e if e <= self.capacity else self.capacity
+        for f, rate in zip(flows, rates):
             f.rate = rate
             if rate > 0:
-                horizon = f.remaining / rate
-        else:
-            key = tuple(eff)
-            cached = self._alloc_cache.get(key)
-            if cached is not None:
-                self.alloc_cache_hits += 1
-                for f, rate in zip(flows, cached):
-                    f.rate = rate
-                    if rate > 0:
-                        h = f.remaining / rate
-                        if h < horizon:
-                            horizon = h
-            else:
-                # Water-filling with per-flow caps.
-                pending = list(zip(flows, eff))
-                budget = self.capacity
-                while pending:
-                    fair = budget / len(pending)
-                    capped = [fe for fe in pending if fe[1] <= fair]
-                    if not capped:
-                        for f, _e in pending:
-                            f.rate = fair
-                        break
-                    for f, e in capped:
-                        f.rate = e
-                        budget -= e
-                    pending = [fe for fe in pending if fe[1] > fair]
-                    if budget <= 0:
-                        for f, _e in pending:
-                            f.rate = 0.0
-                        break
-                if len(self._alloc_cache) >= 512:
-                    self._alloc_cache.clear()
-                self._alloc_cache[key] = tuple(f.rate for f in flows)
-                for f in flows:
-                    rate = f.rate
-                    if rate > 0:
-                        h = f.remaining / rate
-                        if h < horizon:
-                            horizon = h
+                h = f.remaining / rate
+                if h < horizon:
+                    horizon = h
         if horizon == float("inf"):
             # No flow is moving: mirror the seed's empty-min() error.
             raise SimulationError("reallocation with no positive rate")
@@ -218,6 +176,48 @@ class FairShareLink:
         # The key a fresh ``env.timeout(horizon)`` would get here.
         env = self.env
         self._due = (env.now + horizon, env.reserve_seq())
+
+    def _allocate(self, kinds: tuple) -> tuple[float, ...]:
+        """Max-min fair rates for flows of these ``(cap, group)`` kinds,
+        in order."""
+        # Group caps become tighter per-flow caps for symmetric members:
+        # each of a group's n active flows may use at most cap/n, which
+        # is exact max-min for symmetric flows (our workloads) and a
+        # close bound otherwise.
+        group_caps = self.group_caps
+        counts: dict[str, int] = {}
+        for _cap, g in kinds:
+            if g in group_caps:
+                counts[g] = counts.get(g, 0) + 1
+        shares = {g: group_caps[g] / n for g, n in counts.items()}
+        eff = [cap if (share := shares.get(g)) is None or share >= cap
+               else share for cap, g in kinds]
+        capacity = self.capacity
+        if len(eff) == 1:
+            # Single flow: the water-fill reduces to min(cap, capacity),
+            # spelled with the same comparison it would perform.
+            e = eff[0]
+            return (e if e <= capacity else capacity,)
+        # Water-filling with per-flow caps.
+        rates = [0.0] * len(eff)
+        pending = list(enumerate(eff))
+        budget = capacity
+        while pending:
+            fair = budget / len(pending)
+            capped = [ie for ie in pending if ie[1] <= fair]
+            if not capped:
+                for i, _e in pending:
+                    rates[i] = fair
+                break
+            for i, e in capped:
+                rates[i] = e
+                budget -= e
+            pending = [ie for ie in pending if ie[1] > fair]
+            if budget <= 0:
+                for i, _e in pending:
+                    rates[i] = 0.0
+                break
+        return tuple(rates)
 
     def _arm(self, wake: Optional[Event] = None) -> None:
         """Make sure one heap entry fires by the due wake-up.

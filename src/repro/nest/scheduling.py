@@ -35,9 +35,10 @@ from typing import Callable, Iterable, Optional
 STRIDE1 = 1 << 20
 
 
-@dataclass
+@dataclass(eq=False)
 class TransferJob:
-    """One scheduled data stream.
+    """One scheduled data stream, equal only to itself (a scheduler
+    finds and removes a job by identity, not by comparing fields).
 
     ``ready`` is maintained by the harness: a whole-file job is ready
     until it completes; a block-based (NFS) job is ready only while a
@@ -136,10 +137,17 @@ class FCFSScheduler(Scheduler):
             self._jobs.remove(job)
 
     def select(self, now: float = 0.0) -> Optional[TransferJob]:
-        ready = [j for j in self._jobs if j.ready and j.available > 0]
-        if not ready:
-            return None
-        return min(ready, key=lambda j: (j.enqueue_seq, j.arrival_seq))
+        # Single manual pass, as StrideScheduler.select: the first
+        # ready job with the least (enqueue_seq, arrival_seq).
+        best = None
+        best_key = None
+        for j in self._jobs:
+            if j.ready and j.available > 0:
+                key = (j.enqueue_seq, j.arrival_seq)
+                if best is None or key < best_key:
+                    best = j
+                    best_key = key
+        return best
 
     def has_ready(self) -> bool:
         return any(j.ready and j.available > 0 for j in self._jobs)

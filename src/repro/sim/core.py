@@ -492,13 +492,12 @@ class Environment:
         if pool:
             if delay < 0:
                 raise SimulationError(f"negative timeout delay {delay!r}")
+            # A pooled timeout is ok, triggered and not defused
+            # already: only what processing changed is reset.
             ev = pool.pop()
             ev.callbacks = []
             ev._value = value
-            ev._ok = True
-            ev._triggered = True
             ev._processed = False
-            ev._defused = False
             ev.delay = delay
             self.timeouts_reused += 1
             self._seqno = seq = self._seqno + 1
@@ -526,10 +525,7 @@ class Environment:
             ev = pool.pop()
             ev.callbacks = []
             ev._value = value
-            ev._ok = True
-            ev._triggered = True
             ev._processed = False
-            ev._defused = False
             ev.delay = when - self._now
             self.timeouts_reused += 1
             self._seqno = seq = self._seqno + 1

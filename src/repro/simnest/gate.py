@@ -84,7 +84,8 @@ class PumpGate:
         """Return the slot after moving ``moved`` bytes."""
         self._active -= 1
         self.scheduler.charge(job, moved)
-        self._try_grant()
+        if self._waiters:
+            self._try_grant()
 
     def withdraw(self, job: TransferJob) -> None:
         """Cancel all of a job's pending requests (connection aborted)."""

@@ -353,33 +353,35 @@ class SimNest:
         client_cap: float | None = None,
     ) -> Generator:
         """Process step: one NFS READ rpc."""
-        spec = self.specs[conn.protocol]
+        protocol = conn.protocol
+        spec = self.specs[protocol]
         cap = self._cap_for(spec, client_cap or self.platform.client_nic_bw)
         env = self.env
-        start = env.now + self.platform.net_latency
-        yield env.timeout_chain((self.platform.net_latency, self._parse_cost(spec)))
+        net_latency = self.platform.net_latency
+        start = env.now + net_latency
+        yield env.timeout_chain((net_latency, self._parse_cost(spec)))
         job = self._block_job(conn, path)
-        yield self.gate.acquire(job, nbytes)
+        gate = self.gate
+        yield gate.acquire(job, nbytes)
+        model = self._fixed_model()
         try:
-            model = self._fixed_model()
             # Concurrency overhead + protocol per-chunk CPU as one
             # batched timeout (bit-identical end time, fewer events).
-            yield self.env.timeout_chain(
+            yield env.timeout_chain(
                 self._overhead_delays(model, first=job.bytes_moved == 0)
                 + (spec.per_chunk_cpu,)
             )
             yield from self._reader(model)(path, offset, nbytes)
-            yield self.link.transfer(nbytes, cap=cap, group=conn.protocol)
+            yield self.link.transfer(nbytes, cap=cap, group=protocol)
         finally:
-            self.gate.release(job, nbytes)
+            gate.release(job, nbytes)
             if job is not conn.flow_job:
                 self.scheduler.remove(job)
-        self.stats.moved(conn.protocol, nbytes)
+        self.stats.moved(protocol, nbytes)
         self._observe(False, path, offset, nbytes)
-        yield self.env.timeout(self.platform.net_latency)
-        elapsed = self.env.now - start
-        self.stats.account(conn.protocol, nbytes, elapsed, self._fixed_model(),
-                           user=conn.user)
+        yield env.timeout(net_latency)
+        elapsed = env.now - start
+        self.stats.account(protocol, nbytes, elapsed, model, user=conn.user)
         return nbytes, elapsed
 
     def serve_block_write(
