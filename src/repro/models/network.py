@@ -135,10 +135,13 @@ class FairShareLink:
                     break
         self._last_update = now
         if any_done:
-            finished = [f for f in flows if f.remaining <= _EPSILON_BYTES]
-            flows = self._flows = [f for f in flows
-                                   if f.remaining > _EPSILON_BYTES]
-            self._kinds = [f.kind for f in flows]
+            finished = []
+            active = []
+            for flow in flows:
+                (active if flow.remaining > _EPSILON_BYTES
+                 else finished).append(flow)
+            self._flows = active
+            self._kinds = [f.kind for f in active]
             for flow in finished:
                 flow.event.succeed(now)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 #: The classic stride constant (Waldspurger & Weihl); any large number.
@@ -64,6 +65,9 @@ class TransferJob:
 
 
 _seq = itertools.count()
+
+#: a ``min`` key read in C, with no Python frame per job
+_PASS = attrgetter("pass_value")
 
 
 def make_job(protocol: str, **kwargs) -> TransferJob:
@@ -223,7 +227,7 @@ class StrideScheduler(Scheduler):
     def _min_pass(self) -> float:
         if not self._jobs:
             return self._global_pass
-        return min(j.pass_value for j in self._jobs)
+        return min(self._jobs, key=_PASS).pass_value
 
     def select(self, now: float = 0.0) -> Optional[TransferJob]:
         # Single manual pass: same first-minimum tie-breaking as
