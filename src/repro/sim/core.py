@@ -578,6 +578,8 @@ class Environment:
         """
         if when < self._now:
             raise SimulationError(f"cannot schedule at {when!r} before now")
+        if event._triggered and not event._processed:
+            raise SimulationError("event already triggered")
         if seq is None:
             self._seqno = seq = self._seqno + 1
         if event._processed:

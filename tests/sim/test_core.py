@@ -322,3 +322,47 @@ class TestRunControl:
     def test_step_empty_queue_raises(self):
         with pytest.raises(SimulationError):
             Environment().step()
+
+
+class TestSchedule:
+    def test_a_reserved_seq_dispatches_where_it_was_drawn(self):
+        """An event scheduled later under a seq reserved earlier fires
+        before an equal-time timeout made in between, as a timeout made
+        at the reservation would have."""
+        with Environment() as env:
+            order = []
+            seq = env.reserve_seq()
+            later = env.timeout(1.0)
+            later.callbacks.append(lambda _e: order.append("timeout"))
+            ev = env.event()
+            ev.callbacks.append(lambda e: order.append(e.value))
+            env.schedule(ev, 1.0, value="reserved", seq=seq)
+            env.run()
+            assert order == ["reserved", "timeout"]
+
+    def test_an_event_being_dispatched_can_fire_again(self):
+        with Environment() as env:
+            fired = []
+            ev = env.event()
+
+            def again(e):
+                fired.append((env.now, e.value))
+                if len(fired) == 1:
+                    env.schedule(e, 2.0, value="second")
+                    e.callbacks.append(again)
+
+            ev.callbacks.append(again)
+            env.schedule(ev, 1.0, value="first")
+            env.run()
+            assert fired == [(1.0, "first"), (2.0, "second")]
+            assert env.events_processed == 2
+
+    def test_misuse_is_refused(self):
+        with Environment() as env:
+            ev = env.event()
+            env.schedule(ev, 1.0)
+            with pytest.raises(SimulationError):
+                env.schedule(ev, 2.0)  # already in the heap
+            env.run()
+            with pytest.raises(SimulationError):
+                env.schedule(env.event(), 0.5)  # before now
