@@ -130,12 +130,13 @@ class StorageReplayer:
     def reconcile_charges(self) -> int:
         """Release lot charges the journal left dangling.
 
-        Three crash windows produce them: a PUT's reservation
+        Two crash windows produce them: a PUT's reservation
         (``lot_charge`` of its staged name at approval) whose
-        ``put_commit`` never landed,
-        a shrinking overwrite's commit whose ``lot_release`` never
-        landed, and a ``delete`` record whose ``lot_release`` never
-        landed.  Either way the durable namespace is the truth:
+        ``put_commit`` never landed, and a shrinking overwrite's commit
+        whose ``lot_release`` never landed (a journal written before
+        ``delete`` took the file's charges with it may hold a third:
+        a ``delete`` whose ``lot_release`` never landed).  Either way
+        the durable namespace is the truth:
         charges for paths without a file node are dropped entirely,
         and per-path charge totals above the node's size are trimmed
         to it.  Returns how many paths were adjusted.

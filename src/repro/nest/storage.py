@@ -486,14 +486,11 @@ class StorageManager:
                 raise StorageError(Status.NOT_FOUND, path)
             if isinstance(node, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            # The file goes before its charges: a crash between the
-            # records leaves an orphan charge, which recovery
-            # reconciles; the reverse order would leave a phantom
-            # released-but-present file.
+            # One record takes the file and its charges, so a flush
+            # that fails has taken nothing, and the undo is exact.
             charges = self.lots.charges_of(path)
-            self._commit("delete", path=path)
-            self.lots.release(path)
             try:
+                self._commit("delete", path=path)
                 self._await_durable()
             except StorageError:
                 # The journal failed, so the undo is memory's alone:
@@ -525,8 +522,8 @@ class StorageManager:
                                    f"{new_path} is inside {path}")
             # Durable before the store rename: if a crash cuts it,
             # replay finishes it (StorageReplayer.finish_moves).
-            self._commit("rename", path=path, new_path=new_path)
             try:
+                self._commit("rename", path=path, new_path=new_path)
                 self._await_durable()
             except StorageError:
                 # The journal failed: undo the rename in memory by
@@ -816,7 +813,9 @@ class StorageManager:
             self.used_bytes -= node.size
             del parent.children[name]
 
-    _r_delete = _r_file_reclaim
+    def _r_delete(self, rec: dict) -> None:
+        self._r_file_reclaim(rec)
+        self.lots.set_charges(rec["path"], {})
 
     def _r_rename(self, rec: dict) -> None:
         parent, name = self._parent_and_name(rec["path"])

@@ -157,6 +157,33 @@ def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_):
     ticket.settle(5)
 
 
+@pytest.mark.parametrize("verb", ["rename", "delete"])
+def test_a_direct_call_whose_record_never_lands_is_undone(tmp_path, verb):
+    """Called outside a storage op, a verb waits for its record as it
+    commits it; when that fails, the verb is undone in memory too, and
+    a restart agrees with the live state."""
+    store = MemoryStore()
+    storage, manager = _boot(tmp_path / "state", store)
+    storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    storage.mkdir("admin", "/a")
+    ticket = storage.approve_put("admin", "/a/x", 5)
+    ticket.stream.write(b"hello")
+    ticket.settle(5)
+    before = storage.serialize_state()
+    manager.journal.close()
+    manager.journal._file = _EioFile()
+
+    with pytest.raises(StorageError) as failed:
+        if verb == "rename":
+            storage.rename("admin", "/a/x", "/a/y")
+        else:
+            storage.delete("admin", "/a/x")
+    assert failed.value.status is Status.SERVER_ERROR
+    assert storage.serialize_state() == before
+    restarted, _ = _boot(tmp_path / "state", store)
+    assert restarted.serialize_state() == before
+
+
 def _staged_left(store) -> list[str]:
     names = (list(store._files) if isinstance(store, MemoryStore) else
              [n for _, _, files in os.walk(store.root) for n in files])
