@@ -133,10 +133,9 @@ class StorageReplayer:
         Two crash windows produce them: a PUT's reservation
         (``lot_charge`` of its staged name at approval) whose
         ``put_commit`` never landed, and a shrinking overwrite's commit
-        whose ``lot_release`` never landed (a journal written before
-        ``delete`` took the file's charges with it may hold a third:
-        a ``delete`` whose ``lot_release`` never landed).  Either way
-        the durable namespace is the truth:
+        whose ``lot_release`` never landed.  (A ``delete`` record takes
+        the file's charges with it.)  Either way the durable namespace
+        is the truth:
         charges for paths without a file node are dropped entirely,
         and per-path charge totals above the node's size are trimmed
         to it.  Returns how many paths were adjusted.
