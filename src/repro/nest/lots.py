@@ -221,9 +221,9 @@ class LotManager:
                    volatile: bool = False) -> tuple[Lot, list[str]]:
         """Create a lot, reclaiming best-effort space if necessary.
 
-        Returns the lot and the paths whose last charge reclamation
-        took: their bytes are no longer backed by any lot, and the
-        caller deletes them (:meth:`StorageManager.create_lot
+        Returns the lot and the paths reclamation took a charge from:
+        the caller deletes those no lot backs any more
+        (:meth:`StorageManager.create_lot
         <repro.nest.storage.StorageManager.create_lot>`).  A
         ``volatile`` lot (IBP volatile allocations) makes no space
         guarantee: nothing is reclaimed for it, and its own data is
@@ -487,10 +487,10 @@ class LotManager:
 
     def _reclaim(self, needed: int) -> list[str]:
         """Release best-effort charges until ``needed`` bytes are free;
-        returns the paths left with no charge in any lot."""
+        returns the paths whose charges it took, each once."""
         freed = 0
         reclaimed_files = 0
-        unbacked: list[str] = []
+        taken: dict[str, None] = {}
         for lot in self._victim_order():
             if freed >= needed:
                 break
@@ -500,8 +500,7 @@ class LotManager:
                              nbytes=nbytes)
                 freed += nbytes
                 reclaimed_files += 1
-                if not any(path in other.charges for other in self.lots.values()):
-                    unbacked.append(path)
+                taken[path] = None
                 if freed >= needed:
                     break
             if not lot.charges:
@@ -509,7 +508,7 @@ class LotManager:
         if reclaimed_files and self._m_reclaimed_files is not None:
             self._m_reclaimed_files.inc(reclaimed_files)
             self._m_reclaimed_bytes.inc(freed)
-        return unbacked
+        return list(taken)
 
     def total_used(self) -> int:
         """Bytes charged across all lots."""

@@ -212,6 +212,9 @@ class StorageManager:
         self._lock = threading.RLock()
         #: raw bytes approved puts hold in reserve until they settle.
         self._reserved = 0
+        #: staged names of puts in flight whose lot reservation a
+        #: reclaim took charges from: their commit charges it again.
+        self._reclaimed_puts: set[str] = set()
         #: the metadata journal (set via :meth:`set_journal`); None
         #: means the appliance runs memory-only, exactly as before.
         self._journal = None
@@ -407,13 +410,17 @@ class StorageManager:
                    volatile: bool = False) -> Lot:
         """Create a lot (:meth:`LotManager.create_lot
         <repro.nest.lots.LotManager.create_lot>`): each file whose
-        best-effort space it reclaimed loses its data and metadata."""
+        best-effort space it reclaimed, and that no lot backs any more,
+        loses its data and metadata."""
         with self._lock:
             lot, reclaimed = self.lots.create_lot(owner, capacity, duration,
                                                   volatile=volatile)
             for path in reclaimed:
-                # An in-flight put's reservation has no file to lose.
-                if not path.endswith(TEMP_SUFFIX):
+                if path.endswith(TEMP_SUFFIX):
+                    # An in-flight put's reservation has no file to
+                    # lose: its commit charges what was taken again.
+                    self._reclaimed_puts.add(path)
+                elif not self.lots.charges_of(path):
                     self._reclaim_file(path)
             return lot
 
@@ -715,6 +722,7 @@ class StorageManager:
         with self._op("commit_put", path), self._lock:
             self._local.waits.extend(carried)
             if ticket is None or ticket.aborted:
+                self._reclaimed_puts.discard(staged)
                 self._unreserve(staged, reserved)
             else:
                 self._commit_put(ticket.user, path, staged, actual, reserved)
@@ -745,10 +753,11 @@ class StorageManager:
                 raise StorageError(Status.IS_DIR, path)
             old_size = node.size if node is not None else None
             charges = self.lots.charges_of(path)
-            if reserved and self.require_lots:
-                # A lot reclaim (create_lot) may have taken the
-                # reservation from under the staged name: charge what
-                # it took again, or refuse.
+            if staged in self._reclaimed_puts:
+                # A lot reclaim (create_lot) took some of the
+                # reservation from under the staged name: charge it
+                # again, or refuse.
+                self._reclaimed_puts.remove(staged)
                 held = sum(self.lots.charges_of(staged).values())
                 self._charge_lots(user, staged, reserved - held)
             change = size - (old_size or 0) - reserved

@@ -111,28 +111,32 @@ class _EioFile:
         self.closed = True
 
 
-def _boot(state_dir, store):
+def _boot(state_dir, store, require_lots):
     storage = StorageManager(store=store, capacity_bytes=1 << 20,
-                             require_lots=True)
+                             require_lots=require_lots)
     manager = DurabilityManager(str(state_dir))
     manager.recover_into(storage)
     return storage, manager
 
 
-@pytest.mark.parametrize("request_", [
-    Request(RequestType.RENAME, "/a/x", user="admin",
-            params={"new_path": "/a/y"}),
-    Request(RequestType.DELETE, "/a/x", user="admin"),
-], ids=["rename", "delete"])
-def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_):
+_RENAME = Request(RequestType.RENAME, "/a/x", user="admin",
+                  params={"new_path": "/a/y"})
+_DELETE = Request(RequestType.DELETE, "/a/x", user="admin")
+
+
+@pytest.mark.parametrize("request_,lots", [
+    (_RENAME, False), (_DELETE, False), (_RENAME, True), (_DELETE, True),
+], ids=["rename", "delete", "rename-lots", "delete-lots"])
+def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_,
+                                                      lots):
     """A durable journal with no fault plan, whose writes then fail
     with EIO under a RENAME or DELETE on the wire path.  The request
     fails and is undone in memory: before any restart ``/a/x`` stats
-    whole, ``/a/y`` does not exist, and the accounting and the lot
-    charge are as they were.  Because no byte moved ahead of its
-    record, a restart finds ``/a/x`` whole too."""
+    whole, ``/a/y`` does not exist, and the accounting and, with lots
+    required, the lot charge are as they were.  Because no byte moved
+    ahead of its record, a restart finds ``/a/x`` whole too."""
     store = MemoryStore()
-    storage, manager = _boot(tmp_path / "state", store)
+    storage, manager = _boot(tmp_path / "state", store, lots)
     storage.lots.create_lot("admin", 1 << 16, 3600.0)
     storage.mkdir("admin", "/a")
     ticket = storage.approve_put("admin", "/a/x", 5)
@@ -149,8 +153,8 @@ def test_bytes_stay_put_when_their_record_never_lands(tmp_path, request_):
     assert storage.used_bytes == 5
     assert storage.lots.charges_of("/a/x") == charges
     assert storage.lots.charges_of("/a/y") == {}
-    assert sum(charges.values()) == 5
-    restarted, _ = _boot(tmp_path / "state", store)
+    assert sum(charges.values()) == (5 if lots else 0)
+    restarted, _ = _boot(tmp_path / "state", store, lots)
     assert restarted.stat("admin", "/a/x")["size"] == 5
     ticket = restarted.approve_get("admin", "/a/x")
     assert ticket.stream.read(5) == b"hello"
@@ -163,7 +167,7 @@ def test_a_direct_call_whose_record_never_lands_is_undone(tmp_path, verb):
     commits it; when that fails, the verb is undone in memory too, and
     a restart agrees with the live state."""
     store = MemoryStore()
-    storage, manager = _boot(tmp_path / "state", store)
+    storage, manager = _boot(tmp_path / "state", store, True)
     storage.lots.create_lot("admin", 1 << 16, 3600.0)
     storage.mkdir("admin", "/a")
     ticket = storage.approve_put("admin", "/a/x", 5)
@@ -180,7 +184,7 @@ def test_a_direct_call_whose_record_never_lands_is_undone(tmp_path, verb):
             storage.delete("admin", "/a/x")
     assert failed.value.status is Status.SERVER_ERROR
     assert storage.serialize_state() == before
-    restarted, _ = _boot(tmp_path / "state", store)
+    restarted, _ = _boot(tmp_path / "state", store, True)
     assert restarted.serialize_state() == before
 
 

@@ -303,6 +303,22 @@ class TestLotIntegration:
         assert get(sm, "alice", "/d/f") == b"n" * 700
         assert sm.lots.total_used() == sm.used_bytes == 700
 
+    def test_a_reclaim_of_part_of_a_reservation_is_charged_again(self, clock):
+        """A reservation spanning two of alice's lots loses only the
+        expired lot's part to a reclaim; the commit charges that part
+        again and leaves the rest where it was."""
+        sm = StorageManager(clock=clock, require_lots=True,
+                            capacity_bytes=2000)
+        sm.mkdir("alice", "/d")
+        sm.lots.create_lot("alice", 300, duration=10)
+        sm.lots.create_lot("alice", 800, duration=100)
+        ticket = sm.approve_put("alice", "/d/f", 700)
+        ticket.stream.write(b"n" * 700)
+        clock.now = 50.0  # the first lot expires -> best effort
+        sm.create_lot("bob", 1000, duration=60)
+        ticket.settle(700)
+        assert sm.lots.total_used() == sm.used_bytes == 700
+
     @pytest.mark.parametrize("params", [
         {"capacity": 900}, {"capacity": 900, "duration": 0},
         {"capacity": 5000, "duration": 60}])
