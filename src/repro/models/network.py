@@ -48,14 +48,7 @@ class FairShareLink:
         #: each flow's ``kind``, in flow order: the allocation's key.
         self._kinds: list[tuple[float, Optional[str]]] = []
         self._last_update = env.now
-        #: ``(when, seq)`` of the next completion wake-up, its sequence
-        #: number reserved when it was computed; None with no flows.
-        self._due: Optional[tuple[float, int]] = None
-        #: ``(when, seq)`` of the one heap entry that delivers it: it
-        #: fires at or before ``_due`` and, if early, moves itself
-        #: there.  The link holds only the key, never the event (the
-        #: event's callback holds the link).
-        self._carrier: Optional[tuple[float, int]] = None
+        self._generation = 0
         #: Optional aggregate caps per flow group (e.g. one protocol's
         #: flows collectively limited by its implementation).
         self.group_caps: dict[str, float] = {}
@@ -98,7 +91,6 @@ class FairShareLink:
         self._flows.append(flow)
         self._kinds.append(flow.kind)
         self._reallocate()
-        self._arm()
         return ev
 
     @property
@@ -146,11 +138,10 @@ class FairShareLink:
                 flow.event.succeed(now)
 
     def _reallocate(self) -> None:
-        """Recompute max-min fair rates and the next completion's
-        wake-up (:meth:`_arm` puts it in the heap)."""
+        """Recompute max-min fair rates and schedule the next completion."""
+        self._generation += 1
         flows = self._flows
         if not flows:
-            self._due = None
             return
         self.reallocations += 1
         key = tuple(self._kinds)
@@ -176,9 +167,10 @@ class FairShareLink:
             # No flow is moving: mirror the seed's empty-min() error.
             raise SimulationError("reallocation with no positive rate")
         horizon = max(horizon, _EPSILON_TIME)
-        # The key a fresh ``env.timeout(horizon)`` would get here.
-        env = self.env
-        self._due = (env.now + horizon, env.reserve_seq())
+        # The wake carries its generation as its value, so one bound
+        # method serves every wake, with no closure per timeout.
+        wake = self.env.timeout(horizon, self._generation)
+        wake.callbacks.append(self._on_wake)
 
     def _allocate(self, kinds: tuple) -> tuple[float, ...]:
         """Max-min fair rates for flows of these ``(cap, group)`` kinds,
@@ -222,35 +214,8 @@ class FairShareLink:
                 break
         return tuple(rates)
 
-    def _arm(self, wake: Optional[Event] = None) -> None:
-        """Make sure one heap entry fires by the due wake-up.
-
-        An entry already due no later stays and moves itself when it
-        fires early; only a wake-up earlier than it needs a new entry
-        (``wake``, when the caller has a fired one to reuse), and the
-        old one then fires as a no-op.
-        """
-        due = self._due
-        if due is None:
-            return
-        carrier = self._carrier
-        if carrier is not None and carrier[0] <= due[0]:
-            return
-        if wake is None:
-            wake = Event(self.env)
-        self._carrier = due
-        self.env.schedule(wake, due[0], value=due[1], seq=due[1])
-        wake.callbacks.append(self._wake)
-
-    def _wake(self, wake: Event) -> None:
-        """A wake-up entry fires (its value is its seq): settle and
-        reallocate if it is the due one, else move it to the due one."""
-        carrier = self._carrier
-        if carrier is None or wake.value != carrier[1]:
-            return  # an earlier wake-up replaced this entry
-        self._carrier = None
-        due = self._due
-        if due is not None and due[1] == carrier[1]:
-            self._settle()
-            self._reallocate()
-        self._arm(wake)
+    def _on_wake(self, wake: Event) -> None:
+        if wake.value != self._generation:
+            return  # superseded by a newer allocation
+        self._settle()
+        self._reallocate()

@@ -25,12 +25,7 @@ story):
   :meth:`Process.interrupt`'s stale-target guard actually work.
 * a model that knows when an event it made will fire schedules that
   event itself with :meth:`Environment.schedule`, instead of a timeout
-  whose callback succeeds it: one dispatch, not two.  A wake-up that
-  keeps moving later (the fair-share link's next completion) stays one
-  heap entry: the model draws the would-be timeout's sequence number
-  with :meth:`Environment.reserve_seq` and, when the entry fires early,
-  schedules it again under that number, so the dispatch order is the
-  one a fresh timeout per wake-up would give;
+  whose callback succeeds it: one dispatch, not two;
 
 The kernel also keeps integer perf counters (events scheduled and
 processed, direct resumes, timeout pool hits, heap high-water mark)
@@ -555,39 +550,20 @@ class Environment:
         self._seqno = seq = self._seqno + 1
         heapq.heappush(self._queue, (when, priority, seq, event))
 
-    def reserve_seq(self) -> int:
-        """Draw a sequence number now, for a :meth:`schedule` made later.
-
-        An event scheduled with it dispatches exactly where one
-        scheduled at the moment of the reservation would have.
-        """
-        self._seqno = seq = self._seqno + 1
-        return seq
-
-    def schedule(self, event: Event, when: float, value: Any = None,
-                 seq: Optional[int] = None) -> None:
+    def schedule(self, event: Event, when: float, value: Any = None) -> None:
         """Trigger ``event`` to succeed with ``value`` at absolute time
-        ``when``.
-
-        Its heap key is ``(when, NORMAL, seq)``: ``seq`` is a fresh
-        number, or one drawn earlier by :meth:`reserve_seq`.  One event
-        stands in for a timeout whose callback would succeed it, and an
-        event whose callbacks are running (it is being dispatched) may
-        be scheduled again: it comes back pending, with no callbacks,
-        and fires a second time at ``when``.
+        ``when``: one event standing in for a timeout whose callback
+        would succeed it.  Its heap key is the one that timeout would
+        get, ``(when, NORMAL, seq)`` with a fresh ``seq``.
         """
         if when < self._now:
             raise SimulationError(f"cannot schedule at {when!r} before now")
-        if event._triggered and not event._processed:
+        if event._triggered:
             raise SimulationError("event already triggered")
-        if seq is None:
-            self._seqno = seq = self._seqno + 1
-        if event._processed:
-            event._processed = False
-            event.callbacks = []
         event._ok = True
         event._value = value
         event._triggered = True
+        self._seqno = seq = self._seqno + 1
         heapq.heappush(self._queue, (when, NORMAL, seq, event))
 
     def peek(self) -> float:

@@ -325,37 +325,21 @@ class TestRunControl:
 
 
 class TestSchedule:
-    def test_a_reserved_seq_dispatches_where_it_was_drawn(self):
-        """An event scheduled later under a seq reserved earlier fires
-        before an equal-time timeout made in between, as a timeout made
-        at the reservation would have."""
+    def test_a_scheduled_event_dispatches_where_a_timeout_would(self):
+        """A scheduled event takes the heap key a timeout made at the
+        same moment would: after an equal-time timeout made before it,
+        before one made after it, in one dispatch."""
         with Environment() as env:
             order = []
-            seq = env.reserve_seq()
-            later = env.timeout(1.0)
-            later.callbacks.append(lambda _e: order.append("timeout"))
+            before = env.timeout(1.0, value="before")
             ev = env.event()
-            ev.callbacks.append(lambda e: order.append(e.value))
-            env.schedule(ev, 1.0, value="reserved", seq=seq)
+            env.schedule(ev, 1.0, value="scheduled")
+            after = env.timeout(1.0, value="after")
+            for e in (before, ev, after):
+                e.callbacks.append(lambda e: order.append(e.value))
             env.run()
-            assert order == ["reserved", "timeout"]
-
-    def test_an_event_being_dispatched_can_fire_again(self):
-        with Environment() as env:
-            fired = []
-            ev = env.event()
-
-            def again(e):
-                fired.append((env.now, e.value))
-                if len(fired) == 1:
-                    env.schedule(e, 2.0, value="second")
-                    e.callbacks.append(again)
-
-            ev.callbacks.append(again)
-            env.schedule(ev, 1.0, value="first")
-            env.run()
-            assert fired == [(1.0, "first"), (2.0, "second")]
-            assert env.events_processed == 2
+            assert order == ["before", "scheduled", "after"]
+            assert env.events_processed == 3
 
     def test_misuse_is_refused(self):
         with Environment() as env:
@@ -364,5 +348,7 @@ class TestSchedule:
             with pytest.raises(SimulationError):
                 env.schedule(ev, 2.0)  # already in the heap
             env.run()
+            with pytest.raises(SimulationError):
+                env.schedule(ev, 2.0)  # already fired
             with pytest.raises(SimulationError):
                 env.schedule(env.event(), 0.5)  # before now
