@@ -150,26 +150,3 @@ class TestRates:
         assert link.active_flows == 1
         env.run()
         assert link.active_flows == 0
-
-
-class TestSupersededWakes:
-    """Each reallocation schedules a wake-up; one that a later
-    reallocation superseded fires as a no-op, and every flow still
-    completes on time."""
-
-    @pytest.mark.parametrize("k", [1, 2, 8])
-    def test_back_to_back_transfers_complete_together(self, k):
-        with Environment() as env:
-            link = FairShareLink(env, 100.0)
-            done = [link.transfer(100.0) for _ in range(k)]
-            env.run()
-            assert [ev.value for ev in done] == [k * 1.0] * k
-
-    def test_an_earlier_wake_completes_the_short_flow(self):
-        with Environment() as env:
-            link = FairShareLink(env, 100.0)
-            long = link.transfer(1000.0)
-            short = link.transfer(10.0)
-            env.run()
-            assert short.value == pytest.approx(0.2)
-            assert long.value == pytest.approx(10.1)
