@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Eleven rules, enforced by AST walk (so docstrings and comments that merely
+Twelve rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -98,6 +98,15 @@ schedules the event itself (``Environment.schedule``) or appends a
 bound method, which reads what it needs from its object.  A lambda per
 event is an allocation on the hottest path and, when it only succeeds
 a second event, a dispatch that does nothing.
+
+Rule 12: a model process sleeps without an event.  Under ``simnest/``
+and ``models/`` no ``yield`` hands the kernel an ``env.timeout(...)``
+or ``timeout_chain(...)`` call: a process that only waits out a delay
+yields the delay itself (``yield d``, or ``yield (d1, d2)`` for
+back-to-back delays), which the kernel schedules under the same heap
+key with no event to allocate, recycle or call back.
+``Environment.timeout`` stays for events that something else waits
+on (the link's wake, the gate's idle timer).
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -466,6 +475,29 @@ def _callback_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 12: the model packages, whose processes sleep by the million.
+SLEEP_DIRS = ("simnest/", "models/")
+
+
+def _sleep_violations(path: Path, rel: str) -> list[str]:
+    if not rel.startswith(SLEEP_DIRS):
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{node.lineno}: a process yields a timeout event -- "
+        "yield the delay (or a tuple of delays) instead"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call)
+        and _callee_name(node.value.func) in ("timeout", "timeout_chain")
+    ]
+
+
+def _callee_name(func: ast.expr) -> str:
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     problems: list[str] = []
@@ -480,6 +512,7 @@ def main() -> int:
         problems.extend(_environment_violations(path, rel))
         problems.extend(_snapshot_violations(path, rel))
         problems.extend(_callback_violations(path, rel))
+        problems.extend(_sleep_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -132,9 +132,11 @@ class StorageReplayer:
 
         Two crash windows produce them: a PUT's reservation
         (``lot_charge`` of its staged name at approval) whose
-        ``put_commit`` never landed, and a shrinking overwrite's commit
-        whose ``lot_release`` never landed.  (A ``delete`` record takes
-        the file's charges with it.)  Either way the durable namespace
+        ``put_commit`` never landed, and -- in a journal written before
+        a shrink's release rode in its ``put_commit`` -- a shrinking
+        overwrite's commit whose ``lot_release`` never landed.  (A
+        ``delete`` record takes the file's charges with it.)  Either
+        way the durable namespace
         is the truth:
         charges for paths without a file node are dropped entirely,
         and per-path charge totals above the node's size are trimmed

@@ -56,13 +56,13 @@ class Disk:
             yield grant
             if self._head != (path, offset):
                 self.seeks += 1
-                # Seek + stream as one batched timeout: the arm is held
+                # Seek + stream as one sleep: the arm is held
                 # throughout, so nothing can observe the intermediate
-                # instant, and the chain lands at the bit-exact same
-                # completion time as two back-to-back yields.
-                yield self.env.timeout_chain((self.seek_time, nbytes / bw))
+                # instant, and the sum lands at the bit-exact same
+                # completion time as two back-to-back sleeps.
+                yield (self.seek_time, nbytes / bw)
             else:
-                yield self.env.timeout(nbytes / bw)
+                yield nbytes / bw
             self._head = (path, offset + nbytes)
             if write:
                 self.bytes_written += nbytes

@@ -108,14 +108,14 @@ class FileSystemModel:
         misses from disk (cache is populated; evicted dirty blocks are
         written back first)."""
         meta = self.lookup(path)
-        nbytes = max(0, min(nbytes, meta.size - offset))
+        nbytes = min(nbytes, meta.size - offset)
         if nbytes <= 0:
             return
         hit_bytes, miss_bytes, evicted = self.cache.access_read(path, offset, nbytes)
         if evicted:
             yield from self._writeback(evicted)
         if hit_bytes:
-            yield self.env.timeout(hit_bytes / self.platform.mem_copy_bw)
+            yield hit_bytes / self.platform.mem_copy_bw
         if miss_bytes:
             yield from self.disk.read(path, offset, miss_bytes)
 
@@ -137,7 +137,7 @@ class FileSystemModel:
             meta.size += growth
             self.used_bytes += growth
         # Copy into the cache.
-        yield self.env.timeout(nbytes / self.platform.mem_copy_bw)
+        yield nbytes / self.platform.mem_copy_bw
         evicted = self.cache.access_write(path, offset, nbytes)
         if evicted:
             yield from self._writeback(evicted, quota_user=meta.owner)

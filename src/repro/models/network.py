@@ -33,6 +33,7 @@ class _Flow:
 
 _EPSILON_BYTES = 1e-6
 _EPSILON_TIME = 1e-12
+_INF = float("inf")
 
 
 class FairShareLink:
@@ -46,7 +47,7 @@ class FairShareLink:
         self.name = name
         self._flows: list[_Flow] = []
         #: each flow's ``kind``, in flow order: the allocation's key.
-        self._kinds: list[tuple[float, Optional[str]]] = []
+        self._kinds: tuple[tuple[float, Optional[str]], ...] = ()
         self._last_update = env.now
         self._generation = 0
         #: Optional aggregate caps per flow group (e.g. one protocol's
@@ -85,12 +86,8 @@ class FairShareLink:
         if nbytes == 0:
             ev.succeed(0.0)
             return ev
-        self._settle()
-        flow = _Flow(float(nbytes), float(cap) if cap else float("inf"), ev,
-                     group=group)
-        self._flows.append(flow)
-        self._kinds.append(flow.kind)
-        self._reallocate()
+        self._reallocate(_Flow(float(nbytes), float(cap) if cap else _INF,
+                               ev, group))
         return ev
 
     @property
@@ -103,8 +100,10 @@ class FairShareLink:
         return sum(f.rate for f in self._flows)
 
     # -- internals ----------------------------------------------------------
-    def _settle(self) -> None:
-        """Advance all flows to the current time at their assigned rates."""
+    def _reallocate(self, new: _Flow | None = None) -> None:
+        """Advance all flows to the current time at their assigned rates,
+        add ``new``, recompute max-min fair rates and schedule the next
+        completion."""
         now = self.env.now
         flows = self._flows
         any_done = False
@@ -132,19 +131,18 @@ class FairShareLink:
             for flow in flows:
                 (active if flow.remaining > _EPSILON_BYTES
                  else finished).append(flow)
-            self._flows = active
-            self._kinds = [f.kind for f in active]
+            self._flows = flows = active
+            self._kinds = tuple([f.kind for f in active])
             for flow in finished:
                 flow.event.succeed(now)
-
-    def _reallocate(self) -> None:
-        """Recompute max-min fair rates and schedule the next completion."""
+        if new is not None:
+            flows.append(new)
+            self._kinds += (new.kind,)
         self._generation += 1
-        flows = self._flows
         if not flows:
             return
         self.reallocations += 1
-        key = tuple(self._kinds)
+        key = self._kinds
         rates = self._alloc_cache.get(key)
         if rates is not None:
             self.alloc_cache_hits += 1
@@ -156,14 +154,14 @@ class FairShareLink:
         # ``horizon`` (time to the next completion) is folded into the
         # rate-assignment loop: same divisions, same minimum as a
         # separate ``min()`` pass, one traversal less.
-        horizon = float("inf")
+        horizon = _INF
         for f, rate in zip(flows, rates):
             f.rate = rate
             if rate > 0:
                 h = f.remaining / rate
                 if h < horizon:
                     horizon = h
-        if horizon == float("inf"):
+        if horizon == _INF:
             # No flow is moving: mirror the seed's empty-min() error.
             raise SimulationError("reallocation with no positive rate")
         horizon = max(horizon, _EPSILON_TIME)
@@ -215,7 +213,6 @@ class FairShareLink:
         return tuple(rates)
 
     def _on_wake(self, wake: Event) -> None:
-        if wake.value != self._generation:
-            return  # superseded by a newer allocation
-        self._settle()
-        self._reallocate()
+        # A wake a newer allocation superseded does nothing.
+        if wake._value == self._generation:
+            self._reallocate()

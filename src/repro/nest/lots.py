@@ -455,6 +455,23 @@ class LotManager:
 
     def release(self, path: str, nbytes: int | None = None) -> None:
         """Release a file's charges (all of them when ``nbytes`` is None)."""
+        for lot_id, take in self._takes(path, nbytes):
+            self._commit("lot_release", lot_id=lot_id, path=path,
+                         nbytes=take)
+
+    def trim_charges(self, path: str, nbytes: int) -> None:
+        """Release ``nbytes`` of ``path``'s charges, lot by lot as
+        :meth:`release` does.
+
+        Not journaled: the ``put_commit`` record of a shrinking
+        overwrite replays it."""
+        for lot_id, take in self._takes(path, nbytes):
+            self._r_lot_release({"lot_id": lot_id, "path": path,
+                                 "nbytes": take})
+
+    def _takes(self, path: str, nbytes: int | None):
+        """``(lot_id, bytes)`` to release from each lot holding a charge
+        for ``path``, in lot order, until ``nbytes`` (all, when None)."""
         remaining = nbytes
         for lot in self.lots.values():
             if path not in lot.charges:
@@ -463,8 +480,7 @@ class LotManager:
             if remaining is not None:
                 take = min(take, remaining)
                 remaining -= take
-            self._commit("lot_release", lot_id=lot.lot_id, path=path,
-                         nbytes=take)
+            yield lot.lot_id, take
             if remaining == 0:
                 return
 

@@ -604,6 +604,19 @@ class StorageManager:
                 stream=self.store.open_read(path), is_write=False,
             )
 
+    def check_get(self, user: str, path: str) -> int:
+        """The checks of :meth:`approve_get` for a model that moves no
+        bytes: resolve, IS_DIR, the read right; returns the file's
+        size.  Refuses with the same statuses, but opens no stream and
+        counts no op, span or ACL check."""
+        with self._lock:
+            node, acl = self._resolve(path)
+            if isinstance(node, DirNode):
+                raise StorageError(Status.IS_DIR, path)
+            if "r" not in acl.rights_of(user):
+                raise StorageError(Status.DENIED, f"{user} lacks 'r'")
+            return node.size
+
     def approve_put(self, user: str, path: str, length: int) -> TransferTicket:
         """Authorize a whole-file write of ``length`` bytes.
 
@@ -767,13 +780,11 @@ class StorageManager:
             self.store.delete(staged)
             raise
         self._reserved -= reserved
+        # A shrink's lot release rides in the one record, so a flush
+        # that fails has taken nothing, and the undo is exact.
+        release = {"release": -change} if change < 0 else {}
         self._commit("put_commit", path=path, size=size, user=user,
-                     staged=staged)
-        if change < 0:
-            # After the commit record: a crash between the two leaves
-            # an overcharge, which recovery trims -- never a charge
-            # below the file's size.
-            self.lots.release(path, -change)
+                     staged=staged, **release)
         try:
             self._await_durable()
         except StorageError:
@@ -855,6 +866,10 @@ class StorageManager:
         self.used_bytes += size - node.size
         node.size = size
         self.lots.merge_charges(rec["staged"], rec["path"])
+        # A journal written before the release rode in this record has
+        # a separate ``lot_release`` after it instead.
+        if rec.get("release"):
+            self.lots.trim_charges(rec["path"], int(rec["release"]))
 
     def _r_write(self, rec: dict) -> None:
         parent, name = self._parent_and_name(rec["path"])

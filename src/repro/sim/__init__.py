@@ -2,8 +2,8 @@
 
 A small, deterministic, generator-based DES in the style of SimPy.
 Simulation *processes* are Python generators that yield :class:`Event`
-objects (timeouts, resource requests, other processes, conditions);
-the :class:`Environment` advances virtual time and resumes them.
+objects (resource requests, other processes, conditions) or, to sleep,
+a delay; the :class:`Environment` advances virtual time and resumes them.
 
 This kernel is the substrate for all performance experiments in the
 NeST reproduction: the 2002 testbed (GigE cluster, IBM disks, kernel

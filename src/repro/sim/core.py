@@ -12,9 +12,20 @@ story):
 * :meth:`Environment.run` inlines the dispatch loop -- local aliases
   for ``heappop``, the queue, and the resume deque instead of a
   per-event :meth:`Environment.step` call;
-* timeouts are recycled through a free-list pool; a processed
-  :class:`Timeout` that nothing else references (checked via the
-  CPython refcount) goes back to the pool instead of the allocator;
+* a process sleeps without an event: ``yield d`` (a float) or
+  ``yield (d1, d2, ...)`` pushes the process itself at ``(now + d,
+  NORMAL, seq)``, a tuple's delays added to ``now`` left to right.
+  That is exactly the key ``yield env.timeout(d)`` got -- the same
+  float addition, the same priority, ``seq`` drawn at the yield as the
+  timeout drew it -- and the same sums as a chain of timeouts, so no
+  dispatch order or simulated time changes.  Dispatch resumes the
+  process directly and counts the wake in ``events_processed``.  The
+  process keeps the seq of its pending wake; an entry with another seq
+  is stale (the sleep was interrupted) and is counted and dropped.  A
+  negative delay raises :exc:`SimulationError` in the process;
+* :meth:`Environment.timeout` stays for events that others wait on;
+  a processed :class:`Timeout` that nothing else references (checked
+  via the CPython refcount) goes back to a free-list pool;
 * a process that yields an *already processed* event is resumed
   through a cheap pending-resume deque rather than a freshly allocated
   bridge :class:`Event`; deque entries carry a sequence number drawn
@@ -37,23 +48,23 @@ A simulation has an end: :meth:`Environment.close` (or leaving a
 process generator, so its ``finally`` blocks run once, and drops the
 event heap, the pending-resume deque and the timeout pool, keeping only
 the perf counters.  A finished simulation is one reference cycle
-(environment -> queued events -> ``Process._resume`` callbacks ->
-suspended generators -> the model -> environment); closing breaks it,
-so refcounting frees the whole model as soon as its result is read,
-instead of whenever the cyclic collector next runs.
+(environment -> queued events and sleepers -> suspended generators ->
+the model -> environment); closing breaks it, so refcounting frees the
+whole model as soon as its result is read, instead of whenever the
+cyclic collector next runs.
 
 Opt-in telemetry: :meth:`Environment.enable_trace` attaches a
-:class:`repro.sim.trace.KernelTrace` recording dispatches and process
-lifetimes in simulated time (exported to ``chrome://tracing`` via
-:mod:`repro.obs.export_chrome`).  Disabled -- the default -- it costs
-one ``is None`` test per dispatched event, so simulated results stay
-bit-exact and the kernel's measured speed is unchanged.
+:class:`repro.sim.trace.KernelTrace` recording dispatches (a wake under
+its process's name) and process lifetimes in simulated time (exported
+to ``chrome://tracing`` via :mod:`repro.obs.export_chrome`).  Disabled
+-- the default -- it costs one ``is None`` test per dispatched event,
+so simulated results stay bit-exact and the kernel's speed unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -146,7 +157,7 @@ class Event:
         self._triggered = True
         env = self.env
         env._seqno = seq = env._seqno + 1
-        heapq.heappush(env._queue, (env._now, NORMAL, seq, self))
+        heappush(env._queue, (env.now, NORMAL, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -159,7 +170,7 @@ class Event:
         self._value = exc
         self._triggered = True
         env = self.env
-        env._push(self, env._now, NORMAL)
+        env._push(self, env.now, NORMAL)
         return self
 
 
@@ -168,8 +179,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None,
-                 _at: Optional[float] = None):
+    def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(env)
@@ -178,7 +188,7 @@ class Timeout(Event):
         self._value = value
         self._triggered = True
         env.timeouts_created += 1
-        env._push(self, env._now + delay if _at is None else _at, NORMAL)
+        env._push(self, env.now + delay, NORMAL)
 
     def __repr__(self) -> str:
         value = f" value={self._value!r}" if self._value is not None else ""
@@ -194,7 +204,7 @@ class Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._triggered = True
-        env._push(self, env._now, URGENT)
+        env._push(self, env.now, URGENT)
 
 
 class Interrupt(Exception):
@@ -211,10 +221,11 @@ class Process(Event):
 
     The process is itself an event that fires when the generator
     returns (its value is the generator's return value), so processes
-    can wait on each other by yielding them.
+    can wait on each other by yielding them.  A process sleeps by
+    yielding a float delay or a tuple of them (module docstring).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_born")
+    __slots__ = ("_generator", "_target", "name", "_born", "_wake_seq")
 
     def __init__(self, env: "Environment", generator: Generator, name: str | None = None):
         if not hasattr(generator, "throw"):
@@ -223,7 +234,10 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        self._born = env._now
+        self._born = env.now
+        #: seq of its one live heap entry (a pending wake, or its own
+        #: firing once finished); other entries holding it are stale.
+        self._wake_seq = 0
         env._procs[self] = None
         init = Initialize(env)
         init.callbacks.append(self._resume)
@@ -257,55 +271,75 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
+        self._wake_seq = 0  # a pending sleep wake is stale from now on
         interrupt_ev = Event(self.env)
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)
         interrupt_ev._defused = True
         interrupt_ev._triggered = True
         interrupt_ev.callbacks.append(self._resume)
-        self.env._push(interrupt_ev, self.env._now, URGENT)
+        self.env._push(interrupt_ev, self.env.now, URGENT)
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Optional[Event]) -> None:
+        """Send the generator the value of the event it waited on (None
+        for a sleep's wake) or throw it the event's failure, then sleep
+        or wait as its next yield asks."""
         self._target = None
         try:
-            if event._ok:
+            if event is None:
+                next_event = self._generator.send(None)
+            elif event._ok:
                 next_event = self._generator.send(event._value)
             else:
                 event._defused = True
                 next_event = self._generator.throw(event._value)
-        except StopIteration as stop:
-            self._finish(True, stop.value)
-            return
-        except StopProcess as stop:
+        except (StopIteration, StopProcess) as stop:
             self._finish(True, stop.value)
             return
         except BaseException as exc:  # process crashed
             self._finish(False, exc)
             return
-        if not isinstance(next_event, Event):
-            exc = SimulationError(
-                f"process {self.name!r} yielded non-event {next_event!r}"
-            )
-            try:
-                self._generator.throw(exc)
-            except BaseException as inner:
-                self._finish(False, inner)
-            return
         env = self.env
-        if next_event.env is not env:
-            self._finish(False, SimulationError("event from a different environment"))
+        kind = type(next_event)
+        if kind is float or kind is tuple:
+            when = env.now
+            try:
+                for d in next_event if kind is tuple else (next_event,):
+                    if d < 0:
+                        break
+                    when += d
+                else:
+                    env._seqno = seq = env._seqno + 1
+                    self._wake_seq = seq
+                    heappush(env._queue, (when, NORMAL, seq, self))
+                    return
+                problem = "slept a negative delay in"
+            except TypeError:
+                problem = "yielded"
+        elif isinstance(next_event, Event):
+            if next_event.env is not env:
+                self._finish(False, SimulationError(
+                    "event from a different environment"))
+            elif next_event._processed:
+                # Already fired: a direct resume, its seq drawn from the
+                # heap's counter, dispatches where a bridge event at
+                # (now, URGENT, seq) would have.
+                self._target = next_event
+                env._seqno = seq = env._seqno + 1
+                env._pending.append((seq, self, next_event))
+                env.direct_resumes += 1
+            else:
+                self._target = next_event
+                next_event.callbacks.append(self._resume)
             return
-        self._target = next_event
-        if next_event._processed:
-            # Already fired: queue a direct resume.  The entry draws a
-            # sequence number from the same counter as heap pushes, so
-            # it dispatches exactly where a bridge event scheduled at
-            # (now, URGENT, seq) would have.
-            env._seqno = seq = env._seqno + 1
-            env._pending.append((seq, self, next_event))
-            env.direct_resumes += 1
         else:
-            next_event.callbacks.append(self._resume)
+            problem = "yielded non-event"
+        # Raise the misuse in the process, at its yield.
+        failed = Event(env)
+        failed._ok = False
+        failed._value = SimulationError(
+            f"process {self.name!r} {problem} {next_event!r}")
+        self._resume(failed)
 
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
@@ -314,8 +348,9 @@ class Process(Event):
         env = self.env
         del env._procs[self]
         if env._trace is not None:
-            env._trace.record_process(self.name, self._born, env._now)
-        env._push(self, env._now, NORMAL)
+            env._trace.record_process(self.name, self._born, env.now)
+        env._push(self, env.now, NORMAL)
+        self._wake_seq = env._seqno
 
 
 class Condition(Event):
@@ -382,7 +417,8 @@ class Environment:
     Perf counters (plain integers; see :mod:`repro.perf.counters`):
 
     ``events_processed``
-        heap events dispatched (direct resumes counted separately);
+        heap entries dispatched -- events and sleep wakes, stale ones
+        included (direct resumes counted separately);
     ``direct_resumes``
         already-processed-event resumes served from the deque;
     ``timeouts_created`` / ``timeouts_reused``
@@ -396,7 +432,8 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: current simulated time (written only by the dispatch loop).
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seqno = 0
         #: direct resumes waiting to dispatch: (seq, process, event).
@@ -427,11 +464,6 @@ class Environment:
     def trace(self):
         """The attached kernel trace, or None when tracing is off."""
         return self._trace
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def events_scheduled(self) -> int:
@@ -496,37 +528,9 @@ class Environment:
             ev.delay = delay
             self.timeouts_reused += 1
             self._seqno = seq = self._seqno + 1
-            heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
+            heappush(self._queue, (self.now + delay, NORMAL, seq, ev))
             return ev
         return Timeout(self, delay, value)
-
-    def timeout_chain(self, delays: Iterable[float], value: Any = None) -> Timeout:
-        """One event standing in for several back-to-back timeouts.
-
-        The wake-up time is accumulated with the *same float additions*
-        a chain of ``yield env.timeout(d)`` steps would perform, so
-        replacing such a chain with ``yield env.timeout_chain(delays)``
-        is bit-identical in simulated time while scheduling a single
-        event instead of ``len(delays)`` (the transfer fast path's
-        per-chunk CPU/dispatch coalescing relies on this).
-        """
-        when = self._now
-        for d in delays:
-            if d < 0:
-                raise SimulationError(f"negative timeout delay {d!r}")
-            when += d
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = value
-            ev._processed = False
-            ev.delay = when - self._now
-            self.timeouts_reused += 1
-            self._seqno = seq = self._seqno + 1
-            heapq.heappush(self._queue, (when, NORMAL, seq, ev))
-            return ev
-        return Timeout(self, when - self._now, value, _at=when)
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start a new process from ``generator``."""
@@ -548,7 +552,7 @@ class Environment:
     def _push(self, event: Event, when: float, priority: int) -> None:
         """Schedule ``event`` at absolute time ``when``."""
         self._seqno = seq = self._seqno + 1
-        heapq.heappush(self._queue, (when, priority, seq, event))
+        heappush(self._queue, (when, priority, seq, event))
 
     def schedule(self, event: Event, when: float, value: Any = None) -> None:
         """Trigger ``event`` to succeed with ``value`` at absolute time
@@ -556,7 +560,7 @@ class Environment:
         would succeed it.  Its heap key is the one that timeout would
         get, ``(when, NORMAL, seq)`` with a fresh ``seq``.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(f"cannot schedule at {when!r} before now")
         if event._triggered:
             raise SimulationError("event already triggered")
@@ -564,12 +568,12 @@ class Environment:
         event._value = value
         event._triggered = True
         self._seqno = seq = self._seqno + 1
-        heapq.heappush(self._queue, (when, NORMAL, seq, event))
+        heappush(self._queue, (when, NORMAL, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         if self._pending:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def _next_is_pending(self) -> bool:
@@ -579,7 +583,7 @@ class Environment:
         if not self._queue:
             return True
         when, priority, seq, _ev = self._queue[0]
-        now = self._now
+        now = self.now
         # A pending resume dispatches at (now, URGENT, its seq).
         return when > now or (when == now and (priority == NORMAL
                                                or seq > self._pending[0][0]))
@@ -594,13 +598,20 @@ class Environment:
             return
         if not self._queue:
             raise SimulationError("no more events")
-        when, _prio, _seq, event = heapq.heappop(self._queue)
+        when, _prio, seq, event = heappop(self._queue)
         qlen = len(self._queue) + 1
         if qlen > self.heap_peak:
             self.heap_peak = qlen
-        self._now = when
+        self.now = when
         if self._trace is not None:
             self._trace.record_event(when, event)
+        if type(event) is Process and (event._wake_seq != seq
+                                       or event._ok is None):
+            # A sleep's wake (or a stale one, dropped).
+            if event._wake_seq == seq:
+                event._resume(None)
+            self.events_processed += 1
+            return
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -636,10 +647,10 @@ class Environment:
             target._defused = True
             raise target._value
         horizon = float(until)
-        if horizon < self._now:
+        if horizon < self.now:
             raise SimulationError("cannot run backwards in time")
         self._dispatch(horizon)
-        self._now = horizon
+        self.now = horizon
         return None
 
     def _dispatch(self, until: Optional[float | Event]) -> None:
@@ -652,13 +663,14 @@ class Environment:
         queue = self._queue
         pending = self._pending
         pool = self._timeout_pool
-        heappop_ = heapq.heappop
+        heappop_ = heappop
         refcount_ = getrefcount
         timeout_type = Timeout
+        process_type = Process
         trace_ = self._trace
         horizon = until if type(until) is float else None
         target = until if isinstance(until, Event) else None
-        now = self._now
+        now = self.now
         processed = self.events_processed
         peak = self.heap_peak
         try:
@@ -691,10 +703,17 @@ class Environment:
                 qlen = len(queue)
                 if qlen > peak:
                     peak = qlen
-                when, _prio, _seq, event = heappop_(queue)
-                now = self._now = when
+                when, _prio, seq, event = heappop_(queue)
+                now = self.now = when
                 if trace_ is not None:
                     trace_.record_event(when, event)
+                if type(event) is process_type and (
+                        event._wake_seq != seq or event._ok is None):
+                    # A sleep's wake; a stale one (interrupted) is dropped.
+                    if event._wake_seq == seq:
+                        event._resume(None)
+                    processed += 1
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True

@@ -108,7 +108,7 @@ def nfs_client(
             while offset < size:
                 n = min(bs, size - offset)
                 if spec.client_block_cpu:
-                    yield env.timeout(spec.client_block_cpu)
+                    yield spec.client_block_cpu
                 yield from server.serve_block_read(conn, path, offset, n, client_cap)
                 offset += window * bs
 
@@ -139,7 +139,7 @@ def nfs_writer(
     while offset < size:
         n = min(bs, size - offset)
         if spec.client_block_cpu:
-            yield env.timeout(spec.client_block_cpu)
+            yield spec.client_block_cpu
         yield from server.serve_block_write(conn, path, offset, n, client_cap)
         offset += n
     log.results.append(

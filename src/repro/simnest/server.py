@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Sequence
 
@@ -42,36 +43,34 @@ from repro.simnest.gate import PumpGate
 from repro.simnest.protocolspec import DEFAULT_SPECS, ProtocolSpec
 
 
+def _tally() -> defaultdict[str, int]:
+    return defaultdict(int)
+
+
 @dataclass
 class ServerStats:
     """Counters a simulated server accumulates for the benches."""
 
-    bytes_by_protocol: dict[str, int] = field(default_factory=dict)
-    bytes_by_user: dict[str, int] = field(default_factory=dict)
-    requests_by_protocol: dict[str, int] = field(default_factory=dict)
+    bytes_by_protocol: defaultdict[str, int] = field(default_factory=_tally)
+    bytes_by_user: defaultdict[str, int] = field(default_factory=_tally)
+    requests_by_protocol: defaultdict[str, int] = field(default_factory=_tally)
     latencies: list[float] = field(default_factory=list)
-    model_assignments: dict[str, int] = field(default_factory=dict)
+    model_assignments: defaultdict[str, int] = field(default_factory=_tally)
 
     #: bytes actually moved so far, per protocol (updated per chunk,
     #: so windowed bandwidth measurement sees partial transfers).
-    progress_by_protocol: dict[str, int] = field(default_factory=dict)
+    progress_by_protocol: defaultdict[str, int] = field(default_factory=_tally)
 
     def moved(self, protocol: str, nbytes: int) -> None:
-        self.progress_by_protocol[protocol] = (
-            self.progress_by_protocol.get(protocol, 0) + nbytes
-        )
+        self.progress_by_protocol[protocol] += nbytes
 
     def account(self, protocol: str, nbytes: int, latency: float, model: str,
                 user: str = "anonymous") -> None:
-        self.bytes_by_protocol[protocol] = (
-            self.bytes_by_protocol.get(protocol, 0) + nbytes
-        )
-        self.bytes_by_user[user] = self.bytes_by_user.get(user, 0) + nbytes
-        self.requests_by_protocol[protocol] = (
-            self.requests_by_protocol.get(protocol, 0) + 1
-        )
+        self.bytes_by_protocol[protocol] += nbytes
+        self.bytes_by_user[user] += nbytes
+        self.requests_by_protocol[protocol] += 1
         self.latencies.append(latency)
-        self.model_assignments[model] = self.model_assignments.get(model, 0) + 1
+        self.model_assignments[model] += 1
 
 
 class Connection:
@@ -142,13 +141,10 @@ class SimNest:
             work_conserving=self.config.work_conserving,
             share_by=self.config.share_by,
         )
-        grant_cost = (
-            self.STRIDE_GRANT_COST if self.config.scheduling == "stride" else 0.0
-        )
+        stride = self.config.scheduling == "stride"
         self.gate = PumpGate(
             env, self.scheduler, workers=self.config.transfer_workers,
-            grant_cost=grant_cost,
-        )
+            grant_cost=self.STRIDE_GRANT_COST if stride else 0.0)
         #: per-transfer concurrency model (Fig. 5): "adaptive" deals
         #: transfers among ``models``; a model name pins every transfer
         #: to it.
@@ -212,9 +208,6 @@ class SimNest:
         """One network round trip."""
         return 2 * self.platform.net_latency
 
-    def _cap_for(self, spec: ProtocolSpec, client_cap: float) -> float:
-        return client_cap
-
     def _parse_cost(self, spec: ProtocolSpec) -> float:
         cost = spec.parse_cost_factor * self.platform.request_parse_cost
         if not self.is_native:
@@ -231,11 +224,10 @@ class SimNest:
         """
         spec = self.specs[protocol]
         if spec.setup_rtts:
-            # One batched timeout for the whole control dialogue
-            # (bit-identical end time to yielding each RTT in turn).
-            yield self.env.timeout_chain([self.rtt()] * spec.setup_rtts)
-        conn = Connection(protocol, user)
-        return conn
+            # One sleep for the whole control dialogue (bit-identical
+            # end time to sleeping each RTT in turn).
+            yield (self.rtt(),) * spec.setup_rtts
+        return Connection(protocol, user)
 
     # ------------------------------------------------------------------
     # whole-file transfers (chirp / http / ftp / gridftp)
@@ -248,19 +240,17 @@ class SimNest:
         Returns (bytes_moved, service_latency) via the generator value.
         """
         spec = self.specs[conn.protocol]
-        cap = self._cap_for(spec, client_cap or self.platform.client_nic_bw)
+        cap = client_cap or self.platform.client_nic_bw
         env = self.env
-        # Request travel + parse as one batched timeout; ``start`` is
-        # the post-travel instant, computed with the same float add the
-        # kernel would use (bit-identical to yielding each in turn).
+        # Request travel + parse as one sleep; ``start`` is the
+        # post-travel instant, computed with the same float add the
+        # kernel uses (bit-identical to sleeping each in turn).
         start = env.now + self.platform.net_latency
-        yield env.timeout_chain((self.platform.net_latency, self._parse_cost(spec)))
+        yield (self.platform.net_latency, self._parse_cost(spec))
         try:
-            ticket = self.storage.approve_get(conn.user, path)
-            ticket.stream.close()
+            size = self.storage.check_get(conn.user, path)
         except StorageError as exc:
             raise SimRequestError(exc.status, path) from exc
-        size = ticket.size
         model = self.selector.choose()
         job = make_job(conn.protocol, user=conn.user, path=path, total_bytes=size)
         self.scheduler.add(job)
@@ -284,18 +274,16 @@ class SimNest:
                 n = min(chunk, size - offset)
                 yield gate.acquire(job, n)
                 try:
-                    yield env.timeout_chain(
-                        self._overhead_delays(model, first) + (per_chunk_cpu,)
-                    )
+                    yield self._overhead_delays(model, first) + (per_chunk_cpu,)
                     yield from read(path, offset, n)
                     if model == EVENTS:
                         # Async sends: overlap this chunk's send with the
                         # next chunk's read; bound buffering to one chunk.
                         if pending_send is not None:
                             yield pending_send
-                        pending_send = link.transfer(n, cap=cap, group=protocol)
+                        pending_send = link.transfer(n, cap, protocol)
                     else:
-                        yield link.transfer(n, cap=cap, group=protocol)
+                        yield link.transfer(n, cap, protocol)
                 finally:
                     gate.release(job, n)
                 self.stats.moved(protocol, n)
@@ -308,7 +296,7 @@ class SimNest:
                 self._active_threads -= 1
             self.scheduler.remove(job)
         self._observe(False, path, 0, size)
-        yield self.env.timeout(self.platform.net_latency)  # last ack back
+        yield self.platform.net_latency  # last ack back
         elapsed = self.env.now - start
         self.selector.report(model, size, elapsed)
         self.stats.account(conn.protocol, size, elapsed, model, user=conn.user)
@@ -320,10 +308,10 @@ class SimNest:
     ) -> Generator:
         """Process step: receive one whole file from the client."""
         spec = self.specs[conn.protocol]
-        cap = self._cap_for(spec, client_cap or self.platform.client_nic_bw)
+        cap = client_cap or self.platform.client_nic_bw
         env = self.env
         start = env.now + self.platform.net_latency
-        yield env.timeout_chain((self.platform.net_latency, self._parse_cost(spec)))
+        yield (self.platform.net_latency, self._parse_cost(spec))
         try:
             ticket = self.storage.approve_put(conn.user, path, size)
         except StorageError as exc:
@@ -339,7 +327,7 @@ class SimNest:
             self.scheduler.remove(job)
             ticket.settle(size)
         self._observe(True, path, 0, size)
-        yield self.env.timeout(self.platform.net_latency)
+        yield self.platform.net_latency
         elapsed = self.env.now - start
         self.selector.report(model, size, elapsed)
         self.stats.account(conn.protocol, size, elapsed, model, user=conn.user)
@@ -355,31 +343,29 @@ class SimNest:
         """Process step: one NFS READ rpc."""
         protocol = conn.protocol
         spec = self.specs[protocol]
-        cap = self._cap_for(spec, client_cap or self.platform.client_nic_bw)
+        cap = client_cap or self.platform.client_nic_bw
         env = self.env
         net_latency = self.platform.net_latency
         start = env.now + net_latency
-        yield env.timeout_chain((net_latency, self._parse_cost(spec)))
+        yield (net_latency, self._parse_cost(spec))
         job = self._block_job(conn, path)
         gate = self.gate
         yield gate.acquire(job, nbytes)
         model = self._fixed_model()
         try:
             # Concurrency overhead + protocol per-chunk CPU as one
-            # batched timeout (bit-identical end time, fewer events).
-            yield env.timeout_chain(
-                self._overhead_delays(model, first=job.bytes_moved == 0)
-                + (spec.per_chunk_cpu,)
-            )
+            # sleep (bit-identical end time, fewer events).
+            yield (self._overhead_delays(model, first=job.bytes_moved == 0)
+                   + (spec.per_chunk_cpu,))
             yield from self._reader(model)(path, offset, nbytes)
-            yield self.link.transfer(nbytes, cap=cap, group=protocol)
+            yield self.link.transfer(nbytes, cap, protocol)
         finally:
             gate.release(job, nbytes)
             if job is not conn.flow_job:
                 self.scheduler.remove(job)
         self.stats.moved(protocol, nbytes)
         self._observe(False, path, offset, nbytes)
-        yield env.timeout(net_latency)
+        yield net_latency
         elapsed = env.now - start
         self.stats.account(protocol, nbytes, elapsed, model, user=conn.user)
         return nbytes, elapsed
@@ -390,10 +376,10 @@ class SimNest:
     ) -> Generator:
         """Process step: one NFS WRITE rpc."""
         spec = self.specs[conn.protocol]
-        cap = self._cap_for(spec, client_cap or self.platform.client_nic_bw)
+        cap = client_cap or self.platform.client_nic_bw
         env = self.env
         start = env.now + self.platform.net_latency
-        yield env.timeout_chain((self.platform.net_latency, self._parse_cost(spec)))
+        yield (self.platform.net_latency, self._parse_cost(spec))
         try:
             ticket = self.storage.approve_write(conn.user, path, offset, nbytes)
             ticket.settle(nbytes)
@@ -405,7 +391,7 @@ class SimNest:
         yield self.gate.acquire(job, nbytes)
         try:
             yield self.link.transfer(nbytes, cap=cap, group=conn.protocol)
-            yield self.env.timeout(spec.per_chunk_cpu)
+            yield spec.per_chunk_cpu
             yield from self.fs.write(path, offset, nbytes)
         finally:
             self.gate.release(job, nbytes)
@@ -413,7 +399,7 @@ class SimNest:
                 self.scheduler.remove(job)
         self.stats.moved(conn.protocol, nbytes)
         self._observe(True, path, offset, nbytes)
-        yield self.env.timeout(self.platform.net_latency)
+        yield self.platform.net_latency
         elapsed = self.env.now - start
         self.stats.account(conn.protocol, nbytes, elapsed, self._fixed_model(),
                            user=conn.user)
@@ -457,9 +443,9 @@ class SimNest:
     def _overhead_delays(self, model: str, first: bool) -> tuple[float, ...]:
         """Per-chunk concurrency-model CPU delays, in the order the
         model pays them.  Returned as a tuple so the hot loops can
-        coalesce them (plus the protocol's per-chunk CPU) into a single
-        batched timeout via ``env.timeout_chain`` -- same simulated
-        end time, one kernel event instead of up to three."""
+        coalesce them (plus the protocol's per-chunk CPU) into one
+        sleep, ``yield delays`` -- same simulated end time, one kernel
+        event instead of up to three."""
         p = self.platform
         if model == THREADS:
             factor = self._thread_overload_factor()
@@ -487,21 +473,20 @@ class SimNest:
     def _staged_read(self, model: str, path: str, offset: int,
                      nbytes: int) -> Generator:
         """Read through the event loop or a SEDA stage."""
+        # The single-threaded loop is busy for the whole read.  SEDA
+        # routes by stage: cache-resident reads take the fast
+        # event-driven path; only disk-bound work enters the bounded
+        # disk stage (admission control over the spindle).
         if model == EVENTS:
-            # The single-threaded loop is busy for the whole read.
-            with self._event_loop.request() as grant:
-                yield grant
-                yield from self.fs.read(path, offset, nbytes)
-        elif model == SEDA:
-            # Stage routing: cache-resident reads take the fast
-            # event-driven path; only disk-bound work enters the
-            # bounded disk stage (admission control over the spindle).
-            if self.fs.cache.is_resident(path, offset, nbytes):
-                yield from self.fs.read(path, offset, nbytes)
-            else:
-                with self._seda_disk_stage.request() as grant:
-                    yield grant
-                    yield from self.fs.read(path, offset, nbytes)
+            stage = self._event_loop
+        elif self.fs.cache.is_resident(path, offset, nbytes):
+            yield from self.fs.read(path, offset, nbytes)
+            return
+        else:
+            stage = self._seda_disk_stage
+        with stage.request() as grant:
+            yield grant
+            yield from self.fs.read(path, offset, nbytes)
 
     def _pump_in(self, job: TransferJob, spec: ProtocolSpec, path: str,
                  size: int, cap: float, model: str) -> Generator:
@@ -514,9 +499,9 @@ class SimNest:
             n = min(chunk, size - offset)
             yield self.gate.acquire(job, n)
             try:
-                yield env.timeout_chain(self._overhead_delays(model, first))
+                yield self._overhead_delays(model, first)
                 yield self.link.transfer(n, cap=cap, group=job.protocol)
-                yield env.timeout(spec.per_chunk_cpu)
+                yield spec.per_chunk_cpu
                 yield from self.fs.write(path, offset, n)
             finally:
                 self.gate.release(job, n)
@@ -592,12 +577,8 @@ class SimJbos:
         agg = ServerStats()
         for server in self.servers.values():
             for proto, nbytes in server.stats.bytes_by_protocol.items():
-                agg.bytes_by_protocol[proto] = (
-                    agg.bytes_by_protocol.get(proto, 0) + nbytes
-                )
+                agg.bytes_by_protocol[proto] += nbytes
             for proto, count in server.stats.requests_by_protocol.items():
-                agg.requests_by_protocol[proto] = (
-                    agg.requests_by_protocol.get(proto, 0) + count
-                )
+                agg.requests_by_protocol[proto] += count
             agg.latencies.extend(server.stats.latencies)
         return agg

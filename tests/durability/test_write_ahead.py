@@ -234,3 +234,91 @@ def test_a_put_whose_commit_never_lands_is_undone(tmp_path, backend, old):
         get.settle(len(old))
     assert _staged_left(store) == []
     assert manager.journal._batch_errors == {}
+
+
+def _shrink_setup(state_dir):
+    """A durable, lot-charged ``/a/x`` of 10 bytes, and a 3-byte PUT
+    over it approved and written, not yet settled."""
+    store = MemoryStore()
+    storage = StorageManager(store=store, capacity_bytes=1 << 20,
+                             clock=lambda: 1000.0, require_lots=True)
+    manager = DurabilityManager(str(state_dir))
+    manager.recover_into(storage)
+    storage.lots.create_lot("admin", 1 << 16, 3600.0)
+    storage.mkdir("admin", "/a")
+    ticket = storage.approve_put("admin", "/a/x", 10)
+    ticket.stream.write(b"0123456789")
+    ticket.settle(10)
+    before = storage.serialize_state()
+    mark = manager.journal.last_seq
+    ticket = storage.approve_put("admin", "/a/x", 3)
+    ticket.stream.write(b"abc")
+    return store, storage, manager, ticket, before, mark
+
+
+def _reads_its_size(storage):
+    size = storage.stat("admin", "/a/x")["size"]
+    get = storage.approve_get("admin", "/a/x")
+    data = get.stream.read(100)
+    get.settle(len(data))
+    return size == len(data)
+
+
+def test_a_shrinking_overwrite_is_undone_whichever_record_fails(tmp_path):
+    """A shrinking overwrite gives back lot space as it commits.  Each
+    record its commit journals is failed with EIO in turn: the settle
+    fails, the live state is the one from before the PUT, a restart
+    finds that same state, and the file stats the size it reads."""
+    _store, _storage, manager, ticket, _before, mark = _shrink_setup(
+        tmp_path / "clean")
+    ticket.settle(3)
+    records = manager.journal.last_seq - mark
+    assert records >= 1
+    for k in range(1, records + 1):
+        state_dir = tmp_path / f"eio-{k}"
+        store, storage, manager, ticket, before, mark = _shrink_setup(
+            state_dir)
+        manager.journal._faults = DiskFaultPlan.eio_at_record(mark + k)
+        with pytest.raises(StorageError) as failed:
+            ticket.settle(3)
+        assert failed.value.status is Status.SERVER_ERROR
+        assert storage.serialize_state() == before, f"record {k}"
+        assert _reads_its_size(storage)
+        restarted = StorageManager(store=store, capacity_bytes=1 << 20,
+                                   clock=lambda: 1000.0, require_lots=True)
+        DurabilityManager(str(state_dir)).recover_into(restarted)
+        assert restarted.serialize_state() == before, f"record {k}"
+        assert _reads_its_size(restarted)
+
+
+def test_a_journal_with_the_release_as_its_own_record_replays_the_same(
+        tmp_path):
+    """A journal written before the shrink's release rode in its
+    ``put_commit``: the commit is followed by its own ``lot_release``.
+    Recovering it gives the state the one-record commit leaves."""
+    store, storage, manager, ticket, _before, _mark = _shrink_setup(
+        tmp_path / "live")
+    ticket.settle(3)
+    live = storage.serialize_state()
+    manager.journal.close()
+    records = MetadataJournal(
+        str(tmp_path / "live" / "journal.log")).replay().records
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    old = MetadataJournal(str(old_dir / "journal.log"), fsync=False)
+    (lot_id,) = storage.lots.charges_of("/a/x")
+    released = 0
+    for rec in records:
+        fields = {k: v for k, v in rec.items()
+                  if k not in ("type", "seq", "v")}
+        released += fields.pop("release", 0)
+        old.append(rec["type"], fields)
+        if rec["type"] == "put_commit" and released:
+            old.append("lot_release", {"lot_id": lot_id, "path": "/a/x",
+                                       "nbytes": released})
+    old.close()
+    assert released == 7
+    recovered = StorageManager(store=store, capacity_bytes=1 << 20,
+                               clock=lambda: 1000.0, require_lots=True)
+    DurabilityManager(str(old_dir)).recover_into(recovered)
+    assert recovered.serialize_state() == live

@@ -1,6 +1,7 @@
 """The door, socket-birth, one-accept-loop, shares-no-manager,
-one-periodic-loop, one-journal-write-site, one-commit-site and
-closed-environment rules of ``scripts/lint_datapath.py``."""
+one-periodic-loop, one-journal-write-site, one-commit-site,
+closed-environment, no-closure-per-event and sleep-without-an-event
+rules of ``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -434,3 +435,35 @@ class Link:
     assert flagged == [5, 11]
     assert lint._callback_violations(source, "simnest/link.py") != []
     assert lint._callback_violations(source, "nest/link.py") == []
+
+
+def test_the_simulator_processes_sleep_without_an_event():
+    root = REPO / "src" / "repro"
+    checked = [path.relative_to(root).as_posix()
+               for path in sorted(root.rglob("*.py"))]
+    assert {"models/disk.py", "simnest/server.py"} <= set(checked)
+    assert [v for rel in checked
+            for v in lint._sleep_violations(root / rel, rel)] == []
+
+
+def test_a_yielded_timeout_is_flagged(tmp_path):
+    source = tmp_path / "disk.py"
+    source.write_text('''
+class Disk:
+    def io(self, env, nbytes):
+        yield env.timeout(self.seek)                          # flagged
+        yield self.env.timeout_chain((self.seek, nbytes))     # flagged
+        yield (
+            self.env.timeout(nbytes / self.bw))               # flagged
+        yield self.seek
+        yield (self.seek, nbytes / self.bw)
+        wake = env.timeout(1.0)
+        wake.callbacks.append(self.on_wake)
+        yield wake
+''')
+    flagged = [int(line.split(":")[1])
+               for line in lint._sleep_violations(source, "models/disk.py")]
+    assert flagged == [4, 5, 6]
+    assert lint._sleep_violations(source, "simnest/disk.py") != []
+    assert lint._sleep_violations(source, "sim/disk.py") == []
+    assert lint._sleep_violations(source, "nest/disk.py") == []

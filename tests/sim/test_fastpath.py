@@ -1,4 +1,4 @@
-"""The kernel's fast paths: timeout pooling, direct resume of
+"""The kernel's fast paths: timeout pooling, tuple sleeps, direct resume of
 already-fired events, the interrupt stale-target fix, and reprs."""
 
 import pytest
@@ -49,9 +49,9 @@ def test_referenced_timeout_is_not_recycled():
     assert held[0].processed
 
 
-def test_timeout_chain_matches_sequential_yields():
-    """One batched timeout lands at the bit-exact same instant as the
-    chain of yields it replaces."""
+def test_tuple_sleep_matches_sequential_yields():
+    """One tuple sleep lands at the bit-exact same instant as the
+    chain of timeouts it replaces."""
     delays = [0.0013, 0.00007, 0.1, 3e-9]
     env1 = Environment()
     times1 = []
@@ -68,7 +68,7 @@ def test_timeout_chain_matches_sequential_yields():
     times2 = []
 
     def chained():
-        yield env2.timeout_chain(delays)
+        yield tuple(delays)
         times2.append(env2.now)
 
     env2.process(chained())
@@ -76,10 +76,15 @@ def test_timeout_chain_matches_sequential_yields():
     assert repr(times1[0]) == repr(times2[0])
 
 
-def test_timeout_chain_rejects_negative_delay():
+def test_tuple_sleep_rejects_negative_delay():
     env = Environment()
+
+    def sleeper():
+        yield (0.1, -0.5)
+
+    env.process(sleeper())
     with pytest.raises(Exception):
-        env.timeout_chain([0.1, -0.5])
+        env.run()
 
 
 # ----------------------------------------------------------------------
