@@ -92,33 +92,32 @@ _POOL_LIMIT = 4096
 class Event:
     """A one-shot occurrence in simulated time.
 
-    An event begins *pending*, may be *triggered* (scheduled to fire),
-    and finally *processed* once its callbacks run.  Processes wait on
-    events by yielding them.  Once processed, ``callbacks`` is ``None``
-    (SimPy semantics): nothing may append to a processed event.
+    An event begins *pending*, may be *triggered* (scheduled to fire,
+    ``_ok`` set) and finally *processed* once its callbacks run.
+    Processes wait on events by yielding them.  Once processed,
+    ``callbacks`` is ``None`` (SimPy semantics): nothing may append to
+    a processed event.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[list[Callable[[Event], None]]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
-        self._triggered = False
-        self._processed = False
         self._defused = False
 
     # -- state ----------------------------------------------------------
     @property
     def triggered(self) -> bool:
         """True once the event has been scheduled to fire."""
-        return self._triggered
+        return self._ok is not None
 
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> Optional[bool]:
@@ -131,9 +130,9 @@ class Event:
         return self._value
 
     def _state_repr(self) -> str:
-        if self._processed:
+        if self.callbacks is None:
             state = "processed"
-        elif self._triggered:
+        elif self._ok is not None:
             state = "triggered"
         else:
             state = "pending"
@@ -143,18 +142,17 @@ class Event:
 
     def __repr__(self) -> str:
         value = ""
-        if self._triggered and self._value is not None:
+        if self._ok is not None and self._value is not None:
             value = f" value={self._value!r}"
         return f"<{type(self).__name__} {self._state_repr()}{value}>"
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self._triggered = True
         env = self.env
         env._seqno = seq = env._seqno + 1
         heappush(env._queue, (env.now, NORMAL, seq, self))
@@ -162,13 +160,12 @@ class Event:
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event as failed; waiters receive ``exc``."""
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError("event already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exc
-        self._triggered = True
         env = self.env
         env._push(self, env.now, NORMAL)
         return self
@@ -186,7 +183,6 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        self._triggered = True
         env.timeouts_created += 1
         env._push(self, env.now + delay, NORMAL)
 
@@ -203,7 +199,6 @@ class Initialize(Event):
     def __init__(self, env: "Environment"):
         super().__init__(env)
         self._ok = True
-        self._triggered = True
         env._push(self, env.now, URGENT)
 
 
@@ -276,7 +271,6 @@ class Process(Event):
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)
         interrupt_ev._defused = True
-        interrupt_ev._triggered = True
         interrupt_ev.callbacks.append(self._resume)
         self.env._push(interrupt_ev, self.env.now, URGENT)
 
@@ -320,7 +314,7 @@ class Process(Event):
             if next_event.env is not env:
                 self._finish(False, SimulationError(
                     "event from a different environment"))
-            elif next_event._processed:
+            elif next_event.callbacks is None:
                 # Already fired: a direct resume, its seq drawn from the
                 # heap's counter, dispatches where a bridge event at
                 # (now, URGENT, seq) would have.
@@ -344,7 +338,6 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
         self._value = value
-        self._triggered = True
         env = self.env
         del env._procs[self]
         if env._trace is not None:
@@ -366,7 +359,7 @@ class Condition(Event):
             self.succeed({})
             return
         for ev in self._events:
-            if ev._processed:
+            if ev.callbacks is None:
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
@@ -376,7 +369,7 @@ class Condition(Event):
                 f" {self._state_repr()}>")
 
     def _check(self, event: Event) -> None:
-        if self._triggered:
+        if self._ok is not None:
             return
         if not event._ok:
             event._defused = True
@@ -524,7 +517,6 @@ class Environment:
             ev = pool.pop()
             ev.callbacks = []
             ev._value = value
-            ev._processed = False
             ev.delay = delay
             self.timeouts_reused += 1
             self._seqno = seq = self._seqno + 1
@@ -562,11 +554,10 @@ class Environment:
         """
         if when < self.now:
             raise SimulationError(f"cannot schedule at {when!r} before now")
-        if event._triggered:
+        if event._ok is not None:
             raise SimulationError("event already triggered")
         event._ok = True
         event._value = value
-        event._triggered = True
         self._seqno = seq = self._seqno + 1
         heappush(self._queue, (when, NORMAL, seq, event))
 
@@ -614,7 +605,6 @@ class Environment:
             return
         callbacks = event.callbacks
         event.callbacks = None
-        event._processed = True
         for cb in callbacks:
             cb(event)
         self.events_processed += 1
@@ -640,7 +630,7 @@ class Environment:
         if isinstance(until, Event):
             target = until
             self._dispatch(target)
-            if not target._processed:
+            if target.callbacks is not None:
                 raise SimulationError("event never fired; queue exhausted")
             if target._ok:
                 return target._value
@@ -675,7 +665,7 @@ class Environment:
         peak = self.heap_peak
         try:
             while True:
-                if target is not None and target._processed:
+                if target is not None and target.callbacks is None:
                     return
                 if pending:
                     # A pending resume dispatches at (now, URGENT, seq):
@@ -716,7 +706,6 @@ class Environment:
                     continue
                 callbacks = event.callbacks
                 event.callbacks = None
-                event._processed = True
                 for cb in callbacks:
                     cb(event)
                 processed += 1

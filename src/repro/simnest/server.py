@@ -141,10 +141,13 @@ class SimNest:
             work_conserving=self.config.work_conserving,
             share_by=self.config.share_by,
         )
-        stride = self.config.scheduling == "stride"
+        grant_cost = (
+            self.STRIDE_GRANT_COST if self.config.scheduling == "stride" else 0.0
+        )
         self.gate = PumpGate(
             env, self.scheduler, workers=self.config.transfer_workers,
-            grant_cost=self.STRIDE_GRANT_COST if stride else 0.0)
+            grant_cost=grant_cost,
+        )
         #: per-transfer concurrency model (Fig. 5): "adaptive" deals
         #: transfers among ``models``; a model name pins every transfer
         #: to it.

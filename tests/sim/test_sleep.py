@@ -13,8 +13,9 @@ import pytest
 
 from repro.sim.core import Environment, Interrupt, SimulationError
 
-#: Few distinct delays, so many wakes land on the same instant.
-DELAYS = (0.0, 0.25, 0.5, 1.0)
+#: Few distinct delays, so many wakes land on the same instant; most
+#: are not binary fractions, so a sum taken in another order differs.
+DELAYS = (0.0, 0.1, 0.25, 0.3, 0.7)
 
 
 def _script(rng: random.Random, depth: int = 0) -> list:
@@ -87,6 +88,8 @@ def test_step_and_run_agree(seed):
 def _interrupted(sleeps: bool):
     with Environment() as env:
         seen = []
+        later = env.event()
+        env.schedule(later, 20.0, value="later")
 
         def sleep(d):
             return d if sleeps else env.timeout(d)
@@ -96,6 +99,9 @@ def _interrupted(sleeps: bool):
                 yield sleep(5.0)
             except Interrupt:
                 seen.append(("interrupted", env.now))
+            # Waiting on an event, not sleeping: the wake due at 5.0
+            # must not resume this wait.
+            seen.append(((yield later), env.now))
             yield sleep(10.0)
             seen.append(("woke", env.now))
 
@@ -112,7 +118,7 @@ def _interrupted(sleeps: bool):
 
 def test_an_interrupted_sleep_never_wakes_the_process_later():
     seen, processed = _interrupted(sleeps=True)
-    assert seen == [("interrupted", 1.0), ("woke", 11.0)]
+    assert seen == [("interrupted", 1.0), ("later", 20.0), ("woke", 30.0)]
     # The stale wake at 5.0 is dispatched and counted, as the
     # interrupted timeout was.
     assert (seen, processed) == _interrupted(sleeps=False)
