@@ -136,8 +136,7 @@ class StorageReplayer:
         a shrink's release rode in its ``put_commit`` -- a shrinking
         overwrite's commit whose ``lot_release`` never landed.  (A
         ``delete`` record takes the file's charges with it.)  Either
-        way the durable namespace
-        is the truth:
+        way the durable namespace is the truth:
         charges for paths without a file node are dropped entirely,
         and per-path charge totals above the node's size are trimmed
         to it.  Returns how many paths were adjusted.

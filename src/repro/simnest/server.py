@@ -230,7 +230,8 @@ class SimNest:
             # One sleep for the whole control dialogue (bit-identical
             # end time to sleeping each RTT in turn).
             yield (self.rtt(),) * spec.setup_rtts
-        return Connection(protocol, user)
+        conn = Connection(protocol, user)
+        return conn
 
     # ------------------------------------------------------------------
     # whole-file transfers (chirp / http / ftp / gridftp)
@@ -476,20 +477,21 @@ class SimNest:
     def _staged_read(self, model: str, path: str, offset: int,
                      nbytes: int) -> Generator:
         """Read through the event loop or a SEDA stage."""
-        # The single-threaded loop is busy for the whole read.  SEDA
-        # routes by stage: cache-resident reads take the fast
-        # event-driven path; only disk-bound work enters the bounded
-        # disk stage (admission control over the spindle).
         if model == EVENTS:
-            stage = self._event_loop
-        elif self.fs.cache.is_resident(path, offset, nbytes):
-            yield from self.fs.read(path, offset, nbytes)
-            return
-        else:
-            stage = self._seda_disk_stage
-        with stage.request() as grant:
-            yield grant
-            yield from self.fs.read(path, offset, nbytes)
+            # The single-threaded loop is busy for the whole read.
+            with self._event_loop.request() as grant:
+                yield grant
+                yield from self.fs.read(path, offset, nbytes)
+        elif model == SEDA:
+            # Stage routing: cache-resident reads take the fast
+            # event-driven path; only disk-bound work enters the
+            # bounded disk stage (admission control over the spindle).
+            if self.fs.cache.is_resident(path, offset, nbytes):
+                yield from self.fs.read(path, offset, nbytes)
+            else:
+                with self._seda_disk_stage.request() as grant:
+                    yield grant
+                    yield from self.fs.read(path, offset, nbytes)
 
     def _pump_in(self, job: TransferJob, spec: ProtocolSpec, path: str,
                  size: int, cap: float, model: str) -> Generator:
