@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Data-path lint for ``src/repro``.
 
-Twelve rules, enforced by AST walk (so docstrings and comments that merely
+Thirteen rules, enforced by AST walk (so docstrings and comments that merely
 *mention* a call don't trip them).
 
 Rule 1: no argless ``.read()`` calls.  ``stream.read()`` slurps the entire
@@ -107,6 +107,14 @@ back-to-back delays), which the kernel schedules under the same heap
 key with no event to allocate, recycle or call back.
 ``Environment.timeout`` stays for events that something else waits
 on (the link's wake, the gate's idle timer).
+
+Rule 13: one undo site.  In ``nest/storage.py`` and ``nest/lots.py``
+no ``_await_durable(`` or ``_commit(`` call sits in the body of a
+``try`` whose handler names ``StorageError``.  A failed journal flush
+is undone in one place, ``StorageManager._await_durable``, which puts
+back the pre-image of every slot the op's records wrote; a verb that
+wraps its own commit or wait in a handler is writing a second undo by
+hand, which the verbs without one drifted apart from.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 Usage: ``python scripts/lint_datapath.py`` (from anywhere in the repo).
@@ -492,6 +500,35 @@ def _sleep_violations(path: Path, rel: str) -> list[str]:
     ]
 
 
+#: Rule 13: the files whose verbs undo only through _await_durable.
+UNDO_FILES = ("nest/storage.py", "nest/lots.py")
+UNDO_CALLS = ("_await_durable", "_commit")
+
+
+def _catches_storage_error(handler: ast.ExceptHandler) -> bool:
+    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type])
+    return any(t is not None and _callee_name(t) == "StorageError"
+               for t in types)
+
+
+def _undo_violations(path: Path, rel: str) -> list[str]:
+    if rel not in UNDO_FILES:
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{call.lineno}: {_callee_name(call.func)}() inside a try "
+        "that catches StorageError -- let _await_durable undo a failed "
+        "flush"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Try)
+        and any(_catches_storage_error(h) for h in node.handlers)
+        for stmt in node.body for call in ast.walk(stmt)
+        if isinstance(call, ast.Call)
+        and _callee_name(call.func) in UNDO_CALLS
+    ]
+
+
 def _callee_name(func: ast.expr) -> str:
     if isinstance(func, ast.Attribute):
         return func.attr
@@ -513,6 +550,7 @@ def main() -> int:
         problems.extend(_snapshot_violations(path, rel))
         problems.extend(_callback_violations(path, rel))
         problems.extend(_sleep_violations(path, rel))
+        problems.extend(_undo_violations(path, rel))
         if rel in DOORS or rel.startswith(DOORLESS):
             problems.extend(_door_violations(path, DOORS.get(rel)))
         if rel.startswith("jbos/"):

@@ -57,8 +57,12 @@ BATCH_RECORDS = 64
 #: record and every snapshot document.  State written before stamping
 #: carries none and reads as version 1.  Version 2 journals a PUT as
 #: one ``put_commit`` naming its staged file; version 1 also opened it
-#: with a begin record, which this code no longer reads.
-FORMAT_VERSION = 2
+#: with a begin record.  Version 3 journals every verb as one record:
+#: a PUT's reservation and an aborted PUT's release journal nothing,
+#: the commit (or an NFS ``write``) carries its lot charges, and a
+#: ``lot_create`` lists the charges it reclaimed, the lots it emptied
+#: and the files it dropped.  This code reads neither older version.
+FORMAT_VERSION = 3
 
 
 class JournalError(OSError):

@@ -12,8 +12,8 @@ Recovery is three passes over durable state:
    effect: a ``rename``'s store rename, and a ``put_commit``'s rename
    of its staged file over the path -- the same store call.  A PUT
    with no durable commit never happened: its staged file is swept
-   with the other orphans, and the lot charges its approval reserved
-   are released (:meth:`StorageReplayer.reconcile_charges`).
+   with the other orphans, and a reservation a snapshot caught is
+   released (:meth:`StorageReplayer.reconcile_charges`).
 
 Lot *expiry* is deliberately absent from the journal: it is a pure
 function of ``expires_at`` vs the clock, re-derived lazily on the next
@@ -128,42 +128,25 @@ class StorageReplayer:
 
     # -- reconciliation ----------------------------------------------------
     def reconcile_charges(self) -> int:
-        """Release lot charges the journal left dangling.
-
-        Two crash windows produce them: a PUT's reservation
-        (``lot_charge`` of its staged name at approval) whose
-        ``put_commit`` never landed, and -- in a journal written before
-        a shrink's release rode in its ``put_commit`` -- a shrinking
-        overwrite's commit whose ``lot_release`` never landed.  (A
-        ``delete`` record takes the file's charges with it.)  Either
-        way the durable namespace is the truth:
-        charges for paths without a file node are dropped entirely,
-        and per-path charge totals above the node's size are trimmed
-        to it.  Returns how many paths were adjusted.
-        """
-        sizes: dict[str, int] = {}
+        """Release the lot charges of paths with no file: the
+        reservations of PUTs in flight when a snapshot was taken, which
+        died with the process.  (Every other charge rides in the record
+        of the verb that made its file.)  Returns how many paths were
+        released."""
+        files: set[str] = set()
 
         def walk(dirnode: DirNode, prefix: str) -> None:
             for name, child in dirnode.children.items():
                 path = prefix.rstrip("/") + "/" + name
                 if isinstance(child, FileNode):
-                    sizes[path] = child.size
+                    files.add(path)
                 else:
                     walk(child, path)
 
         walk(self.storage.root, "")
         lots = self.storage.lots
-        totals: dict[str, int] = {}
-        for lot in lots.lots.values():
-            for path, nbytes in lot.charges.items():
-                totals[path] = totals.get(path, 0) + nbytes
-        fixed = 0
-        for path, total in sorted(totals.items()):
-            size = sizes.get(path)
-            if size is None:
-                lots.release(path)
-                fixed += 1
-            elif total > size:
-                lots.release(path, total - size)
-                fixed += 1
-        return fixed
+        dangling = {path for lot in lots.lots.values()
+                    for path in lot.charges if path not in files}
+        for path in dangling:
+            lots.release(path)
+        return len(dangling)

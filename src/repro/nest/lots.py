@@ -31,6 +31,28 @@ from typing import Any, Callable, Iterable
 
 from repro.nest.backends import TEMP_SUFFIX
 
+#: A slot's pre-image when the slot held nothing.
+_ABSENT = object()
+
+
+def keep(undo: list | None, slots: dict, key) -> None:
+    """Note ``slots[key]``'s pre-image in ``undo`` before a record's
+    apply function writes it.  ``slots`` is a dict, or an object's
+    ``vars()`` for an attribute.  ``undo`` is the committing op's list;
+    it is None on replay and when no journal is bound, and then nothing
+    is kept."""
+    if undo is not None:
+        undo.append((slots, key, slots.get(key, _ABSENT)))
+
+
+def restore(undo: list) -> None:
+    """Put back every slot ``undo`` noted, newest first."""
+    for slots, key, old in reversed(undo):
+        if old is _ABSENT:
+            slots.pop(key, None)
+        else:
+            slots[key] = old
+
 
 class LotError(Exception):
     """Lot operation failed (no space, unknown lot, not owner...)."""
@@ -92,10 +114,10 @@ class LotManager:
     """Manages all lots on one NeST, with pluggable clock and enforcement.
 
     ``clock`` abstracts time so the same code runs live (``time.time``)
-    and on the DES (``lambda: env.now``).  :meth:`create_lot` returns
-    the file paths whose space it reclaimed from best-effort lots, so
-    the storage manager can delete the actual data; the lot manager
-    holds no reference back to it.
+    and on the DES (``lambda: env.now``).  :meth:`lot_record` lists the
+    charges a new lot reclaims from best-effort lots, so the storage
+    manager can drop the files they leave unbacked in the same record;
+    the lot manager holds no reference back to it.
     """
 
     def __init__(
@@ -123,7 +145,7 @@ class LotManager:
         #: to the attached lot first (Chirp's ``lot_attach``).
         self.attachments: dict[str, str] = {}
         self._next_id = 1
-        #: optional metadata-journal sink ``(rtype, **fields)``;
+        #: optional metadata-journal sink ``(rtype, fields, undo)``;
         #: :meth:`_commit` publishes every durable mutation here so the
         #: durability layer can rebuild lots after a crash
         #: (:mod:`repro.durability`).
@@ -155,25 +177,32 @@ class LotManager:
 
     def _commit(self, rtype: str, **fields) -> None:
         """Apply one lot mutation through :meth:`apply_record`, then
-        publish it to the bound journal sink -- the one place either
-        happens, so replay runs the code the live verb ran.
+        publish it, with the pre-images its apply kept, to the bound
+        journal sink -- the one place either happens, so replay runs
+        the code the live verb ran.
 
         Expiry is deliberately *not* journaled: it is a pure function
         of ``expires_at`` vs the clock, so recovery re-derives it
         lazily -- which is exactly how a lot that expired while the
         server was down comes back BEST_EFFORT.
         """
-        self.apply_record({"type": rtype, **fields})
-        if self.journal is not None:
-            self.journal(rtype, **fields)
+        rec = {"type": rtype, **fields}
+        if self.journal is None:
+            self.apply_record(rec)
+            return
+        undo: list = []
+        self.apply_record(rec, undo)
+        self.journal(rtype, fields, undo)
 
-    def apply_record(self, rec: dict[str, Any]) -> bool:
-        """Apply one lot record -- committed live, or replayed after a
-        crash; True when the type is a lot record."""
+    def apply_record(self, rec: dict[str, Any],
+                     undo: list | None = None) -> bool:
+        """Apply one lot record -- committed live, keeping the
+        pre-image of each slot it writes in ``undo``, or replayed after
+        a crash; True when the type is a lot record."""
         handler = getattr(self, "_r_" + str(rec.get("type")), None)
         if handler is None:
             return False
-        handler(rec)
+        handler(rec, undo)
         return True
 
     # ------------------------------------------------------------------
@@ -219,24 +248,34 @@ class LotManager:
 
     def create_lot(self, owner: str, capacity: int, duration: float,
                    volatile: bool = False) -> tuple[Lot, list[str]]:
-        """Create a lot, reclaiming best-effort space if necessary.
+        """Create a lot, reclaiming best-effort space if necessary, in
+        one ``lot_create`` record (:meth:`lot_record`).  Returns the lot
+        and the paths reclamation took a charge from, each once: the
+        storage manager's ``create_lot`` drops the files among them."""
+        rec = self.lot_record(owner, capacity, duration, volatile)
+        self._commit("lot_create", **rec)
+        return (self.lots[rec["lot_id"]],
+                list(dict.fromkeys(path for _, path, _ in rec["reclaimed"])))
 
-        Returns the lot and the paths reclamation took a charge from:
-        the caller deletes those no lot backs any more
-        (:meth:`StorageManager.create_lot
-        <repro.nest.storage.StorageManager.create_lot>`).  A
-        ``volatile`` lot (IBP volatile allocations) makes no space
-        guarantee: nothing is reclaimed for it, and its own data is
-        reclaimable at any time.
+    def lot_record(self, owner: str, capacity: int, duration: float,
+                   volatile: bool = False) -> dict[str, Any]:
+        """The fields of the ``lot_create`` record that makes a new
+        lot: the lot itself, the best-effort charges reclaiming space
+        for it takes (``reclaimed``: ``[lot_id, path, bytes]`` each)
+        and the lots that leaves empty (``emptied``).  A ``volatile``
+        lot (IBP volatile allocations) makes no space guarantee:
+        nothing is reclaimed for it, and its own data is reclaimable at
+        any time.  Changes nothing.
 
-        Raises :exc:`LotError`, before reclaiming anything, when the
-        arguments are bad or the guarantee cannot be met even after
-        reclaiming every best-effort byte.
+        Raises :exc:`LotError` when the arguments are bad or the
+        guarantee cannot be met even after reclaiming every
+        best-effort byte.
         """
         if capacity <= 0 or duration <= 0:
             raise LotError("capacity and duration must be positive")
         self.expire_lots()
-        reclaimed: list[str] = []
+        reclaimed: list[list] = []
+        emptied: list[str] = []
         if not volatile:
             shortfall = capacity - self.available_for_new_lot()
             if shortfall > 0:
@@ -246,13 +285,12 @@ class LotManager:
                         f"{self.available_for_new_lot()} free, "
                         f"{self.reclaimable_bytes()} reclaimable"
                     )
-                reclaimed = self._reclaim(shortfall)
+                reclaimed, emptied = self._reclaim(shortfall)
         now = self.clock()
-        lot_id = f"lot{self._next_id}"
-        self._commit("lot_create", lot_id=lot_id, owner=owner,
-                     capacity=int(capacity), expires_at=now + duration,
-                     volatile=volatile, last_used=now)
-        return self.lots[lot_id], reclaimed
+        return {"lot_id": f"lot{self._next_id}", "owner": owner,
+                "capacity": int(capacity), "expires_at": now + duration,
+                "volatile": volatile, "last_used": now,
+                "reclaimed": reclaimed, "emptied": emptied}
 
     def renew(self, lot_id: str, duration: float, owner: str | None = None) -> Lot:
         """Extend a lot's duration; best-effort lots reactivate if the
@@ -357,10 +395,22 @@ class LotManager:
             return None
         return self.lots.get(self.attachments[best])
 
-    def charge(self, owner: str, path: str, nbytes: int) -> None:
-        """Charge a file's growth against the lots ``owner`` can use
-        (an attached lot for the path first, then their own, then
-        group lots).
+    def charge(self, owner: str, path: str, nbytes: int) -> dict[str, int]:
+        """Charge ``path`` ``nbytes`` more (:meth:`plan_charge`) in
+        memory only, and return the bytes taken from each lot: a PUT's
+        reservation, under a staged name no restart keeps.  What a
+        commit charges a file rides in its record (``charges``)."""
+        takes = self.plan_charge(owner, path, nbytes)
+        self.add_charges(path, takes)
+        return takes
+
+    def plan_charge(self, owner: str, path: str,
+                    nbytes: int) -> dict[str, int]:
+        """The bytes to charge ``path`` in each lot, by lot id, for
+        ``nbytes`` of growth against the lots ``owner`` can use (an
+        attached lot for the path first, then their own, then group
+        lots).  Changes nothing but lazy expiry; raises
+        :exc:`LotError` when they have no room.
 
         In ``nest`` mode the bytes are packed into specific active lots
         (spanning as needed); in ``quota`` mode only the per-user total
@@ -368,9 +418,8 @@ class LotManager:
         lot for bookkeeping -- including its overfill caveat.
         """
         if nbytes <= 0:
-            return
+            return {}
         self.expire_lots()
-        now = self.clock()
         mine = [l for l in self.lots.values()
                 if self._usable_by(owner, l) and l.state is LotState.ACTIVE]
         attached = self._attached_lot(path)
@@ -384,29 +433,39 @@ class LotManager:
                 raise LotError(
                     f"user {owner!r} over quota: {used}+{nbytes} > {limit}"
                 )
-            self._commit("lot_charge", lot_id=mine[0].lot_id, path=path,
-                         nbytes=nbytes, last_used=now)
-            return
+            return {mine[0].lot_id: nbytes}
         # nest-managed: pack into lots with room, spanning if needed.
-        # Check first so a failed charge leaves no partial state.
         total_free = sum(lot.free for lot in mine)
         if nbytes > total_free:
             raise LotError(
                 f"user {owner!r} out of lot space: {nbytes - total_free} bytes over"
             )
+        takes: dict[str, int] = {}
         remaining = nbytes
         for lot in mine:
-            room = lot.free
-            if room <= 0:
-                continue
-            take = min(room, remaining)
-            self._commit("lot_charge", lot_id=lot.lot_id, path=path,
-                         nbytes=take, last_used=now)
-            remaining -= take
-            if remaining == 0:
-                return
+            if remaining and lot.free > 0:
+                takes[lot.lot_id] = min(lot.free, remaining)
+                remaining -= takes[lot.lot_id]
+        return takes
 
-    def rename_charges(self, path: str, new_path: str) -> None:
+    def add_charges(self, path: str, charges: dict[str, int],
+                    last_used: float | None = None,
+                    undo: list | None = None) -> None:
+        """Add ``charges`` (bytes by lot id) to ``path``'s, stamping
+        each lot's ``last_used`` when given -- how a record's
+        ``charges`` land, live and on replay."""
+        for lot_id, nbytes in charges.items():
+            lot = self.lots.get(lot_id)
+            if lot is None:
+                continue
+            keep(undo, lot.charges, path)
+            lot.charges[path] = lot.charges.get(path, 0) + int(nbytes)
+            if last_used is not None:
+                keep(undo, vars(lot), "last_used")
+                lot.last_used = float(last_used)
+
+    def rename_charges(self, path: str, new_path: str,
+                       undo: list | None = None) -> None:
         """Re-key the charges (and attachments) of a renamed path and of
         every path under it, for a directory.
 
@@ -425,64 +484,44 @@ class LotManager:
                                          and not p.endswith(TEMP_SUFFIX))]:
                 renamed = (new_path if old == path
                            else new_prefix + old[len(prefix):])
+                keep(undo, table, old)
+                keep(undo, table, renamed)
                 table[renamed] = table.pop(old)
-
-    def merge_charges(self, path: str, into: str) -> None:
-        """Add ``path``'s charges in every lot to ``into``'s, leaving
-        ``path`` with none -- how a committed put's reservation, held
-        under its staged name, joins the file's charge.
-
-        Not journaled: the ``put_commit`` record replays it."""
-        for lot in self.lots.values():
-            nbytes = lot.charges.pop(path, 0)
-            if nbytes:
-                lot.charges[into] = lot.charges.get(into, 0) + nbytes
 
     def charges_of(self, path: str) -> dict[str, int]:
         """``path``'s charge in each lot that holds one, by lot id."""
         return {lot.lot_id: lot.charges[path] for lot in self.lots.values()
                 if path in lot.charges}
 
-    def set_charges(self, path: str, charges: dict[str, int]) -> None:
-        """Put ``path``'s charges back to ``charges`` (from
-        :meth:`charges_of`) in memory only, journaling nothing."""
-        for lot in self.lots.values():
-            nbytes = charges.get(lot.lot_id, 0)
-            if nbytes:
-                lot.charges[path] = nbytes
-            else:
-                lot.charges.pop(path, None)
+    def release(self, path: str, nbytes: int | None = None,
+                undo: list | None = None) -> None:
+        """Release ``nbytes`` of ``path``'s charges (all of them when
+        None), lot by lot in lot order.
 
-    def release(self, path: str, nbytes: int | None = None) -> None:
-        """Release a file's charges (all of them when ``nbytes`` is None)."""
-        for lot_id, take in self._takes(path, nbytes):
-            self._commit("lot_release", lot_id=lot_id, path=path,
-                         nbytes=take)
-
-    def trim_charges(self, path: str, nbytes: int) -> None:
-        """Release ``nbytes`` of ``path``'s charges, lot by lot as
-        :meth:`release` does.
-
-        Not journaled: the ``put_commit`` record of a shrinking
-        overwrite replays it."""
-        for lot_id, take in self._takes(path, nbytes):
-            self._r_lot_release({"lot_id": lot_id, "path": path,
-                                 "nbytes": take})
-
-    def _takes(self, path: str, nbytes: int | None):
-        """``(lot_id, bytes)`` to release from each lot holding a charge
-        for ``path``, in lot order, until ``nbytes`` (all, when None)."""
+        Journals nothing: a record that releases (``delete``, a
+        shrinking ``put_commit``) calls it from its apply function, and
+        a PUT that does not land gives back a reservation its approval
+        took in memory only."""
         remaining = nbytes
         for lot in self.lots.values():
-            if path not in lot.charges:
+            held = lot.charges.get(path)
+            if held is None:
                 continue
-            take = lot.charges[path]
+            take = held if remaining is None else min(held, remaining)
+            self._take(lot, path, take, undo)
             if remaining is not None:
-                take = min(take, remaining)
                 remaining -= take
-            yield lot.lot_id, take
-            if remaining == 0:
-                return
+                if remaining == 0:
+                    return
+
+    @staticmethod
+    def _take(lot: Lot, path: str, nbytes: int, undo: list | None) -> None:
+        keep(undo, lot.charges, path)
+        left = lot.charges.get(path, 0) - nbytes
+        if left > 0:
+            lot.charges[path] = left
+        else:
+            lot.charges.pop(path, None)
 
     # ------------------------------------------------------------------
     # reclamation
@@ -501,30 +540,28 @@ class LotManager:
             best_effort.sort(key=lambda l: l.last_used)
         return best_effort
 
-    def _reclaim(self, needed: int) -> list[str]:
-        """Release best-effort charges until ``needed`` bytes are free;
-        returns the paths whose charges it took, each once."""
+    def _reclaim(self, needed: int) -> tuple[list[list], list[str]]:
+        """The best-effort charges to take until ``needed`` bytes are
+        free, as ``[lot_id, path, bytes]``, and the lots that leaves
+        empty; changes nothing but the reclamation counters."""
         freed = 0
-        reclaimed_files = 0
-        taken: dict[str, None] = {}
+        taken: list[list] = []
+        emptied: list[str] = []
         for lot in self._victim_order():
             if freed >= needed:
                 break
-            for path in list(lot.charges):
-                nbytes = lot.charges[path]
-                self._commit("lot_reclaim", lot_id=lot.lot_id, path=path,
-                             nbytes=nbytes)
+            took = len(taken)
+            for path, nbytes in lot.charges.items():
+                taken.append([lot.lot_id, path, nbytes])
                 freed += nbytes
-                reclaimed_files += 1
-                taken[path] = None
                 if freed >= needed:
                     break
-            if not lot.charges:
-                self._commit("lot_delete", lot_id=lot.lot_id)
-        if reclaimed_files and self._m_reclaimed_files is not None:
-            self._m_reclaimed_files.inc(reclaimed_files)
+            if len(taken) - took == len(lot.charges):
+                emptied.append(lot.lot_id)
+        if taken and self._m_reclaimed_files is not None:
+            self._m_reclaimed_files.inc(len(taken))
             self._m_reclaimed_bytes.inc(freed)
-        return list(taken)
+        return taken, emptied
 
     def total_used(self) -> int:
         """Bytes charged across all lots."""
@@ -565,10 +602,18 @@ class LotManager:
         self.attachments.update(data.get("attachments", {}))
         self._next_id = max(self._next_id, int(data.get("next_id", 1)))
 
-    def _r_lot_create(self, rec: dict) -> None:
-        """Create one lot exactly as recorded -- a ``lot_create`` record
-        or a snapshot's lot document (no space checks: the live
-        ``create_lot`` made them before committing)."""
+    def _r_lot_create(self, rec: dict, undo: list | None = None) -> None:
+        """Create one lot exactly as recorded -- a ``lot_create`` record,
+        with the charges it reclaimed and the lots it emptied, or a
+        snapshot's lot document (no space checks: the live
+        ``lot_record`` made them)."""
+        for lot_id, path, nbytes in rec.get("reclaimed", ()):
+            victim = self.lots.get(lot_id)
+            if victim is not None:
+                self._take(victim, path, int(nbytes), undo)
+        for lot_id in rec.get("emptied", ()):
+            keep(undo, self.lots, lot_id)
+            self.lots.pop(lot_id, None)
         lot = Lot(
             lot_id=rec["lot_id"], owner=rec["owner"],
             capacity=int(rec["capacity"]),
@@ -579,47 +624,31 @@ class LotManager:
             last_used=float(rec.get("last_used", 0.0)),
             charges={p: int(n) for p, n in rec.get("charges", {}).items()},
         )
+        keep(undo, self.lots, lot.lot_id)
         self.lots[lot.lot_id] = lot
         # Never re-mint an id that history already used.
-        if lot.lot_id.startswith("lot"):
-            try:
-                self._next_id = max(self._next_id, int(lot.lot_id[3:]) + 1)
-            except ValueError:
-                pass
+        if lot.lot_id.startswith("lot") and lot.lot_id[3:].isdigit():
+            keep(undo, vars(self), "_next_id")
+            self._next_id = max(self._next_id, int(lot.lot_id[3:]) + 1)
 
-    def _r_lot_renew(self, rec: dict) -> None:
+    def _r_lot_renew(self, rec: dict, undo: list | None = None) -> None:
         lot = self.lots.get(rec["lot_id"])
         if lot is not None:
+            keep(undo, vars(lot), "expires_at")
+            keep(undo, vars(lot), "state")
             lot.expires_at = float(rec["expires_at"])
             lot.state = LotState(rec.get("state", LotState.ACTIVE.value))
 
-    def _r_lot_delete(self, rec: dict) -> None:
+    def _r_lot_delete(self, rec: dict, undo: list | None = None) -> None:
+        keep(undo, self.lots, rec["lot_id"])
         self.lots.pop(rec["lot_id"], None)
 
-    def _r_lot_pin(self, rec: dict) -> None:
+    def _r_lot_pin(self, rec: dict, undo: list | None = None) -> None:
         lot = self.lots.get(rec["lot_id"])
         if lot is not None:
+            keep(undo, vars(lot), "pinned")
             lot.pinned = bool(rec.get("pinned", False))
 
-    def _r_lot_attach(self, rec: dict) -> None:
+    def _r_lot_attach(self, rec: dict, undo: list | None = None) -> None:
+        keep(undo, self.attachments, rec["prefix"])
         self.attachments[rec["prefix"]] = rec["lot_id"]
-
-    def _r_lot_charge(self, rec: dict) -> None:
-        lot = self.lots.get(rec["lot_id"])
-        if lot is not None:
-            path = rec["path"]
-            lot.charges[path] = lot.charges.get(path, 0) + int(rec["nbytes"])
-            lot.last_used = float(rec.get("last_used", lot.last_used))
-
-    def _r_lot_release(self, rec: dict) -> None:
-        lot = self.lots.get(rec["lot_id"])
-        if lot is None:
-            return
-        path = rec["path"]
-        left = lot.charges.get(path, 0) - int(rec["nbytes"])
-        if left > 0:
-            lot.charges[path] = left
-        else:
-            lot.charges.pop(path, None)
-
-    _r_lot_reclaim = _r_lot_release

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import errno as _errno
 import functools
+from collections import Counter
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.nest.acl import AccessControl, AclError, Rights, default_acl
-from repro.nest.backends import (TEMP_SUFFIX, DataStore, MemoryStore,
-                                 staged_name)
-from repro.nest.lots import Lot, LotError, LotManager
+from repro.nest.backends import DataStore, MemoryStore, staged_name
+from repro.nest.lots import Lot, LotError, LotManager, keep, restore
 from repro.obs import spans as _spans
 from repro.obs.metrics import MetricsRegistry
 # StorageError and TransferTicket live beside the sessions that catch
@@ -123,9 +123,10 @@ class _StorageOp:
     op that touches the backing store waits earlier, under the lock
     (:meth:`StorageManager._await_durable`), or touches it only after
     this scope closes; either way every record of the op has its byte
-    effect by the time the hook runs.  A failed wait ends the span as
-    an error and counts the op with its :class:`StorageError` status,
-    like a failure inside the body, and takes no snapshot."""
+    effect by the time the hook runs.  A failed wait has undone the
+    op's records; it ends the span as an error and counts the op with
+    its :class:`StorageError` status, like a failure inside the body,
+    and takes no snapshot."""
 
     __slots__ = ("manager", "op", "span", "outermost")
 
@@ -212,14 +213,11 @@ class StorageManager:
         self._lock = threading.RLock()
         #: raw bytes approved puts hold in reserve until they settle.
         self._reserved = 0
-        #: staged names of puts in flight whose lot reservation a
-        #: reclaim took charges from: their commit charges it again.
-        self._reclaimed_puts: set[str] = set()
         #: the metadata journal (set via :meth:`set_journal`); None
         #: means the appliance runs memory-only, exactly as before.
         self._journal = None
-        #: per-thread list of journal seqs enqueued by the op in
-        #: flight; non-None only between _op entry and exit.
+        #: per-thread list of ``(seq, pre-images)`` the op in flight
+        #: enqueued; non-None only between _op entry and exit.
         self._local = threading.local()
         self._m_ops = None
         self._m_denied = None
@@ -258,69 +256,74 @@ class StorageManager:
         self._journal = journal
         self.lots.journal = self._emit if journal is not None else None
 
-    def _emit(self, rtype: str, **fields) -> None:
-        """Record one durable mutation in the bound journal: enqueue it
-        into the running op's wait list or, outside an :meth:`_op`
-        scope, enqueue it and wait at once.
-
-        A failed append (disk gone, out of space) must not kill the
-        connection: it degrades into a typed response -- ``ENOSPC``
-        maps to the protocol's no-space error, anything else to a
-        server error.  The in-memory mutation has already happened;
-        the journal's error counter records the divergence.
-        """
-        journal = self._journal
-        if journal is None:
-            return
+    def _emit(self, rtype: str, fields: dict[str, Any], undo: list) -> None:
+        """Enqueue one applied mutation in the bound journal, its
+        pre-images beside its seq: into the running op's wait list or,
+        outside an :meth:`_op` scope, waiting for it at once."""
+        seq = self._journal.record_async(rtype, **fields)
         waits = getattr(self._local, "waits", None)
-        try:
-            seq = journal.record_async(rtype, **fields)
-            if waits is None:
-                journal.wait_durable(seq)
-            else:
-                waits.append(seq)
-        except OSError as exc:
-            raise self._journal_failure(exc) from exc
+        if waits is None:
+            self._await_durable([(seq, undo)])
+        else:
+            waits.append((seq, undo))
 
     def _commit(self, rtype: str, **fields) -> None:
         """Apply one durable mutation through :meth:`apply_record`, then
         journal it (:meth:`_emit`).  Crash replay calls the same
         ``apply_record``, so a record means one thing live and after a
         restart; and because the change is in memory before its record
-        is handed a seq, a snapshot covering that seq holds it."""
-        self.apply_record({"type": rtype, **fields})
-        self._emit(rtype, **fields)
+        is handed a seq, a snapshot covering that seq holds it.  With a
+        journal bound, the apply keeps the pre-image of every slot the
+        record writes, for :meth:`_await_durable` to put back."""
+        rec = {"type": rtype, **fields}
+        if self._journal is None:
+            self.apply_record(rec)
+            return
+        undo: list = []
+        self.apply_record(rec, undo)
+        self._emit(rtype, fields, undo)
 
-    def apply_record(self, rec: dict[str, Any]) -> bool:
-        """Apply one journal record -- committed live, or replayed after
+    def apply_record(self, rec: dict[str, Any],
+                     undo: list | None = None) -> bool:
+        """Apply one journal record -- committed live, keeping the
+        pre-image of each slot it writes in ``undo``, or replayed after
         a crash (no ACL or space checks: the live verb made them before
         committing).  Lot records go to the lot manager.  True when the
         type was a storage or lot record."""
         handler = getattr(self, "_r_" + str(rec.get("type")), None)
         if handler is None:
-            return self.lots.apply_record(rec)
-        handler(rec)
+            return self.lots.apply_record(rec, undo)
+        handler(rec, undo)
         return True
 
-    def _await_durable(self) -> None:
-        """Block until every record the running op enqueued is on disk.
-        :meth:`_op`'s exit calls it after ``self._lock`` is released,
-        so concurrent mutators pile onto one group-commit flush; an op
-        about to touch the backing store calls it first, under the
-        lock."""
-        waits = getattr(self._local, "waits", None)
-        if not waits:
-            return
-        seqs, self._local.waits = list(waits), []
+    def _await_durable(self, waits: list | None = None) -> None:
+        """Block until every record the running op enqueued (or
+        ``waits``) is on disk.  :meth:`_op`'s exit calls it after
+        ``self._lock`` is released, so concurrent mutators pile onto one
+        group-commit flush; an op about to touch the backing store
+        calls it first, under the lock.
+
+        The one place a failed flush surfaces, and the one undo: the
+        op's pre-images go back, newest first, under the lock, and the
+        failure degrades into a typed response (``ENOSPC`` to the
+        protocol's no-space error, anything else to a server error)."""
+        if waits is None:
+            waits = getattr(self._local, "waits", None)
+            if not waits:
+                return
+            self._local.waits = []
         # Every seq is waited for, even past a failure: the journal
         # keeps a failed flush's error for each seq until its wait.
         failure = None
-        for seq in seqs:
+        for seq, _undo in waits:
             try:
                 self._journal.wait_durable(seq)
             except OSError as exc:
                 failure = failure or exc
         if failure is not None:
+            with self._lock:
+                for _seq, undo in reversed(waits):
+                    restore(undo)
             raise self._journal_failure(failure) from failure
 
     @staticmethod
@@ -408,28 +411,26 @@ class StorageManager:
 
     def create_lot(self, owner: str, capacity: int, duration: float,
                    volatile: bool = False) -> Lot:
-        """Create a lot (:meth:`LotManager.create_lot
-        <repro.nest.lots.LotManager.create_lot>`): each file whose
-        best-effort space it reclaimed, and that no lot backs any more,
-        loses its data and metadata."""
+        """Create a lot in one ``lot_create`` record
+        (:meth:`LotManager.lot_record
+        <repro.nest.lots.LotManager.lot_record>`) that also drops each
+        file whose best-effort charges it reclaimed and that no lot
+        backs any more; their bytes go once the record is durable.  An
+        in-flight put's reservation has no file to lose: its commit
+        charges what was taken again."""
         with self._lock:
-            lot, reclaimed = self.lots.create_lot(owner, capacity, duration,
-                                                  volatile=volatile)
-            for path in reclaimed:
-                if path.endswith(TEMP_SUFFIX):
-                    # An in-flight put's reservation has no file to
-                    # lose: its commit charges what was taken again.
-                    self._reclaimed_puts.add(path)
-                elif not self.lots.charges_of(path):
-                    self._reclaim_file(path)
-            return lot
-
-    def _reclaim_file(self, path: str) -> None:
-        """Best-effort lot reclamation: delete the file's data + metadata."""
-        self._commit("file_reclaim", path=path)
-        self._await_durable()
-        self.store.delete(path)
-        self.invalidate(path)
+            rec = self.lots.lot_record(owner, capacity, duration, volatile)
+            taken = Counter(path for _, path, _ in rec["reclaimed"])
+            dropped = [path for path, n in taken.items()
+                       if n == len(self.lots.charges_of(path))
+                       and self._file(path) is not None]
+            self._commit("lot_create", dropped=dropped, **rec)
+            if dropped:
+                self._await_durable()
+                for path in dropped:
+                    self.store.delete(path)
+                    self.invalidate(path)
+            return self.lots.lots[rec["lot_id"]]
 
     # ------------------------------------------------------------------
     # metadata operations (synchronous; paper section 2.1)
@@ -493,19 +494,8 @@ class StorageManager:
                 raise StorageError(Status.NOT_FOUND, path)
             if isinstance(node, DirNode):
                 raise StorageError(Status.IS_DIR, path)
-            # One record takes the file and its charges, so a flush
-            # that fails has taken nothing, and the undo is exact.
-            charges = self.lots.charges_of(path)
-            try:
-                self._commit("delete", path=path)
-                self._await_durable()
-            except StorageError:
-                # The journal failed, so the undo is memory's alone:
-                # the file and its charges are back, as its bytes are.
-                parent.children[name] = node
-                self.used_bytes += node.size
-                self.lots.set_charges(path, charges)
-                raise
+            self._commit("delete", path=path)
+            self._await_durable()
             self.store.delete(path)
             self.invalidate(path)
 
@@ -529,15 +519,8 @@ class StorageManager:
                                    f"{new_path} is inside {path}")
             # Durable before the store rename: if a crash cuts it,
             # replay finishes it (StorageReplayer.finish_moves).
-            try:
-                self._commit("rename", path=path, new_path=new_path)
-                self._await_durable()
-            except StorageError:
-                # The journal failed: undo the rename in memory by
-                # applying its inverse, so the name matches the bytes.
-                self._r_rename({"type": "rename", "path": new_path,
-                                "new_path": path})
-                raise
+            self._commit("rename", path=path, new_path=new_path)
+            self._await_durable()
             move_bytes(self.store, node, path, new_path)
             # The old name no longer resolves (and for directories the
             # whole old subtree died): stale handles must not survive.
@@ -624,10 +607,11 @@ class StorageManager:
         and lot space when lots are required -- so the guarantee holds
         before any data moves, and opens a stream to a staged file of
         its own.  Nothing in the namespace changes until the ticket
-        settles (:meth:`_settle_put`): the approval journals no
-        namespace record and waits for none, its lot reservation riding
-        the commit's flush.  The reservation is charged under the
-        staged name, which no DELETE or RENAME of the path reaches.
+        settles (:meth:`_settle_put`), and the approval journals
+        nothing: its lot reservation is charged in memory under the
+        staged name, which no DELETE or RENAME of the path reaches and
+        no restart keeps (the PUT dies with the process), and the
+        commit's record carries what the file is charged.
         """
         staged = staged_name(path)
         with self._op("approve_put", path), self._lock:
@@ -638,15 +622,10 @@ class StorageManager:
             self._check(parent.acl, user, "i" if existing is None else "w")
             declared = max(0, length)
             growth = max(0, declared - (existing.size if existing else 0))
-            waits = self._local.waits
-            mark = len(waits)
-            self._charge(user, staged, growth)
+            self._check_space(growth)
+            self._charge_lots(self.lots.charge, user, staged, growth)
             self._reserved += growth
-            # The settle waits for these records instead.
-            carried = waits[mark:]
-            del waits[mark:]
-        settle = functools.partial(self._settle_put, path, staged, growth,
-                                   carried)
+        settle = functools.partial(self._settle_put, path, staged, growth)
         try:
             stream = self.store.open_write(staged)
         except BaseException:
@@ -668,10 +647,13 @@ class StorageManager:
             self._check(parent.acl, user, "i" if existing is None else "w")
             size = existing.size if existing is not None else 0
             growth = max(0, offset + length - size)
-            # A refused charge leaves no file behind: the node is made
-            # by the commit, as replay makes it.
-            self._charge(user, path, growth)
-            self._commit("write", user=user, path=path, size=size + growth)
+            # A refused charge leaves no file behind: the node and its
+            # charge are made by the one record, as replay makes them.
+            self._check_space(growth)
+            charges = self._charge_lots(self.lots.plan_charge, user, path,
+                                        growth)
+            self._commit("write", user=user, path=path, size=size + growth,
+                         **self._charged(charges))
         stream = self.store.open_update(path)
         stream.seek(offset)
         return TransferTicket(
@@ -699,105 +681,80 @@ class StorageManager:
         if self.heat is not None:
             self.heat.record(path, nbytes)
 
-    def _charge(self, user: str, path: str, growth: int) -> None:
-        """Take ``growth`` more bytes for ``path`` out of the free raw
-        space and, when lots are required, out of the user's lots."""
-        if growth <= 0:
-            return
-        if growth > self.capacity_bytes - self.used_bytes - self._reserved:
+    def _check_space(self, growth: int) -> None:
+        """Refuse ``growth`` more bytes the raw space cannot hold."""
+        if growth > 0 and growth > (self.capacity_bytes - self.used_bytes
+                                    - self._reserved):
             raise StorageError(Status.NO_SPACE, "filesystem full")
-        self._charge_lots(user, path, growth)
 
-    def _charge_lots(self, user: str, path: str, nbytes: int) -> None:
-        """Charge ``nbytes`` for ``path`` to the user's lots, when lots
-        are required."""
-        if self.require_lots and nbytes > 0:
-            try:
-                self.lots.charge(user, path, nbytes)
-            except LotError as exc:
-                raise StorageError(Status.NO_SPACE, str(exc)) from exc
+    def _charge_lots(self, charge, user: str, path: str,
+                     nbytes: int) -> dict[str, int]:
+        """When lots are required, ``charge`` (the lot manager's
+        ``charge``, or ``plan_charge`` for a record to carry) ``nbytes``
+        for ``path`` to the user's lots, refusing with NO_SPACE."""
+        if not (self.require_lots and nbytes > 0):
+            return {}
+        try:
+            return charge(user, path, nbytes)
+        except LotError as exc:
+            raise StorageError(Status.NO_SPACE, str(exc)) from exc
 
-    def _unreserve(self, staged: str, reserved: int) -> None:
-        """Give back what an approval reserved for the put staged under
-        ``staged``."""
-        self._reserved -= reserved
-        if reserved:
-            self.lots.release(staged)
+    def _charged(self, charges: dict[str, int]) -> dict[str, Any]:
+        """A record's fields for the lot ``charges`` it adds to its
+        file."""
+        return {"charges": charges, "last_used": self.clock()} if charges \
+            else {}
 
     def _settle_put(self, path: str, staged: str, reserved: int,
-                    carried: list[int], ticket: TransferTicket | None,
-                    actual: int) -> None:
+                    ticket: TransferTicket | None, actual: int) -> None:
         """Settle one approved put: commit its staged bytes as the file
-        (:meth:`_commit_put`) or -- aborted, its stream discarded or
-        never opened (no ticket) -- give back its reservation, leaving
-        the file as it was.  Either way the op waits for the
-        approval's records too."""
+        (:meth:`_commit_put`).  A put that does not land -- aborted,
+        its stream discarded or never opened (no ticket), or refused or
+        undone at its commit -- gives back the reservation its approval
+        took, in memory only, as it was taken, and leaves no staged
+        bytes."""
         with self._op("commit_put", path), self._lock:
-            self._local.waits.extend(carried)
+            self._reserved -= reserved
             if ticket is None or ticket.aborted:
-                self._reclaimed_puts.discard(staged)
-                self._unreserve(staged, reserved)
-            else:
+                self.lots.release(staged)
+                return
+            try:
                 self._commit_put(ticket.user, path, staged, actual, reserved)
+            except StorageError:
+                self.lots.release(staged)
+                self.store.delete(staged)
+                raise
 
     def _commit_put(self, user: str, path: str, staged: str, size: int,
                     reserved: int) -> None:
         """Make the ``size`` bytes staged under ``staged`` the file at
         ``path``: the one place a put's bytes become the file.
 
-        The lot is charged the growth over the file's size now that
-        approval did not reserve, and again whatever of the reservation
-        a lot reclaim took (an under-declared put, one whose directory
-        went, or one whose user has no lot room left, is refused here
-        and lands nothing); one
-        ``put_commit`` record follows, durable before the store renames
-        the staged file over the path -- the call a RENAME's bytes move
-        by, which replay redoes the same way.  Whichever put commits
-        last wins both the bytes and the size.
-
-        When that flush fails, the commit is undone in memory before
-        the error goes back: the file keeps its old size, owner and
-        charges -- or, new, is gone again -- so a reader's size still
-        matches the bytes, and the staged file is deleted."""
-        try:
-            parent, name = self._parent_and_name(path)
-            node = parent.children.get(name)
-            if isinstance(node, DirNode):
-                raise StorageError(Status.IS_DIR, path)
-            old_size = node.size if node is not None else None
-            charges = self.lots.charges_of(path)
-            if staged in self._reclaimed_puts:
-                # A lot reclaim (create_lot) took some of the
-                # reservation from under the staged name: charge it
-                # again, or refuse.
-                self._reclaimed_puts.remove(staged)
-                held = sum(self.lots.charges_of(staged).values())
-                self._charge_lots(user, staged, reserved - held)
-            change = size - (old_size or 0) - reserved
-            self._charge(user, path, change)
-        except StorageError:
-            self._unreserve(staged, reserved)
-            self.store.delete(staged)
-            raise
-        self._reserved -= reserved
-        # A shrink's lot release rides in the one record, so a flush
-        # that fails has taken nothing, and the undo is exact.
-        release = {"release": -change} if change < 0 else {}
+        Growth the approval did not reserve is taken out of the raw
+        space, and growth the staged name's lot charges no longer cover
+        (an under-declared put, or a reservation a lot reclaim took) out
+        of the user's lots; a put whose directory went, or whose user
+        has no room left, is refused here.  One ``put_commit`` record
+        moves the staged name's charges to the file, or gives back what
+        a shrinking overwrite frees; it is durable before the store
+        renames the staged file over the path -- the call a RENAME's
+        bytes move by, which replay redoes the same way.  Whichever put
+        commits last wins both the bytes and the size."""
+        parent, name = self._parent_and_name(path)
+        node = parent.children.get(name)
+        if isinstance(node, DirNode):
+            raise StorageError(Status.IS_DIR, path)
+        growth = size - (node.size if node is not None else 0)
+        if growth > reserved:
+            self._check_space(growth)
+        held = sum(self.lots.charges_of(staged).values())
+        self._charge_lots(self.lots.charge, user, staged, growth - held)
+        charges = self.lots.charges_of(staged)
+        release = sum(charges.values()) - growth
         self._commit("put_commit", path=path, size=size, user=user,
-                     staged=staged, **release)
-        try:
-            self._await_durable()
-        except StorageError:
-            # The journal failed, so the undo is memory's alone.
-            node = parent.children[name]
-            self.used_bytes += (old_size or 0) - node.size
-            if old_size is None:
-                del parent.children[name]
-            else:
-                node.size = old_size
-            self.lots.set_charges(path, charges)
-            self.store.delete(staged)
-            raise
+                     staged=staged, **self._charged(charges),
+                     **({"release": release} if release > 0 else {}))
+        self._await_durable()
         self.store.rename(staged, path)
 
     # ------------------------------------------------------------------
@@ -814,73 +771,95 @@ class StorageManager:
         node = parent.children.get(name)
         return (parent, name, node) if isinstance(node, FileNode) else None
 
-    def _r_mkdir(self, rec: dict) -> None:
+    def _r_mkdir(self, rec: dict, undo: list | None) -> None:
         parent, name = self._parent_and_name(rec["path"])
         if name not in parent.children:
+            keep(undo, parent.children, name)
             parent.children[name] = DirNode(
                 name=name, acl=default_acl(rec.get("user", "admin"),
                                            self.groups, self.anonymous_rights))
 
-    def _r_rmdir(self, rec: dict) -> None:
+    def _r_rmdir(self, rec: dict, undo: list | None) -> None:
         parent, name = self._parent_and_name(rec["path"])
         if isinstance(parent.children.get(name), DirNode):
+            keep(undo, parent.children, name)
             del parent.children[name]
 
-    def _r_file_reclaim(self, rec: dict) -> None:
-        found = self._file(rec["path"])
+    def _drop_file(self, path: str, undo: list | None) -> None:
+        found = self._file(path)
         if found is not None:
             parent, name, node = found
+            keep(undo, vars(self), "used_bytes")
+            keep(undo, parent.children, name)
             self.used_bytes -= node.size
             del parent.children[name]
 
-    def _r_delete(self, rec: dict) -> None:
-        self._r_file_reclaim(rec)
-        self.lots.set_charges(rec["path"], {})
+    def _r_delete(self, rec: dict, undo: list | None) -> None:
+        self._drop_file(rec["path"], undo)
+        self.lots.release(rec["path"], None, undo)
 
-    def _r_rename(self, rec: dict) -> None:
+    def _r_lot_create(self, rec: dict, undo: list | None) -> None:
+        self.lots._r_lot_create(rec, undo)
+        for path in rec.get("dropped", ()):
+            self._drop_file(path, undo)
+
+    def _r_rename(self, rec: dict, undo: list | None) -> None:
         parent, name = self._parent_and_name(rec["path"])
         node = parent.children.get(name)
         if node is None:
             return
         new_parent, new_name = self._parent_and_name(rec["new_path"])
+        keep(undo, parent.children, name)
         del parent.children[name]
+        keep(undo, vars(node), "name")
         node.name = new_name
+        keep(undo, new_parent.children, new_name)
         new_parent.children[new_name] = node
-        self.lots.rename_charges(rec["path"], rec["new_path"])
+        self.lots.rename_charges(rec["path"], rec["new_path"], undo)
 
-    def _r_acl_set(self, rec: dict) -> None:
+    def _r_acl_set(self, rec: dict, undo: list | None) -> None:
         node = self._lookup(rec["path"])
         if isinstance(node, DirNode):
-            node.acl.set_entry(rec["subject"], Rights.parse(rec["rights"]))
+            # A new ACL, so the old one is whole for the undo to put
+            # back, its rights cache included.
+            acl = node.acl.copy()
+            acl.set_entry(rec["subject"], Rights.parse(rec["rights"]))
+            keep(undo, vars(node), "acl")
+            node.acl = acl
 
-    def _r_group_set(self, rec: dict) -> None:
+    def _r_group_set(self, rec: dict, undo: list | None) -> None:
+        keep(undo, self.groups, rec["name"])
         self.groups[rec["name"]] = set(rec.get("members", []))
 
-    def _r_put_commit(self, rec: dict) -> None:
+    def _write_file(self, rec: dict, undo: list | None,
+                    size: int) -> None:
+        """Make the file ``rec`` names if it is not there, size it, and
+        add the lot ``charges`` the record carries."""
         parent, name = self._parent_and_name(rec["path"])
         node = parent.children.get(name)
         if not isinstance(node, FileNode):
+            keep(undo, parent.children, name)
             node = parent.children[name] = FileNode(
                 name=name, owner=rec.get("user", ""))
-        size = int(rec["size"])
+        keep(undo, vars(self), "used_bytes")
+        keep(undo, vars(node), "size")
         self.used_bytes += size - node.size
         node.size = size
-        self.lots.merge_charges(rec["staged"], rec["path"])
-        # A journal written before the release rode in this record has
-        # a separate ``lot_release`` after it instead.
-        if rec.get("release"):
-            self.lots.trim_charges(rec["path"], int(rec["release"]))
+        self.lots.add_charges(rec["path"], rec.get("charges", {}),
+                              rec.get("last_used"), undo)
 
-    def _r_write(self, rec: dict) -> None:
-        parent, name = self._parent_and_name(rec["path"])
-        node = parent.children.get(name)
-        if not isinstance(node, FileNode):
-            node = parent.children[name] = FileNode(
-                name=name, owner=rec.get("user", ""))
-        size = int(rec["size"])
-        if size > node.size:
-            self.used_bytes += size - node.size
-            node.size = size
+    def _r_put_commit(self, rec: dict, undo: list | None) -> None:
+        # The staged name's reservation is the commit's to move; on
+        # replay it is gone already, unless a snapshot caught it.
+        self.lots.release(rec["staged"], None, undo)
+        self._write_file(rec, undo, int(rec["size"]))
+        if rec.get("release"):
+            self.lots.release(rec["path"], int(rec["release"]), undo)
+
+    def _r_write(self, rec: dict, undo: list | None) -> None:
+        node = self._file(rec["path"])
+        size = node[2].size if node is not None else 0
+        self._write_file(rec, undo, max(size, int(rec["size"])))
 
     # ------------------------------------------------------------------
     # request execution (the dispatcher's synchronous path)

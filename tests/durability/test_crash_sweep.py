@@ -53,35 +53,79 @@ class Wire:
     def delete(self, user, path):
         self._execute(RequestType.DELETE, user, path)
 
+    def rmdir(self, user, path):
+        self._execute(RequestType.RMDIR, user, path)
+
+    def delete_lot(self, lot_id, owner):
+        self._execute(RequestType.LOT_DELETE, owner, "", lot_id=lot_id)
+
+
+class Direct:
+    """``run_workload``'s namespace verbs, as direct calls."""
+
+    def __init__(self, storage: StorageManager):
+        self.storage = storage
+
+    def __getattr__(self, name):
+        return getattr(self.storage, name)
+
+    def delete_lot(self, lot_id, owner):
+        self.storage.lots.delete_lot(lot_id, owner=owner)
+
 
 #: entry point name -> what ``run_workload`` calls the namespace verbs on
-ENTRY_POINTS = {"direct": lambda storage: storage, "wire": Wire}
+ENTRY_POINTS = {"direct": Direct, "wire": Wire}
+
+
+def nfs_write(storage, user, path, data: bytes) -> None:
+    ticket = storage.approve_write(user, path, 0, len(data))
+    ticket.stream.write(data)
+    ticket.settle(len(data))
+
+
+#: A fixed script touching every journaled mutation type, one verb a
+#: step: ``(name, step(storage, namespace verbs))``.
+WORKLOAD = [
+    ("lot alice", lambda s, ns: s.lots.create_lot("alice", 1 << 16, 3600.0)),
+    ("lot bob", lambda s, ns: s.lots.create_lot("bob", 1 << 16, 3600.0)),
+    ("lot carol", lambda s, ns: s.lots.create_lot("carol", 1 << 16, 3600.0)),
+    ("group team", lambda s, ns: s.add_group("team", {"alice", "bob"})),
+    ("mkdir /a", lambda s, ns: ns.mkdir("admin", "/a")),
+    ("acl /a", lambda s, ns: ns.acl_set("admin", "/a", "group:team",
+                                        "rwmidl")),
+    ("mkdir /b", lambda s, ns: ns.mkdir("admin", "/b")),
+    ("acl /b", lambda s, ns: ns.acl_set("admin", "/b", "carol", "rwmidl")),
+    ("put /a/one", lambda s, ns: put(s, "alice", "/a/one", b"1" * 100)),
+    ("put /a/two", lambda s, ns: put(s, "bob", "/a/two", b"2" * 200)),
+    ("put /b/three", lambda s, ns: put(s, "carol", "/b/three", b"3" * 300)),
+    ("rename", lambda s, ns: ns.rename("alice", "/a/one", "/a/uno")),
+    ("delete", lambda s, ns: ns.delete("bob", "/a/two")),
+    ("renew lot3", lambda s, ns: s.lots.renew("lot3", 7200.0)),
+    ("attach lot3", lambda s, ns: s.lots.attach("lot3", "/b")),
+    ("put /b/four", lambda s, ns: put(s, "carol", "/b/four", b"4" * 50)),
+    ("put /a/five", lambda s, ns: put(s, "alice", "/a/five", b"5" * 150)),
+    # Overwrites: a growing one charges the lot its growth, a
+    # shrinking one gives the difference back in its commit.
+    ("growing overwrite",
+     lambda s, ns: put(s, "alice", "/a/uno", b"U" * 120)),
+    ("shrinking overwrite",
+     lambda s, ns: put(s, "carol", "/b/three", b"T" * 30)),
+    ("mkdir /c", lambda s, ns: ns.mkdir("admin", "/c")),
+    ("acl /c", lambda s, ns: ns.acl_set("admin", "/c", "bob", "rl")),
+    ("rmdir /c", lambda s, ns: ns.rmdir("admin", "/c")),
+    ("pin lot3", lambda s, ns: s.lots.pin_lot("lot3")),
+    ("nfs write", lambda s, ns: nfs_write(s, "alice", "/a/nfs", b"w" * 40)),
+    ("group again",
+     lambda s, ns: s.add_group("team", {"alice", "bob", "carol"})),
+    ("delete lot2", lambda s, ns: ns.delete_lot("lot2", "bob")),
+]
 
 
 def run_workload(s: StorageManager, entry: str = "direct") -> None:
-    """A fixed script touching every journaled mutation type."""
+    """Run every step of :data:`WORKLOAD` on one entry point."""
     ns = ENTRY_POINTS[entry](s)
-    s.lots.create_lot("alice", 1 << 16, 3600.0)
-    s.lots.create_lot("bob", 1 << 16, 3600.0)
-    lot3, _ = s.lots.create_lot("carol", 1 << 16, 3600.0)
-    s.add_group("team", {"alice", "bob"})
-    ns.mkdir("admin", "/a")
-    ns.acl_set("admin", "/a", "group:team", "rwmidl")
-    ns.mkdir("admin", "/b")
-    ns.acl_set("admin", "/b", "carol", "rwmidl")
-    put(s, "alice", "/a/one", b"1" * 100)
-    put(s, "bob", "/a/two", b"2" * 200)
-    put(s, "carol", "/b/three", b"3" * 300)
-    ns.rename("alice", "/a/one", "/a/uno")
-    ns.delete("bob", "/a/two")
-    s.lots.renew(lot3.lot_id, 7200.0)
-    s.lots.attach(lot3.lot_id, "/b")
-    put(s, "carol", "/b/four", b"4" * 50)
-    put(s, "alice", "/a/five", b"5" * 150)
-    # Overwrites: a growing one charges the lot its growth, a
-    # shrinking one gives the difference back after its commit.
-    put(s, "alice", "/a/uno", b"U" * 120)
-    put(s, "carol", "/b/three", b"T" * 30)
+    for _name, step in WORKLOAD:
+        step(s, ns)
 
 
 def boot(state_dir, store, faults=None):

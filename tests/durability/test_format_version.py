@@ -33,6 +33,24 @@ UNSTAMPED_JOURNAL = (
     '"type":"rename"}\n')
 
 
+#: A journal as format version 2 wrote it: a lot-charged PUT's
+#: reservation as its own ``lot_charge`` record, and a shrinking
+#: overwrite's release as a ``lot_release`` after its ``put_commit``.
+VERSION_TWO_RECORDS = [
+    {"type": "lot_create", "lot_id": "lot1", "owner": "admin",
+     "capacity": 65536, "expires_at": CLOCK + 3600, "volatile": False,
+     "last_used": CLOCK},
+    {"type": "mkdir", "user": "admin", "path": "/a"},
+    {"type": "lot_charge", "lot_id": "lot1", "path": "/a/x.1-0.nest-tmp",
+     "nbytes": 10, "last_used": CLOCK},
+    {"type": "put_commit", "path": "/a/x", "size": 10, "user": "admin",
+     "staged": "/a/x.1-0.nest-tmp"},
+    {"type": "put_commit", "path": "/a/x", "size": 3, "user": "admin",
+     "staged": "/a/x.1-1.nest-tmp"},
+    {"type": "lot_release", "lot_id": "lot1", "path": "/a/x", "nbytes": 7},
+]
+
+
 def recover(state_dir):
     storage = StorageManager(store=MemoryStore(), require_lots=True,
                              capacity_bytes=1 << 20, clock=lambda: CLOCK)
@@ -62,10 +80,24 @@ def test_records_and_snapshots_are_stamped(tmp_path):
     assert doc["v"] == FORMAT_VERSION
 
 
-def test_a_version_one_journal_with_put_begin_is_refused_untouched(tmp_path):
-    (tmp_path / "journal.log").write_text(UNSTAMPED_JOURNAL)
+@pytest.mark.parametrize("state", ["v1-journal", "v2-journal",
+                                   "v2-snapshot"])
+def test_an_older_format_is_refused_untouched(tmp_path, state):
+    """Version 1 bracketed a PUT with ``put_begin``; version 2 wrote a
+    PUT as up to three records.  Version 3 replays neither, so a state
+    directory of either is refused with its files as they were."""
+    if state == "v1-journal":
+        (tmp_path / "journal.log").write_text(UNSTAMPED_JOURNAL)
+    elif state == "v2-journal":
+        (tmp_path / "journal.log").write_bytes(b"".join(
+            frame({**rec, "seq": seq, "v": 2})
+            for seq, rec in enumerate(VERSION_TWO_RECORDS, 1)))
+    else:
+        (tmp_path / "snapshot.json").write_text(json.dumps(
+            {"seq": 6, "v": 2, "state": {"storage": {"used_bytes": 3}}}))
     before = files(tmp_path)
-    with pytest.raises(FormatVersionError, match="format version 1"):
+    with pytest.raises(FormatVersionError,
+                       match=f"format version {state[1]}"):
         recover(tmp_path)
     assert files(tmp_path) == before
 
@@ -92,3 +124,4 @@ def test_newer_format_is_refused_untouched(tmp_path, where):
                        match=f"format version {FORMAT_VERSION + 1}"):
         recover(tmp_path)
     assert files(tmp_path) == before
+

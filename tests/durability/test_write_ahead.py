@@ -289,36 +289,3 @@ def test_a_shrinking_overwrite_is_undone_whichever_record_fails(tmp_path):
         DurabilityManager(str(state_dir)).recover_into(restarted)
         assert restarted.serialize_state() == before, f"record {k}"
         assert _reads_its_size(restarted)
-
-
-def test_a_journal_with_the_release_as_its_own_record_replays_the_same(
-        tmp_path):
-    """A journal written before the shrink's release rode in its
-    ``put_commit``: the commit is followed by its own ``lot_release``.
-    Recovering it gives the state the one-record commit leaves."""
-    store, storage, manager, ticket, _before, _mark = _shrink_setup(
-        tmp_path / "live")
-    ticket.settle(3)
-    live = storage.serialize_state()
-    manager.journal.close()
-    records = MetadataJournal(
-        str(tmp_path / "live" / "journal.log")).replay().records
-    old_dir = tmp_path / "old"
-    old_dir.mkdir()
-    old = MetadataJournal(str(old_dir / "journal.log"), fsync=False)
-    (lot_id,) = storage.lots.charges_of("/a/x")
-    released = 0
-    for rec in records:
-        fields = {k: v for k, v in rec.items()
-                  if k not in ("type", "seq", "v")}
-        released += fields.pop("release", 0)
-        old.append(rec["type"], fields)
-        if rec["type"] == "put_commit" and released:
-            old.append("lot_release", {"lot_id": lot_id, "path": "/a/x",
-                                       "nbytes": released})
-    old.close()
-    assert released == 7
-    recovered = StorageManager(store=store, capacity_bytes=1 << 20,
-                               clock=lambda: 1000.0, require_lots=True)
-    DurabilityManager(str(old_dir)).recover_into(recovered)
-    assert recovered.serialize_state() == live

@@ -1,7 +1,7 @@
 """The door, socket-birth, one-accept-loop, shares-no-manager,
 one-periodic-loop, one-journal-write-site, one-commit-site,
-closed-environment, no-closure-per-event and sleep-without-an-event
-rules of ``scripts/lint_datapath.py``."""
+closed-environment, no-closure-per-event, sleep-without-an-event and
+one-undo-site rules of ``scripts/lint_datapath.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -467,3 +467,44 @@ class Disk:
     assert lint._sleep_violations(source, "simnest/disk.py") != []
     assert lint._sleep_violations(source, "sim/disk.py") == []
     assert lint._sleep_violations(source, "nest/disk.py") == []
+
+
+def test_a_failed_flush_is_undone_in_one_place():
+    root = REPO / "src" / "repro"
+    for rel in lint.UNDO_FILES:
+        assert lint._undo_violations(root / rel, rel) == []
+
+
+def test_a_hand_written_undo_is_flagged(tmp_path):
+    source = tmp_path / "storage.py"
+    source.write_text('''
+class StorageManager:
+    def delete(self, user, path):
+        try:
+            self._commit("delete", path=path)           # flagged
+            self._await_durable()                       # flagged
+        except StorageError:
+            self.lots.set_charges(path, charges)
+            raise
+
+    def rename(self, user, path, new_path):
+        try:
+            self._await_durable()                       # flagged
+        except (OSError, errors.StorageError):
+            raise
+
+    def _settle_put(self, path, staged):
+        try:
+            self._commit_put(path, staged)
+        except StorageError:
+            self.store.delete(staged)
+            raise
+        try:
+            self._commit("mkdir", path=path)
+        except AclError:
+            raise
+''')
+    flagged = [int(line.split(":")[1])
+               for line in lint._undo_violations(source, "nest/storage.py")]
+    assert flagged == [5, 6, 13]
+    assert lint._undo_violations(source, "nest/backends.py") == []
